@@ -5,12 +5,11 @@
 # checkpoint save/restore latency + steps/s at each checkpoint cadence),
 # BENCH_decode.json (cached vs uncached tokens/s + batched-serving latency),
 # BENCH_metrics.json (observability hot-path cost + serve overhead on vs
-# off) with the full metrics-registry dump in metrics.json, and
+# off) with the full metrics-registry dump in metrics.json,
 # BENCH_chaos.json (SLO attainment / shed / fallback rates under seeded
-# fault storms at 10x oversubscription), BENCH_shard.json (sharded
-# tensor-parallel serving throughput + worker-kill storm recovery), and
-# BENCH_quant.json (quantized matmul kernel throughput + the accuracy-vs-
-# bits ablation: VP/ABR/CJS task metrics at fp32 / Q8_0 / Q4_0 backbones).
+# fault storms at 10x oversubscription), and BENCH_quant.json (quantized
+# matmul kernel throughput + the accuracy-vs-bits ablation: VP/ABR/CJS task
+# metrics at fp32 / Q8_0 / Q4_0 backbones).
 # Every BENCH_*.json (and metrics.json) is validated at the end; an empty or
 # unparseable file fails the sweep loudly instead of archiving garbage.
 set -euo pipefail
@@ -40,9 +39,6 @@ echo "##### BENCH_metrics.json + metrics.json (observability overhead)"
 echo
 echo "##### BENCH_chaos.json (admission control + fault-storm resilience)"
 ./build/bench/bench_chaos BENCH_chaos.json 2>&1
-echo
-echo "##### BENCH_shard.json (sharded serving throughput + worker-kill storm)"
-./build/bench/bench_shard BENCH_shard.json 2>&1
 echo
 echo "##### BENCH_quant.json (quantized kernels + accuracy vs bits)"
 ./build/bench/bench_quant BENCH_quant.json 2>&1
@@ -128,54 +124,6 @@ EOF
   fi
 else
   echo "skipped (no python3): BENCH_decode.json schema check"
-fi
-echo
-echo "##### validating BENCH_shard.json schema"
-# The shard artifact carries the §14 robustness headline numbers (bitwise
-# fleet transparency + worker-kill recovery); key drift or a wave that
-# leaked exceptions / failed to recover must fail the sweep loudly.
-if command -v python3 >/dev/null 2>&1; then
-  if python3 - BENCH_shard.json <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-def need(obj, key, ctx):
-    if key not in obj:
-        raise SystemExit(f"schema drift: missing '{key}' in {ctx}")
-
-for key in ("throughput", "storm"):
-    need(doc, key, "top level")
-if sorted(r.get("shards") for r in doc["throughput"]) != [0, 1, 2, 4]:
-    raise SystemExit("schema drift: throughput rows must cover shards 0/1/2/4")
-for row in doc["throughput"]:
-    for key in ("requests", "llm", "decisions_per_s", "p50_ms", "p99_ms",
-                "escaped_exceptions"):
-        need(row, key, f"throughput row shards={row.get('shards')}")
-    if row["llm"] != row["requests"]:
-        raise SystemExit("regression: a healthy fleet must serve 100% via the LLM path")
-    if row["escaped_exceptions"] != 0:
-        raise SystemExit("regression: exceptions escaped a throughput wave")
-storm = doc["storm"]
-for key in ("workers", "deadline_ms", "requests", "llm", "shed", "slo_miss",
-            "slo_attainment", "worker_down", "worker_rejoin", "crash_fired",
-            "recovered", "escaped_exceptions"):
-    need(storm, key, "storm")
-if storm["escaped_exceptions"] != 0:
-    raise SystemExit("regression: exceptions escaped the worker-kill storm")
-if not storm["recovered"]:
-    raise SystemExit("regression: fleet did not recover after the worker kill")
-if storm["crash_fired"] < 1 or storm["worker_down"] < 1:
-    raise SystemExit("regression: the worker-kill storm never killed a worker")
-print("ok: BENCH_shard.json schema + recovery invariants")
-EOF
-  then :; else
-    echo "FLEET-FAILED: BENCH_shard.json schema drift"
-    exit 1
-  fi
-else
-  echo "skipped (no python3): BENCH_shard.json schema check"
 fi
 echo
 echo "##### validating BENCH_kernels.json schema"

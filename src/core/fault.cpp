@@ -99,9 +99,8 @@ std::span<const char* const> sites() {
   // Sorted. Keep in sync with the hooks in the codebase and with DESIGN.md
   // ("Fault injection" + "Durable sessions"); test_core enforces both.
   static constexpr const char* kSites[] = {
-      "adapter.params",  "adapter.step",       "llm.forward",  "net.connect",
-      "net.recv",        "net.send",           "serialize.fsync", "serialize.rename",
-      "serialize.write", "serve.batch",        "session.checkpoint", "worker.crash",
+      "adapter.params",   "adapter.step",    "llm.forward", "serialize.fsync",
+      "serialize.rename", "serialize.write", "serve.batch", "session.checkpoint",
   };
   return kSites;
 }

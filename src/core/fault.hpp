@@ -88,7 +88,8 @@ void disarm_all();
 /// Canonical enumeration of every injection site compiled into the library,
 /// sorted. A new `check`/`corrupt`/`io_bytes` call site MUST be added here —
 /// `test_core` pins this list against the site names documented in
-/// DESIGN.md, in both directions, so code and docs cannot drift apart.
+/// DESIGN.md, in both directions, and requires a hook call naming each
+/// entry under src/, so code, docs and hooks cannot drift apart.
 std::span<const char* const> sites();
 /// Total hook invocations at `site` since it was armed (0 if never armed).
 int hits(const std::string& site);

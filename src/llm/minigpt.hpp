@@ -141,10 +141,9 @@ class MiniGpt final : public nn::Module {
   }
 
   /// Every backbone projection Linear in fixed order — block 0's
-  /// {wq, wk, wv, wo, fc1, fc2}, then block 1's, and so on. This enumeration
-  /// IS the shard protocol's op-id space (DESIGN.md §14): op i is the i-th
-  /// entry here, on root and worker alike. Embeddings, the final LayerNorm
-  /// and the LM head are root-only and never appear.
+  /// {wq, wk, wv, wo, fc1, fc2}, then block 1's, and so on — the enumeration
+  /// `quantize_backbone` walks. Embeddings, the final LayerNorm and the LM
+  /// head never appear.
   std::vector<std::shared_ptr<nn::Linear>> backbone_linears() const {
     std::vector<std::shared_ptr<nn::Linear>> out;
     for (const auto& b : blocks_) {

@@ -83,7 +83,7 @@ class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
 
   const llm::MiniGpt& llm() const { return *llm_; }
   /// Shared handle for callers that reconfigure the backbone in place
-  /// (quantization, sharding) — the adapter stays the owner of record.
+  /// (quantization) — the adapter stays the owner of record.
   std::shared_ptr<llm::MiniGpt> llm_shared() const { return llm_; }
 
   /// Return-conditioning target used at inference. `adapt` sets it to the

@@ -86,7 +86,9 @@ class GuardEngine {
         record_success();
         return action;
       }
-    } catch (const std::exception&) {
+    } catch (...) {
+      // Any throw, std::exception or not, is the LLM path failing this one
+      // decision; it must never escape past the fallback.
       record_failure(counters_.fail_exception, "fail.exception");
     }
     serve_fallback();

@@ -19,7 +19,6 @@
 #include "core/trace.hpp"
 #include "netllm/abr_adapter.hpp"
 #include "netllm/cjs_adapter.hpp"
-#include "netllm/shard.hpp"
 #include "netllm/vp_adapter.hpp"
 #include "nn/kv_arena.hpp"
 
@@ -114,13 +113,8 @@ InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
   }
   // Block-quantized backbone (DESIGN.md §15): quantize every adapter
   // primary's projection weights at the configured dtype. Non-adapter
-  // predictors are opaque and stay untouched. Sharding owns fp32 column
-  // shards of the masters, so the two modes cannot compose.
+  // predictors are opaque and stay untouched.
   if (cfg_.backbone_dtype != tensor::quant::Dtype::kF32) {
-    if (cfg_.shards > 0) {
-      throw std::invalid_argument(
-          "InferenceEngine: backbone_dtype requires fp32 weights when shards > 0");
-    }
     if (auto adapter = std::dynamic_pointer_cast<adapt::VpAdapter>(vp_model_)) {
       adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
     }
@@ -129,21 +123,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
     }
     if (auto adapter = std::dynamic_pointer_cast<adapt::CjsAdapter>(cjs_policy_)) {
       adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
-    }
-  }
-  // Sharded tensor-parallel backbone (DESIGN.md §14): with `shards` set and
-  // a VpAdapter primary, spawn the worker fleet and route every backbone
-  // matmul through it. The group attaches its own offload hooks; decisions
-  // stay bitwise-equal to single-process serving.
-  if (cfg_.shards > 0) {
-    if (auto adapter = std::dynamic_pointer_cast<adapt::VpAdapter>(vp_model_)) {
-      shard::ShardConfig scfg;
-      scfg.workers = cfg_.shards;
-      scfg.worker_exe = cfg_.shard_worker_exe;
-      scfg.rpc_deadline_ms = cfg_.shard_rpc_deadline_ms;
-      scfg.backoff_base_ms = cfg_.shard_backoff_ms;
-      scfg.backoff_seed = cfg_.shard_seed;
-      shard_group_ = std::make_shared<shard::ShardGroup>(adapter->llm_shared(), scfg);
     }
   }
 }
@@ -255,18 +234,10 @@ Action InferenceEngine::decide(Guard& g, TaskMetrics& m, Primary&& primary, Vali
       // not a model failure: shed to the fallback below without feeding the
       // breaker or the health state, exactly like an admission shed.
       fail = Fail::kArena;
-    } catch (const shard::WorkerDown&) {
-      // A tensor-parallel worker is dead or still in its reconnect backoff
-      // (DESIGN.md §14). Infrastructure loss, not a model failure: shed to
-      // the fallback exactly like arena exhaustion — no breaker, no health
-      // pollution — and the heartbeat's respawn restores primary serving.
-      fail = Fail::kArena;
-    } catch (const std::exception&) {
-      fail = Fail::kException;
     } catch (...) {
-      // A primary throwing something not derived from std::exception (an int,
-      // a bespoke error type from a plugged-in model) must degrade this one
-      // request, not escape into parallel_for and poison the whole batch.
+      // Any other throw — including one not derived from std::exception (an
+      // int, a bespoke error type from a plugged-in model) — degrades this
+      // one request, never escaping into parallel_for to poison the batch.
       fail = Fail::kException;
     }
     if (fail == Fail::kNone || fail == Fail::kArena) break;
@@ -594,9 +565,6 @@ CjsResponse InferenceEngine::serve_cjs(const Queued<CjsRequest>& q, std::uint64_
 }
 
 BatchReport InferenceEngine::run() {
-  // Worker-fleet upkeep rides the drain loop: ping for death detection,
-  // respawn workers whose backoff window passed (rate-limited internally).
-  if (shard_group_) shard_group_->heartbeat();
   std::vector<Queued<VpRequest>> vp_jobs;
   std::vector<Queued<AbrRequest>> abr_jobs;
   std::vector<Queued<CjsRequest>> cjs_jobs;

@@ -40,10 +40,6 @@ namespace netllm::nn {
 class KvArena;
 }
 
-namespace netllm::shard {
-class ShardGroup;
-}
-
 namespace netllm::serve {
 
 /// Which path produced a response.
@@ -196,25 +192,10 @@ struct EngineConfig {
   std::int64_t arena_page_rows = 16;
   std::size_t arena_prefix_entries = 32;  // warm prompt-skeleton slots; 0 = no sharing
 
-  // ---- sharded tensor-parallel backbone (DESIGN.md §14) ----
-  // With `shards > 0` and a VpAdapter primary, the engine spawns that many
-  // local worker processes owning column shards of the backbone projection
-  // weights; backbone matmuls fan out over loopback TCP and the decisions
-  // stay bitwise-equal to single-process. A dead worker degrades requests
-  // to the fallback (`Source::kShed`, no breaker/health effect) until the
-  // heartbeat respawns it. 0 disables sharding entirely.
-  int shards = 0;
-  double shard_rpc_deadline_ms = 2000.0;     // per matmul fan-out round
-  double shard_backoff_ms = 25.0;            // worker respawn backoff base
-  std::uint64_t shard_seed = 0x5eedbaccULL;  // seeds the backoff jitter
-  std::string shard_worker_exe;  // empty -> $NETLLM_SHARD_WORKER
-
   // ---- block-quantized backbone (DESIGN.md §15) ----
   // Weight dtype for every adapter primary's backbone projections: kQ8_0 /
   // kQ4_0 cut the resident weight bytes ~4x / ~7x and serve decode through
   // the integer-dot kernels; LoRA deltas, heads and checkpoints stay fp32.
-  // Incompatible with `shards > 0` (workers own fp32 column shards) — the
-  // constructor throws rather than silently serving mixed dtypes.
   tensor::quant::Dtype backbone_dtype = tensor::quant::Dtype::kF32;
 };
 
@@ -300,9 +281,6 @@ class InferenceEngine {
   /// The pooled KV arena injected into a VpAdapter primary (DESIGN.md §13);
   /// null when `arena_pages` is 0 or the VP model is not a VpAdapter.
   const std::shared_ptr<nn::KvArena>& kv_arena() const { return arena_; }
-  /// The tensor-parallel worker fleet (DESIGN.md §14); null when
-  /// `shards` is 0 or the VP model is not a VpAdapter.
-  const std::shared_ptr<shard::ShardGroup>& shard_group() const { return shard_group_; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -397,7 +375,6 @@ class InferenceEngine {
   core::metrics::Counter* admission_wakeups_ = nullptr;  // serve.admission.wakeups
   std::mutex abr_mu_, cjs_mu_;  // serialize stateful policy calls
   std::shared_ptr<nn::KvArena> arena_;  // pooled KV pages + warm prefixes (VP)
-  std::shared_ptr<shard::ShardGroup> shard_group_;  // tensor-parallel fleet (VP)
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;   // signaled when run() frees queue space

@@ -82,8 +82,8 @@ class VpAdapter final : public nn::Module, public vp::VpPredictor {
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
   const llm::MiniGpt& llm() const { return *llm_; }
-  /// Shared handle for tiers that attach compute hooks to the backbone's
-  /// Linears (netllm/shard) — the adapter stays the owner of record.
+  /// Shared handle for callers that reconfigure the backbone in place
+  /// (quantization) — the adapter stays the owner of record.
   std::shared_ptr<llm::MiniGpt> llm_shared() const { return llm_; }
 
  /// Parameters the Adapt API optimises: encoder + head + LoRA, plus the

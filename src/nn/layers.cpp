@@ -18,9 +18,7 @@ Linear::Linear(std::int64_t in, std::int64_t out, core::Rng& rng, bool bias) {
 
 Tensor Linear::forward(const Tensor& x) const {
   Tensor y;
-  if (offload_) {
-    y = offload_(x);
-  } else if (quant_active_ && weight_dtype_ != quant::Dtype::kF32) {
+  if (quant_active_ && weight_dtype_ != quant::Dtype::kF32) {
     y = quant::qmatmul(x, qweight_);
   } else {
     y = matmul(x, weight_);

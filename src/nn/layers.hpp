@@ -3,7 +3,6 @@
 // the networking heads and every learning-based baseline.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,15 +26,6 @@ class Linear final : public Module {
   std::int64_t in_features() const { return weight_.dim(0); }
   std::int64_t out_features() const { return weight_.dim(1); }
   const Tensor& weight() const { return weight_; }
-
-  /// Inference-only compute hook: when set, `forward` delegates x·W to `fn`
-  /// (bias and any LoRA delta stay local). The sharded serving tier
-  /// (netllm/shard) uses this to fan the matmul out to worker processes; the
-  /// hook must return bitwise-identical floats to `matmul(x, weight())` —
-  /// see DESIGN.md §14. Pass nullptr to restore local compute.
-  using Offload = std::function<Tensor(const Tensor&)>;
-  void set_offload(Offload fn) { offload_ = std::move(fn); }
-  bool has_offload() const { return static_cast<bool>(offload_); }
 
   // ---- weight dtype (block-quantized inference, DESIGN.md §15) ----
   //
@@ -65,7 +55,6 @@ class Linear final : public Module {
  private:
   Tensor weight_;  // [in,out] — fp32 master, always present
   Tensor bias_;    // [out] (undefined when bias = false)
-  Offload offload_;  // inference-only x·W replacement (not a parameter)
   tensor::quant::Dtype weight_dtype_ = tensor::quant::Dtype::kF32;
   tensor::quant::QTensor qweight_;  // transposed [out,in]; empty for kF32
   bool quant_active_ = false;

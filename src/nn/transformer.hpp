@@ -83,8 +83,8 @@ class MultiHeadAttention final : public Module {
   /// Wrap q/k/v/o projections with LoRA; returns the new low-rank tensors.
   std::vector<Tensor> enable_lora(std::int64_t rank, float alpha, core::Rng& rng);
 
-  /// The four projection Linears in fixed order {wq, wk, wv, wo} — the
-  /// shard tier's stable enumeration of offload-able matmuls.
+  /// The four projection Linears in fixed order {wq, wk, wv, wo}; the
+  /// backbone quantizer (llm::MiniGpt::quantize_backbone) walks them.
   std::vector<std::shared_ptr<Linear>> projection_linears() const {
     return {wq_, wk_, wv_, wo_};
   }

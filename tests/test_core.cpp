@@ -6,6 +6,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <regex>
@@ -326,6 +327,25 @@ TEST(Fault, SitesEnumerationMatchesDesignDoc) {
   // Both directions: every documented site must exist in the registry, and
   // every registered site must be documented.
   EXPECT_EQ(doc_sites, code_sites);
+
+  // Every registered site must also be hooked somewhere: its name passed as
+  // a quoted literal to a hook call (`check("serve.batch")`,
+  // `FAULT_POINT("serialize.fsync")`, ...) in a source file other than the
+  // registry itself. A site whose hooks were deleted fails here.
+  std::set<std::string> hooked;
+  const std::filesystem::path src = std::filesystem::path(NETLLM_SOURCE_DIR) / "src";
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(src)) {
+    const auto& path = entry.path();
+    if (path.extension() != ".cpp" && path.extension() != ".hpp") continue;
+    if (path.parent_path().filename() == "core" && path.stem() == "fault") continue;
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    for (const auto& site : code_sites) {
+      if (text.find("(\"" + site + "\"") != std::string::npos) hooked.insert(site);
+    }
+  }
+  EXPECT_EQ(hooked, code_sites) << "a fault::sites() entry has no hook under src/";
 }
 
 // ---- NETLLM_THREADS parsing (PR 10 bugfix: the old atoi silently treated

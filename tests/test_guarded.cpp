@@ -124,6 +124,59 @@ TEST_F(Guarded, EngineBreakerOpensAndCloses) {
   EXPECT_EQ(engine.counters().fallback, 5);
 }
 
+// A primary that throws something not derived from std::exception (an int
+// here) must still be caught by every wrapper: fallback served, counted as
+// fail_exception, nothing escapes to the caller.
+TEST_F(Guarded, NonStdExceptionServesFallbackInEveryWrapper) {
+  struct ThrowingVp final : vp::VpPredictor {
+    std::string name() const override { return "throws-int"; }
+    std::vector<vp::Viewport> predict(std::span<const vp::Viewport>,
+                                      const netllm::tensor::Tensor&, int) override {
+      throw 42;
+    }
+  };
+  struct ThrowingAbr final : abr::AbrPolicy {
+    std::string name() const override { return "throws-int"; }
+    int choose_level(const abr::Observation&) override { throw 42; }
+  };
+  struct ThrowingCjs final : cjs::SchedPolicy {
+    std::string name() const override { return "throws-int"; }
+    cjs::SchedAction choose(const cjs::SchedObservation&) override { throw 42; }
+  };
+  ad::GuardConfig cfg;
+  cfg.breaker_threshold = 1000;  // keep the primary consulted on every decision
+
+  auto data = tiny_vp_data(1);
+  ad::GuardedVpPredictor vp_guarded(std::make_shared<ThrowingVp>(), nullptr, cfg);
+  std::vector<vp::Viewport> pred;
+  ASSERT_NO_THROW(pred = vp_guarded.predict(data[0].history, data[0].saliency, 4));
+  EXPECT_EQ(pred.size(), 4u);
+  EXPECT_EQ(vp_guarded.counters().fail_exception, 1);
+  EXPECT_EQ(vp_guarded.counters().fallback, 1);
+
+  auto setting = abr::abr_default_test();
+  setting.num_traces = 1;
+  ad::GuardedAbrPolicy abr_guarded(std::make_shared<ThrowingAbr>(), nullptr, cfg);
+  ASSERT_NO_THROW(abr::evaluate_qoe(abr_guarded, abr::video_for(setting),
+                                    abr::traces_for(setting)));
+  EXPECT_GE(abr_guarded.counters().fail_exception, 1);
+  EXPECT_EQ(abr_guarded.counters().fail_exception, abr_guarded.counters().decisions());
+  EXPECT_EQ(abr_guarded.counters().fallback, abr_guarded.counters().decisions());
+
+  cjs::WorkloadConfig wl;
+  wl.num_job_requests = 3;
+  wl.executor_units_k = 6;
+  wl.scale = 1.0;
+  wl.seed = 3;
+  ad::GuardedSchedPolicy cjs_guarded(std::make_shared<ThrowingCjs>(), nullptr, cfg);
+  cjs::EpisodeResult result;
+  ASSERT_NO_THROW(result = cjs::run_workload(wl, cjs_guarded));
+  EXPECT_EQ(result.jct_s.size(), 3u);
+  EXPECT_GE(cjs_guarded.counters().fail_exception, 1);
+  EXPECT_EQ(cjs_guarded.counters().fail_exception, cjs_guarded.counters().decisions());
+  EXPECT_EQ(cjs_guarded.counters().fallback, cjs_guarded.counters().decisions());
+}
+
 // ---------- guarded policies under fault injection ----------
 
 TEST_F(Guarded, VpFallsBackToFiniteViewportsUnderNanFeatures) {

@@ -500,15 +500,6 @@ TEST_F(Quant, EngineConfigQuantizesAdapterBackbone) {
   EXPECT_EQ(report.llm, samples.size());
 }
 
-TEST_F(Quant, EngineRejectsQuantizedShardedBackbone) {
-  serve::EngineConfig cfg;
-  cfg.backbone_dtype = nq::Dtype::kQ4_0;
-  cfg.shards = 2;
-  EXPECT_THROW(
-      std::make_shared<serve::InferenceEngine>(vp_adapter(5), nullptr, nullptr, cfg),
-      std::invalid_argument);
-}
-
 TEST_F(Quant, AdaptOptionsQuantizesReturnedAdapter) {
   const auto data = vp_samples(4);
   ad::VpAdapterConfig cfg;
