@@ -21,7 +21,7 @@ namespace {
 constexpr const char* kPrefix = "ckpt-";
 constexpr const char* kSuffix = ".nllm";
 
-// Section names inside the v3 record.
+// Section names inside the session record.
 constexpr const char* kSecFingerprint = "fingerprint";
 constexpr const char* kSecOptimizer = "optimizer";
 constexpr const char* kSecGuard = "guard";
@@ -178,7 +178,7 @@ int TrainSession::resume(core::Rng& rng, AdaptStats& stats) {
       // any tensor, so a fingerprint mismatch cannot clobber the live
       // weights before it is detected.
       tensor::SessionSections sections;
-      (void)tensor::load_params_report(path.string(), {}, &sections);
+      (void)tensor::load_params_report(path.string(), {}, nullptr, &sections);
       const auto& fp_blob = require_section(sections, kSecFingerprint);
       if (fp_blob != fp_.canonical()) {
         throw SessionMismatch("TrainSession: fingerprint mismatch in " + path.string() +
@@ -247,7 +247,7 @@ void TrainSession::checkpoint(int next_step, core::Rng& rng, const AdaptStats& s
   for (int attempt = 1;; ++attempt) {
     try {
       core::fault::check("session.checkpoint");
-      tensor::save_session(checkpoint_path(next_step), params_, sections);
+      tensor::save_params(checkpoint_path(next_step), params_, {}, sections);
       break;
     } catch (const std::exception&) {
       if (attempt >= attempts) {

@@ -4,9 +4,9 @@
 // DD-LRNA's offline adaptation runs for thousands of steps over a
 // pre-collected experience pool — in production that job must survive
 // preemption, OOM kills and node restarts. A `TrainSession` makes the loop
-// durable: it periodically writes a v3 *session record* (see
-// tensor/serialize.hpp) capturing everything the loop needs to continue
-// **bitwise-identically** —
+// durable: it periodically writes a *session record* — a snapshot with
+// sections (see tensor/serialize.hpp) — capturing everything the loop needs
+// to continue **bitwise-identically** —
 //
 //   - the trainable parameters (adapter + backbone when it trains too),
 //   - the full optimizer state (Adam m/v moments + step count),

@@ -1,14 +1,15 @@
 #include "tensor/serialize.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -22,14 +23,21 @@ namespace netllm::tensor {
 namespace {
 
 constexpr char kMagic[4] = {'N', 'L', 'L', 'M'};
-constexpr std::uint32_t kVersion = 2;         // plain weight snapshots
-constexpr std::uint32_t kSessionVersion = 3;  // weights + session sections
-constexpr std::uint32_t kQuantVersion = 4;    // per-tensor dtype (quantized backbones)
+constexpr std::uint32_t kVersion = 4;
 constexpr std::uint32_t kMaxRank = 16;  // sanity bound while parsing
 
 template <typename T>
 void append_pod(std::string& buf, const T& v) {
   buf.append(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+void append_name(std::string& buf, const std::string& name) {
+  append_pod(buf, static_cast<std::uint32_t>(name.size()));
+  buf.append(name);
+}
+
+[[noreturn]] void fail(const std::string& path, const std::string& what) {
+  throw std::runtime_error("load_params: " + what + " in " + path);
 }
 
 /// Bounds-checked cursor over an in-memory container image. Running past the
@@ -42,52 +50,38 @@ class Reader {
   template <typename T>
   T pod() {
     T v{};
-    take(sizeof(T), &v);
+    std::memcpy(&v, take(sizeof(T)), sizeof(T));
     return v;
   }
 
-  std::string str(std::size_t len) {
-    std::string s(len, '\0');
-    take(len, s.data());
-    return s;
-  }
+  std::string str(std::size_t len) { return std::string(take(len), len); }
 
-  void bytes(std::size_t len, void* dst) { take(len, dst); }
+  /// Points at the next `len` bytes of the image and steps past them.
+  const char* take(std::size_t len) {
+    if (len > remaining()) fail(path_, "truncated or corrupt container");
+    const char* p = data_ + pos_;
+    pos_ += len;
+    return p;
+  }
 
   std::size_t remaining() const { return size_ - pos_; }
-  std::size_t pos() const { return pos_; }
 
  private:
-  void take(std::size_t len, void* dst) {
-    if (len > remaining()) {
-      throw std::runtime_error("load_params: truncated or corrupt container " + path_);
-    }
-    std::memcpy(dst, data_ + pos_, len);
-    pos_ += len;
-  }
-
   const char* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
   const std::string& path_;
 };
 
-void reject_duplicates(const NamedParams& params, const char* who,
-                       const NamedQuants* quants = nullptr) {
+void reject_duplicates(const NamedParams& params, const NamedQuants& quants, const char* who) {
   std::unordered_set<std::string> seen;
-  for (const auto& [name, t] : params) {
+  const auto insert = [&](const std::string& name) {
     if (!seen.insert(name).second) {
       throw std::runtime_error(std::string(who) + ": duplicate parameter name '" + name + "'");
     }
-  }
-  if (quants) {
-    for (const auto& [name, q] : *quants) {
-      if (!seen.insert(name).second) {
-        throw std::runtime_error(std::string(who) + ": duplicate parameter name '" + name +
-                                 "'");
-      }
-    }
-  }
+  };
+  for (const auto& [name, t] : params) insert(name);
+  for (const auto& [name, q] : quants) insert(name);
 }
 
 std::string join_names(const std::vector<std::string>& names, std::size_t cap = 8) {
@@ -111,7 +105,7 @@ struct Fd {
 }  // namespace
 
 std::string LoadReport::summary() const {
-  std::string s = "v" + std::to_string(version) + ", loaded " + std::to_string(loaded);
+  std::string s = "loaded " + std::to_string(loaded);
   if (!missing.empty()) s += "; missing: " + join_names(missing);
   if (!mismatched.empty()) s += "; shape mismatch: " + join_names(mismatched);
   if (!extra.empty()) s += "; extra (ignored): " + join_names(extra);
@@ -123,47 +117,16 @@ namespace {
 
 /// Serialise the whole container in memory first: the CRC footer needs the
 /// final image, and a single write keeps the atomic-rename story simple.
-/// v2 image (no sections) or v3 session record (with sections).
-std::string build_image(const NamedParams& params, const SessionSections* sections) {
+/// Quantized records store the block payload (scales then codes) under one
+/// CRC; the section block is always present (possibly empty).
+std::string encode_image(const NamedParams& params, const NamedQuants& quants,
+                         const SessionSections& sections) {
   std::string buf;
   buf.append(kMagic, sizeof(kMagic));
-  append_pod(buf, sections ? kSessionVersion : kVersion);
-  append_pod(buf, static_cast<std::uint32_t>(params.size()));
-  for (const auto& [name, t] : params) {
-    append_pod(buf, static_cast<std::uint32_t>(name.size()));
-    buf.append(name.data(), name.size());
-    append_pod(buf, static_cast<std::uint32_t>(t.rank()));
-    for (auto d : t.shape()) append_pod(buf, d);
-    const auto payload_bytes = static_cast<std::size_t>(t.numel()) * sizeof(float);
-    append_pod(buf, core::crc32(t.data().data(), payload_bytes));
-    buf.append(reinterpret_cast<const char*>(t.data().data()), payload_bytes);
-  }
-  if (sections) {
-    append_pod(buf, static_cast<std::uint32_t>(sections->size()));
-    for (const auto& [name, blob] : *sections) {
-      append_pod(buf, static_cast<std::uint32_t>(name.size()));
-      buf.append(name.data(), name.size());
-      append_pod(buf, core::crc32(blob.data(), blob.size()));
-      append_pod(buf, static_cast<std::uint64_t>(blob.size()));
-      buf.append(blob.data(), blob.size());
-    }
-  }
-  append_pod(buf, core::crc32(buf.data(), buf.size()));
-  return buf;
-}
-
-/// v4 image: every record carries a u32 dtype; quantized records store the
-/// block payload (scales then codes) under one CRC. The section block is
-/// always present (possibly empty) so the layout has a single shape.
-std::string build_quant_image(const NamedParams& params, const NamedQuants& quants,
-                              const SessionSections& sections) {
-  std::string buf;
-  buf.append(kMagic, sizeof(kMagic));
-  append_pod(buf, kQuantVersion);
+  append_pod(buf, kVersion);
   append_pod(buf, static_cast<std::uint32_t>(params.size() + quants.size()));
   for (const auto& [name, t] : params) {
-    append_pod(buf, static_cast<std::uint32_t>(name.size()));
-    buf.append(name.data(), name.size());
+    append_name(buf, name);
     append_pod(buf, static_cast<std::uint32_t>(quant::Dtype::kF32));
     append_pod(buf, static_cast<std::uint32_t>(t.rank()));
     for (auto d : t.shape()) append_pod(buf, d);
@@ -172,8 +135,7 @@ std::string build_quant_image(const NamedParams& params, const NamedQuants& quan
     buf.append(reinterpret_cast<const char*>(t.data().data()), payload_bytes);
   }
   for (const auto& [name, q] : quants) {
-    append_pod(buf, static_cast<std::uint32_t>(name.size()));
-    buf.append(name.data(), name.size());
+    append_name(buf, name);
     append_pod(buf, static_cast<std::uint32_t>(q.dtype));
     append_pod(buf, q.rows);
     append_pod(buf, q.cols);
@@ -189,11 +151,10 @@ std::string build_quant_image(const NamedParams& params, const NamedQuants& quan
   }
   append_pod(buf, static_cast<std::uint32_t>(sections.size()));
   for (const auto& [name, blob] : sections) {
-    append_pod(buf, static_cast<std::uint32_t>(name.size()));
-    buf.append(name.data(), name.size());
+    append_name(buf, name);
     append_pod(buf, core::crc32(blob.data(), blob.size()));
     append_pod(buf, static_cast<std::uint64_t>(blob.size()));
-    buf.append(blob.data(), blob.size());
+    buf.append(blob);
   }
   append_pod(buf, core::crc32(buf.data(), buf.size()));
   return buf;
@@ -237,17 +198,31 @@ void write_image_atomic(const std::string& path, const std::string& buf) {
   }
 }
 
-}  // namespace
-
-void save_params(const std::string& path, const NamedParams& params) {
-  reject_duplicates(params, "save_params");
-  write_image_atomic(path, build_image(params, nullptr));
+/// The whole file in one sized read.
+std::string read_image(const std::string& path) {
+  Fd f;
+  f.fd = ::open(path.c_str(), O_RDONLY);
+  struct stat st {};
+  if (f.fd < 0 || ::fstat(f.fd, &st) != 0) {
+    throw std::runtime_error("load_params: cannot open " + path);
+  }
+  std::string image(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < image.size()) {
+    const auto n = ::read(f.fd, image.data() + got, image.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) throw std::runtime_error("load_params: read failed for " + path);
+    got += static_cast<std::size_t>(n);
+  }
+  return image;
 }
 
-void save_session(const std::string& path, const NamedParams& params,
-                  const SessionSections& sections) {
-  reject_duplicates(params, "save_session");
-  write_image_atomic(path, build_image(params, &sections));
+}  // namespace
+
+void save_params(const std::string& path, const NamedParams& params, const NamedQuants& quants,
+                 const SessionSections& sections) {
+  reject_duplicates(params, quants, "save_params");
+  write_image_atomic(path, encode_image(params, quants, sections));
 }
 
 void save_params_retry(const std::string& path, const NamedParams& params,
@@ -266,361 +241,168 @@ void save_params_retry(const std::string& path, const NamedParams& params,
 }
 
 LoadReport load_params_report(const std::string& path, const NamedParams& params,
-                              SessionSections* sections_out) {
-  reject_duplicates(params, "load_params");
+                              NamedQuants* quants_out, SessionSections* sections_out) {
+  reject_duplicates(params, {}, "load_params");
 
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("load_params: cannot open " + path);
-  std::string image((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
+  const std::string image = read_image(path);
   Reader r(image.data(), image.size(), path);
-
-  char magic[4];
-  r.bytes(sizeof(magic), magic);
-  if (std::string(magic, 4) != std::string(kMagic, 4)) {
-    throw std::runtime_error("load_params: bad magic in " + path);
+  if (std::memcmp(r.take(sizeof(kMagic)), kMagic, sizeof(kMagic)) != 0) {
+    fail(path, "bad magic");
   }
   const auto version = r.pod<std::uint32_t>();
-  if (version == kQuantVersion) {
-    // A quantized snapshot must never be misread as fp32 bytes: reject with
-    // a pointer at the quant-aware reader instead of a generic version error.
-    throw std::runtime_error("load_params: quantized (v4) snapshot " + path +
-                             " — use load_quant_params");
+  if (version != kVersion) {
+    fail(path, "unsupported container version " + std::to_string(version) +
+                   " (only v" + std::to_string(kVersion) + " is read)");
   }
-  if (version != 1 && version != kVersion && version != kSessionVersion) {
-    throw std::runtime_error("load_params: unsupported version " + std::to_string(version) +
-                             " in " + path);
-  }
-  if (sections_out) sections_out->clear();
-  if (version >= 2) {
-    // Whole-file integrity first: catches corruption in headers and names,
-    // where per-tensor CRCs cannot reach.
-    if (image.size() < sizeof(std::uint32_t)) {
-      throw std::runtime_error("load_params: truncated or corrupt container " + path);
-    }
-    const std::size_t body = image.size() - sizeof(std::uint32_t);
-    std::uint32_t stored = 0;
-    std::memcpy(&stored, image.data() + body, sizeof(stored));
-    if (core::crc32(image.data(), body) != stored) {
-      throw std::runtime_error("load_params: file checksum mismatch in " + path +
-                               " (corrupt or torn snapshot)");
-    }
-  }
-
-  std::unordered_map<std::string, Tensor> by_name;
-  for (const auto& [name, t] : params) by_name.emplace(name, t);
-
-  LoadReport report;
-  report.version = version;
-  std::unordered_set<std::string> matched, seen_in_file;
-  const auto count = r.pod<std::uint32_t>();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto name_len = r.pod<std::uint32_t>();
-    std::string name = r.str(name_len);
-    if (!seen_in_file.insert(name).second) {
-      throw std::runtime_error("load_params: duplicate tensor '" + name + "' in " + path);
-    }
-    const auto rank = r.pod<std::uint32_t>();
-    if (rank > kMaxRank) {
-      throw std::runtime_error("load_params: corrupt rank for '" + name + "' in " + path);
-    }
-    Shape shape(rank);
-    for (auto& d : shape) {
-      d = r.pod<std::int64_t>();
-      if (d < 0) {
-        throw std::runtime_error("load_params: corrupt shape for '" + name + "' in " + path);
-      }
-    }
-    const auto numel = shape_numel(shape);
-    const auto payload_bytes = static_cast<std::size_t>(numel) * sizeof(float);
-    std::uint32_t stored_crc = 0;
-    if (version >= 2) stored_crc = r.pod<std::uint32_t>();
-    if (payload_bytes > r.remaining()) {
-      throw std::runtime_error("load_params: truncated tensor data for '" + name + "' in " +
-                               path);
-    }
-    std::vector<float> data(static_cast<std::size_t>(numel));
-    r.bytes(payload_bytes, data.data());
-    if (version >= 2 && core::crc32(data.data(), payload_bytes) != stored_crc) {
-      throw std::runtime_error("load_params: checksum mismatch for tensor '" + name + "' in " +
-                               path);
-    }
-    auto it = by_name.find(name);
-    if (it == by_name.end()) {
-      report.extra.push_back(name);
-      continue;
-    }
-    if (it->second.shape() != shape) {
-      report.mismatched.push_back(name + " (file " + shape_str(shape) + ", param " +
-                                  shape_str(it->second.shape()) + ")");
-      continue;
-    }
-    auto dst = it->second.mutable_data();
-    std::copy(data.begin(), data.end(), dst.begin());
-    matched.insert(name);
-    ++report.loaded;
-  }
-  if (version >= 3) {
-    // Session sections: named opaque blobs, each with its own CRC so a
-    // damaged section is attributed by name like a damaged tensor.
-    std::unordered_set<std::string> seen_sections;
-    const auto section_count = r.pod<std::uint32_t>();
-    for (std::uint32_t i = 0; i < section_count; ++i) {
-      const auto name_len = r.pod<std::uint32_t>();
-      std::string name = r.str(name_len);
-      if (!seen_sections.insert(name).second) {
-        throw std::runtime_error("load_params: duplicate session section '" + name + "' in " +
-                                 path);
-      }
-      const auto stored_crc = r.pod<std::uint32_t>();
-      const auto blob_len = r.pod<std::uint64_t>();
-      if (blob_len > r.remaining()) {
-        throw std::runtime_error("load_params: truncated session section '" + name + "' in " +
-                                 path);
-      }
-      std::string blob = r.str(static_cast<std::size_t>(blob_len));
-      if (core::crc32(blob.data(), blob.size()) != stored_crc) {
-        throw std::runtime_error("load_params: checksum mismatch for session section '" + name +
-                                 "' in " + path);
-      }
-      report.sections.push_back(name);
-      if (sections_out) sections_out->emplace_back(std::move(name), std::move(blob));
-    }
-  }
-  for (const auto& [name, t] : params) {
-    if (!matched.contains(name)) {
-      bool mismatch = false;
-      for (const auto& m : report.mismatched) {
-        if (m.compare(0, name.size(), name) == 0 &&
-            (m.size() == name.size() || m[name.size()] == ' ')) {
-          mismatch = true;
-          break;
-        }
-      }
-      if (!mismatch) report.missing.push_back(name);
-    }
-  }
-  return report;
-}
-
-void load_params(const std::string& path, const NamedParams& params) {
-  const auto report = load_params_report(path, params);
-  if (!report.missing.empty()) {
-    throw std::runtime_error("load_params: missing parameters in " + path + ": " +
-                             join_names(report.missing));
-  }
-  if (!report.mismatched.empty()) {
-    throw std::runtime_error("load_params: shape mismatch in " + path + " for " +
-                             join_names(report.mismatched));
-  }
-}
-
-void save_quant_params(const std::string& path, const NamedParams& params,
-                       const NamedQuants& quants) {
-  reject_duplicates(params, "save_quant_params", &quants);
-  write_image_atomic(path, build_quant_image(params, quants, {}));
-}
-
-void save_quant_session(const std::string& path, const NamedParams& params,
-                        const NamedQuants& quants, const SessionSections& sections) {
-  reject_duplicates(params, "save_quant_session", &quants);
-  write_image_atomic(path, build_quant_image(params, quants, sections));
-}
-
-LoadReport load_quant_params_report(const std::string& path, const NamedParams& params,
-                                    NamedQuants& quants_out,
-                                    SessionSections* sections_out) {
-  reject_duplicates(params, "load_quant_params");
-
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("load_quant_params: cannot open " + path);
-  std::string image((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
-  Reader r(image.data(), image.size(), path);
-
-  char magic[4];
-  r.bytes(sizeof(magic), magic);
-  if (std::string(magic, 4) != std::string(kMagic, 4)) {
-    throw std::runtime_error("load_quant_params: bad magic in " + path);
-  }
-  const auto version = r.pod<std::uint32_t>();
-  if (version != kQuantVersion) {
-    throw std::runtime_error("load_quant_params: not a quantized (v4) snapshot, version " +
-                             std::to_string(version) + " in " + path);
-  }
-  // Whole-file integrity first, exactly as the plain reader does.
-  if (image.size() < sizeof(std::uint32_t)) {
-    throw std::runtime_error("load_quant_params: truncated or corrupt container " + path);
-  }
+  // Whole-file integrity first: catches corruption in headers and names,
+  // where per-record CRCs cannot reach. The reader has consumed 8 bytes, so
+  // the image holds at least the 4-byte footer.
   const std::size_t body = image.size() - sizeof(std::uint32_t);
   std::uint32_t stored_file_crc = 0;
   std::memcpy(&stored_file_crc, image.data() + body, sizeof(stored_file_crc));
   if (core::crc32(image.data(), body) != stored_file_crc) {
-    throw std::runtime_error("load_quant_params: file checksum mismatch in " + path +
-                             " (corrupt or torn snapshot)");
+    fail(path, "file checksum mismatch (corrupt or torn snapshot)");
   }
 
   std::unordered_map<std::string, Tensor> by_name;
   for (const auto& [name, t] : params) by_name.emplace(name, t);
 
   LoadReport report;
-  report.version = version;
-  quants_out.clear();
+  if (quants_out) quants_out->clear();
   if (sections_out) sections_out->clear();
-  std::unordered_set<std::string> matched, seen_in_file;
+  std::unordered_set<std::string> seen_in_file, found;  // found: matched or mismatched
   const auto count = r.pod<std::uint32_t>();
   for (std::uint32_t i = 0; i < count; ++i) {
-    const auto name_len = r.pod<std::uint32_t>();
-    std::string name = r.str(name_len);
-    if (!seen_in_file.insert(name).second) {
-      throw std::runtime_error("load_quant_params: duplicate tensor '" + name + "' in " +
-                               path);
-    }
-    const auto dtype_raw = r.pod<std::uint32_t>();
-    if (dtype_raw == static_cast<std::uint32_t>(quant::Dtype::kF32)) {
+    std::string name = r.str(r.pod<std::uint32_t>());
+    if (!seen_in_file.insert(name).second) fail(path, "duplicate tensor '" + name + "'");
+    const auto dtype = r.pod<std::uint32_t>();
+    if (dtype == static_cast<std::uint32_t>(quant::Dtype::kF32)) {
       const auto rank = r.pod<std::uint32_t>();
-      if (rank > kMaxRank) {
-        throw std::runtime_error("load_quant_params: corrupt rank for '" + name + "' in " +
-                                 path);
-      }
+      if (rank > kMaxRank) fail(path, "corrupt rank for '" + name + "'");
+      // Bound the element count by the bytes left before multiplying, so a
+      // crafted shape can neither overflow nor allocate past the file.
+      const std::uint64_t max_numel = r.remaining() / sizeof(float);
+      std::uint64_t numel = 1;
       Shape shape(rank);
       for (auto& d : shape) {
         d = r.pod<std::int64_t>();
-        if (d < 0) {
-          throw std::runtime_error("load_quant_params: corrupt shape for '" + name +
-                                   "' in " + path);
+        if (d < 0) fail(path, "corrupt shape for '" + name + "'");
+        const auto n = static_cast<std::uint64_t>(d);
+        if (n != 0 && numel > max_numel / n) {
+          fail(path, "truncated tensor data for '" + name + "'");
         }
+        numel *= n;
       }
-      const auto numel = shape_numel(shape);
-      const auto payload_bytes = static_cast<std::size_t>(numel) * sizeof(float);
       const auto stored_crc = r.pod<std::uint32_t>();
+      const auto payload_bytes = static_cast<std::size_t>(numel) * sizeof(float);
       if (payload_bytes > r.remaining()) {
-        throw std::runtime_error("load_quant_params: truncated tensor data for '" + name +
-                                 "' in " + path);
+        fail(path, "truncated tensor data for '" + name + "'");
       }
-      std::vector<float> data(static_cast<std::size_t>(numel));
-      r.bytes(payload_bytes, data.data());
-      if (core::crc32(data.data(), payload_bytes) != stored_crc) {
-        throw std::runtime_error("load_quant_params: checksum mismatch for tensor '" + name +
-                                 "' in " + path);
+      const char* payload = r.take(payload_bytes);
+      if (core::crc32(payload, payload_bytes) != stored_crc) {
+        fail(path, "checksum mismatch for tensor '" + name + "'");
       }
       auto it = by_name.find(name);
       if (it == by_name.end()) {
         report.extra.push_back(name);
         continue;
       }
+      found.insert(name);
       if (it->second.shape() != shape) {
         report.mismatched.push_back(name + " (file " + shape_str(shape) + ", param " +
                                     shape_str(it->second.shape()) + ")");
         continue;
       }
-      auto dst = it->second.mutable_data();
-      std::copy(data.begin(), data.end(), dst.begin());
-      matched.insert(name);
+      auto* dst = reinterpret_cast<char*>(it->second.mutable_data().data());
+      std::copy_n(payload, payload_bytes, dst);
       ++report.loaded;
       continue;
     }
-    if (dtype_raw != static_cast<std::uint32_t>(quant::Dtype::kQ8_0) &&
-        dtype_raw != static_cast<std::uint32_t>(quant::Dtype::kQ4_0)) {
-      throw std::runtime_error("load_quant_params: bad dtype " + std::to_string(dtype_raw) +
-                               " for '" + name + "' in " + path);
+    if (dtype != static_cast<std::uint32_t>(quant::Dtype::kQ8_0) &&
+        dtype != static_cast<std::uint32_t>(quant::Dtype::kQ4_0)) {
+      fail(path, "bad dtype " + std::to_string(dtype) + " for '" + name + "'");
+    }
+    if (!quants_out) {
+      fail(path, "quantized record '" + name + "' needs a quants_out list to be read");
     }
     quant::QTensor q;
-    q.dtype = static_cast<quant::Dtype>(dtype_raw);
+    q.dtype = static_cast<quant::Dtype>(dtype);
     q.rows = r.pod<std::int64_t>();
     q.cols = r.pod<std::int64_t>();
-    if (q.rows < 0 || q.cols <= 0) {
-      throw std::runtime_error("load_quant_params: corrupt shape for '" + name + "' in " +
-                               path);
+    if (q.rows < 0 || q.cols <= 0) fail(path, "corrupt shape for '" + name + "'");
+    // Every block stores at least its fp32 scale: bound the block count by
+    // the bytes left before multiplying anything.
+    const std::uint64_t max_blocks = r.remaining() / sizeof(float);
+    const auto rows = static_cast<std::uint64_t>(q.rows);
+    if (static_cast<std::uint64_t>(q.cols) / quant::kBlock > max_blocks ||
+        (rows != 0 &&
+         static_cast<std::uint64_t>(quant::blocks_per_row(q.cols)) > max_blocks / rows)) {
+      fail(path, "truncated tensor data for '" + name + "'");
     }
     const auto block_size = r.pod<std::uint32_t>();
     if (block_size != static_cast<std::uint32_t>(quant::kBlock)) {
-      throw std::runtime_error("load_quant_params: bad block size " +
-                               std::to_string(block_size) + " for '" + name + "' in " + path);
+      fail(path, "bad block size " + std::to_string(block_size) + " for '" + name + "'");
     }
     const auto nscales = r.pod<std::uint64_t>();
     const auto ncodes = r.pod<std::uint64_t>();
-    const auto want_scales =
-        static_cast<std::uint64_t>(q.rows * quant::blocks_per_row(q.cols));
+    const auto want_scales = static_cast<std::uint64_t>(q.n_blocks());
     if (nscales != want_scales) {
-      throw std::runtime_error("load_quant_params: bad block count for '" + name + "' in " +
-                               path + " (have " + std::to_string(nscales) + ", want " +
-                               std::to_string(want_scales) + ")");
+      fail(path, "bad block count for '" + name + "' (have " + std::to_string(nscales) +
+                     ", want " + std::to_string(want_scales) + ")");
     }
-    const auto want_codes = want_scales * static_cast<std::uint64_t>(
-                                              quant::block_code_bytes(q.dtype));
+    const auto want_codes =
+        want_scales * static_cast<std::uint64_t>(quant::block_code_bytes(q.dtype));
     if (ncodes != want_codes) {
-      throw std::runtime_error("load_quant_params: bad code bytes for '" + name + "' in " +
-                               path + " (have " + std::to_string(ncodes) + ", want " +
-                               std::to_string(want_codes) + ")");
+      fail(path, "bad code bytes for '" + name + "' (have " + std::to_string(ncodes) +
+                     ", want " + std::to_string(want_codes) + ")");
     }
     const auto stored_crc = r.pod<std::uint32_t>();
     const auto scale_bytes = static_cast<std::size_t>(nscales) * sizeof(float);
     if (scale_bytes + ncodes > r.remaining()) {
-      throw std::runtime_error("load_quant_params: truncated tensor data for '" + name +
-                               "' in " + path);
+      fail(path, "truncated tensor data for '" + name + "'");
+    }
+    const char* scales = r.take(scale_bytes);
+    const char* codes = r.take(static_cast<std::size_t>(ncodes));
+    if (core::crc32(codes, ncodes, core::crc32(scales, scale_bytes)) != stored_crc) {
+      fail(path, "checksum mismatch for tensor '" + name + "'");
     }
     q.scales.resize(static_cast<std::size_t>(nscales));
-    q.codes.resize(static_cast<std::size_t>(ncodes));
-    r.bytes(scale_bytes, q.scales.data());
-    r.bytes(static_cast<std::size_t>(ncodes), q.codes.data());
-    const auto crc = core::crc32(q.codes.data(), q.codes.size(),
-                                 core::crc32(q.scales.data(), scale_bytes));
-    if (crc != stored_crc) {
-      throw std::runtime_error("load_quant_params: checksum mismatch for tensor '" + name +
-                               "' in " + path);
-    }
-    quants_out.emplace_back(std::move(name), std::move(q));
+    std::copy_n(scales, scale_bytes, reinterpret_cast<char*>(q.scales.data()));
+    q.codes.assign(codes, codes + ncodes);
+    quants_out->emplace_back(std::move(name), std::move(q));
   }
-  {
-    std::unordered_set<std::string> seen_sections;
-    const auto section_count = r.pod<std::uint32_t>();
-    for (std::uint32_t i = 0; i < section_count; ++i) {
-      const auto name_len = r.pod<std::uint32_t>();
-      std::string name = r.str(name_len);
-      if (!seen_sections.insert(name).second) {
-        throw std::runtime_error("load_quant_params: duplicate session section '" + name +
-                                 "' in " + path);
-      }
-      const auto stored_crc = r.pod<std::uint32_t>();
-      const auto blob_len = r.pod<std::uint64_t>();
-      if (blob_len > r.remaining()) {
-        throw std::runtime_error("load_quant_params: truncated session section '" + name +
-                                 "' in " + path);
-      }
-      std::string blob = r.str(static_cast<std::size_t>(blob_len));
-      if (core::crc32(blob.data(), blob.size()) != stored_crc) {
-        throw std::runtime_error("load_quant_params: checksum mismatch for session section '" +
-                                 name + "' in " + path);
-      }
-      report.sections.push_back(name);
-      if (sections_out) sections_out->emplace_back(std::move(name), std::move(blob));
+  // Sections: named opaque blobs, each with its own CRC so a damaged section
+  // is attributed by name like a damaged tensor.
+  std::unordered_set<std::string> seen_sections;
+  const auto section_count = r.pod<std::uint32_t>();
+  for (std::uint32_t i = 0; i < section_count; ++i) {
+    std::string name = r.str(r.pod<std::uint32_t>());
+    if (!seen_sections.insert(name).second) {
+      fail(path, "duplicate session section '" + name + "'");
     }
+    const auto stored_crc = r.pod<std::uint32_t>();
+    const auto blob_len = r.pod<std::uint64_t>();
+    if (blob_len > r.remaining()) fail(path, "truncated session section '" + name + "'");
+    std::string blob = r.str(static_cast<std::size_t>(blob_len));
+    if (core::crc32(blob.data(), blob.size()) != stored_crc) {
+      fail(path, "checksum mismatch for session section '" + name + "'");
+    }
+    report.sections.push_back(name);
+    if (sections_out) sections_out->emplace_back(std::move(name), std::move(blob));
   }
   for (const auto& [name, t] : params) {
-    if (!matched.contains(name)) {
-      bool mismatch = false;
-      for (const auto& m : report.mismatched) {
-        if (m.compare(0, name.size(), name) == 0 &&
-            (m.size() == name.size() || m[name.size()] == ' ')) {
-          mismatch = true;
-          break;
-        }
-      }
-      if (!mismatch) report.missing.push_back(name);
-    }
+    if (!found.contains(name)) report.missing.push_back(name);
   }
   return report;
 }
 
-void load_quant_params(const std::string& path, const NamedParams& params,
-                       NamedQuants& quants_out) {
-  const auto report = load_quant_params_report(path, params, quants_out);
+void load_params(const std::string& path, const NamedParams& params, NamedQuants* quants_out) {
+  const auto report = load_params_report(path, params, quants_out);
   if (!report.missing.empty()) {
-    throw std::runtime_error("load_quant_params: missing parameters in " + path + ": " +
-                             join_names(report.missing));
+    fail(path, "missing parameters: " + join_names(report.missing));
   }
   if (!report.mismatched.empty()) {
-    throw std::runtime_error("load_quant_params: shape mismatch in " + path + " for " +
-                             join_names(report.mismatched));
+    fail(path, "shape mismatch for " + join_names(report.mismatched));
   }
 }
 

@@ -3,46 +3,33 @@
 // the benches to reuse trained baselines across experiments, and by the
 // durable-session layer (netllm/session.hpp) as the checkpoint format.
 //
-// Container format v2 (little-endian):
-//   magic "NLLM" | u32 version=2 | u32 count |
-//   repeat count times: u32 name_len | name bytes | u32 rank | i64 dims[rank]
-//                       | u32 tensor_crc (CRC-32 of the f32 payload)
-//                       | f32 data[numel]
-//   footer: u32 file_crc — CRC-32 of every byte before the footer
-//
-// Format v3 ("session record") appends named opaque sections between the
-// tensors and the footer — optimizer moments, RNG stream state, loop
-// counters — so one atomic file captures everything a killed `adapt()` run
-// needs to continue bitwise-identically:
-//   ... tensors as v2 ... |
-//   u32 section_count |
-//   repeat: u32 name_len | name bytes | u32 blob_crc | u64 blob_len | blob |
-//   footer: u32 file_crc
-//
-// Format v4 ("quantized snapshot") prefixes every tensor record with a u32
-// dtype so block-quantized backbone weights (tensor/quants.hpp) ship beside
-// fp32 trainables in one container:
+// Container layout, version 4 — the only one written or read
+// (little-endian; DESIGN.md §6):
 //   magic "NLLM" | u32 version=4 | u32 count |
-//   repeat: u32 name_len | name bytes | u32 dtype |
+//   repeat count times: u32 name_len | name bytes | u32 dtype |
 //     dtype 0 (f32):  u32 rank | i64 dims[rank] | u32 tensor_crc | f32 data
 //     dtype 1 (q8_0) / 2 (q4_0):
 //       i64 rows | i64 cols | u32 block_size (must be 32)
 //       | u64 nscales | u64 ncodes | u32 tensor_crc (scales then codes)
 //       | f32 scales[nscales] | u8 codes[ncodes]
-//   u32 section_count | sections as v3 | footer: u32 file_crc
-// Every malformation names the damaged record: bad dtype, bad block size,
-// bad block count, bad code bytes, truncation, CRC mismatch. Plain readers
-// reject v4 loudly (old binaries: "unsupported version 4"; this binary's
-// `load_params` points at `load_quant_params`), so a quantized snapshot can
-// never be silently misread as fp32 bytes.
+//   u32 section_count |
+//   repeat: u32 name_len | name bytes | u32 blob_crc | u64 blob_len | blob |
+//   footer: u32 file_crc — CRC-32 of every byte before the footer
 //
-// v1 (legacy: no checksums, no footer) is still readable, and v1/v2 files
-// load under the v3 reader as weights-only — `LoadReport::sections` stays
-// empty instead of erroring. Saves are atomic: the container is written to
-// `path + ".tmp"`, fsync'd, then renamed over `path`, so an interrupted
-// save leaves the previous snapshot intact. A corrupted container (bit
-// flip, truncation) is always rejected at load — per-tensor and per-section
-// CRCs name the damaged entry; the file CRC catches everything else.
+// Sections are named opaque blobs (optimizer moments, RNG stream state, loop
+// counters) so one atomic file captures everything a killed `adapt()` run
+// needs to continue bitwise-identically; weight snapshots carry none.
+//
+// Every malformation raises std::runtime_error naming the damaged record:
+// bad dtype, bad block size, bad block count, bad code bytes, corrupt shape,
+// truncated tensor data, CRC mismatch. Sizes are bounded by the bytes left
+// in the file before anything is multiplied or allocated. Any other version
+// is rejected by number, and a quantized record is only read into a
+// `quants_out` list, so a quantized snapshot can never be misread as fp32.
+//
+// Saves are atomic: the container is written to `path + ".tmp"`, fsync'd,
+// then renamed over `path`, so an interrupted save leaves the previous
+// snapshot intact.
 #pragma once
 
 #include <string>
@@ -56,23 +43,20 @@ namespace netllm::tensor {
 
 using NamedParams = std::vector<std::pair<std::string, Tensor>>;
 
-/// Named block-quantized tensors carried by a v4 quantized snapshot.
+/// Named block-quantized tensors (quantized backbone weights).
 using NamedQuants = std::vector<std::pair<std::string, quant::QTensor>>;
 
-/// Named opaque byte blobs carried by a v3 session record alongside the
-/// tensors (e.g. "optimizer", "rng", "loop").
+/// Named opaque byte blobs carried alongside the tensors (e.g. a session
+/// checkpoint's "optimizer", "rng", "loop").
 using SessionSections = std::vector<std::pair<std::string, std::string>>;
 
-/// Atomically writes a v2 container. Throws std::runtime_error on I/O
-/// failure or duplicate names in `params`.
+/// Atomically writes fp32 `params`, block-quantized `quants` and `sections`
+/// to `path`. Throws std::runtime_error on I/O failure or duplicate names
+/// (names must be unique across `params` and `quants`).
 /// Fault-injection sites: "serialize.write", "serialize.fsync",
 /// "serialize.rename".
-void save_params(const std::string& path, const NamedParams& params);
-
-/// Atomically writes a v3 session record: `params` plus the given sections.
-/// Same error contract and fault sites as `save_params`.
-void save_session(const std::string& path, const NamedParams& params,
-                  const SessionSections& sections);
+void save_params(const std::string& path, const NamedParams& params,
+                 const NamedQuants& quants = {}, const SessionSections& sections = {});
 
 struct SaveRetryOptions {
   int attempts = 4;             // total tries, including the first
@@ -86,63 +70,41 @@ struct SaveRetryOptions {
 void save_params_retry(const std::string& path, const NamedParams& params,
                        const SaveRetryOptions& opts = {});
 
-/// Outcome of matching a container's tensors against `params` by name.
+/// Outcome of matching a container's fp32 tensors against `params` by name.
 /// Container-level corruption always throws; name/shape bookkeeping lands
 /// here so callers can decide how strict to be.
 struct LoadReport {
-  std::uint32_t version = 0;          // container version actually read
   std::size_t loaded = 0;             // tensors copied into `params`
   std::vector<std::string> missing;     // wanted by `params`, absent from file
   std::vector<std::string> extra;       // in file, not wanted by `params`
   std::vector<std::string> mismatched;  // name matched but shapes differ
-  std::vector<std::string> sections;    // session section names present (v3)
+  std::vector<std::string> sections;    // section names present in the file
 
   /// Extra entries are tolerated (partial snapshots compose); missing or
   /// shape-mismatched parameters are not.
   bool ok() const { return missing.empty() && mismatched.empty(); }
-  /// True when the file carried session sections (v3 record). v1/v2 weight
-  /// snapshots simply report false — absent sections are flagged, not an
-  /// error, so old files keep loading as weights-only.
+  /// True when the file carried sections (a session checkpoint); weight
+  /// snapshots report false.
   bool has_session() const { return !sections.empty(); }
   /// One-line human-readable digest for error messages and logs.
   std::string summary() const;
 };
 
 /// Verifies the container (magic, version, CRCs, bounds) and copies every
-/// name-and-shape-matched tensor into `params`. Throws std::runtime_error on
-/// corruption or duplicate names; records missing/extra/mismatched names in
-/// the returned report instead of throwing. When `sections_out` is non-null
-/// it receives the v3 session sections (cleared for v1/v2 files).
+/// name-and-shape-matched fp32 tensor into `params`. Throws
+/// std::runtime_error on corruption or duplicate names; records
+/// missing/extra/mismatched names in the returned report instead of
+/// throwing. Quantized records are appended to `quants_out` by name; when it
+/// is null a quantized record is an error naming it. When `sections_out` is
+/// non-null it receives the sections.
 LoadReport load_params_report(const std::string& path, const NamedParams& params,
+                              NamedQuants* quants_out = nullptr,
                               SessionSections* sections_out = nullptr);
 
 /// Strict variant: additionally throws (naming the offenders) unless the
-/// report is `ok()`. Loads values *into* the given tensors. Rejects v4
-/// quantized snapshots with a named error (use `load_quant_params`).
-void load_params(const std::string& path, const NamedParams& params);
-
-// ---- v4 quantized snapshots ----
-
-/// Atomically writes a v4 container: fp32 `params` plus block-quantized
-/// `quants` (names must be unique across both lists). Same atomicity,
-/// error contract and fault sites as `save_params`.
-void save_quant_params(const std::string& path, const NamedParams& params,
-                       const NamedQuants& quants);
-/// v4 container with session sections appended (checkpointing a quantized
-/// engine's trainables + backbone in one atomic file).
-void save_quant_session(const std::string& path, const NamedParams& params,
-                        const NamedQuants& quants, const SessionSections& sections);
-
-/// Reads a v4 quantized snapshot: fp32 records are matched into `params`
-/// exactly as `load_params_report` does; quantized records are validated
-/// (dtype, block size 32, block/code counts, per-record CRC) and appended
-/// to `quants_out` by name. Throws std::runtime_error naming the damaged
-/// record on any malformation; throws on non-v4 containers.
-LoadReport load_quant_params_report(const std::string& path, const NamedParams& params,
-                                    NamedQuants& quants_out,
-                                    SessionSections* sections_out = nullptr);
-/// Strict variant of the above (throws unless the fp32 report is `ok()`).
-void load_quant_params(const std::string& path, const NamedParams& params,
-                       NamedQuants& quants_out);
+/// report is `ok()`. Loads values *into* the given tensors; quantized
+/// records go to `quants_out` exactly as above.
+void load_params(const std::string& path, const NamedParams& params,
+                 NamedQuants* quants_out = nullptr);
 
 }  // namespace netllm::tensor

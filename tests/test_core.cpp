@@ -1,5 +1,5 @@
 // Unit tests for core utilities: deterministic RNG, statistics, tables,
-// timers.
+// timers, the snapshot checksum.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "core/crc32.hpp"
 #include "core/fault.hpp"
 #include "core/threadpool.hpp"
 #include "core/rng.hpp"
@@ -129,6 +130,14 @@ TEST(Rng, SplitProducesIndependentStream) {
   nc::Rng a(42);
   auto b = a.split();
   EXPECT_NE(a.next_u64(), b.next_u64());
+}
+
+// Every saved snapshot stores these checksums, so the table must never
+// change: pin the standard CRC-32 check value, plus chaining across a split.
+TEST(Checksum, Crc32KnownAnswer) {
+  EXPECT_EQ(nc::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(nc::crc32("56789", 5, nc::crc32("1234", 4)), 0xCBF43926u);
+  EXPECT_EQ(nc::crc32("", 0), 0u);
 }
 
 TEST(Stats, MeanAndStddev) {

@@ -70,7 +70,8 @@ void write_file(const fs::path& p, const std::string& bytes) {
 
 /// Patch `bytes` at `pos` and refresh the trailing file CRC so only the
 /// patched field is wrong — exercises the record validators, not the CRC.
-std::string patched_image(std::string bytes, std::size_t pos, std::uint32_t value) {
+template <typename T>
+std::string patched_image(std::string bytes, std::size_t pos, T value) {
   std::memcpy(bytes.data() + pos, &value, sizeof(value));
   const std::size_t body = bytes.size() - sizeof(std::uint32_t);
   const auto crc = netllm::core::crc32(bytes.data(), body);
@@ -308,11 +309,11 @@ TEST_F(Quant, QuantSnapshotRoundTripsExactly) {
   auto head = Tensor::from(random_vec(12, rng), {3, 4});
   const auto w8 = nq::quantize(nq::Dtype::kQ8_0, random_vec(2 * 40, rng).data(), 2, 40);
   const auto w4 = nq::quantize(nq::Dtype::kQ4_0, random_vec(3 * 64, rng).data(), 3, 64);
-  nt::save_quant_params(path, {{"head", head}}, {{"wq8", w8}, {"wq4", w4}});
+  nt::save_params(path, {{"head", head}}, {{"wq8", w8}, {"wq4", w4}});
 
   auto head_in = Tensor::zeros({3, 4});
   nt::NamedQuants quants;
-  nt::load_quant_params(path, {{"head", head_in}}, quants);
+  nt::load_params(path, {{"head", head_in}}, &quants);
   for (std::int64_t i = 0; i < head.numel(); ++i) ASSERT_EQ(head_in.at(i), head.at(i));
   ASSERT_EQ(quants.size(), 2u);
   for (const auto& [name, q] : quants) {
@@ -330,24 +331,15 @@ TEST_F(Quant, PlainReaderRejectsQuantSnapshotLoudly) {
   Rng rng(0xacce);
   const auto path = tmp_file("reject_plain.nllm").string();
   const auto wq = nq::quantize(nq::Dtype::kQ8_0, random_vec(64, rng).data(), 2, 32);
-  nt::save_quant_params(path, {}, {{"w", wq}});
+  nt::save_params(path, {}, {{"w", wq}});
   try {
     nt::load_params(path, {});
-    FAIL() << "plain reader accepted a v4 quantized snapshot";
+    FAIL() << "reader without quants_out accepted a quantized record";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("load_quant_params"), std::string::npos)
-        << "error should point at the quant-aware reader: " << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("quantized record 'w'"), std::string::npos) << what;
+    EXPECT_NE(what.find("quants_out"), std::string::npos) << what;
   }
-  fs::remove(path);
-}
-
-TEST_F(Quant, QuantReaderRejectsPlainSnapshots) {
-  Rng rng(0xdead);
-  const auto path = tmp_file("reject_quant.nllm").string();
-  auto w = Tensor::from(random_vec(8, rng), {2, 4});
-  nt::save_params(path, {{"w", w}});
-  nt::NamedQuants quants;
-  EXPECT_THROW(nt::load_quant_params(path, {{"w", w}}, quants), std::runtime_error);
   fs::remove(path);
 }
 
@@ -355,11 +347,10 @@ TEST_F(Quant, QuantSessionSectionsRoundTrip) {
   Rng rng(0x5e55);
   const auto path = tmp_file("session.nllm").string();
   const auto wq = nq::quantize(nq::Dtype::kQ4_0, random_vec(96, rng).data(), 3, 32);
-  nt::save_quant_session(path, {}, {{"w", wq}}, {{"rng", "0123"}, {"loop", "\x07"}});
+  nt::save_params(path, {}, {{"w", wq}}, {{"rng", "0123"}, {"loop", "\x07"}});
   nt::NamedQuants quants;
   nt::SessionSections sections;
-  const auto report = nt::load_quant_params_report(path, {}, quants, &sections);
-  EXPECT_EQ(report.version, 4u);
+  (void)nt::load_params_report(path, {}, &quants, &sections);
   ASSERT_EQ(sections.size(), 2u);
   EXPECT_EQ(sections[0].first, "rng");
   EXPECT_EQ(sections[0].second, "0123");
@@ -373,7 +364,7 @@ TEST_F(Quant, DuplicateNamesAcrossListsRejected) {
   const auto path = tmp_file("dupes.nllm").string();
   auto t = Tensor::from(random_vec(32, rng), {1, 32});
   const auto q = nq::quantize(nq::Dtype::kQ8_0, random_vec(32, rng).data(), 1, 32);
-  EXPECT_THROW(nt::save_quant_params(path, {{"w", t}}, {{"w", q}}), std::runtime_error);
+  EXPECT_THROW(nt::save_params(path, {{"w", t}}, {{"w", q}}), std::runtime_error);
 }
 
 // The v4 record header layout for a container holding a single quant tensor
@@ -389,18 +380,39 @@ std::string single_quant_image(nq::Dtype d) {
   Rng rng(0xfade);
   const auto path = tmp_file("malform.nllm");
   const auto wq = nq::quantize(d, random_vec(2 * 40, rng).data(), 2, 40);
-  nt::save_quant_params(path.string(), {}, {{"w", wq}});
+  nt::save_params(path.string(), {}, {{"w", wq}});
   auto bytes = read_file(path);
   fs::remove(path);
   return bytes;
 }
 
+/// One file holding every record kind: fp32, Q8_0 and Q4_0 records plus two
+/// sections, so corruption and truncation are fuzzed across all of them.
+std::string mixed_image() {
+  Rng rng(0x313d);
+  const auto path = tmp_file("mixed.nllm");
+  auto head = Tensor::from(random_vec(12, rng), {3, 4});
+  const auto w8 = nq::quantize(nq::Dtype::kQ8_0, random_vec(2 * 40, rng).data(), 2, 40);
+  const auto w4 = nq::quantize(nq::Dtype::kQ4_0, random_vec(3 * 64, rng).data(), 3, 64);
+  nt::save_params(path.string(), {{"head", head}}, {{"wq8", w8}, {"wq4", w4}},
+                  {{"rng", "0123"}, {"loop", std::string("\x07\x00\x01", 3)}});
+  auto bytes = read_file(path);
+  fs::remove(path);
+  return bytes;
+}
+
+/// Reads every record and section of the file; only damage can throw.
+void load_all(const fs::path& path) {
+  nt::NamedQuants quants;
+  nt::SessionSections sections;
+  (void)nt::load_params_report(path.string(), {}, &quants, &sections);
+}
+
 void expect_named_rejection(const std::string& bytes, const std::string& needle) {
   const auto path = tmp_file("malform_case.nllm");
   write_file(path, bytes);
-  nt::NamedQuants quants;
   try {
-    nt::load_quant_params(path.string(), {}, quants);
+    load_all(path);
     FAIL() << "malformed snapshot accepted (wanted error containing '" << needle << "')";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
@@ -414,8 +426,7 @@ TEST_F(Quant, MalformedRecordsYieldNamedErrors) {
   {
     const auto path = tmp_file("malform_ok.nllm");
     write_file(path, good);
-    nt::NamedQuants quants;
-    EXPECT_NO_THROW(nt::load_quant_params(path.string(), {}, quants));
+    EXPECT_NO_THROW(load_all(path));
     fs::remove(path);
   }
   expect_named_rejection(patched_image(good, kDtypeOff, 7), "bad dtype");
@@ -425,35 +436,79 @@ TEST_F(Quant, MalformedRecordsYieldNamedErrors) {
 }
 
 TEST_F(Quant, SeededCorruptionFuzzAlwaysRaisesNamedError) {
-  const auto good = single_quant_image(nq::Dtype::kQ4_0);
   const auto path = tmp_file("fuzz_flip.nllm");
   Rng rng(0xf1ee7);
   // Any single-byte corruption must be detected: headers and payloads are
   // all under the file CRC, payloads additionally under per-record CRCs.
-  for (int trial = 0; trial < 500; ++trial) {
-    auto bad = good;
-    const auto pos = static_cast<std::size_t>(
-        rng.randint(0, static_cast<std::int64_t>(bad.size()) - 1));
-    const auto flip = static_cast<char>(rng.randint(1, 255));
-    bad[pos] ^= flip;
-    write_file(path, bad);
-    nt::NamedQuants quants;
-    EXPECT_THROW(nt::load_quant_params(path.string(), {}, quants), std::runtime_error)
-        << "undetected corruption at byte " << pos;
+  for (const auto& good : {single_quant_image(nq::Dtype::kQ4_0), mixed_image()}) {
+    write_file(path, good);
+    ASSERT_NO_THROW(load_all(path));
+    for (int trial = 0; trial < 500; ++trial) {
+      auto bad = good;
+      const auto pos = static_cast<std::size_t>(
+          rng.randint(0, static_cast<std::int64_t>(bad.size()) - 1));
+      const auto flip = static_cast<char>(rng.randint(1, 255));
+      bad[pos] ^= flip;
+      write_file(path, bad);
+      EXPECT_THROW(load_all(path), std::runtime_error)
+          << "undetected corruption at byte " << pos << " of a " << good.size()
+          << "-byte image";
+    }
   }
   fs::remove(path);
 }
 
 TEST_F(Quant, SeededTruncationFuzzAlwaysRaisesNamedError) {
-  const auto good = single_quant_image(nq::Dtype::kQ8_0);
   const auto path = tmp_file("fuzz_trunc.nllm");
-  for (std::size_t len = 0; len < good.size(); ++len) {
-    write_file(path, good.substr(0, len));
-    nt::NamedQuants quants;
-    EXPECT_THROW(nt::load_quant_params(path.string(), {}, quants), std::runtime_error)
-        << "undetected truncation to " << len;
+  for (const auto& good : {single_quant_image(nq::Dtype::kQ8_0), mixed_image()}) {
+    for (std::size_t len = 0; len < good.size(); ++len) {
+      write_file(path, good.substr(0, len));
+      EXPECT_THROW(load_all(path), std::runtime_error)
+          << "undetected truncation to " << len << " of " << good.size() << " bytes";
+    }
   }
   fs::remove(path);
+}
+
+// Crafted records with valid checksums whose sizes cannot fit in the file:
+// the reader bounds every dim by the bytes left before multiplying, so none
+// of these overflows, allocates, or escapes as anything but a named error.
+// Offsets for a single fp32 record named "w" (after the 17-byte header and
+// name): 17 dtype | 21 rank | 25 dims[0] | 33 dims[1].
+constexpr std::size_t kDim0Off = 25;
+constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+
+std::string single_f32_image(const nt::Shape& shape) {
+  const auto path = tmp_file("crafted_f32.nllm");
+  nt::save_params(path.string(), {{"w", Tensor::zeros(shape)}});
+  auto bytes = read_file(path);
+  fs::remove(path);
+  return bytes;
+}
+
+TEST_F(Quant, CraftedF32ShapeProductOverflowIsNamedError) {
+  // dims {2^62, 4}: the element count overflows a signed 64-bit product.
+  expect_named_rejection(patched_image(single_f32_image({0, 4}), kDim0Off, kHuge),
+                         "truncated tensor data for 'w'");
+}
+
+TEST_F(Quant, CraftedF32HugeDimIsNamedError) {
+  // dims {2^62}: the byte count wraps to zero and the element count cannot
+  // be allocated.
+  expect_named_rejection(patched_image(single_f32_image({0}), kDim0Off, kHuge),
+                         "truncated tensor data for 'w'");
+}
+
+TEST_F(Quant, CraftedQuantHugeRowsIsNamedError) {
+  // Q8_0 rows = 2^62, cols = 32, with nscales patched to match: the scale
+  // and code byte counts both wrap to zero.
+  constexpr std::size_t kRowsOff = 21;
+  const auto path = tmp_file("crafted_q8.nllm");
+  nt::save_params(path.string(), {}, {{"w", nq::quantize(nq::Dtype::kQ8_0, nullptr, 0, 32)}});
+  const auto good = read_file(path);
+  fs::remove(path);
+  const auto crafted = patched_image(patched_image(good, kRowsOff, kHuge), kNscalesOff, kHuge);
+  expect_named_rejection(crafted, "truncated tensor data for 'w'");
 }
 
 // ---------- training untouched: bitwise checkpoint regression ----------

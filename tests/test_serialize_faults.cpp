@@ -1,6 +1,7 @@
-// Checkpoint hardening tests: container-v2 round trips, corruption detection
-// (bit flips, truncation, bad magic), v1 backward compatibility, atomic-write
-// crash simulation via the fault injector, and retry-with-backoff saves.
+// Checkpoint hardening tests: snapshot round trips, corruption detection
+// (bit flips, truncation, bad magic) across every record kind, rejection of
+// pre-v4 containers, atomic-write crash simulation via the fault injector,
+// and retry-with-backoff saves.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,20 +41,48 @@ void append_pod(std::string& buf, const T& v) {
   buf.append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-/// Handcrafted legacy v1 container (no checksums, no footer) per the format
-/// the seed repo wrote — guards backward compatibility.
-std::string v1_container(const std::vector<std::pair<std::string, std::vector<float>>>& tensors) {
+using FloatTensors = std::vector<std::pair<std::string, std::vector<float>>>;
+
+/// Handcrafted pre-v4 container holding rank-1 fp32 tensors: v1 has no
+/// checksums and no footer, v2 adds per-tensor CRCs and the file CRC footer,
+/// v3 adds a (here empty) section block before the footer.
+std::string legacy_container(std::uint32_t version, const FloatTensors& tensors) {
   std::string buf = "NLLM";
-  append_pod(buf, std::uint32_t{1});
+  append_pod(buf, version);
   append_pod(buf, static_cast<std::uint32_t>(tensors.size()));
   for (const auto& [name, data] : tensors) {
     append_pod(buf, static_cast<std::uint32_t>(name.size()));
     buf.append(name);
     append_pod(buf, std::uint32_t{1});  // rank
     append_pod(buf, static_cast<std::int64_t>(data.size()));
-    buf.append(reinterpret_cast<const char*>(data.data()), data.size() * sizeof(float));
+    const auto bytes = data.size() * sizeof(float);
+    if (version >= 2) append_pod(buf, netllm::core::crc32(data.data(), bytes));
+    buf.append(reinterpret_cast<const char*>(data.data()), bytes);
   }
+  if (version >= 3) append_pod(buf, std::uint32_t{0});  // section count
+  if (version >= 2) append_pod(buf, netllm::core::crc32(buf.data(), buf.size()));
   return buf;
+}
+
+/// One file holding every record kind: fp32, Q8_0 and Q4_0 records plus two
+/// sections. Loads cleanly with `load_all`.
+std::string mixed_image(const std::filesystem::path& path) {
+  namespace nq = netllm::tensor::quant;
+  Rng rng(9);
+  const auto a = nt::Tensor::randn({3, 5}, rng, 1.0f, true);
+  const auto wq8 = nq::quantize(nq::Dtype::kQ8_0, nt::Tensor::randn({2, 40}, rng, 1.0f));
+  const auto wq4 = nq::quantize(nq::Dtype::kQ4_0, nt::Tensor::randn({3, 64}, rng, 1.0f));
+  nt::save_params(path.string(), {{"alpha", a}}, {{"wq8", wq8}, {"wq4", wq4}},
+                  {{"rng", "0123456789"}, {"loop", std::string("\x07\x00\x01", 3)}});
+  return read_file(path);
+}
+
+/// Reads every record and section of the file without matching any
+/// parameter, so only container damage can throw.
+void load_all(const std::filesystem::path& path) {
+  nt::NamedQuants quants;
+  nt::SessionSections sections;
+  (void)nt::load_params_report(path.string(), {}, &quants, &sections);
 }
 
 class SerializeFaults : public ::testing::Test {
@@ -63,8 +92,8 @@ class SerializeFaults : public ::testing::Test {
 
 }  // namespace
 
-TEST_F(SerializeFaults, V2RoundTripAndReport) {
-  const auto path = tmp_path("netllm_v2_roundtrip.bin");
+TEST_F(SerializeFaults, RoundTripAndReport) {
+  const auto path = tmp_path("netllm_roundtrip.bin");
   Rng rng(1);
   auto w1 = nt::Tensor::randn({3, 4}, rng, 1.0f, true);
   auto w2 = nt::Tensor::randn({5}, rng, 1.0f, true);
@@ -75,7 +104,6 @@ TEST_F(SerializeFaults, V2RoundTripAndReport) {
   auto r2 = nt::Tensor::zeros({5}, true);
   const auto report = nt::load_params_report(path.string(), {{"w1", r1}, {"w2", r2}});
   EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.version, 2u);
   EXPECT_EQ(report.loaded, 2u);
   for (int i = 0; i < 12; ++i) EXPECT_EQ(r1.at(i), w1.at(i));
   for (int i = 0; i < 5; ++i) EXPECT_EQ(r2.at(i), w2.at(i));
@@ -83,35 +111,41 @@ TEST_F(SerializeFaults, V2RoundTripAndReport) {
 }
 
 TEST_F(SerializeFaults, EveryBitFlipIsRejected) {
-  const auto path = tmp_path("netllm_v2_bitflip.bin");
+  const auto path = tmp_path("netllm_bitflip.bin");
   Rng rng(2);
   auto w = nt::Tensor::randn({4, 4}, rng, 1.0f, true);
   nt::save_params(path.string(), {{"weights", w}});
-  const std::string image = read_file(path);
+  const std::string fp32_image = read_file(path);
+  const std::string mixed = mixed_image(path);
+  ASSERT_NO_THROW(load_all(path));
 
-  // Flip one bit at a spread of offsets covering header, name, shape,
-  // payload and footer: the load must throw every time.
-  for (std::size_t pos = 0; pos < image.size(); pos += 7) {
-    std::string corrupt = image;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x10);
-    write_file(path, corrupt);
-    auto r = nt::Tensor::zeros({4, 4}, true);
-    EXPECT_THROW(nt::load_params(path.string(), {{"weights", r}}), std::runtime_error)
-        << "bit flip at offset " << pos << " was not detected";
+  // Flip one bit at a spread of offsets covering header, names, shapes,
+  // payloads, sections and footer: the load must throw every time.
+  for (const auto& image : {fp32_image, mixed}) {
+    for (std::size_t pos = 0; pos < image.size(); pos += 7) {
+      std::string corrupt = image;
+      corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x10);
+      write_file(path, corrupt);
+      EXPECT_THROW(load_all(path), std::runtime_error)
+          << "bit flip at offset " << pos << " of a " << image.size()
+          << "-byte image was not detected";
+    }
   }
   std::filesystem::remove(path);
 }
 
 TEST_F(SerializeFaults, PayloadFlipNamesTheBadTensor) {
-  const auto path = tmp_path("netllm_v2_named.bin");
+  const auto path = tmp_path("netllm_named.bin");
   Rng rng(3);
   auto a = nt::Tensor::randn({2, 2}, rng, 1.0f, true);
   auto b = nt::Tensor::randn({8}, rng, 1.0f, true);
   nt::save_params(path.string(), {{"alpha", a}, {"beta", b}});
   std::string image = read_file(path);
   // Flip a byte in the *last* tensor's float payload (just before the
-  // 4-byte footer), so the diagnostic must name "beta".
-  image[image.size() - 8] = static_cast<char>(image[image.size() - 8] ^ 0x40);
+  // 4-byte section count and the 4-byte footer), so the diagnostic must
+  // name "beta".
+  const std::size_t pos = image.size() - 2 * sizeof(std::uint32_t) - sizeof(float);
+  image[pos] = static_cast<char>(image[pos] ^ 0x40);
   // Recompute nothing: the file CRC now also mismatches, but the per-tensor
   // check must still attribute the damage. Patch the footer so only the
   // tensor CRC catches it.
@@ -152,16 +186,25 @@ TEST_F(SerializeFaults, BadMagicRejected) {
   std::filesystem::remove(path);
 }
 
-TEST_F(SerializeFaults, V1ContainersStillLoad) {
-  const auto path = tmp_path("netllm_v1_compat.bin");
-  write_file(path, v1_container({{"w", {1.5f, -2.0f, 0.25f}}}));
-  auto r = nt::Tensor::zeros({3}, true);
-  const auto report = nt::load_params_report(path.string(), {{"w", r}});
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.version, 1u);
-  EXPECT_EQ(r.at(0), 1.5f);
-  EXPECT_EQ(r.at(1), -2.0f);
-  EXPECT_EQ(r.at(2), 0.25f);
+TEST_F(SerializeFaults, PreV4ContainersAreRejectedByVersion) {
+  const auto path = tmp_path("netllm_legacy.bin");
+  for (std::uint32_t version : {1u, 2u, 3u}) {
+    write_file(path, legacy_container(version, {{"w", {1.5f, -2.0f, 0.25f}}}));
+    auto r = nt::Tensor::zeros({3}, true);
+    nt::NamedQuants quants;
+    nt::SessionSections sections;
+    try {
+      (void)nt::load_params_report(path.string(), {{"w", r}}, &quants, &sections);
+      FAIL() << "v" << version << " container accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unsupported container version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+    }
+    EXPECT_EQ(r.at(0), 0.0f);  // nothing was copied
+  }
   std::filesystem::remove(path);
 }
 
@@ -283,21 +326,20 @@ TEST_F(SerializeFaults, SaveRetryGivesUpAndRethrows) {
   std::filesystem::remove(path.string() + ".tmp");
 }
 
-// ---- v3 session records (durable-session satellite) ----
+// ---- session records (snapshots with sections) ----
 
-TEST_F(SerializeFaults, V3SessionRoundTripCarriesSections) {
-  const auto path = tmp_path("netllm_v3_roundtrip.bin");
+TEST_F(SerializeFaults, SessionRoundTripCarriesSections) {
+  const auto path = tmp_path("netllm_session_roundtrip.bin");
   Rng rng(4);
   auto w = nt::Tensor::randn({3, 3}, rng, 1.0f, true);
   const nt::SessionSections sections = {{"fingerprint", "task=vp;seed=7"},
                                         {"rng", std::string("\x01\x02\x00\x7f", 4)}};
-  nt::save_session(path.string(), {{"w", w}}, sections);
+  nt::save_params(path.string(), {{"w", w}}, {}, sections);
 
   auto w2 = nt::Tensor::zeros({3, 3}, true);
   nt::SessionSections loaded;
-  const auto report = nt::load_params_report(path.string(), {{"w", w2}}, &loaded);
+  const auto report = nt::load_params_report(path.string(), {{"w", w2}}, nullptr, &loaded);
   EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.version, 3u);
   EXPECT_TRUE(report.has_session());
   ASSERT_EQ(report.sections.size(), 2u);
   ASSERT_EQ(loaded.size(), 2u);
@@ -309,11 +351,11 @@ TEST_F(SerializeFaults, V3SessionRoundTripCarriesSections) {
   EXPECT_NE(report.summary().find("session sections"), std::string::npos);
 }
 
-TEST_F(SerializeFaults, V3SectionBitFlipNamesTheSection) {
-  const auto path = tmp_path("netllm_v3_secflip.bin");
+TEST_F(SerializeFaults, SectionBitFlipNamesTheSection) {
+  const auto path = tmp_path("netllm_session_secflip.bin");
   auto w = nt::Tensor::from({1.0f}, {1}, true);
   const std::string payload = "SECTION-PAYLOAD-0123456789";
-  nt::save_session(path.string(), {{"w", w}}, {{"optimizer", payload}});
+  nt::save_params(path.string(), {{"w", w}}, {}, {{"optimizer", payload}});
 
   std::string image = read_file(path);
   const auto off = image.find(payload);
@@ -327,45 +369,17 @@ TEST_F(SerializeFaults, V3SectionBitFlipNamesTheSection) {
 
   nt::SessionSections loaded;
   try {
-    (void)nt::load_params_report(path.string(), {{"w", w}}, &loaded);
+    (void)nt::load_params_report(path.string(), {{"w", w}}, nullptr, &loaded);
     FAIL() << "expected checksum mismatch";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("optimizer"), std::string::npos) << e.what();
   }
 }
 
-TEST_F(SerializeFaults, V1LoadsUnderV3ReaderWithoutSessionSections) {
-  const auto path = tmp_path("netllm_v1_under_v3.bin");
-  write_file(path, v1_container({{"w", {1.5f, -2.0f, 0.25f}}}));
-  auto w = nt::Tensor::zeros({3}, true);
-  nt::SessionSections loaded = {{"stale", "junk"}};  // must be cleared
-  const auto report = nt::load_params_report(path.string(), {{"w", w}}, &loaded);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.version, 1u);
-  EXPECT_FALSE(report.has_session());
-  EXPECT_TRUE(report.sections.empty());
-  EXPECT_TRUE(loaded.empty());
-  EXPECT_EQ(w.at(0), 1.5f);
-}
-
-TEST_F(SerializeFaults, V2LoadsUnderV3ReaderWithoutSessionSections) {
-  const auto path = tmp_path("netllm_v2_under_v3.bin");
-  auto w = nt::Tensor::from({2.0f, 4.0f}, {2}, true);
-  nt::save_params(path.string(), {{"w", w}});  // plain snapshots stay v2
-  auto w2 = nt::Tensor::zeros({2}, true);
-  nt::SessionSections loaded = {{"stale", "junk"}};
-  const auto report = nt::load_params_report(path.string(), {{"w", w2}}, &loaded);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.version, 2u);
-  EXPECT_FALSE(report.has_session());
-  EXPECT_TRUE(loaded.empty());
-  EXPECT_EQ(w2.at(1), 4.0f);
-}
-
-TEST_F(SerializeFaults, V3TruncatedSectionRejected) {
-  const auto path = tmp_path("netllm_v3_trunc.bin");
+TEST_F(SerializeFaults, TruncatedSectionRejected) {
+  const auto path = tmp_path("netllm_session_trunc.bin");
   auto w = nt::Tensor::from({1.0f}, {1}, true);
-  nt::save_session(path.string(), {{"w", w}}, {{"rng", std::string(64, 'r')}});
+  nt::save_params(path.string(), {{"w", w}}, {}, {{"rng", std::string(64, 'r')}});
   const std::string image = read_file(path);
   write_file(path, image.substr(0, image.size() - 20));  // cut into the section
   EXPECT_THROW((void)nt::load_params_report(path.string(), {{"w", w}}, nullptr),
