@@ -17,14 +17,21 @@
 // Q8/Q4 kernels compute the int32 block dot exactly (sign-extend to i16,
 // _mm256_madd_epi16, lane sums are associative integer adds) and keep the
 // scalar tier's float expression `acc += d_a * d_b * (float)dot` per block,
-// so their outputs are bitwise IDENTICAL to the scalar tier.
+// so their outputs are bitwise IDENTICAL to the scalar tier. The Q8 kernel
+// makes each lane one output column: activation rows are widened to i16
+// once per row, 4-row quads share each widened 8-column weight block, an
+// exact hadd transpose-reduce turns eight columns' madd partials into one
+// vector of dots, and one vector multiply-add per block replaces eight
+// scalar ones. Q4 still runs a column-quad of scalar chains per row.
 #if defined(NETLLM_HAVE_AVX2)
 
 #include "tensor/kernels_dispatch.hpp"
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace netllm::tensor::kernels::detail {
 
@@ -224,20 +231,10 @@ void matmul_at_accum_range(const float* a, const float* b, float* c, std::int64_
 
 // ---- quantized block dots ----
 //
-// Exact int32 dot of 32 signed int8 lanes: widen each 16-byte half to i16,
-// _mm256_madd_epi16 (pairs of i16 products summed into i32 — max magnitude
-// 2*128*128 fits easily), add the halves, horizontal-sum. Matches the
-// scalar loop's value exactly, so the per-block float accumulation below is
-// bitwise the scalar tier.
-inline std::int32_t dot32_i8(const std::int8_t* x, const std::int8_t* y) {
-  const __m256i wx0 = _mm256_cvtepi8_epi16(_mm_loadu_si128((const __m128i*)(x)));
-  const __m256i wx1 = _mm256_cvtepi8_epi16(_mm_loadu_si128((const __m128i*)(x + 16)));
-  const __m256i wy0 = _mm256_cvtepi8_epi16(_mm_loadu_si128((const __m128i*)(y)));
-  const __m256i wy1 = _mm256_cvtepi8_epi16(_mm_loadu_si128((const __m128i*)(y + 16)));
-  const __m256i s =
-      _mm256_add_epi32(_mm256_madd_epi16(wx0, wy0), _mm256_madd_epi16(wx1, wy1));
-  return hsum8_i32(s);
-}
+// Exact int32 block dots: both operands sign-extend to i16 and
+// _mm256_madd_epi16 sums pairs of i16 products into i32 lanes (max
+// magnitude 2*128*128, and a whole block at most 32*128*128 = 2^19). Integer
+// adds are associative, so any reduction order gives the scalar tier's value.
 
 /// Decode one packed Q4_0 block (16 bytes -> 32 values, lo nibble first,
 /// value = code - 8) into interleaved int8 lanes matching the activation
@@ -260,47 +257,108 @@ inline std::int32_t dot32_q4(const std::int8_t* x, const std::uint8_t* packed) {
   return hsum8_i32(s);
 }
 
-// Four output columns share each activation row; the per-(i,j) float
-// accumulation over blocks is the scalar expression verbatim.
+// ---- Q8_0 x Q8_0: C[r0:r1, n] += A * B^T over 32-wide blocks ----
+//
+// Lane = output column: one __m256 accumulator holds columns j..j+7 of a
+// row. Per block, each column's eight madd partials are transpose-reduced
+// into one vector of eight exact dots, and the float update is the scalar
+// tier's `acc += d_a * d_b * (float)dot` evaluated lane by lane — so every
+// element is bitwise the scalar tier. Activation rows are widened to i16
+// once per row instead of once per column, and row quads share each widened
+// weight block; leftover rows run the same per-element sequence one row at
+// a time, so any parallel_for row partition is bitwise identical.
+
+/// Sign-extends `rows` activation rows of kb blocks to i16, once, into a
+/// per-thread buffer (each parallel_for chunk widens its own rows).
+const std::int16_t* widen_rows(const std::int8_t* aq, std::int64_t rows, std::int64_t kb) {
+  thread_local std::vector<std::int16_t> buf;
+  const auto count = static_cast<std::size_t>(rows * kb * 32);
+  if (buf.size() < count) buf.resize(count);
+  for (std::size_t t = 0; t < count; t += 16) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(buf.data() + t),
+                        _mm256_cvtepi8_epi16(_mm_loadu_si128((const __m128i*)(aq + t))));
+  }
+  return buf.data();
+}
+
+/// Transpose-reduce: lane c of the result is the exact sum of the eight
+/// int32 lanes of p[c].
+inline __m256i reduce_columns(const __m256i* p) {
+  const __m256i s01 = _mm256_hadd_epi32(p[0], p[1]);  // p0 p0 p1 p1 | p0 p0 p1 p1
+  const __m256i s23 = _mm256_hadd_epi32(p[2], p[3]);
+  const __m256i s45 = _mm256_hadd_epi32(p[4], p[5]);
+  const __m256i s67 = _mm256_hadd_epi32(p[6], p[7]);
+  const __m256i s03 = _mm256_hadd_epi32(s01, s23);  // p0 p1 p2 p3 | p0 p1 p2 p3
+  const __m256i s47 = _mm256_hadd_epi32(s45, s67);  // p4 p5 p6 p7 | p4 p5 p6 p7
+  // [lo(s03) | hi(s47)] + [hi(s03) | lo(s47)]: the blend needs no shuffle.
+  return _mm256_add_epi32(_mm256_blend_epi32(s03, s47, 0xf0),
+                          _mm256_permute2x128_si256(s03, s47, 0x21));
+}
+
+/// R rows (widened in a16, R * kb * 32 lanes) x columns j..j+7. Lanes past
+/// n recompute column n-1 and are dropped at the store.
+template <int R>
+void q8_tile(const std::int16_t* a16, const float* ascales, const std::int8_t* bq,
+             const float* bscales, float* c, std::int64_t j, std::int64_t kb,
+             std::int64_t n) {
+  const std::int64_t lanes = std::min<std::int64_t>(8, n - j);
+  const std::int8_t* w[8] = {};
+  alignas(32) std::int32_t sidx[8] = {};
+  for (int l = 0; l < 8; ++l) {
+    const std::int64_t col = std::min<std::int64_t>(l, lanes - 1);
+    w[l] = bq + (j + col) * kb * 32;
+    sidx[l] = static_cast<std::int32_t>(col * kb);
+  }
+  const __m256i scale_idx = _mm256_load_si256(reinterpret_cast<const __m256i*>(sidx));
+  const float* bs = bscales + j * kb;
+  __m256 acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
+  for (std::int64_t b = 0; b < kb; ++b) {
+    __m256i wlo[8], whi[8];
+    for (int l = 0; l < 8; ++l) {
+      wlo[l] = _mm256_cvtepi8_epi16(_mm_loadu_si128((const __m128i*)(w[l] + b * 32)));
+      whi[l] = _mm256_cvtepi8_epi16(_mm_loadu_si128((const __m128i*)(w[l] + b * 32 + 16)));
+    }
+    const __m256 db = _mm256_i32gather_ps(bs + b, scale_idx, 4);
+    for (int r = 0; r < R; ++r) {
+      const std::int16_t* ab = a16 + (r * kb + b) * 32;
+      const __m256i alo = _mm256_loadu_si256((const __m256i*)(ab));
+      const __m256i ahi = _mm256_loadu_si256((const __m256i*)(ab + 16));
+      __m256i p[8];
+      for (int l = 0; l < 8; ++l) {
+        p[l] = _mm256_add_epi32(_mm256_madd_epi16(alo, wlo[l]), _mm256_madd_epi16(ahi, whi[l]));
+      }
+      const __m256 dot = _mm256_cvtepi32_ps(reduce_columns(p));
+      const __m256 d = _mm256_mul_ps(_mm256_set1_ps(ascales[r * kb + b]), db);
+      acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(d, dot));
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    float* crow = c + r * n + j;
+    if (lanes == 8) {
+      _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[r]));
+    } else {
+      alignas(32) float tail[8] = {};
+      _mm256_store_ps(tail, acc[r]);
+      for (std::int64_t l = 0; l < lanes; ++l) crow[l] += tail[l];
+    }
+  }
+}
+
 void matmul_q8_range(const std::int8_t* aq, const float* ascales, const std::int8_t* bq,
                      const float* bscales, float* c, std::int64_t r0, std::int64_t r1,
                      std::int64_t kb, std::int64_t n) {
-  for (std::int64_t i = r0; i < r1; ++i) {
-    const std::int8_t* arow = aq + i * kb * 32;
-    const float* arow_s = ascales + i * kb;
-    float* crow = c + i * n;
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-      const std::int8_t* b0 = bq + (j + 0) * kb * 32;
-      const std::int8_t* b1 = bq + (j + 1) * kb * 32;
-      const std::int8_t* b2 = bq + (j + 2) * kb * 32;
-      const std::int8_t* b3 = bq + (j + 3) * kb * 32;
-      const float* s0 = bscales + (j + 0) * kb;
-      const float* s1 = bscales + (j + 1) * kb;
-      const float* s2 = bscales + (j + 2) * kb;
-      const float* s3 = bscales + (j + 3) * kb;
-      for (std::int64_t b = 0; b < kb; ++b) {
-        const std::int8_t* ab = arow + b * 32;
-        const float as = arow_s[b];
-        acc0 += as * s0[b] * static_cast<float>(dot32_i8(ab, b0 + b * 32));
-        acc1 += as * s1[b] * static_cast<float>(dot32_i8(ab, b1 + b * 32));
-        acc2 += as * s2[b] * static_cast<float>(dot32_i8(ab, b2 + b * 32));
-        acc3 += as * s3[b] * static_cast<float>(dot32_i8(ab, b3 + b * 32));
-      }
-      crow[j + 0] += acc0;
-      crow[j + 1] += acc1;
-      crow[j + 2] += acc2;
-      crow[j + 3] += acc3;
+  std::int64_t i = r0;
+  for (; i + 4 <= r1; i += 4) {
+    const std::int16_t* a16 = widen_rows(aq + i * kb * 32, 4, kb);
+    for (std::int64_t j = 0; j < n; j += 8) {
+      q8_tile<4>(a16, ascales + i * kb, bq, bscales, c + i * n, j, kb, n);
     }
-    for (; j < n; ++j) {
-      const std::int8_t* brow = bq + j * kb * 32;
-      const float* brow_s = bscales + j * kb;
-      float acc = 0.0f;
-      for (std::int64_t b = 0; b < kb; ++b) {
-        acc += arow_s[b] * brow_s[b] * static_cast<float>(dot32_i8(arow + b * 32, brow + b * 32));
-      }
-      crow[j] += acc;
+  }
+  for (; i < r1; ++i) {
+    const std::int16_t* a16 = widen_rows(aq + i * kb * 32, 1, kb);
+    for (std::int64_t j = 0; j < n; j += 8) {
+      q8_tile<1>(a16, ascales + i * kb, bq, bscales, c + i * n, j, kb, n);
     }
   }
 }

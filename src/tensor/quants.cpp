@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "tensor/kernels.hpp"
@@ -17,13 +18,20 @@ void check(bool cond, const char* msg) {
 /// Signed value of largest magnitude in [x, x+n). Keeping the sign lets the
 /// scale map the extreme onto the power-of-two end of the code range
 /// (-128 for Q8_0, -8 for Q4_0), so that element reconstructs exactly.
+/// A block holding a NaN or Inf yields NaN: its scale becomes NaN, so every
+/// value read from the block is NaN instead of a laundered finite code.
 float signed_absmax(const float* x, std::int64_t n) {
   float best = 0.0f;
   for (std::int64_t t = 0; t < n; ++t) {
+    if (!std::isfinite(x[t])) return std::numeric_limits<float>::quiet_NaN();
     if (std::fabs(x[t]) > std::fabs(best)) best = x[t];
   }
   return best;
 }
+
+/// Codes are only computed for a finite, non-zero scale; a zero or NaN
+/// scale leaves every code at the zero value.
+bool has_codes(float d) { return d != 0.0f && !std::isnan(d); }
 
 std::int32_t clamp_code(long v, std::int32_t lo, std::int32_t hi) {
   if (v < lo) return lo;
@@ -40,7 +48,7 @@ void quantize_block_q8(const float* x, std::int64_t n, float* scale, std::uint8_
   *scale = d;
   for (std::int64_t t = 0; t < kBlock; ++t) {
     std::int32_t q = 0;
-    if (t < n && d != 0.0f) q = clamp_code(std::lrintf(x[t] / d), -128, 127);
+    if (t < n && has_codes(d)) q = clamp_code(std::lrintf(x[t] / d), -128, 127);
     codes[t] = static_cast<std::uint8_t>(static_cast<std::int8_t>(q));
   }
 }
@@ -51,8 +59,8 @@ void quantize_block_q4(const float* x, std::int64_t n, float* scale, std::uint8_
   *scale = d;
   for (std::int64_t t = 0; t < kBlock; t += 2) {
     std::int32_t lo = 8, hi = 8;  // code 8 == 0 (the padding value)
-    if (t < n && d != 0.0f) lo = clamp_code(std::lrintf(x[t] / d), -8, 7) + 8;
-    if (t + 1 < n && d != 0.0f) hi = clamp_code(std::lrintf(x[t + 1] / d), -8, 7) + 8;
+    if (t < n && has_codes(d)) lo = clamp_code(std::lrintf(x[t] / d), -8, 7) + 8;
+    if (t + 1 < n && has_codes(d)) hi = clamp_code(std::lrintf(x[t + 1] / d), -8, 7) + 8;
     codes[t / 2] = static_cast<std::uint8_t>(lo | (hi << 4));
   }
 }

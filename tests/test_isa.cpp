@@ -7,9 +7,14 @@
 //     the portable scalar loops (the pre-dispatch kernels);
 //   - cross-tier contract: fp32 within a pinned tolerance, Q8/Q4 bitwise
 //     identical between scalar and the vector tier;
-//   - NaN/Inf propagation (PR 10 bugfix): a zero activation against a
-//     NaN-poisoned weight row must reach C — the old `aip == 0.0f` skip
-//     swallowed the poison before the serve guard could see it;
+//   - Q8 tiling seams: cross-tier and thread-count bitwise equality over
+//     shapes that cross the 8-column lane groups and 4-row quads, plus the
+//     extreme -128 x -128 block dot;
+//   - NaN/Inf propagation: a zero activation against a NaN-poisoned weight
+//     row must reach C (the old `aip == 0.0f` skip swallowed the poison
+//     before the serve guard could see it), and a poisoned weight or
+//     activation must survive quantization into every Q8/Q4 output that
+//     reads its block;
 //   - whole-decode-stream determinism per tier.
 // Built to run under -DNETLLM_SANITIZE=thread as well.
 #include <gtest/gtest.h>
@@ -390,6 +395,98 @@ TEST(IsaTiers, CrossTierF32WithinToleranceQuantBitwise) {
   EXPECT_TRUE(bitwise_equal(vec.c4, sc.c4)) << "q4 diverged across tiers";
 }
 
+// ---- Q8 tiling seams: lane groups, row quads and chunk starts ----
+
+namespace {
+
+/// Q8 product of the first m activation rows and first n weight rows of
+/// pre-quantized operands (rows are contiguous, so a prefix is a smaller
+/// operand). threads <= 0 runs the serial entry point.
+std::vector<float> q8_product(const std::vector<std::int8_t>& aq,
+                              const std::vector<float>& ascales, const nq::QTensor& w,
+                              std::int64_t m, std::int64_t kb, std::int64_t n, int threads) {
+  std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
+  const auto* bq = reinterpret_cast<const std::int8_t*>(w.codes.data());
+  if (threads <= 0) {
+    nk::matmul_q8_accum_serial(aq.data(), ascales.data(), bq, w.scales.data(), c.data(), m, kb,
+                               n);
+  } else {
+    nc::set_global_threads(threads);
+    nk::matmul_q8_accum(aq.data(), ascales.data(), bq, w.scales.data(), c.data(), m, kb, n);
+  }
+  return c;
+}
+
+}  // namespace
+
+TEST(IsaTiers, Q8TilingSeamsBitwiseAcrossTiersAndThreadCounts) {
+  TierGuard guard;
+  // m crosses the 4-row quad (leftover rows 0..3) and, past the 8-row grain,
+  // puts parallel_for chunk starts mid-quad; n crosses the 8-column lane
+  // group (tail lanes 1..7); k covers a single block, a padded tail block
+  // and the 512/1280 serving widths.
+  const std::vector<std::int64_t> ms = {1, 2, 3, 4, 5, 7, 8, 9, 11, 13};
+  const std::vector<std::int64_t> ns = {1, 7, 8, 9, 17, 67, 520};
+  const std::int64_t max_m = 13, max_n = 520;
+  Rng rng(0x5ea3);
+  for (std::int64_t k : {32, 97, 512, 1280}) {
+    const auto x = random_vec(max_m * k, rng);
+    const auto w = random_vec(max_n * k, rng);
+    const auto q = quant_operands(x, w, max_m, k, max_n);
+    for (auto m : ms) {
+      for (auto n : ns) {
+        ASSERT_EQ(isa::set_active_isa(isa::Isa::kScalar), isa::Isa::kScalar);
+        const auto want = q8_product(q.aq, q.ascales, q.w8, m, q.kb, n, /*threads=*/0);
+        for (auto tier : supported_tiers()) {
+          ASSERT_EQ(isa::set_active_isa(tier), tier);
+          const std::string ctx = std::string(isa::isa_name(tier)) + " m=" + std::to_string(m) +
+                                  " n=" + std::to_string(n) + " k=" + std::to_string(k);
+          EXPECT_TRUE(bitwise_equal(q8_product(q.aq, q.ascales, q.w8, m, q.kb, n, 0), want))
+              << "serial " << ctx;
+          for (int threads : {1, 2, 3, 8}) {
+            EXPECT_TRUE(
+                bitwise_equal(q8_product(q.aq, q.ascales, q.w8, m, q.kb, n, threads), want))
+                << ctx << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaTiers, Q8ExtremeCodesGiveTheExactMaximumDot) {
+  TierGuard guard;
+  // Code -128 on both sides of every block: each block dot is the largest
+  // magnitude the format can produce, 32 * 128 * 128 = 2^19, which the i16
+  // madd pairs and the int32 reduction must carry exactly.
+  const std::int64_t m = 5, kb = 4, n = 9;
+  std::vector<std::int8_t> aq(static_cast<std::size_t>(m * kb * nq::kBlock), -128);
+  std::vector<std::int8_t> bq(static_cast<std::size_t>(n * kb * nq::kBlock), -128);
+  std::vector<float> ascales(static_cast<std::size_t>(m * kb));
+  std::vector<float> bscales(static_cast<std::size_t>(n * kb));
+  for (std::size_t t = 0; t < ascales.size(); ++t) ascales[t] = 0.001f * static_cast<float>(t + 1);
+  for (std::size_t t = 0; t < bscales.size(); ++t) bscales[t] = -0.003f * static_cast<float>(t + 2);
+  // The scalar expression, per element, with the exact dot.
+  std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::int64_t b = 0; b < kb; ++b) {
+        acc += ascales[static_cast<std::size_t>(i * kb + b)] *
+               bscales[static_cast<std::size_t>(j * kb + b)] * 524288.0f;
+      }
+      want[static_cast<std::size_t>(i * n + j)] = acc;
+    }
+  }
+  for (auto tier : supported_tiers()) {
+    ASSERT_EQ(isa::set_active_isa(tier), tier);
+    std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
+    nk::matmul_q8_accum_serial(aq.data(), ascales.data(), bq.data(), bscales.data(), c.data(),
+                               m, kb, n);
+    EXPECT_TRUE(bitwise_equal(c, want)) << isa::isa_name(tier);
+  }
+}
+
 // ---- NaN/Inf propagation through zero activations (the bugfix) ----
 
 TEST(IsaNanPropagation, ZeroActivationTimesPoisonedWeightReachesC) {
@@ -427,6 +524,49 @@ TEST(IsaNanPropagation, ZeroActivationTimesPoisonedWeightReachesC) {
       for (std::int64_t p = 0; p < k; ++p) {
         EXPECT_TRUE(std::isnan(at_c[static_cast<std::size_t>(p * n + 7)]))
             << isa::isa_name(tier) << " at-kernel poison=" << poison << " row " << p;
+      }
+    }
+  }
+}
+
+TEST(IsaNanPropagation, PoisonedQuantizedOperandReachesCOnEveryTier) {
+  TierGuard guard;
+  // Quantization must not launder a non-finite value into a finite code:
+  // the poisoned block's scale is NaN, so every output reading that block
+  // is NaN, for Q8 and Q4 weights alike, on every tier.
+  const std::int64_t m = 6, k = 70, n = 11;
+  const std::vector<float> ones(static_cast<std::size_t>(m * k), 1.0f);
+  const std::vector<float> small(static_cast<std::size_t>(n * k), 0.01f);
+  for (auto tier : supported_tiers()) {
+    ASSERT_EQ(isa::set_active_isa(tier), tier);
+    for (float poison : {kNaN, kInf}) {
+      for (auto dtype : {nq::Dtype::kQ8_0, nq::Dtype::kQ4_0}) {
+        const std::string ctx = std::string(isa::isa_name(tier)) + " " + nq::dtype_name(dtype) +
+                                " poison=" + std::to_string(poison);
+        // Poisoned weight (column j=4, inside block 1): column 4 is NaN in
+        // every row, every other column stays finite.
+        auto w = small;
+        w[static_cast<std::size_t>(4 * k + 40)] = poison;
+        auto y = nq::qmatmul(netllm::tensor::Tensor::from(ones, {m, k}),
+                             nq::quantize(dtype, w.data(), n, k));
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            EXPECT_EQ(std::isnan(y.at(i * n + j)), j == 4) << "weight " << ctx << " i=" << i
+                                                           << " j=" << j;
+          }
+        }
+        // Poisoned activation (row i=2, block 2): row 2 is NaN in every
+        // column, every other row stays finite.
+        auto x = ones;
+        x[static_cast<std::size_t>(2 * k + 65)] = poison;
+        y = nq::qmatmul(netllm::tensor::Tensor::from(x, {m, k}),
+                        nq::quantize(dtype, small.data(), n, k));
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            EXPECT_EQ(std::isnan(y.at(i * n + j)), i == 2) << "activation " << ctx << " i=" << i
+                                                           << " j=" << j;
+          }
+        }
       }
     }
   }

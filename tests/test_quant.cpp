@@ -2,7 +2,9 @@
 // fp32 reference, bitwise determinism across thread counts (kernel level and
 // whole decode streams), the v4 quantized snapshot container with its
 // corruption/truncation fuzz suite, the training-untouched regression, and
-// the EngineConfig/AdaptOptions dtype knobs. Built to run under
+// the EngineConfig/AdaptOptions dtype knobs, and non-finite values surviving
+// quantization (pinned finite bytes, NaN block scales, serve-guard
+// fallback through a poisoned quantized backbone). Built to run under
 // -DNETLLM_SANITIZE=thread as well (ctest -L quant).
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -160,6 +163,70 @@ TEST_F(Quant, RoundTripErrorBoundedByBlockScale) {
         const float err = std::fabs(back.at(r * cols + c) - x[static_cast<std::size_t>(r * cols + c)]);
         EXPECT_LE(err, std::fabs(scale) + 1e-12f)
             << nq::dtype_name(d) << " r=" << r << " c=" << c;
+      }
+    }
+  }
+}
+
+TEST_F(Quant, FiniteBlocksQuantizeToPinnedBytes) {
+  // Exactly representable inputs (eighths, a zero block, a constant block,
+  // a ramp of small values, a 13-wide tail) so every division and rounding
+  // is IEEE-exact: the scale and code bytes are pinned, and any change to
+  // how finite blocks quantize moves these CRCs.
+  const std::int64_t rows = 6, cols = 77;
+  std::vector<float> x(static_cast<std::size_t>(rows * cols));
+  for (std::int64_t t = 0; t < rows * cols; ++t) {
+    x[static_cast<std::size_t>(t)] = static_cast<float>((t * 37) % 101 - 50) / 8.0f;
+  }
+  for (std::int64_t c = 0; c < 32; ++c) {
+    x[static_cast<std::size_t>(1 * cols + c)] = 0.0f;
+    x[static_cast<std::size_t>(2 * cols + c)] = -2.5f;
+    x[static_cast<std::size_t>(3 * cols + c)] = 1e-3f * static_cast<float>(c);
+  }
+  const auto crc = [&](nq::Dtype d) {
+    const auto q = nq::quantize(d, x.data(), rows, cols);
+    return nc::crc32(q.codes.data(), q.codes.size(),
+                     nc::crc32(q.scales.data(), q.scales.size() * sizeof(float)));
+  };
+  EXPECT_EQ(crc(nq::Dtype::kQ8_0), 0x30b5afe8u);
+  EXPECT_EQ(crc(nq::Dtype::kQ4_0), 0x6307584bu);
+}
+
+TEST_F(Quant, NonFiniteBlockGetsNanScaleAndDequantizesToNan) {
+  // A NaN or Inf anywhere in a block gives that block a NaN scale (and
+  // zero codes), so the poison survives into every value read from it
+  // instead of turning into the block's finite extreme. Other blocks are
+  // untouched.
+  Rng rng(0x7a17);
+  const std::int64_t rows = 3, cols = 77;
+  const auto clean = random_vec(rows * cols, rng);
+  for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()}) {
+    for (auto d : {nq::Dtype::kQ8_0, nq::Dtype::kQ4_0}) {
+      auto x = clean;
+      x[static_cast<std::size_t>(1 * cols + 70)] = poison;  // row 1, tail block 2
+      const auto q = nq::quantize(d, x.data(), rows, cols);
+      const auto ref = nq::quantize(d, clean.data(), rows, cols);
+      const auto bpr = nq::blocks_per_row(cols);
+      const auto cbb = nq::block_code_bytes(d);
+      const auto poisoned = 1 * bpr + 2;
+      for (std::int64_t b = 0; b < q.n_blocks(); ++b) {
+        const auto sb = static_cast<std::size_t>(b);
+        if (b == poisoned) {
+          EXPECT_TRUE(std::isnan(q.scales[sb])) << nq::dtype_name(d) << " poison=" << poison;
+          continue;
+        }
+        EXPECT_EQ(std::memcmp(&q.scales[sb], &ref.scales[sb], sizeof(float)), 0);
+        EXPECT_EQ(std::memcmp(q.codes.data() + b * cbb, ref.codes.data() + b * cbb,
+                              static_cast<std::size_t>(cbb)),
+                  0)
+            << nq::dtype_name(d) << " block " << b;
+      }
+      const auto back = nq::dequantize(q);
+      for (std::int64_t c = 0; c < cols; ++c) {
+        EXPECT_EQ(std::isnan(back.at(1 * cols + c)), c >= 64)
+            << nq::dtype_name(d) << " poison=" << poison << " c=" << c;
       }
     }
   }
@@ -553,6 +620,35 @@ TEST_F(Quant, EngineConfigQuantizesAdapterBackbone) {
   const auto report = engine->run();
   EXPECT_EQ(report.requests, samples.size());
   EXPECT_EQ(report.llm, samples.size());
+}
+
+TEST_F(Quant, PoisonedBackboneWeightFallsBackEndToEnd) {
+  // One NaN in an fp32 master weight must reach the served answer through
+  // the quantized backbone, so the serve guard rejects it and every request
+  // is answered by the finite rule-based fallback instead of a laundered
+  // LLM decision.
+  const auto samples = vp_samples(3);
+  for (auto d : {nq::Dtype::kQ8_0, nq::Dtype::kQ4_0}) {
+    auto adapter = vp_adapter(5);
+    auto w = adapter->llm().backbone_linears().front()->weight();
+    w.mutable_data()[0] = std::numeric_limits<float>::quiet_NaN();
+    serve::EngineConfig cfg;
+    cfg.backbone_dtype = d;
+    auto engine = std::make_shared<serve::InferenceEngine>(adapter, nullptr, nullptr, cfg);
+    ASSERT_EQ(adapter->llm().backbone_dtype(), d);
+    for (const auto& s : samples) engine->submit(serve::VpRequest{s.history, s.saliency, 4});
+    const auto report = engine->run();
+    EXPECT_EQ(report.requests, samples.size()) << nq::dtype_name(d);
+    EXPECT_EQ(report.llm + report.retried, 0u) << nq::dtype_name(d);
+    EXPECT_EQ(report.fallback, samples.size()) << nq::dtype_name(d);
+    for (const auto& r : engine->vp_responses()) {
+      ASSERT_EQ(r.viewports.size(), 4u);
+      for (const auto& v : r.viewports) {
+        EXPECT_TRUE(std::isfinite(v.roll) && std::isfinite(v.pitch) && std::isfinite(v.yaw))
+            << nq::dtype_name(d);
+      }
+    }
+  }
 }
 
 TEST_F(Quant, AdaptOptionsQuantizesReturnedAdapter) {
