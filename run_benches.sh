@@ -14,6 +14,13 @@
 # unparseable file fails the sweep loudly instead of archiving garbage.
 set -euo pipefail
 cd "$(dirname "$0")"
+# Release only (the same check bench/e2e/run.sh applies): numbers from a
+# debug or unoptimised build/ must never land in a BENCH_*.json row.
+if ! grep -qx 'CMAKE_BUILD_TYPE:STRING=Release' build/CMakeCache.txt 2>/dev/null; then
+  echo "run_benches.sh: build/ is not a Release build; reconfigure with" \
+    "cmake -B build -S . -DCMAKE_BUILD_TYPE=Release and rebuild" >&2
+  exit 2
+fi
 {
 for b in bench_fig02_motivation bench_fig03_training_time bench_fig04_adaptation_cost \
          bench_fig10_general bench_fig11_generalization bench_fig12_qoe_breakdown \

@@ -53,6 +53,7 @@ void KvArena::evict_lru_locked() {
                                 return a.last_use < b.last_use;
                               });
   pages_in_use_ -= lru->pages;
+  warm_pages_ -= lru->pages;
   warm_.erase(lru);
   ++evictions_;
   arena_metrics().evictions->add();
@@ -62,15 +63,18 @@ KvArena::Lease KvArena::lease(std::int64_t rows) {
   if (rows <= 0) throw std::invalid_argument("KvArena::lease: rows must be positive");
   const std::int64_t pages = pages_for(rows);
   std::lock_guard<std::mutex> lock(mu_);
-  // Leases outrank warm prefixes: evict LRU entries until the budget covers
-  // this request, and only fail once the warm set is gone too.
-  while (cfg_.page_budget > 0 && pages_in_use_ + pages > cfg_.page_budget && !warm_.empty()) {
-    evict_lru_locked();
-  }
-  if (cfg_.page_budget > 0 && pages_in_use_ + pages > cfg_.page_budget) {
-    throw Exhausted("KvArena: page budget exhausted (" + std::to_string(pages_in_use_) + " + " +
+  // Leases outrank warm prefixes, but a request that cannot fit even with
+  // the warm set empty fails before anything is evicted: flushing the warm
+  // set for a lease that throws anyway would only cost later requests their
+  // prefix hits.
+  const std::int64_t leased = pages_in_use_ - warm_pages_;
+  if (cfg_.page_budget > 0 && leased + pages > cfg_.page_budget) {
+    throw Exhausted("KvArena: page budget exhausted (" + std::to_string(leased) + " leased + " +
                     std::to_string(pages) + " > " + std::to_string(cfg_.page_budget) +
-                    " pages) with no warm prefix left to evict");
+                    " pages) even with every warm prefix evicted");
+  }
+  while (cfg_.page_budget > 0 && pages_in_use_ + pages > cfg_.page_budget) {
+    evict_lru_locked();
   }
   Lease out;
   out.arena_ = this;
@@ -187,13 +191,12 @@ void KvArena::publish(std::uint64_t key, std::span<const float> prompt,
     }
   }
   const std::int64_t pages = pages_for(rows);
-  while ((warm_.size() >= cfg_.prefix_entries ||
-          (cfg_.page_budget > 0 && pages_in_use_ + pages > cfg_.page_budget)) &&
-         !warm_.empty()) {
-    evict_lru_locked();
+  if (cfg_.page_budget > 0 && pages_in_use_ - warm_pages_ + pages > cfg_.page_budget) {
+    return;  // in-flight leases own the budget; keep the warm set as it is
   }
-  if (cfg_.page_budget > 0 && pages_in_use_ + pages > cfg_.page_budget) {
-    return;  // in-flight leases own the whole budget; warm entries never force them out
+  while (warm_.size() >= cfg_.prefix_entries ||
+         (cfg_.page_budget > 0 && pages_in_use_ + pages > cfg_.page_budget)) {
+    evict_lru_locked();
   }
   PrefixEntry e;
   e.key = key;
@@ -211,6 +214,7 @@ void KvArena::publish(std::uint64_t key, std::span<const float> prompt,
     e.v.emplace_back(c.v().begin(), c.v().begin() + static_cast<std::ptrdiff_t>(n));
   }
   pages_in_use_ += pages;
+  warm_pages_ += pages;
   warm_.push_back(std::move(e));
   set_gauge_locked();
 }

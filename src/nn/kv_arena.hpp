@@ -15,8 +15,8 @@
 // hash collision can never serve another prompt's cache) and LRU-evicted
 // under the same page budget — in-flight leases always win over warm
 // prefixes; only when the budget cannot cover a lease even with the warm set
-// empty does `lease()` throw the named `Exhausted` error, which the serve
-// engine maps to a deterministic shed-to-fallback.
+// empty does `lease()` throw the named `Exhausted` error (without evicting
+// anything), which the serve engine maps to a deterministic shed-to-fallback.
 //
 // Observability: kv.arena.pages_in_use gauge, kv.arena.evictions /
 // kv.prefix.hits / kv.prefix.misses counters.
@@ -76,7 +76,8 @@ class KvArena {
 
   /// Lease per-layer caches reserved for `rows` positions. Evicts warm
   /// prefix entries (LRU first) when the page budget is tight; throws
-  /// `Exhausted` when even an empty warm set cannot fund the lease.
+  /// `Exhausted`, with the warm set untouched, when even an empty warm set
+  /// cannot fund the lease.
   Lease lease(std::int64_t rows);
 
   // ---- prefix sharing ----
@@ -89,8 +90,9 @@ class KvArena {
   bool adopt(std::uint64_t key, std::span<const float> prompt, Lease& lease,
              std::vector<float>* features);
   /// Publish the first `rows` cached positions of `layers` plus the features
-  /// of the prompt's last position. Skipped (not an error) when prefix
-  /// sharing is disabled or the budget cannot fund the entry.
+  /// of the prompt's last position. Skipped (not an error), with the warm
+  /// set untouched, when prefix sharing is disabled or the leases leave the
+  /// budget no room for the entry.
   void publish(std::uint64_t key, std::span<const float> prompt, std::span<const KvCache> layers,
                std::int64_t rows, std::span<const float> features);
 
@@ -125,7 +127,8 @@ class KvArena {
   const KvArenaConfig cfg_;
 
   mutable std::mutex mu_;
-  std::int64_t pages_in_use_ = 0;
+  std::int64_t pages_in_use_ = 0;  // leased + warm
+  std::int64_t warm_pages_ = 0;    // the warm prefix entries' share
   std::uint64_t use_clock_ = 0;
   std::uint64_t hits_ = 0, misses_ = 0, evictions_ = 0;
   std::vector<PrefixEntry> warm_;

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/metrics.hpp"
 #include "core/threadpool.hpp"
+#include "tensor/kernels.hpp"
 
 namespace netllm::nn {
 
@@ -19,63 +21,61 @@ Tensor concat_cols(const std::vector<Tensor>& xs) {
   return transpose(concat_rows(transposed));
 }
 
-}  // namespace
+/// Per-thread scratch rows for the graph-free decode step. A buffer's
+/// capacity only grows, so a warm thread's step allocates nothing but its
+/// returned row. Separate buffers per role keep the block's rows and the
+/// attention rows it nests from aliasing.
+struct StepWorkspace {
+  std::vector<float> ln, attn, h, ff1, ff2;  // TransformerBlock::forward_step
+  std::vector<float> q, k, v, ctx;           // MultiHeadAttention::step_row
+  std::vector<float> kt, vh, scores;         // one head's gathered K^T, V and scores
 
-KvCache::KvCache(const KvCache& other) : d_model(other.d_model), len(other.len) {
-  if (other.k_buf_.defined()) {
-    // Deep copy: the buffers are mutable in place, so sharing node handles
-    // between two caches would alias their futures.
-    k_buf_ = Tensor::from(other.k(), {len, other.k_buf_.dim(1)});
-    v_buf_ = Tensor::from(other.v(), {len, other.v_buf_.dim(1)});
+  static StepWorkspace& local() {
+    thread_local StepWorkspace ws;
+    return ws;
+  }
+};
+
+/// `buf` as n zeros (no reallocation once its capacity covers n).
+std::span<float> zeroed(std::vector<float>& buf, std::int64_t n) {
+  buf.assign(static_cast<std::size_t>(n), 0.0f);
+  return buf;
+}
+
+void project_row(const std::shared_ptr<Linear>& base, const std::shared_ptr<LoRALinear>& lora,
+                 std::span<const float> x, std::span<float> y) {
+  if (lora) {
+    lora->forward_row(x, y);
+  } else {
+    base->forward_row(x, y);
   }
 }
 
-KvCache& KvCache::operator=(const KvCache& other) {
-  if (this != &other) *this = KvCache(other);
-  return *this;
+void check_step_input(const Tensor& x_t, std::int64_t d_model, const char* what) {
+  if (x_t.rank() != 2 || x_t.dim(0) != 1 || x_t.dim(1) != d_model) {
+    throw std::invalid_argument(std::string(what) + ": expected [1, d_model] input");
+  }
 }
+
+}  // namespace
 
 void KvCache::clear() {
   len = 0;
   // Reset the width too: a cleared cache must be reusable with a
   // different-width model (the sticky d_model used to make the next append
   // throw "row width does not match d_model"). The buffers keep their
-  // capacity; a different-width append below swaps them out.
+  // capacity.
   d_model = 0;
-  if (k_buf_.defined()) {
-    buffer_clear_rows(k_buf_);
-    buffer_clear_rows(v_buf_);
-  }
+  k_.clear();
+  v_.clear();
 }
 
 void KvCache::reserve(std::int64_t rows) {
   if (d_model <= 0) {
     throw std::invalid_argument("KvCache::reserve: d_model not set yet");
   }
-  if (!k_buf_.defined() || k_buf_.dim(1) != d_model) {
-    k_buf_ = tensor::make_row_buffer(d_model, rows);
-    v_buf_ = tensor::make_row_buffer(d_model, rows);
-  } else if (buffer_capacity_rows(k_buf_) < rows) {
-    // Re-reserve in place is not possible without invalidating outstanding
-    // views, so grow through fresh buffers carrying the existing rows.
-    auto grow = [&](const Tensor& old) {
-      auto buf = tensor::make_row_buffer(d_model, rows);
-      const std::size_t d = static_cast<std::size_t>(d_model);
-      for (std::int64_t i = 0; i < len; ++i) {
-        tensor::buffer_append_row(buf, old.data().subspan(static_cast<std::size_t>(i) * d, d));
-      }
-      return buf;
-    };
-    k_buf_ = grow(k_buf_);
-    v_buf_ = grow(v_buf_);
-  }
-}
-
-void KvCache::ensure_buffers() {
-  if (!k_buf_.defined() || k_buf_.dim(1) != d_model) {
-    k_buf_ = tensor::make_row_buffer(d_model, 0);
-    v_buf_ = tensor::make_row_buffer(d_model, 0);
-  }
+  k_.reserve(static_cast<std::size_t>(rows * d_model));
+  v_.reserve(static_cast<std::size_t>(rows * d_model));
 }
 
 void KvCache::append(std::span<const float> k_row, std::span<const float> v_row) {
@@ -84,9 +84,8 @@ void KvCache::append(std::span<const float> k_row, std::span<const float> v_row)
       static_cast<std::int64_t>(v_row.size()) != d_model) {
     throw std::invalid_argument("KvCache::append: row width does not match d_model");
   }
-  ensure_buffers();
-  buffer_append_row(k_buf_, k_row);
-  buffer_append_row(v_buf_, v_row);
+  k_.insert(k_.end(), k_row.begin(), k_row.end());
+  v_.insert(v_.end(), v_row.begin(), v_row.end());
   ++len;
   // KV-cache growth feeds capacity planning: rows resident per decode and
   // the bytes they pin (K and V) are the §10/§13 memory budget inputs.
@@ -96,27 +95,8 @@ void KvCache::append(std::span<const float> k_row, std::span<const float> v_row)
   bytes.add(static_cast<std::int64_t>(2 * sizeof(float)) * d_model);
 }
 
-namespace {
-const std::vector<float>& empty_floats() {
-  static const std::vector<float> kEmpty;
-  return kEmpty;
-}
-}  // namespace
-
-const std::vector<float>& KvCache::k() const {
-  return k_buf_.defined() ? k_buf_.node()->value : empty_floats();
-}
-
-const std::vector<float>& KvCache::v() const {
-  return v_buf_.defined() ? v_buf_.node()->value : empty_floats();
-}
-
-Tensor KvCache::k_view() const { return k_buf_; }
-
-Tensor KvCache::v_view() const { return v_buf_; }
-
 std::int64_t KvCache::capacity_rows() const {
-  return k_buf_.defined() ? tensor::buffer_capacity_rows(k_buf_) : 0;
+  return d_model > 0 ? static_cast<std::int64_t>(k_.capacity()) / d_model : 0;
 }
 
 MultiHeadAttention::MultiHeadAttention(std::int64_t d_model, std::int64_t n_heads, bool causal,
@@ -137,8 +117,7 @@ Tensor MultiHeadAttention::project(const std::shared_ptr<Linear>& base,
   return lora ? lora->forward(x) : base->forward(x);
 }
 
-Tensor MultiHeadAttention::attend(const Tensor& q, const Tensor& k, const Tensor& v,
-                                  bool causal) const {
+Tensor MultiHeadAttention::attend(const Tensor& q, const Tensor& k, const Tensor& v) const {
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(d_head_));
 
   // Heads are independent in the forward pass (they only read q/k/v and
@@ -153,7 +132,7 @@ Tensor MultiHeadAttention::attend(const Tensor& q, const Tensor& k, const Tensor
       const auto kh = slice_cols(k, h * d_head_, d_head_);
       const auto vh = slice_cols(v, h * d_head_, d_head_);
       auto scores = scale(matmul(qh, transpose(kh)), inv_sqrt);
-      auto attn = causal ? causal_masked_softmax(scores) : softmax_rows(scores);
+      auto attn = causal_ ? causal_masked_softmax(scores) : softmax_rows(scores);
       heads[static_cast<std::size_t>(h)] = matmul(attn, vh);
     }
   });
@@ -178,26 +157,54 @@ Tensor MultiHeadAttention::forward(const Tensor& x, KvCache* cache) const {
                     v.data().subspan(static_cast<std::size_t>(i) * d, d));
     }
   }
-  return attend(q, k, v, causal_);
+  return attend(q, k, v);
 }
 
 Tensor MultiHeadAttention::forward_step(const Tensor& x_t, KvCache& cache) const {
-  if (x_t.rank() != 2 || x_t.dim(0) != 1 || x_t.dim(1) != d_model_) {
-    throw std::invalid_argument("MultiHeadAttention::forward_step: expected [1, d_model] input");
+  check_step_input(x_t, d_model_, "MultiHeadAttention::forward_step");
+  auto y = Tensor::zeros({1, d_model_});
+  step_row(x_t.data(), cache, y.mutable_data());
+  return y;
+}
+
+void MultiHeadAttention::step_row(std::span<const float> x, KvCache& cache,
+                                  std::span<float> y) const {
+  // The step runs the ops of `attend` for one query row, on raw buffers and
+  // in the same order, calling the same kernel entry points with the same
+  // shapes: the projections, then per head scores = q_h K_h^T (matmul_accum
+  // into a zeroed [1, len] row), scale, softmax, and attn V_h written into
+  // the head's columns of the concatenated row. A full-row softmax over the
+  // cache equals the causal-masked last row of the full forward: both run
+  // softmax_row over the same len scores, and the masked zero weights of
+  // earlier rows never reach this one.
+  auto& ws = StepWorkspace::local();
+  const auto d = d_model_, dh = d_head_;
+  const auto q = zeroed(ws.q, d), k = zeroed(ws.k, d), v = zeroed(ws.v, d);
+  project_row(wq_, lq_, x, q);
+  project_row(wk_, lk_, x, k);
+  project_row(wv_, lv_, x, v);
+  cache.append(k, v);
+
+  const auto len = cache.len;
+  const float* kc = cache.k().data();
+  const float* vc = cache.v().data();
+  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
+  const auto ctx = zeroed(ws.ctx, d);
+  for (std::int64_t h = 0; h < n_heads_; ++h) {
+    const auto kt = zeroed(ws.kt, dh * len), vh = zeroed(ws.vh, len * dh);
+    for (std::int64_t r = 0; r < len; ++r) {
+      for (std::int64_t c = 0; c < dh; ++c) {
+        kt[c * len + r] = kc[r * d + h * dh + c];
+        vh[r * dh + c] = vc[r * d + h * dh + c];
+      }
+    }
+    const auto scores = zeroed(ws.scores, len);
+    kernels::matmul_accum(q.data() + h * dh, kt.data(), scores.data(), 1, dh, len);
+    for (std::int64_t j = 0; j < len; ++j) scores[j] = scores[j] * inv_sqrt;
+    softmax_row(scores.data(), scores.data(), len);
+    kernels::matmul_accum(scores.data(), vh.data(), ctx.data() + h * dh, 1, len, dh);
   }
-  const auto q = project(wq_, lq_, x_t);
-  const auto k = project(wk_, lk_, x_t);
-  const auto v = project(wv_, lv_, x_t);
-  cache.append(k.data(), v.data());
-  // Attend over zero-copy views of the cache buffers: decoding is
-  // inference-only, so the graph never needs to reach back into earlier
-  // steps, and the views stay valid for the whole attend (no append happens
-  // mid-op). Attending with a full-row softmax over the cache equals the
-  // causal-masked last row of the full forward — softmax_rows and
-  // causal_masked_softmax share the same per-row kernel, and the masked zero
-  // weights contribute no terms to the attn·V accumulation (the matmul
-  // kernel skips exact zeros).
-  return attend(q, cache.k_view(), cache.v_view(), /*causal=*/false);
+  project_row(wo_, lo_, ctx, y);
 }
 
 void MultiHeadAttention::collect_params(NamedParams& out, const std::string& prefix) const {
@@ -254,9 +261,25 @@ Tensor TransformerBlock::forward_step(const Tensor& x_t, KvCache& cache) const {
   // layer_norm, the residual adds and the MLP are all row-wise, so running
   // them on the single new row produces the same floats as the last row of
   // the full-sequence forward; attention is the only cross-row op and goes
-  // through the cache.
-  auto h = add(x_t, attn_->forward_step(ln1_->forward(x_t), cache));
-  return add(h, ff(ln2_->forward(h)));
+  // through the cache. Each op below is the raw-row form of the matching
+  // Tensor op in `forward`, with the operands in the same order.
+  const auto d = attn_->d_model_;
+  check_step_input(x_t, d, "TransformerBlock::forward_step");
+  auto& ws = StepWorkspace::local();
+  const auto x = x_t.data();
+  const auto ln = zeroed(ws.ln, d), a = zeroed(ws.attn, d), h = zeroed(ws.h, d);
+  ln1_->forward_row(x, ln);
+  attn_->step_row(ln, cache, a);
+  for (std::int64_t j = 0; j < d; ++j) h[j] = x[j] + a[j];
+  ln2_->forward_row(h, ln);  // the attention step is done with ln1's row
+  const auto f1 = zeroed(ws.ff1, fc1_->out_features()), f2 = zeroed(ws.ff2, d);
+  project_row(fc1_, lfc1_, ln, f1);
+  gelu_row(f1.data(), f1.data(), fc1_->out_features());
+  project_row(fc2_, lfc2_, f1, f2);
+  auto y = Tensor::zeros({1, d});
+  auto out = y.mutable_data();
+  for (std::int64_t j = 0; j < d; ++j) out[j] = h[j] + f2[j];
+  return y;
 }
 
 void TransformerBlock::collect_params(NamedParams& out, const std::string& prefix) const {

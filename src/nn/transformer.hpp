@@ -23,25 +23,19 @@ namespace netllm::nn {
 /// path is bitwise identical to re-running the whole sequence (see
 /// DESIGN.md §10), which `tests/test_decode.cpp` pins.
 ///
-/// Storage is a pair of in-place growable tensor row buffers: `k_view()` /
-/// `v_view()` hand the attention step a zero-copy [len, d_model] tensor, so
-/// decoding no longer pays an O(len) copy per step, and `reserve()` pins the
-/// backing allocation to a known horizon (or an arena page span) so appends
-/// never reallocate mid-decode. Copying a KvCache deep-copies the buffers —
-/// two caches never alias storage.
+/// Storage is a pair of plain row-major [len, d_model] float buffers. The
+/// graph-free decode step reads them in place (it gathers each head's K/V
+/// columns into its own workspace), so the cache never becomes part of an
+/// autograd graph. `reserve()` pins the allocation to a known horizon (or an
+/// arena page span) so appends never reallocate mid-decode. Copying a
+/// KvCache copies the rows — two caches never alias storage.
 struct KvCache {
   std::int64_t d_model = 0;  // set on first append; checked afterwards
   std::int64_t len = 0;      // cached positions
 
-  KvCache() = default;
-  KvCache(const KvCache& other);
-  KvCache& operator=(const KvCache& other);
-  KvCache(KvCache&&) noexcept = default;
-  KvCache& operator=(KvCache&&) noexcept = default;
-
   /// Forget every cached position AND the width: a cleared cache is
   /// indistinguishable from a fresh one, so it can be reused with a
-  /// different-width model. Buffer capacity is kept when the width matches.
+  /// different-width model. Buffer capacity is kept.
   void clear();
   /// Pre-allocate storage for `rows` positions; requires d_model known
   /// (set it, or append once, first). Appends within the reservation never
@@ -49,20 +43,15 @@ struct KvCache {
   void reserve(std::int64_t rows);
   void append(std::span<const float> k_row, std::span<const float> v_row);
 
-  /// Raw row-major [len, d_model] floats (for tests / serialization).
-  const std::vector<float>& k() const;
-  const std::vector<float>& v() const;
-  /// Zero-copy [len, d_model] tensor views over the live buffers. Valid until
-  /// the next append/clear mutates the buffer mid-op — take them fresh per
-  /// attention step.
-  tensor::Tensor k_view() const;
-  tensor::Tensor v_view() const;
-  /// Rows the buffers can hold before reallocating (0 when unallocated).
+  /// Raw row-major [len, d_model] floats.
+  const std::vector<float>& k() const { return k_; }
+  const std::vector<float>& v() const { return v_; }
+  /// Rows the buffers can hold before reallocating (0 while the width is
+  /// unset).
   std::int64_t capacity_rows() const;
 
  private:
-  void ensure_buffers();
-  tensor::Tensor k_buf_, v_buf_;  // null handles until the first append/reserve
+  std::vector<float> k_, v_;
 };
 
 /// Multi-head self-attention over a [T, D] sequence.
@@ -76,7 +65,9 @@ class MultiHeadAttention final : public Module {
   Tensor forward(const Tensor& x, KvCache* cache = nullptr) const;
   /// Incremental decode: project the single new position x_t [1, D], append
   /// its K/V rows to the cache and attend over the whole cache. Produces the
-  /// same floats as the last row of `forward` over the full sequence.
+  /// same floats as the last row of `forward` over the full sequence, but
+  /// graph-free: the returned row is the only node it builds (no parents, no
+  /// gradient), so decoding must not be backpropagated through.
   Tensor forward_step(const Tensor& x_t, KvCache& cache) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
@@ -90,9 +81,13 @@ class MultiHeadAttention final : public Module {
   }
 
  private:
+  friend class TransformerBlock;
+
   Tensor project(const std::shared_ptr<Linear>& base, const std::shared_ptr<LoRALinear>& lora,
                  const Tensor& x) const;
-  Tensor attend(const Tensor& q, const Tensor& k, const Tensor& v, bool causal) const;
+  Tensor attend(const Tensor& q, const Tensor& k, const Tensor& v) const;
+  /// forward_step on raw rows: x [d_model] -> y [d_model].
+  void step_row(std::span<const float> x, KvCache& cache, std::span<float> y) const;
 
   std::int64_t d_model_, n_heads_, d_head_;
   bool causal_;
@@ -109,7 +104,8 @@ class TransformerBlock final : public Module {
   /// Full-sequence forward; with `cache` given the attention K/V rows are
   /// captured for incremental decoding (prefill).
   Tensor forward(const Tensor& x, KvCache* cache = nullptr) const;
-  /// Incremental decode over one new position (see MultiHeadAttention).
+  /// Incremental decode over one new position, graph-free like
+  /// MultiHeadAttention::forward_step.
   Tensor forward_step(const Tensor& x_t, KvCache& cache) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
   std::vector<Tensor> enable_lora(std::int64_t rank, float alpha, core::Rng& rng);

@@ -171,33 +171,40 @@ Tensor dequantize(const QTensor& q) {
   return Tensor::from(std::move(out), {q.rows, q.cols});
 }
 
-Tensor qmatmul(const Tensor& x, const QTensor& wt) {
-  check(x.defined() && x.rank() == 2, "qmatmul: rank-2 activation required");
+void qmatmul_accum(const float* x, std::int64_t m, const QTensor& wt, float* y) {
   check(wt.dtype == Dtype::kQ8_0 || wt.dtype == Dtype::kQ4_0,
         "qmatmul: weight must be Q8_0 or Q4_0");
-  const auto m = x.dim(0), k = x.dim(1), n = wt.rows;
-  check(wt.cols == k, "qmatmul: inner dimension mismatch");
-
+  const auto k = wt.cols, n = wt.rows;
   // Quantize the activation rows to Q8_0 once, up front. Padding lanes hold
   // the zero code, so the kernels can run whole 32-lane blocks throughout.
+  // The staging buffers are per thread and only grow: a decode step
+  // quantizes one row per projection and should not allocate for it.
   const auto kb = blocks_per_row(k);
-  std::vector<std::int8_t> aq(static_cast<std::size_t>(m * kb * kBlock));
-  std::vector<float> ascales(static_cast<std::size_t>(m * kb));
+  thread_local std::vector<std::int8_t> aq;
+  thread_local std::vector<float> ascales;
+  aq.resize(static_cast<std::size_t>(m * kb * kBlock));
+  ascales.resize(static_cast<std::size_t>(m * kb));
   for (std::int64_t i = 0; i < m; ++i) {
-    quantize_row(Dtype::kQ8_0, x.data().data() + i * k, k, ascales.data() + i * kb,
+    quantize_row(Dtype::kQ8_0, x + i * k, k, ascales.data() + i * kb,
                  reinterpret_cast<std::uint8_t*>(aq.data()) + i * kb * kBlock);
   }
-
-  auto node = std::make_shared<Node>(Shape{m, n}, x.requires_grad());
-  node->parents = {x.node()};
   if (wt.dtype == Dtype::kQ8_0) {
     kernels::matmul_q8_accum(aq.data(), ascales.data(),
                              reinterpret_cast<const std::int8_t*>(wt.codes.data()),
-                             wt.scales.data(), node->value.data(), m, kb, n);
+                             wt.scales.data(), y, m, kb, n);
   } else {
-    kernels::matmul_q4_accum(aq.data(), ascales.data(), wt.codes.data(), wt.scales.data(),
-                             node->value.data(), m, kb, n);
+    kernels::matmul_q4_accum(aq.data(), ascales.data(), wt.codes.data(), wt.scales.data(), y,
+                             m, kb, n);
   }
+}
+
+Tensor qmatmul(const Tensor& x, const QTensor& wt) {
+  check(x.defined() && x.rank() == 2, "qmatmul: rank-2 activation required");
+  const auto m = x.dim(0), k = x.dim(1), n = wt.rows;
+  check(wt.cols == k, "qmatmul: inner dimension mismatch");
+  auto node = std::make_shared<Node>(Shape{m, n}, x.requires_grad());
+  node->parents = {x.node()};
+  qmatmul_accum(x.data().data(), m, wt, node->value.data());
   if (node->requires_grad) {
     // Gradients w.r.t. the activation flow through the dequantized weight:
     // grad_x[m,k] += grad_y[m,n] · wt[n,k]. The training loops pause

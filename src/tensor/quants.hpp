@@ -106,5 +106,9 @@ Tensor dequantize(const QTensor& q);
 /// see nn::Linear) accumulates grad_x += grad_y · dequant(wt).
 /// Bitwise identical at any NETLLM_THREADS.
 Tensor qmatmul(const Tensor& x, const QTensor& wt);
+/// The graph-free core of qmatmul on raw buffers: quantize the m rows of
+/// x [m, wt.cols] and accumulate x · W into y [m, wt.rows] through the same
+/// counted kernel entry points. y must be zero-filled for a plain product.
+void qmatmul_accum(const float* x, std::int64_t m, const QTensor& wt, float* y);
 
 }  // namespace netllm::tensor::quant

@@ -100,43 +100,6 @@ std::int64_t live_float_count() { return g_live_floats.load(); }
 std::int64_t peak_float_count() { return g_peak_floats.load(); }
 void reset_peak_float_count() { g_peak_floats.store(g_live_floats.load()); }
 
-// ---- growable row buffers ----
-// These mutate a node in place, which is safe only because the buffer is a
-// grad-free leaf used for inference caches: ops copy its floats eagerly, and
-// nothing backpropagates into it. They live here (not in a header) so every
-// size change goes through track_alloc and live_float_count stays exact.
-
-Tensor make_row_buffer(std::int64_t cols, std::int64_t capacity_rows) {
-  check(cols > 0 && capacity_rows >= 0, "make_row_buffer: bad dimensions");
-  auto t = Tensor::zeros({0, cols}, /*requires_grad=*/false);
-  t.node()->value.reserve(static_cast<std::size_t>(capacity_rows * cols));
-  return t;
-}
-
-void buffer_append_row(Tensor& buf, std::span<const float> row) {
-  auto& node = *buf.node();
-  check(node.shape.size() == 2, "buffer_append_row: not a row buffer");
-  check(static_cast<std::int64_t>(row.size()) == node.shape[1],
-        "buffer_append_row: row width does not match buffer cols");
-  node.value.insert(node.value.end(), row.begin(), row.end());
-  ++node.shape[0];
-  track_alloc(static_cast<std::int64_t>(row.size()));
-}
-
-void buffer_clear_rows(Tensor& buf) {
-  auto& node = *buf.node();
-  check(node.shape.size() == 2, "buffer_clear_rows: not a row buffer");
-  track_alloc(-static_cast<std::int64_t>(node.value.size()));
-  node.value.clear();  // keeps capacity
-  node.shape[0] = 0;
-}
-
-std::int64_t buffer_capacity_rows(const Tensor& buf) {
-  const auto& node = *buf.node();
-  check(node.shape.size() == 2, "buffer_capacity_rows: not a row buffer");
-  return static_cast<std::int64_t>(node.value.capacity()) / node.shape[1];
-}
-
 // ---- construction ----
 
 Tensor Tensor::zeros(Shape shape, bool requires_grad) {
@@ -397,18 +360,23 @@ Tensor relu(const Tensor& a) {
   return Tensor(node);
 }
 
+// tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
+
+void gelu_row(const float* in, float* out, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float x = in[i];
+    const float t = std::tanh(kGeluC * (x + kGeluA * x * x * x));
+    out[i] = 0.5f * x * (1.0f + t);
+  }
+}
+
 Tensor gelu(const Tensor& a) {
-  // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
   auto node = make_result(a.shape(), {a.node()});
   const auto n = static_cast<std::size_t>(node->numel());
   parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) {
-      const float x = a.data()[i];
-      const float t = std::tanh(kC * (x + kA * x * x * x));
-      node->value[i] = 0.5f * x * (1.0f + t);
-    }
+    gelu_row(a.data().data() + b0, node->value.data() + b0, static_cast<std::int64_t>(e0 - b0));
   });
   if (node->requires_grad) {
     Node* pa = a.node().get();
@@ -417,9 +385,9 @@ Tensor gelu(const Tensor& a) {
       parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
         for (std::size_t i = b0; i < e0; ++i) {
           const float x = pa->value[i];
-          const float inner = kC * (x + kA * x * x * x);
+          const float inner = kGeluC * (x + kGeluA * x * x * x);
           const float t = std::tanh(inner);
-          const float dinner = kC * (1.0f + 3.0f * kA * x * x);
+          const float dinner = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
           const float d = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
           pa->grad[i] += self.grad[i] * d;
         }
@@ -666,8 +634,6 @@ Tensor mean_over_rows(const Tensor& a) {
 
 // ---- row-wise normalisations ----
 
-namespace {
-
 void softmax_row(const float* in, float* out, std::int64_t n) {
   float mx = in[0];
   for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, in[j]);
@@ -679,8 +645,6 @@ void softmax_row(const float* in, float* out, std::int64_t n) {
   const float inv = 1.0f / sum;
   for (std::int64_t j = 0; j < n; ++j) out[j] *= inv;
 }
-
-}  // namespace
 
 Tensor softmax_rows(const Tensor& a) {
   check(a.rank() == 2, "softmax_rows: rank-2 tensor required");
@@ -778,6 +742,22 @@ Tensor causal_masked_softmax(const Tensor& scores) {
   return Tensor(node);
 }
 
+RowStats layer_norm_row(const float* x, const float* gamma, const float* beta, float* out,
+                        std::int64_t n, float eps) {
+  float mu = 0.0f;
+  for (std::int64_t j = 0; j < n; ++j) mu += x[j];
+  mu /= static_cast<float>(n);
+  float var = 0.0f;
+  for (std::int64_t j = 0; j < n; ++j) var += (x[j] - mu) * (x[j] - mu);
+  var /= static_cast<float>(n);
+  const float inv_std = 1.0f / std::sqrt(var + eps);
+  for (std::int64_t j = 0; j < n; ++j) {
+    const float xhat = (x[j] - mu) * inv_std;
+    out[j] = gamma[j] * xhat + beta[j];
+  }
+  return {mu, inv_std};
+}
+
 Tensor layer_norm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta, float eps) {
   check(a.rank() == 2, "layer_norm_rows: rank-2 tensor required");
   const auto m = a.dim(0), n = a.dim(1);
@@ -790,20 +770,10 @@ Tensor layer_norm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
   auto stats = std::make_shared<std::vector<float>>(static_cast<std::size_t>(2 * m));
   core::parallel_for(m, kSoftmaxRowGrain, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t i = r0; i < r1; ++i) {
-      const float* x = a.data().data() + i * n;
-      float mu = 0.0f;
-      for (std::int64_t j = 0; j < n; ++j) mu += x[j];
-      mu /= static_cast<float>(n);
-      float var = 0.0f;
-      for (std::int64_t j = 0; j < n; ++j) var += (x[j] - mu) * (x[j] - mu);
-      var /= static_cast<float>(n);
-      const float inv_std = 1.0f / std::sqrt(var + eps);
-      (*stats)[static_cast<std::size_t>(2 * i)] = mu;
-      (*stats)[static_cast<std::size_t>(2 * i + 1)] = inv_std;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float xhat = (x[j] - mu) * inv_std;
-        node->value[i * n + j] = gamma.data()[j] * xhat + beta.data()[j];
-      }
+      const auto st = layer_norm_row(a.data().data() + i * n, gamma.data().data(),
+                                     beta.data().data(), node->value.data() + i * n, n, eps);
+      (*stats)[static_cast<std::size_t>(2 * i)] = st.mean;
+      (*stats)[static_cast<std::size_t>(2 * i + 1)] = st.inv_std;
     }
   });
   if (node->requires_grad) {

@@ -108,23 +108,6 @@ std::int64_t live_float_count();   // floats currently allocated in Nodes
 std::int64_t peak_float_count();   // high-water mark since last reset
 void reset_peak_float_count();
 
-// ---- growable row buffers (KV-cache substrate, DESIGN.md §13) ----
-// A row buffer is a [rows, cols] leaf whose storage grows in place: appending
-// a row mutates the node's value/shape instead of building a new node, so a
-// Tensor handle taken once stays valid across appends and ops can read the
-// buffer zero-copy. The helpers live in tensor.cpp so the live_float_count
-// accounting stays exact (Node's destructor books value.size()).
-// Inference-only: the buffer is a grad-free leaf and appends assume nobody
-// backpropagates through earlier reads of it.
-Tensor make_row_buffer(std::int64_t cols, std::int64_t capacity_rows);
-/// Append one row of `cols` floats; reallocates only past the reserved
-/// capacity (amortised, like vector growth).
-void buffer_append_row(Tensor& buf, std::span<const float> row);
-/// Drop all rows (shape [0, cols]); reserved capacity is kept for reuse.
-void buffer_clear_rows(Tensor& buf);
-/// Rows the buffer can hold before its storage reallocates.
-std::int64_t buffer_capacity_rows(const Tensor& buf);
-
 // ---- elementwise & arithmetic ----
 Tensor add(const Tensor& a, const Tensor& b);            // same shape
 Tensor sub(const Tensor& a, const Tensor& b);            // same shape
@@ -163,6 +146,24 @@ Tensor causal_masked_softmax(const Tensor& scores);
 /// gamma/beta of shape [n].
 Tensor layer_norm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
                        float eps = 1e-5f);
+
+// ---- raw row helpers (graph-free decode step, DESIGN.md §10) ----
+// The per-row bodies of softmax_rows / causal_masked_softmax, gelu and
+// layer_norm_rows. The Tensor ops run these same functions, so code that
+// computes on raw buffers gets bitwise the floats the op would produce.
+
+/// out = softmax(in) over n values; in == out is allowed.
+void softmax_row(const float* in, float* out, std::int64_t n);
+/// out[i] = gelu(in[i]) (tanh approximation); in == out is allowed.
+void gelu_row(const float* in, float* out, std::int64_t n);
+/// Layer-norm statistics of one row (layer_norm_rows keeps them for backward).
+struct RowStats {
+  float mean;
+  float inv_std;
+};
+/// out[j] = gamma[j] * ((x[j] - mean) * inv_std) + beta[j] over n values.
+RowStats layer_norm_row(const float* x, const float* gamma, const float* beta, float* out,
+                        std::int64_t n, float eps = 1e-5f);
 
 // ---- lookup / conv ----
 /// weight: [V,D]; ids in [0,V) -> [T,D]

@@ -6,11 +6,18 @@
 // whose accumulation order is position-independent, so logits — and
 // therefore greedy token streams — must match bitwise, at any thread count.
 // These tests pin that equality, the sliding-window clamp for prompts at or
-// past `max_seq`, and the serving engine's per-request fault isolation.
+// past `max_seq`, the serving engine's per-request fault isolation, and the
+// graph-free decode step: its row is bitwise the last row of the Tensor-op
+// forward for every dtype, LoRA setting, head width, position, ISA tier and
+// thread count, NaNs still reach it, and it builds no autograd history.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "baselines/abr/rule_based.hpp"
@@ -22,6 +29,9 @@
 #include "llm/minigpt.hpp"
 #include "llm/tokenizer.hpp"
 #include "netllm/api.hpp"
+#include "nn/transformer.hpp"
+#include "tensor/isa.hpp"
+#include "tensor/quants.hpp"
 
 namespace ad = netllm::adapt;
 namespace llm = netllm::llm;
@@ -400,4 +410,210 @@ TEST_F(Decode, EngineRejectsRequestsForMissingModels) {
   EXPECT_THROW(engine->submit(serve::AbrRequest{}), std::invalid_argument);
   EXPECT_THROW(engine->submit(serve::CjsRequest{}), std::invalid_argument);
   EXPECT_THROW(ad::api::Serve(nullptr), std::invalid_argument);
+}
+
+// ---------- graph-free decode step ----------
+
+namespace {
+
+namespace nn = netllm::nn;
+namespace nq = netllm::tensor::quant;
+namespace isa = netllm::tensor::isa;
+
+/// Restores the environment-resolved ISA tier when a test exits.
+struct IsaGuard {
+  ~IsaGuard() { isa::reset_active_isa(); }
+};
+
+std::vector<std::uint32_t> bits(std::span<const float> xs) {
+  std::vector<std::uint32_t> out;
+  out.reserve(xs.size());
+  for (float x : xs) out.push_back(std::bit_cast<std::uint32_t>(x));
+  return out;
+}
+
+std::vector<std::uint32_t> row_bits(const Tensor& t, std::int64_t row) {
+  const auto d = static_cast<std::size_t>(t.dim(1));
+  return bits(t.data().subspan(static_cast<std::size_t>(row) * d, d));
+}
+
+Tensor random_rows(std::int64_t rows, std::int64_t d, Rng& rng) {
+  std::vector<float> data(static_cast<std::size_t>(rows * d));
+  for (auto& x : data) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return Tensor::from(std::move(data), {rows, d});
+}
+
+/// Random nonzero values in every low-rank matrix, so B != 0 and the LoRA
+/// delta actually reaches the output.
+void randomize(const std::vector<Tensor>& lora, Rng& rng) {
+  for (auto t : lora) {
+    for (auto& x : t.mutable_data()) x = static_cast<float>(rng.uniform(-0.3, 0.3));
+  }
+}
+
+const nq::Dtype kDtypes[] = {nq::Dtype::kF32, nq::Dtype::kQ8_0, nq::Dtype::kQ4_0};
+
+/// A causal two-head block with d_head-wide heads, optionally LoRA-wrapped
+/// and quantized like a served backbone.
+nn::TransformerBlock make_block(std::int64_t d_head, nq::Dtype dtype, bool lora, Rng& rng) {
+  const auto d = 2 * d_head;
+  nn::TransformerBlock block(d, 2, 2 * d, /*causal=*/true, rng);
+  if (lora) randomize(block.enable_lora(2, 4.0f, rng), rng);
+  if (dtype != nq::Dtype::kF32) {
+    for (const auto& l : block.projection_linears()) l->set_weight_dtype(dtype);
+  }
+  return block;
+}
+
+}  // namespace
+
+TEST_F(Decode, GraphFreeStepBitwiseEqualsFullForwardAcrossDtypesLoraHeadsTiersAndThreads) {
+  ThreadGuard threads;
+  IsaGuard tier;
+  const std::int64_t positions = 12, prefill_len = 5;
+  for (const auto t : {isa::Isa::kScalar, isa::best_isa()}) {
+    isa::set_active_isa(t);
+    for (const int n_threads : {1, 3}) {
+      nc::set_global_threads(n_threads);
+      for (const std::int64_t d_head : {8, 16, 64}) {
+        for (const auto dtype : kDtypes) {
+          for (const bool lora : {false, true}) {
+            const auto where = std::string(isa::isa_name(t)) + " threads=" +
+                               std::to_string(n_threads) + " d_head=" + std::to_string(d_head) +
+                               " " + nq::dtype_name(dtype) + (lora ? " lora" : "");
+            Rng rng(static_cast<std::uint64_t>(d_head) * 7 + (lora ? 1 : 0));
+            const auto block = make_block(d_head, dtype, lora, rng);
+            const auto x = random_rows(positions, 2 * d_head, rng);
+            // Cache A is built by steps alone, cache B by a prefill of the
+            // first rows then steps (the VP rollout's shape).
+            nn::KvCache by_steps, by_prefill;
+            (void)block.forward(netllm::tensor::slice_rows(x, 0, prefill_len), &by_prefill);
+            for (std::int64_t p = 0; p < positions; ++p) {
+              const auto row = netllm::tensor::slice_rows(x, p, 1);
+              const auto full = block.forward(netllm::tensor::slice_rows(x, 0, p + 1));
+              const auto want = row_bits(full, p);
+              ASSERT_EQ(bits(block.forward_step(row, by_steps).data()), want)
+                  << where << " p=" << p;
+              if (p >= prefill_len) {
+                ASSERT_EQ(bits(block.forward_step(row, by_prefill).data()), want)
+                    << where << " p=" << p << " after prefill";
+              }
+            }
+            ASSERT_EQ(bits(by_steps.k()), bits(by_prefill.k())) << where;
+            ASSERT_EQ(bits(by_steps.v()), bits(by_prefill.v())) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(Decode, EmbeddingsStepBitwiseEqualsFullForwardAtEveryPositionUpToMaxSeq) {
+  ThreadGuard threads;
+  IsaGuard tier;
+  const std::int64_t max_seq = 24;
+  for (const auto t : {isa::Isa::kScalar, isa::best_isa()}) {
+    isa::set_active_isa(t);
+    for (const int n_threads : {1, 3}) {
+      nc::set_global_threads(n_threads);
+      for (const auto dtype : kDtypes) {
+        auto gpt = tiny_llm(31, max_seq);
+        Rng rng(57);
+        randomize(gpt->enable_lora(2, 4.0f, rng), rng);
+        gpt->quantize_backbone(dtype);
+        const auto d = gpt->config().d_model;
+        const auto x = random_rows(max_seq, d, rng);
+        const auto full = gpt->forward_embeddings(x);  // causal: row p sees rows 0..p
+        std::vector<nn::KvCache> layers(static_cast<std::size_t>(gpt->config().n_layers));
+        const auto first = gpt->prefill_embeddings(netllm::tensor::slice_rows(x, 0, 1), layers);
+        ASSERT_EQ(row_bits(first, 0), row_bits(full, 0));
+        for (std::int64_t p = 1; p < max_seq; ++p) {
+          const auto step = gpt->embeddings_step(netllm::tensor::slice_rows(x, p, 1), layers);
+          ASSERT_EQ(bits(step.data()), row_bits(full, p))
+              << isa::isa_name(t) << " threads=" << n_threads << " " << nq::dtype_name(dtype)
+              << " p=" << p;
+        }
+        EXPECT_THROW(gpt->embeddings_step(netllm::tensor::slice_rows(x, 0, 1), layers),
+                     std::invalid_argument);  // the cache is full at max_seq
+      }
+    }
+  }
+}
+
+TEST_F(Decode, GraphFreeStepPropagatesNanFromLoraWeightsAndCachedRows) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto any_nan = [](const Tensor& y) {
+    for (float v : y.data()) {
+      if (std::isnan(v)) return true;
+    }
+    return false;
+  };
+  for (const auto dtype : kDtypes) {
+    Rng rng(5);
+    auto block = make_block(8, dtype, /*lora=*/false, rng);
+    auto lora = block.enable_lora(2, 4.0f, rng);
+    const auto x = random_rows(4, 16, rng);
+
+    // A cached K row poisoned after the prefill: the step's scores read it.
+    nn::KvCache clean;
+    (void)block.forward(netllm::tensor::slice_rows(x, 0, 3), &clean);
+    nn::KvCache poisoned;
+    for (std::int64_t r = 0; r < clean.len; ++r) {
+      std::vector<float> k(clean.k().begin() + r * 16, clean.k().begin() + (r + 1) * 16);
+      const std::vector<float> v(clean.v().begin() + r * 16, clean.v().begin() + (r + 1) * 16);
+      if (r == 1) k[3] = nan;
+      poisoned.append(k, v);
+    }
+    const auto row = netllm::tensor::slice_rows(x, 3, 1);
+    EXPECT_FALSE(any_nan(block.forward_step(row, clean))) << nq::dtype_name(dtype);
+    EXPECT_TRUE(any_nan(block.forward_step(row, poisoned))) << nq::dtype_name(dtype);
+
+    // One NaN in a LoRA matrix (B starts at zero, and 0 * NaN is NaN).
+    lora.front().mutable_data()[0] = nan;
+    nn::KvCache cache;
+    EXPECT_TRUE(any_nan(block.forward_step(row, cache))) << nq::dtype_name(dtype);
+  }
+}
+
+TEST_F(Decode, PoisonedLoraWeightFallsBackThroughTheServeGuard) {
+  const auto samples = vp_samples(3);
+  auto adapter = vp_adapter(5);
+  auto lora = adapter->llm().lora_parameters();
+  ASSERT_FALSE(lora.empty());
+  lora.back().mutable_data()[0] = std::numeric_limits<float>::quiet_NaN();
+  auto engine = ad::api::Serve(adapter);
+  for (const auto& s : samples) engine->submit(vp_request(s));
+  const auto report = engine->run();
+  EXPECT_EQ(report.llm + report.retried, 0u);
+  EXPECT_EQ(report.fallback, samples.size());
+  for (const auto& r : engine->vp_responses()) {
+    EXPECT_EQ(r.meta.source, serve::Source::kFallback);
+    for (const auto& v : r.viewports) {
+      EXPECT_TRUE(std::isfinite(v.roll) && std::isfinite(v.pitch) && std::isfinite(v.yaw));
+    }
+  }
+}
+
+TEST_F(Decode, GraphFreeStepReturnsALeafWithoutHistory) {
+  Rng rng(3);
+  const auto block = make_block(8, nq::Dtype::kF32, /*lora=*/true, rng);
+  nn::MultiHeadAttention attn(16, 2, /*causal=*/true, rng);
+  randomize(attn.enable_lora(2, 4.0f, rng), rng);
+  // Even with a grad-requiring input and trainable LoRA matrices, the step
+  // returns a bare row: no parents, no backward closure, no gradient.
+  auto row = random_rows(1, 16, rng);
+  row = Tensor::from({row.data().begin(), row.data().end()}, {1, 16}, /*requires_grad=*/true);
+  nn::KvCache block_cache, attn_cache;
+  for (int p = 0; p < 3; ++p) {
+    for (const auto& y : {block.forward_step(row, block_cache), attn.forward_step(row, attn_cache)}) {
+      EXPECT_EQ(y.shape(), (netllm::tensor::Shape{1, 16}));
+      EXPECT_TRUE(y.node()->parents.empty());
+      EXPECT_FALSE(y.node()->backward);
+      EXPECT_FALSE(y.requires_grad());
+    }
+  }
+  EXPECT_EQ(block_cache.len, 3);
+  EXPECT_EQ(attn_cache.len, 3);
+  EXPECT_THROW(block.forward_step(random_rows(2, 16, rng), block_cache), std::invalid_argument);
+  EXPECT_THROW(attn.forward_step(random_rows(1, 8, rng), attn_cache), std::invalid_argument);
 }

@@ -15,7 +15,9 @@
 //   - tickets resolve continuously: a finished request's response is readable
 //     while the batch is still draining, and unfinished/stale tickets throw,
 //   - the KvCache bugfix sweep: clear() forgets the width, reserve() pins the
-//     allocation, and Block admission wakes by notification, not by polling.
+//     allocation, and Block admission wakes by notification, not by polling,
+//   - a lease or publish that cannot fit even with the warm set empty leaves
+//     the warm set intact.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -417,7 +419,10 @@ TEST_F(Sched, KvCacheClearForgetsTheWidthForReuse) {
   EXPECT_EQ(c.d_model, 6);
   EXPECT_EQ(c.len, 1);
   EXPECT_EQ(c.k().size(), 6u);
-  EXPECT_EQ(c.k_view().dim(1), 6);
+  // The buffers hold rows of the new width: a second row lands at 6..11.
+  c.append(w6, w6);
+  EXPECT_EQ(c.k().size(), 12u);
+  EXPECT_EQ(c.v().size(), 12u);
 }
 
 TEST_F(Sched, KvCacheReservePinsTheAllocation) {
@@ -434,6 +439,54 @@ TEST_F(Sched, KvCacheReservePinsTheAllocation) {
   // insert used to grow geometrically, reallocating mid-decode).
   EXPECT_EQ(c.capacity_rows(), capacity);
   EXPECT_EQ(c.k().size(), static_cast<std::size_t>(rows * 8));
+}
+
+TEST_F(Sched, ArenaRequestThatCannotFitLeavesTheWarmSetIntact) {
+  // 1 layer, page_rows 4: a lease or entry of r rows costs 2 * ceil(r / 4)
+  // pages. Budget 8: one warm 4-row entry (2 pages) plus one 12-row lease
+  // (6 pages) fill it exactly.
+  nn::KvArenaConfig cfg;
+  cfg.page_rows = 4;
+  cfg.page_budget = 8;
+  nn::KvArena arena(1, 2, cfg);
+  const std::vector<float> prompt = {1.0f, 2.0f, 3.0f};
+  const auto key = nn::KvArena::prefix_key(prompt);
+  {
+    auto warm = arena.lease(4);
+    const std::vector<float> row = {0.5f, -0.5f};
+    for (int r = 0; r < 4; ++r) warm.layers()[0].append(row, row);
+    const std::vector<float> features = {7.0f, 8.0f};
+    arena.publish(key, prompt, warm.layers(), 4, features);
+  }
+  ASSERT_EQ(arena.pages_in_use(), 2);
+
+  // A lease larger than the whole budget can never fit: it throws before
+  // evicting anything (it used to flush the warm set first).
+  EXPECT_THROW(arena.lease(20), nn::KvArena::Exhausted);
+  EXPECT_EQ(arena.evictions(), 0u);
+  EXPECT_EQ(arena.pages_in_use(), 2);
+
+  // With the leases holding the rest of the budget, an 8-row entry (4 pages)
+  // cannot fit even with the warm set empty: the publish is skipped and
+  // leaves the warm entry in place.
+  auto held = arena.lease(12);
+  ASSERT_EQ(arena.pages_in_use(), 8);
+  const std::vector<float> row = {0.25f, 0.75f};
+  for (int r = 0; r < 8; ++r) held.layers()[0].append(row, row);
+  const std::vector<float> other = {4.0f, 5.0f, 6.0f};
+  arena.publish(nn::KvArena::prefix_key(other), other, held.layers(), 8, row);
+  EXPECT_EQ(arena.evictions(), 0u);
+  EXPECT_EQ(arena.pages_in_use(), 8);
+
+  // A later request with the warm prompt still hits.
+  held = nn::KvArena::Lease();
+  auto fresh = arena.lease(4);
+  std::vector<float> features;
+  EXPECT_TRUE(arena.adopt(key, prompt, fresh, &features));
+  EXPECT_EQ(fresh.layers()[0].len, 4);
+  EXPECT_EQ(features, (std::vector<float>{7.0f, 8.0f}));
+  EXPECT_EQ(arena.prefix_hits(), 1u);
+  EXPECT_EQ(arena.evictions(), 0u);
 }
 
 TEST_F(Sched, BlockAdmissionWakesByNotificationNotPolling) {
