@@ -1,13 +1,13 @@
-// Decode & serving throughput (DESIGN.md §10): cached vs uncached greedy
-// generation at max_seq-length answers (tokens/s + p50/p99 per-answer
-// latency), and the batched InferenceEngine at batch = 1/4/16. Emits
-// BENCH_decode.json (path overridable via argv[1]); run_benches.sh wires it
-// into the standard sweep. The cached row is the same computation as the
-// uncached Fig. 2 baseline — test_decode pins the streams bitwise — so the
-// ratio is pure KV-cache effect, not a model change.
+// Decode throughput (DESIGN.md §10): cached vs uncached greedy generation at
+// max_seq-length answers (tokens/s + p50/p99 per-answer latency), and the
+// cached decode at fp32/Q8_0/Q4_0 backbone weights. Emits BENCH_decode.json
+// (path overridable via argv[1]); run_benches.sh wires it into the standard
+// sweep. The cached row is the same computation as the uncached Fig. 2
+// baseline — test_decode pins the streams bitwise — so the ratio is pure
+// KV-cache effect, not a model change. Serving latency and goodput are
+// measured by bench/e2e.
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,12 +16,9 @@
 #include "core/timer.hpp"
 #include "llm/minigpt.hpp"
 #include "llm/tokenizer.hpp"
-#include "netllm/api.hpp"
 #include "support/bench_common.hpp"
 #include "tensor/quants.hpp"
 
-namespace ad = netllm::adapt;
-namespace vp = netllm::vp;
 using netllm::core::Rng;
 using netllm::core::Table;
 using netllm::core::Timer;
@@ -62,7 +59,7 @@ Row measure_generate(const netllm::llm::MiniGpt& gpt, const std::vector<std::vec
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_decode.json";
-  std::cout << "Decode & serving throughput (KV cache + batched engine)\n";
+  std::cout << "Decode throughput (KV cache, quantized backbone)\n";
 
   // ---- cached vs uncached generation at max_seq-length answers ----
   netllm::llm::MiniGptConfig cfg;  // the default backbone (d_model 64, 4 layers)
@@ -162,114 +159,6 @@ int main(int argc, char** argv) {
   std::cout << "q8_0 / f32 tokens-per-s ratio: " << Table::num(q8_speedup, 2)
             << "x, backbone memory ratio: " << Table::num(q8_mem_ratio, 2) << "x\n";
 
-  // ---- batched serving: VP requests through the InferenceEngine ----
-  auto llm = std::make_shared<netllm::llm::MiniGpt>(
-      [&] {
-        auto c = cfg;
-        c.max_seq = 112;  // room for the VP token layout
-        return c;
-      }(),
-      rng);
-  ad::VpAdapterConfig vp_cfg;
-  vp_cfg.lora_rank = 2;
-  Rng arng(11);
-  auto adapter = std::make_shared<ad::VpAdapter>(llm, vp_cfg, arng);
-  auto setting = vp::vp_default_train();
-  setting.num_traces = 2;
-  const auto samples = vp::build_dataset(setting, 48);
-
-  // Flash-crowd workload: each drain pass serves `batch` requests spread
-  // over at most two *fresh* prompt skeletons (fresh per pass, so nothing
-  // stays warm across passes). Larger batches therefore share more prefills
-  // inside the arena's prefix cache — that, plus the KV-cached rollout, is
-  // where single-core batching throughput comes from.
-  print_banner(std::cout, "batched VP serving, flash-crowd (requests/s, p50/p99, prefix hits)");
-  Table bt({"batch", "requests/s", "p50 ms", "p99 ms", "prefix hits", "fallbacks"});
-  std::vector<Row> batch_rows;
-  std::vector<std::size_t> batch_fallbacks, batch_hits;
-  constexpr int kRowRequests = 48;  // same total request volume per row
-  for (const int batch : {1, 4, 16}) {
-    auto engine = ad::api::Serve(adapter);
-    const int iters = kRowRequests / batch;
-    const int uniques = std::min(batch, 2);  // distinct prompts per pass
-    std::vector<double> per_request_ms;
-    std::size_t requests = 0, fallbacks = 0, prefix_hits = 0, next_sample = 0;
-    Timer total;
-    for (int it = 0; it < iters; ++it) {
-      for (int b = 0; b < batch; ++b) {
-        const auto& s = samples[(next_sample + static_cast<std::size_t>(b % uniques)) %
-                                samples.size()];
-        engine->submit(netllm::serve::VpRequest{s.history, s.saliency, 4});
-      }
-      next_sample += static_cast<std::size_t>(uniques);
-      const auto report = engine->run();
-      requests += report.requests;
-      fallbacks += report.fallback;
-      prefix_hits += report.prefix_hits;
-      for (const auto& resp : engine->vp_responses()) {
-        per_request_ms.push_back(resp.meta.latency_ms);
-      }
-    }
-    Row row;
-    row.label = std::to_string(batch);
-    row.items_per_s = static_cast<double>(requests) / std::max(total.elapsed_s(), 1e-9);
-    row.p50_ms = percentile(per_request_ms, 50.0);
-    row.p99_ms = percentile(per_request_ms, 99.0);
-    batch_rows.push_back(row);
-    batch_fallbacks.push_back(fallbacks);
-    batch_hits.push_back(prefix_hits);
-    bt.add_row({row.label, Table::num(row.items_per_s, 1), Table::num(row.p50_ms, 2),
-                Table::num(row.p99_ms, 2), std::to_string(prefix_hits),
-                std::to_string(fallbacks)});
-  }
-  bt.print(std::cout);
-
-  // ---- goodput under SLO at 10x oversubscription (the §13 headline) ----
-  // Burst 1.5x the queue bound per drain, 10x the bound in total, with a
-  // 200 ms end-to-end deadline and shed-oldest admission: the scheduler must
-  // convert overload into early sheds, not SLO misses on served requests.
-  // Goodput counts only requests answered inside the deadline.
-  netllm::serve::EngineConfig ocfg;
-  ocfg.max_queue = 8;
-  ocfg.admission = netllm::serve::AdmissionPolicy::kShedOldest;
-  ocfg.deadline_ms = 200.0;
-  constexpr std::size_t kOversub = 10;
-  struct Goodput {
-    std::size_t requests = 0, slo_miss = 0, shed = 0, prefix_hits = 0;
-    double goodput_rps = 0.0, attainment = 1.0, total_s = 0.0;
-  } good;
-  {
-    auto engine = std::make_shared<netllm::serve::InferenceEngine>(adapter, nullptr, nullptr, ocfg);
-    const std::size_t target = ocfg.max_queue * kOversub;
-    std::size_t submitted = 0, within_slo = 0;
-    Timer total;
-    while (submitted < target) {
-      const std::size_t burst = std::min(ocfg.max_queue + ocfg.max_queue / 2, target - submitted);
-      for (std::size_t b = 0; b < burst; ++b, ++submitted) {
-        const auto& s = samples[submitted % samples.size()];
-        engine->submit(netllm::serve::VpRequest{s.history, s.saliency, 4});
-      }
-      const auto report = engine->run();
-      good.requests += report.requests;
-      good.slo_miss += report.slo_miss;
-      good.shed += report.shed;
-      good.prefix_hits += report.prefix_hits;
-      within_slo += report.requests - report.slo_miss;
-    }
-    good.total_s = total.elapsed_s();
-    good.goodput_rps = static_cast<double>(within_slo) / std::max(good.total_s, 1e-9);
-    good.attainment = good.requests == 0
-                          ? 1.0
-                          : 1.0 - static_cast<double>(good.slo_miss) /
-                                      static_cast<double>(good.requests);
-  }
-  print_banner(std::cout, "goodput under SLO, 10x oversubscription (deadline 200 ms)");
-  Table gt({"requests", "goodput req/s", "SLO attainment", "shed", "prefix hits"});
-  gt.add_row({std::to_string(good.requests), Table::num(good.goodput_rps, 1),
-              Table::num(good.attainment, 3), std::to_string(good.shed),
-              std::to_string(good.prefix_hits)});
-  gt.print(std::cout);
-
   // ---- JSON export ----
   std::ofstream json(out_path);
   json << "{\n  \"decode\": [\n";
@@ -289,20 +178,7 @@ int main(int argc, char** argv) {
          << "}" << (i + 1 == quant_rows.size() ? "\n" : ",\n");
   }
   json << "  ],\n  \"quant_q8_speedup_tokens_per_s\": " << q8_speedup
-       << ",\n  \"quant_q8_memory_ratio\": " << q8_mem_ratio << ",\n  \"batch\": [\n";
-  for (std::size_t i = 0; i < batch_rows.size(); ++i) {
-    const auto& r = batch_rows[i];
-    json << "    {\"batch\": " << r.label << ", \"requests_per_s\": " << r.items_per_s
-         << ", \"p50_ms\": " << r.p50_ms << ", \"p99_ms\": " << r.p99_ms
-         << ", \"prefix_hits\": " << batch_hits[i] << ", \"fallbacks\": " << batch_fallbacks[i]
-         << "}" << (i + 1 == batch_rows.size() ? "\n" : ",\n");
-  }
-  json << "  ],\n  \"goodput\": {\"oversubscription\": " << kOversub
-       << ", \"max_queue\": " << ocfg.max_queue << ", \"deadline_ms\": " << ocfg.deadline_ms
-       << ", \"requests\": " << good.requests << ", \"slo_miss\": " << good.slo_miss
-       << ", \"shed\": " << good.shed << ", \"prefix_hits\": " << good.prefix_hits
-       << ", \"goodput_rps\": " << good.goodput_rps
-       << ", \"slo_attainment\": " << good.attainment << "}\n}\n";
+       << ",\n  \"quant_q8_memory_ratio\": " << q8_mem_ratio << "\n}\n";
   std::cout << "wrote " << out_path << "\n";
   if (speedup < 3.0) {
     std::cerr << "[bench] WARNING: cached speedup " << speedup << "x below the 3x floor\n";

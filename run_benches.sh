@@ -3,9 +3,9 @@
 # Also emits BENCH_kernels.json (serial vs threaded matmul GFLOP/s;
 # items_per_second == FLOP/s), BENCH_session.json (durable-session
 # checkpoint save/restore latency + steps/s at each checkpoint cadence),
-# BENCH_decode.json (cached vs uncached tokens/s + batched-serving latency),
-# BENCH_metrics.json (observability hot-path cost + serve overhead on vs
-# off) with the full metrics-registry dump in metrics.json,
+# BENCH_decode.json (cached vs uncached tokens/s + quantized decode),
+# BENCH_metrics.json (observability hot-path cost) with the metrics-registry
+# dump in metrics.json,
 # BENCH_chaos.json (SLO attainment / shed / fallback rates under seeded
 # fault storms at 10x oversubscription), and BENCH_quant.json (quantized
 # matmul kernel throughput + the accuracy-vs-bits ablation: VP/ABR/CJS task
@@ -38,7 +38,7 @@ echo "##### BENCH_session.json (checkpoint latency + cadence overhead)"
 ./build/bench/bench_session \
   --benchmark_out=BENCH_session.json --benchmark_out_format=json 2>&1
 echo
-echo "##### BENCH_decode.json (KV-cached decode + batched serving)"
+echo "##### BENCH_decode.json (KV-cached decode + quantized decode)"
 ./build/bench/bench_decode BENCH_decode.json 2>&1
 echo
 echo "##### BENCH_metrics.json + metrics.json (observability overhead)"
@@ -77,8 +77,8 @@ fi
 echo
 echo "##### validating BENCH_decode.json schema"
 # The decode artifact is consumed downstream: drift in its keys (decode rows,
-# the cached/uncached speedup, the batch sweep, the goodput-under-SLO object)
-# must fail the sweep loudly, not archive a silently incompatible file.
+# the cached/uncached speedup, the quantized decode rows) must fail the sweep
+# loudly, not archive a silently incompatible file.
 if command -v python3 >/dev/null 2>&1; then
   if python3 - BENCH_decode.json <<'EOF'
 import json, sys
@@ -91,7 +91,7 @@ def need(obj, key, ctx):
         raise SystemExit(f"schema drift: missing '{key}' in {ctx}")
 
 for key in ("decode", "speedup_tokens_per_s", "quant_decode",
-            "quant_q8_speedup_tokens_per_s", "quant_q8_memory_ratio", "batch", "goodput"):
+            "quant_q8_speedup_tokens_per_s", "quant_q8_memory_ratio"):
     need(doc, key, "top level")
 if {r.get("mode") for r in doc["decode"]} != {"cached", "uncached"}:
     raise SystemExit("schema drift: decode rows must be exactly cached + uncached")
@@ -112,18 +112,7 @@ if doc["quant_q8_memory_ratio"] <= 3.0:
 if doc["quant_q8_speedup_tokens_per_s"] <= 1.0:
     raise SystemExit(
         f"regression: q8 decode slower than fp32 ({doc['quant_q8_speedup_tokens_per_s']}x)")
-if len(doc["batch"]) < 3:
-    raise SystemExit("schema drift: batch sweep needs at least 3 rows")
-for row in doc["batch"]:
-    for key in ("batch", "requests_per_s", "p50_ms", "p99_ms", "prefix_hits", "fallbacks"):
-        need(row, key, "batch row")
-rates = [row["requests_per_s"] for row in sorted(doc["batch"], key=lambda r: r["batch"])]
-if rates != sorted(rates):
-    raise SystemExit(f"regression: batch requests/s not monotonically increasing: {rates}")
-for key in ("oversubscription", "max_queue", "deadline_ms", "requests",
-            "slo_miss", "shed", "prefix_hits", "goodput_rps", "slo_attainment"):
-    need(doc["goodput"], key, "goodput")
-print("ok: BENCH_decode.json schema + monotonic batch throughput")
+print("ok: BENCH_decode.json schema")
 EOF
   then :; else
     echo "FLEET-FAILED: BENCH_decode.json schema drift"

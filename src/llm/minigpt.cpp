@@ -10,6 +10,24 @@ namespace netllm::llm {
 
 namespace {
 using namespace netllm::tensor;
+
+/// Per-thread rows of the graph-free backbone pass: the residual stream and
+/// the final layer norm. Capacity only grows, so a warm thread allocates
+/// nothing but the returned tensor.
+struct PassRows {
+  std::vector<float> h, ln;
+
+  static PassRows& local() {
+    thread_local PassRows rows;
+    return rows;
+  }
+};
+
+std::span<float> sized(std::vector<float>& buf, std::int64_t n) {
+  buf.resize(static_cast<std::size_t>(n));
+  return buf;
+}
+
 }  // namespace
 
 MiniGpt::MiniGpt(const MiniGptConfig& cfg, core::Rng& rng) : cfg_(cfg) {
@@ -24,12 +42,55 @@ MiniGpt::MiniGpt(const MiniGptConfig& cfg, core::Rng& rng) : cfg_(cfg) {
   lm_head_ = std::make_shared<nn::Linear>(cfg.d_model, cfg.vocab, rng, /*bias=*/false);
 }
 
-Tensor MiniGpt::run_blocks(const Tensor& x, DecodeState* st) const {
+Tensor MiniGpt::run_blocks(const Tensor& x) const {
   Tensor h = x;
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->forward(h, st ? &st->layers[i] : nullptr);
-  }
+  for (const auto& block : blocks_) h = block->forward(h);
   return final_ln_->forward(h);
+}
+
+void MiniGpt::run_blocks_rows(std::span<float> h, std::int64_t m, std::span<nn::KvCache> layers,
+                              std::span<float> out) const {
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    blocks_[i]->forward_rows(h, m, layers.empty() ? nullptr : &layers[i], h);
+  }
+  final_ln_->forward_rows(h, m, out);
+}
+
+Tensor MiniGpt::token_logits(std::span<const int> ids, std::int64_t pos,
+                             std::span<nn::KvCache> layers) const {
+  // add(embedding(ids), slice_rows(pos_embed_, pos, m)) on raw rows, then the
+  // blocks and lm_head.
+  const auto m = static_cast<std::int64_t>(ids.size()), d = cfg_.d_model;
+  const auto w = tok_embed_->weight().data();
+  const auto p = pos_embed_.data();
+  auto& rows = PassRows::local();
+  const auto h = sized(rows.h, m * d);
+  for (std::int64_t i = 0; i < m; ++i) {
+    const std::int64_t id = ids[static_cast<std::size_t>(i)];
+    if (id < 0 || id >= cfg_.vocab) throw std::invalid_argument("embedding: id out of range");
+    for (std::int64_t j = 0; j < d; ++j) h[i * d + j] = w[id * d + j] + p[(pos + i) * d + j];
+  }
+  const auto ln = sized(rows.ln, m * d);
+  run_blocks_rows(h, m, layers, ln);
+  auto logits = Tensor::zeros({m, cfg_.vocab});
+  lm_head_->forward_rows(ln, m, logits.mutable_data());
+  return logits;
+}
+
+Tensor MiniGpt::embedding_features(const Tensor& embeds, std::int64_t pos,
+                                   std::span<nn::KvCache> layers) const {
+  // add(embeds, slice_rows(pos_embed_, pos, m)) on raw rows, then the blocks.
+  const auto m = embeds.dim(0), d = cfg_.d_model;
+  const auto e = embeds.data();
+  const auto p = pos_embed_.data().subspan(static_cast<std::size_t>(pos * d));
+  const auto h = sized(PassRows::local().h, m * d);
+  for (std::size_t j = 0; j < h.size(); ++j) h[j] = e[j] + p[j];
+  auto features = Tensor::zeros({m, d});
+  run_blocks_rows(h, m, layers, features.mutable_data());
+  // Fault-injection site shared with forward_embeddings: one draw per
+  // backbone pass, so an armed plan fires identically on every path.
+  core::fault::corrupt("llm.forward", features.mutable_data());
+  return features;
 }
 
 Tensor MiniGpt::forward_tokens(std::span<const int> ids) const {
@@ -143,8 +204,7 @@ Tensor MiniGpt::prefill(std::span<const int> ids, DecodeState& st) const {
     throw std::invalid_argument("MiniGpt: sequence length out of range");
   }
   core::trace::Span span(core::trace::Phase::kPrefill);
-  auto x = add(tok_embed_->forward(ids), slice_rows(pos_embed_, 0, t));
-  return lm_head_->forward(run_blocks(x, &st));
+  return token_logits(ids, 0, st.layers);
 }
 
 Tensor MiniGpt::decode_step(int token, DecodeState& st) const {
@@ -157,11 +217,7 @@ Tensor MiniGpt::decode_step(int token, DecodeState& st) const {
   }
   core::trace::Span span(core::trace::Phase::kDecodeStep);
   const int ids[1] = {token};
-  auto h = add(tok_embed_->forward(ids), slice_rows(pos_embed_, pos, 1));
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->forward_step(h, st.layers[i]);
-  }
-  return lm_head_->forward(final_ln_->forward(h));
+  return token_logits(ids, pos, st.layers);
 }
 
 Tensor MiniGpt::forward_embeddings(const Tensor& embeds) const {
@@ -184,7 +240,7 @@ Tensor MiniGpt::prefill_embeddings(const Tensor& embeds, std::span<nn::KvCache> 
   if (embeds.rank() != 2 || embeds.dim(1) != cfg_.d_model) {
     throw std::invalid_argument("MiniGpt::prefill_embeddings: expected [T, d_model]");
   }
-  if (layers.size() != blocks_.size() || (!layers.empty() && layers.front().len != 0)) {
+  if (!layers.empty() && (layers.size() != blocks_.size() || layers.front().len != 0)) {
     throw std::invalid_argument(
         "MiniGpt::prefill_embeddings: caches must be empty and sized for this model");
   }
@@ -193,15 +249,7 @@ Tensor MiniGpt::prefill_embeddings(const Tensor& embeds, std::span<nn::KvCache> 
     throw std::invalid_argument("MiniGpt::prefill_embeddings: sequence length out of range");
   }
   core::trace::Span span(core::trace::Phase::kPrefill);
-  Tensor h = add(embeds, slice_rows(pos_embed_, 0, t));
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->forward(h, &layers[i]);
-  }
-  auto features = final_ln_->forward(h);
-  // Same injection site as forward_embeddings: one draw per backbone pass,
-  // so an armed plan fires identically on the cached and uncached paths.
-  core::fault::corrupt("llm.forward", features.mutable_data());
-  return features;
+  return embedding_features(embeds, 0, layers);
 }
 
 Tensor MiniGpt::embeddings_step(const Tensor& row, std::span<nn::KvCache> layers) const {
@@ -216,13 +264,7 @@ Tensor MiniGpt::embeddings_step(const Tensor& row, std::span<nn::KvCache> layers
     throw std::invalid_argument("MiniGpt::embeddings_step: cache is full (max_seq positions)");
   }
   core::trace::Span span(core::trace::Phase::kDecodeStep);
-  Tensor h = add(row, slice_rows(pos_embed_, pos, 1));
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->forward_step(h, layers[i]);
-  }
-  auto features = final_ln_->forward(h);
-  core::fault::corrupt("llm.forward", features.mutable_data());
-  return features;
+  return embedding_features(row, pos, layers);
 }
 
 std::vector<Tensor> MiniGpt::enable_lora(std::int64_t rank, float alpha, core::Rng& rng) {

@@ -85,9 +85,10 @@ class MiniGpt final : public nn::Module {
   // ---- incremental embedding path (serve scheduler, DESIGN.md §13) ----
   // Span-based so the per-layer caches can be a DecodeState's layers OR an
   // arena lease (`nn::KvArena::Lease::layers()`); one cache per block.
-  /// Full-prompt pass capturing every K/V row; returns features [T, d_model].
-  /// Bitwise identical to `forward_embeddings` (same ops, caches only read).
-  /// The caches must be empty.
+  /// Graph-free full-prompt pass capturing every K/V row; returns features
+  /// [T, d_model], bitwise `forward_embeddings` (same kernels, same shapes).
+  /// The caches must be empty; an empty span captures nothing, which is how
+  /// the ABR and CJS adapters serve a whole window.
   tensor::Tensor prefill_embeddings(const tensor::Tensor& embeds,
                                     std::span<nn::KvCache> layers) const;
   /// Feed one new embedding row at the caches' current position; returns
@@ -154,7 +155,22 @@ class MiniGpt final : public nn::Module {
   }
 
  private:
-  tensor::Tensor run_blocks(const tensor::Tensor& x, DecodeState* st = nullptr) const;
+  /// Tensor-op blocks and final layer norm (the autograd tape).
+  tensor::Tensor run_blocks(const tensor::Tensor& x) const;
+  /// The graph-free backbone pass behind prefill, decode_step,
+  /// prefill_embeddings and embeddings_step: every block's m-row forward
+  /// over h in place against `layers` (one cache per block; empty captures
+  /// nothing), then the final layer norm into `out`.
+  void run_blocks_rows(std::span<float> h, std::int64_t m, std::span<nn::KvCache> layers,
+                       std::span<float> out) const;
+  /// Graph-free pass over the tokens ids at positions pos..; returns
+  /// logits [m, vocab].
+  tensor::Tensor token_logits(std::span<const int> ids, std::int64_t pos,
+                              std::span<nn::KvCache> layers) const;
+  /// Graph-free pass over embedding rows at positions pos..; returns
+  /// features [m, d_model] after the "llm.forward" fault draw.
+  tensor::Tensor embedding_features(const tensor::Tensor& embeds, std::int64_t pos,
+                                    std::span<nn::KvCache> layers) const;
 
   MiniGptConfig cfg_;
   std::shared_ptr<nn::Embedding> tok_embed_;

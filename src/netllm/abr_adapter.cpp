@@ -140,12 +140,14 @@ int AbrAdapter::choose_level(const abr::Observation& obs) {
   const std::vector<AbrStep> steps(context_.begin(), context_.end());
   const std::vector<float> rtg(context_rtg_.begin(), context_rtg_.end());
   // Per-phase spans (DESIGN.md §11): encoder → backbone (prefill, inside
-  // forward_embeddings) → networking head.
+  // prefill_embeddings) → networking head. The window is served by the
+  // graph-free backbone pass with no cache to capture into; training keeps
+  // forward_embeddings and its tape.
   auto window = [&] {
     core::trace::Span span(core::trace::Phase::kEncode);
     return build_window(steps, rtg, /*open_last=*/true);
   }();
-  auto features = llm_->forward_embeddings(window.sequence);
+  auto features = llm_->prefill_embeddings(window.sequence, {});
   const int level = [&] {
     core::trace::Span span(core::trace::Phase::kHead);
     return head_->argmax(slice_rows(features, window.predict_positions.back(), 1));

@@ -109,12 +109,12 @@ cjs::SchedAction CjsAdapter::choose(const cjs::SchedObservation& obs) {
   while (static_cast<int>(context_.size()) > cfg_.context_window) context_.pop_front();
   const std::vector<StepContext> steps(context_.begin(), context_.end());
   // Per-phase spans (DESIGN.md §11): encoder → backbone (prefill, inside
-  // forward_embeddings) → networking heads.
+  // prefill_embeddings, graph-free and capturing nothing) → networking heads.
   auto window = [&] {
     core::trace::Span span(core::trace::Phase::kEncode);
     return build_window(steps, /*open_last=*/true);
   }();
-  auto features = llm_->forward_embeddings(window.sequence);
+  auto features = llm_->prefill_embeddings(window.sequence, {});
   auto feature = slice_rows(features, window.predict_positions.back(), 1);
   cjs::SchedAction action;
   {

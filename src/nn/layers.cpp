@@ -12,9 +12,10 @@ namespace netllm::nn {
 namespace {
 using namespace netllm::tensor;
 
-void check_row(std::span<const float> x, std::int64_t in, std::span<float> y, std::int64_t out,
-               const char* what) {
-  if (static_cast<std::int64_t>(x.size()) != in || static_cast<std::int64_t>(y.size()) != out) {
+void check_rows(std::span<const float> x, std::int64_t in, std::int64_t m, std::span<float> y,
+                std::int64_t out, const char* what) {
+  if (static_cast<std::int64_t>(x.size()) != m * in ||
+      static_cast<std::int64_t>(y.size()) != m * out) {
     throw std::invalid_argument(std::string(what) + ": row width mismatch");
   }
 }
@@ -39,18 +40,20 @@ Tensor Linear::forward(const Tensor& x) const {
   return y;
 }
 
-void Linear::forward_row(std::span<const float> x, std::span<float> y) const {
+void Linear::forward_rows(std::span<const float> x, std::int64_t m, std::span<float> y) const {
   const auto in = in_features(), out = out_features();
-  check_row(x, in, y, out, "Linear::forward_row");
+  check_rows(x, in, m, y, out, "Linear::forward_rows");
   std::fill(y.begin(), y.end(), 0.0f);
   if (quant_active_ && weight_dtype_ != quant::Dtype::kF32) {
-    quant::qmatmul_accum(x.data(), 1, qweight_, y.data());
+    quant::qmatmul_accum(x.data(), m, qweight_, y.data());
   } else {
-    kernels::matmul_accum(x.data(), weight_.data().data(), y.data(), 1, in, out);
+    kernels::matmul_accum(x.data(), weight_.data().data(), y.data(), m, in, out);
   }
   if (bias_.defined()) {
     const auto b = bias_.data();
-    for (std::int64_t j = 0; j < out; ++j) y[j] = y[j] + b[j];
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < out; ++j) y[i * out + j] = y[i * out + j] + b[j];
+    }
   }
 }
 
@@ -102,17 +105,18 @@ Tensor LoRALinear::forward(const Tensor& x) const {
   return add(y, scale(delta, scaling_));
 }
 
-void LoRALinear::forward_row(std::span<const float> x, std::span<float> y) const {
-  base_->forward_row(x, y);
+void LoRALinear::forward_rows(std::span<const float> x, std::int64_t m,
+                              std::span<float> y) const {
+  base_->forward_rows(x, m, y);
   const auto in = base_->in_features(), out = base_->out_features(), r = rank();
   // Per-thread scratch; assign() zero-fills without reallocating once warm.
   thread_local std::vector<float> xa, delta;
-  xa.assign(static_cast<std::size_t>(r), 0.0f);
-  delta.assign(static_cast<std::size_t>(out), 0.0f);
-  kernels::matmul_accum(x.data(), a_.data().data(), xa.data(), 1, in, r);
-  kernels::matmul_accum(xa.data(), b_.data().data(), delta.data(), 1, r, out);
-  for (std::int64_t j = 0; j < out; ++j) delta[j] = delta[j] * scaling_;
-  for (std::int64_t j = 0; j < out; ++j) y[j] = y[j] + delta[j];
+  xa.assign(static_cast<std::size_t>(m * r), 0.0f);
+  delta.assign(static_cast<std::size_t>(m * out), 0.0f);
+  kernels::matmul_accum(x.data(), a_.data().data(), xa.data(), m, in, r);
+  kernels::matmul_accum(xa.data(), b_.data().data(), delta.data(), m, r, out);
+  for (auto& v : delta) v = v * scaling_;
+  for (std::size_t j = 0; j < delta.size(); ++j) y[j] = y[j] + delta[j];
 }
 
 void LoRALinear::collect_params(NamedParams& out, const std::string& prefix) const {
@@ -129,10 +133,14 @@ LayerNorm::LayerNorm(std::int64_t dim) {
 
 Tensor LayerNorm::forward(const Tensor& x) const { return layer_norm_rows(x, gamma_, beta_); }
 
-void LayerNorm::forward_row(std::span<const float> x, std::span<float> y) const {
+void LayerNorm::forward_rows(std::span<const float> x, std::int64_t m,
+                             std::span<float> y) const {
   const auto n = gamma_.dim(0);
-  check_row(x, n, y, n, "LayerNorm::forward_row");
-  layer_norm_row(x.data(), gamma_.data().data(), beta_.data().data(), y.data(), n);
+  check_rows(x, n, m, y, n, "LayerNorm::forward_rows");
+  for (std::int64_t i = 0; i < m; ++i) {
+    layer_norm_row(x.data() + i * n, gamma_.data().data(), beta_.data().data(), y.data() + i * n,
+                   n);
+  }
 }
 
 void LayerNorm::collect_params(NamedParams& out, const std::string& prefix) const {

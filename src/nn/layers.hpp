@@ -22,11 +22,11 @@ class Linear final : public Module {
   Linear(std::int64_t in, std::int64_t out, core::Rng& rng, bool bias = true);
 
   Tensor forward(const Tensor& x) const;
-  /// Graph-free forward of one row, x [in] -> y [out]: zero-fill y,
-  /// accumulate x W through the same kernel entry point `forward` uses
-  /// (fp32 or quantized), then add the bias. Bitwise the row `forward`
+  /// Graph-free forward of m rows, x [m, in] -> y [m, out]: zero-fill y,
+  /// accumulate x W through the kernel entry point `forward` uses (fp32 or
+  /// quantized, same shape), then add the bias. Bitwise what `forward`
   /// returns; builds no autograd node.
-  void forward_row(std::span<const float> x, std::span<float> y) const;
+  void forward_rows(std::span<const float> x, std::int64_t m, std::span<float> y) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
   std::int64_t in_features() const { return weight_.dim(0); }
@@ -75,9 +75,9 @@ class LoRALinear final : public Module {
   LoRALinear(std::shared_ptr<Linear> base, std::int64_t rank, float alpha, core::Rng& rng);
 
   Tensor forward(const Tensor& x) const;
-  /// Graph-free forward of one row: the base row, then the low-rank delta
+  /// Graph-free forward of m rows: the base rows, then the low-rank delta
   /// (x A) B scaled and added in separate passes, as `forward` does.
-  void forward_row(std::span<const float> x, std::span<float> y) const;
+  void forward_rows(std::span<const float> x, std::int64_t m, std::span<float> y) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
   /// Only the low-rank matrices (what DD-LRNA trains on the backbone).
@@ -94,8 +94,8 @@ class LayerNorm final : public Module {
  public:
   explicit LayerNorm(std::int64_t dim);
   Tensor forward(const Tensor& x) const;
-  /// Graph-free forward of one row (the row helper `forward` runs per row).
-  void forward_row(std::span<const float> x, std::span<float> y) const;
+  /// Graph-free forward of m rows (the row helper `forward` runs per row).
+  void forward_rows(std::span<const float> x, std::int64_t m, std::span<float> y) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
  private:

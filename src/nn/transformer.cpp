@@ -21,17 +21,17 @@ Tensor concat_cols(const std::vector<Tensor>& xs) {
   return transpose(concat_rows(transposed));
 }
 
-/// Per-thread scratch rows for the graph-free decode step. A buffer's
-/// capacity only grows, so a warm thread's step allocates nothing but its
-/// returned row. Separate buffers per role keep the block's rows and the
-/// attention rows it nests from aliasing.
-struct StepWorkspace {
-  std::vector<float> ln, attn, h, ff1, ff2;  // TransformerBlock::forward_step
-  std::vector<float> q, k, v, ctx;           // MultiHeadAttention::step_row
-  std::vector<float> kt, vh, scores;         // one head's gathered K^T, V and scores
+/// Per-thread scratch rows for the graph-free forward. A buffer's capacity
+/// only grows, so a warm thread's pass allocates nothing but its returned
+/// rows. Separate buffers per role keep the block's rows and the attention
+/// rows it nests from aliasing.
+struct RowsWorkspace {
+  std::vector<float> ln, attn, h, ff1, ff2;   // TransformerBlock::forward_rows
+  std::vector<float> q, k, v, ctx;            // MultiHeadAttention::forward_rows
+  std::vector<float> qh, kt, vh, scores, oh;  // one head's Q, K^T, V, scores, attn V
 
-  static StepWorkspace& local() {
-    thread_local StepWorkspace ws;
+  static RowsWorkspace& local() {
+    thread_local RowsWorkspace ws;
     return ws;
   }
 };
@@ -42,12 +42,26 @@ std::span<float> zeroed(std::vector<float>& buf, std::int64_t n) {
   return buf;
 }
 
-void project_row(const std::shared_ptr<Linear>& base, const std::shared_ptr<LoRALinear>& lora,
-                 std::span<const float> x, std::span<float> y) {
+void project_rows(const std::shared_ptr<Linear>& base, const std::shared_ptr<LoRALinear>& lora,
+                  std::span<const float> x, std::int64_t m, std::span<float> y) {
   if (lora) {
-    lora->forward_row(x, y);
+    lora->forward_rows(x, m, y);
   } else {
-    base->forward_row(x, y);
+    base->forward_rows(x, m, y);
+  }
+}
+
+void check_rows(std::span<const float> x, std::int64_t m, std::span<float> y,
+                std::int64_t d_model, const char* what) {
+  if (m <= 0 || static_cast<std::int64_t>(x.size()) != m * d_model ||
+      static_cast<std::int64_t>(y.size()) != m * d_model) {
+    throw std::invalid_argument(std::string(what) + ": expected m > 0 rows of d_model");
+  }
+}
+
+void check_input(const Tensor& x, std::int64_t d_model, const char* what) {
+  if (x.rank() != 2 || x.dim(1) != d_model) {
+    throw std::invalid_argument(std::string(what) + ": expected [T, d_model] input");
   }
 }
 
@@ -139,72 +153,86 @@ Tensor MultiHeadAttention::attend(const Tensor& q, const Tensor& k, const Tensor
   return project(wo_, lo_, concat_cols(heads));
 }
 
-Tensor MultiHeadAttention::forward(const Tensor& x, KvCache* cache) const {
-  if (x.rank() != 2 || x.dim(1) != d_model_) {
-    throw std::invalid_argument("MultiHeadAttention: expected [T, d_model] input");
-  }
+Tensor MultiHeadAttention::forward(const Tensor& x) const {
+  check_input(x, d_model_, "MultiHeadAttention");
   const auto q = project(wq_, lq_, x);
   const auto k = project(wk_, lk_, x);
   const auto v = project(wv_, lv_, x);
-  if (cache) {
-    // Capture the K/V rows for incremental decoding. A [1, d] x [d, d]
-    // matmul row accumulates in the same order as the matching row of the
-    // full [T, d] x [d, d] product, so these rows are bitwise what
-    // forward_step would have appended token by token.
-    const std::size_t d = static_cast<std::size_t>(d_model_);
-    for (std::int64_t i = 0; i < x.dim(0); ++i) {
-      cache->append(k.data().subspan(static_cast<std::size_t>(i) * d, d),
-                    v.data().subspan(static_cast<std::size_t>(i) * d, d));
-    }
-  }
   return attend(q, k, v);
+}
+
+Tensor MultiHeadAttention::forward(const Tensor& x, KvCache* cache) const {
+  check_input(x, d_model_, "MultiHeadAttention");
+  auto y = Tensor::zeros(x.shape());
+  forward_rows(x.data(), x.dim(0), cache, y.mutable_data());
+  return y;
 }
 
 Tensor MultiHeadAttention::forward_step(const Tensor& x_t, KvCache& cache) const {
   check_step_input(x_t, d_model_, "MultiHeadAttention::forward_step");
-  auto y = Tensor::zeros({1, d_model_});
-  step_row(x_t.data(), cache, y.mutable_data());
-  return y;
+  return forward(x_t, &cache);
 }
 
-void MultiHeadAttention::step_row(std::span<const float> x, KvCache& cache,
-                                  std::span<float> y) const {
-  // The step runs the ops of `attend` for one query row, on raw buffers and
-  // in the same order, calling the same kernel entry points with the same
-  // shapes: the projections, then per head scores = q_h K_h^T (matmul_accum
-  // into a zeroed [1, len] row), scale, softmax, and attn V_h written into
-  // the head's columns of the concatenated row. A full-row softmax over the
-  // cache equals the causal-masked last row of the full forward: both run
-  // softmax_row over the same len scores, and the masked zero weights of
-  // earlier rows never reach this one.
-  auto& ws = StepWorkspace::local();
+void MultiHeadAttention::forward_rows(std::span<const float> x, std::int64_t m, KvCache* cache,
+                                      std::span<float> y) const {
+  // The ops of `attend` for m query rows, on raw buffers and in the same
+  // order, calling the same kernel entry points with the same shapes. With
+  // m = T over an empty cache those are exactly the Tensor-op shapes; with
+  // m = 1 the [1, len] score row equals the matching row of the full
+  // product. Row i sits at absolute position len - m + i and sees that many
+  // columns plus itself, so its causal softmax is the row the full forward
+  // computes, and the masked zeros add 0 * v exactly as the full attn V does.
+  check_rows(x, m, y, d_model_, "MultiHeadAttention::forward_rows");
+  if (!causal_) {
+    throw std::invalid_argument("MultiHeadAttention::forward_rows: causal attention only");
+  }
+  auto& ws = RowsWorkspace::local();
   const auto d = d_model_, dh = d_head_;
-  const auto q = zeroed(ws.q, d), k = zeroed(ws.k, d), v = zeroed(ws.v, d);
-  project_row(wq_, lq_, x, q);
-  project_row(wk_, lk_, x, k);
-  project_row(wv_, lv_, x, v);
-  cache.append(k, v);
-
-  const auto len = cache.len;
-  const float* kc = cache.k().data();
-  const float* vc = cache.v().data();
+  const auto q = zeroed(ws.q, m * d), k = zeroed(ws.k, m * d), v = zeroed(ws.v, m * d);
+  project_rows(wq_, lq_, x, m, q);
+  project_rows(wk_, lk_, x, m, k);
+  project_rows(wv_, lv_, x, m, v);
+  const float* kc = k.data();
+  const float* vc = v.data();
+  std::int64_t len = m;
+  if (cache) {
+    const auto du = static_cast<std::size_t>(d);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(m); ++i) {
+      cache->append(k.subspan(i * du, du), v.subspan(i * du, du));
+    }
+    kc = cache->k().data();
+    vc = cache->v().data();
+    len = cache->len;
+  }
+  const auto past = len - m;
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
-  const auto ctx = zeroed(ws.ctx, d);
+  const auto ctx = zeroed(ws.ctx, m * d);
   for (std::int64_t h = 0; h < n_heads_; ++h) {
+    const auto qh = zeroed(ws.qh, m * dh);
     const auto kt = zeroed(ws.kt, dh * len), vh = zeroed(ws.vh, len * dh);
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t c = 0; c < dh; ++c) qh[i * dh + c] = q[i * d + h * dh + c];
+    }
     for (std::int64_t r = 0; r < len; ++r) {
       for (std::int64_t c = 0; c < dh; ++c) {
         kt[c * len + r] = kc[r * d + h * dh + c];
         vh[r * dh + c] = vc[r * d + h * dh + c];
       }
     }
-    const auto scores = zeroed(ws.scores, len);
-    kernels::matmul_accum(q.data() + h * dh, kt.data(), scores.data(), 1, dh, len);
-    for (std::int64_t j = 0; j < len; ++j) scores[j] = scores[j] * inv_sqrt;
-    softmax_row(scores.data(), scores.data(), len);
-    kernels::matmul_accum(scores.data(), vh.data(), ctx.data() + h * dh, 1, len, dh);
+    const auto scores = zeroed(ws.scores, m * len);
+    kernels::matmul_accum(qh.data(), kt.data(), scores.data(), m, dh, len);
+    for (auto& sc : scores) sc = sc * inv_sqrt;
+    for (std::int64_t i = 0; i < m; ++i) {
+      float* row = scores.data() + i * len;
+      causal_softmax_row(row, row, len, past + i + 1);
+    }
+    const auto oh = zeroed(ws.oh, m * dh);
+    kernels::matmul_accum(scores.data(), vh.data(), oh.data(), m, len, dh);
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t c = 0; c < dh; ++c) ctx[i * d + h * dh + c] = oh[i * dh + c];
+    }
   }
-  project_row(wo_, lo_, ctx, y);
+  project_rows(wo_, lo_, ctx, m, y);
 }
 
 void MultiHeadAttention::collect_params(NamedParams& out, const std::string& prefix) const {
@@ -252,34 +280,42 @@ Tensor TransformerBlock::ff(const Tensor& x) const {
   return lfc2_ ? lfc2_->forward(h) : fc2_->forward(h);
 }
 
-Tensor TransformerBlock::forward(const Tensor& x, KvCache* cache) const {
-  auto h = add(x, attn_->forward(ln1_->forward(x), cache));
+Tensor TransformerBlock::forward(const Tensor& x) const {
+  auto h = add(x, attn_->forward(ln1_->forward(x)));
   return add(h, ff(ln2_->forward(h)));
 }
 
-Tensor TransformerBlock::forward_step(const Tensor& x_t, KvCache& cache) const {
-  // layer_norm, the residual adds and the MLP are all row-wise, so running
-  // them on the single new row produces the same floats as the last row of
-  // the full-sequence forward; attention is the only cross-row op and goes
-  // through the cache. Each op below is the raw-row form of the matching
-  // Tensor op in `forward`, with the operands in the same order.
-  const auto d = attn_->d_model_;
-  check_step_input(x_t, d, "TransformerBlock::forward_step");
-  auto& ws = StepWorkspace::local();
-  const auto x = x_t.data();
-  const auto ln = zeroed(ws.ln, d), a = zeroed(ws.attn, d), h = zeroed(ws.h, d);
-  ln1_->forward_row(x, ln);
-  attn_->step_row(ln, cache, a);
-  for (std::int64_t j = 0; j < d; ++j) h[j] = x[j] + a[j];
-  ln2_->forward_row(h, ln);  // the attention step is done with ln1's row
-  const auto f1 = zeroed(ws.ff1, fc1_->out_features()), f2 = zeroed(ws.ff2, d);
-  project_row(fc1_, lfc1_, ln, f1);
-  gelu_row(f1.data(), f1.data(), fc1_->out_features());
-  project_row(fc2_, lfc2_, f1, f2);
-  auto y = Tensor::zeros({1, d});
-  auto out = y.mutable_data();
-  for (std::int64_t j = 0; j < d; ++j) out[j] = h[j] + f2[j];
+Tensor TransformerBlock::forward(const Tensor& x, KvCache* cache) const {
+  check_input(x, attn_->d_model_, "TransformerBlock");
+  auto y = Tensor::zeros(x.shape());
+  forward_rows(x.data(), x.dim(0), cache, y.mutable_data());
   return y;
+}
+
+Tensor TransformerBlock::forward_step(const Tensor& x_t, KvCache& cache) const {
+  check_step_input(x_t, attn_->d_model_, "TransformerBlock::forward_step");
+  return forward(x_t, &cache);
+}
+
+void TransformerBlock::forward_rows(std::span<const float> x, std::int64_t m, KvCache* cache,
+                                    std::span<float> y) const {
+  // layer_norm, the residual adds, gelu and the MLP are row-wise; attention
+  // is the only cross-row op and reads the cache. x is last read by the
+  // first residual add, so y may alias it.
+  const auto d = attn_->d_model_, d_ff = fc1_->out_features();
+  check_rows(x, m, y, d, "TransformerBlock::forward_rows");
+  auto& ws = RowsWorkspace::local();
+  const auto n = static_cast<std::size_t>(m * d);
+  const auto ln = zeroed(ws.ln, m * d), a = zeroed(ws.attn, m * d), h = zeroed(ws.h, m * d);
+  ln1_->forward_rows(x, m, ln);
+  attn_->forward_rows(ln, m, cache, a);
+  for (std::size_t j = 0; j < n; ++j) h[j] = x[j] + a[j];
+  ln2_->forward_rows(h, m, ln);  // the attention is done with ln1's rows
+  const auto f1 = zeroed(ws.ff1, m * d_ff), f2 = zeroed(ws.ff2, m * d);
+  project_rows(fc1_, lfc1_, ln, m, f1);
+  gelu_row(f1.data(), f1.data(), m * d_ff);
+  project_rows(fc2_, lfc2_, f1, m, f2);
+  for (std::size_t j = 0; j < n; ++j) y[j] = h[j] + f2[j];
 }
 
 void TransformerBlock::collect_params(NamedParams& out, const std::string& prefix) const {

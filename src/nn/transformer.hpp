@@ -23,8 +23,8 @@ namespace netllm::nn {
 /// path is bitwise identical to re-running the whole sequence (see
 /// DESIGN.md §10), which `tests/test_decode.cpp` pins.
 ///
-/// Storage is a pair of plain row-major [len, d_model] float buffers. The
-/// graph-free decode step reads them in place (it gathers each head's K/V
+/// Storage is a pair of plain row-major [len, d_model] float buffers. Only
+/// the graph-free forward writes and reads them (it gathers each head's K/V
 /// columns into its own workspace), so the cache never becomes part of an
 /// autograd graph. `reserve()` pins the allocation to a known horizon (or an
 /// arena page span) so appends never reallocate mid-decode. Copying a
@@ -55,20 +55,34 @@ struct KvCache {
 };
 
 /// Multi-head self-attention over a [T, D] sequence.
+///
+/// Two forwards compute the same floats. The Tensor-op `forward(x)` builds
+/// an autograd graph and serves training and the reference path. The
+/// graph-free `forward_rows` forwards m new rows against the K/V rows a
+/// cache already holds: a prefill is m = T over an empty cache and a decode
+/// step is m = 1 (DESIGN.md §10). Only causal attention runs graph-free.
 class MultiHeadAttention final : public Module {
  public:
   MultiHeadAttention(std::int64_t d_model, std::int64_t n_heads, bool causal, core::Rng& rng);
 
-  /// Full-sequence forward. With `cache` given (prefill), the K/V rows of
-  /// every position are appended to it so decoding can continue with
-  /// `forward_step`.
-  Tensor forward(const Tensor& x, KvCache* cache = nullptr) const;
-  /// Incremental decode: project the single new position x_t [1, D], append
-  /// its K/V rows to the cache and attend over the whole cache. Produces the
-  /// same floats as the last row of `forward` over the full sequence, but
-  /// graph-free: the returned row is the only node it builds (no parents, no
-  /// gradient), so decoding must not be backpropagated through.
+  /// Full-sequence Tensor-op forward (autograd tape).
+  Tensor forward(const Tensor& x) const;
+  /// Graph-free forward of x's m rows at the positions after the cache's
+  /// rows, appending their K/V rows to `cache`. A null cache captures
+  /// nothing and the rows attend only among themselves. Returns one node
+  /// with no parents and no gradient.
+  Tensor forward(const Tensor& x, KvCache* cache) const;
+  /// Incremental decode: the m = 1 graph-free forward of x_t [1, D]. Bitwise
+  /// the last row of `forward` over the full sequence; decoding must not be
+  /// backpropagated through.
   Tensor forward_step(const Tensor& x_t, KvCache& cache) const;
+  /// The graph-free routine on raw rows: x [m, d_model] -> y [m, d_model].
+  /// Per head, serially: gather Q_h [m, d_head], K_h^T [d_head, len] and
+  /// V_h [len, d_head], scores through matmul_accum, scale, causal softmax
+  /// by absolute position, attn V_h through matmul_accum. Every kernel call
+  /// has the shape the Tensor-op `forward` uses for the same rows.
+  void forward_rows(std::span<const float> x, std::int64_t m, KvCache* cache,
+                    std::span<float> y) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
   /// Wrap q/k/v/o projections with LoRA; returns the new low-rank tensors.
@@ -86,8 +100,6 @@ class MultiHeadAttention final : public Module {
   Tensor project(const std::shared_ptr<Linear>& base, const std::shared_ptr<LoRALinear>& lora,
                  const Tensor& x) const;
   Tensor attend(const Tensor& q, const Tensor& k, const Tensor& v) const;
-  /// forward_step on raw rows: x [d_model] -> y [d_model].
-  void step_row(std::span<const float> x, KvCache& cache, std::span<float> y) const;
 
   std::int64_t d_model_, n_heads_, d_head_;
   bool causal_;
@@ -101,12 +113,18 @@ class TransformerBlock final : public Module {
   TransformerBlock(std::int64_t d_model, std::int64_t n_heads, std::int64_t d_ff, bool causal,
                    core::Rng& rng);
 
-  /// Full-sequence forward; with `cache` given the attention K/V rows are
-  /// captured for incremental decoding (prefill).
-  Tensor forward(const Tensor& x, KvCache* cache = nullptr) const;
-  /// Incremental decode over one new position, graph-free like
-  /// MultiHeadAttention::forward_step.
+  /// Full-sequence Tensor-op forward (autograd tape).
+  Tensor forward(const Tensor& x) const;
+  /// Graph-free forward of x's rows after the cache's rows, like
+  /// MultiHeadAttention::forward(x, cache).
+  Tensor forward(const Tensor& x, KvCache* cache) const;
+  /// Incremental decode over one new position: the m = 1 graph-free forward.
   Tensor forward_step(const Tensor& x_t, KvCache& cache) const;
+  /// The graph-free block body on raw rows: x [m, d_model] -> y [m, d_model];
+  /// y may alias x. Each step is the raw-rows form of the matching Tensor op
+  /// in `forward`, with the operands in the same order.
+  void forward_rows(std::span<const float> x, std::int64_t m, KvCache* cache,
+                    std::span<float> y) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
   std::vector<Tensor> enable_lora(std::int64_t rank, float alpha, core::Rng& rng);
 

@@ -646,6 +646,11 @@ void softmax_row(const float* in, float* out, std::int64_t n) {
   for (std::int64_t j = 0; j < n; ++j) out[j] *= inv;
 }
 
+void causal_softmax_row(const float* in, float* out, std::int64_t n, std::int64_t visible) {
+  softmax_row(in, out, visible);
+  for (std::int64_t j = visible; j < n; ++j) out[j] = 0.0f;
+}
+
 Tensor softmax_rows(const Tensor& a) {
   check(a.rank() == 2, "softmax_rows: rank-2 tensor required");
   const auto m = a.dim(0), n = a.dim(1);
@@ -716,10 +721,7 @@ Tensor causal_masked_softmax(const Tensor& scores) {
   auto node = make_result({t, t}, {scores.node()});
   core::parallel_for(t, kSoftmaxRowGrain, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t i = r0; i < r1; ++i) {
-      const float* in = scores.data().data() + i * t;
-      float* out = node->value.data() + i * t;
-      softmax_row(in, out, i + 1);  // only columns [0, i]
-      for (std::int64_t j = i + 1; j < t; ++j) out[j] = 0.0f;
+      causal_softmax_row(scores.data().data() + i * t, node->value.data() + i * t, t, i + 1);
     }
   });
   if (node->requires_grad) {

@@ -147,13 +147,16 @@ Tensor causal_masked_softmax(const Tensor& scores);
 Tensor layer_norm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
                        float eps = 1e-5f);
 
-// ---- raw row helpers (graph-free decode step, DESIGN.md §10) ----
+// ---- raw row helpers (graph-free backbone forward, DESIGN.md §10) ----
 // The per-row bodies of softmax_rows / causal_masked_softmax, gelu and
 // layer_norm_rows. The Tensor ops run these same functions, so code that
 // computes on raw buffers gets bitwise the floats the op would produce.
 
 /// out = softmax(in) over n values; in == out is allowed.
 void softmax_row(const float* in, float* out, std::int64_t n);
+/// One causal-attention row of n scores: softmax over the first `visible`
+/// values, zeros after them; in == out is allowed.
+void causal_softmax_row(const float* in, float* out, std::int64_t n, std::int64_t visible);
 /// out[i] = gelu(in[i]) (tanh approximation); in == out is allowed.
 void gelu_row(const float* in, float* out, std::int64_t n);
 /// Layer-norm statistics of one row (layer_norm_rows keeps them for backward).

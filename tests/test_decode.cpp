@@ -7,11 +7,15 @@
 // therefore greedy token streams — must match bitwise, at any thread count.
 // These tests pin that equality, the sliding-window clamp for prompts at or
 // past `max_seq`, the serving engine's per-request fault isolation, and the
-// graph-free decode step: its row is bitwise the last row of the Tensor-op
-// forward for every dtype, LoRA setting, head width, position, ISA tier and
-// thread count, NaNs still reach it, and it builds no autograd history.
+// graph-free m-row forward: the decode step (m = 1) is bitwise the last row
+// of the Tensor-op forward and a prefill (m = T) is bitwise the whole
+// forward for every dtype, LoRA setting, head width, ISA tier and thread
+// count, with the same kernel counters and no intermediate nodes; NaNs still
+// reach it, it builds no autograd history, and the served ABR/CJS decisions
+// match digests recorded on the tape path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -412,7 +416,7 @@ TEST_F(Decode, EngineRejectsRequestsForMissingModels) {
   EXPECT_THROW(ad::api::Serve(nullptr), std::invalid_argument);
 }
 
-// ---------- graph-free decode step ----------
+// ---------- graph-free m-row forward ----------
 
 namespace {
 
@@ -484,10 +488,20 @@ TEST_F(Decode, GraphFreeStepBitwiseEqualsFullForwardAcrossDtypesLoraHeadsTiersAn
             Rng rng(static_cast<std::uint64_t>(d_head) * 7 + (lora ? 1 : 0));
             const auto block = make_block(d_head, dtype, lora, rng);
             const auto x = random_rows(positions, 2 * d_head, rng);
-            // Cache A is built by steps alone, cache B by a prefill of the
-            // first rows then steps (the VP rollout's shape).
-            nn::KvCache by_steps, by_prefill;
-            (void)block.forward(netllm::tensor::slice_rows(x, 0, prefill_len), &by_prefill);
+            // Cache A is built by steps alone, cache B by an m-row prefill of
+            // the first rows then steps (the VP rollout's shape), cache C by
+            // that prefill then one m-row pass over the remaining rows.
+            nn::KvCache by_steps, by_prefill, by_chunks;
+            const auto d = 2 * d_head;
+            const auto head = x.data().subspan(0, static_cast<std::size_t>(prefill_len * d));
+            const auto tail = x.data().subspan(head.size());
+            std::vector<float> out(static_cast<std::size_t>(positions * d));
+            const auto out_head = std::span<float>(out).subspan(0, head.size());
+            const auto out_tail = std::span<float>(out).subspan(head.size());
+            block.forward_rows(head, prefill_len, &by_prefill, out_head);
+            block.forward_rows(head, prefill_len, &by_chunks, out_head);
+            block.forward_rows(tail, positions - prefill_len, &by_chunks, out_tail);
+            ASSERT_EQ(bits(out), bits(block.forward(x).data())) << where << " m-row chunks";
             for (std::int64_t p = 0; p < positions; ++p) {
               const auto row = netllm::tensor::slice_rows(x, p, 1);
               const auto full = block.forward(netllm::tensor::slice_rows(x, 0, p + 1));
@@ -501,6 +515,8 @@ TEST_F(Decode, GraphFreeStepBitwiseEqualsFullForwardAcrossDtypesLoraHeadsTiersAn
             }
             ASSERT_EQ(bits(by_steps.k()), bits(by_prefill.k())) << where;
             ASSERT_EQ(bits(by_steps.v()), bits(by_prefill.v())) << where;
+            ASSERT_EQ(bits(by_steps.k()), bits(by_chunks.k())) << where;
+            ASSERT_EQ(bits(by_steps.v()), bits(by_chunks.v())) << where;
           }
         }
       }
@@ -538,6 +554,143 @@ TEST_F(Decode, EmbeddingsStepBitwiseEqualsFullForwardAtEveryPositionUpToMaxSeq) 
       }
     }
   }
+}
+
+namespace {
+
+/// A two-head backbone with d_head-wide heads and max_seq 98 (the longest
+/// CJS window), LoRA off or on with nonzero B, quantized to `dtype`.
+std::shared_ptr<llm::MiniGpt> mrow_llm(std::int64_t d_head, nq::Dtype dtype, bool lora,
+                                       Rng& rng) {
+  auto cfg = tiny_config(/*max_seq=*/98);
+  cfg.d_model = 2 * d_head;
+  cfg.d_ff = 4 * d_head;
+  auto gpt = std::make_shared<llm::MiniGpt>(cfg, rng);
+  if (lora) randomize(gpt->enable_lora(2, 4.0f, rng), rng);
+  gpt->quantize_backbone(dtype);
+  return gpt;
+}
+
+std::vector<nn::KvCache> caches_for(const llm::MiniGpt& gpt) {
+  return std::vector<nn::KvCache>(static_cast<std::size_t>(gpt.config().n_layers));
+}
+
+}  // namespace
+
+TEST_F(Decode, GraphFreePrefillBitwiseEqualsForwardEmbeddingsAcrossShapesAndCaches) {
+  ThreadGuard threads;
+  IsaGuard tier;
+  for (const auto t : {isa::Isa::kScalar, isa::best_isa()}) {
+    isa::set_active_isa(t);
+    for (const int n_threads : {1, 3}) {
+      nc::set_global_threads(n_threads);
+      for (const std::int64_t d_head : {8, 16, 64}) {
+        for (const auto dtype : kDtypes) {
+          for (const bool lora : {false, true}) {
+            Rng rng(static_cast<std::uint64_t>(d_head) * 11 + (lora ? 1 : 0));
+            const auto gpt = mrow_llm(d_head, dtype, lora, rng);
+            const auto max_seq = gpt->config().max_seq;
+            const auto x = random_rows(max_seq, gpt->config().d_model, rng);
+            for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{2}, std::int64_t{11},
+                                            std::int64_t{59}, max_seq}) {
+              const auto where = std::string(isa::isa_name(t)) + " threads=" +
+                                 std::to_string(n_threads) + " d_head=" +
+                                 std::to_string(d_head) + " " + nq::dtype_name(dtype) +
+                                 (lora ? " lora" : "") + " T=" + std::to_string(rows);
+              const auto seq = netllm::tensor::slice_rows(x, 0, rows);
+              const auto want = bits(gpt->forward_embeddings(seq).data());
+              ASSERT_EQ(bits(gpt->prefill_embeddings(seq, {}).data()), want) << where;
+              auto captured = caches_for(*gpt);
+              ASSERT_EQ(bits(gpt->prefill_embeddings(seq, captured).data()), want) << where;
+              // The captured K/V rows are the rows step-by-step decoding appends.
+              auto stepped = caches_for(*gpt);
+              (void)gpt->prefill_embeddings(netllm::tensor::slice_rows(x, 0, 1), stepped);
+              for (std::int64_t p = 1; p < rows; ++p) {
+                (void)gpt->embeddings_step(netllm::tensor::slice_rows(x, p, 1), stepped);
+              }
+              for (std::size_t l = 0; l < captured.size(); ++l) {
+                ASSERT_EQ(captured[l].len, rows) << where;
+                ASSERT_EQ(bits(captured[l].k()), bits(stepped[l].k())) << where << " layer " << l;
+                ASSERT_EQ(bits(captured[l].v()), bits(stepped[l].v())) << where << " layer " << l;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(Decode, GraphFreePrefillMatchesTapeKernelCounters) {
+  namespace metrics = netllm::core::metrics;
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  const char* names[] = {"kernels.matmul.calls",  "kernels.matmul.flops",
+                         "kernels.matmul.bytes",  "kernels.qmatmul.calls",
+                         "kernels.qmatmul.flops", "kernels.qmatmul.bytes"};
+  const auto snapshot = [&] {
+    std::vector<std::int64_t> v;
+    for (const char* n : names) v.push_back(nc::counter_value(n));
+    return v;
+  };
+  const auto delta = [&](auto&& pass) {
+    const auto before = snapshot();
+    pass();
+    auto after = snapshot();
+    for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return after;
+  };
+  for (const auto dtype : kDtypes) {
+    Rng rng(19);
+    const auto gpt = mrow_llm(16, dtype, /*lora=*/true, rng);
+    const auto x = random_rows(59, gpt->config().d_model, rng);
+    const auto tape = delta([&] { (void)gpt->forward_embeddings(x); });
+    const auto graph_free = delta([&] { (void)gpt->prefill_embeddings(x, {}); });
+    EXPECT_EQ(tape, graph_free) << nq::dtype_name(dtype);
+    EXPECT_GT(tape[0], 0) << nq::dtype_name(dtype);
+    if (dtype != nq::Dtype::kF32) {
+      EXPECT_GT(tape[3], 0) << nq::dtype_name(dtype);
+    }
+  }
+  metrics::set_enabled(was_enabled);
+}
+
+TEST_F(Decode, GraphFreePrefillHoldsOnlyItsReturnedTensor) {
+  Rng rng(23);
+  const auto gpt = mrow_llm(8, nq::Dtype::kF32, /*lora=*/true, rng);
+  const auto rows = gpt->config().max_seq, d = gpt->config().d_model;
+  const auto x = random_rows(rows, d, rng);
+  (void)gpt->prefill_embeddings(x, {});  // warm the per-thread rows
+  const auto live = netllm::tensor::live_float_count();
+  netllm::tensor::reset_peak_float_count();
+  (void)gpt->prefill_embeddings(x, {});
+  EXPECT_LE(netllm::tensor::peak_float_count() - live, rows * d);
+  // The tape forward holds every intermediate node until it returns.
+  netllm::tensor::reset_peak_float_count();
+  (void)gpt->forward_embeddings(x);
+  EXPECT_GT(netllm::tensor::peak_float_count() - live, 10 * rows * d);
+}
+
+TEST_F(Decode, NanInALoraWeightReachesAnAbrDecisionAndFallsBack) {
+  Rng rng(29);
+  ad::AbrAdapterConfig cfg;
+  cfg.lora_rank = 2;
+  cfg.context_window = 4;
+  auto gpt = tiny_llm(17, 112);
+  auto adapter = std::make_shared<ad::AbrAdapter>(gpt, cfg, rng);
+  auto lora = gpt->lora_parameters();
+  ASSERT_FALSE(lora.empty());
+  lora.front().mutable_data()[0] = std::numeric_limits<float>::quiet_NaN();  // B is still zero
+  auto guarded = ad::api::Guard(std::static_pointer_cast<netllm::abr::AbrPolicy>(adapter));
+  auto setting = netllm::abr::abr_default_test();
+  setting.num_traces = 1;
+  const auto qoe = netllm::abr::evaluate_qoe(*guarded, netllm::abr::video_for(setting),
+                                             netllm::abr::traces_for(setting));
+  EXPECT_EQ(qoe.size(), 1u);  // the session finished on valid levels
+  const auto& c = guarded->counters();
+  EXPECT_EQ(c.llm_ok, 0);
+  EXPECT_EQ(c.fallback, c.decisions());
+  EXPECT_GE(c.fail_exception, 1);
 }
 
 TEST_F(Decode, GraphFreeStepPropagatesNanFromLoraWeightsAndCachedRows) {
@@ -616,4 +769,147 @@ TEST_F(Decode, GraphFreeStepReturnsALeafWithoutHistory) {
   EXPECT_EQ(attn_cache.len, 3);
   EXPECT_THROW(block.forward_step(random_rows(2, 16, rng), block_cache), std::invalid_argument);
   EXPECT_THROW(attn.forward_step(random_rows(1, 8, rng), attn_cache), std::invalid_argument);
+}
+
+// ---------- served ABR/CJS decisions ----------
+
+namespace {
+
+namespace abr = netllm::abr;
+namespace cjs = netllm::cjs;
+
+/// FNV-1a over a stream of decisions.
+struct Digest {
+  std::uint64_t hash = 14695981039346656037ull;
+  int count = 0;
+  std::vector<int> seen;
+  void add(int v) {
+    hash = (hash ^ static_cast<std::uint32_t>(v)) * 1099511628211ull;
+    ++count;
+    seen.push_back(v);
+  }
+  std::size_t distinct() const {
+    std::vector<int> s = seen;
+    std::sort(s.begin(), s.end());
+    return static_cast<std::size_t>(std::unique(s.begin(), s.end()) - s.begin());
+  }
+};
+
+/// Forwards every call to the wrapped policy and digests its decisions.
+class RecordingAbr final : public abr::AbrPolicy {
+ public:
+  RecordingAbr(abr::AbrPolicy& inner, Digest& digest) : inner_(inner), digest_(digest) {}
+  std::string name() const override { return inner_.name(); }
+  void begin_session() override { inner_.begin_session(); }
+  int choose_level(const abr::Observation& obs) override {
+    const int level = inner_.choose_level(obs);
+    digest_.add(level);
+    return level;
+  }
+  void observe_result(const abr::ChunkResult& r, double qoe) override {
+    inner_.observe_result(r, qoe);
+  }
+
+ private:
+  abr::AbrPolicy& inner_;
+  Digest& digest_;
+};
+
+class RecordingCjs final : public cjs::SchedPolicy {
+ public:
+  RecordingCjs(cjs::SchedPolicy& inner, Digest& digest) : inner_(inner), digest_(digest) {}
+  std::string name() const override { return inner_.name(); }
+  void begin_episode() override { inner_.begin_episode(); }
+  cjs::SchedAction choose(const cjs::SchedObservation& obs) override {
+    const auto action = inner_.choose(obs);
+    digest_.add(action.runnable_index * 16 + action.cap_choice);
+    return action;
+  }
+  void observe_reward(double reward) override { inner_.observe_reward(reward); }
+
+ private:
+  cjs::SchedPolicy& inner_;
+  Digest& digest_;
+};
+
+/// Every trainable adapter parameter (encoders, LoRA, heads) uniform in
+/// [-2, 2]: wide enough that the decisions spread over several levels and
+/// actions and depend on the backbone's output.
+void spread(const std::vector<Tensor>& params, Rng& rng) {
+  for (auto t : params) {
+    for (auto& x : t.mutable_data()) x = static_cast<float>(rng.uniform(-2.0, 2.0));
+  }
+}
+
+/// ABR levels over three seeded test sessions and CJS actions over one
+/// seeded episode, served by adapters with spread parameters.
+std::pair<Digest, Digest> served_decisions(nq::Dtype dtype) {
+  Digest abr_digest, cjs_digest;
+  {
+    Rng rng(41);
+    ad::AbrAdapterConfig cfg;
+    cfg.lora_rank = 2;
+    auto gpt = tiny_llm(43, 112);
+    ad::AbrAdapter adapter(gpt, cfg, rng);
+    spread(adapter.trainable_parameters(), rng);
+    gpt->quantize_backbone(dtype);
+    auto setting = abr::abr_default_test();
+    setting.num_traces = 3;
+    RecordingAbr recording(adapter, abr_digest);
+    (void)abr::evaluate_qoe(recording, abr::video_for(setting), abr::traces_for(setting));
+  }
+  {
+    Rng rng(47);
+    ad::CjsAdapterConfig cfg;
+    cfg.lora_rank = 2;
+    auto gpt = tiny_llm(53, 112);
+    ad::CjsAdapter adapter(gpt, cfg, rng);
+    spread(adapter.trainable_parameters(), rng);
+    gpt->quantize_backbone(dtype);
+    cjs::WorkloadConfig wl;
+    wl.num_job_requests = 8;
+    wl.executor_units_k = 6;
+    wl.scale = 1.0;
+    wl.seed = 5;
+    RecordingCjs recording(adapter, cjs_digest);
+    (void)cjs::run_workload(wl, recording);
+  }
+  return {abr_digest, cjs_digest};
+}
+
+}  // namespace
+
+// The ABR and CJS adapters serve through the graph-free prefill_embeddings;
+// they used to serve through the tape's forward_embeddings. These digests
+// were recorded on the tape path and must not move. The scalar tier pins
+// them: fp32 kernels at other tiers agree only within a tolerance.
+TEST_F(Decode, ServedAbrAndCjsDecisionsMatchPinnedDigests) {
+  ThreadGuard threads;
+  IsaGuard tier;
+  isa::set_active_isa(isa::Isa::kScalar);
+  struct Pinned {
+    nq::Dtype dtype;
+    int abr_count;
+    std::uint64_t abr_hash;
+    int cjs_count;
+    std::uint64_t cjs_hash;
+  };
+  const Pinned pinned[] = {
+      {nq::Dtype::kF32, 144, 0xd85b2e7d128650dfull, 86, 0x0ddd2e4bbcdca087ull},
+      {nq::Dtype::kQ8_0, 144, 0x50f538ce990b6e95ull, 89, 0x4f12327a376de0baull},
+  };
+  for (const int n_threads : {1, 3}) {
+    nc::set_global_threads(n_threads);
+    for (const auto& p : pinned) {
+      const auto [abr_d, cjs_d] = served_decisions(p.dtype);
+      const auto where = std::string(nq::dtype_name(p.dtype)) + " threads=" +
+                         std::to_string(n_threads);
+      EXPECT_EQ(abr_d.count, p.abr_count) << where;
+      EXPECT_EQ(abr_d.hash, p.abr_hash) << where;
+      EXPECT_EQ(cjs_d.count, p.cjs_count) << where;
+      EXPECT_EQ(cjs_d.hash, p.cjs_hash) << where;
+      EXPECT_GE(abr_d.distinct(), 3u) << where;
+      EXPECT_GE(cjs_d.distinct(), 3u) << where;
+    }
+  }
 }
