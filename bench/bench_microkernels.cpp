@@ -8,10 +8,16 @@
 // one row per (kernel case x compiled-and-supported ISA tier), single
 // threaded, so BENCH_kernels.json carries the scalar-vs-vector FLOP/s
 // comparison for the host this sweep actually ran on (DESIGN.md §16).
+// Every row that lands in BENCH_kernels.json runs kLedgerRepetitions times
+// and reports its aggregates (tools/check_bench_kernels.py reads the
+// medians), and the file's context block carries the run's provenance.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -29,6 +35,10 @@ namespace isa = netllm::tensor::isa;
 using netllm::core::Rng;
 
 namespace {
+
+/// Repetitions per BENCH_kernels.json row: the ledger compares medians, so
+/// one noisy window on a shared host cannot decide a tier comparison.
+constexpr int kLedgerRepetitions = 5;
 
 void BM_Matmul(benchmark::State& state) {
   const auto n = state.range(0);
@@ -88,7 +98,9 @@ BENCHMARK(BM_MatmulKernel)
     ->Args({512, 1})
     ->Args({512, 2})
     ->Args({512, 4})
-    ->UseRealTime();
+    ->UseRealTime()
+    ->Repetitions(kLedgerRepetitions)
+    ->ReportAggregatesOnly(true);
 
 void BM_CausalSoftmax(benchmark::State& state) {
   const auto t = state.range(0);
@@ -220,52 +232,88 @@ void BM_IsaQuant(benchmark::State& state, isa::Isa tier, nq::Dtype dtype, std::i
   state.SetLabel(isa::isa_name(tier));
 }
 
-/// One BM_IsaTier/<case>/<tier> row per supported tier. GEMV rows are the
-/// serving hot shape (single decode row against a 512-wide projection);
-/// GEMM rows show the register-tiled multi-row path.
+/// One BM_IsaTier/<case>/<tier> row per supported tier. The 512-wide GEMV
+/// rows are the serving hot shape (single decode row against a 512-wide
+/// projection); GEMM rows show the register-tiled multi-row path. The
+/// narrow rows are served fp32 shapes: the LoRA down-projection x·A (n = r
+/// = 4) of a 512-wide decode row and of a 98-row CJS window, and the
+/// 64-wide step projection.
 void register_isa_tier_benches() {
   std::vector<isa::Isa> tiers = {isa::Isa::kScalar};
   if (isa::best_isa() != isa::Isa::kScalar) tiers.push_back(isa::best_isa());
   constexpr std::int64_t kDim = 512;
+  struct F32Case {
+    const char* name;
+    std::int64_t m, k, n;
+  };
+  const F32Case f32_cases[] = {{"f32_gemv512", 1, kDim, kDim},
+                               {"f32_gemm512", 64, kDim, kDim},
+                               {"f32_lora_gemv512", 1, kDim, 4},
+                               {"f32_lora_gemm64", 98, 64, 4},
+                               {"f32_gemv64", 1, 64, 64}};
+  struct QuantCase {
+    const char* name;
+    nq::Dtype dtype;
+    std::int64_t m;
+  };
+  const QuantCase quant_cases[] = {{"q8_gemv512", nq::Dtype::kQ8_0, 1},
+                                   {"q8_gemm512", nq::Dtype::kQ8_0, 64},
+                                   {"q4_gemv512", nq::Dtype::kQ4_0, 1},
+                                   {"q4_gemm512", nq::Dtype::kQ4_0, 64}};
   for (const auto tier : tiers) {
     const std::string suffix = std::string("/") + isa::isa_name(tier);
-    benchmark::RegisterBenchmark(("BM_IsaTier/f32_gemv512" + suffix).c_str(),
-                                 [tier](benchmark::State& s) {
-                                   BM_IsaF32(s, tier, 1, kDim, kDim);
-                                 })
-        ->UseRealTime();
-    benchmark::RegisterBenchmark(("BM_IsaTier/f32_gemm512" + suffix).c_str(),
-                                 [tier](benchmark::State& s) {
-                                   BM_IsaF32(s, tier, 64, kDim, kDim);
-                                 })
-        ->UseRealTime();
-    benchmark::RegisterBenchmark(("BM_IsaTier/q8_gemv512" + suffix).c_str(),
-                                 [tier](benchmark::State& s) {
-                                   BM_IsaQuant(s, tier, nq::Dtype::kQ8_0, 1, kDim, kDim);
-                                 })
-        ->UseRealTime();
-    benchmark::RegisterBenchmark(("BM_IsaTier/q8_gemm512" + suffix).c_str(),
-                                 [tier](benchmark::State& s) {
-                                   BM_IsaQuant(s, tier, nq::Dtype::kQ8_0, 64, kDim, kDim);
-                                 })
-        ->UseRealTime();
-    benchmark::RegisterBenchmark(("BM_IsaTier/q4_gemv512" + suffix).c_str(),
-                                 [tier](benchmark::State& s) {
-                                   BM_IsaQuant(s, tier, nq::Dtype::kQ4_0, 1, kDim, kDim);
-                                 })
-        ->UseRealTime();
-    benchmark::RegisterBenchmark(("BM_IsaTier/q4_gemm512" + suffix).c_str(),
-                                 [tier](benchmark::State& s) {
-                                   BM_IsaQuant(s, tier, nq::Dtype::kQ4_0, 64, kDim, kDim);
-                                 })
-        ->UseRealTime();
+    for (const auto& f : f32_cases) {
+      benchmark::RegisterBenchmark(("BM_IsaTier/" + std::string(f.name) + suffix).c_str(),
+                                   [tier, f](benchmark::State& s) {
+                                     BM_IsaF32(s, tier, f.m, f.k, f.n);
+                                   })
+          ->UseRealTime()
+          ->Repetitions(kLedgerRepetitions)
+          ->ReportAggregatesOnly(true);
+    }
+    for (const auto& q : quant_cases) {
+      benchmark::RegisterBenchmark(("BM_IsaTier/" + std::string(q.name) + suffix).c_str(),
+                                   [tier, q](benchmark::State& s) {
+                                     BM_IsaQuant(s, tier, q.dtype, q.m, kDim, kDim);
+                                   })
+          ->UseRealTime()
+          ->Repetitions(kLedgerRepetitions)
+          ->ReportAggregatesOnly(true);
+    }
   }
+}
+
+/// First line of a shell command's output, or "unknown".
+std::string command_line(const char* cmd) {
+  std::string out;
+  if (FILE* pipe = ::popen(cmd, "r")) {
+    char buf[128];
+    if (std::fgets(buf, sizeof buf, pipe) != nullptr) out = buf;
+    ::pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
+
+/// Provenance of the sweep in the JSON context block: which commit, build
+/// and host conditions produced these numbers (check_bench_kernels.py
+/// requires every key).
+void add_provenance_context() {
+  benchmark::AddCustomContext("git_sha", command_line("git rev-parse HEAD 2>/dev/null"));
+  benchmark::AddCustomContext(
+      "git_dirty", command_line("git status --porcelain 2>/dev/null | head -c1 | wc -c"));
+  benchmark::AddCustomContext("build_type", NETLLM_BUILD_TYPE);
+  benchmark::AddCustomContext("nproc", std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext("isa_active", isa::isa_name(isa::active_isa()));
+  const char* threads = std::getenv("NETLLM_THREADS");
+  benchmark::AddCustomContext("netllm_threads", threads != nullptr ? threads : "unset");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   register_isa_tier_benches();
+  add_provenance_context();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

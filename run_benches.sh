@@ -126,7 +126,9 @@ echo "##### validating BENCH_kernels.json schema"
 # The kernels artifact now carries the ISA-tier comparison (DESIGN.md §16):
 # every case must have a scalar row, and when a vector tier was compiled in
 # its rows must be present and not slower than scalar on the GEMV serving
-# shapes. Key drift or a vector tier losing to scalar fails the sweep
+# shapes and the narrow fp32 shapes (LoRA x·A, the 64-wide step). Every row
+# carries 5-repetition median/stddev aggregates and the file a provenance
+# block. Key drift or a vector tier losing to scalar fails the sweep
 # loudly. NOTE: absolute FLOP/s shifted when PR 10 replaced the blanket
 # -march=native with per-file tier flags — the scalar rows now measure the
 # genuinely portable baseline (see EXPERIMENTS.md "Kernel throughput").

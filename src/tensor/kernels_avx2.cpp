@@ -5,9 +5,10 @@
 //
 // Determinism (DESIGN.md §16): each output element's accumulation order is
 // a pure function of (shape, element) — register tiling groups rows/columns,
-// but a row computed in a 4-row block executes exactly the same per-element
-// FMA sequence as one computed alone, so any parallel_for partition of the
-// rows is bitwise identical within this tier.
+// but an element computed in a 4-row, 2-row or 1-row tile, in a full or a
+// masked column vector, executes exactly the same per-element FMA sequence,
+// so any parallel_for partition of the rows is bitwise identical within
+// this tier.
 //
 // fp32 kernels accumulate in 8-lane FMA registers (j-vectorised: each lane
 // IS one output element for accum/at; k-vectorised partial sums + a fixed
@@ -56,102 +57,90 @@ inline std::int32_t hsum8_i32(__m256i v) {
 // ---- fp32: C[r0:r1, n] += A * B ----
 //
 // Per element c[i][j]: acc starts at 0, gains fma(a[i][p], b[p][j], acc) for
-// p ascending, then c[i][j] += acc. Row quads reuse each B load across four
-// rows; leftover rows run a 4-wide j-block single-row loop — both paths run
-// the identical per-element sequence.
+// p ascending, then c[i][j] += acc. One register-tile body runs every shape:
+// R rows (4, then 2, then 1) by J 8-lane column vectors, R*J independent FMA
+// chains sharing each B load across the rows and each broadcast across the
+// vectors. The last vector of a row is masked (maskload/maskstore), so no
+// column ever runs a scalar chain. Tiling only decides which elements share
+// an instruction, never an element's own sequence, so any tile, row range
+// or thread computes the same bits.
+
+/// Rows i..i+R-1 x columns j..j+8J-1; with Tail the last vector keeps only
+/// its first `lanes` lanes. The mask is built here rather than passed in: a
+/// function taking a __m256i returns without vzeroupper, and the dirty upper
+/// YMM state then slows every SSE instruction in the (non-AVX) caller.
+template <int R, int J, bool Tail>
+void f32_tile(const float* a, const float* b, float* c, std::int64_t k, std::int64_t n,
+              int lanes) {
+  const __m256i tail =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256 acc[R][J];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < J; ++v) acc[r][v] = _mm256_setzero_ps();
+  }
+  for (std::int64_t p = 0; p < k; ++p) {
+    const float* brow = b + p * n;
+    if constexpr (R == 1) {
+      // One row reuses nothing, so the tile streams B at an n-float stride
+      // the hardware prefetcher follows poorly: fetch its lines four rows
+      // ahead (past the end of B a prefetch is a harmless no-op).
+      for (int v = 0; v < J; v += 2) {
+        _mm_prefetch(reinterpret_cast<const char*>(brow + 4 * n + 8 * v), _MM_HINT_T0);
+      }
+    }
+    __m256 bv[J];
+    for (int v = 0; v < J; ++v) {
+      bv[v] = Tail && v == J - 1 ? _mm256_maskload_ps(brow + 8 * v, tail)
+                                 : _mm256_loadu_ps(brow + 8 * v);
+    }
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * k + p);
+      for (int v = 0; v < J; ++v) acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < J; ++v) {
+      float* cv = c + r * n + 8 * v;
+      if (Tail && v == J - 1) {
+        _mm256_maskstore_ps(cv, tail, _mm256_add_ps(_mm256_maskload_ps(cv, tail), acc[r][v]));
+      } else {
+        _mm256_storeu_ps(cv, _mm256_add_ps(_mm256_loadu_ps(cv), acc[r][v]));
+      }
+    }
+  }
+}
+
+/// The rest of a row block, fewer than 8J columns: one tile of `vecs`
+/// vectors (stepping J down to it), the last holding `lanes` columns.
+template <int R, int J>
+void f32_tail(const float* a, const float* b, float* c, std::int64_t k, std::int64_t n,
+              int vecs, int lanes) {
+  if constexpr (J > 1) {
+    if (vecs < J) return f32_tail<R, J - 1>(a, b, c, k, n, vecs, lanes);
+  }
+  if (lanes == 8) return f32_tile<R, J, false>(a, b, c, k, n, lanes);
+  f32_tile<R, J, true>(a, b, c, k, n, lanes);
+}
+
+/// Rows i..i+R-1 across all n columns: full J-vector tiles, then one tail.
+template <int R, int J>
+void f32_rows(const float* a, const float* b, float* c, std::int64_t k, std::int64_t n) {
+  std::int64_t j = 0;
+  for (; j + 8 * J <= n; j += 8 * J) f32_tile<R, J, false>(a, b + j, c + j, k, n, 8);
+  if (j == n) return;
+  const auto rest = static_cast<int>(n - j);
+  f32_tail<R, J>(a, b + j, c + j, k, n, (rest + 7) / 8, rest - 8 * ((rest - 1) / 8));
+}
+
 void matmul_accum_range(const float* a, const float* b, float* c, std::int64_t r0,
                         std::int64_t r1, std::int64_t k, std::int64_t n) {
   std::int64_t i = r0;
-  for (; i + 4 <= r1; i += 4) {
-    const float* a0 = a + (i + 0) * k;
-    const float* a1 = a + (i + 1) * k;
-    const float* a2 = a + (i + 2) * k;
-    const float* a3 = a + (i + 3) * k;
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
-      for (std::int64_t p = 0; p < k; ++p) {
-        const __m256 bv = _mm256_loadu_ps(b + p * n + j);
-        acc0 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + p), bv, acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_broadcast_ss(a1 + p), bv, acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_broadcast_ss(a2 + p), bv, acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_broadcast_ss(a3 + p), bv, acc3);
-      }
-      float* c0 = c + (i + 0) * n + j;
-      float* c1 = c + (i + 1) * n + j;
-      float* c2 = c + (i + 2) * n + j;
-      float* c3 = c + (i + 3) * n + j;
-      _mm256_storeu_ps(c0, _mm256_add_ps(_mm256_loadu_ps(c0), acc0));
-      _mm256_storeu_ps(c1, _mm256_add_ps(_mm256_loadu_ps(c1), acc1));
-      _mm256_storeu_ps(c2, _mm256_add_ps(_mm256_loadu_ps(c2), acc2));
-      _mm256_storeu_ps(c3, _mm256_add_ps(_mm256_loadu_ps(c3), acc3));
-    }
-    for (; j < n; ++j) {
-      for (int r = 0; r < 4; ++r) {
-        const float* arow = a + (i + r) * k;
-        float acc = 0.0f;
-        for (std::int64_t p = 0; p < k; ++p) acc = std::fma(arow[p], b[p * n + j], acc);
-        c[(i + r) * n + j] += acc;
-      }
-    }
+  for (; i + 4 <= r1; i += 4) f32_rows<4, 2>(a + i * k, b, c + i * n, k, n);
+  if (i + 2 <= r1) {
+    f32_rows<2, 4>(a + i * k, b, c + i * n, k, n);
+    i += 2;
   }
-  for (; i < r1; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    std::int64_t j = 0;
-    // Single rows (the GEMV shape) interleave eight j-vectors: with no row
-    // reuse to amortise, throughput is FMA-latency-bound, and eight
-    // independent chains (distinct output lanes, so per-element order is
-    // untouched) keep both FMA ports busy.
-    for (; j + 64 <= n; j += 64) {
-      __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
-      __m256 acc4 = _mm256_setzero_ps(), acc5 = _mm256_setzero_ps();
-      __m256 acc6 = _mm256_setzero_ps(), acc7 = _mm256_setzero_ps();
-      for (std::int64_t p = 0; p < k; ++p) {
-        const __m256 av = _mm256_broadcast_ss(arow + p);
-        const float* brow = b + p * n + j;
-        // The j-block walks B at an n-float stride the hardware prefetcher
-        // does not follow well; fetch the block four rows ahead (reading
-        // past the end of B is a harmless prefetch no-op). No effect on
-        // numerics — prefetch moves cache lines, not values.
-        _mm_prefetch(reinterpret_cast<const char*>(brow + 4 * n), _MM_HINT_T0);
-        _mm_prefetch(reinterpret_cast<const char*>(brow + 4 * n + 16), _MM_HINT_T0);
-        _mm_prefetch(reinterpret_cast<const char*>(brow + 4 * n + 32), _MM_HINT_T0);
-        _mm_prefetch(reinterpret_cast<const char*>(brow + 4 * n + 48), _MM_HINT_T0);
-        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow), acc0);
-        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8), acc1);
-        acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 16), acc2);
-        acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 24), acc3);
-        acc4 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 32), acc4);
-        acc5 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 40), acc5);
-        acc6 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 48), acc6);
-        acc7 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 56), acc7);
-      }
-      _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j), acc0));
-      _mm256_storeu_ps(crow + j + 8, _mm256_add_ps(_mm256_loadu_ps(crow + j + 8), acc1));
-      _mm256_storeu_ps(crow + j + 16, _mm256_add_ps(_mm256_loadu_ps(crow + j + 16), acc2));
-      _mm256_storeu_ps(crow + j + 24, _mm256_add_ps(_mm256_loadu_ps(crow + j + 24), acc3));
-      _mm256_storeu_ps(crow + j + 32, _mm256_add_ps(_mm256_loadu_ps(crow + j + 32), acc4));
-      _mm256_storeu_ps(crow + j + 40, _mm256_add_ps(_mm256_loadu_ps(crow + j + 40), acc5));
-      _mm256_storeu_ps(crow + j + 48, _mm256_add_ps(_mm256_loadu_ps(crow + j + 48), acc6));
-      _mm256_storeu_ps(crow + j + 56, _mm256_add_ps(_mm256_loadu_ps(crow + j + 56), acc7));
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      for (std::int64_t p = 0; p < k; ++p) {
-        acc = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + p), _mm256_loadu_ps(b + p * n + j),
-                              acc);
-      }
-      _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j), acc));
-    }
-    for (; j < n; ++j) {
-      float acc = 0.0f;
-      for (std::int64_t p = 0; p < k; ++p) acc = std::fma(arow[p], b[p * n + j], acc);
-      crow[j] += acc;
-    }
-  }
+  if (i < r1) f32_rows<1, 8>(a + i * k, b, c + i * n, k, n);
 }
 
 // ---- fp32: C[r0:r1, n] += A * B^T (dot over k per element) ----

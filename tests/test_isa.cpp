@@ -5,13 +5,19 @@
 //     count within a tier (serial vs threads 1/2/8);
 //   - forced NETLLM_ISA=scalar bitwise reproduces an inline re-statement of
 //     the portable scalar loops (the pre-dispatch kernels);
+//   - fp32 tiling seams: on every tier, matmul_accum bitwise equals that
+//     tier's per-element sequence over shapes that cross the row tiles and
+//     the masked last column vector, serial and threaded, and each row of an
+//     m-row product equals that row computed alone;
+//   - the AVX2 kernels return with the upper YMM state clean (vzeroupper),
+//     so the legacy-SSE code after them pays no state-merge penalty;
 //   - cross-tier contract: fp32 within a pinned tolerance, Q8/Q4 bitwise
 //     identical between scalar and the vector tier;
 //   - Q8 tiling seams: cross-tier and thread-count bitwise equality over
 //     shapes that cross the 8-column lane groups and 4-row quads, plus the
 //     extreme -128 x -128 block dot;
 //   - NaN/Inf propagation: a zero activation against a NaN-poisoned weight
-//     row must reach C (the old `aip == 0.0f` skip swallowed the poison
+//     row must reach C, in a masked tail lane and in every row-tile kind (the old `aip == 0.0f` skip swallowed the poison
 //     before the serve guard could see it), and a poisoned weight or
 //     activation must survive quantization into every Q8/Q4 output that
 //     reads its block;
@@ -19,6 +25,11 @@
 // Built to run under -DNETLLM_SANITIZE=thread as well.
 #include <gtest/gtest.h>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -28,6 +39,8 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -356,6 +369,144 @@ TEST(IsaTiers, ForcedScalarBitwiseMatchesPortableReferenceLoops) {
   }
 }
 
+// ---- fp32 tiling seams: every tier bitwise equals its per-element definition ----
+
+namespace {
+
+// Inline re-statement of the vector tiers' fp32 element (kernels_avx2.cpp,
+// kernels_neon.cpp): acc = 0, one fused multiply-add per p ascending, then
+// c += acc — whatever register tile, row range or thread computes it.
+void ref_fma_accum(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
+                   std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::int64_t p = 0; p < k; ++p) acc = std::fma(a[i * k + p], b[p * n + j], acc);
+      c[i * n + j] += acc;
+    }
+  }
+}
+
+/// C0 + A*B through the active tier; threads <= 0 runs the serial entry point.
+std::vector<float> f32_product(const std::vector<float>& a, const std::vector<float>& b,
+                               std::vector<float> c, std::int64_t m, std::int64_t k,
+                               std::int64_t n, int threads) {
+  if (threads <= 0) {
+    nk::matmul_accum_serial(a.data(), b.data(), c.data(), m, k, n);
+  } else {
+    nc::set_global_threads(threads);
+    nk::matmul_accum(a.data(), b.data(), c.data(), m, k, n);
+  }
+  return c;
+}
+
+}  // namespace
+
+TEST(IsaTiers, F32TilingSeamsBitwiseAgainstPerElementDefinition) {
+  TierGuard guard;
+  // m walks the row tiles (quads, a pair, one row) and, past the 8-row
+  // grain, puts parallel_for chunk starts mid-quad; n walks the 8-lane
+  // column vectors and the masked last vector (LoRA r = 4, a 21-column
+  // score row, fc1's 160); k covers the short and served inner widths.
+  const std::vector<std::int64_t> ms = {1, 2, 3, 4, 5, 7, 8, 9, 11, 13};
+  const std::vector<std::int64_t> ns = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 21, 63, 64, 65, 160};
+  const std::vector<std::int64_t> ks = {1, 4, 16, 21, 64, 97, 160};
+  Rng rng(0xf32e);
+  for (auto tier : supported_tiers()) {
+    ASSERT_EQ(isa::set_active_isa(tier), tier);
+    const auto ref = tier == isa::Isa::kScalar ? &ref_scalar_accum : &ref_fma_accum;
+    for (auto k : ks) {
+      for (auto m : ms) {
+        for (auto n : ns) {
+          const std::string ctx = std::string(isa::isa_name(tier)) + " m=" + std::to_string(m) +
+                                  " k=" + std::to_string(k) + " n=" + std::to_string(n);
+          // Exact-size operands, so a read or write past the tail is out of
+          // bounds under ASAN; C starts nonzero because the kernel adds into it.
+          const auto a = random_vec(m * k, rng);
+          const auto b = random_vec(k * n, rng);
+          const auto c0 = random_vec(m * n, rng);
+          auto want = c0;
+          ref(a.data(), b.data(), want.data(), m, k, n);
+          EXPECT_TRUE(bitwise_equal(f32_product(a, b, c0, m, k, n, 0), want)) << "serial " << ctx;
+          for (int threads : {1, 2, 3, 8}) {
+            EXPECT_TRUE(bitwise_equal(f32_product(a, b, c0, m, k, n, threads), want))
+                << ctx << " threads=" << threads;
+          }
+          // m-invariance: row i of the m-row product is that row alone.
+          for (std::int64_t i = 0; i < m; ++i) {
+            const std::vector<float> ai(a.begin() + i * k, a.begin() + (i + 1) * k);
+            const std::vector<float> ci(c0.begin() + i * n, c0.begin() + (i + 1) * n);
+            const std::vector<float> wi(want.begin() + i * n, want.begin() + (i + 1) * n);
+            EXPECT_TRUE(bitwise_equal(f32_product(ai, b, ci, 1, k, n, 0), wi))
+                << ctx << " row " << i << " alone";
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---- AVX2 kernels return with the upper YMM state clean ----
+
+#if defined(__x86_64__)
+namespace {
+
+/// XINUSE bit 2 (XGETBV with ECX = 1): the upper halves of the YMM
+/// registers are not in their initial state. nullopt when the CPU does not
+/// report XINUSE (CPUID.(EAX=0DH,ECX=1):EAX[2]).
+std::optional<bool> ymm_upper_dirty() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_count(0xd, 1, &eax, &ebx, &ecx, &edx) == 0 || (eax & (1u << 2)) == 0) {
+    return std::nullopt;
+  }
+  unsigned lo = 0, hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (lo & (1u << 2)) != 0;
+}
+
+}  // namespace
+
+TEST(IsaTiers, Avx2KernelsReturnWithCleanUpperYmmState) {
+  TierGuard guard;
+  if (isa::best_isa() != isa::Isa::kAvx2) GTEST_SKIP() << "no AVX2 tier on this host";
+  if (!ymm_upper_dirty().has_value()) GTEST_SKIP() << "CPU does not report XINUSE";
+  ASSERT_EQ(isa::set_active_isa(isa::Isa::kAvx2), isa::Isa::kAvx2);
+  // A kernel that returns with dirty upper YMM state (no vzeroupper) makes
+  // every legacy-SSE instruction after it, e.g. softmax's libm exp, pay a
+  // merge penalty until the next AVX function cleans up. Each m (the last
+  // row tile is 1, 2 or 4 rows) meets each n = 8J - 3, so every masked tile
+  // kind ends a call at least once, whatever the compiler inlined.
+  Rng rng(0x7a11);
+  const std::int64_t k = 16;
+  for (std::int64_t m : {1, 2, 4, 5, 59}) {
+    for (std::int64_t n : {4, 5, 13, 21, 29, 37, 45, 53, 61, 64, 98}) {
+      const auto a = random_vec(m * k, rng);
+      const auto b = random_vec(k * n, rng);
+      const auto bt = random_vec(n * k, rng);
+      const auto bm = random_vec(m * n, rng);
+      const auto q = quant_operands(a, bt, m, k, n);
+      const std::string ctx =
+          "m=" + std::to_string(m) + " k=" + std::to_string(k) + " n=" + std::to_string(n);
+      std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
+      std::vector<float> cat(static_cast<std::size_t>(k * n), 0.0f);
+      nk::matmul_accum_serial(a.data(), b.data(), c.data(), m, k, n);
+      EXPECT_FALSE(*ymm_upper_dirty()) << "matmul_accum " << ctx;
+      nk::matmul_bt_accum_serial(a.data(), bt.data(), c.data(), m, k, n);
+      EXPECT_FALSE(*ymm_upper_dirty()) << "matmul_bt_accum " << ctx;
+      nk::matmul_at_accum_serial(a.data(), bm.data(), cat.data(), m, k, n);
+      EXPECT_FALSE(*ymm_upper_dirty()) << "matmul_at_accum " << ctx;
+      nk::matmul_q8_accum_serial(q.aq.data(), q.ascales.data(),
+                                 reinterpret_cast<const std::int8_t*>(q.w8.codes.data()),
+                                 q.w8.scales.data(), c.data(), m, q.kb, n);
+      EXPECT_FALSE(*ymm_upper_dirty()) << "matmul_q8_accum " << ctx;
+      nk::matmul_q4_accum_serial(q.aq.data(), q.ascales.data(), q.w4.codes.data(),
+                                 q.w4.scales.data(), c.data(), m, q.kb, n);
+      EXPECT_FALSE(*ymm_upper_dirty()) << "matmul_q4_accum " << ctx;
+    }
+  }
+}
+#endif
+
 // ---- cross-tier contract ----
 
 TEST(IsaTiers, CrossTierF32WithinToleranceQuantBitwise) {
@@ -491,39 +642,48 @@ TEST(IsaTiers, Q8ExtremeCodesGiveTheExactMaximumDot) {
 
 TEST(IsaNanPropagation, ZeroActivationTimesPoisonedWeightReachesC) {
   TierGuard guard;
-  const std::int64_t m = 5, k = 70, n = 40;
+  const std::int64_t k = 70;
+  // n = 4 and 9 put the poisoned column in a masked tail lane of the AVX2
+  // tile; m = 1, 2 and 5 run every row-tile kind (one row, a pair, a quad
+  // plus one row).
   for (auto tier : supported_tiers()) {
     ASSERT_EQ(isa::set_active_isa(tier), tier);
-    for (float poison : {kNaN, kInf}) {
-      // Zero activations everywhere; one poisoned weight row. The product
-      // 0 * NaN (and 0 * Inf) is NaN, and the kernels must not skip it.
-      std::vector<float> a(static_cast<std::size_t>(m * k), 0.0f);
-      std::vector<float> b(static_cast<std::size_t>(k * n), 0.25f);
-      b[static_cast<std::size_t>(37 * n + 11)] = poison;  // row p=37, col j=11
-      std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
-      nk::matmul_accum(a.data(), b.data(), c.data(), m, k, n);
-      for (std::int64_t i = 0; i < m; ++i) {
-        EXPECT_TRUE(std::isnan(c[static_cast<std::size_t>(i * n + 11)]))
-            << isa::isa_name(tier) << " poison=" << poison << " row " << i
-            << ": zero activation swallowed the poisoned weight";
-      }
-      // Every untouched column stays exactly zero.
-      for (std::int64_t i = 0; i < m; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) {
-          if (j == 11) continue;
-          EXPECT_EQ(c[static_cast<std::size_t>(i * n + j)], 0.0f);
+    for (auto [m, n] : {std::pair<std::int64_t, std::int64_t>{5, 40},
+                        {1, 4}, {2, 4}, {5, 4}, {1, 9}, {2, 9}, {5, 9}}) {
+      const std::int64_t col = std::min<std::int64_t>(11, n - 1);
+      for (float poison : {kNaN, kInf}) {
+        const std::string ctx = std::string(isa::isa_name(tier)) + " m=" + std::to_string(m) +
+                                " n=" + std::to_string(n) + " poison=" + std::to_string(poison);
+        // Zero activations everywhere; one poisoned weight. The product
+        // 0 * NaN (and 0 * Inf) is NaN, and the kernels must not skip it.
+        std::vector<float> a(static_cast<std::size_t>(m * k), 0.0f);
+        std::vector<float> b(static_cast<std::size_t>(k * n), 0.25f);
+        b[static_cast<std::size_t>(37 * n + col)] = poison;  // row p=37
+        std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
+        nk::matmul_accum(a.data(), b.data(), c.data(), m, k, n);
+        for (std::int64_t i = 0; i < m; ++i) {
+          EXPECT_TRUE(std::isnan(c[static_cast<std::size_t>(i * n + col)]))
+              << ctx << " row " << i << ": zero activation swallowed the poisoned weight";
         }
-      }
+        // Every untouched column stays exactly zero.
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            if (j == col) continue;
+            EXPECT_EQ(c[static_cast<std::size_t>(i * n + j)], 0.0f) << ctx;
+          }
+        }
 
-      // Same contract for the A^T kernel (it had the same skip on a[i][p]).
-      std::vector<float> at_a(static_cast<std::size_t>(m * k), 0.0f);
-      std::vector<float> at_b(static_cast<std::size_t>(m * n), 0.25f);
-      at_b[static_cast<std::size_t>(2 * n + 7)] = poison;  // row i=2, col j=7
-      std::vector<float> at_c(static_cast<std::size_t>(k * n), 0.0f);
-      nk::matmul_at_accum(at_a.data(), at_b.data(), at_c.data(), m, k, n);
-      for (std::int64_t p = 0; p < k; ++p) {
-        EXPECT_TRUE(std::isnan(at_c[static_cast<std::size_t>(p * n + 7)]))
-            << isa::isa_name(tier) << " at-kernel poison=" << poison << " row " << p;
+        // Same contract for the A^T kernel (it had the same skip on a[i][p]).
+        const std::int64_t at_row = std::min<std::int64_t>(2, m - 1);
+        std::vector<float> at_a(static_cast<std::size_t>(m * k), 0.0f);
+        std::vector<float> at_b(static_cast<std::size_t>(m * n), 0.25f);
+        at_b[static_cast<std::size_t>(at_row * n + col)] = poison;
+        std::vector<float> at_c(static_cast<std::size_t>(k * n), 0.0f);
+        nk::matmul_at_accum(at_a.data(), at_b.data(), at_c.data(), m, k, n);
+        for (std::int64_t p = 0; p < k; ++p) {
+          EXPECT_TRUE(std::isnan(at_c[static_cast<std::size_t>(p * n + col)]))
+              << ctx << " at-kernel row " << p;
+        }
       }
     }
   }

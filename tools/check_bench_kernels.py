@@ -5,32 +5,59 @@ Usage: tools/check_bench_kernels.py BENCH_kernels.json
 
 The artifact must carry the threaded BM_MatmulKernel sweep and one
 BM_IsaTier/<case>/<tier> row per kernel case for the scalar tier and, when
-a vector tier was compiled in, for that tier too. On the GEMV serving shapes
-the vector tier must not be slower than scalar. Exits non-zero with a
-named reason on key drift or a regression. run_benches.sh runs it after
-regenerating the file; ctest runs it (label `ledger`) on the checked-in
-copy, so a stale or hand-edited artifact fails the test suite.
+a vector tier was compiled in, for that tier too. Every row runs
+REPETITIONS times and reports median and stddev aggregates; the checks read
+the medians. The context block must name the run's provenance (commit,
+build type, host width, active tier, NETLLM_THREADS). On the GEMV serving
+shapes and the narrow fp32 shapes the vector tier must not be slower than
+scalar. Exits non-zero with a named reason on key drift or a regression.
+run_benches.sh runs it after regenerating the file; ctest runs it (label
+`ledger`) on the checked-in copy, so a stale or hand-edited artifact fails
+the test suite.
 """
 import json, sys
+
+REPETITIONS = 5
+PROVENANCE = ("git_sha", "build_type", "nproc", "isa_active", "netllm_threads")
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 
-rows = [b for b in doc.get("benchmarks", [])
-        if b.get("run_type", "iteration") == "iteration" and "error_occurred" not in b]
-if not any(b["name"].startswith("BM_MatmulKernel/") for b in rows):
+context = doc.get("context", {})
+for key in PROVENANCE:
+    if key not in context:
+        raise SystemExit(f"schema drift: context lacks provenance key '{key}'")
+
+rows = [b for b in doc.get("benchmarks", []) if "error_occurred" not in b]
+if any(b.get("run_type") != "aggregate" for b in rows):
+    raise SystemExit("schema drift: per-repetition rows present; report aggregates only")
+
+runs = {}  # run_name -> {aggregate_name: row}
+for b in rows:
+    runs.setdefault(b["run_name"], {})[b["aggregate_name"]] = b
+for run_name, agg in runs.items():
+    for stat in ("median", "stddev"):
+        if stat not in agg:
+            raise SystemExit(f"schema drift: {run_name} lacks a {stat} aggregate")
+    if agg["median"].get("repetitions") != REPETITIONS:
+        raise SystemExit(f"schema drift: {run_name} ran "
+                         f"{agg['median'].get('repetitions')} repetitions, want {REPETITIONS}")
+if not any(name.startswith("BM_MatmulKernel/") for name in runs):
     raise SystemExit("schema drift: no BM_MatmulKernel rows (threaded matmul sweep)")
 
-CASES = ["f32_gemv512", "f32_gemm512", "q8_gemv512", "q8_gemm512",
-         "q4_gemv512", "q4_gemm512"]
-flops = {}  # (case, tier) -> items_per_second
-for b in rows:
-    parts = b["name"].split("/")
+CASES = ["f32_gemv512", "f32_gemm512", "f32_lora_gemv512", "f32_lora_gemm64", "f32_gemv64",
+         "q8_gemv512", "q8_gemm512", "q4_gemv512", "q4_gemm512"]
+# Serving shapes where the vector tier must never lose to scalar.
+FLOOR_CASES = ["f32_gemv512", "f32_lora_gemv512", "f32_lora_gemm64", "f32_gemv64",
+               "q8_gemv512", "q4_gemv512"]
+flops = {}  # (case, tier) -> median items_per_second
+for run_name, agg in runs.items():
+    parts = run_name.split("/")
     if parts[0] != "BM_IsaTier":
         continue
-    if "items_per_second" not in b:
-        raise SystemExit(f"schema drift: {b['name']} lacks items_per_second")
-    flops[(parts[1], parts[2])] = b["items_per_second"]
+    if "items_per_second" not in agg["median"]:
+        raise SystemExit(f"schema drift: {run_name} median lacks items_per_second")
+    flops[(parts[1], parts[2])] = agg["median"]["items_per_second"]
 
 for case in CASES:
     if (case, "scalar") not in flops:
@@ -44,11 +71,10 @@ if vector_tiers:
     for case in CASES:
         if (case, tier) not in flops:
             raise SystemExit(f"schema drift: missing BM_IsaTier/{case}/{tier} row")
-    for case in ("f32_gemv512", "q8_gemv512", "q4_gemv512"):
+    for case in FLOOR_CASES:
         ratio = flops[(case, tier)] / flops[(case, "scalar")]
         # Floor, not target: the vector tier must never LOSE to scalar on
-        # the serving GEMV shapes (a regression in the dispatch or the
-        # kernels). The measured margin on an AVX2 host is >= 2x.
+        # the serving shapes (a regression in the dispatch or the kernels).
         if ratio < 1.0:
             raise SystemExit(
                 f"regression: {tier} {case} slower than scalar ({ratio:.2f}x)")
@@ -58,4 +84,5 @@ if vector_tiers:
               f"({flops[(case, tier)]/1e9:.2f} vs {flops[(case, 'scalar')]/1e9:.2f} GFLOP/s)")
 else:
     print("ok: scalar-only host (no vector tier compiled/supported)")
-print("ok: BENCH_kernels.json schema + ISA tier floor")
+print(f"ok: BENCH_kernels.json schema + provenance ({context['git_sha'][:12]}, "
+      f"{context['build_type']}, isa {context['isa_active']}) + ISA tier floor")
