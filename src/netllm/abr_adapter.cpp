@@ -92,67 +92,100 @@ AbrAdapter::AbrAdapter(std::shared_ptr<llm::MiniGpt> llm, const AbrAdapterConfig
   }
 }
 
+std::array<Tensor, AbrAdapter::kStateTokens> AbrAdapter::encode_state(const AbrStep& s,
+                                                                      float rtg) const {
+  const auto hist = static_cast<std::int64_t>(abr::Observation::kHistory);
+  const float r[] = {rtg / cfg_.return_scale};
+  const float buf[] = {s.buffer, s.remaining};
+  return {rtg_encoder_->forward(r),
+          tp_encoder_->forward(Tensor::from(
+              std::vector<float>(s.throughput.begin(), s.throughput.end()), {1, hist})),
+          delay_encoder_->forward(
+              Tensor::from(std::vector<float>(s.delay.begin(), s.delay.end()), {1, hist})),
+          sizes_encoder_->forward(
+              Tensor::from(std::vector<float>(s.sizes.begin(), s.sizes.end()), {1, kLevels})),
+          buffer_encoder_->forward(buf)};
+}
+
 AbrAdapter::WindowTokens AbrAdapter::build_window(std::span<const AbrStep> steps,
-                                                  std::span<const float> rtg,
-                                                  bool open_last) const {
+                                                  std::span<const float> rtg) const {
   if (steps.empty() || steps.size() != rtg.size()) {
     throw std::invalid_argument("AbrAdapter::build_window: bad window");
   }
   WindowTokens out;
   std::vector<Tensor> tokens;
   tokens.reserve(steps.size() * kTokensPerStep);
-  const auto hist = static_cast<std::int64_t>(abr::Observation::kHistory);
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    const auto& s = steps[i];
-    const float r[] = {rtg[i] / cfg_.return_scale};
-    tokens.push_back(rtg_encoder_->forward(r));
-    tokens.push_back(tp_encoder_->forward(
-        Tensor::from(std::vector<float>(s.throughput.begin(), s.throughput.end()), {1, hist})));
-    tokens.push_back(delay_encoder_->forward(
-        Tensor::from(std::vector<float>(s.delay.begin(), s.delay.end()), {1, hist})));
-    tokens.push_back(sizes_encoder_->forward(
-        Tensor::from(std::vector<float>(s.sizes.begin(), s.sizes.end()), {1, kLevels})));
-    const float buf[] = {s.buffer, s.remaining};
-    tokens.push_back(buffer_encoder_->forward(buf));
+    for (auto& t : encode_state(steps[i], rtg[i])) tokens.push_back(std::move(t));
     // The feature at the last state token (buffer) predicts this action.
     out.predict_positions.push_back(static_cast<std::int64_t>(tokens.size()) - 1);
-    if (!(open_last && i + 1 == steps.size())) {
-      tokens.push_back(action_encoder_->forward(s.action));
-    }
+    tokens.push_back(action_encoder_->forward(steps[i].action));
   }
   out.sequence = concat_rows(tokens);
   return out;
 }
 
+Tensor AbrAdapter::served_sequence() {
+  const auto d = llm_->config().d_model;
+  const auto copy = [](const Tensor& t, std::vector<float>& out) {
+    out.insert(out.end(), t.data().begin(), t.data().end());
+  };
+  const std::size_t n = context_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& c = context_[i];
+    if (c.state_rows.empty()) {
+      std::vector<float> rows;
+      rows.reserve(static_cast<std::size_t>(kStateTokens * d));
+      for (const auto& t : encode_state(c.step, c.rtg)) copy(t, rows);
+      c.state_rows = std::move(rows);
+    }
+    // A step's action token is encoded once it stops being the last, from
+    // the action it recorded: the chosen level, or the default a step keeps
+    // when its decision threw.
+    if (i + 1 < n && c.action_row.empty()) {
+      copy(action_encoder_->forward(c.step.action), c.action_row);
+    }
+  }
+  const auto rows = static_cast<std::int64_t>(n) * kTokensPerStep - 1;
+  std::vector<float> seq;
+  seq.reserve(static_cast<std::size_t>(rows * d));
+  for (const auto& c : context_) {
+    seq.insert(seq.end(), c.state_rows.begin(), c.state_rows.end());
+    seq.insert(seq.end(), c.action_row.begin(), c.action_row.end());  // empty for the last
+  }
+  return Tensor::from(std::move(seq), {rows, d});
+}
+
+void AbrAdapter::invalidate_rows() {
+  for (auto& c : context_) {
+    c.state_rows.clear();
+    c.action_row.clear();
+  }
+}
+
 void AbrAdapter::begin_session() {
   rtg_now_ = target_return_;
   context_.clear();
-  context_rtg_.clear();
 }
 
 int AbrAdapter::choose_level(const abr::Observation& obs) {
-  context_.push_back(make_abr_step(obs));
-  context_rtg_.push_back(rtg_now_);
-  while (static_cast<int>(context_.size()) > cfg_.context_window) {
-    context_.pop_front();
-    context_rtg_.pop_front();
-  }
-  const std::vector<AbrStep> steps(context_.begin(), context_.end());
-  const std::vector<float> rtg(context_rtg_.begin(), context_rtg_.end());
+  context_.push_back({make_abr_step(obs), rtg_now_, {}, {}});
+  while (static_cast<int>(context_.size()) > cfg_.context_window) context_.pop_front();
   // Per-phase spans (DESIGN.md §11): encoder → backbone (prefill, inside
   // prefill_embeddings) → networking head. The window is served by the
   // graph-free backbone pass with no cache to capture into; training keeps
   // forward_embeddings and its tape.
-  auto window = [&] {
+  const auto sequence = [&] {
     core::trace::Span span(core::trace::Phase::kEncode);
-    return build_window(steps, rtg, /*open_last=*/true);
+    return served_sequence();
   }();
-  auto features = llm_->prefill_embeddings(window.sequence, {});
+  auto features = llm_->prefill_embeddings(sequence, {});
   const int level = [&] {
+    // The feature at the last state token (buffer) predicts the action.
     core::trace::Span span(core::trace::Phase::kHead);
-    return head_->argmax(slice_rows(features, window.predict_positions.back(), 1));
+    return head_->argmax(slice_rows(features, sequence.dim(0) - 1, 1));
   }();
-  context_.back().action = level;  // feed the chosen action back next step
+  context_.back().step.action = level;  // feed the chosen action back next step
   return std::min(level, obs.num_levels - 1);
 }
 
@@ -166,6 +199,7 @@ AbrAdapter::AdaptStats AbrAdapter::adapt(std::span<const AbrTrajectory> pool, in
   if (pool.empty()) throw std::invalid_argument("AbrAdapter::adapt: empty pool");
   // Train on the fp32 masters (see VpAdapter::adapt); requantize on exit.
   llm::ScopedQuantPause quant_pause(*llm_);
+  invalidate_rows();  // the weights change under the cached context rows
   core::Rng rng(seed);
   // Precompute returns-to-go per trajectory and the target return.
   std::vector<std::vector<float>> rtg(pool.size());
@@ -240,7 +274,7 @@ AbrAdapter::AdaptStats AbrAdapter::adapt(std::span<const AbrTrajectory> pool, in
       for (auto& s : window_steps) {
         if (rng.bernoulli(0.25)) s.action = static_cast<int>(rng.randint(0, kLevels - 1));
       }
-      auto window = build_window(window_steps, window_rtg, /*open_last=*/false);
+      auto window = build_window(window_steps, window_rtg);
       auto features = llm_->forward_embeddings(window.sequence);
       std::vector<Tensor> rows;
       for (std::size_t i = 0; i < window_steps.size(); ++i) {

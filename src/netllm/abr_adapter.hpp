@@ -13,6 +13,7 @@
 // chunk QoE — the standard decision-transformer trigger the paper builds on.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <memory>
 
@@ -99,16 +100,26 @@ class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
   std::vector<tensor::Tensor> adapt_parameters() const;
 
  private:
+  static constexpr int kStateTokens = 5;  // R, tp, delay, sizes, buf
+  static constexpr int kTokensPerStep = kStateTokens + 1;  // + action
+
   struct WindowTokens {
     tensor::Tensor sequence;          // [w * kTokensPerStep, d_model]
     std::vector<std::int64_t> predict_positions;  // feature row per step
   };
-  static constexpr int kTokensPerStep = 6;  // R, tp, delay, sizes, buf, action
 
-  /// Tokens for steps [first, last]; the final step's action token is
-  /// omitted when `open_last` (inference: the action is what we predict).
-  WindowTokens build_window(std::span<const AbrStep> steps, std::span<const float> rtg,
-                            bool open_last) const;
+  /// One step's state tokens in window order, each [1, d_model]. The one
+  /// per-step encode routine: training concatenates the Tensors (keeping
+  /// the tape), serving copies their values into the rolling context.
+  std::array<tensor::Tensor, kStateTokens> encode_state(const AbrStep& step, float rtg) const;
+  /// Training window: every step's state tokens, then its action token.
+  WindowTokens build_window(std::span<const AbrStep> steps, std::span<const float> rtg) const;
+  /// Served sequence [6n - 1, d_model] over the rolling context: copies the
+  /// cached rows, encoding only what they lack, and leaves the last step's
+  /// action open (it is what the head predicts).
+  tensor::Tensor served_sequence();
+  /// Drop every cached row; the raw steps stay and are re-encoded next call.
+  void invalidate_rows();
 
   std::shared_ptr<llm::MiniGpt> llm_;
   AbrAdapterConfig cfg_;
@@ -121,11 +132,19 @@ class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
   std::shared_ptr<CategoricalHead> head_;
   std::vector<tensor::Tensor> lora_;
 
-  // Inference-time rolling context.
+  // Inference-time rolling context. Each step keeps its encoded token rows
+  // as plain floats: a cache of the raw step (encoders are deterministic in
+  // (weights, input)), so a decision encodes only the newest step's state
+  // tokens and the action token of the step before it.
+  struct ContextStep {
+    AbrStep step;
+    float rtg = 0.0f;
+    std::vector<float> state_rows;  // [kStateTokens, d_model]; empty = not encoded
+    std::vector<float> action_row;  // [1, d_model], encoded once the step is not the last
+  };
   float target_return_ = 120.0f;  // updated from the pool during adapt()
   float rtg_now_ = 0.0f;
-  std::deque<AbrStep> context_;
-  std::deque<float> context_rtg_;
+  std::deque<ContextStep> context_;
 };
 
 }  // namespace netllm::adapt

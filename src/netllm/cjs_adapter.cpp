@@ -60,38 +60,110 @@ tensor::Tensor CjsAdapter::exec_scalars(const cjs::SchedObservation& obs) const 
   return exec_encoder_->forward(vals);
 }
 
-CjsAdapter::WindowTokens CjsAdapter::build_window(std::span<const StepContext> steps,
-                                                  bool open_last) const {
+CjsAdapter::StepTokens CjsAdapter::encode_state(const StepContext& step) const {
+  const float r[] = {step.rtg / return_scale_};
+  auto rtg = rtg_encoder_->forward(r);
+  auto graph = graph_encoder_->forward(step.obs.node_features, step.obs.topology);
+  return {{std::move(rtg), std::move(graph.global_token), exec_scalars(step.obs)},
+          std::move(graph.node_embeddings)};
+}
+
+std::array<Tensor, 2> CjsAdapter::encode_action(const Tensor& chosen_node, int cap_choice) const {
+  return {stage_token_norm_->forward(stage_token_proj_->forward(chosen_node)),
+          cap_encoder_->forward(cap_choice)};
+}
+
+CjsAdapter::WindowTokens CjsAdapter::build_window(std::span<const StepContext> steps) const {
   if (steps.empty()) throw std::invalid_argument("CjsAdapter::build_window: empty window");
   WindowTokens out;
   std::vector<Tensor> tokens;
   tokens.reserve(steps.size() * kTokensPerStep);
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    const auto& step = steps[i];
-    const float r[] = {step.rtg / return_scale_};
-    tokens.push_back(rtg_encoder_->forward(r));
-    auto graph = graph_encoder_->forward(step.obs.node_features, step.obs.topology);
-    tokens.push_back(graph.global_token);
-    tokens.push_back(exec_scalars(step.obs));
+  for (const auto& step : steps) {
+    auto enc = encode_state(step);
+    for (auto& t : enc.state) tokens.push_back(std::move(t));
     out.predict_positions.push_back(static_cast<std::int64_t>(tokens.size()) - 1);
     // Candidate embeddings for the pointer head: the runnable stages.
     std::vector<Tensor> cand_rows;
     cand_rows.reserve(step.obs.runnable_rows.size());
     for (int row : step.obs.runnable_rows) {
-      cand_rows.push_back(slice_rows(graph.node_embeddings, row, 1));
+      cand_rows.push_back(slice_rows(enc.node_embeddings, row, 1));
     }
     out.candidates.push_back(concat_rows(cand_rows));
-    if (!(open_last && i + 1 == steps.size())) {
-      const int chosen_row =
-          step.obs.runnable_rows[static_cast<std::size_t>(step.action.runnable_index)];
-      auto stage_tok = stage_token_norm_->forward(
-          stage_token_proj_->forward(slice_rows(graph.node_embeddings, chosen_row, 1)));
-      tokens.push_back(stage_tok);
-      tokens.push_back(cap_encoder_->forward(step.action.cap_choice));
+    const int chosen_row =
+        step.obs.runnable_rows[static_cast<std::size_t>(step.action.runnable_index)];
+    for (auto& t : encode_action(slice_rows(enc.node_embeddings, chosen_row, 1),
+                                 step.action.cap_choice)) {
+      tokens.push_back(std::move(t));
     }
   }
   out.sequence = concat_rows(tokens);
   return out;
+}
+
+Tensor CjsAdapter::served_sequence() {
+  const auto d = llm_->config().d_model;
+  const auto gnn = graph_encoder_->gnn_dim();
+  const auto copy = [](const Tensor& t, std::vector<float>& out) {
+    out.insert(out.end(), t.data().begin(), t.data().end());
+  };
+  const std::size_t n = context_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& c = context_[i];
+    if (c.state_rows.empty()) {
+      const auto enc = encode_state(c.raw);
+      std::vector<float> rows;
+      rows.reserve(static_cast<std::size_t>(kStateTokens * d));
+      for (const auto& t : enc.state) copy(t, rows);
+      c.node_rows.assign(enc.node_embeddings.data().begin(), enc.node_embeddings.data().end());
+      c.state_rows = std::move(rows);
+    }
+    // A step's action tokens are encoded once it stops being the last, from
+    // the action it recorded: the chosen one, or the default a step keeps
+    // when its decision threw.
+    if (i + 1 < n && c.action_rows.empty()) {
+      const auto row = static_cast<std::size_t>(
+          c.raw.obs.runnable_rows[static_cast<std::size_t>(c.raw.action.runnable_index)]);
+      const auto first = c.node_rows.begin() + static_cast<std::ptrdiff_t>(row * gnn);
+      std::vector<float> rows;
+      rows.reserve(static_cast<std::size_t>(2 * d));
+      for (const auto& t : encode_action(
+               Tensor::from(std::vector<float>(first, first + gnn), {1, gnn}),
+               c.raw.action.cap_choice)) {
+        copy(t, rows);
+      }
+      c.action_rows = std::move(rows);
+    }
+  }
+  const auto rows = static_cast<std::int64_t>(n) * kTokensPerStep - 2;
+  std::vector<float> seq;
+  seq.reserve(static_cast<std::size_t>(rows * d));
+  for (const auto& c : context_) {
+    seq.insert(seq.end(), c.state_rows.begin(), c.state_rows.end());
+    seq.insert(seq.end(), c.action_rows.begin(), c.action_rows.end());  // empty for the last
+  }
+  return Tensor::from(std::move(seq), {rows, d});
+}
+
+Tensor CjsAdapter::last_candidates() const {
+  const auto& last = context_.back();
+  const auto gnn = graph_encoder_->gnn_dim();
+  const auto& runnable = last.raw.obs.runnable_rows;
+  if (runnable.empty()) throw std::invalid_argument("CjsAdapter: no runnable stage");
+  std::vector<float> cand;
+  cand.reserve(runnable.size() * static_cast<std::size_t>(gnn));
+  for (int row : runnable) {
+    const auto first = last.node_rows.begin() + static_cast<std::ptrdiff_t>(row) * gnn;
+    cand.insert(cand.end(), first, first + gnn);
+  }
+  return Tensor::from(std::move(cand), {static_cast<std::int64_t>(runnable.size()), gnn});
+}
+
+void CjsAdapter::invalidate_rows() {
+  for (auto& c : context_) {
+    c.state_rows.clear();
+    c.node_rows.clear();
+    c.action_rows.clear();
+  }
 }
 
 void CjsAdapter::begin_episode() {
@@ -102,27 +174,24 @@ void CjsAdapter::begin_episode() {
 void CjsAdapter::observe_reward(double reward) { rtg_now_ += static_cast<float>(reward); }
 
 cjs::SchedAction CjsAdapter::choose(const cjs::SchedObservation& obs) {
-  StepContext step;
-  step.obs = obs;
-  step.rtg = rtg_now_;
-  context_.push_back(std::move(step));
+  context_.push_back({{obs, {}, rtg_now_}, {}, {}, {}});
   while (static_cast<int>(context_.size()) > cfg_.context_window) context_.pop_front();
-  const std::vector<StepContext> steps(context_.begin(), context_.end());
   // Per-phase spans (DESIGN.md §11): encoder → backbone (prefill, inside
   // prefill_embeddings, graph-free and capturing nothing) → networking heads.
-  auto window = [&] {
+  const auto sequence = [&] {
     core::trace::Span span(core::trace::Phase::kEncode);
-    return build_window(steps, /*open_last=*/true);
+    return served_sequence();
   }();
-  auto features = llm_->prefill_embeddings(window.sequence, {});
-  auto feature = slice_rows(features, window.predict_positions.back(), 1);
+  auto features = llm_->prefill_embeddings(sequence, {});
+  // The feature at the last state token (exec) predicts the action.
+  auto feature = slice_rows(features, sequence.dim(0) - 1, 1);
   cjs::SchedAction action;
   {
     core::trace::Span span(core::trace::Phase::kHead);
-    action.runnable_index = stage_head_->argmax(feature, window.candidates.back());
+    action.runnable_index = stage_head_->argmax(feature, last_candidates());
     action.cap_choice = cap_head_->argmax(feature);
   }
-  context_.back().action = action;
+  context_.back().raw.action = action;
   return action;
 }
 
@@ -132,6 +201,7 @@ CjsAdapter::AdaptStats CjsAdapter::adapt(std::span<const CjsTrajectory> pool, in
   if (pool.empty()) throw std::invalid_argument("CjsAdapter::adapt: empty pool");
   // Train on the fp32 masters (see VpAdapter::adapt); requantize on exit.
   llm::ScopedQuantPause quant_pause(*llm_);
+  invalidate_rows();  // the weights and the return scale change under the cached rows
   core::Rng rng(seed);
   // Returns-to-go per decision; fit the normalisation scale and target.
   std::vector<std::vector<float>> rtg(pool.size());
@@ -213,7 +283,7 @@ CjsAdapter::AdaptStats CjsAdapter::adapt(std::span<const CjsTrajectory> pool, in
       window_steps.push_back(std::move(sc));
     }
     opt.zero_grad();
-    auto window = build_window(window_steps, /*open_last=*/false);
+    auto window = build_window(window_steps);
     auto features = llm_->forward_embeddings(window.sequence);
     std::vector<Tensor> losses;
     std::vector<Tensor> cap_rows;

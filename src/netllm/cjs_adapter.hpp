@@ -11,6 +11,7 @@
 // token of the step. Context window w = 20 per the paper.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <memory>
 
@@ -74,14 +75,19 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
   float target_return() const { return target_return_; }
   void set_target_return(float target) { target_return_ = target; }
   float return_scale() const { return return_scale_; }
-  void set_return_scale(float scale) { return_scale_ = scale; }
+  /// Rescaling the return-to-go re-encodes the rolling context's rtg tokens.
+  void set_return_scale(float scale) {
+    return_scale_ = scale;
+    invalidate_rows();
+  }
 
  /// Parameters the Adapt API optimises: encoder + head + LoRA, plus the
   /// backbone when cfg.train_backbone is set.
   std::vector<tensor::Tensor> adapt_parameters() const;
 
  private:
-  static constexpr int kTokensPerStep = 5;
+  static constexpr int kStateTokens = 3;   // rtg, DAG global token, exec scalars
+  static constexpr int kTokensPerStep = kStateTokens + 2;  // + stage, cap
 
   struct StepContext {
     cjs::SchedObservation obs;  // tensor handles share storage; copies are cheap
@@ -89,15 +95,46 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
     float rtg = 0.0f;
   };
 
+  /// One step's state tokens and the GNN node embeddings its stage token
+  /// and pointer candidates read. The one per-step encode routine: training
+  /// concatenates the Tensors (keeping the tape), serving copies their values
+  /// into the rolling context.
+  struct StepTokens {
+    std::array<tensor::Tensor, kStateTokens> state;  // each [1, d_model]
+    tensor::Tensor node_embeddings;                   // [nodes, gnn_dim]
+  };
+  StepTokens encode_state(const StepContext& step) const;
+  /// The action tokens [stage, cap] of a step whose chosen stage has GNN
+  /// embedding `chosen_node` [1, gnn_dim].
+  std::array<tensor::Tensor, 2> encode_action(const tensor::Tensor& chosen_node,
+                                              int cap_choice) const;
+
   struct WindowTokens {
     tensor::Tensor sequence;                       // [tokens, d_model]
     std::vector<std::int64_t> predict_positions;   // exec-token row per step
     std::vector<tensor::Tensor> candidates;        // runnable node embeddings per step
   };
-  /// Token sequence for a window of decisions; the final step's action
-  /// tokens are omitted when `open_last` (inference).
-  WindowTokens build_window(std::span<const StepContext> steps, bool open_last) const;
+  /// Training window: every step's state tokens, then its action tokens.
+  WindowTokens build_window(std::span<const StepContext> steps) const;
   tensor::Tensor exec_scalars(const cjs::SchedObservation& obs) const;
+
+  // Inference-time rolling context. Each step keeps its encoded rows as
+  // plain floats: a cache of the raw step (encoders are deterministic in
+  // (weights, input)), so a decision runs one GNN pass, for the newest step.
+  struct ServedStep {
+    StepContext raw;
+    std::vector<float> state_rows;   // [kStateTokens, d_model]; empty = not encoded
+    std::vector<float> node_rows;    // [nodes, gnn_dim], the step's GNN node embeddings
+    std::vector<float> action_rows;  // [2, d_model], encoded once the step is not the last
+  };
+  /// Served sequence [5n - 2, d_model] over the rolling context: copies the
+  /// cached rows, encoding only what they lack, and leaves the last step's
+  /// action open (it is what the heads predict).
+  tensor::Tensor served_sequence();
+  /// The last step's runnable-stage embeddings [runnable, gnn_dim].
+  tensor::Tensor last_candidates() const;
+  /// Drop every cached row; the raw steps stay and are re-encoded next call.
+  void invalidate_rows();
 
   std::shared_ptr<llm::MiniGpt> llm_;
   CjsAdapterConfig cfg_;
@@ -114,7 +151,7 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
   float return_scale_ = 2000.0f;  // fitted to the pool during adapt()
   float target_return_ = 0.0f;
   float rtg_now_ = 0.0f;
-  std::deque<StepContext> context_;
+  std::deque<ServedStep> context_;
 };
 
 }  // namespace netllm::adapt

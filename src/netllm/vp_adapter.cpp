@@ -1,6 +1,7 @@
 #include "netllm/vp_adapter.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "core/fault.hpp"
@@ -83,18 +84,32 @@ bool all_finite(std::span<const float> xs) {
   return true;
 }
 
+/// The warm-prefix key of a request: the saliency's rank, dims and floats,
+/// then the history viewports' bytes, packed into floats that the arena
+/// only hashes and compares bytewise. Equal keys mean an equal raw request,
+/// and so (the encoders being deterministic) an equal encoded prompt.
+std::vector<float> request_key(std::span<const vp::Viewport> history, const Tensor& saliency) {
+  static_assert(sizeof(vp::Viewport) % sizeof(float) == 0);
+  std::vector<float> key;
+  key.reserve(1 + saliency.shape().size() + saliency.data().size() +
+              history.size_bytes() / sizeof(float));
+  key.push_back(static_cast<float>(saliency.rank()));
+  for (const auto dim : saliency.shape()) key.push_back(static_cast<float>(dim));
+  key.insert(key.end(), saliency.data().begin(), saliency.data().end());
+  const auto packed = key.size();
+  key.resize(packed + history.size_bytes() / sizeof(float));
+  std::memcpy(key.data() + packed, history.data(), history.size_bytes());
+  return key;
+}
+
 }  // namespace
 
 std::vector<vp::Viewport> VpAdapter::predict(std::span<const vp::Viewport> history,
                                              const Tensor& saliency, int horizon) {
   if (history.empty() || horizon <= 0) throw std::invalid_argument("VpAdapter: bad inputs");
-  // Encode the prompt (image token + history viewports) exactly once.
-  const auto prompt = [&] {
-    core::trace::Span span(core::trace::Phase::kEncode);
-    return build_sequence(history, {}, saliency);
-  }();
-  const auto prompt_len = prompt.dim(0);
-  // The rollout appends horizon-1 generated viewports after the prompt.
+  // The prompt is the image token plus one token per history viewport; the
+  // rollout appends horizon-1 generated viewports after it.
+  const auto prompt_len = 1 + static_cast<std::int64_t>(history.size());
   const auto rows_needed = prompt_len + horizon - 1;
 
   // Per-layer caches: a pooled arena lease when attached (may throw the
@@ -115,24 +130,30 @@ std::vector<vp::Viewport> VpAdapter::predict(std::span<const vp::Viewport> histo
     layers = own;
   }
 
-  // Prefix sharing: requests carrying the same DT-style prompt skeleton
-  // (identical image + history embeddings, byte-for-byte) adopt the
-  // published K/V rows and last-position features instead of re-running the
-  // backbone prefill. The floats are the published request's own prefill
-  // output, so a hit is bitwise a cold prefill.
+  // Prefix sharing: requests carrying the same raw prompt (saliency and
+  // history, byte-for-byte) adopt the published K/V rows and last-position
+  // features, skipping the encoders and the backbone prefill. The floats are
+  // the published request's own prefill output, and the encoders are
+  // deterministic in (weights, input), so a hit is bitwise a cold prefill.
   const auto d_model = llm_->config().d_model;
-  const std::uint64_t key = arena_ ? nn::KvArena::prefix_key(prompt.data()) : 0;
+  const auto key_floats = arena_ ? request_key(history, saliency) : std::vector<float>{};
+  const std::uint64_t key = arena_ ? nn::KvArena::prefix_key(key_floats) : 0;
   Tensor features_last;
   std::vector<float> warm_features;
-  if (arena_ && arena_->adopt(key, prompt.data(), lease, &warm_features)) {
+  if (arena_ && arena_->adopt(key, key_floats, lease, &warm_features)) {
     features_last = Tensor::from(std::move(warm_features), {1, d_model});
   } else {
+    // Encode the prompt (image token + history viewports) exactly once.
+    const auto prompt = [&] {
+      core::trace::Span span(core::trace::Phase::kEncode);
+      return build_sequence(history, {}, saliency);
+    }();
     auto features = llm_->prefill_embeddings(prompt, layers);
     features_last = slice_rows(features, prompt_len - 1, 1);
     // Never publish poisoned features: an armed llm.forward NaN fault must
     // degrade this one request, not seed the warm cache for every later hit.
     if (arena_ && all_finite(features_last.data())) {
-      arena_->publish(key, prompt.data(), {layers.data(), layers.size()}, prompt_len,
+      arena_->publish(key, key_floats, {layers.data(), layers.size()}, prompt_len,
                       features_last.data());
     }
   }
@@ -197,6 +218,9 @@ VpAdapter::AdaptStats VpAdapter::adapt(std::span<const vp::VpSample> dataset, in
   // for the whole loop so losses, gradients and checkpoints are bitwise
   // those of an fp32-backbone run, and requantize on the way out.
   llm::ScopedQuantPause quant_pause(*llm_);
+  // Warm prefixes are keyed on raw requests, so rows the old weights
+  // computed must not be adopted after the weights change.
+  if (arena_) arena_->clear_warm();
   core::Rng rng(seed);
   Adam opt(adapt_parameters(), lr);  // unfreezes the backbone when it trains too
   TrainGuard guard(opt.params());

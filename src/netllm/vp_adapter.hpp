@@ -47,9 +47,10 @@ class VpAdapter final : public nn::Module, public vp::VpPredictor {
   /// backbone once, then run one incremental `embeddings_step` per further
   /// rollout step — bitwise identical to `predict_uncached`, which re-runs
   /// the full forward every step. With a `KvArena` attached the per-layer
-  /// caches are pooled leases and an identical prompt adopts a published
-  /// prefix (skipping the prefill entirely); `KvArena::Exhausted` propagates
-  /// to the caller (the serve engine sheds such requests deterministically).
+  /// caches are pooled leases and a request whose raw prompt (saliency and
+  /// history, byte-for-byte) was published adopts that prefix, skipping the
+  /// encoders and the prefill entirely; `KvArena::Exhausted` propagates to
+  /// the caller (the serve engine sheds such requests deterministically).
   std::vector<vp::Viewport> predict(std::span<const vp::Viewport> history,
                                     const tensor::Tensor& saliency, int horizon) override;
   /// The pre-§13 rollout: a full `forward_embeddings` per step. Kept as the
@@ -59,7 +60,8 @@ class VpAdapter final : public nn::Module, public vp::VpPredictor {
 
   /// Attach (or detach, with nullptr) a pooled KV arena; the serve engine
   /// injects its own so concurrent requests share the page budget and the
-  /// warm prefix cache.
+  /// warm prefix cache. Warm prefixes are keyed on raw requests, so an arena
+  /// serves this one adapter, and `adapt()` empties its warm set.
   void set_kv_arena(std::shared_ptr<nn::KvArena> arena) { arena_ = std::move(arena); }
   const std::shared_ptr<nn::KvArena>& kv_arena() const { return arena_; }
 

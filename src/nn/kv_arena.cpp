@@ -219,6 +219,14 @@ void KvArena::publish(std::uint64_t key, std::span<const float> prompt,
   set_gauge_locked();
 }
 
+void KvArena::clear_warm() {
+  std::lock_guard<std::mutex> lock(mu_);
+  pages_in_use_ -= warm_pages_;
+  warm_pages_ = 0;
+  warm_.clear();
+  set_gauge_locked();
+}
+
 std::int64_t KvArena::pages_in_use() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pages_in_use_;

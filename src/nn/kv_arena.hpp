@@ -9,14 +9,18 @@
 //
 // On top of the pool sits a warm *prefix cache*: the DT-style
 // `return-to-go | state | action` prompt skeleton repeats across requests of
-// a task, so a request whose prompt embedding matches a published prefix
-// adopts the prefix's K/V rows (a memcpy) instead of re-running the backbone
-// prefill. Entries are content-keyed (hash + full-byte verification, so a
-// hash collision can never serve another prompt's cache) and LRU-evicted
-// under the same page budget — in-flight leases always win over warm
-// prefixes; only when the budget cannot cover a lease even with the warm set
-// empty does `lease()` throw the named `Exhausted` error (without evicting
-// anything), which the serve engine maps to a deterministic shed-to-fallback.
+// a task, so a request whose prompt matches a published prefix adopts the
+// prefix's K/V rows (a memcpy) instead of re-running the backbone prefill.
+// The owner chooses what the prompt floats are: `VpAdapter` packs the raw
+// request (saliency, then history), so a hit also skips its encoders; the
+// owner's weights must not change while its entries are warm (`clear_warm`).
+// One arena serves one owner. Entries are content-keyed (hash + full-byte
+// verification, so a hash collision can never serve another prompt's cache)
+// and LRU-evicted under the same page budget — in-flight leases always win
+// over warm prefixes; only when the budget cannot cover a lease even with
+// the warm set empty does `lease()` throw the named `Exhausted` error
+// (without evicting anything), which the serve engine maps to a
+// deterministic shed-to-fallback.
 //
 // Observability: kv.arena.pages_in_use gauge, kv.arena.evictions /
 // kv.prefix.hits / kv.prefix.misses counters.
@@ -81,8 +85,8 @@ class KvArena {
   Lease lease(std::int64_t rows);
 
   // ---- prefix sharing ----
-  /// Content key for a prompt: FNV-1a over the raw float bytes of its
-  /// embedding rows. Collisions are tolerated — adopt() verifies bytes.
+  /// Content key for a prompt: FNV-1a over its raw float bytes. Collisions
+  /// are tolerated — adopt() verifies bytes.
   static std::uint64_t prefix_key(std::span<const float> prompt);
   /// On a hit, copy the published prefix K/V rows into `lease` (which must be
   /// fresh) and the stored last-position feature row into `features`;
@@ -95,6 +99,10 @@ class KvArena {
   /// budget no room for the entry.
   void publish(std::uint64_t key, std::span<const float> prompt, std::span<const KvCache> layers,
                std::int64_t rows, std::span<const float> features);
+  /// Drop every warm prefix entry and return its pages; leases are
+  /// untouched. For an owner whose weights changed, so no later request
+  /// adopts rows the old weights computed.
+  void clear_warm();
 
   // ---- stats (also mirrored into core::metrics) ----
   std::int64_t pages_in_use() const;

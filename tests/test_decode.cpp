@@ -12,7 +12,8 @@
 // forward for every dtype, LoRA setting, head width, ISA tier and thread
 // count, with the same kernel counters and no intermediate nodes; NaNs still
 // reach it, it builds no autograd history, and the served ABR/CJS decisions
-// match digests recorded on the tape path.
+// match digests recorded on the tape path and, under a seeded forward Throw
+// storm, digests recorded with adapters that re-encoded every window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -841,21 +842,35 @@ void spread(const std::vector<Tensor>& params, Rng& rng) {
   }
 }
 
-/// ABR levels over three seeded test sessions and CJS actions over one
-/// seeded episode, served by adapters with spread parameters.
-std::pair<Digest, Digest> served_decisions(nq::Dtype dtype) {
+/// What a served run adds to the pinned one: more ABR sessions and CJS job
+/// requests, and each adapter behind a guard whose breaker never opens, so a
+/// decision that throws falls back and the next one still reaches the
+/// adapter, whose context keeps the thrown step with its default action.
+struct ServedRun {
+  int abr_traces = 3;
+  int cjs_jobs = 8;
+  bool guarded = false;
+};
+
+/// ABR levels over seeded test sessions and CJS actions over one seeded
+/// episode, served by adapters with spread parameters.
+std::pair<Digest, Digest> served_decisions(nq::Dtype dtype, const ServedRun& run = {}) {
   Digest abr_digest, cjs_digest;
+  ad::GuardConfig guard;
+  guard.breaker_threshold = std::numeric_limits<int>::max();
   {
     Rng rng(41);
     ad::AbrAdapterConfig cfg;
     cfg.lora_rank = 2;
     auto gpt = tiny_llm(43, 112);
-    ad::AbrAdapter adapter(gpt, cfg, rng);
-    spread(adapter.trainable_parameters(), rng);
+    auto adapter = std::make_shared<ad::AbrAdapter>(gpt, cfg, rng);
+    spread(adapter->trainable_parameters(), rng);
     gpt->quantize_backbone(dtype);
     auto setting = abr::abr_default_test();
-    setting.num_traces = 3;
-    RecordingAbr recording(adapter, abr_digest);
+    setting.num_traces = run.abr_traces;
+    std::shared_ptr<abr::AbrPolicy> policy = adapter;
+    if (run.guarded) policy = ad::api::Guard(policy, guard);
+    RecordingAbr recording(*policy, abr_digest);
     (void)abr::evaluate_qoe(recording, abr::video_for(setting), abr::traces_for(setting));
   }
   {
@@ -863,15 +878,17 @@ std::pair<Digest, Digest> served_decisions(nq::Dtype dtype) {
     ad::CjsAdapterConfig cfg;
     cfg.lora_rank = 2;
     auto gpt = tiny_llm(53, 112);
-    ad::CjsAdapter adapter(gpt, cfg, rng);
-    spread(adapter.trainable_parameters(), rng);
+    auto adapter = std::make_shared<ad::CjsAdapter>(gpt, cfg, rng);
+    spread(adapter->trainable_parameters(), rng);
     gpt->quantize_backbone(dtype);
     cjs::WorkloadConfig wl;
-    wl.num_job_requests = 8;
+    wl.num_job_requests = run.cjs_jobs;
     wl.executor_units_k = 6;
     wl.scale = 1.0;
     wl.seed = 5;
-    RecordingCjs recording(adapter, cjs_digest);
+    std::shared_ptr<cjs::SchedPolicy> policy = adapter;
+    if (run.guarded) policy = ad::api::Guard(policy, guard);
+    RecordingCjs recording(*policy, cjs_digest);
     (void)cjs::run_workload(wl, recording);
   }
   return {abr_digest, cjs_digest};
@@ -908,6 +925,58 @@ TEST_F(Decode, ServedAbrAndCjsDecisionsMatchPinnedDigests) {
       EXPECT_EQ(abr_d.hash, p.abr_hash) << where;
       EXPECT_EQ(cjs_d.count, p.cjs_count) << where;
       EXPECT_EQ(cjs_d.hash, p.cjs_hash) << where;
+      EXPECT_GE(abr_d.distinct(), 3u) << where;
+      EXPECT_GE(cjs_d.distinct(), 3u) << where;
+    }
+  }
+}
+
+// A seeded llm.forward Throw storm over the guarded adapters: a decision
+// that throws leaves its step in the rolling context with the default
+// action, which every later decision in the window encodes. The adapters
+// keep each step's encoded token rows between decisions; these digests were
+// recorded with adapters that re-encode the whole window every decision, so
+// the cached rows must reproduce them, including the thrown steps' actions.
+TEST_F(Decode, ServedDecisionsUnderAForwardThrowStormMatchPinnedDigests) {
+  ThreadGuard threads;
+  IsaGuard tier;
+  isa::set_active_isa(isa::Isa::kScalar);
+  struct Pinned {
+    nq::Dtype dtype;
+    int abr_count;
+    std::uint64_t abr_hash;
+    int cjs_count;
+    std::uint64_t cjs_hash;
+    int throws;
+  };
+  // Unstormed, the two dtypes part on a few borderline ABR steps; under this
+  // storm they happen to agree.
+  const Pinned pinned[] = {
+      {nq::Dtype::kF32, 432, 0xefe3e1bc0f4cfbefull, 252, 0x9f51211c9ecbbc59ull, 67},
+      {nq::Dtype::kQ8_0, 432, 0xefe3e1bc0f4cfbefull, 252, 0x9f51211c9ecbbc59ull, 67},
+  };
+  ServedRun run;
+  run.abr_traces = 9;
+  run.cjs_jobs = 20;
+  run.guarded = true;
+  for (const int n_threads : {1, 3}) {
+    nc::set_global_threads(n_threads);
+    for (const auto& p : pinned) {
+      fault::Scope scope;
+      fault::StormPlan storm;
+      storm.seed = 2027;
+      storm.sites.push_back({"llm.forward", fault::FaultKind::Throw, 0.1, 1, 0.0});
+      fault::arm_storm(storm);
+      const auto [abr_d, cjs_d] = served_decisions(p.dtype, run);
+      const auto where = std::string(nq::dtype_name(p.dtype)) + " threads=" +
+                         std::to_string(n_threads);
+      EXPECT_EQ(fault::fired("llm.forward"), p.throws) << where;
+      EXPECT_EQ(abr_d.count, p.abr_count) << where;
+      EXPECT_EQ(abr_d.hash, p.abr_hash) << where;
+      EXPECT_EQ(cjs_d.count, p.cjs_count) << where;
+      EXPECT_EQ(cjs_d.hash, p.cjs_hash) << where;
+      EXPECT_GE(abr_d.count, 400) << where;
+      EXPECT_GE(cjs_d.count, 200) << where;
       EXPECT_GE(abr_d.distinct(), 3u) << where;
       EXPECT_GE(cjs_d.distinct(), 3u) << where;
     }

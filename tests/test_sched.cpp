@@ -17,18 +17,28 @@
 //   - the KvCache bugfix sweep: clear() forgets the width, reserve() pins the
 //     allocation, and Block admission wakes by notification, not by polling,
 //   - a lease or publish that cannot fit even with the warm set empty leaves
-//     the warm set intact.
+//     the warm set intact,
+//   - encode once: after a mid-session ABR adapt() or a mid-episode CJS
+//     set_return_scale(), the next decisions equal those of a fresh adapter
+//     replaying the same raw steps; a warm VP prefix keyed on the raw
+//     request serves bitwise the uncached answer, one flipped history bit
+//     misses, adapt() empties the warm set and a NaN saliency never
+//     publishes.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "baselines/abr/rule_based.hpp"
+#include "baselines/cjs/rule_based.hpp"
 #include "core/fault.hpp"
 #include "core/metrics.hpp"
 #include "core/rng.hpp"
@@ -37,6 +47,8 @@
 #include "envs/abr/policy.hpp"
 #include "llm/minigpt.hpp"
 #include "llm/tokenizer.hpp"
+#include "netllm/abr_adapter.hpp"
+#include "netllm/cjs_adapter.hpp"
 #include "netllm/serve.hpp"
 #include "netllm/vp_adapter.hpp"
 #include "nn/kv_arena.hpp"
@@ -510,4 +522,191 @@ TEST_F(Sched, BlockAdmissionWakesByNotificationNotPolling) {
   const auto wakeups = nm::counter("serve.admission.wakeups").value();
   EXPECT_GE(wakeups, 1);  // the instrumented predicate wait actually ran
   EXPECT_LE(wakeups, 4);  // and it did not poll the 150 ms away in slices
+}
+
+// ---------- encode once: cached context rows and the raw VP key ----------
+
+namespace {
+
+namespace abr = netllm::abr;
+namespace cjs = netllm::cjs;
+namespace fault = netllm::core::fault;
+
+/// Every trainable adapter parameter uniform in [-2, 2], so the decisions
+/// spread over several actions and follow the weights.
+void spread(const std::vector<Tensor>& params, Rng& rng) {
+  for (auto t : params) {
+    for (auto& x : t.mutable_data()) x = static_cast<float>(rng.uniform(-2.0, 2.0));
+  }
+}
+
+std::shared_ptr<ad::AbrAdapter> abr_adapter() {
+  Rng rng(61);
+  ad::AbrAdapterConfig cfg;
+  cfg.lora_rank = 2;
+  cfg.context_window = 6;
+  auto adapter = std::make_shared<ad::AbrAdapter>(tiny_llm(67), cfg, rng);
+  spread(adapter->trainable_parameters(), rng);
+  return adapter;
+}
+
+std::shared_ptr<ad::CjsAdapter> cjs_adapter() {
+  Rng rng(73);  // a seed whose decisions follow the rtg tokens of older steps
+  ad::CjsAdapterConfig cfg;
+  cfg.lora_rank = 2;
+  cfg.context_window = 6;
+  auto adapter = std::make_shared<ad::CjsAdapter>(tiny_llm(73), cfg, rng);
+  spread(adapter->trainable_parameters(), rng);
+  return adapter;
+}
+
+/// `n` decisions whose backbone pass throws: each step stays in the rolling
+/// context with the default action, whatever the weights would choose, so
+/// two adapters with different weights hold the same raw steps after it.
+template <typename Decide>
+void throwing_decisions(int n, Decide&& decide) {
+  fault::FaultPlan plan;
+  plan.times = n;
+  fault::arm("llm.forward", plan);
+  for (int i = 0; i < n; ++i) EXPECT_THROW(decide(i), fault::FaultInjected);
+  fault::disarm("llm.forward");
+}
+
+}  // namespace
+
+TEST_F(Sched, AbrDecisionsAfterAMidSessionAdaptEqualAFreshAdapterReplayingTheSteps) {
+  nc::set_global_threads(1);
+  auto setting = abr::abr_default_test();
+  setting.num_traces = 1;
+  const auto video = abr::video_for(setting);
+  const auto traces = abr::traces_for(setting);
+  netllm::baselines::Bba bba;
+  const auto pool = ad::collect_abr_experience(bba, video, traces, 1, 0.0, 3);
+  std::vector<abr::Observation> obs;
+  abr::StreamingSession session(video, traces.front());
+  bba.begin_session();
+  while (!session.done()) {
+    obs.push_back(session.observe());
+    (void)session.step(bba.choose_level(obs.back()));
+  }
+  ASSERT_GE(obs.size(), 20u);
+
+  auto live = abr_adapter();
+  auto fresh = abr_adapter();
+  const float target = live->target_return();
+  // The fresh adapter gets the adapted weights up front (adapt is
+  // deterministic) and the live one's session target.
+  fresh->adapt(pool, 2, 0.5f, 9);
+  fresh->set_target_return(target);
+
+  constexpr int kWarm = 5;  // fills most of the 6-step window
+  live->begin_session();
+  throwing_decisions(kWarm, [&](int i) { return live->choose_level(obs[i]); });
+  live->adapt(pool, 2, 0.5f, 9);  // the cached rows of those steps are stale now
+  fresh->begin_session();
+  throwing_decisions(kWarm, [&](int i) { return fresh->choose_level(obs[i]); });
+  std::vector<int> live_levels, fresh_levels;
+  for (std::size_t i = kWarm; i < 20; ++i) {
+    live_levels.push_back(live->choose_level(obs[i]));
+    fresh_levels.push_back(fresh->choose_level(obs[i]));
+  }
+  EXPECT_EQ(live_levels, fresh_levels);
+}
+
+TEST_F(Sched, CjsDecisionsAfterAMidEpisodeReturnRescaleEqualAFreshAdapterReplayingTheSteps) {
+  nc::set_global_threads(1);
+  cjs::WorkloadConfig wl;
+  wl.num_job_requests = 6;
+  wl.executor_units_k = 6;
+  wl.scale = 1.0;
+  wl.seed = 5;
+  netllm::baselines::FifoScheduler fifo;
+  const auto pool = ad::collect_cjs_experience(fifo, wl, 1, 7);
+  ASSERT_GE(pool.front().size(), 20u);
+  const auto obs = [&](std::size_t i) -> const cjs::SchedObservation& {
+    return pool.front()[i].obs;
+  };
+
+  auto live = cjs_adapter();
+  auto fresh = cjs_adapter();
+  constexpr float kRescaled = 0.01f;  // rtg tokens from bias-led to weight-led
+  for (auto* a : {live.get(), fresh.get()}) a->set_target_return(-300.0f);  // rtg tokens read it
+  fresh->set_return_scale(kRescaled);
+
+  constexpr int kWarm = 5;
+  live->begin_episode();
+  throwing_decisions(kWarm, [&](int i) { return live->choose(obs(i)); });
+  live->set_return_scale(kRescaled);  // the cached rtg rows of those steps are stale now
+  fresh->begin_episode();
+  throwing_decisions(kWarm, [&](int i) { return fresh->choose(obs(i)); });
+  for (std::size_t i = kWarm; i < 20; ++i) {
+    const auto a = live->choose(obs(i));
+    const auto b = fresh->choose(obs(i));
+    EXPECT_EQ(a.runnable_index, b.runnable_index) << "decision " << i;
+    EXPECT_EQ(a.cap_choice, b.cap_choice) << "decision " << i;
+  }
+}
+
+TEST_F(Sched, RawKeyHitIsBitwiseUncachedAndOneFlippedHistoryBitMisses) {
+  nc::set_global_threads(1);
+  const auto s = vp_samples(1).front();
+  auto adapter = vp_adapter(21);
+  const auto& cfg = adapter->llm().config();
+  auto arena = std::make_shared<nn::KvArena>(cfg.n_layers, cfg.d_model);
+  adapter->set_kv_arena(arena);
+  const auto legacy = adapter->predict_uncached(s.history, s.saliency, 4);
+  expect_same_rollout(adapter->predict(s.history, s.saliency, 4), legacy);  // publishes
+  expect_same_rollout(adapter->predict(s.history, s.saliency, 4), legacy);  // adopts
+  EXPECT_EQ(arena->prefix_hits(), 1u);
+  EXPECT_EQ(arena->prefix_misses(), 1u);
+
+  // One bit of one history coordinate, away from the last viewport the
+  // rollout starts from: a different raw request, so it must miss.
+  auto flipped = s.history;
+  ASSERT_GE(flipped.size(), 2u);
+  flipped[1].yaw = std::bit_cast<double>(std::bit_cast<std::uint64_t>(flipped[1].yaw) ^ 1u);
+  expect_same_rollout(adapter->predict(flipped, s.saliency, 4),
+                      adapter->predict_uncached(flipped, s.saliency, 4));
+  EXPECT_EQ(arena->prefix_hits(), 1u);
+  EXPECT_EQ(arena->prefix_misses(), 2u);
+}
+
+TEST_F(Sched, VpAdaptEmptiesTheWarmSetSoNoPreAdaptPrefixIsAdopted) {
+  nc::set_global_threads(1);
+  const auto samples = vp_samples(2);
+  auto adapter = vp_adapter(23);
+  const auto& cfg = adapter->llm().config();
+  auto arena = std::make_shared<nn::KvArena>(cfg.n_layers, cfg.d_model);
+  adapter->set_kv_arena(arena);
+  for (const auto& s : samples) (void)adapter->predict(s.history, s.saliency, 4);
+  EXPECT_GT(arena->pages_in_use(), 0);  // two warm prefixes
+
+  (void)adapter->adapt(samples, 2, 0.5f, 3);
+  EXPECT_EQ(arena->pages_in_use(), 0);
+  EXPECT_EQ(nm::gauge("kv.arena.pages_in_use").value(), 0);
+  for (const auto& s : samples) {
+    expect_same_rollout(adapter->predict(s.history, s.saliency, 4),
+                        adapter->predict_uncached(s.history, s.saliency, 4));
+  }
+  EXPECT_EQ(arena->prefix_hits(), 0u);
+  EXPECT_EQ(arena->prefix_misses(), 4u);
+}
+
+TEST_F(Sched, NanSaliencyNeverPublishes) {
+  nc::set_global_threads(1);
+  const auto s = vp_samples(1).front();
+  auto adapter = vp_adapter(25);
+  const auto& cfg = adapter->llm().config();
+  auto arena = std::make_shared<nn::KvArena>(cfg.n_layers, cfg.d_model);
+  adapter->set_kv_arena(arena);
+  auto pixels = to_vec(s.saliency);
+  pixels[17] = std::numeric_limits<float>::quiet_NaN();
+  const auto saliency = Tensor::from(pixels, s.saliency.shape());
+  for (int i = 0; i < 2; ++i) {
+    const auto out = adapter->predict(s.history, saliency, 2);
+    EXPECT_TRUE(std::isnan(out.front().yaw));
+    EXPECT_EQ(arena->pages_in_use(), 0);  // the lease is back and nothing is warm
+  }
+  EXPECT_EQ(arena->prefix_hits(), 0u);
+  EXPECT_EQ(arena->prefix_misses(), 2u);
 }
