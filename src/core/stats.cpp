@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/metrics.hpp"
 
 namespace netllm::core {
 
@@ -88,31 +87,6 @@ double improvement_pct(double ours, double theirs) {
 double reduction_pct(double ours, double theirs) {
   const double denom = std::abs(theirs) > 1e-12 ? std::abs(theirs) : 1e-12;
   return 100.0 * (theirs - ours) / denom;
-}
-
-// ---- legacy named-counter shim ----
-// Since the core::metrics registry landed (DESIGN.md §11) these string-keyed
-// entry points are a compatibility facade over it: `counter_add(name)` is
-// `metrics::counter(name).add()` — one registry lookup per call, then the
-// same sharded lock-free slot a pre-registered handle would bump. Hot paths
-// should register a handle once instead; both views share storage.
-
-void counter_add(const std::string& name, std::int64_t delta) {
-  metrics::counter(name).add(delta);
-}
-
-std::int64_t counter_value(const std::string& name) {
-  return metrics::counter(name).value();
-}
-
-std::vector<std::pair<std::string, std::int64_t>> counters_snapshot() {
-  return metrics::snapshot().counters;
-}
-
-void counters_reset() {
-  for (auto& [name, value] : metrics::snapshot().counters) {
-    if (value != 0) metrics::counter(name).reset();
-  }
 }
 
 }  // namespace netllm::core

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "core/fault.hpp"
-#include "core/stats.hpp"
+#include "core/metrics.hpp"
 
 namespace netllm::adapt {
 
@@ -30,7 +30,8 @@ void TrainGuard::restore() {
     std::copy(good_[i].begin(), good_[i].end(), dst.begin());
   }
   ++restores_;
-  core::counter_add("adapt.restores");
+  static auto& restores_metric = core::metrics::counter("adapt.restores");
+  restores_metric.add();
 }
 
 bool TrainGuard::params_finite() const {
@@ -45,7 +46,8 @@ bool TrainGuard::params_finite() const {
 bool TrainGuard::loss_ok(float loss_value) {
   if (std::isfinite(loss_value)) return true;
   ++skipped_;
-  core::counter_add("adapt.skipped_steps");
+  static auto& skipped_metric = core::metrics::counter("adapt.skipped_steps");
+  skipped_metric.add();
   return false;
 }
 
@@ -54,7 +56,8 @@ bool TrainGuard::grads_ok() {
     for (float g : p.grad()) {
       if (!std::isfinite(g)) {
         ++skipped_;
-        core::counter_add("adapt.skipped_steps");
+        static auto& skipped_metric = core::metrics::counter("adapt.skipped_steps");
+        skipped_metric.add();
         return false;
       }
     }

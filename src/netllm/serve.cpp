@@ -2,16 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "baselines/abr/rule_based.hpp"
-#include "baselines/cjs/rule_based.hpp"
-#include "baselines/vp/rule_based.hpp"
 #include "core/fault.hpp"
-#include "core/rng.hpp"
 #include "core/signal.hpp"
 #include "core/stats.hpp"
 #include "core/threadpool.hpp"
@@ -23,15 +17,6 @@
 #include "nn/kv_arena.hpp"
 
 namespace netllm::serve {
-
-const char* source_name(Source s) {
-  switch (s) {
-    case Source::kLlm: return "llm";
-    case Source::kFallback: return "fallback";
-    case Source::kRetried: return "retried";
-    default: return "shed";
-  }
-}
 
 namespace {
 
@@ -53,21 +38,17 @@ std::uint64_t request_key(std::uint64_t task, std::uint64_t epoch, std::uint64_t
   return x;
 }
 
-/// One backoff draw: base * 2^(attempt-1), jittered to [0.5x, 1.5x). The rng
-/// is the request's private stream — one draw per retry, in attempt order.
-double next_backoff_ms(const EngineConfig& cfg, core::Rng& rng, int attempt) {
-  const double jitter = 0.5 + rng.uniform();
-  const int doublings = std::min(attempt - 1, 62);
-  return cfg.retry_backoff_ms * static_cast<double>(std::int64_t{1} << doublings) * jitter;
+/// The engine's guard settings for one task: EngineConfig's budget and
+/// breaker, metrics under counter_prefix + task (none when it is empty).
+adapt::GuardConfig task_guard_config(const EngineConfig& cfg, const char* task) {
+  return {cfg.latency_budget_ms, cfg.breaker_threshold, cfg.breaker_cooldown,
+          cfg.counter_prefix.empty() ? std::string() : cfg.counter_prefix + task + "."};
 }
 
 }  // namespace
 
 double retry_backoff_ms(const EngineConfig& cfg, std::uint64_t request_key, int attempt) {
-  core::Rng rng(cfg.retry_seed ^ request_key);
-  double backoff = 0.0;
-  for (int a = 1; a <= attempt; ++a) backoff = next_backoff_ms(cfg, rng, a);
-  return backoff;
+  return adapt::retry_backoff_ms(cfg.retry_backoff_ms, cfg.retry_seed ^ request_key, attempt);
 }
 
 InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
@@ -78,13 +59,14 @@ InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
                                  std::shared_ptr<cjs::SchedPolicy> cjs_fallback)
     : cfg_(std::move(cfg)),
       vp_model_(std::move(vp_model)),
-      vp_fallback_(vp_fallback ? std::move(vp_fallback)
-                               : std::make_shared<baselines::LinearRegressionVp>()),
+      vp_fallback_(adapt::fallback_or_default(std::move(vp_fallback))),
       abr_policy_(std::move(abr_policy)),
-      abr_fallback_(abr_fallback ? std::move(abr_fallback) : std::make_shared<baselines::Bba>()),
+      abr_fallback_(adapt::fallback_or_default(std::move(abr_fallback))),
       cjs_policy_(std::move(cjs_policy)),
-      cjs_fallback_(cjs_fallback ? std::move(cjs_fallback)
-                                 : std::make_shared<baselines::FifoScheduler>()) {
+      cjs_fallback_(adapt::fallback_or_default(std::move(cjs_fallback))),
+      vp_guard_(task_guard_config(cfg_, "vp")),
+      abr_guard_(task_guard_config(cfg_, "abr")),
+      cjs_guard_(task_guard_config(cfg_, "cjs")) {
   if (!vp_model_ && !abr_policy_ && !cjs_policy_) {
     throw std::invalid_argument("InferenceEngine: need at least one model");
   }
@@ -131,180 +113,11 @@ InferenceEngine::TaskMetrics InferenceEngine::make_task_metrics(const char* task
   TaskMetrics m;
   if (cfg_.counter_prefix.empty()) return m;  // metrics opted out for this engine
   const std::string base = cfg_.counter_prefix + task + ".";
-  m.llm_ok = &core::metrics::counter(base + "llm_ok");
-  m.fallback = &core::metrics::counter(base + "fallback");
-  m.fail_exception = &core::metrics::counter(base + "fail.exception");
-  m.fail_invalid = &core::metrics::counter(base + "fail.invalid");
-  m.fail_latency = &core::metrics::counter(base + "fail.latency");
-  m.breaker_trips = &core::metrics::counter(base + "breaker.trips");
-  m.retries = &core::metrics::counter(base + "retry");
-  m.shed = &core::metrics::counter(base + "shed");
   m.slo_miss = &core::metrics::counter(base + "slo_miss");
   m.rejected = &core::metrics::counter(base + "rejected");
-  m.health = &core::metrics::gauge(base + "health");
   m.queue_wait_ms = &core::metrics::histogram(base + "queue_wait_ms");
   m.compute_ms = &core::metrics::histogram(base + "compute_ms");
   return m;
-}
-
-void InferenceEngine::set_health(Guard& g, TaskMetrics& m, adapt::Health h) {
-  if (g.health == h) return;
-  g.health = h;
-  if (m.health) m.health->set(static_cast<double>(static_cast<int>(h)));
-}
-
-template <typename Action, typename Primary, typename Validate, typename Fallback>
-Action InferenceEngine::decide(Guard& g, TaskMetrics& m, Primary&& primary, Validate&& valid,
-                               Fallback&& fallback, ResponseMeta& meta, const DecideCtx& ctx) {
-  if (ctx.shed) {
-    // Overload shedding (queue overflow victim, admission deadline already
-    // missed, or shutdown drain): straight to the fallback, zero primary
-    // compute. Shedding is load-induced, not a model failure — it leaves the
-    // breaker and health state untouched.
-    {
-      core::trace::Span span(core::trace::Phase::kGuard);
-      std::lock_guard<std::mutex> lock(g.mu);
-      ++g.counters.shed;
-    }
-    if (m.shed) m.shed->add();
-    meta.source = Source::kShed;
-    return fallback();
-  }
-  bool cooling = false;
-  {
-    core::trace::Span span(core::trace::Phase::kGuard);
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (g.cooldown_left > 0) {
-      --g.cooldown_left;
-      ++g.counters.fallback;
-      if (m.fallback) m.fallback->add();
-      cooling = true;
-    }
-  }
-  if (cooling) {
-    // The fallback executes OUTSIDE g.mu: a slow (or stateful, or throwing)
-    // fallback must not serialize every other request's guard bookkeeping.
-    meta.source = Source::kFallback;
-    return fallback();
-  }
-  enum class Fail { kNone, kException, kInvalid, kLatency, kArena };
-  // Caller holds g.mu. Attributes one failed attempt to its failure class.
-  auto bump_fail = [&](Fail f) {
-    switch (f) {
-      case Fail::kException:
-        ++g.counters.fail_exception;
-        if (m.fail_exception) m.fail_exception->add();
-        break;
-      case Fail::kInvalid:
-        ++g.counters.fail_invalid;
-        if (m.fail_invalid) m.fail_invalid->add();
-        break;
-      default:
-        ++g.counters.fail_latency;
-        if (m.fail_latency) m.fail_latency->add();
-        break;
-    }
-  };
-  Fail fail = Fail::kNone;
-  Action action{};
-  const int max_attempts = 1 + std::max(0, cfg_.retry_budget);
-  // Private deterministic jitter stream: seeded from the request's identity,
-  // so the backoff sequence is the same in every run at any NETLLM_THREADS.
-  core::Rng retry_rng(cfg_.retry_seed ^ ctx.retry_key);
-  int retries = 0;
-  for (;;) {
-    fail = Fail::kNone;
-    // The latency budget is enforced on the primary model call below — never
-    // on time spent waiting for a policy mutex (reported as queue_wait_ms by
-    // the caller). A contended-but-fast request must not trip the breaker.
-    core::Timer timer;
-    try {
-      // The injection site fires inside the guarded region: an armed
-      // `serve.batch` plan (throw / delay past the budget) is handled exactly
-      // like an organic LLM-path failure — this one request falls back.
-      core::fault::check("serve.batch");
-      action = primary();
-      if (cfg_.latency_budget_ms > 0.0 && timer.elapsed_ms() > cfg_.latency_budget_ms) {
-        fail = Fail::kLatency;
-      } else if (!valid(action)) {
-        fail = Fail::kInvalid;
-      }
-    } catch (const nn::KvArena::Exhausted&) {
-      // The KV page budget cannot fund this request right now. That is load,
-      // not a model failure: shed to the fallback below without feeding the
-      // breaker or the health state, exactly like an admission shed.
-      fail = Fail::kArena;
-    } catch (...) {
-      // Any other throw — including one not derived from std::exception (an
-      // int, a bespoke error type from a plugged-in model) — degrades this
-      // one request, never escaping into parallel_for to poison the batch.
-      fail = Fail::kException;
-    }
-    if (fail == Fail::kNone || fail == Fail::kArena) break;
-    // Only transient classes retry (throws — FaultInjected, I/O errors — and
-    // invalid output). A latency overrun never does: re-running a slow
-    // primary under load amplifies exactly the overload the budget contains.
-    if (fail == Fail::kLatency || retries + 1 >= max_attempts) break;
-    // Deadline-aware: when the end-to-end SLO is already blown there is no
-    // point burning another attempt — degrade to the fallback now.
-    if (cfg_.deadline_ms > 0.0 && ms_between(ctx.admitted, Clock::now()) >= cfg_.deadline_ms) {
-      break;
-    }
-    ++retries;
-    {
-      core::trace::Span span(core::trace::Phase::kGuard);
-      std::lock_guard<std::mutex> lock(g.mu);
-      bump_fail(fail);  // the attempt's failure is real telemetry either way
-      ++g.counters.retries;
-      if (m.retries) m.retries->add();
-      // A retry in flight means the task is not clean: Degraded until a
-      // first-try success, Open only via the breaker below.
-      set_health(g, m, adapt::Health::kDegraded);
-    }
-    const double backoff = next_backoff_ms(cfg_, retry_rng, retries);
-    if (backoff > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(backoff));
-    }
-  }
-  meta.retries = retries;
-  if (fail == Fail::kArena) {
-    {
-      core::trace::Span span(core::trace::Phase::kGuard);
-      std::lock_guard<std::mutex> lock(g.mu);
-      ++g.counters.shed;
-    }
-    if (m.shed) m.shed->add();
-    meta.source = Source::kShed;
-    return fallback();
-  }
-  {
-    core::trace::Span span(core::trace::Phase::kGuard);
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (fail == Fail::kNone) {
-      g.consecutive_failures = 0;
-      ++g.counters.llm_ok;
-      if (m.llm_ok) m.llm_ok->add();
-      // A retried success proves the primary answers, but not cleanly.
-      set_health(g, m, retries > 0 ? adapt::Health::kDegraded : adapt::Health::kHealthy);
-      meta.source = retries > 0 ? Source::kRetried : Source::kLlm;
-      return action;
-    }
-    bump_fail(fail);
-    if (++g.consecutive_failures >= cfg_.breaker_threshold) {
-      g.consecutive_failures = 0;
-      g.cooldown_left = cfg_.breaker_cooldown;
-      ++g.counters.breaker_trips;
-      if (m.breaker_trips) m.breaker_trips->add();
-      set_health(g, m, adapt::Health::kOpen);
-    } else {
-      set_health(g, m, adapt::Health::kDegraded);
-    }
-    ++g.counters.fallback;
-    if (m.fallback) m.fallback->add();
-  }
-  // As above: the failure-path fallback also runs outside g.mu.
-  meta.source = Source::kFallback;
-  return fallback();
 }
 
 std::size_t InferenceEngine::unshed_pending_locked() const {
@@ -465,24 +278,27 @@ const CjsResponse& InferenceEngine::cjs_response(const Ticket& t) const {
   return cjs_responses_.at(t.index);
 }
 
-InferenceEngine::DecideCtx InferenceEngine::start_request(const Clock::time_point admitted,
-                                                          bool already_shed,
-                                                          std::uint64_t task_id,
-                                                          std::uint64_t epoch, std::size_t index,
-                                                          ResponseMeta& meta) const {
-  DecideCtx ctx;
-  ctx.admitted = admitted;
-  ctx.retry_key = request_key(task_id, epoch, index);
+adapt::GuardCall InferenceEngine::start_request(const Clock::time_point admitted,
+                                                bool already_shed, std::uint64_t task_id,
+                                                std::uint64_t epoch, std::size_t index,
+                                                ResponseMeta& meta) const {
   meta.admission_wait_ms = ms_between(admitted, Clock::now());
   // Shed when: a ShedOldest victim, a shutdown drain, or the admission
   // deadline is already blown before any compute was spent — the SLO cannot
   // be met, so the primary is not called at all.
-  ctx.shed = already_shed || core::stop_requested() ||
-             (cfg_.deadline_ms > 0.0 && meta.admission_wait_ms >= cfg_.deadline_ms);
-  return ctx;
+  return {.shed = already_shed || core::stop_requested() ||
+                  (cfg_.deadline_ms > 0.0 && meta.admission_wait_ms >= cfg_.deadline_ms),
+          .retry_budget = cfg_.retry_budget,
+          .retry_backoff_ms = cfg_.retry_backoff_ms,
+          .retry_seed = cfg_.retry_seed ^ request_key(task_id, epoch, index),
+          .admitted = admitted,
+          .deadline_ms = cfg_.deadline_ms};
 }
 
-void InferenceEngine::finish_request(TaskMetrics& m, ResponseMeta& meta) const {
+void InferenceEngine::finish_request(TaskMetrics& m, const adapt::GuardOutcome& out,
+                                     ResponseMeta& meta) const {
+  meta.source = out.source;
+  meta.retries = out.retries;
   // The end-to-end SLO judges admission wait PLUS serve time — a request that
   // computed fast after queueing for ages still missed its deadline.
   meta.slo_miss = cfg_.deadline_ms > 0.0 &&
@@ -492,31 +308,30 @@ void InferenceEngine::finish_request(TaskMetrics& m, ResponseMeta& meta) const {
   if (m.compute_ms) m.compute_ms->record(meta.compute_ms);
 }
 
+// Each primary lambda fires the `serve.batch` injection site inside the
+// guarded region, just before the model call: an armed plan (throw / delay
+// past the budget) is handled exactly like an organic LLM-path failure —
+// this one request falls back.
+
 VpResponse InferenceEngine::serve_vp(const Queued<VpRequest>& q, std::uint64_t epoch,
                                      std::size_t index) {
   const VpRequest& req = q.req;
   VpResponse resp;
-  const DecideCtx ctx = start_request(q.admitted, q.shed, 0, epoch, index, resp.meta);
+  const adapt::GuardCall call = start_request(q.admitted, q.shed, 0, epoch, index, resp.meta);
+  adapt::GuardOutcome out;
   core::Timer timer;
-  resp.viewports = decide<std::vector<vp::Viewport>>(
-      vp_guard_, vp_metrics_,
-      [&] { return vp_model_->predict(req.history, req.saliency, req.horizon); },
-      [&](const std::vector<vp::Viewport>& out) {
-        if (out.size() != static_cast<std::size_t>(req.horizon)) return false;
-        for (const auto& v : out) {
-          if (!std::isfinite(v.roll) || !std::isfinite(v.pitch) || !std::isfinite(v.yaw)) {
-            return false;
-          }
-        }
-        return true;
+  resp.viewports = vp_guard_.decide<std::vector<vp::Viewport>>(
+      [&] {
+        core::fault::check("serve.batch");
+        return vp_model_->predict(req.history, req.saliency, req.horizon);
       },
-      [&] { return vp_fallback_->predict(req.history, req.saliency, req.horizon); }, resp.meta,
-      ctx);
+      [&](const std::vector<vp::Viewport>& v) { return adapt::is_valid(v, req.horizon); },
+      [&] { return vp_fallback_->predict(req.history, req.saliency, req.horizon); }, call, &out);
   // VP predictors are stateless — no policy mutex, so the whole request is
   // compute.
   resp.meta.compute_ms = timer.elapsed_ms();
   resp.meta.latency_ms = resp.meta.compute_ms;
-  finish_request(vp_metrics_, resp.meta);
+  finish_request(vp_metrics_, out, resp.meta);
   return resp;
 }
 
@@ -524,20 +339,24 @@ AbrResponse InferenceEngine::serve_abr(const Queued<AbrRequest>& q, std::uint64_
                                        std::size_t index) {
   const AbrRequest& req = q.req;
   AbrResponse resp;
-  const DecideCtx ctx = start_request(q.admitted, q.shed, 1, epoch, index, resp.meta);
+  const adapt::GuardCall call = start_request(q.admitted, q.shed, 1, epoch, index, resp.meta);
+  adapt::GuardOutcome out;
   core::Timer timer;
   std::lock_guard<std::mutex> lock(abr_mu_);
   // Rolling-context policies serialize: everything up to here is queueing
   // behind other ABR requests, not this request's own work.
   resp.meta.queue_wait_ms = timer.elapsed_ms();
   core::Timer compute;
-  resp.level = decide<int>(
-      abr_guard_, abr_metrics_, [&] { return abr_policy_->choose_level(req.obs); },
-      [&](int level) { return level >= 0 && level < req.obs.num_levels; },
-      [&] { return abr_fallback_->choose_level(req.obs); }, resp.meta, ctx);
+  resp.level = abr_guard_.decide<int>(
+      [&] {
+        core::fault::check("serve.batch");
+        return abr_policy_->choose_level(req.obs);
+      },
+      [&](int level) { return adapt::is_valid(level, req.obs); },
+      [&] { return abr_fallback_->choose_level(req.obs); }, call, &out);
   resp.meta.compute_ms = compute.elapsed_ms();
   resp.meta.latency_ms = timer.elapsed_ms();
-  finish_request(abr_metrics_, resp.meta);
+  finish_request(abr_metrics_, out, resp.meta);
   return resp;
 }
 
@@ -545,22 +364,22 @@ CjsResponse InferenceEngine::serve_cjs(const Queued<CjsRequest>& q, std::uint64_
                                        std::size_t index) {
   const CjsRequest& req = q.req;
   CjsResponse resp;
-  const DecideCtx ctx = start_request(q.admitted, q.shed, 2, epoch, index, resp.meta);
+  const adapt::GuardCall call = start_request(q.admitted, q.shed, 2, epoch, index, resp.meta);
+  adapt::GuardOutcome out;
   core::Timer timer;
   std::lock_guard<std::mutex> lock(cjs_mu_);
   resp.meta.queue_wait_ms = timer.elapsed_ms();
   core::Timer compute;
-  resp.action = decide<cjs::SchedAction>(
-      cjs_guard_, cjs_metrics_, [&] { return cjs_policy_->choose(req.obs); },
-      [&](const cjs::SchedAction& a) {
-        return a.runnable_index >= 0 &&
-               a.runnable_index < static_cast<int>(req.obs.runnable_rows.size()) &&
-               a.cap_choice >= 0 && a.cap_choice < cjs::kNumCapChoices;
+  resp.action = cjs_guard_.decide<cjs::SchedAction>(
+      [&] {
+        core::fault::check("serve.batch");
+        return cjs_policy_->choose(req.obs);
       },
-      [&] { return cjs_fallback_->choose(req.obs); }, resp.meta, ctx);
+      [&](const cjs::SchedAction& a) { return adapt::is_valid(a, req.obs); },
+      [&] { return cjs_fallback_->choose(req.obs); }, call, &out);
   resp.meta.compute_ms = compute.elapsed_ms();
   resp.meta.latency_ms = timer.elapsed_ms();
-  finish_request(cjs_metrics_, resp.meta);
+  finish_request(cjs_metrics_, out, resp.meta);
   return resp;
 }
 
@@ -729,33 +548,8 @@ void InferenceEngine::observe_cjs_reward(double reward) {
 
 adapt::GuardCounters InferenceEngine::counters() const {
   adapt::GuardCounters total;
-  for (const Guard* g : {&vp_guard_, &abr_guard_, &cjs_guard_}) {
-    std::lock_guard<std::mutex> lock(g->mu);
-    total.llm_ok += g->counters.llm_ok;
-    total.fallback += g->counters.fallback;
-    total.fail_exception += g->counters.fail_exception;
-    total.fail_invalid += g->counters.fail_invalid;
-    total.fail_latency += g->counters.fail_latency;
-    total.breaker_trips += g->counters.breaker_trips;
-    total.retries += g->counters.retries;
-    total.shed += g->counters.shed;
-  }
+  for (const adapt::GuardCore* g : {&vp_guard_, &abr_guard_, &cjs_guard_}) total += g->counters();
   return total;
-}
-
-adapt::Health InferenceEngine::vp_health() const {
-  std::lock_guard<std::mutex> lock(vp_guard_.mu);
-  return vp_guard_.health;
-}
-
-adapt::Health InferenceEngine::abr_health() const {
-  std::lock_guard<std::mutex> lock(abr_guard_.mu);
-  return abr_guard_.health;
-}
-
-adapt::Health InferenceEngine::cjs_health() const {
-  std::lock_guard<std::mutex> lock(cjs_guard_.mu);
-  return cjs_guard_.health;
 }
 
 }  // namespace netllm::serve

@@ -1,17 +1,18 @@
 // Batched inference front end (DESIGN.md §10, §12): queue VP/ABR/CJS
 // embedding-path requests, drain them concurrently over the shared
-// `core::ThreadPool`, and guard every request individually with the
-// latency-budget / validity / circuit-breaker rules from `netllm/guarded`
-// plus a rule-based fallback (LR / BBA / FIFO) — one poisoned or faulted
-// request degrades to its fallback without touching the rest of the batch.
+// `core::ThreadPool`, and guard every request individually through the same
+// `adapt::GuardCore` the Guarded* wrappers use (latency budget, validity,
+// circuit breaker, per-task Healthy → Degraded → Open health, rule-based
+// LR / BBA / FIFO fallback) — one poisoned or faulted request degrades to its
+// fallback without touching the rest of the batch.
 //
 // The engine-level overload layer (DESIGN.md §12) sits in front of that
 // per-request guard: a bounded admission queue with a configurable full-queue
 // policy (block / reject with the named `Overloaded` error / shed-oldest to
 // the fallback), an admission deadline judged on queue wait PLUS compute,
-// deterministic seeded retry/backoff for transient primary failures, a
-// per-task Healthy → Degraded → Open health state exported as a gauge, and a
-// graceful drain that honors the `core/signal` stop flag.
+// deterministic seeded retry/backoff for transient primary failures (handed
+// to the guard core as per-call inputs), and a graceful drain that honors
+// the `core/signal` stop flag.
 //
 // Determinism: each request's tensor work runs inside a `parallel_for`
 // worker, where nested parallel ops execute inline (DESIGN.md §8), so every
@@ -42,17 +43,9 @@ class KvArena;
 
 namespace netllm::serve {
 
-/// Which path produced a response.
-enum class Source {
-  kLlm,       // primary model, first attempt
-  kFallback,  // rule-based fallback after failure or while the breaker is open
-  kRetried,   // primary model, after >= 1 transient-failure retry
-  kShed,      // fallback without touching the primary: queue overflow victim,
-              // admission deadline already missed, or shutdown drain
-};
-
-/// Stable lowercase name ("llm" / "fallback" / "retried" / "shed").
-const char* source_name(Source s);
+/// Which path produced a response (defined next to the guard core).
+using adapt::Source;
+using adapt::source_name;
 
 struct ResponseMeta {
   Source source = Source::kFallback;
@@ -157,10 +150,11 @@ struct BatchReport {
 };
 
 struct EngineConfig {
-  double latency_budget_ms = 0.0;       // 0 = no deadline (as GuardConfig)
+  // Each task's GuardCore takes these three as its GuardConfig.
+  double latency_budget_ms = 0.0;       // 0 = no deadline
   int breaker_threshold = 3;            // consecutive failures opening the breaker
   int breaker_cooldown = 8;             // requests served by fallback while open
-  std::string counter_prefix = "serve.";  // metric namespace; empty disables
+  std::string counter_prefix = "serve.";  // metrics under prefix + task + "."; empty disables
 
   // ---- admission control (DESIGN.md §12) ----
   std::size_t max_queue = 0;  // bound on queued-unshed requests; 0 = unbounded
@@ -200,14 +194,13 @@ struct EngineConfig {
 };
 
 /// Deterministic backoff before retry number `attempt` (1-based) of the
-/// request identified by `request_key`: retry_backoff_ms * 2^(attempt-1),
-/// jittered to [0.5x, 1.5x) by a core::Rng stream seeded from retry_seed ^
-/// request_key — the same request retries with the same delays in every run
-/// and at every NETLLM_THREADS.
+/// request identified by `request_key`: `adapt::retry_backoff_ms` on the
+/// stream seeded from retry_seed ^ request_key — the same request retries
+/// with the same delays in every run and at every NETLLM_THREADS.
 double retry_backoff_ms(const EngineConfig& cfg, std::uint64_t request_key, int attempt);
 
 /// KV-cache-era serving substrate: one engine owns up to three adapted
-/// models (any subset), a per-task guard state and a per-task fallback.
+/// models (any subset), a per-task guard core and a per-task fallback.
 /// `submit` enqueues (thread-safe, subject to admission control) and returns
 /// a `Ticket` for the matching response slot; `run()` drains the queue and
 /// fills `*_responses()`. Once `core::stop_requested()` is set, `submit`
@@ -274,9 +267,9 @@ class InferenceEngine {
   /// Per-task health (DESIGN.md §12): Healthy on first-try successes,
   /// Degraded once failures/retries appear, Open while the breaker cools.
   /// Also exported as the serve.<task>.health gauge (0 / 1 / 2).
-  adapt::Health vp_health() const;
-  adapt::Health abr_health() const;
-  adapt::Health cjs_health() const;
+  adapt::Health vp_health() const { return vp_guard_.health(); }
+  adapt::Health abr_health() const { return abr_guard_.health(); }
+  adapt::Health cjs_health() const { return cjs_guard_.health(); }
   const EngineConfig& config() const { return cfg_; }
   /// The pooled KV arena injected into a VpAdapter primary (DESIGN.md §13);
   /// null when `arena_pages` is 0 or the VP model is not a VpAdapter.
@@ -295,60 +288,28 @@ class InferenceEngine {
     bool shed = false;
   };
 
-  /// Per-request context threaded into decide(): the admission stamp (for
-  /// the end-to-end deadline), whether the request was already shed, and the
-  /// key selecting its deterministic retry-jitter stream.
-  struct DecideCtx {
-    Clock::time_point admitted{};
-    bool shed = false;
-    std::uint64_t retry_key = 0;
-  };
-  /// Thread-safe port of GuardEngine's budget/validity/breaker state: the
-  /// primary AND the fallback run outside the lock; only the bookkeeping
-  /// transitions lock.
-  struct Guard {
-    mutable std::mutex mu;
-    adapt::GuardCounters counters;
-    int consecutive_failures = 0;
-    int cooldown_left = 0;
-    adapt::Health health = adapt::Health::kHealthy;
-  };
-
-  /// Pre-registered metric handles for one task (DESIGN.md §11): the hot
-  /// path bumps through these — no string assembly, no registry lookup, no
-  /// lock. All null when `counter_prefix` is empty.
+  /// Engine-only metric handles for one task (DESIGN.md §11), resolved
+  /// once — the guard core holds the decision counters and the health
+  /// gauge. All null when `counter_prefix` is empty.
   struct TaskMetrics {
-    core::metrics::Counter* llm_ok = nullptr;
-    core::metrics::Counter* fallback = nullptr;
-    core::metrics::Counter* fail_exception = nullptr;
-    core::metrics::Counter* fail_invalid = nullptr;
-    core::metrics::Counter* fail_latency = nullptr;
-    core::metrics::Counter* breaker_trips = nullptr;
-    core::metrics::Counter* retries = nullptr;
-    core::metrics::Counter* shed = nullptr;
     core::metrics::Counter* slo_miss = nullptr;
     core::metrics::Counter* rejected = nullptr;
-    core::metrics::Gauge* health = nullptr;
     core::metrics::Histogram* queue_wait_ms = nullptr;
     core::metrics::Histogram* compute_ms = nullptr;
   };
   TaskMetrics make_task_metrics(const char* task) const;
 
-  /// Sets the task health and mirrors it into the gauge. Caller holds g.mu.
-  static void set_health(Guard& g, TaskMetrics& m, adapt::Health h);
-
-  template <typename Action, typename Primary, typename Validate, typename Fallback>
-  Action decide(Guard& g, TaskMetrics& m, Primary&& primary, Validate&& valid,
-                Fallback&& fallback, ResponseMeta& meta, const DecideCtx& ctx);
-
-  /// Stamps the admission wait into `meta` and builds the decide() context:
-  /// shed when the request was a ShedOldest victim, a shutdown drain is in
-  /// progress, or its deadline already passed before any compute was spent.
-  DecideCtx start_request(Clock::time_point admitted, bool already_shed, std::uint64_t task_id,
-                          std::uint64_t epoch, std::size_t index, ResponseMeta& meta) const;
-  /// End-of-request SLO accounting (admission wait + serve time vs
-  /// deadline_ms) plus the latency histograms.
-  void finish_request(TaskMetrics& m, ResponseMeta& meta) const;
+  /// Stamps the admission wait into `meta` and builds the guard call: the
+  /// retry settings, the deadline, and shed when the request was a
+  /// ShedOldest victim, a shutdown drain is in progress, or its deadline
+  /// already passed before any compute was spent.
+  adapt::GuardCall start_request(Clock::time_point admitted, bool already_shed,
+                                 std::uint64_t task_id, std::uint64_t epoch, std::size_t index,
+                                 ResponseMeta& meta) const;
+  /// Copies the guard outcome into `meta`, then end-of-request SLO
+  /// accounting (admission wait + serve time vs deadline_ms) plus the
+  /// latency histograms.
+  void finish_request(TaskMetrics& m, const adapt::GuardOutcome& out, ResponseMeta& meta) const;
 
   VpResponse serve_vp(const Queued<VpRequest>& q, std::uint64_t epoch, std::size_t index);
   AbrResponse serve_abr(const Queued<AbrRequest>& q, std::uint64_t epoch, std::size_t index);
@@ -369,7 +330,7 @@ class InferenceEngine {
   std::shared_ptr<abr::AbrPolicy> abr_policy_, abr_fallback_;
   std::shared_ptr<cjs::SchedPolicy> cjs_policy_, cjs_fallback_;
 
-  Guard vp_guard_, abr_guard_, cjs_guard_;
+  adapt::GuardCore vp_guard_, abr_guard_, cjs_guard_;
   TaskMetrics vp_metrics_, abr_metrics_, cjs_metrics_;
   core::metrics::Gauge* queue_depth_ = nullptr;  // serve.queue_depth
   core::metrics::Counter* admission_wakeups_ = nullptr;  // serve.admission.wakeups

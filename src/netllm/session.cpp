@@ -9,7 +9,7 @@
 #include <thread>
 
 #include "core/fault.hpp"
-#include "core/stats.hpp"
+#include "core/metrics.hpp"
 #include "core/trace.hpp"
 
 namespace netllm::adapt {
@@ -202,14 +202,16 @@ int TrainSession::resume(core::Rng& rng, AdaptStats& stats) {
       stats.seconds = loop.seconds;
       stats.start_step = loop.next_step;
       last_saved_step_ = loop.next_step;
-      core::counter_add("session.resumes");
+      static auto& resumes_metric = core::metrics::counter("session.resumes");
+      resumes_metric.add();
       return loop.next_step;
     } catch (const SessionMismatch&) {
       throw;  // wrong run for this directory — never fall back past it
     } catch (const std::exception&) {
       // Torn or incompatible file (crash mid-write that outran the atomic
       // rename, or stray data): fall back to the previous checkpoint.
-      core::counter_add("session.torn_checkpoints");
+      static auto& torn_metric = core::metrics::counter("session.torn_checkpoints");
+      torn_metric.add();
       continue;
     }
   }
@@ -251,7 +253,8 @@ void TrainSession::checkpoint(int next_step, core::Rng& rng, const AdaptStats& s
       break;
     } catch (const std::exception&) {
       if (attempt >= attempts) {
-        core::counter_add("session.checkpoint_failures");
+        static auto& failures_metric = core::metrics::counter("session.checkpoint_failures");
+        failures_metric.add();
         if (must_succeed) throw;
         return;
       }
@@ -261,7 +264,8 @@ void TrainSession::checkpoint(int next_step, core::Rng& rng, const AdaptStats& s
   }
   last_saved_step_ = next_step;
   ++checkpoints_;
-  core::counter_add("session.checkpoints");
+  static auto& checkpoints_metric = core::metrics::counter("session.checkpoints");
+  checkpoints_metric.add();
   gc();
 }
 
@@ -285,7 +289,8 @@ bool TrainSession::after_step(int step, core::Rng& rng, AdaptStats& stats) {
     // tell the loop to exit cleanly.
     checkpoint(next, rng, stats, /*must_succeed=*/true);
     stats.interrupted = true;
-    core::counter_add("session.drains");
+    static auto& drains_metric = core::metrics::counter("session.drains");
+    drains_metric.add();
     return true;
   }
   if (opts_.checkpoint_every > 0 && next - last_saved_step_ >= opts_.checkpoint_every) {

@@ -29,7 +29,7 @@
 #include "baselines/cjs/rule_based.hpp"
 #include "baselines/vp/rule_based.hpp"
 #include "core/fault.hpp"
-#include "core/stats.hpp"
+#include "core/metrics.hpp"
 #include "core/threadpool.hpp"
 #include "llm/minigpt.hpp"
 #include "llm/tokenizer.hpp"
@@ -357,7 +357,7 @@ TEST_F(Decode, EngineRoutesMixedBatchAcrossAllThreeTasks) {
 TEST_F(Decode, MidBatchFaultDegradesOneRequestWithoutPoisoningTheRest) {
   ThreadGuard guard;
   nc::set_global_threads(1);  // deterministic order: jobs run in submit order
-  nc::counters_reset();
+  netllm::core::metrics::reset();
   auto adapter = vp_adapter(7);
   auto engine = ad::api::Serve(adapter);
   const auto samples = vp_samples(4);
@@ -374,7 +374,7 @@ TEST_F(Decode, MidBatchFaultDegradesOneRequestWithoutPoisoningTheRest) {
   EXPECT_EQ(counters.fail_exception, 1);
   EXPECT_EQ(counters.llm_ok, 3);
   EXPECT_EQ(counters.fallback, 1);
-  EXPECT_EQ(nc::counter_value("serve.vp.fallback"), 1);
+  EXPECT_EQ(netllm::core::metrics::counter("serve.vp.fallback").value(), 1);
 
   ASSERT_EQ(engine->vp_responses().size(), 4u);
   EXPECT_EQ(engine->vp_responses()[1].meta.source, serve::Source::kFallback);
@@ -631,7 +631,7 @@ TEST_F(Decode, GraphFreePrefillMatchesTapeKernelCounters) {
                          "kernels.qmatmul.flops", "kernels.qmatmul.bytes"};
   const auto snapshot = [&] {
     std::vector<std::int64_t> v;
-    for (const char* n : names) v.push_back(nc::counter_value(n));
+    for (const char* n : names) v.push_back(metrics::counter(n).value());
     return v;
   };
   const auto delta = [&](auto&& pass) {

@@ -15,16 +15,18 @@
 #include "baselines/abr/rule_based.hpp"
 #include "baselines/cjs/rule_based.hpp"
 #include "core/fault.hpp"
-#include "core/stats.hpp"
+#include "core/metrics.hpp"
+#include "core/threadpool.hpp"
 #include "llm/tokenizer.hpp"
 #include "netllm/api.hpp"
+#include "netllm/serve.hpp"
 
 namespace ad = netllm::adapt;
 namespace abr = netllm::abr;
 namespace cjs = netllm::cjs;
 namespace vp = netllm::vp;
 namespace fault = netllm::core::fault;
-namespace stats = netllm::core;
+namespace metrics = netllm::core::metrics;
 using netllm::core::Rng;
 
 namespace {
@@ -56,16 +58,16 @@ std::vector<vp::VpSample> tiny_vp_data(int max_samples = 10) {
 
 class Guarded : public ::testing::Test {
  protected:
-  void SetUp() override { stats::counters_reset(); }
+  void SetUp() override { metrics::reset(); }
   void TearDown() override { fault::disarm_all(); }
 };
 
 }  // namespace
 
-// ---------- GuardEngine semantics ----------
+// ---------- GuardCore semantics ----------
 
 TEST_F(Guarded, EngineFallsBackOnInvalidOutput) {
-  ad::GuardEngine engine({.breaker_threshold = 100});
+  ad::GuardCore engine({.breaker_threshold = 100});
   const int got = engine.decide<int>([] { return 42; }, [](int v) { return v < 10; },
                                      [] { return 7; });
   EXPECT_EQ(got, 7);
@@ -80,7 +82,7 @@ TEST_F(Guarded, EngineFallsBackOnInvalidOutput) {
 }
 
 TEST_F(Guarded, EngineEnforcesLatencyBudget) {
-  ad::GuardEngine engine({.latency_budget_ms = 1.0, .breaker_threshold = 100});
+  ad::GuardCore engine({.latency_budget_ms = 1.0, .breaker_threshold = 100});
   const int got = engine.decide<int>(
       [] {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -93,7 +95,7 @@ TEST_F(Guarded, EngineEnforcesLatencyBudget) {
 }
 
 TEST_F(Guarded, EngineBreakerOpensAndCloses) {
-  ad::GuardEngine engine({.breaker_threshold = 2, .breaker_cooldown = 3});
+  ad::GuardCore engine({.breaker_threshold = 2, .breaker_cooldown = 3});
   int primary_calls = 0;
   auto decide = [&](bool fail) {
     return engine.decide<int>(
@@ -177,6 +179,120 @@ TEST_F(Guarded, NonStdExceptionServesFallbackInEveryWrapper) {
   EXPECT_EQ(cjs_guarded.counters().fallback, cjs_guarded.counters().decisions());
 }
 
+// ---------- wrapper / engine parity ----------
+
+namespace {
+
+enum class Outcome { kOk, kThrow, kNan, kSlow };
+// Wide enough that a scheduling hiccup on an "ok" step never reads as an overrun.
+constexpr double kParityBudgetMs = 100.0;
+constexpr double kMarkerYaw = 123.0;  // the scripted primary's answer
+
+// Plays one scripted outcome per primary call.
+struct ScriptedVp final : vp::VpPredictor {
+  explicit ScriptedVp(std::vector<Outcome> s) : script(std::move(s)) {}
+  std::string name() const override { return "scripted"; }
+  std::vector<vp::Viewport> predict(std::span<const vp::Viewport>,
+                                    const netllm::tensor::Tensor&, int horizon) override {
+    const Outcome o = script.at(calls++);
+    if (o == Outcome::kThrow) throw std::runtime_error("scripted failure");
+    if (o == Outcome::kSlow) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(2.5 * kParityBudgetMs));
+    }
+    const double yaw = o == Outcome::kNan ? std::nan("") : kMarkerYaw;
+    return std::vector<vp::Viewport>(static_cast<std::size_t>(horizon), {0.0, 0.0, yaw});
+  }
+  std::vector<Outcome> script;
+  std::size_t calls = 0;
+};
+
+struct ThreadsOne {
+  ThreadsOne() { netllm::core::set_global_threads(1); }
+  ~ThreadsOne() { netllm::core::set_global_threads(0); }
+};
+
+}  // namespace
+
+// One guard core serves both paths, so an engine with retry_budget = 0 and
+// one request per run() must reproduce the wrapper decision for decision:
+// ok, throw, NaN output, latency overrun, a throw past the breaker threshold,
+// the cooldown, then a probe success.
+TEST_F(Guarded, WrapperAndEngineWithoutRetriesMakeIdenticalDecisions) {
+  ThreadsOne threads;
+  const std::vector<Outcome> script = {Outcome::kOk,   Outcome::kThrow, Outcome::kNan,
+                                       Outcome::kSlow, Outcome::kThrow, Outcome::kOk};
+  ad::GuardConfig gcfg;
+  gcfg.latency_budget_ms = kParityBudgetMs;
+  gcfg.breaker_threshold = 4;
+  gcfg.breaker_cooldown = 2;
+  auto wrapped_primary = std::make_shared<ScriptedVp>(script);
+  auto guarded = ad::api::Guard(std::static_pointer_cast<vp::VpPredictor>(wrapped_primary), gcfg);
+
+  netllm::serve::EngineConfig ecfg;
+  ecfg.latency_budget_ms = gcfg.latency_budget_ms;
+  ecfg.breaker_threshold = gcfg.breaker_threshold;
+  ecfg.breaker_cooldown = gcfg.breaker_cooldown;
+  ecfg.retry_budget = 0;
+  ecfg.max_slots = 1;
+  auto served_primary = std::make_shared<ScriptedVp>(script);
+  netllm::serve::InferenceEngine engine(served_primary, nullptr, nullptr, ecfg);
+
+  const auto data = tiny_vp_data(1);
+  constexpr int kHorizon = 2;
+  // Expected per decision: served by the LLM, health afterwards, primary calls so far.
+  struct Expect {
+    bool llm;
+    ad::Health health;
+    std::size_t calls;
+  };
+  const Expect expect[] = {
+      {true, ad::Health::kHealthy, 1},   {false, ad::Health::kDegraded, 2},
+      {false, ad::Health::kDegraded, 3}, {false, ad::Health::kDegraded, 4},
+      {false, ad::Health::kOpen, 5},     {false, ad::Health::kOpen, 5},
+      {false, ad::Health::kOpen, 5},     {true, ad::Health::kHealthy, 6},
+  };
+  const char* shared[] = {"llm_ok",       "fallback", "fail.exception", "fail.invalid",
+                          "fail.latency", "breaker.trips", "retry",     "shed"};
+  for (std::size_t step = 0; step < std::size(expect); ++step) {
+    SCOPED_TRACE("decision " + std::to_string(step));
+    const auto wrapped = guarded->predict(data[0].history, data[0].saliency, kHorizon);
+    engine.submit(netllm::serve::VpRequest{data[0].history, data[0].saliency, kHorizon});
+    engine.run();
+    ASSERT_EQ(engine.vp_responses().size(), 1u);
+    const auto& served = engine.vp_responses()[0];
+
+    const bool wrapped_llm = wrapped.at(0).yaw == kMarkerYaw;
+    EXPECT_EQ(wrapped_llm, expect[step].llm);
+    EXPECT_EQ(served.meta.source, expect[step].llm ? netllm::serve::Source::kLlm
+                                                   : netllm::serve::Source::kFallback);
+    ASSERT_EQ(served.viewports.size(), wrapped.size());
+    for (std::size_t i = 0; i < wrapped.size(); ++i) {
+      EXPECT_EQ(served.viewports[i].yaw, wrapped[i].yaw);
+    }
+    EXPECT_EQ(engine.counters(), guarded->counters());
+    EXPECT_EQ(guarded->health(), expect[step].health);
+    EXPECT_EQ(engine.vp_health(), guarded->health());
+    EXPECT_EQ(wrapped_primary->calls, expect[step].calls);
+    EXPECT_EQ(served_primary->calls, expect[step].calls);
+    for (const char* name : shared) {
+      EXPECT_EQ(metrics::counter(std::string("serve.vp.") + name).value(),
+                metrics::counter(std::string("guard.vp.") + name).value())
+          << name;
+    }
+    EXPECT_EQ(metrics::gauge("serve.vp.health").value(),
+              metrics::gauge("guard.vp.health").value());
+  }
+  const auto c = guarded->counters();
+  EXPECT_EQ(c.llm_ok, 2);
+  EXPECT_EQ(c.fallback, 6);
+  EXPECT_EQ(c.fail_exception, 2);
+  EXPECT_EQ(c.fail_invalid, 1);
+  EXPECT_EQ(c.fail_latency, 1);
+  EXPECT_EQ(c.breaker_trips, 1);
+  EXPECT_EQ(c.retries + c.shed, 0);
+}
+
 // ---------- guarded policies under fault injection ----------
 
 TEST_F(Guarded, VpFallsBackToFiniteViewportsUnderNanFeatures) {
@@ -198,8 +314,8 @@ TEST_F(Guarded, VpFallsBackToFiniteViewportsUnderNanFeatures) {
   EXPECT_EQ(c.llm_ok, 0);
   EXPECT_EQ(c.fallback, 5);
   EXPECT_GE(c.fail_invalid, 1);  // NaN coordinates failed validation
-  // Counters are mirrored into the core::stats registry for bench reports.
-  EXPECT_EQ(stats::counter_value("guard.vp.fallback"), c.fallback);
+  // Counters are mirrored into the core::metrics registry for bench reports.
+  EXPECT_EQ(metrics::counter("guard.vp.fallback").value(), c.fallback);
 }
 
 TEST_F(Guarded, VpLatencyOverrunTriggersFallback) {
@@ -267,7 +383,7 @@ TEST_F(Guarded, AbrServesValidLevelsForWholeSessionsUnderNanLogits) {
   EXPECT_EQ(c.fallback, c.decisions());
   EXPECT_GE(c.fail_exception, 1);  // heads refuse non-finite logits
   EXPECT_GE(c.breaker_trips, 1);
-  EXPECT_EQ(stats::counter_value("guard.abr.fallback"), c.fallback);
+  EXPECT_EQ(metrics::counter("guard.abr.fallback").value(), c.fallback);
 }
 
 TEST_F(Guarded, CjsCompletesWorkloadUnderNanLogits) {
@@ -291,7 +407,7 @@ TEST_F(Guarded, CjsCompletesWorkloadUnderNanLogits) {
   EXPECT_EQ(c.llm_ok, 0);
   EXPECT_EQ(c.fallback, c.decisions());
   EXPECT_GE(c.fail_exception, 1);
-  EXPECT_EQ(stats::counter_value("guard.cjs.fallback"), c.fallback);
+  EXPECT_EQ(metrics::counter("guard.cjs.fallback").value(), c.fallback);
 }
 
 // ---------- training resilience ----------
@@ -307,7 +423,7 @@ TEST_F(Guarded, AdaptSkipsPoisonedLossSteps) {
   EXPECT_EQ(stats_out.skipped_steps, 2);
   EXPECT_EQ(stats_out.restores, 0);
   EXPECT_TRUE(std::isfinite(stats_out.final_loss));
-  EXPECT_EQ(stats::counter_value("adapt.skipped_steps"), 2);
+  EXPECT_EQ(metrics::counter("adapt.skipped_steps").value(), 2);
 }
 
 TEST_F(Guarded, AdaptRestoresCorruptedParameters) {
@@ -323,5 +439,5 @@ TEST_F(Guarded, AdaptRestoresCorruptedParameters) {
   for (const auto& p : adapter.adapt_parameters()) {
     for (float v : p.data()) ASSERT_TRUE(std::isfinite(v));
   }
-  EXPECT_EQ(stats::counter_value("adapt.restores"), 1);
+  EXPECT_EQ(metrics::counter("adapt.restores").value(), 1);
 }

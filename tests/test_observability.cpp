@@ -201,23 +201,6 @@ TEST_F(Observability, DisabledModeRecordsNothingAndSnapshotsZero) {
   EXPECT_EQ(snap.p99, 0.0);
 }
 
-TEST_F(Observability, LegacyCounterApiSharesStorageWithRegistry) {
-  nm::counter("obs.test.shim").add(5);
-  EXPECT_EQ(nc::counter_value("obs.test.shim"), 5);  // string API sees the handle's value
-  nc::counter_add("obs.test.shim", 2);
-  EXPECT_EQ(nm::counter("obs.test.shim").value(), 7);
-  bool found = false;
-  for (const auto& [name, value] : nc::counters_snapshot()) {
-    if (name == "obs.test.shim") {
-      found = true;
-      EXPECT_EQ(value, 7);
-    }
-  }
-  EXPECT_TRUE(found);
-  nc::counters_reset();
-  EXPECT_EQ(nm::counter("obs.test.shim").value(), 0);
-}
-
 TEST_F(Observability, RegistryReturnsStableHandlesAndJsonParsesShape) {
   auto& a = nm::counter("obs.test.stable");
   auto& b = nm::counter("obs.test.stable");
