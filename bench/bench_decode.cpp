@@ -1,11 +1,16 @@
 // Decode throughput (DESIGN.md §10): cached vs uncached greedy generation at
-// max_seq-length answers (tokens/s + p50/p99 per-answer latency), and the
-// cached decode at fp32/Q8_0/Q4_0 backbone weights. Emits BENCH_decode.json
-// (path overridable via argv[1]); run_benches.sh wires it into the standard
-// sweep. The cached row is the same computation as the uncached Fig. 2
-// baseline — test_decode pins the streams bitwise — so the ratio is pure
-// KV-cache effect, not a model change. Serving latency and goodput are
-// measured by bench/e2e.
+// max_seq-length answers (tokens/s + p50/p99 per-answer latency), the
+// cached decode at fp32/Q8_0/Q4_0 backbone weights, and VP lockstep groups
+// (DESIGN.md §13): decisions/s and ms/decision for drains of B = 1, 2, 4, 8
+// VP requests through InferenceEngine on the 512-wide Q8_0 backbone, at one
+// thread so each drain is one group. Emits BENCH_decode.json (path
+// overridable via argv[1]) with a provenance block; run_benches.sh wires it
+// into the standard sweep and tools/check_bench_decode.py validates it. The
+// cached row is the same computation as the uncached Fig. 2 baseline —
+// test_decode pins the streams bitwise — so the ratio is pure KV-cache
+// effect, not a model change; likewise every grouped answer is bitwise its
+// answer alone (test_sched). Serving latency and goodput are measured by
+// bench/e2e.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -13,9 +18,13 @@
 
 #include "core/rng.hpp"
 #include "core/stats.hpp"
+#include "core/threadpool.hpp"
 #include "core/timer.hpp"
+#include "envs/vp/dataset.hpp"
 #include "llm/minigpt.hpp"
 #include "llm/tokenizer.hpp"
+#include "netllm/serve.hpp"
+#include "netllm/vp_adapter.hpp"
 #include "support/bench_common.hpp"
 #include "tensor/quants.hpp"
 
@@ -53,6 +62,21 @@ Row measure_generate(const netllm::llm::MiniGpt& gpt, const std::vector<std::vec
   row.p50_ms = percentile(per_answer_ms, 50.0);
   row.p99_ms = percentile(per_answer_ms, 99.0);
   return row;
+}
+
+/// Median and sample standard deviation of one ledger quantity.
+struct Aggregate {
+  double median = 0.0;
+  double stddev = 0.0;
+};
+
+Aggregate aggregate(const std::vector<double>& xs) {
+  return {percentile(xs, 50.0), netllm::core::stddev(xs)};
+}
+
+std::string json_aggregate(const Aggregate& a) {
+  return "{\"median\": " + std::to_string(a.median) + ", \"stddev\": " +
+         std::to_string(a.stddev) + "}";
 }
 
 }  // namespace
@@ -159,6 +183,68 @@ int main(int argc, char** argv) {
   std::cout << "q8_0 / f32 tokens-per-s ratio: " << Table::num(q8_speedup, 2)
             << "x, backbone memory ratio: " << Table::num(q8_mem_ratio, 2) << "x\n";
 
+  // ---- VP lockstep groups: B requests per drain (DESIGN.md §13) ----
+  // The vp_wide_q8 serving shape: a 512-wide, 4-layer Q8_0 backbone with
+  // LoRA, 20-step rollouts. One thread, so a drain of B requests is one
+  // lockstep group; no warm prefixes, so every request prefills cold. Five
+  // interleaved repetitions, each timing every B back to back over the same
+  // number of decisions.
+  netllm::core::set_global_threads(1);
+  constexpr int kVpHorizon = 20, kGroupReps = 5, kGroupDecisions = 16;
+  const std::vector<std::size_t> group_sizes = {1, 2, 4, 8};
+  netllm::llm::MiniGptConfig vcfg = qcfg;
+  vcfg.max_seq = 96;
+  Rng vrng(11);
+  auto vp_adapter = std::make_shared<netllm::adapt::VpAdapter>(
+      std::make_shared<netllm::llm::MiniGpt>(vcfg, vrng), netllm::adapt::VpAdapterConfig{}, vrng);
+  netllm::serve::EngineConfig ecfg;
+  ecfg.backbone_dtype = netllm::tensor::quant::Dtype::kQ8_0;
+  ecfg.arena_prefix_entries = 0;
+  netllm::serve::InferenceEngine engine(vp_adapter, nullptr, nullptr, ecfg);
+  auto vp_setting = netllm::vp::vp_default_train();
+  vp_setting.num_traces = 1;
+  const auto vp_samples = netllm::vp::build_dataset(vp_setting, kGroupDecisions);
+  const auto drain = [&](std::size_t b) {
+    for (std::size_t i = 0; i < b; ++i) {
+      const auto& s = vp_samples[i];
+      engine.submit(netllm::serve::VpRequest{s.history, s.saliency, kVpHorizon});
+    }
+    return engine.run().llm;
+  };
+  (void)drain(group_sizes.back());  // warm the per-thread rows and the lease pool
+  std::vector<std::vector<double>> group_ms(group_sizes.size());
+  for (int rep = 0; rep < kGroupReps; ++rep) {
+    for (std::size_t g = 0; g < group_sizes.size(); ++g) {
+      const auto b = group_sizes[g];
+      std::size_t served = 0;
+      Timer t;
+      for (std::size_t d = 0; d < kGroupDecisions / b; ++d) served += drain(b);
+      if (served != static_cast<std::size_t>(kGroupDecisions)) {
+        std::cerr << "[bench] a grouped VP request fell back — results invalid\n";
+        return 1;
+      }
+      group_ms[g].push_back(t.elapsed_ms() / kGroupDecisions);
+    }
+  }
+  netllm::core::set_global_threads(0);
+  std::vector<Aggregate> ms_per_decision, decisions_per_s;
+  for (const auto& ms : group_ms) {
+    std::vector<double> rate;
+    for (const double x : ms) rate.push_back(1e3 / x);
+    ms_per_decision.push_back(aggregate(ms));
+    decisions_per_s.push_back(aggregate(rate));
+  }
+  print_banner(std::cout, "VP lockstep groups, d_model " + std::to_string(vcfg.d_model) +
+                              " Q8_0 backbone, horizon " + std::to_string(kVpHorizon) + " (" +
+                              std::to_string(kGroupReps) + " reps, median)");
+  Table gt({"requests per drain", "decisions/s", "ms/decision", "ms/decision stddev"});
+  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
+    gt.add_row({std::to_string(group_sizes[g]), Table::num(decisions_per_s[g].median, 1),
+                Table::num(ms_per_decision[g].median, 2),
+                Table::num(ms_per_decision[g].stddev, 2)});
+  }
+  gt.print(std::cout);
+
   // ---- JSON export ----
   std::ofstream json(out_path);
   json << "{\n  \"decode\": [\n";
@@ -178,7 +264,22 @@ int main(int argc, char** argv) {
          << "}" << (i + 1 == quant_rows.size() ? "\n" : ",\n");
   }
   json << "  ],\n  \"quant_q8_speedup_tokens_per_s\": " << q8_speedup
-       << ",\n  \"quant_q8_memory_ratio\": " << q8_mem_ratio << "\n}\n";
+       << ",\n  \"quant_q8_memory_ratio\": " << q8_mem_ratio << ",\n  \"vp_group\": [\n";
+  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
+    json << "    {\"requests\": " << group_sizes[g] << ", \"d_model\": " << vcfg.d_model
+         << ", \"dtype\": \"q8_0\", \"horizon\": " << kVpHorizon
+         << ", \"decisions\": " << kGroupDecisions << ", \"repetitions\": " << kGroupReps
+         << ", \"decisions_per_s\": " << json_aggregate(decisions_per_s[g])
+         << ", \"ms_per_decision\": " << json_aggregate(ms_per_decision[g]) << "}"
+         << (g + 1 == group_sizes.size() ? "\n" : ",\n");
+  }
+  json << "  ],\n  \"context\": {";
+  const auto context = netllm::benchsupport::provenance(NETLLM_BUILD_TYPE);
+  for (std::size_t i = 0; i < context.size(); ++i) {
+    json << (i == 0 ? "" : ", ") << "\"" << context[i].first << "\": \"" << context[i].second
+         << "\"";
+  }
+  json << "}\n}\n";
   std::cout << "wrote " << out_path << "\n";
   if (speedup < 3.0) {
     std::cerr << "[bench] WARNING: cached speedup " << speedup << "x below the 3x floor\n";

@@ -13,17 +13,15 @@
 // medians), and the file's context block carries the run's provenance.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "core/threadpool.hpp"
 #include "llm/minigpt.hpp"
 #include "llm/tokenizer.hpp"
+#include "support/bench_common.hpp"
 #include "tensor/isa.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/quants.hpp"
@@ -283,30 +281,13 @@ void register_isa_tier_benches() {
   }
 }
 
-/// First line of a shell command's output, or "unknown".
-std::string command_line(const char* cmd) {
-  std::string out;
-  if (FILE* pipe = ::popen(cmd, "r")) {
-    char buf[128];
-    if (std::fgets(buf, sizeof buf, pipe) != nullptr) out = buf;
-    ::pclose(pipe);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
-  return out.empty() ? "unknown" : out;
-}
-
 /// Provenance of the sweep in the JSON context block: which commit, build
 /// and host conditions produced these numbers (check_bench_kernels.py
 /// requires every key).
 void add_provenance_context() {
-  benchmark::AddCustomContext("git_sha", command_line("git rev-parse HEAD 2>/dev/null"));
-  benchmark::AddCustomContext(
-      "git_dirty", command_line("git status --porcelain 2>/dev/null | head -c1 | wc -c"));
-  benchmark::AddCustomContext("build_type", NETLLM_BUILD_TYPE);
-  benchmark::AddCustomContext("nproc", std::to_string(std::thread::hardware_concurrency()));
-  benchmark::AddCustomContext("isa_active", isa::isa_name(isa::active_isa()));
-  const char* threads = std::getenv("NETLLM_THREADS");
-  benchmark::AddCustomContext("netllm_threads", threads != nullptr ? threads : "unset");
+  for (const auto& [key, value] : netllm::benchsupport::provenance(NETLLM_BUILD_TYPE)) {
+    benchmark::AddCustomContext(key, value);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <thread>
+
+#include "tensor/isa.hpp"
 
 namespace netllm::benchsupport {
 
@@ -35,7 +40,32 @@ std::string cache_path(const std::string& name) {
   return std::string(kCacheDir) + "/" + name + ".bin";
 }
 
+/// First line of a shell command's output, or "unknown".
+std::string command_line(const char* cmd) {
+  std::string out;
+  if (FILE* pipe = ::popen(cmd, "r")) {
+    char buf[128];
+    if (std::fgets(buf, sizeof buf, pipe) != nullptr) out = buf;
+    ::pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
+
 }  // namespace
+
+std::vector<std::pair<std::string, std::string>> provenance(const std::string& build_type) {
+  namespace isa = tensor::isa;
+  const char* threads = std::getenv("NETLLM_THREADS");
+  return {
+      {"git_sha", command_line("git rev-parse HEAD 2>/dev/null")},
+      {"git_dirty", command_line("git status --porcelain 2>/dev/null | head -c1 | wc -c")},
+      {"build_type", build_type},
+      {"nproc", std::to_string(std::thread::hardware_concurrency())},
+      {"isa_active", isa::isa_name(isa::active_isa())},
+      {"netllm_threads", threads != nullptr ? threads : "unset"},
+  };
+}
 
 std::shared_ptr<baselines::TrackModel> trained_track() {
   core::Rng rng(11);

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/abr/genet.hpp"
@@ -29,6 +30,11 @@
 namespace netllm::benchsupport {
 
 inline constexpr const char* kCacheDir = ".netllm_cache";
+
+/// Provenance of a ledger run as (key, value) pairs: git_sha, git_dirty,
+/// build_type, nproc, isa_active and netllm_threads. Run from the repository
+/// root so the git keys resolve; tools/check_bench_*.py require every key.
+std::vector<std::pair<std::string, std::string>> provenance(const std::string& build_type);
 
 // ---- trained baselines (snapshot-cached) ----
 

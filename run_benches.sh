@@ -3,7 +3,8 @@
 # Also emits BENCH_kernels.json (serial vs threaded matmul GFLOP/s;
 # items_per_second == FLOP/s), BENCH_session.json (durable-session
 # checkpoint save/restore latency + steps/s at each checkpoint cadence),
-# BENCH_decode.json (cached vs uncached tokens/s + quantized decode),
+# BENCH_decode.json (cached vs uncached tokens/s + quantized decode + VP
+# lockstep groups),
 # BENCH_metrics.json (observability hot-path cost) with the metrics-registry
 # dump in metrics.json,
 # BENCH_chaos.json (SLO attainment / shed / fallback rates under seeded
@@ -38,7 +39,7 @@ echo "##### BENCH_session.json (checkpoint latency + cadence overhead)"
 ./build/bench/bench_session \
   --benchmark_out=BENCH_session.json --benchmark_out_format=json 2>&1
 echo
-echo "##### BENCH_decode.json (KV-cached decode + quantized decode)"
+echo "##### BENCH_decode.json (KV-cached decode + quantized decode + VP lockstep groups)"
 ./build/bench/bench_decode BENCH_decode.json 2>&1
 echo
 echo "##### BENCH_metrics.json + metrics.json (observability overhead)"
@@ -77,43 +78,11 @@ fi
 echo
 echo "##### validating BENCH_decode.json schema"
 # The decode artifact is consumed downstream: drift in its keys (decode rows,
-# the cached/uncached speedup, the quantized decode rows) must fail the sweep
-# loudly, not archive a silently incompatible file.
+# the cached/uncached speedup, the quantized decode rows, the VP lockstep
+# group rows and their provenance) must fail the sweep loudly, not archive a
+# silently incompatible file.
 if command -v python3 >/dev/null 2>&1; then
-  if python3 - BENCH_decode.json <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-def need(obj, key, ctx):
-    if key not in obj:
-        raise SystemExit(f"schema drift: missing '{key}' in {ctx}")
-
-for key in ("decode", "speedup_tokens_per_s", "quant_decode",
-            "quant_q8_speedup_tokens_per_s", "quant_q8_memory_ratio"):
-    need(doc, key, "top level")
-if {r.get("mode") for r in doc["decode"]} != {"cached", "uncached"}:
-    raise SystemExit("schema drift: decode rows must be exactly cached + uncached")
-for row in doc["decode"]:
-    for key in ("tokens_per_s", "p50_ms", "p99_ms"):
-        need(row, key, "decode row")
-if [r.get("dtype") for r in doc["quant_decode"]] != ["f32", "q8_0", "q4_0"]:
-    raise SystemExit("schema drift: quant_decode rows must be f32, q8_0, q4_0 in order")
-for row in doc["quant_decode"]:
-    for key in ("tokens_per_s", "p50_ms", "p99_ms", "backbone_bytes"):
-        need(row, key, "quant_decode row")
-# The DESIGN.md §15 headline: a quantized backbone must actually shrink
-# (Q8 payload is 9/32 of fp32 plus scales -> well over 3x smaller) and the
-# Q8 decode must not be slower than fp32 (measured best-of-3 interleaved,
-# so a load spike on a shared box doesn't decide the comparison).
-if doc["quant_q8_memory_ratio"] <= 3.0:
-    raise SystemExit(f"regression: q8 backbone memory ratio {doc['quant_q8_memory_ratio']} <= 3x")
-if doc["quant_q8_speedup_tokens_per_s"] <= 1.0:
-    raise SystemExit(
-        f"regression: q8 decode slower than fp32 ({doc['quant_q8_speedup_tokens_per_s']}x)")
-print("ok: BENCH_decode.json schema")
-EOF
+  if python3 tools/check_bench_decode.py BENCH_decode.json
   then :; else
     echo "FLEET-FAILED: BENCH_decode.json schema drift"
     exit 1

@@ -37,7 +37,7 @@ enum class Phase : int {
   kGuard,
   kCheckpoint,
   kPoolWait,
-  kSchedStep,  // one scheduler slot executing one queued request (§13)
+  kSchedStep,  // one scheduler slot executing one queued request or VP lockstep group (§13)
   kCount,
 };
 

@@ -11,11 +11,12 @@ namespace netllm::llm {
 namespace {
 using namespace netllm::tensor;
 
-/// Per-thread rows of the graph-free backbone pass: the residual stream and
-/// the final layer norm. Capacity only grows, so a warm thread allocates
-/// nothing but the returned tensor.
+/// Per-thread rows of the graph-free backbone pass: the residual stream, the
+/// final layer norm and the per-block segment lists. Capacity only grows, so
+/// a warm thread allocates nothing but the returned tensors.
 struct PassRows {
   std::vector<float> h, ln;
+  std::vector<nn::KvSegment> segments;
 
   static PassRows& local() {
     thread_local PassRows rows;
@@ -48,10 +49,12 @@ Tensor MiniGpt::run_blocks(const Tensor& x) const {
   return final_ln_->forward(h);
 }
 
-void MiniGpt::run_blocks_rows(std::span<float> h, std::int64_t m, std::span<nn::KvCache> layers,
+void MiniGpt::run_blocks_rows(std::span<float> h, std::int64_t m,
+                              std::span<const nn::KvSegment> segments,
                               std::span<float> out) const {
+  const auto n = segments.size() / blocks_.size();
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    blocks_[i]->forward_rows(h, m, layers.empty() ? nullptr : &layers[i], h);
+    blocks_[i]->forward_rows(h, segments.subspan(i * n, n), h);
   }
   final_ln_->forward_rows(h, m, out);
 }
@@ -70,27 +73,79 @@ Tensor MiniGpt::token_logits(std::span<const int> ids, std::int64_t pos,
     if (id < 0 || id >= cfg_.vocab) throw std::invalid_argument("embedding: id out of range");
     for (std::int64_t j = 0; j < d; ++j) h[i * d + j] = w[id * d + j] + p[(pos + i) * d + j];
   }
+  auto& segs = rows.segments;
+  segs.clear();
+  for (auto& c : layers) segs.push_back({m, &c});
+  segs.resize(blocks_.size(), {m, nullptr});
   const auto ln = sized(rows.ln, m * d);
-  run_blocks_rows(h, m, layers, ln);
+  run_blocks_rows(h, m, segs, ln);
   auto logits = Tensor::zeros({m, cfg_.vocab});
   lm_head_->forward_rows(ln, m, logits.mutable_data());
   return logits;
 }
 
-Tensor MiniGpt::embedding_features(const Tensor& embeds, std::int64_t pos,
-                                   std::span<nn::KvCache> layers) const {
-  // add(embeds, slice_rows(pos_embed_, pos, m)) on raw rows, then the blocks.
-  const auto m = embeds.dim(0), d = cfg_.d_model;
-  const auto e = embeds.data();
-  const auto p = pos_embed_.data().subspan(static_cast<std::size_t>(pos * d));
-  const auto h = sized(PassRows::local().h, m * d);
-  for (std::size_t j = 0; j < h.size(); ++j) h[j] = e[j] + p[j];
-  auto features = Tensor::zeros({m, d});
-  run_blocks_rows(h, m, layers, features.mutable_data());
-  // Fault-injection site shared with forward_embeddings: one draw per
-  // backbone pass, so an armed plan fires identically on every path.
-  core::fault::corrupt("llm.forward", features.mutable_data());
-  return features;
+std::vector<SegmentFeatures> MiniGpt::forward_segments(
+    std::span<const EmbeddingSegment> segments) const {
+  // add(embeds, slice_rows(pos_embed_, pos, rows)) on each segment's raw
+  // rows, stacked, then one pass through the blocks.
+  const auto d = cfg_.d_model;
+  const auto n = segments.size();
+  auto& rows = PassRows::local();
+  auto& segs = rows.segments;
+  segs.assign(blocks_.size() * n, {});
+  std::int64_t m = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto& seg = segments[s];
+    const auto r = static_cast<std::int64_t>(seg.embeds.size()) / d;
+    const auto pos = seg.layers.empty() ? std::int64_t{0} : seg.layers.front().len;
+    if (r <= 0 || r * d != static_cast<std::int64_t>(seg.embeds.size()) ||
+        (!seg.layers.empty() && seg.layers.size() != blocks_.size()) ||
+        pos + r > cfg_.max_seq) {
+      throw std::invalid_argument(
+          "MiniGpt::forward_segments: each segment needs whole d_model rows, caches sized "
+          "for this model and at most max_seq positions");
+    }
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+      segs[b * n + s] = {r, seg.layers.empty() ? nullptr : &seg.layers[b]};
+    }
+    m += r;
+  }
+  const auto h = sized(rows.h, m * d);
+  std::int64_t row0 = 0;
+  for (const auto& seg : segments) {
+    const auto pos = seg.layers.empty() ? std::int64_t{0} : seg.layers.front().len;
+    const auto p = pos_embed_.data().subspan(static_cast<std::size_t>(pos * d));
+    for (std::size_t j = 0; j < seg.embeds.size(); ++j) {
+      h[static_cast<std::size_t>(row0 * d) + j] = seg.embeds[j] + p[j];
+    }
+    row0 += static_cast<std::int64_t>(seg.embeds.size()) / d;
+  }
+  const auto features = sized(rows.ln, m * d);
+  run_blocks_rows(h, m, segs, features);
+  std::vector<SegmentFeatures> out(n);
+  row0 = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto r = static_cast<std::int64_t>(segments[s].embeds.size()) / d;
+    const auto first = features.begin() + row0 * d;
+    out[s].features = Tensor::from({first, first + r * d}, {r, d});
+    row0 += r;
+    // Fault-injection site shared with forward_embeddings: one draw per
+    // segment per backbone pass, so an armed plan fires on one request's
+    // rows exactly as when that request is served alone.
+    try {
+      core::fault::corrupt("llm.forward", out[s].features.mutable_data());
+    } catch (...) {
+      out[s].error = std::current_exception();
+    }
+  }
+  return out;
+}
+
+Tensor MiniGpt::embedding_features(const Tensor& embeds, std::span<nn::KvCache> layers) const {
+  const EmbeddingSegment seg{embeds.data(), layers};
+  auto out = forward_segments({&seg, 1});
+  if (out.front().error) std::rethrow_exception(out.front().error);
+  return std::move(out.front().features);
 }
 
 Tensor MiniGpt::forward_tokens(std::span<const int> ids) const {
@@ -249,7 +304,7 @@ Tensor MiniGpt::prefill_embeddings(const Tensor& embeds, std::span<nn::KvCache> 
     throw std::invalid_argument("MiniGpt::prefill_embeddings: sequence length out of range");
   }
   core::trace::Span span(core::trace::Phase::kPrefill);
-  return embedding_features(embeds, 0, layers);
+  return embedding_features(embeds, layers);
 }
 
 Tensor MiniGpt::embeddings_step(const Tensor& row, std::span<nn::KvCache> layers) const {
@@ -264,7 +319,7 @@ Tensor MiniGpt::embeddings_step(const Tensor& row, std::span<nn::KvCache> layers
     throw std::invalid_argument("MiniGpt::embeddings_step: cache is full (max_seq positions)");
   }
   core::trace::Span span(core::trace::Phase::kDecodeStep);
-  return embedding_features(row, pos, layers);
+  return embedding_features(row, layers);
 }
 
 std::vector<Tensor> MiniGpt::enable_lora(std::int64_t rank, float alpha, core::Rng& rng) {

@@ -11,6 +11,7 @@
 //    entirely, which is how NetLLM guarantees single-inference valid answers.
 #pragma once
 
+#include <exception>
 #include <memory>
 #include <span>
 #include <string>
@@ -42,6 +43,19 @@ struct DecodeState {
   void clear() {
     for (auto& c : layers) c.clear();
   }
+};
+
+/// One request's rows in a grouped embedding pass (`MiniGpt::forward_segments`).
+struct EmbeddingSegment {
+  std::span<const float> embeds;  // [rows, d_model] token-like vectors, row-major
+  std::span<nn::KvCache> layers;  // one cache per block; empty captures nothing
+};
+
+/// A segment's outcome: features [rows, d_model], or the error its
+/// "llm.forward" draw raised (then `features` must not be read).
+struct SegmentFeatures {
+  tensor::Tensor features;
+  std::exception_ptr error;
 };
 
 class MiniGpt final : public nn::Module {
@@ -96,6 +110,15 @@ class MiniGpt final : public nn::Module {
   /// produce over the extended sequence. Throws at `max_seq` positions.
   tensor::Tensor embeddings_step(const tensor::Tensor& row,
                                  std::span<nn::KvCache> layers) const;
+  /// The grouped pass behind both: every segment's rows, at the positions
+  /// after its own caches' rows, stacked into one graph-free m-row backbone
+  /// pass (m = the segments' rows), each segment attending only over its own
+  /// caches. Each segment's features are bitwise what a pass of that segment
+  /// alone computes. The "llm.forward" fault site is drawn once per segment,
+  /// in segment order, on that segment's rows: a Throw or a corruption
+  /// belongs to that segment only. Throws std::invalid_argument (for the
+  /// whole group) on a malformed segment or one past `max_seq`.
+  std::vector<SegmentFeatures> forward_segments(std::span<const EmbeddingSegment> segments) const;
 
   // ---- adaptation hooks ----
   /// Freeze every backbone parameter (embeddings, blocks, LM head).
@@ -157,19 +180,18 @@ class MiniGpt final : public nn::Module {
  private:
   /// Tensor-op blocks and final layer norm (the autograd tape).
   tensor::Tensor run_blocks(const tensor::Tensor& x) const;
-  /// The graph-free backbone pass behind prefill, decode_step,
-  /// prefill_embeddings and embeddings_step: every block's m-row forward
-  /// over h in place against `layers` (one cache per block; empty captures
-  /// nothing), then the final layer norm into `out`.
-  void run_blocks_rows(std::span<float> h, std::int64_t m, std::span<nn::KvCache> layers,
+  /// The graph-free backbone pass behind prefill, decode_step and
+  /// forward_segments: every block's m-row forward over h in place, block
+  /// b against segments[b * n .. (b + 1) * n) for n segments per block,
+  /// then the final layer norm into `out`.
+  void run_blocks_rows(std::span<float> h, std::int64_t m, std::span<const nn::KvSegment> segments,
                        std::span<float> out) const;
   /// Graph-free pass over the tokens ids at positions pos..; returns
   /// logits [m, vocab].
   tensor::Tensor token_logits(std::span<const int> ids, std::int64_t pos,
                               std::span<nn::KvCache> layers) const;
-  /// Graph-free pass over embedding rows at positions pos..; returns
-  /// features [m, d_model] after the "llm.forward" fault draw.
-  tensor::Tensor embedding_features(const tensor::Tensor& embeds, std::int64_t pos,
+  /// A one-segment forward_segments call; rethrows the segment's error.
+  tensor::Tensor embedding_features(const tensor::Tensor& embeds,
                                     std::span<nn::KvCache> layers) const;
 
   MiniGptConfig cfg_;

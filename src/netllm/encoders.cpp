@@ -42,8 +42,8 @@ ScalarEncoder::ScalarEncoder(std::int64_t inputs, std::int64_t d_model, core::Rn
 }
 
 Tensor ScalarEncoder::forward(const Tensor& scalars) const {
-  if (scalars.rank() != 2 || scalars.dim(0) != 1 || scalars.dim(1) != inputs_) {
-    throw std::invalid_argument("ScalarEncoder: expected [1, inputs]");
+  if (scalars.rank() != 2 || scalars.dim(0) < 1 || scalars.dim(1) != inputs_) {
+    throw std::invalid_argument("ScalarEncoder: expected [m, inputs]");
   }
   return norm_->forward(proj_->forward(relu(fc_->forward(scalars))));
 }

@@ -37,7 +37,8 @@ class TimeSeriesEncoder final : public nn::Module {
 };
 
 /// Fully-connected feature encoder for scalar groups (e.g. buffer occupancy,
-/// return-to-go). Input [1, k] -> [1, d_model].
+/// return-to-go). Input [1, k] -> [1, d_model]; every op is row-wise, so
+/// [m, k] encodes m groups at once, each row bitwise its own [1, k] call.
 class ScalarEncoder final : public nn::Module {
  public:
   ScalarEncoder(std::int64_t inputs, std::int64_t d_model, core::Rng& rng);

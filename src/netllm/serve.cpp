@@ -93,6 +93,13 @@ InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
       adapter->set_kv_arena(arena_);
     }
   }
+  // Lockstep VP groups (DESIGN.md §13) under the same rule, unless a
+  // latency budget is set: a per-request budget cannot be charged fairly
+  // inside a group whose members share every pass.
+  if (auto adapter = std::dynamic_pointer_cast<adapt::VpAdapter>(vp_model_);
+      adapter && cfg_.latency_budget_ms == 0.0) {
+    vp_grouped_ = adapter;
+  }
   // Block-quantized backbone (DESIGN.md §15): quantize every adapter
   // primary's projection weights at the configured dtype. Non-adapter
   // predictors are opaque and stay untouched.
@@ -335,6 +342,84 @@ VpResponse InferenceEngine::serve_vp(const Queued<VpRequest>& q, std::uint64_t e
   return resp;
 }
 
+void InferenceEngine::serve_vp_group(std::span<const std::size_t> indices,
+                                     const std::vector<Queued<VpRequest>>& jobs,
+                                     std::uint64_t epoch) {
+  // One member's serve state between its start_request and its decision.
+  struct Member {
+    std::size_t index = 0;
+    VpResponse resp;
+    adapt::GuardCall call;
+    core::Timer timer;             // compute_ms: from the group's start to this decision
+    std::exception_ptr hook;       // the serve.batch draw threw
+    std::ptrdiff_t slot = -1;      // place in the computed group; -1 = shed or hook threw
+  };
+  for (std::size_t begin = 0; begin < indices.size();) {
+    std::vector<Member> group;
+    std::vector<adapt::VpQuery> queries;
+    std::int64_t pages = 0;
+    std::size_t end = begin;
+    for (; end < indices.size(); ++end) {
+      const Queued<VpRequest>& q = jobs[indices[end]];
+      Member mb;
+      mb.index = indices[end];
+      mb.call = start_request(q.admitted, q.shed, 0, epoch, mb.index, mb.resp.meta);
+      if (!mb.call.shed) {
+        const auto rows = static_cast<std::int64_t>(q.req.history.size()) + q.req.horizon;
+        const std::int64_t need = arena_ ? arena_->pages_for(rows) : 0;
+        if (arena_ && !queries.empty() && !arena_->fits_without_eviction(pages + need)) break;
+        // The member's own serve.batch hook, before the group computes.
+        try {
+          core::fault::check("serve.batch");
+          mb.slot = static_cast<std::ptrdiff_t>(queries.size());
+          queries.push_back({q.req.history, &q.req.saliency, q.req.horizon});
+          pages += need;
+        } catch (...) {
+          mb.hook = std::current_exception();
+        }
+      }
+      group.push_back(std::move(mb));
+    }
+    std::vector<adapt::VpRollout> results;
+    if (!queries.empty()) {
+      try {
+        results = vp_grouped_->predict_group(queries);
+      } catch (...) {
+        results.assign(queries.size(), {{}, std::current_exception()});
+      }
+    }
+    // Each member's guarded decision, in schedule order: the first attempt
+    // takes the member's grouped answer (or rethrows its error — an
+    // Exhausted lease is still a shed), a retry runs the member alone.
+    for (auto& mb : group) {
+      const VpRequest& req = jobs[mb.index].req;
+      bool first = true;
+      adapt::GuardOutcome out;
+      mb.resp.viewports = vp_guard_.decide<std::vector<vp::Viewport>>(
+          [&] {
+            if (std::exchange(first, false)) {
+              if (mb.hook) std::rethrow_exception(mb.hook);
+              auto& r = results[static_cast<std::size_t>(mb.slot)];
+              if (r.error) std::rethrow_exception(r.error);
+              return std::move(r.viewports);
+            }
+            core::fault::check("serve.batch");
+            return vp_model_->predict(req.history, req.saliency, req.horizon);
+          },
+          [&](const std::vector<vp::Viewport>& v) { return adapt::is_valid(v, req.horizon); },
+          [&] { return vp_fallback_->predict(req.history, req.saliency, req.horizon); }, mb.call,
+          &out);
+      mb.resp.meta.compute_ms = mb.timer.elapsed_ms();
+      mb.resp.meta.latency_ms = mb.resp.meta.compute_ms;
+      finish_request(vp_metrics_, out, mb.resp.meta);
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      vp_responses_[mb.index] = std::move(mb.resp);
+      vp_done_[mb.index] = 1;
+    }
+    begin = end;
+  }
+}
+
 AbrResponse InferenceEngine::serve_abr(const Queued<AbrRequest>& q, std::uint64_t epoch,
                                        std::size_t index) {
   const AbrRequest& req = q.req;
@@ -441,23 +526,53 @@ BatchReport InferenceEngine::run() {
 
   const std::size_t n_total = order.size();
   const std::uint64_t hits_before = arena_ ? arena_->prefix_hits() : 0;
-  // Continuous batching: `slots` workers each pull the next scheduled job
-  // the moment their current one finishes — no slot idles while work is
-  // queued, and a single slow request delays only itself. Each request's
-  // tensor ops run inline inside its slot (no nested parallelism), so every
-  // response is bitwise the single-request answer at any NETLLM_THREADS; at
-  // one thread the pulls happen in exact schedule order.
   const std::size_t slots =
       cfg_.max_slots == 0 ? n_total : std::min(cfg_.max_slots, n_total);
+  // Work items, each one slot's pull: a single job, or a lockstep group of
+  // VP jobs. Each maximal run of consecutive VP jobs splits into
+  // min(slots, NETLLM_THREADS) contiguous groups as even as they come, so
+  // one lane steps the whole run in lockstep and four lanes over four
+  // requests serve one each, as before grouping.
+  struct Work {
+    std::size_t first, count;  // a span of `order`
+  };
+  std::vector<Work> work;
+  const auto lanes = std::min<std::size_t>(
+      slots, static_cast<std::size_t>(std::max(1, core::global_threads())));
+  for (std::size_t i = 0; i < n_total;) {
+    std::size_t run = 1;
+    if (vp_grouped_ && order[i].task == 0) {
+      while (i + run < n_total && order[i + run].task == 0) ++run;
+    }
+    const std::size_t groups = std::min(run, lanes);
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::size_t size = run / groups + (g < run % groups ? 1 : 0);
+      work.push_back({i, size});
+      i += size;
+    }
+  }
+  std::vector<std::size_t> job_index(n_total);
+  for (std::size_t i = 0; i < n_total; ++i) job_index[i] = order[i].index;
+  // Continuous batching: `slots` workers each pull the next work item the
+  // moment their current one finishes — no slot idles while work is queued,
+  // and a single slow request delays only its own item. Each item's tensor
+  // ops run inline inside its slot (no nested parallelism), so every
+  // response is bitwise the single-request answer at any NETLLM_THREADS; at
+  // one thread the pulls happen in exact schedule order.
+  const std::size_t n_work = work.size();
   std::atomic<std::size_t> next{0};
-  core::parallel_for(static_cast<std::int64_t>(slots), 1, [&](std::int64_t s0, std::int64_t s1) {
+  core::parallel_for(static_cast<std::int64_t>(std::min(slots, n_work)), 1,
+                     [&](std::int64_t s0, std::int64_t s1) {
     for (std::int64_t s = s0; s < s1; ++s) {
       for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= n_total) break;
-        const Job job = order[i];
+        const std::size_t w = next.fetch_add(1);
+        if (w >= n_work) break;
+        const Work item = work[w];
+        const Job job = order[item.first];
         core::trace::Span span(core::trace::Phase::kSchedStep);
-        if (job.task == 0) {
+        if (job.task == 0 && vp_grouped_) {
+          serve_vp_group({job_index.data() + item.first, item.count}, vp_jobs, epoch);
+        } else if (job.task == 0) {
           auto resp = serve_vp(vp_jobs[job.index], epoch, job.index);
           std::lock_guard<std::mutex> lock(queue_mu_);
           vp_responses_[job.index] = std::move(resp);

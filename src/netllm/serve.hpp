@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -39,6 +40,9 @@
 
 namespace netllm::nn {
 class KvArena;
+}
+namespace netllm::adapt {
+class VpAdapter;
 }
 
 namespace netllm::serve {
@@ -231,12 +235,15 @@ class InferenceEngine {
   /// Drain every queued request through the run-loop scheduler: jobs are
   /// ordered deterministically (task priority, then admission order) and
   /// `max_slots` in-flight slots pull the next job the moment one finishes —
-  /// continuous batching instead of an epoch-wide barrier. Each request's
-  /// tensor work still runs inline inside its slot, so every response stays
-  /// bitwise identical to serving that request alone at any NETLLM_THREADS.
-  /// ABR/CJS decisions serialize on their policy's mutex because those
-  /// policies keep rolling context — `ResponseMeta::queue_wait_ms` carries
-  /// the wait.
+  /// continuous batching instead of an epoch-wide barrier. With a VpAdapter
+  /// primary and no latency budget, each maximal run of consecutive VP jobs
+  /// splits into min(slots, NETLLM_THREADS) contiguous lockstep groups, each
+  /// one slot's job, whose rollouts share one stacked backbone pass per step
+  /// (DESIGN.md §13). Each request's tensor work still runs inline inside
+  /// its slot, so every response stays bitwise identical to serving that
+  /// request alone at any NETLLM_THREADS. ABR/CJS decisions serialize on
+  /// their policy's mutex because those policies keep rolling context —
+  /// `ResponseMeta::queue_wait_ms` carries the wait.
   BatchReport run();
 
   /// Resolve a ticket. A ticket resolves against the most recently completed
@@ -312,6 +319,13 @@ class InferenceEngine {
   void finish_request(TaskMetrics& m, const adapt::GuardOutcome& out, ResponseMeta& meta) const;
 
   VpResponse serve_vp(const Queued<VpRequest>& q, std::uint64_t epoch, std::size_t index);
+  /// Serves the VP jobs `indices` (consecutive in the schedule) as lockstep
+  /// groups through the VpAdapter primary, publishing each response as its
+  /// decision lands. A group stops growing at the first member whose lease
+  /// would not fit beside the group's without evicting a warm prefix; that
+  /// member starts the next group once this one's leases are back.
+  void serve_vp_group(std::span<const std::size_t> indices,
+                      const std::vector<Queued<VpRequest>>& jobs, std::uint64_t epoch);
   AbrResponse serve_abr(const Queued<AbrRequest>& q, std::uint64_t epoch, std::size_t index);
   CjsResponse serve_cjs(const Queued<CjsRequest>& q, std::uint64_t epoch, std::size_t index);
 
@@ -336,6 +350,11 @@ class InferenceEngine {
   core::metrics::Counter* admission_wakeups_ = nullptr;  // serve.admission.wakeups
   std::mutex abr_mu_, cjs_mu_;  // serialize stateful policy calls
   std::shared_ptr<nn::KvArena> arena_;  // pooled KV pages + warm prefixes (VP)
+  // The VP primary when it is a VpAdapter and no latency budget is set:
+  // consecutive VP jobs then run as lockstep groups. A per-request compute
+  // budget cannot be charged fairly inside a group, so with one set this is
+  // null and every VP request is served alone.
+  std::shared_ptr<adapt::VpAdapter> vp_grouped_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;   // signaled when run() frees queue space

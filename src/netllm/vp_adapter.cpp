@@ -1,5 +1,6 @@
 #include "netllm/vp_adapter.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -32,6 +33,8 @@ VpAdapter::VpAdapter(std::shared_ptr<llm::MiniGpt> llm, const VpAdapterConfig& c
   if (cfg_.use_lora) lora_ = llm_->enable_lora(cfg_.lora_rank, cfg_.lora_alpha, rng);
 }
 
+// A viewport's encoder input: its coordinates over the per-axis scales.
+// predict_group stacks the same three floats per live member.
 Tensor VpAdapter::viewport_token(const vp::Viewport& v) const {
   const float coords[] = {static_cast<float>(v.roll) / kRollScale,
                           static_cast<float>(v.pitch) / kPitchScale,
@@ -106,80 +109,219 @@ std::vector<float> request_key(std::span<const vp::Viewport> history, const Tens
 
 std::vector<vp::Viewport> VpAdapter::predict(std::span<const vp::Viewport> history,
                                              const Tensor& saliency, int horizon) {
-  if (history.empty() || horizon <= 0) throw std::invalid_argument("VpAdapter: bad inputs");
-  // The prompt is the image token plus one token per history viewport; the
-  // rollout appends horizon-1 generated viewports after it.
-  const auto prompt_len = 1 + static_cast<std::int64_t>(history.size());
-  const auto rows_needed = prompt_len + horizon - 1;
+  const VpQuery one{history, &saliency, horizon};
+  auto out = predict_group({&one, 1});
+  if (out.front().error) std::rethrow_exception(out.front().error);
+  return std::move(out.front().viewports);
+}
 
-  // Per-layer caches: a pooled arena lease when attached (may throw the
-  // named KvArena::Exhausted — the serve engine sheds that request), else a
-  // private reserved set.
-  nn::KvArena::Lease lease;
-  std::vector<nn::KvCache> own;
-  std::span<nn::KvCache> layers;
-  if (arena_) {
-    lease = arena_->lease(rows_needed);
-    layers = lease.layers();
-  } else {
-    own.resize(static_cast<std::size_t>(llm_->config().n_layers));
-    for (auto& c : own) {
-      c.d_model = llm_->config().d_model;
-      c.reserve(rows_needed);
-    }
-    layers = own;
-  }
-
-  // Prefix sharing: requests carrying the same raw prompt (saliency and
-  // history, byte-for-byte) adopt the published K/V rows and last-position
-  // features, skipping the encoders and the backbone prefill. The floats are
-  // the published request's own prefill output, and the encoders are
-  // deterministic in (weights, input), so a hit is bitwise a cold prefill.
+std::vector<VpRollout> VpAdapter::predict_group(std::span<const VpQuery> group) {
   const auto d_model = llm_->config().d_model;
-  const auto key_floats = arena_ ? request_key(history, saliency) : std::vector<float>{};
-  const std::uint64_t key = arena_ ? nn::KvArena::prefix_key(key_floats) : 0;
-  Tensor features_last;
-  std::vector<float> warm_features;
-  if (arena_ && arena_->adopt(key, key_floats, lease, &warm_features)) {
-    features_last = Tensor::from(std::move(warm_features), {1, d_model});
-  } else {
-    // Encode the prompt (image token + history viewports) exactly once.
-    const auto prompt = [&] {
-      core::trace::Span span(core::trace::Phase::kEncode);
-      return build_sequence(history, {}, saliency);
-    }();
-    auto features = llm_->prefill_embeddings(prompt, layers);
-    features_last = slice_rows(features, prompt_len - 1, 1);
-    // Never publish poisoned features: an armed llm.forward NaN fault must
-    // degrade this one request, not seed the warm cache for every later hit.
-    if (arena_ && all_finite(features_last.data())) {
-      arena_->publish(key, key_floats, {layers.data(), layers.size()}, prompt_len,
-                      features_last.data());
+  const auto n = group.size();
+  std::vector<VpRollout> out(n);
+  // A member's in-flight state. `live` clears the moment its error is set.
+  struct Member {
+    nn::KvArena::Lease lease;
+    std::vector<nn::KvCache> own;
+    std::span<nn::KvCache> layers;
+    std::vector<float> key_floats;
+    std::uint64_t key = 0;
+    std::vector<float> features_last;  // [d_model] backbone features of the last position
+    vp::Viewport cur;
+    bool live = false;
+  };
+  std::vector<Member> ms(n);
+  const auto fail = [&](std::size_t i) {
+    out[i].error = std::current_exception();
+    ms[i].live = false;
+  };
+  const auto same_key = [&](std::size_t a, std::size_t b) {
+    return ms[a].key == ms[b].key && ms[a].key_floats.size() == ms[b].key_floats.size() &&
+           std::memcmp(ms[a].key_floats.data(), ms[b].key_floats.data(),
+                       ms[a].key_floats.size() * sizeof(float)) == 0;
+  };
+
+  // 1. Per-layer caches (a pooled arena lease when attached — may throw the
+  // named KvArena::Exhausted, which the serve engine sheds — else a private
+  // reserved set), then a warm prefix or a cold mark. Prefix sharing: a
+  // request carrying a published raw prompt (saliency and history,
+  // byte-for-byte) adopts its K/V rows and last-position features, skipping
+  // the encoders and the prefill. The floats are the published request's own
+  // prefill output and the encoders are deterministic in (weights, input),
+  // so a hit is bitwise a cold prefill. A cold member equal to an earlier
+  // cold member of this group follows it: it adopts once that leader has
+  // published, as the second of two equal requests served in turn would.
+  std::vector<std::size_t> leaders, followers;
+  for (std::size_t i = 0; i < n; ++i) {
+    const VpQuery& q = group[i];
+    Member& mb = ms[i];
+    try {
+      if (q.history.empty() || q.horizon <= 0 || !q.saliency) {
+        throw std::invalid_argument("VpAdapter: bad inputs");
+      }
+      // The prompt is the image token plus one token per history viewport;
+      // the rollout appends horizon-1 generated viewports after it.
+      const auto rows_needed = 1 + static_cast<std::int64_t>(q.history.size()) + q.horizon - 1;
+      if (rows_needed > llm_->config().max_seq) {
+        throw std::invalid_argument("VpAdapter: prompt plus rollout exceed max_seq positions");
+      }
+      if (arena_) {
+        mb.lease = arena_->lease(rows_needed);
+        mb.layers = mb.lease.layers();
+      } else {
+        mb.own.resize(static_cast<std::size_t>(llm_->config().n_layers));
+        for (auto& c : mb.own) {
+          c.d_model = d_model;
+          c.reserve(rows_needed);
+        }
+        mb.layers = mb.own;
+      }
+      mb.cur = q.history.back();
+      mb.live = true;
+      out[i].viewports.reserve(static_cast<std::size_t>(q.horizon));
+      if (arena_) {
+        mb.key_floats = request_key(q.history, *q.saliency);
+        mb.key = nn::KvArena::prefix_key(mb.key_floats);
+        if (std::any_of(leaders.begin(), leaders.end(), [&](auto j) { return same_key(i, j); })) {
+          followers.push_back(i);
+          continue;
+        }
+        if (arena_->adopt(mb.key, mb.key_floats, mb.lease, &mb.features_last)) continue;
+      }
+      leaders.push_back(i);
+    } catch (...) {
+      fail(i);
     }
   }
 
-  std::vector<vp::Viewport> rollout;
-  rollout.reserve(static_cast<std::size_t>(horizon));
-  vp::Viewport cur = history.back();
-  for (int k = 0; k < horizon; ++k) {
-    auto delta = [&] {
-      core::trace::Span span(core::trace::Phase::kHead);
-      return head_->forward(features_last);
-    }();
-    cur.roll += static_cast<double>(delta.at(0)) * cfg_.delta_scale_deg;
-    cur.pitch += static_cast<double>(delta.at(1)) * cfg_.delta_scale_deg;
-    cur.yaw += static_cast<double>(delta.at(2)) * cfg_.delta_scale_deg;
-    rollout.push_back(cur);
-    if (k + 1 == horizon) break;
-    // One incremental backbone step over the newly generated viewport —
-    // bitwise the last row of the full forward predict_uncached re-runs.
-    const auto tok = [&] {
+  // 2. Cold prompts: encode each once, then one stacked prefill. A follower
+  // whose leader did not publish (non-finite features, no room) runs cold in
+  // a second stacked prefill, as it would have on its own.
+  const auto prefill = [&](const std::vector<std::size_t>& cold) {
+    if (cold.empty()) return;
+    std::vector<Tensor> prompts(cold.size());
+    std::vector<llm::EmbeddingSegment> segs;
+    std::vector<std::size_t> who;
+    {
       core::trace::Span span(core::trace::Phase::kEncode);
-      return viewport_token(cur);
-    }();
-    features_last = llm_->embeddings_step(tok, layers);
+      for (std::size_t c = 0; c < cold.size(); ++c) {
+        const auto i = cold[c];
+        try {
+          prompts[c] = build_sequence(group[i].history, {}, *group[i].saliency);
+          segs.push_back({prompts[c].data(), ms[i].layers});
+          who.push_back(i);
+        } catch (...) {
+          fail(i);
+        }
+      }
+    }
+    if (who.empty()) return;
+    std::vector<llm::SegmentFeatures> features;
+    try {
+      core::trace::Span span(core::trace::Phase::kPrefill);
+      features = llm_->forward_segments(segs);
+    } catch (...) {
+      for (const auto i : who) fail(i);
+      return;
+    }
+    for (std::size_t c = 0; c < who.size(); ++c) {
+      const auto i = who[c];
+      if (features[c].error) {
+        out[i].error = features[c].error;
+        ms[i].live = false;
+        continue;
+      }
+      const auto rows = features[c].features.dim(0);
+      const auto last = features[c].features.data().subspan(
+          static_cast<std::size_t>((rows - 1) * d_model), static_cast<std::size_t>(d_model));
+      ms[i].features_last.assign(last.begin(), last.end());
+      // Never publish poisoned features: an armed llm.forward NaN fault must
+      // degrade this one request, not seed the warm cache for every later hit.
+      if (arena_ && all_finite(last)) {
+        arena_->publish(ms[i].key, ms[i].key_floats, ms[i].layers, rows, last);
+      }
+    }
+  };
+  prefill(leaders);
+  std::vector<std::size_t> late;
+  for (const auto i : followers) {
+    if (!arena_->adopt(ms[i].key, ms[i].key_floats, ms[i].lease, &ms[i].features_last)) {
+      late.push_back(i);
+    }
   }
-  return rollout;
+  prefill(late);
+
+  // 3. Lockstep rollout over the members still live.
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ms[i].live) live.push_back(i);
+  }
+  std::vector<float> rows, coords;
+  std::vector<llm::EmbeddingSegment> segs;
+  while (!live.empty()) {
+    try {
+      const auto b = static_cast<std::int64_t>(live.size());
+      rows.clear();
+      for (const auto i : live) {
+        rows.insert(rows.end(), ms[i].features_last.begin(), ms[i].features_last.end());
+      }
+      const auto delta = [&] {
+        core::trace::Span span(core::trace::Phase::kHead);
+        return head_->forward(Tensor::from(rows, {b, d_model}));
+      }();
+      std::vector<std::size_t> next;
+      coords.clear();
+      for (std::int64_t r = 0; r < b; ++r) {
+        const auto i = live[static_cast<std::size_t>(r)];
+        vp::Viewport& cur = ms[i].cur;
+        cur.roll += static_cast<double>(delta.at(r * 3 + 0)) * cfg_.delta_scale_deg;
+        cur.pitch += static_cast<double>(delta.at(r * 3 + 1)) * cfg_.delta_scale_deg;
+        cur.yaw += static_cast<double>(delta.at(r * 3 + 2)) * cfg_.delta_scale_deg;
+        out[i].viewports.push_back(cur);
+        if (static_cast<int>(out[i].viewports.size()) == group[i].horizon) continue;
+        next.push_back(i);
+        coords.insert(coords.end(), {static_cast<float>(cur.roll) / kRollScale,
+                                     static_cast<float>(cur.pitch) / kPitchScale,
+                                     static_cast<float>(cur.yaw) / kYawScale});
+      }
+      live = std::move(next);
+      if (live.empty()) break;
+      // One incremental backbone step over each member's newly generated
+      // viewport — bitwise the last row of the full forward predict_uncached
+      // re-runs.
+      const auto nl = static_cast<std::int64_t>(live.size());
+      const auto tokens = [&] {
+        core::trace::Span span(core::trace::Phase::kEncode);
+        return viewport_encoder_->forward(Tensor::from(coords, {nl, 3}));
+      }();
+      segs.clear();
+      for (std::int64_t r = 0; r < nl; ++r) {
+        segs.push_back({tokens.data().subspan(static_cast<std::size_t>(r * d_model),
+                                              static_cast<std::size_t>(d_model)),
+                        ms[live[static_cast<std::size_t>(r)]].layers});
+      }
+      const auto features = [&] {
+        core::trace::Span span(core::trace::Phase::kDecodeStep);
+        return llm_->forward_segments(segs);
+      }();
+      next.clear();
+      for (std::int64_t r = 0; r < nl; ++r) {
+        const auto i = live[static_cast<std::size_t>(r)];
+        const auto& f = features[static_cast<std::size_t>(r)];
+        if (f.error) {
+          out[i].error = f.error;
+          continue;
+        }
+        ms[i].features_last.assign(f.features.data().begin(), f.features.data().end());
+        next.push_back(i);
+      }
+      live = std::move(next);
+    } catch (...) {
+      for (const auto i : live) fail(i);
+      live.clear();
+    }
+  }
+  return out;
 }
 
 std::vector<vp::Viewport> VpAdapter::predict_uncached(std::span<const vp::Viewport> history,

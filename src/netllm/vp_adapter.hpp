@@ -9,7 +9,9 @@
 // token-based decoding (Fig. 2).
 #pragma once
 
+#include <exception>
 #include <memory>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "envs/vp/dataset.hpp"
@@ -35,6 +37,21 @@ struct VpAdapterConfig {
   float delta_scale_deg = 5.0f;
 };
 
+/// One member of a grouped rollout (`VpAdapter::predict_group`): the
+/// arguments of one `predict` call. The referenced data must outlive the call.
+struct VpQuery {
+  std::span<const vp::Viewport> history;
+  const tensor::Tensor* saliency = nullptr;
+  int horizon = 0;
+};
+
+/// A member's rollout, or the error that ended it (then `viewports` must not
+/// be read).
+struct VpRollout {
+  std::vector<vp::Viewport> viewports;
+  std::exception_ptr error;
+};
+
 class VpAdapter final : public nn::Module, public vp::VpPredictor {
  public:
   /// Takes (shared) ownership of the LLM, freezes its backbone and injects
@@ -44,15 +61,27 @@ class VpAdapter final : public nn::Module, public vp::VpPredictor {
   std::string name() const override { return "NetLLM"; }
 
   /// KV-cached rollout (DESIGN.md §13): encode the prompt once, prefill the
-  /// backbone once, then run one incremental `embeddings_step` per further
+  /// backbone once, then run one incremental backbone step per further
   /// rollout step — bitwise identical to `predict_uncached`, which re-runs
   /// the full forward every step. With a `KvArena` attached the per-layer
   /// caches are pooled leases and a request whose raw prompt (saliency and
   /// history, byte-for-byte) was published adopts that prefix, skipping the
   /// encoders and the prefill entirely; `KvArena::Exhausted` propagates to
   /// the caller (the serve engine sheds such requests deterministically).
+  /// This is `predict_group` over a group of one.
   std::vector<vp::Viewport> predict(std::span<const vp::Viewport> history,
                                     const tensor::Tensor& saliency, int horizon) override;
+  /// Step-level batched rollouts (DESIGN.md §13): the members advance in
+  /// lockstep. Each member leases its caches and adopts a warm prefix or is
+  /// marked cold; a cold member whose raw request equals an earlier cold
+  /// member's adopts that member's rows once it publishes. All cold prompts
+  /// run one stacked prefill and publish in member order; then each step is
+  /// one stacked head call, one stacked viewport-token encode and one
+  /// m = (live members) backbone step. A member leaves at its own horizon or
+  /// on its own error (bad inputs, `KvArena::Exhausted`, an "llm.forward"
+  /// Throw on its rows), which lands in its `VpRollout::error` and touches
+  /// no other member. Every member's viewports are bitwise its `predict`.
+  std::vector<VpRollout> predict_group(std::span<const VpQuery> group);
   /// The pre-§13 rollout: a full `forward_embeddings` per step. Kept as the
   /// equivalence baseline `tests/test_sched.cpp` pins `predict` against.
   std::vector<vp::Viewport> predict_uncached(std::span<const vp::Viewport> history,

@@ -43,6 +43,11 @@ std::int64_t KvArena::pages_for(std::int64_t rows) const {
   return n_layers_ * 2 * std::max<std::int64_t>(spans, 1);  // K and V streams
 }
 
+bool KvArena::fits_without_eviction(std::int64_t pages) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return cfg_.page_budget == 0 || pages_in_use_ + pages <= cfg_.page_budget;
+}
+
 void KvArena::set_gauge_locked() {
   arena_metrics().pages->set(static_cast<double>(pages_in_use_));
 }

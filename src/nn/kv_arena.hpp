@@ -104,6 +104,13 @@ class KvArena {
   /// adopts rows the old weights computed.
   void clear_warm();
 
+  /// Pages a lease of `rows` positions pins.
+  std::int64_t pages_for(std::int64_t rows) const;
+  /// Whether `pages` more leased pages fit the budget beside everything
+  /// held now (leases and warm prefixes) without evicting a warm prefix.
+  /// The serve engine sizes a lockstep VP group with it.
+  bool fits_without_eviction(std::int64_t pages) const;
+
   // ---- stats (also mirrored into core::metrics) ----
   std::int64_t pages_in_use() const;
   std::int64_t page_budget() const;
@@ -125,7 +132,6 @@ class KvArena {
     std::int64_t pages = 0;
   };
 
-  std::int64_t pages_for(std::int64_t rows) const;
   /// Drop the least-recently-used warm entry. Caller holds mu_.
   void evict_lru_locked();
   void release(std::vector<KvCache>&& layers, std::int64_t pages);

@@ -59,6 +59,16 @@ void check_rows(std::span<const float> x, std::int64_t m, std::span<float> y,
   }
 }
 
+/// Rows of a stacked pass: the sum of its segments' rows, each positive.
+std::int64_t total_rows(std::span<const KvSegment> segments) {
+  std::int64_t m = 0;
+  for (const auto& seg : segments) {
+    if (seg.rows <= 0) throw std::invalid_argument("forward_rows: empty segment");
+    m += seg.rows;
+  }
+  return m;
+}
+
 void check_input(const Tensor& x, std::int64_t d_model, const char* what) {
   if (x.rank() != 2 || x.dim(1) != d_model) {
     throw std::invalid_argument(std::string(what) + ": expected [T, d_model] input");
@@ -173,64 +183,75 @@ Tensor MultiHeadAttention::forward_step(const Tensor& x_t, KvCache& cache) const
   return forward(x_t, &cache);
 }
 
-void MultiHeadAttention::forward_rows(std::span<const float> x, std::int64_t m, KvCache* cache,
+void MultiHeadAttention::forward_rows(std::span<const float> x,
+                                      std::span<const KvSegment> segments,
                                       std::span<float> y) const {
   // The ops of `attend` for m query rows, on raw buffers and in the same
   // order, calling the same kernel entry points with the same shapes. With
-  // m = T over an empty cache those are exactly the Tensor-op shapes; with
-  // m = 1 the [1, len] score row equals the matching row of the full
-  // product. Row i sits at absolute position len - m + i and sees that many
-  // columns plus itself, so its causal softmax is the row the full forward
-  // computes, and the masked zeros add 0 * v exactly as the full attn V does.
+  // one segment of m = T over an empty cache those are exactly the Tensor-op
+  // shapes; with m = 1 the [1, len] score row equals the matching row of the
+  // full product. Row i of a segment sits at absolute position len - rows + i
+  // of its cache and sees that many columns plus itself, so its causal
+  // softmax is the row the full forward computes, and the masked zeros add
+  // 0 * v exactly as the full attn V does. The projections are row-wise, and
+  // every kernel tier computes each output element by one sequence for any
+  // m (DESIGN.md §10), so stacking segments changes no bit of any of them.
+  const auto m = total_rows(segments);
   check_rows(x, m, y, d_model_, "MultiHeadAttention::forward_rows");
   if (!causal_) {
     throw std::invalid_argument("MultiHeadAttention::forward_rows: causal attention only");
   }
   auto& ws = RowsWorkspace::local();
   const auto d = d_model_, dh = d_head_;
+  const auto du = static_cast<std::size_t>(d);
   const auto q = zeroed(ws.q, m * d), k = zeroed(ws.k, m * d), v = zeroed(ws.v, m * d);
   project_rows(wq_, lq_, x, m, q);
   project_rows(wk_, lk_, x, m, k);
   project_rows(wv_, lv_, x, m, v);
-  const float* kc = k.data();
-  const float* vc = v.data();
-  std::int64_t len = m;
-  if (cache) {
-    const auto du = static_cast<std::size_t>(d);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(m); ++i) {
-      cache->append(k.subspan(i * du, du), v.subspan(i * du, du));
-    }
-    kc = cache->k().data();
-    vc = cache->v().data();
-    len = cache->len;
-  }
-  const auto past = len - m;
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
   const auto ctx = zeroed(ws.ctx, m * d);
-  for (std::int64_t h = 0; h < n_heads_; ++h) {
-    const auto qh = zeroed(ws.qh, m * dh);
-    const auto kt = zeroed(ws.kt, dh * len), vh = zeroed(ws.vh, len * dh);
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t c = 0; c < dh; ++c) qh[i * dh + c] = q[i * d + h * dh + c];
+  std::int64_t row0 = 0;  // the segment's first row in the stacked pass
+  for (const auto& seg : segments) {
+    const auto rows = seg.rows;
+    const float* kc = k.data() + row0 * d;
+    const float* vc = v.data() + row0 * d;
+    std::int64_t len = rows;
+    if (seg.cache) {
+      for (std::int64_t i = row0; i < row0 + rows; ++i) {
+        const auto off = static_cast<std::size_t>(i) * du;
+        seg.cache->append(k.subspan(off, du), v.subspan(off, du));
+      }
+      kc = seg.cache->k().data();
+      vc = seg.cache->v().data();
+      len = seg.cache->len;
     }
-    for (std::int64_t r = 0; r < len; ++r) {
-      for (std::int64_t c = 0; c < dh; ++c) {
-        kt[c * len + r] = kc[r * d + h * dh + c];
-        vh[r * dh + c] = vc[r * d + h * dh + c];
+    const auto past = len - rows;
+    for (std::int64_t h = 0; h < n_heads_; ++h) {
+      const auto qh = zeroed(ws.qh, rows * dh);
+      const auto kt = zeroed(ws.kt, dh * len), vh = zeroed(ws.vh, len * dh);
+      for (std::int64_t i = 0; i < rows; ++i) {
+        for (std::int64_t c = 0; c < dh; ++c) qh[i * dh + c] = q[(row0 + i) * d + h * dh + c];
+      }
+      for (std::int64_t r = 0; r < len; ++r) {
+        for (std::int64_t c = 0; c < dh; ++c) {
+          kt[c * len + r] = kc[r * d + h * dh + c];
+          vh[r * dh + c] = vc[r * d + h * dh + c];
+        }
+      }
+      const auto scores = zeroed(ws.scores, rows * len);
+      kernels::matmul_accum(qh.data(), kt.data(), scores.data(), rows, dh, len);
+      for (auto& sc : scores) sc = sc * inv_sqrt;
+      for (std::int64_t i = 0; i < rows; ++i) {
+        float* row = scores.data() + i * len;
+        causal_softmax_row(row, row, len, past + i + 1);
+      }
+      const auto oh = zeroed(ws.oh, rows * dh);
+      kernels::matmul_accum(scores.data(), vh.data(), oh.data(), rows, len, dh);
+      for (std::int64_t i = 0; i < rows; ++i) {
+        for (std::int64_t c = 0; c < dh; ++c) ctx[(row0 + i) * d + h * dh + c] = oh[i * dh + c];
       }
     }
-    const auto scores = zeroed(ws.scores, m * len);
-    kernels::matmul_accum(qh.data(), kt.data(), scores.data(), m, dh, len);
-    for (auto& sc : scores) sc = sc * inv_sqrt;
-    for (std::int64_t i = 0; i < m; ++i) {
-      float* row = scores.data() + i * len;
-      causal_softmax_row(row, row, len, past + i + 1);
-    }
-    const auto oh = zeroed(ws.oh, m * dh);
-    kernels::matmul_accum(scores.data(), vh.data(), oh.data(), m, len, dh);
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t c = 0; c < dh; ++c) ctx[i * d + h * dh + c] = oh[i * dh + c];
-    }
+    row0 += rows;
   }
   project_rows(wo_, lo_, ctx, m, y);
 }
@@ -297,18 +318,20 @@ Tensor TransformerBlock::forward_step(const Tensor& x_t, KvCache& cache) const {
   return forward(x_t, &cache);
 }
 
-void TransformerBlock::forward_rows(std::span<const float> x, std::int64_t m, KvCache* cache,
+void TransformerBlock::forward_rows(std::span<const float> x,
+                                    std::span<const KvSegment> segments,
                                     std::span<float> y) const {
   // layer_norm, the residual adds, gelu and the MLP are row-wise; attention
-  // is the only cross-row op and reads the cache. x is last read by the
-  // first residual add, so y may alias it.
+  // is the only cross-row op and reads each segment's cache. x is last read
+  // by the first residual add, so y may alias it.
   const auto d = attn_->d_model_, d_ff = fc1_->out_features();
+  const auto m = total_rows(segments);
   check_rows(x, m, y, d, "TransformerBlock::forward_rows");
   auto& ws = RowsWorkspace::local();
   const auto n = static_cast<std::size_t>(m * d);
   const auto ln = zeroed(ws.ln, m * d), a = zeroed(ws.attn, m * d), h = zeroed(ws.h, m * d);
   ln1_->forward_rows(x, m, ln);
-  attn_->forward_rows(ln, m, cache, a);
+  attn_->forward_rows(ln, segments, a);
   for (std::size_t j = 0; j < n; ++j) h[j] = x[j] + a[j];
   ln2_->forward_rows(h, m, ln);  // the attention is done with ln1's rows
   const auto f1 = zeroed(ws.ff1, m * d_ff), f2 = zeroed(ws.ff2, m * d);

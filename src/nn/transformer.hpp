@@ -54,6 +54,13 @@ struct KvCache {
   std::vector<float> k_, v_;
 };
 
+/// One request's rows in a stacked graph-free pass: `rows` consecutive rows
+/// of the pass, at the positions after the rows `cache` already holds.
+struct KvSegment {
+  std::int64_t rows = 0;
+  KvCache* cache = nullptr;  // null: capture nothing; the rows attend among themselves
+};
+
 /// Multi-head self-attention over a [T, D] sequence.
 ///
 /// Two forwards compute the same floats. The Tensor-op `forward(x)` builds
@@ -61,6 +68,8 @@ struct KvCache {
 /// graph-free `forward_rows` forwards m new rows against the K/V rows a
 /// cache already holds: a prefill is m = T over an empty cache and a decode
 /// step is m = 1 (DESIGN.md §10). Only causal attention runs graph-free.
+/// The m rows may stack several requests' segments, each against its own
+/// cache: a grouped VP rollout step is m = (live requests).
 class MultiHeadAttention final : public Module {
  public:
   MultiHeadAttention(std::int64_t d_model, std::int64_t n_heads, bool causal, core::Rng& rng);
@@ -76,13 +85,22 @@ class MultiHeadAttention final : public Module {
   /// the last row of `forward` over the full sequence; decoding must not be
   /// backpropagated through.
   Tensor forward_step(const Tensor& x_t, KvCache& cache) const;
-  /// The graph-free routine on raw rows: x [m, d_model] -> y [m, d_model].
-  /// Per head, serially: gather Q_h [m, d_head], K_h^T [d_head, len] and
-  /// V_h [len, d_head], scores through matmul_accum, scale, causal softmax
-  /// by absolute position, attn V_h through matmul_accum. Every kernel call
-  /// has the shape the Tensor-op `forward` uses for the same rows.
-  void forward_rows(std::span<const float> x, std::int64_t m, KvCache* cache,
+  /// The graph-free routine on raw rows: x [m, d_model] -> y [m, d_model],
+  /// m the sum of the segments' rows, stacked in segment order. The Q/K/V/O
+  /// projections run once over all m rows. Then per segment and per head,
+  /// serially: gather Q_h [rows, d_head], K_h^T [d_head, len] and V_h
+  /// [len, d_head] of that segment's cache, scores through matmul_accum,
+  /// scale, causal softmax by absolute position, attn V_h through
+  /// matmul_accum. Every attention kernel call has the shape the Tensor-op
+  /// `forward` uses for that segment's rows alone.
+  void forward_rows(std::span<const float> x, std::span<const KvSegment> segments,
                     std::span<float> y) const;
+  /// The one-segment case: x's m rows against `cache`.
+  void forward_rows(std::span<const float> x, std::int64_t m, KvCache* cache,
+                    std::span<float> y) const {
+    const KvSegment one{m, cache};
+    forward_rows(x, {&one, 1}, y);
+  }
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
   /// Wrap q/k/v/o projections with LoRA; returns the new low-rank tensors.
@@ -122,9 +140,17 @@ class TransformerBlock final : public Module {
   Tensor forward_step(const Tensor& x_t, KvCache& cache) const;
   /// The graph-free block body on raw rows: x [m, d_model] -> y [m, d_model];
   /// y may alias x. Each step is the raw-rows form of the matching Tensor op
-  /// in `forward`, with the operands in the same order.
-  void forward_rows(std::span<const float> x, std::int64_t m, KvCache* cache,
+  /// in `forward`, with the operands in the same order. The norms, residuals
+  /// and MLP are row-wise and run once over all stacked segments; only the
+  /// attention splits them (MultiHeadAttention::forward_rows).
+  void forward_rows(std::span<const float> x, std::span<const KvSegment> segments,
                     std::span<float> y) const;
+  /// The one-segment case: x's m rows against `cache`.
+  void forward_rows(std::span<const float> x, std::int64_t m, KvCache* cache,
+                    std::span<float> y) const {
+    const KvSegment one{m, cache};
+    forward_rows(x, {&one, 1}, y);
+  }
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
   std::vector<Tensor> enable_lora(std::int64_t rank, float alpha, core::Rng& rng);
 

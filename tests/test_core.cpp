@@ -138,6 +138,32 @@ TEST(Checksum, Crc32KnownAnswer) {
   EXPECT_EQ(nc::crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(nc::crc32("56789", 5, nc::crc32("1234", 4)), 0xCBF43926u);
   EXPECT_EQ(nc::crc32("", 0), 0u);
+
+  // The bytewise definition, one bit at a time.
+  const auto reference = [](const unsigned char* p, std::size_t n, std::uint32_t seed) {
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<unsigned char> buf(8 + 80);
+  nc::Rng rng(11);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.randint(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    for (std::size_t len = 0; len <= 80; ++len) {
+      const auto want = reference(p, len, 0);
+      ASSERT_EQ(nc::crc32(p, len), want) << "offset " << offset << " len " << len;
+      // Any split chains back to the one-shot value.
+      for (std::size_t cut = 0; cut <= len; cut += 7) {
+        ASSERT_EQ(nc::crc32(p + cut, len - cut, nc::crc32(p, cut)), want)
+            << "offset " << offset << " len " << len << " cut " << cut;
+      }
+      ASSERT_EQ(nc::crc32(p, len, 0x12345678u), reference(p, len, 0x12345678u));
+    }
+  }
 }
 
 TEST(Stats, MeanAndStddev) {

@@ -10,7 +10,9 @@
 // graph-free m-row forward: the decode step (m = 1) is bitwise the last row
 // of the Tensor-op forward and a prefill (m = T) is bitwise the whole
 // forward for every dtype, LoRA setting, head width, ISA tier and thread
-// count, with the same kernel counters and no intermediate nodes; NaNs still
+// count, a pass stacking several requests' segments is bitwise each
+// segment's own pass, with the same kernel counters and no intermediate
+// nodes; NaNs still
 // reach it, it builds no autograd history, and the served ABR/CJS decisions
 // match digests recorded on the tape path and, under a seeded forward Throw
 // storm, digests recorded with adapters that re-encoded every window.
@@ -518,6 +520,75 @@ TEST_F(Decode, GraphFreeStepBitwiseEqualsFullForwardAcrossDtypesLoraHeadsTiersAn
             ASSERT_EQ(bits(by_steps.v()), bits(by_prefill.v())) << where;
             ASSERT_EQ(bits(by_steps.k()), bits(by_chunks.k())) << where;
             ASSERT_EQ(bits(by_steps.v()), bits(by_chunks.v())) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A stacked pass over several segments (a grouped VP rollout step or
+// prefill) is, segment by segment, bitwise the pass over that segment alone:
+// same output rows and same appended cache rows, whatever the split.
+TEST_F(Decode, SegmentedBlockForwardEqualsPerSegmentCallsBitwise) {
+  ThreadGuard threads;
+  IsaGuard tier;
+  const std::int64_t d_head = 8, d = 2 * d_head;
+  for (const auto t : {isa::Isa::kScalar, isa::best_isa()}) {
+    isa::set_active_isa(t);
+    for (const int n_threads : {1, 3}) {
+      nc::set_global_threads(n_threads);
+      for (const auto dtype : kDtypes) {
+        Rng rng(41 + static_cast<std::uint64_t>(dtype));
+        const auto block = make_block(d_head, dtype, /*lora=*/true, rng);
+        for (std::int64_t m = 1; m <= 13; ++m) {
+          // One segment, m single rows, and three seeded random splits.
+          std::vector<std::vector<std::int64_t>> splits = {{m},
+                                                           std::vector<std::int64_t>(m, 1)};
+          for (int r = 0; r < 3; ++r) {
+            std::vector<std::int64_t> split;
+            for (std::int64_t left = m; left > 0;) {
+              split.push_back(rng.randint(1, left));
+              left -= split.back();
+            }
+            splits.push_back(split);
+          }
+          for (const auto& split : splits) {
+            const auto where = std::string(isa::isa_name(t)) + " threads=" +
+                               std::to_string(n_threads) + " " + nq::dtype_name(dtype) +
+                               " m=" + std::to_string(m) + " segments=" +
+                               std::to_string(split.size());
+            // Each segment's cache already holds 0..4 earlier rows; every
+            // third segment captures nothing and attends among its own rows.
+            const auto n = split.size();
+            std::vector<nn::KvCache> stacked(n), alone(n);
+            std::vector<nn::KvSegment> segments;
+            for (std::size_t s = 0; s < n; ++s) {
+              const bool capture = s % 3 != 2;
+              const auto past = rng.randint(0, 4);
+              if (capture && past > 0) {
+                const auto prior = random_rows(past, d, rng);
+                std::vector<float> sink(static_cast<std::size_t>(past * d));
+                block.forward_rows(prior.data(), past, &stacked[s], sink);
+                alone[s] = stacked[s];
+              }
+              segments.push_back({split[s], capture ? &stacked[s] : nullptr});
+            }
+            const auto x = random_rows(m, d, rng);
+            std::vector<float> y(static_cast<std::size_t>(m * d));
+            block.forward_rows(x.data(), segments, y);
+            std::size_t row0 = 0;
+            for (std::size_t s = 0; s < n; ++s) {
+              const auto len = static_cast<std::size_t>(split[s] * d);
+              std::vector<float> want(len);
+              block.forward_rows(x.data().subspan(row0, len), split[s],
+                                 segments[s].cache ? &alone[s] : nullptr, want);
+              ASSERT_EQ(bits(std::span<const float>(y).subspan(row0, len)), bits(want))
+                  << where << " segment " << s;
+              ASSERT_EQ(bits(stacked[s].k()), bits(alone[s].k())) << where << " segment " << s;
+              ASSERT_EQ(bits(stacked[s].v()), bits(alone[s].v())) << where << " segment " << s;
+              row0 += len;
+            }
           }
         }
       }

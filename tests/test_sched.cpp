@@ -18,6 +18,13 @@
 //     allocation, and Block admission wakes by notification, not by polling,
 //   - a lease or publish that cannot fit even with the warm set empty leaves
 //     the warm set intact,
+//   - step-level batching: every member of a lockstep VP group is bitwise
+//     predict_uncached across group sizes, history lengths, horizons, warm
+//     hits, cold misses, intra-group duplicates, dtypes, LoRA, ISA tiers
+//     and thread counts; a fault on one member degrades that member only; a
+//     breaker trip mid-group matches serving one drain each; the arena
+//     budget and the latency budget bound the group; and a group of B cold
+//     requests makes the kernel calls of one request and B times its flops,
 //   - encode once: after a mid-session ABR adapt() or a mid-episode CJS
 //     set_return_scale(), the next decisions equal those of a fresh adapter
 //     replaying the same raw steps; a warm VP prefix keyed on the raw
@@ -35,6 +42,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baselines/abr/rule_based.hpp"
@@ -53,6 +62,8 @@
 #include "netllm/vp_adapter.hpp"
 #include "nn/kv_arena.hpp"
 #include "nn/transformer.hpp"
+#include "tensor/isa.hpp"
+#include "tensor/quants.hpp"
 
 namespace ad = netllm::adapt;
 namespace llm = netllm::llm;
@@ -709,4 +720,275 @@ TEST_F(Sched, NanSaliencyNeverPublishes) {
   }
   EXPECT_EQ(arena->prefix_hits(), 0u);
   EXPECT_EQ(arena->prefix_misses(), 2u);
+}
+
+// ---------- step-level batching: lockstep VP groups ----------
+
+namespace {
+
+namespace isa = netllm::tensor::isa;
+namespace nq = netllm::tensor::quant;
+
+/// Restores the environment-resolved ISA tier when a test exits.
+struct IsaGuard {
+  ~IsaGuard() { isa::reset_active_isa(); }
+};
+
+/// A VP adapter whose LoRA B matrices are nonzero, so the low-rank delta
+/// reaches every backbone pass.
+std::shared_ptr<ad::VpAdapter> lora_vp_adapter(std::uint64_t seed) {
+  auto adapter = vp_adapter(seed);
+  Rng rng(seed + 1000);
+  for (auto t : adapter->llm().lora_parameters()) {
+    for (auto& x : t.mutable_data()) x = static_cast<float>(rng.uniform(-0.3, 0.3));
+  }
+  return adapter;
+}
+
+/// Request i of the sweep: a history tail of varied length and a varied
+/// horizon; with three or more requests, the last repeats request 0's raw
+/// prompt (with its own horizon).
+serve::VpRequest sweep_request(const std::vector<vp::VpSample>& samples, std::size_t i,
+                               std::size_t b) {
+  const auto& s = samples[(b >= 3 && i + 1 == b) ? 0 : i];
+  const auto keep = (b >= 3 && i + 1 == b) ? s.history.size()
+                                           : s.history.size() - (i * 3) % s.history.size();
+  return serve::VpRequest{{s.history.end() - static_cast<std::ptrdiff_t>(keep), s.history.end()},
+                          s.saliency, 1 + static_cast<int>((i * 2) % 5)};
+}
+
+std::int64_t counter_value(const char* name) { return nm::counter(name).value(); }
+
+}  // namespace
+
+TEST_F(Sched, LockstepGroupsServeEveryMemberBitwiseTheUncachedRollout) {
+  IsaGuard tier;
+  const auto samples = vp_samples(8);
+  for (const auto dtype : {nq::Dtype::kF32, nq::Dtype::kQ8_0}) {
+    for (const auto t : {isa::Isa::kScalar, isa::best_isa()}) {
+      isa::set_active_isa(t);
+      nc::set_global_threads(1);
+      auto adapter = lora_vp_adapter(31);
+      serve::EngineConfig cfg;
+      cfg.backbone_dtype = dtype;
+      for (const int threads : {1, 3}) {
+        for (const std::size_t b : {1u, 2u, 3u, 4u, 5u, 8u}) {
+          const auto where = std::string(isa::isa_name(t)) + " " + nq::dtype_name(dtype) +
+                             " threads=" + std::to_string(threads) + " B=" + std::to_string(b);
+          nc::set_global_threads(threads);
+          // A fresh engine per drain: its own arena, the adapter quantized
+          // in place for Q8_0.
+          auto engine = std::make_shared<serve::InferenceEngine>(adapter, nullptr, nullptr, cfg);
+          // Warm request 1's prompt first, so the drain mixes a warm hit, cold
+          // misses and (B >= 3) a duplicate of request 0 inside one group.
+          if (b >= 2) {
+            engine->submit(sweep_request(samples, 1, b));
+            engine->run();
+          }
+          for (std::size_t i = 0; i < b; ++i) engine->submit(sweep_request(samples, i, b));
+          const auto report = engine->run();
+          ASSERT_EQ(report.llm, b) << where;
+          if (threads == 1 && b >= 3) {
+            EXPECT_EQ(report.prefix_hits, 2u) << where;
+          }
+          nc::set_global_threads(1);
+          for (std::size_t i = 0; i < b; ++i) {
+            const auto req = sweep_request(samples, i, b);
+            SCOPED_TRACE(where + " request " + std::to_string(i));
+            expect_same_rollout(engine->vp_responses()[i].viewports,
+                                adapter->predict_uncached(req.history, req.saliency,
+                                                          req.horizon));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(Sched, GroupedPredictMatchesPredictPerMemberWithoutAnArena) {
+  nc::set_global_threads(1);
+  const auto samples = vp_samples(5);
+  auto adapter = lora_vp_adapter(33);  // no arena: private caches, no sharing
+  std::vector<serve::VpRequest> reqs;
+  std::vector<ad::VpQuery> group;
+  for (std::size_t i = 0; i < samples.size(); ++i) reqs.push_back(sweep_request(samples, i, 5));
+  for (const auto& r : reqs) group.push_back({r.history, &r.saliency, r.horizon});
+  const auto out = adapter->predict_group(group);
+  ASSERT_EQ(out.size(), reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    ASSERT_FALSE(out[i].error) << "request " << i;
+    expect_same_rollout(out[i].viewports,
+                        adapter->predict(reqs[i].history, reqs[i].saliency, reqs[i].horizon));
+  }
+  // Bad inputs are that member's error, not the group's.
+  group[2].horizon = 0;
+  const auto bad = adapter->predict_group(group);
+  EXPECT_TRUE(bad[2].error);
+  for (const std::size_t i : {0u, 1u, 3u, 4u}) {
+    ASSERT_FALSE(bad[i].error) << "request " << i;
+    expect_same_rollout(bad[i].viewports, out[i].viewports);
+  }
+}
+
+TEST_F(Sched, AFaultOnOneLockstepMemberDegradesThatMemberOnly) {
+  nc::set_global_threads(1);  // one lane: the drain is one group of four
+  const auto samples = vp_samples(4);
+  auto adapter = vp_adapter(37);
+  std::vector<std::vector<vp::Viewport>> expected;
+  for (const auto& s : samples) expected.push_back(adapter->predict_uncached(s.history, s.saliency, 4));
+  // serve.batch draws once per member before the group computes; the
+  // grouped llm.forward draws once per segment, in member order: the
+  // prefill draws 1-4, then each step's draws for the live members.
+  struct Case {
+    const char* site;
+    fault::FaultPlan plan;
+    std::size_t victim;
+  };
+  const Case cases[] = {
+      {"serve.batch", {.kind = fault::FaultKind::Throw, .after = 2, .times = 1, .message = ""}, 2},
+      {"llm.forward", {.kind = fault::FaultKind::Throw, .after = 1, .times = 1, .message = ""}, 1},
+      {"llm.forward",
+       {.kind = fault::FaultKind::CorruptNan, .after = 7, .times = 1, .message = ""}, 3},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.site) + " victim " + std::to_string(c.victim));
+    auto engine = std::make_shared<serve::InferenceEngine>(adapter, nullptr, nullptr);
+    for (const auto& s : samples) engine->submit(serve::VpRequest{s.history, s.saliency, 4});
+    fault::arm(c.site, c.plan);
+    const auto report = engine->run();
+    EXPECT_EQ(fault::fired(c.site), 1);
+    fault::disarm_all();
+    EXPECT_EQ(report.llm, 3u);
+    EXPECT_EQ(report.fallback, 1u);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const auto& resp = engine->vp_responses()[i];
+      if (i == c.victim) {
+        EXPECT_EQ(resp.meta.source, serve::Source::kFallback);
+        EXPECT_TRUE(ad::is_valid(resp.viewports, 4));
+      } else {
+        EXPECT_EQ(resp.meta.source, serve::Source::kLlm) << "request " << i;
+        expect_same_rollout(resp.viewports, expected[i]);
+      }
+    }
+  }
+}
+
+TEST_F(Sched, BreakerTripMidGroupMatchesServingOneDrainEach) {
+  nc::set_global_threads(1);
+  const auto samples = vp_samples(7);
+  // Requests 0 and 1 carry a NaN saliency pixel: their rollouts are invalid,
+  // which trips a threshold-2 breaker; its 3-decision cooldown covers
+  // requests 2-4, whose grouped answers are computed and discarded; request
+  // 5 probes and closes it, request 6 is served as usual.
+  std::vector<serve::VpRequest> reqs;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    auto pixels = to_vec(samples[i].saliency);
+    if (i < 2) pixels[5] = std::numeric_limits<float>::quiet_NaN();
+    reqs.push_back({samples[i].history, Tensor::from(pixels, samples[i].saliency.shape()), 4});
+  }
+  serve::EngineConfig cfg;
+  cfg.breaker_threshold = 2;
+  cfg.breaker_cooldown = 3;
+  const auto serve_all = [&](bool one_drain_each) {
+    auto engine = std::make_shared<serve::InferenceEngine>(vp_adapter(39), nullptr, nullptr, cfg);
+    std::vector<serve::Source> sources;
+    for (const auto& r : reqs) {
+      engine->submit(r);
+      if (one_drain_each) {
+        engine->run();
+        sources.push_back(engine->vp_responses()[0].meta.source);
+      }
+    }
+    if (!one_drain_each) {
+      engine->run();
+      for (const auto& resp : engine->vp_responses()) sources.push_back(resp.meta.source);
+    }
+    return std::tuple{sources, engine->counters(), engine->vp_health()};
+  };
+  const auto [grouped, grouped_counters, grouped_health] = serve_all(false);
+  const auto [alone, alone_counters, alone_health] = serve_all(true);
+  EXPECT_EQ(grouped, alone);
+  EXPECT_EQ(grouped_counters, alone_counters);
+  EXPECT_EQ(grouped_health, alone_health);
+  EXPECT_EQ(grouped_counters.breaker_trips, 1);
+  EXPECT_EQ(grouped_counters.fail_invalid, 2);
+  EXPECT_EQ(grouped[5], serve::Source::kLlm);
+  EXPECT_EQ(grouped_health, ad::Health::kHealthy);
+}
+
+TEST_F(Sched, ArenaBudgetForTwoLeasesSplitsADrainIntoGroupsOfTwo) {
+  nc::set_global_threads(1);
+  const auto samples = vp_samples(4);
+  const int horizon = 4;
+  const auto probe = vp_adapter(41);
+  const auto& lcfg = probe->llm().config();
+  const std::int64_t page_rows = 16;
+  const auto rows = static_cast<std::int64_t>(samples[0].history.size()) + horizon;
+  const std::int64_t pages_per_lease =
+      lcfg.n_layers * 2 * std::max<std::int64_t>((rows + page_rows - 1) / page_rows, 1);
+  const auto drain = [&](std::size_t n, std::int64_t budget) {
+    serve::EngineConfig cfg;
+    cfg.backbone_dtype = nq::Dtype::kQ8_0;  // qmatmul counts the backbone passes alone
+    cfg.arena_pages = budget;
+    cfg.arena_page_rows = page_rows;
+    auto engine = std::make_shared<serve::InferenceEngine>(vp_adapter(41), nullptr, nullptr, cfg);
+    for (std::size_t i = 0; i < n; ++i) {
+      engine->submit(serve::VpRequest{samples[i].history, samples[i].saliency, horizon});
+    }
+    nm::reset();
+    const auto report = engine->run();
+    EXPECT_EQ(report.llm, n);
+    // The leases fill a two-lease budget, so nothing was published either.
+    if (budget == 2 * pages_per_lease) {
+      EXPECT_EQ(engine->kv_arena()->pages_in_use(), 0);
+    }
+    return counter_value("kernels.qmatmul.calls");
+  };
+  const auto one_group = drain(2, 2 * pages_per_lease);
+  EXPECT_EQ(drain(4, 2 * pages_per_lease), 2 * one_group);  // groups {0, 1} and {2, 3}
+  EXPECT_EQ(drain(4, 4096), one_group);                     // room for all four
+}
+
+TEST_F(Sched, LatencyBudgetServesEveryVpRequestAlone) {
+  nc::set_global_threads(1);
+  const auto samples = vp_samples(4);
+  const auto drain = [&](std::size_t n) {
+    serve::EngineConfig cfg;
+    cfg.backbone_dtype = nq::Dtype::kQ8_0;
+    cfg.latency_budget_ms = 1e9;  // set, never blown
+    auto engine = std::make_shared<serve::InferenceEngine>(vp_adapter(43), nullptr, nullptr, cfg);
+    for (std::size_t i = 0; i < n; ++i) {
+      engine->submit(serve::VpRequest{samples[i].history, samples[i].saliency, 4});
+    }
+    nm::reset();
+    EXPECT_EQ(engine->run().llm, n);
+    return counter_value("kernels.qmatmul.calls");
+  };
+  EXPECT_EQ(drain(4), 4 * drain(1));
+}
+
+TEST_F(Sched, GroupOfColdQ8RequestsMakesTheKernelCallsOfOneAndBTimesItsFlops) {
+  nc::set_global_threads(1);
+  const auto samples = vp_samples(8);
+  const auto drain = [&](std::size_t n) {
+    serve::EngineConfig cfg;
+    cfg.backbone_dtype = nq::Dtype::kQ8_0;
+    auto engine = std::make_shared<serve::InferenceEngine>(vp_adapter(45), nullptr, nullptr, cfg);
+    for (std::size_t i = 0; i < n; ++i) {
+      engine->submit(serve::VpRequest{samples[i].history, samples[i].saliency, 4});
+    }
+    nm::reset();
+    const auto report = engine->run();
+    EXPECT_EQ(report.llm, n);
+    EXPECT_EQ(report.prefix_hits, 0u);  // all cold
+    return std::pair{counter_value("kernels.qmatmul.calls"),
+                     counter_value("kernels.qmatmul.flops")};
+  };
+  const auto [calls1, flops1] = drain(1);
+  ASSERT_GT(calls1, 0);
+  for (const std::size_t b : {2u, 4u, 8u}) {
+    const auto [calls, flops] = drain(b);
+    EXPECT_EQ(calls, calls1) << "B=" << b;
+    EXPECT_EQ(flops, static_cast<std::int64_t>(b) * flops1) << "B=" << b;
+  }
 }
