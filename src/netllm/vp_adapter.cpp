@@ -1,6 +1,7 @@
 #include "netllm/vp_adapter.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -19,6 +20,13 @@ using namespace netllm::tensor;
 
 constexpr float kRollScale = 20.0f, kPitchScale = 60.0f, kYawScale = 160.0f;
 
+// A viewport's encoder input: its coordinates over the per-axis scales.
+// viewport_token encodes one; predict_group stacks one triple per live member.
+std::array<float, 3> viewport_coords(const vp::Viewport& v) {
+  return {static_cast<float>(v.roll) / kRollScale, static_cast<float>(v.pitch) / kPitchScale,
+          static_cast<float>(v.yaw) / kYawScale};
+}
+
 }  // namespace
 
 VpAdapter::VpAdapter(std::shared_ptr<llm::MiniGpt> llm, const VpAdapterConfig& cfg,
@@ -33,13 +41,8 @@ VpAdapter::VpAdapter(std::shared_ptr<llm::MiniGpt> llm, const VpAdapterConfig& c
   if (cfg_.use_lora) lora_ = llm_->enable_lora(cfg_.lora_rank, cfg_.lora_alpha, rng);
 }
 
-// A viewport's encoder input: its coordinates over the per-axis scales.
-// predict_group stacks the same three floats per live member.
 Tensor VpAdapter::viewport_token(const vp::Viewport& v) const {
-  const float coords[] = {static_cast<float>(v.roll) / kRollScale,
-                          static_cast<float>(v.pitch) / kPitchScale,
-                          static_cast<float>(v.yaw) / kYawScale};
-  return viewport_encoder_->forward(coords);
+  return viewport_encoder_->forward(viewport_coords(v));
 }
 
 Tensor VpAdapter::build_sequence(std::span<const vp::Viewport> history,
@@ -280,9 +283,8 @@ std::vector<VpRollout> VpAdapter::predict_group(std::span<const VpQuery> group) 
         out[i].viewports.push_back(cur);
         if (static_cast<int>(out[i].viewports.size()) == group[i].horizon) continue;
         next.push_back(i);
-        coords.insert(coords.end(), {static_cast<float>(cur.roll) / kRollScale,
-                                     static_cast<float>(cur.pitch) / kPitchScale,
-                                     static_cast<float>(cur.yaw) / kYawScale});
+        const auto c = viewport_coords(cur);
+        coords.insert(coords.end(), c.begin(), c.end());
       }
       live = std::move(next);
       if (live.empty()) break;
