@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "core/fault.hpp"
 #include "core/signal.hpp"
 #include "core/stats.hpp"
 #include "core/threadpool.hpp"
-#include "core/timer.hpp"
 #include "core/trace.hpp"
 #include "netllm/abr_adapter.hpp"
 #include "netllm/cjs_adapter.hpp"
@@ -28,8 +29,9 @@ double ms_between(std::chrono::steady_clock::time_point from,
 
 /// Deterministic per-request stream selector: mixes (task, epoch, index) so
 /// nearby requests get far-apart retry-jitter seeds. splitmix64 finalizer.
-std::uint64_t request_key(std::uint64_t task, std::uint64_t epoch, std::uint64_t index) {
-  std::uint64_t x = (task << 62) ^ (epoch * 0x9e3779b97f4a7c15ULL) ^ (index + 0xbf58476d1ce4e5b9ULL);
+std::uint64_t request_key(Task task, std::uint64_t epoch, std::uint64_t index) {
+  std::uint64_t x = (static_cast<std::uint64_t>(task) << 62) ^ (epoch * 0x9e3779b97f4a7c15ULL) ^
+                    (index + 0xbf58476d1ce4e5b9ULL);
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
   x ^= x >> 27;
@@ -38,17 +40,56 @@ std::uint64_t request_key(std::uint64_t task, std::uint64_t epoch, std::uint64_t
   return x;
 }
 
-/// The engine's guard settings for one task: EngineConfig's budget and
-/// breaker, metrics under counter_prefix + task (none when it is empty).
-adapt::GuardConfig task_guard_config(const EngineConfig& cfg, const char* task) {
-  return {cfg.latency_budget_ms, cfg.breaker_threshold, cfg.breaker_cooldown,
-          cfg.counter_prefix.empty() ? std::string() : cfg.counter_prefix + task + "."};
+const char* task_name(Task task) {
+  constexpr const char* kNames[] = {"vp", "abr", "cjs"};
+  const auto i = static_cast<std::size_t>(task);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
+}
+
+/// A lane's metric namespace: counter_prefix + task + ".", or empty when
+/// the engine opted out of metrics.
+std::string task_prefix(const EngineConfig& cfg, Task task) {
+  return cfg.counter_prefix.empty() ? std::string() : cfg.counter_prefix + task_name(task) + ".";
+}
+
+// Per task, the model call (the primary's and the fallback's alike) and the
+// validity rule.
+std::vector<vp::Viewport> ask(vp::VpPredictor& m, const VpRequest& r) {
+  return m.predict(r.history, r.saliency, r.horizon);
+}
+int ask(abr::AbrPolicy& m, const AbrRequest& r) { return m.choose_level(r.obs); }
+cjs::SchedAction ask(cjs::SchedPolicy& m, const CjsRequest& r) { return m.choose(r.obs); }
+bool valid(const std::vector<vp::Viewport>& v, const VpRequest& r) {
+  return adapt::is_valid(v, r.horizon);
+}
+bool valid(int level, const AbrRequest& r) { return adapt::is_valid(level, r.obs); }
+bool valid(const cjs::SchedAction& a, const CjsRequest& r) { return adapt::is_valid(a, r.obs); }
+
+[[noreturn]] void throw_stale(const char* task, const Ticket& t, std::uint64_t completed) {
+  throw StaleTicket(std::string("InferenceEngine: stale ") + task + " ticket {epoch " +
+                    std::to_string(t.epoch) + ", index " + std::to_string(t.index) +
+                    "} vs completed batch " + std::to_string(completed) +
+                    (t.epoch > completed ? " (batch not drained yet — call run())"
+                                         : " (a later run() replaced these responses)"));
 }
 
 }  // namespace
 
-double retry_backoff_ms(const EngineConfig& cfg, std::uint64_t request_key, int attempt) {
-  return adapt::retry_backoff_ms(cfg.retry_backoff_ms, cfg.retry_seed ^ request_key, attempt);
+template <typename Spec>
+InferenceEngine::Lane<Spec>::Lane(const EngineConfig& cfg, std::shared_ptr<Model> primary_model,
+                                  std::shared_ptr<Model> fallback_model, int drain_priority)
+    : primary(std::move(primary_model)),
+      fallback(adapt::fallback_or_default(std::move(fallback_model))),
+      adapter(std::dynamic_pointer_cast<typename Spec::Adapter>(primary)),
+      guard({cfg.latency_budget_ms, cfg.breaker_threshold, cfg.breaker_cooldown,
+             task_prefix(cfg, task)}),
+      priority(drain_priority) {
+  // Resolve the handles once; the serve path never assembles a name.
+  const std::string base = task_prefix(cfg, task);
+  if (base.empty()) return;
+  metrics = {&core::metrics::counter(base + "slo_miss"), &core::metrics::counter(base + "rejected"),
+             &core::metrics::histogram(base + "queue_wait_ms"),
+             &core::metrics::histogram(base + "compute_ms")};
 }
 
 InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
@@ -58,22 +99,12 @@ InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
                                  std::shared_ptr<abr::AbrPolicy> abr_fallback,
                                  std::shared_ptr<cjs::SchedPolicy> cjs_fallback)
     : cfg_(std::move(cfg)),
-      vp_model_(std::move(vp_model)),
-      vp_fallback_(adapt::fallback_or_default(std::move(vp_fallback))),
-      abr_policy_(std::move(abr_policy)),
-      abr_fallback_(adapt::fallback_or_default(std::move(abr_fallback))),
-      cjs_policy_(std::move(cjs_policy)),
-      cjs_fallback_(adapt::fallback_or_default(std::move(cjs_fallback))),
-      vp_guard_(task_guard_config(cfg_, "vp")),
-      abr_guard_(task_guard_config(cfg_, "abr")),
-      cjs_guard_(task_guard_config(cfg_, "cjs")) {
-  if (!vp_model_ && !abr_policy_ && !cjs_policy_) {
+      vp_(cfg_, std::move(vp_model), std::move(vp_fallback), cfg_.vp_priority),
+      abr_(cfg_, std::move(abr_policy), std::move(abr_fallback), cfg_.abr_priority),
+      cjs_(cfg_, std::move(cjs_policy), std::move(cjs_fallback), cfg_.cjs_priority) {
+  if (!vp_.primary && !abr_.primary && !cjs_.primary) {
     throw std::invalid_argument("InferenceEngine: need at least one model");
   }
-  // Resolve all metric handles once; the serve path never assembles a name.
-  vp_metrics_ = make_task_metrics("vp");
-  abr_metrics_ = make_task_metrics("abr");
-  cjs_metrics_ = make_task_metrics("cjs");
   if (!cfg_.counter_prefix.empty()) {
     queue_depth_ = &core::metrics::gauge(cfg_.counter_prefix + "queue_depth");
     admission_wakeups_ = &core::metrics::counter(cfg_.counter_prefix + "admission.wakeups");
@@ -82,91 +113,57 @@ InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
   // its rollouts lease pages from this engine's budget and share warm
   // prompt prefixes across requests. Other predictors are opaque — they
   // keep their own caching strategy.
-  if (cfg_.arena_pages > 0) {
-    if (auto adapter = std::dynamic_pointer_cast<adapt::VpAdapter>(vp_model_)) {
-      const auto& llm_cfg = adapter->llm().config();
-      nn::KvArenaConfig acfg;
-      acfg.page_rows = cfg_.arena_page_rows;
-      acfg.page_budget = cfg_.arena_pages;
-      acfg.prefix_entries = cfg_.arena_prefix_entries;
-      arena_ = std::make_shared<nn::KvArena>(llm_cfg.n_layers, llm_cfg.d_model, acfg);
-      adapter->set_kv_arena(arena_);
-    }
+  if (cfg_.arena_pages > 0 && vp_.adapter) {
+    const auto& llm_cfg = vp_.adapter->llm().config();
+    nn::KvArenaConfig acfg;
+    acfg.page_rows = cfg_.arena_page_rows;
+    acfg.page_budget = cfg_.arena_pages;
+    acfg.prefix_entries = cfg_.arena_prefix_entries;
+    arena_ = std::make_shared<nn::KvArena>(llm_cfg.n_layers, llm_cfg.d_model, acfg);
+    vp_.adapter->set_kv_arena(arena_);
   }
   // Lockstep VP groups (DESIGN.md §13) under the same rule, unless a
   // latency budget is set: a per-request budget cannot be charged fairly
-  // inside a group whose members share every pass.
-  if (auto adapter = std::dynamic_pointer_cast<adapt::VpAdapter>(vp_model_);
-      adapter && cfg_.latency_budget_ms == 0.0) {
-    vp_grouped_ = adapter;
-  }
+  // inside a group whose members share every pass, so with one set every VP
+  // request is served alone.
+  vp_.lockstep = vp_.adapter && cfg_.latency_budget_ms == 0.0;
   // Block-quantized backbone (DESIGN.md §15): quantize every adapter
   // primary's projection weights at the configured dtype. Non-adapter
   // predictors are opaque and stay untouched.
   if (cfg_.backbone_dtype != tensor::quant::Dtype::kF32) {
-    if (auto adapter = std::dynamic_pointer_cast<adapt::VpAdapter>(vp_model_)) {
-      adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
-    }
-    if (auto adapter = std::dynamic_pointer_cast<adapt::AbrAdapter>(abr_policy_)) {
-      adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
-    }
-    if (auto adapter = std::dynamic_pointer_cast<adapt::CjsAdapter>(cjs_policy_)) {
-      adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
-    }
+    for_each_lane(*this, [&](auto& lane) {
+      if (lane.adapter) lane.adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
+    });
   }
 }
 
-InferenceEngine::TaskMetrics InferenceEngine::make_task_metrics(const char* task) const {
-  TaskMetrics m;
-  if (cfg_.counter_prefix.empty()) return m;  // metrics opted out for this engine
-  const std::string base = cfg_.counter_prefix + task + ".";
-  m.slo_miss = &core::metrics::counter(base + "slo_miss");
-  m.rejected = &core::metrics::counter(base + "rejected");
-  m.queue_wait_ms = &core::metrics::histogram(base + "queue_wait_ms");
-  m.compute_ms = &core::metrics::histogram(base + "compute_ms");
-  return m;
-}
-
 std::size_t InferenceEngine::unshed_pending_locked() const {
-  auto count = [](const auto& queue) {
-    std::size_t n = 0;
-    for (const auto& q : queue) {
-      if (!q.shed) ++n;
-    }
-    return n;
-  };
-  return count(vp_queue_) + count(abr_queue_) + count(cjs_queue_);
+  std::size_t n = 0;
+  for_each_lane(*this, [&](const auto& lane) {
+    for (const auto& q : lane.queue) n += q.shed ? 0 : 1;
+  });
+  return n;
 }
 
 void InferenceEngine::shed_oldest_locked() {
   // The victim keeps its queue slot and its ticket stays valid — the drain
   // serves it via the fallback (Source::kShed) without primary compute. Only
-  // the shed flag flips, so concurrent tickets never alias.
-  Queued<VpRequest>* vp = nullptr;
-  Queued<AbrRequest>* abr = nullptr;
-  Queued<CjsRequest>* cjs = nullptr;
-  auto first_unshed = [](auto& queue) -> decltype(&queue.front()) {
-    for (auto& q : queue) {
-      if (!q.shed) return &q;
+  // the shed flag flips, so concurrent tickets never alias. Each queue is
+  // admission-ordered, so its first unshed entry is its oldest; across lanes
+  // the oldest stamp wins, a tie going to the earlier lane.
+  bool* victim = nullptr;
+  Clock::time_point oldest{};
+  for_each_lane(*this, [&](auto& lane) {
+    for (auto& q : lane.queue) {
+      if (q.shed) continue;
+      if (!victim || q.admitted < oldest) {
+        victim = &q.shed;
+        oldest = q.admitted;
+      }
+      break;
     }
-    return nullptr;
-  };
-  vp = first_unshed(vp_queue_);
-  abr = first_unshed(abr_queue_);
-  cjs = first_unshed(cjs_queue_);
-  // Oldest admission stamp across the three queues (each queue is
-  // admission-ordered, so its first unshed entry is its oldest).
-  const auto stamp = [](const auto* q) {
-    return q ? q->admitted : Clock::time_point::max();
-  };
-  const auto vp_t = stamp(vp), abr_t = stamp(abr), cjs_t = stamp(cjs);
-  if (vp && vp_t <= abr_t && vp_t <= cjs_t) {
-    vp->shed = true;
-  } else if (abr && abr_t <= cjs_t) {
-    abr->shed = true;
-  } else if (cjs) {
-    cjs->shed = true;
-  }
+  });
+  if (victim) *victim = true;
 }
 
 void InferenceEngine::admit_locked(std::unique_lock<std::mutex>& lk,
@@ -212,81 +209,61 @@ void InferenceEngine::admit_locked(std::unique_lock<std::mutex>& lk,
   }
 }
 
-Ticket InferenceEngine::submit(VpRequest req) {
-  if (!vp_model_) throw std::invalid_argument("InferenceEngine: no VP model");
+template <typename Spec>
+Ticket InferenceEngine::enqueue(Lane<Spec>& lane, typename Spec::Request req) {
+  if (!lane.primary) {
+    throw std::invalid_argument(std::string("InferenceEngine: no ") + task_name(lane.task) +
+                                " model");
+  }
   std::unique_lock<std::mutex> lock(queue_mu_);
-  admit_locked(lock, vp_metrics_.rejected);
-  vp_queue_.push_back({std::move(req), Clock::now(), false});
+  admit_locked(lock, lane.metrics.rejected);
+  lane.queue.push_back({std::move(req), Clock::now(), false});
   if (queue_depth_) queue_depth_->set(static_cast<double>(unshed_pending_locked()));
-  return Ticket{submit_epoch_, vp_queue_.size() - 1};
+  return Ticket{submit_epoch_, lane.queue.size() - 1, lane.task};
 }
 
-Ticket InferenceEngine::submit(AbrRequest req) {
-  if (!abr_policy_) throw std::invalid_argument("InferenceEngine: no ABR policy");
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  admit_locked(lock, abr_metrics_.rejected);
-  abr_queue_.push_back({std::move(req), Clock::now(), false});
-  if (queue_depth_) queue_depth_->set(static_cast<double>(unshed_pending_locked()));
-  return Ticket{submit_epoch_, abr_queue_.size() - 1};
-}
-
-Ticket InferenceEngine::submit(CjsRequest req) {
-  if (!cjs_policy_) throw std::invalid_argument("InferenceEngine: no CJS policy");
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  admit_locked(lock, cjs_metrics_.rejected);
-  cjs_queue_.push_back({std::move(req), Clock::now(), false});
-  if (queue_depth_) queue_depth_->set(static_cast<double>(unshed_pending_locked()));
-  return Ticket{submit_epoch_, cjs_queue_.size() - 1};
-}
+Ticket InferenceEngine::submit(VpRequest req) { return enqueue(vp_, std::move(req)); }
+Ticket InferenceEngine::submit(AbrRequest req) { return enqueue(abr_, std::move(req)); }
+Ticket InferenceEngine::submit(CjsRequest req) { return enqueue(cjs_, std::move(req)); }
 
 std::size_t InferenceEngine::pending() const {
   std::lock_guard<std::mutex> lock(queue_mu_);
-  return vp_queue_.size() + abr_queue_.size() + cjs_queue_.size();
+  std::size_t n = 0;
+  for_each_lane(*this, [&](const auto& lane) { n += lane.queue.size(); });
+  return n;
 }
 
-namespace {
-
-[[noreturn]] void throw_stale(const char* task, const Ticket& t, std::uint64_t completed) {
-  throw StaleTicket(std::string("InferenceEngine: stale ") + task + " ticket {epoch " +
-                    std::to_string(t.epoch) + ", index " + std::to_string(t.index) +
-                    "} vs completed batch " + std::to_string(completed) +
-                    (t.epoch > completed ? " (batch not drained yet — call run())"
-                                         : " (a later run() replaced these responses)"));
-}
-
-}  // namespace
-
-const VpResponse& InferenceEngine::vp_response(const Ticket& t) const {
+template <typename Spec>
+const typename Spec::Response& InferenceEngine::response(const Lane<Spec>& lane,
+                                                         const Ticket& t) const {
+  if (t.task != lane.task) {
+    throw std::out_of_range(std::string("InferenceEngine: ") + task_name(t.task) +
+                            " ticket {epoch " + std::to_string(t.epoch) + ", index " +
+                            std::to_string(t.index) + "} looked up as a " +
+                            task_name(lane.task) + " response");
+  }
   std::lock_guard<std::mutex> lock(queue_mu_);
   // Continuous resolution: a ticket from the generation currently draining
   // resolves as soon as its own slot finished — no epoch-wide barrier.
-  if (t.epoch == draining_epoch_ && t.index < vp_done_.size() && vp_done_[t.index]) {
-    return vp_responses_.at(t.index);
+  if (t.epoch == draining_epoch_ && t.index < lane.done.size() && lane.done[t.index]) {
+    return lane.responses.at(t.index);
   }
-  if (t.epoch != completed_epoch_ || !responses_valid_) throw_stale("vp", t, completed_epoch_);
-  return vp_responses_.at(t.index);
+  if (t.epoch != completed_epoch_ || !responses_valid_) {
+    throw_stale(task_name(lane.task), t, completed_epoch_);
+  }
+  return lane.responses.at(t.index);
 }
 
+const VpResponse& InferenceEngine::vp_response(const Ticket& t) const { return response(vp_, t); }
 const AbrResponse& InferenceEngine::abr_response(const Ticket& t) const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  if (t.epoch == draining_epoch_ && t.index < abr_done_.size() && abr_done_[t.index]) {
-    return abr_responses_.at(t.index);
-  }
-  if (t.epoch != completed_epoch_ || !responses_valid_) throw_stale("abr", t, completed_epoch_);
-  return abr_responses_.at(t.index);
+  return response(abr_, t);
 }
-
 const CjsResponse& InferenceEngine::cjs_response(const Ticket& t) const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  if (t.epoch == draining_epoch_ && t.index < cjs_done_.size() && cjs_done_[t.index]) {
-    return cjs_responses_.at(t.index);
-  }
-  if (t.epoch != completed_epoch_ || !responses_valid_) throw_stale("cjs", t, completed_epoch_);
-  return cjs_responses_.at(t.index);
+  return response(cjs_, t);
 }
 
 adapt::GuardCall InferenceEngine::start_request(const Clock::time_point admitted,
-                                                bool already_shed, std::uint64_t task_id,
+                                                bool already_shed, Task task,
                                                 std::uint64_t epoch, std::size_t index,
                                                 ResponseMeta& meta) const {
   meta.admission_wait_ms = ms_between(admitted, Clock::now());
@@ -297,62 +274,80 @@ adapt::GuardCall InferenceEngine::start_request(const Clock::time_point admitted
                   (cfg_.deadline_ms > 0.0 && meta.admission_wait_ms >= cfg_.deadline_ms),
           .retry_budget = cfg_.retry_budget,
           .retry_backoff_ms = cfg_.retry_backoff_ms,
-          .retry_seed = cfg_.retry_seed ^ request_key(task_id, epoch, index),
+          .retry_seed = cfg_.retry_seed ^ request_key(task, epoch, index),
           .admitted = admitted,
           .deadline_ms = cfg_.deadline_ms};
 }
 
-void InferenceEngine::finish_request(TaskMetrics& m, const adapt::GuardOutcome& out,
-                                     ResponseMeta& meta) const {
+template <typename Spec, typename Primary>
+void InferenceEngine::decide_and_publish(Lane<Spec>& lane, std::size_t index,
+                                         const adapt::GuardCall& call, Primary&& primary,
+                                         typename Spec::Response&& resp, Clock::time_point start) {
+  const auto& req = lane.jobs[index].req;
+  using Answer = std::remove_reference_t<decltype(resp.*Spec::kAnswer)>;
+  adapt::GuardOutcome out;
+  {
+    // Rolling-context policies serialize: the wait is queueing behind the
+    // lane's other requests, not this request's own work. Stateless VP
+    // predictors take no lock, so their whole request is compute.
+    std::unique_lock<std::mutex> lock(lane.policy_mu, std::defer_lock);
+    if constexpr (Spec::kSerialized) {
+      lock.lock();
+      resp.meta.queue_wait_ms = ms_between(start, Clock::now());
+    }
+    resp.*Spec::kAnswer = lane.guard.template decide<Answer>(
+        std::forward<Primary>(primary), [&](const Answer& a) { return valid(a, req); },
+        [&] { return ask(*lane.fallback, req); }, call, &out);
+    resp.meta.latency_ms = ms_between(start, Clock::now());
+  }
+  ResponseMeta& meta = resp.meta;
+  meta.compute_ms = meta.latency_ms - meta.queue_wait_ms;
   meta.source = out.source;
   meta.retries = out.retries;
   // The end-to-end SLO judges admission wait PLUS serve time — a request that
   // computed fast after queueing for ages still missed its deadline.
   meta.slo_miss = cfg_.deadline_ms > 0.0 &&
                   meta.admission_wait_ms + meta.latency_ms > cfg_.deadline_ms;
-  if (meta.slo_miss && m.slo_miss) m.slo_miss->add();
-  if (m.queue_wait_ms) m.queue_wait_ms->record(meta.queue_wait_ms);
-  if (m.compute_ms) m.compute_ms->record(meta.compute_ms);
+  if (meta.slo_miss && lane.metrics.slo_miss) lane.metrics.slo_miss->add();
+  if (lane.metrics.queue_wait_ms) lane.metrics.queue_wait_ms->record(meta.queue_wait_ms);
+  if (lane.metrics.compute_ms) lane.metrics.compute_ms->record(meta.compute_ms);
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  lane.responses[index] = std::move(resp);
+  lane.done[index] = 1;
 }
 
-// Each primary lambda fires the `serve.batch` injection site inside the
+// Each primary call fires the `serve.batch` injection site inside the
 // guarded region, just before the model call: an armed plan (throw / delay
 // past the budget) is handled exactly like an organic LLM-path failure —
 // this one request falls back.
 
-VpResponse InferenceEngine::serve_vp(const Queued<VpRequest>& q, std::uint64_t epoch,
-                                     std::size_t index) {
-  const VpRequest& req = q.req;
-  VpResponse resp;
-  const adapt::GuardCall call = start_request(q.admitted, q.shed, 0, epoch, index, resp.meta);
-  adapt::GuardOutcome out;
-  core::Timer timer;
-  resp.viewports = vp_guard_.decide<std::vector<vp::Viewport>>(
-      [&] {
-        core::fault::check("serve.batch");
-        return vp_model_->predict(req.history, req.saliency, req.horizon);
-      },
-      [&](const std::vector<vp::Viewport>& v) { return adapt::is_valid(v, req.horizon); },
-      [&] { return vp_fallback_->predict(req.history, req.saliency, req.horizon); }, call, &out);
-  // VP predictors are stateless — no policy mutex, so the whole request is
-  // compute.
-  resp.meta.compute_ms = timer.elapsed_ms();
-  resp.meta.latency_ms = resp.meta.compute_ms;
-  finish_request(vp_metrics_, out, resp.meta);
-  return resp;
+template <typename Spec>
+void InferenceEngine::serve(Lane<Spec>& lane, std::span<const std::size_t> indices,
+                            std::uint64_t epoch) {
+  if constexpr (std::is_same_v<Spec, VpSpec>) {
+    if (lane.lockstep) return serve_vp_group(indices, epoch);
+  }
+  for (const std::size_t index : indices) {
+    const auto& q = lane.jobs[index];
+    typename Spec::Response resp;
+    const adapt::GuardCall call =
+        start_request(q.admitted, q.shed, lane.task, epoch, index, resp.meta);
+    decide_and_publish(lane, index, call, [&] {
+      core::fault::check("serve.batch");
+      return ask(*lane.primary, q.req);
+    }, std::move(resp), Clock::now());
+  }
 }
 
-void InferenceEngine::serve_vp_group(std::span<const std::size_t> indices,
-                                     const std::vector<Queued<VpRequest>>& jobs,
-                                     std::uint64_t epoch) {
+void InferenceEngine::serve_vp_group(std::span<const std::size_t> indices, std::uint64_t epoch) {
   // One member's serve state between its start_request and its decision.
   struct Member {
     std::size_t index = 0;
     VpResponse resp;
     adapt::GuardCall call;
-    core::Timer timer;             // compute_ms: from the group's start to this decision
-    std::exception_ptr hook;       // the serve.batch draw threw
-    std::ptrdiff_t slot = -1;      // place in the computed group; -1 = shed or hook threw
+    Clock::time_point start = Clock::now();  // compute_ms runs from the group's start
+    std::exception_ptr hook;                 // the serve.batch draw threw
+    std::ptrdiff_t slot = -1;  // place in the computed group; -1 = shed or hook threw
   };
   for (std::size_t begin = 0; begin < indices.size();) {
     std::vector<Member> group;
@@ -360,10 +355,10 @@ void InferenceEngine::serve_vp_group(std::span<const std::size_t> indices,
     std::int64_t pages = 0;
     std::size_t end = begin;
     for (; end < indices.size(); ++end) {
-      const Queued<VpRequest>& q = jobs[indices[end]];
+      const Queued<VpRequest>& q = vp_.jobs[indices[end]];
       Member mb;
       mb.index = indices[end];
-      mb.call = start_request(q.admitted, q.shed, 0, epoch, mb.index, mb.resp.meta);
+      mb.call = start_request(q.admitted, q.shed, Task::kVp, epoch, mb.index, mb.resp.meta);
       if (!mb.call.shed) {
         const auto rows = static_cast<std::int64_t>(q.req.history.size()) + q.req.horizon;
         const std::int64_t need = arena_ ? arena_->pages_for(rows) : 0;
@@ -383,7 +378,7 @@ void InferenceEngine::serve_vp_group(std::span<const std::size_t> indices,
     std::vector<adapt::VpRollout> results;
     if (!queries.empty()) {
       try {
-        results = vp_grouped_->predict_group(queries);
+        results = vp_.adapter->predict_group(queries);
       } catch (...) {
         results.assign(queries.size(), {{}, std::current_exception()});
       }
@@ -392,136 +387,65 @@ void InferenceEngine::serve_vp_group(std::span<const std::size_t> indices,
     // takes the member's grouped answer (or rethrows its error — an
     // Exhausted lease is still a shed), a retry runs the member alone.
     for (auto& mb : group) {
-      const VpRequest& req = jobs[mb.index].req;
       bool first = true;
-      adapt::GuardOutcome out;
-      mb.resp.viewports = vp_guard_.decide<std::vector<vp::Viewport>>(
-          [&] {
-            if (std::exchange(first, false)) {
-              if (mb.hook) std::rethrow_exception(mb.hook);
-              auto& r = results[static_cast<std::size_t>(mb.slot)];
-              if (r.error) std::rethrow_exception(r.error);
-              return std::move(r.viewports);
-            }
-            core::fault::check("serve.batch");
-            return vp_model_->predict(req.history, req.saliency, req.horizon);
-          },
-          [&](const std::vector<vp::Viewport>& v) { return adapt::is_valid(v, req.horizon); },
-          [&] { return vp_fallback_->predict(req.history, req.saliency, req.horizon); }, mb.call,
-          &out);
-      mb.resp.meta.compute_ms = mb.timer.elapsed_ms();
-      mb.resp.meta.latency_ms = mb.resp.meta.compute_ms;
-      finish_request(vp_metrics_, out, mb.resp.meta);
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      vp_responses_[mb.index] = std::move(mb.resp);
-      vp_done_[mb.index] = 1;
+      decide_and_publish(vp_, mb.index, mb.call, [&] {
+        if (std::exchange(first, false)) {
+          if (mb.hook) std::rethrow_exception(mb.hook);
+          auto& r = results[static_cast<std::size_t>(mb.slot)];
+          if (r.error) std::rethrow_exception(r.error);
+          return std::move(r.viewports);
+        }
+        core::fault::check("serve.batch");
+        return ask(*vp_.primary, vp_.jobs[mb.index].req);
+      }, std::move(mb.resp), mb.start);
     }
     begin = end;
   }
 }
 
-AbrResponse InferenceEngine::serve_abr(const Queued<AbrRequest>& q, std::uint64_t epoch,
-                                       std::size_t index) {
-  const AbrRequest& req = q.req;
-  AbrResponse resp;
-  const adapt::GuardCall call = start_request(q.admitted, q.shed, 1, epoch, index, resp.meta);
-  adapt::GuardOutcome out;
-  core::Timer timer;
-  std::lock_guard<std::mutex> lock(abr_mu_);
-  // Rolling-context policies serialize: everything up to here is queueing
-  // behind other ABR requests, not this request's own work.
-  resp.meta.queue_wait_ms = timer.elapsed_ms();
-  core::Timer compute;
-  resp.level = abr_guard_.decide<int>(
-      [&] {
-        core::fault::check("serve.batch");
-        return abr_policy_->choose_level(req.obs);
-      },
-      [&](int level) { return adapt::is_valid(level, req.obs); },
-      [&] { return abr_fallback_->choose_level(req.obs); }, call, &out);
-  resp.meta.compute_ms = compute.elapsed_ms();
-  resp.meta.latency_ms = timer.elapsed_ms();
-  finish_request(abr_metrics_, out, resp.meta);
-  return resp;
-}
-
-CjsResponse InferenceEngine::serve_cjs(const Queued<CjsRequest>& q, std::uint64_t epoch,
-                                       std::size_t index) {
-  const CjsRequest& req = q.req;
-  CjsResponse resp;
-  const adapt::GuardCall call = start_request(q.admitted, q.shed, 2, epoch, index, resp.meta);
-  adapt::GuardOutcome out;
-  core::Timer timer;
-  std::lock_guard<std::mutex> lock(cjs_mu_);
-  resp.meta.queue_wait_ms = timer.elapsed_ms();
-  core::Timer compute;
-  resp.action = cjs_guard_.decide<cjs::SchedAction>(
-      [&] {
-        core::fault::check("serve.batch");
-        return cjs_policy_->choose(req.obs);
-      },
-      [&](const cjs::SchedAction& a) { return adapt::is_valid(a, req.obs); },
-      [&] { return cjs_fallback_->choose(req.obs); }, call, &out);
-  resp.meta.compute_ms = compute.elapsed_ms();
-  resp.meta.latency_ms = timer.elapsed_ms();
-  finish_request(cjs_metrics_, out, resp.meta);
-  return resp;
-}
-
 BatchReport InferenceEngine::run() {
-  std::vector<Queued<VpRequest>> vp_jobs;
-  std::vector<Queued<AbrRequest>> abr_jobs;
-  std::vector<Queued<CjsRequest>> cjs_jobs;
   std::uint64_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    vp_jobs.swap(vp_queue_);
-    abr_jobs.swap(abr_queue_);
-    cjs_jobs.swap(cjs_queue_);
     // Close this generation: tickets issued from now on belong to the next
     // drain, so a submit racing with run() can never alias into this batch.
-    epoch = submit_epoch_;
-    ++submit_epoch_;
-    if (queue_depth_) queue_depth_->set(0.0);
     // The previous generation's responses are being replaced; tickets for
     // them are stale from here on. Tickets for THIS generation resolve
     // continuously through the done flags as their slots finish.
+    for_each_lane(*this, [](auto& lane) {
+      lane.jobs.swap(lane.queue);
+      lane.responses.assign(lane.jobs.size(), {});
+      lane.done.assign(lane.jobs.size(), 0);
+    });
+    epoch = submit_epoch_;
+    ++submit_epoch_;
+    if (queue_depth_) queue_depth_->set(0.0);
     responses_valid_ = false;
     draining_epoch_ = epoch;
-    vp_responses_.assign(vp_jobs.size(), {});
-    abr_responses_.assign(abr_jobs.size(), {});
-    cjs_responses_.assign(cjs_jobs.size(), {});
-    vp_done_.assign(vp_jobs.size(), 0);
-    abr_done_.assign(abr_jobs.size(), 0);
-    cjs_done_.assign(cjs_jobs.size(), 0);
   }
   // The swap freed every queue slot: wake producers blocked in admit_locked.
   queue_cv_.notify_all();
 
-  // Deterministic schedule over the three queues: task priority first
-  // (higher wins), then admission order — an EDF-flavoured FIFO, since every
-  // request shares its task's deadline offset. The order depends only on the
-  // submission sequence, never on thread timing.
+  // Deterministic schedule over the lanes: task priority first (higher
+  // wins), then admission order, then lane order — an EDF-flavoured FIFO,
+  // since every request shares its task's deadline offset. The order depends
+  // only on the submission sequence, never on thread timing.
   struct Job {
-    int task;  // 0 = vp, 1 = abr, 2 = cjs
+    Task task;
     std::size_t index;
+    int priority;
+    Clock::time_point admitted;
+    bool lockstep;
   };
   std::vector<Job> order;
-  order.reserve(vp_jobs.size() + abr_jobs.size() + cjs_jobs.size());
-  for (std::size_t i = 0; i < vp_jobs.size(); ++i) order.push_back({0, i});
-  for (std::size_t i = 0; i < abr_jobs.size(); ++i) order.push_back({1, i});
-  for (std::size_t i = 0; i < cjs_jobs.size(); ++i) order.push_back({2, i});
-  const auto priority = [&](int task) {
-    return task == 0 ? cfg_.vp_priority : task == 1 ? cfg_.abr_priority : cfg_.cjs_priority;
-  };
-  const auto admitted = [&](const Job& j) {
-    return j.task == 0   ? vp_jobs[j.index].admitted
-           : j.task == 1 ? abr_jobs[j.index].admitted
-                         : cjs_jobs[j.index].admitted;
-  };
-  std::stable_sort(order.begin(), order.end(), [&](const Job& a, const Job& b) {
-    if (priority(a.task) != priority(b.task)) return priority(a.task) > priority(b.task);
-    return admitted(a) < admitted(b);
+  for_each_lane(*this, [&](const auto& lane) {
+    for (std::size_t i = 0; i < lane.jobs.size(); ++i) {
+      order.push_back({lane.task, i, lane.priority, lane.jobs[i].admitted, lane.lockstep});
+    }
+  });
+  std::stable_sort(order.begin(), order.end(), [](const Job& a, const Job& b) {
+    if (a.priority != b.priority) return a.priority > b.priority;
+    return a.admitted < b.admitted;
   });
 
   const std::size_t n_total = order.size();
@@ -529,10 +453,10 @@ BatchReport InferenceEngine::run() {
   const std::size_t slots =
       cfg_.max_slots == 0 ? n_total : std::min(cfg_.max_slots, n_total);
   // Work items, each one slot's pull: a single job, or a lockstep group of
-  // VP jobs. Each maximal run of consecutive VP jobs splits into
-  // min(slots, NETLLM_THREADS) contiguous groups as even as they come, so
-  // one lane steps the whole run in lockstep and four lanes over four
-  // requests serve one each, as before grouping.
+  // one lane's jobs. Each maximal run of consecutive jobs of a lockstep lane
+  // splits into min(slots, NETLLM_THREADS) contiguous groups as even as they
+  // come, so one lane steps the whole run in lockstep and four lanes over
+  // four requests serve one each, as before grouping.
   struct Work {
     std::size_t first, count;  // a span of `order`
   };
@@ -541,8 +465,8 @@ BatchReport InferenceEngine::run() {
       slots, static_cast<std::size_t>(std::max(1, core::global_threads())));
   for (std::size_t i = 0; i < n_total;) {
     std::size_t run = 1;
-    if (vp_grouped_ && order[i].task == 0) {
-      while (i + run < n_total && order[i + run].task == 0) ++run;
+    if (order[i].lockstep) {
+      while (i + run < n_total && order[i + run].task == order[i].task) ++run;
     }
     const std::size_t groups = std::min(run, lanes);
     for (std::size_t g = 0; g < groups; ++g) {
@@ -568,26 +492,10 @@ BatchReport InferenceEngine::run() {
         const std::size_t w = next.fetch_add(1);
         if (w >= n_work) break;
         const Work item = work[w];
-        const Job job = order[item.first];
         core::trace::Span span(core::trace::Phase::kSchedStep);
-        if (job.task == 0 && vp_grouped_) {
-          serve_vp_group({job_index.data() + item.first, item.count}, vp_jobs, epoch);
-        } else if (job.task == 0) {
-          auto resp = serve_vp(vp_jobs[job.index], epoch, job.index);
-          std::lock_guard<std::mutex> lock(queue_mu_);
-          vp_responses_[job.index] = std::move(resp);
-          vp_done_[job.index] = 1;
-        } else if (job.task == 1) {
-          auto resp = serve_abr(abr_jobs[job.index], epoch, job.index);
-          std::lock_guard<std::mutex> lock(queue_mu_);
-          abr_responses_[job.index] = std::move(resp);
-          abr_done_[job.index] = 1;
-        } else {
-          auto resp = serve_cjs(cjs_jobs[job.index], epoch, job.index);
-          std::lock_guard<std::mutex> lock(queue_mu_);
-          cjs_responses_[job.index] = std::move(resp);
-          cjs_done_[job.index] = 1;
-        }
+        with_lane(order[item.first].task, [&](auto& lane) {
+          serve(lane, {job_index.data() + item.first, item.count}, epoch);
+        });
       }
     }
   });
@@ -608,22 +516,24 @@ BatchReport InferenceEngine::run() {
   waits.reserve(report.requests);
   computes.reserve(report.requests);
   e2e.reserve(report.requests);
-  auto account = [&](const ResponseMeta& meta) {
-    switch (meta.source) {
-      case Source::kLlm: ++report.llm; break;
-      case Source::kRetried: ++report.retried; break;
-      case Source::kFallback: ++report.fallback; break;
-      case Source::kShed: ++report.shed; break;
+  // Accounts every response in lane order and frees the drained requests.
+  for_each_lane(*this, [&](auto& lane) {
+    for (const auto& r : lane.responses) {
+      const ResponseMeta& meta = r.meta;
+      switch (meta.source) {
+        case Source::kLlm: ++report.llm; break;
+        case Source::kRetried: ++report.retried; break;
+        case Source::kFallback: ++report.fallback; break;
+        case Source::kShed: ++report.shed; break;
+      }
+      if (meta.slo_miss) ++report.slo_miss;
+      latencies.push_back(meta.latency_ms);
+      waits.push_back(meta.queue_wait_ms);
+      computes.push_back(meta.compute_ms);
+      e2e.push_back(meta.admission_wait_ms + meta.latency_ms);
     }
-    if (meta.slo_miss) ++report.slo_miss;
-    latencies.push_back(meta.latency_ms);
-    waits.push_back(meta.queue_wait_ms);
-    computes.push_back(meta.compute_ms);
-    e2e.push_back(meta.admission_wait_ms + meta.latency_ms);
-  };
-  for (const auto& r : vp_responses_) account(r.meta);
-  for (const auto& r : abr_responses_) account(r.meta);
-  for (const auto& r : cjs_responses_) account(r.meta);
+    lane.jobs.clear();
+  });
   if (!latencies.empty()) {
     report.p50_ms = core::percentile(latencies, 50.0);
     report.p99_ms = core::percentile(latencies, 99.0);
@@ -638,32 +548,32 @@ BatchReport InferenceEngine::run() {
 }
 
 void InferenceEngine::begin_abr_session() {
-  std::lock_guard<std::mutex> lock(abr_mu_);
-  if (abr_policy_) abr_policy_->begin_session();
-  abr_fallback_->begin_session();
+  std::lock_guard<std::mutex> lock(abr_.policy_mu);
+  if (abr_.primary) abr_.primary->begin_session();
+  abr_.fallback->begin_session();
 }
 
 void InferenceEngine::observe_abr_result(const abr::ChunkResult& result, double chunk_qoe) {
-  std::lock_guard<std::mutex> lock(abr_mu_);
-  if (abr_policy_) abr_policy_->observe_result(result, chunk_qoe);
-  abr_fallback_->observe_result(result, chunk_qoe);
+  std::lock_guard<std::mutex> lock(abr_.policy_mu);
+  if (abr_.primary) abr_.primary->observe_result(result, chunk_qoe);
+  abr_.fallback->observe_result(result, chunk_qoe);
 }
 
 void InferenceEngine::begin_cjs_episode() {
-  std::lock_guard<std::mutex> lock(cjs_mu_);
-  if (cjs_policy_) cjs_policy_->begin_episode();
-  cjs_fallback_->begin_episode();
+  std::lock_guard<std::mutex> lock(cjs_.policy_mu);
+  if (cjs_.primary) cjs_.primary->begin_episode();
+  cjs_.fallback->begin_episode();
 }
 
 void InferenceEngine::observe_cjs_reward(double reward) {
-  std::lock_guard<std::mutex> lock(cjs_mu_);
-  if (cjs_policy_) cjs_policy_->observe_reward(reward);
-  cjs_fallback_->observe_reward(reward);
+  std::lock_guard<std::mutex> lock(cjs_.policy_mu);
+  if (cjs_.primary) cjs_.primary->observe_reward(reward);
+  cjs_.fallback->observe_reward(reward);
 }
 
 adapt::GuardCounters InferenceEngine::counters() const {
   adapt::GuardCounters total;
-  for (const adapt::GuardCore* g : {&vp_guard_, &abr_guard_, &cjs_guard_}) total += g->counters();
+  for_each_lane(*this, [&](const auto& lane) { total += lane.guard.counters(); });
   return total;
 }
 

@@ -42,8 +42,10 @@ namespace netllm::nn {
 class KvArena;
 }
 namespace netllm::adapt {
+class AbrAdapter;
+class CjsAdapter;
 class VpAdapter;
-}
+}  // namespace netllm::adapt
 
 namespace netllm::serve {
 
@@ -94,13 +96,19 @@ struct CjsResponse {
   ResponseMeta meta;
 };
 
-/// Handle returned by `submit`: identifies one response slot in the batch
-/// generation (`epoch`) that will serve it. Tickets from a previous
+/// The engine's tasks, in the order every tie-break follows. The value is the
+/// task id mixed into each request's retry-jitter seed.
+enum class Task : std::uint8_t { kVp = 0, kAbr = 1, kCjs = 2 };
+
+/// Handle returned by `submit`: identifies one response slot of one task in
+/// the batch generation (`epoch`) that will serve it. Tickets from a previous
 /// generation do not alias into the current one — looking them up throws
-/// `StaleTicket` instead of silently returning another request's answer.
+/// `StaleTicket` instead of silently returning another request's answer —
+/// and a ticket resolves only against its own task's responses.
 struct Ticket {
   std::uint64_t epoch = 0;  // run() generation that serves this request
   std::size_t index = 0;    // slot in that generation's response vector
+  Task task = Task::kVp;    // the task whose queue issued it
 };
 
 /// A ticket was presented to the wrong batch generation: either its batch
@@ -197,12 +205,6 @@ struct EngineConfig {
   tensor::quant::Dtype backbone_dtype = tensor::quant::Dtype::kF32;
 };
 
-/// Deterministic backoff before retry number `attempt` (1-based) of the
-/// request identified by `request_key`: `adapt::retry_backoff_ms` on the
-/// stream seeded from retry_seed ^ request_key — the same request retries
-/// with the same delays in every run and at every NETLLM_THREADS.
-double retry_backoff_ms(const EngineConfig& cfg, std::uint64_t request_key, int attempt);
-
 /// KV-cache-era serving substrate: one engine owns up to three adapted
 /// models (any subset), a per-task guard core and a per-task fallback.
 /// `submit` enqueues (thread-safe, subject to admission control) and returns
@@ -243,23 +245,25 @@ class InferenceEngine {
   /// its slot, so every response stays bitwise identical to serving that
   /// request alone at any NETLLM_THREADS. ABR/CJS decisions serialize on
   /// their policy's mutex because those policies keep rolling context —
-  /// `ResponseMeta::queue_wait_ms` carries the wait.
+  /// `ResponseMeta::queue_wait_ms` carries the wait. One drain at a time:
+  /// `submit` and the lookups may race with `run()`, a second `run()` may not.
   BatchReport run();
 
   /// Resolve a ticket. A ticket resolves against the most recently completed
   /// batch, and — continuous resolution — against the batch `run()` is
   /// currently draining as soon as its own request finished (no waiting for
-  /// the epoch barrier). Throws `StaleTicket` if the ticket's request has no
-  /// response yet or a later `run()` already replaced its generation, and
-  /// `std::out_of_range` if the ticket was issued for a different task's
-  /// queue.
+  /// the epoch barrier). Throws `std::out_of_range`, naming both tasks, if the
+  /// ticket was issued for another task (a VP ticket looked up through
+  /// `abr_response`), `StaleTicket` if the ticket's request has no response
+  /// yet or a later `run()` already replaced its generation, and
+  /// `std::out_of_range` if its index lies past that generation's responses.
   const VpResponse& vp_response(const Ticket& t) const;
   const AbrResponse& abr_response(const Ticket& t) const;
   const CjsResponse& cjs_response(const Ticket& t) const;
 
-  const std::vector<VpResponse>& vp_responses() const { return vp_responses_; }
-  const std::vector<AbrResponse>& abr_responses() const { return abr_responses_; }
-  const std::vector<CjsResponse>& cjs_responses() const { return cjs_responses_; }
+  const std::vector<VpResponse>& vp_responses() const { return vp_.responses; }
+  const std::vector<AbrResponse>& abr_responses() const { return abr_.responses; }
+  const std::vector<CjsResponse>& cjs_responses() const { return cjs_.responses; }
 
   // Session lifecycle passthroughs: both the primary and its fallback see
   // real outcomes, mirroring the guarded wrappers, so a stateful policy pair
@@ -274,9 +278,9 @@ class InferenceEngine {
   /// Per-task health (DESIGN.md §12): Healthy on first-try successes,
   /// Degraded once failures/retries appear, Open while the breaker cools.
   /// Also exported as the serve.<task>.health gauge (0 / 1 / 2).
-  adapt::Health vp_health() const { return vp_guard_.health(); }
-  adapt::Health abr_health() const { return abr_guard_.health(); }
-  adapt::Health cjs_health() const { return cjs_guard_.health(); }
+  adapt::Health vp_health() const { return vp_.guard.health(); }
+  adapt::Health abr_health() const { return abr_.guard.health(); }
+  adapt::Health cjs_health() const { return cjs_.guard.health(); }
   const EngineConfig& config() const { return cfg_; }
   /// The pooled KV arena injected into a VpAdapter primary (DESIGN.md §13);
   /// null when `arena_pages` is 0 or the VP model is not a VpAdapter.
@@ -304,57 +308,132 @@ class InferenceEngine {
     core::metrics::Histogram* queue_wait_ms = nullptr;
     core::metrics::Histogram* compute_ms = nullptr;
   };
-  TaskMetrics make_task_metrics(const char* task) const;
+
+  // What sets the three lanes apart besides the model call and the validity
+  // rule (the `ask` / `valid` overloads in serve.cpp): their types, whether
+  // the policy calls serialize, and the response field holding the answer.
+  struct VpSpec {
+    using Request = VpRequest;
+    using Response = VpResponse;
+    using Model = vp::VpPredictor;
+    using Adapter = adapt::VpAdapter;
+    static constexpr Task kTask = Task::kVp;
+    static constexpr bool kSerialized = false;  // stateless predictors
+    static constexpr auto kAnswer = &VpResponse::viewports;
+  };
+  struct AbrSpec {
+    using Request = AbrRequest;
+    using Response = AbrResponse;
+    using Model = abr::AbrPolicy;
+    using Adapter = adapt::AbrAdapter;
+    static constexpr Task kTask = Task::kAbr;
+    static constexpr bool kSerialized = true;  // rolling session context
+    static constexpr auto kAnswer = &AbrResponse::level;
+  };
+  struct CjsSpec {
+    using Request = CjsRequest;
+    using Response = CjsResponse;
+    using Model = cjs::SchedPolicy;
+    using Adapter = adapt::CjsAdapter;
+    static constexpr Task kTask = Task::kCjs;
+    static constexpr bool kSerialized = true;  // rolling episode context
+    static constexpr auto kAnswer = &CjsResponse::action;
+  };
+
+  /// One task's serving lane (DESIGN.md §10): its primary and fallback, its
+  /// guard core, metrics and priority, its policy mutex, its queue and the
+  /// draining generation's jobs, responses and done flags. The engine holds
+  /// one lane per task and serves all three through the same bodies.
+  template <typename Spec>
+  struct Lane {
+    using Model = typename Spec::Model;
+    using Request = typename Spec::Request;
+    static constexpr Task task = Spec::kTask;
+
+    Lane(const EngineConfig& cfg, std::shared_ptr<Model> primary_model,
+         std::shared_ptr<Model> fallback_model, int drain_priority);
+
+    std::shared_ptr<Model> primary, fallback;  // no primary: submits throw
+    std::shared_ptr<typename Spec::Adapter> adapter;  // `primary` as an adapter, or null
+    adapt::GuardCore guard;
+    TaskMetrics metrics;
+    int priority = 0;       // drain order: higher first
+    bool lockstep = false;  // consecutive jobs run as lockstep groups (VP only)
+    std::mutex policy_mu;   // serializes the policy calls when Spec::kSerialized
+    std::vector<Queued<Request>> queue;  // admitted, awaiting run() (queue_mu_)
+    std::vector<Queued<Request>> jobs;   // the generation run() is draining
+    // That generation's responses and continuous-resolution flags: a slot
+    // flips its request's flag (under queue_mu_) the moment it is ready.
+    std::vector<typename Spec::Response> responses;
+    std::vector<char> done;
+  };
+
+  /// Calls `f` on each lane in task order (VP, ABR, CJS), the order the
+  /// schedule's and ShedOldest's tie-breaks follow.
+  template <typename Self, typename F>
+  static void for_each_lane(Self& self, F&& f) {
+    f(self.vp_);
+    f(self.abr_);
+    f(self.cjs_);
+  }
+  template <typename F>
+  void with_lane(Task task, F&& f) {
+    for_each_lane(*this, [&](auto& lane) {
+      if (lane.task == task) f(lane);
+    });
+  }
+
+  /// The submit body: admission under queue_mu_, then a task-tagged ticket.
+  template <typename Spec>
+  Ticket enqueue(Lane<Spec>& lane, typename Spec::Request req);
+  /// The ticket lookup behind the three `*_response` calls.
+  template <typename Spec>
+  const typename Spec::Response& response(const Lane<Spec>& lane, const Ticket& t) const;
 
   /// Stamps the admission wait into `meta` and builds the guard call: the
   /// retry settings, the deadline, and shed when the request was a
   /// ShedOldest victim, a shutdown drain is in progress, or its deadline
   /// already passed before any compute was spent.
-  adapt::GuardCall start_request(Clock::time_point admitted, bool already_shed,
-                                 std::uint64_t task_id, std::uint64_t epoch, std::size_t index,
+  adapt::GuardCall start_request(Clock::time_point admitted, bool already_shed, Task task,
+                                 std::uint64_t epoch, std::size_t index,
                                  ResponseMeta& meta) const;
-  /// Copies the guard outcome into `meta`, then end-of-request SLO
-  /// accounting (admission wait + serve time vs deadline_ms) plus the
-  /// latency histograms.
-  void finish_request(TaskMetrics& m, const adapt::GuardOutcome& out, ResponseMeta& meta) const;
-
-  VpResponse serve_vp(const Queued<VpRequest>& q, std::uint64_t epoch, std::size_t index);
+  /// Serves `lane`'s jobs `indices` (consecutive in the schedule): as
+  /// lockstep groups when the lane has them, else one at a time, each
+  /// start_request, then decide_and_publish.
+  template <typename Spec>
+  void serve(Lane<Spec>& lane, std::span<const std::size_t> indices, std::uint64_t epoch);
   /// Serves the VP jobs `indices` (consecutive in the schedule) as lockstep
   /// groups through the VpAdapter primary, publishing each response as its
   /// decision lands. A group stops growing at the first member whose lease
   /// would not fit beside the group's without evicting a warm prefix; that
   /// member starts the next group once this one's leases are back.
-  void serve_vp_group(std::span<const std::size_t> indices,
-                      const std::vector<Queued<VpRequest>>& jobs, std::uint64_t epoch);
-  AbrResponse serve_abr(const Queued<AbrRequest>& q, std::uint64_t epoch, std::size_t index);
-  CjsResponse serve_cjs(const Queued<CjsRequest>& q, std::uint64_t epoch, std::size_t index);
+  void serve_vp_group(std::span<const std::size_t> indices, std::uint64_t epoch);
+  /// Job `index`'s guarded decision, `primary` being its LLM-path call: the
+  /// policy-mutex wait when the lane serializes, the answer, the timings from
+  /// `start`, the SLO accounting and latency histograms, then the publish
+  /// under queue_mu_ that lets its ticket resolve.
+  template <typename Spec, typename Primary>
+  void decide_and_publish(Lane<Spec>& lane, std::size_t index, const adapt::GuardCall& call,
+                          Primary&& primary, typename Spec::Response&& resp,
+                          Clock::time_point start);
 
-  /// Admission gate shared by the three submits; runs under queue_mu_ (the
-  /// lock is `lk`). Applies the configured policy when the queue is full and
-  /// throws Overloaded when admission is closed. `rejected` is the task's
-  /// rejection counter (may be null).
+  /// Admission gate of `enqueue`; runs under queue_mu_ (the lock is `lk`).
+  /// Applies the configured policy when the queue is full and throws
+  /// Overloaded when admission is closed. `rejected` is the task's rejection
+  /// counter (may be null).
   void admit_locked(std::unique_lock<std::mutex>& lk, core::metrics::Counter* rejected);
-  /// Unshed queued requests across the three queues. Caller holds queue_mu_.
+  /// Unshed queued requests across the lanes. Caller holds queue_mu_.
   std::size_t unshed_pending_locked() const;
   /// Marks the oldest unshed queued request as shed. Caller holds queue_mu_.
   void shed_oldest_locked();
 
   EngineConfig cfg_;
-  std::shared_ptr<vp::VpPredictor> vp_model_, vp_fallback_;
-  std::shared_ptr<abr::AbrPolicy> abr_policy_, abr_fallback_;
-  std::shared_ptr<cjs::SchedPolicy> cjs_policy_, cjs_fallback_;
-
-  adapt::GuardCore vp_guard_, abr_guard_, cjs_guard_;
-  TaskMetrics vp_metrics_, abr_metrics_, cjs_metrics_;
+  Lane<VpSpec> vp_;
+  Lane<AbrSpec> abr_;
+  Lane<CjsSpec> cjs_;
   core::metrics::Gauge* queue_depth_ = nullptr;  // serve.queue_depth
   core::metrics::Counter* admission_wakeups_ = nullptr;  // serve.admission.wakeups
-  std::mutex abr_mu_, cjs_mu_;  // serialize stateful policy calls
   std::shared_ptr<nn::KvArena> arena_;  // pooled KV pages + warm prefixes (VP)
-  // The VP primary when it is a VpAdapter and no latency budget is set:
-  // consecutive VP jobs then run as lockstep groups. A per-request compute
-  // budget cannot be charged fairly inside a group, so with one set this is
-  // null and every VP request is served alone.
-  std::shared_ptr<adapt::VpAdapter> vp_grouped_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;   // signaled when run() frees queue space
@@ -364,16 +443,6 @@ class InferenceEngine {
   // False while a drain is rebuilding the response vectors: tickets from the
   // completed generation are already "replaced by a later run()" then.
   bool responses_valid_ = false;
-  std::vector<Queued<VpRequest>> vp_queue_;
-  std::vector<Queued<AbrRequest>> abr_queue_;
-  std::vector<Queued<CjsRequest>> cjs_queue_;
-
-  std::vector<VpResponse> vp_responses_;
-  std::vector<AbrResponse> abr_responses_;
-  std::vector<CjsResponse> cjs_responses_;
-  // Continuous-resolution flags for the draining generation: a slot flips
-  // its request's entry (under queue_mu_) the moment the response is ready.
-  std::vector<char> vp_done_, abr_done_, cjs_done_;
 };
 
 }  // namespace netllm::serve

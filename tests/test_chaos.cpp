@@ -43,6 +43,7 @@ namespace nm = netllm::core::metrics;
 namespace serve = netllm::serve;
 namespace vp = netllm::vp;
 using netllm::adapt::Health;
+using netllm::adapt::retry_backoff_ms;
 using netllm::tensor::Tensor;
 
 namespace {
@@ -189,6 +190,99 @@ TEST_F(Chaos, ShedOldestServesVictimViaFallbackWithoutPrimaryCompute) {
   EXPECT_EQ(engine->vp_health(), Health::kHealthy);
 }
 
+namespace {
+
+/// Level 0 on every call; counts calls.
+class CountingAbr : public netllm::abr::AbrPolicy {
+ public:
+  std::string name() const override { return "counting-abr"; }
+  int choose_level(const netllm::abr::Observation&) override {
+    ++calls;
+    return 0;
+  }
+  std::atomic<int> calls{0};
+};
+
+/// The first runnable stage at the smallest cap; counts calls.
+class CountingCjs : public netllm::cjs::SchedPolicy {
+ public:
+  std::string name() const override { return "counting-cjs"; }
+  netllm::cjs::SchedAction choose(const netllm::cjs::SchedObservation&) override {
+    ++calls;
+    return {0, 0};
+  }
+  std::atomic<int> calls{0};
+};
+
+serve::AbrRequest abr_request() {
+  serve::AbrRequest req;
+  req.obs.past_throughput_mbps.assign(netllm::abr::Observation::kHistory, 3.0);
+  req.obs.past_delay_s.assign(netllm::abr::Observation::kHistory, 0.1);
+  req.obs.next_chunk_sizes_mbytes = {0.5, 1.0, 2.0, 4.0};
+  req.obs.future_chunk_sizes_mbytes.assign(netllm::abr::Observation::kHorizon * 4, 1.0);
+  req.obs.buffer_s = 10.0;
+  req.obs.chunks_remaining = 10;
+  req.obs.num_levels = 4;
+  return req;
+}
+
+serve::CjsRequest cjs_request() {
+  serve::CjsRequest req;
+  req.obs.node_features = Tensor::zeros({2, netllm::cjs::SchedObservation::kNodeFeatures});
+  req.obs.topology.num_nodes = 2;
+  req.obs.topology.children = {{}, {}};
+  req.obs.runnable_rows = {0, 1};
+  req.obs.job_of_row = {0, 1};
+  req.obs.job_arrival_of_row = {0.0, 1.0};
+  req.obs.idle_executors = 4;
+  req.obs.total_executors = 8;
+  return req;
+}
+
+}  // namespace
+
+TEST_F(Chaos, ShedOldestPicksTheGloballyOldestRequestAcrossTasks) {
+  serve::EngineConfig cfg;
+  cfg.max_queue = 2;
+  cfg.admission = serve::AdmissionPolicy::kShedOldest;
+  auto vp_primary = std::make_shared<CountingVp>();
+  auto abr_primary = std::make_shared<CountingAbr>();
+  auto cjs_primary = std::make_shared<CountingCjs>();
+  auto engine =
+      std::make_shared<serve::InferenceEngine>(vp_primary, abr_primary, cjs_primary, cfg);
+  // ABR, CJS, VP, CJS, ABR, VP: from the third submit on, each one sheds the
+  // oldest unshed request, which is never the VP queue's head by lane order
+  // alone: the ABR request, then the first CJS, then the first VP, then the
+  // second CJS.
+  const auto abr_old = engine->submit(abr_request());
+  const auto cjs_old = engine->submit(cjs_request());
+  const auto vp_old = engine->submit(vp_request(2));   // sheds abr_old
+  const auto cjs_mid = engine->submit(cjs_request());  // sheds cjs_old
+  const auto abr_new = engine->submit(abr_request());  // sheds vp_old
+  const auto vp_new = engine->submit(vp_request(3));   // sheds cjs_mid
+  EXPECT_EQ(engine->pending(), 6u);
+  const auto report = engine->run();
+  EXPECT_EQ(report.requests, 6u);
+  EXPECT_EQ(report.shed, 4u);
+  EXPECT_EQ(report.llm, 2u);
+  // Every victim's ticket resolves to a fallback answer, with no primary call.
+  EXPECT_EQ(engine->abr_response(abr_old).meta.source, serve::Source::kShed);
+  EXPECT_EQ(engine->cjs_response(cjs_old).meta.source, serve::Source::kShed);
+  EXPECT_EQ(engine->vp_response(vp_old).meta.source, serve::Source::kShed);
+  EXPECT_EQ(engine->cjs_response(cjs_mid).meta.source, serve::Source::kShed);
+  EXPECT_EQ(engine->abr_response(abr_new).meta.source, serve::Source::kLlm);
+  EXPECT_EQ(engine->vp_response(vp_new).meta.source, serve::Source::kLlm);
+  EXPECT_EQ(engine->vp_response(vp_old).viewports.size(), 2u);  // LR still answered
+  EXPECT_EQ(vp_primary->calls.load(), 1);
+  EXPECT_EQ(abr_primary->calls.load(), 1);
+  EXPECT_EQ(cjs_primary->calls.load(), 0);
+  // The shed counts land on each victim's own task.
+  EXPECT_EQ(nm::counter("serve.vp.shed").value(), 1);
+  EXPECT_EQ(nm::counter("serve.abr.shed").value(), 1);
+  EXPECT_EQ(nm::counter("serve.cjs.shed").value(), 2);
+  EXPECT_EQ(engine->counters().shed, 4);
+}
+
 TEST_F(Chaos, BlockPolicyWaitsForADrainToFreeSpace) {
   serve::EngineConfig cfg;
   cfg.max_queue = 1;
@@ -305,16 +399,17 @@ TEST_F(Chaos, RetryBackoffIsSeededDoublingWithBoundedJitter) {
   cfg.retry_seed = 99;
   const std::uint64_t key = 0xabcdefULL;
   for (int attempt = 1; attempt <= 4; ++attempt) {
-    const double b = serve::retry_backoff_ms(cfg, key, attempt);
+    const double b = retry_backoff_ms(cfg.retry_backoff_ms, cfg.retry_seed ^ key, attempt);
     const double base = 4.0 * static_cast<double>(1 << (attempt - 1));
     EXPECT_GE(b, base * 0.5) << "attempt " << attempt;
     EXPECT_LT(b, base * 1.5) << "attempt " << attempt;
     // Re-evaluating the schedule gives the same delay: it is a pure function
     // of (config, request key, attempt) — replayable from a log line.
-    EXPECT_EQ(b, serve::retry_backoff_ms(cfg, key, attempt));
+    EXPECT_EQ(b, retry_backoff_ms(cfg.retry_backoff_ms, cfg.retry_seed ^ key, attempt));
   }
   // Different requests draw from different jitter streams.
-  EXPECT_NE(serve::retry_backoff_ms(cfg, 1, 1), serve::retry_backoff_ms(cfg, 2, 1));
+  EXPECT_NE(retry_backoff_ms(cfg.retry_backoff_ms, cfg.retry_seed ^ 1, 1),
+            retry_backoff_ms(cfg.retry_backoff_ms, cfg.retry_seed ^ 2, 1));
 }
 
 TEST_F(Chaos, LatencyOverrunsNeverRetry) {

@@ -329,6 +329,22 @@ TEST_F(Observability, TicketsRejectLookupsAgainstTheWrongBatch) {
   EXPECT_EQ(engine->vp_response(t2).viewports.size(), 3u);
   // A ticket for the wrong task's queue is an index error, not an alias.
   EXPECT_THROW(engine->abr_response(t2), std::out_of_range);
+
+  // The same holds when the batch also holds a request of the other task:
+  // a VP ticket and an ABR ticket share {epoch, index 0}, and each resolves
+  // only through its own task's lookup.
+  auto mixed = std::make_shared<serve::InferenceEngine>(
+      std::make_shared<TrivialVp>(), std::make_shared<netllm::baselines::Bba>(), nullptr);
+  const auto vp_t = mixed->submit(trivial_vp_request());
+  const auto abr_t = mixed->submit(serve::AbrRequest{abr_observation()});
+  EXPECT_EQ(vp_t.epoch, abr_t.epoch);
+  EXPECT_EQ(vp_t.index, abr_t.index);
+  mixed->run();
+  EXPECT_EQ(mixed->vp_response(vp_t).viewports.size(), 2u);
+  EXPECT_EQ(mixed->abr_response(abr_t).meta.source, serve::Source::kLlm);
+  EXPECT_THROW(mixed->abr_response(vp_t), std::out_of_range);
+  EXPECT_THROW(mixed->vp_response(abr_t), std::out_of_range);
+  EXPECT_THROW(mixed->cjs_response(abr_t), std::out_of_range);
 }
 
 TEST_F(Observability, StaleTicketMessageNamesPresentedEpochIndexAndCurrentEpoch) {

@@ -387,7 +387,9 @@ class ResolvingVp : public vp::VpPredictor {
         first_resolved_mid_drain = false;
       }
       try {
-        engine->vp_response(serve::Ticket{first.epoch, 1});
+        serve::Ticket own = first;
+        own.index = 1;
+        engine->vp_response(own);
         own_was_stale = false;
       } catch (const serve::StaleTicket&) {
         own_was_stale = true;  // this request's own slot is not done yet
