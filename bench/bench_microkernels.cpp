@@ -6,8 +6,9 @@
 //
 // The BM_IsaTier benchmarks are registered at runtime (custom main below):
 // one row per (kernel case x compiled-and-supported ISA tier), single
-// threaded, so BENCH_kernels.json carries the scalar-vs-vector FLOP/s
-// comparison for the host this sweep actually ran on (DESIGN.md §16).
+// threaded, so BENCH_kernels.json carries the scalar-vs-vector throughput
+// (FLOP/s for the matmuls, elements/s for the row kernels) for the host
+// this sweep actually ran on (DESIGN.md §16).
 // Every row that lands in BENCH_kernels.json runs kLedgerRepetitions times
 // and reports its aggregates (tools/check_bench_kernels.py reads the
 // medians), and the file's context block carries the run's provenance.
@@ -230,12 +231,50 @@ void BM_IsaQuant(benchmark::State& state, isa::Isa tier, nq::Dtype dtype, std::i
   state.SetLabel(isa::isa_name(tier));
 }
 
+/// Row kernels on `rows` rows of `cols` values: GELU over the whole buffer
+/// in one call (as the graph-free MLP runs it), or Q8_0 quantization one
+/// row at a time (as qmatmul_accum quantizes its activations).
+/// items_per_second counts input elements.
+void BM_IsaRow(benchmark::State& state, isa::Isa tier, bool quantize, std::int64_t rows,
+               std::int64_t cols) {
+  TierScope scope(tier);
+  if (!scope.applied) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  Rng rng(20);
+  std::vector<float> x(static_cast<std::size_t>(rows * cols));
+  for (auto& v : x) v = static_cast<float>(rng.gaussian(0.0, 1.0));
+  std::vector<float> y(x.size());
+  const auto kb = nq::blocks_per_row(cols);
+  std::vector<float> scales(static_cast<std::size_t>(rows * kb));
+  std::vector<std::uint8_t> codes(static_cast<std::size_t>(rows * kb * nq::kBlock));
+  for (auto _ : state) {
+    if (quantize) {
+      for (std::int64_t r = 0; r < rows; ++r) {
+        nq::quantize_row(nq::Dtype::kQ8_0, x.data() + r * cols, cols, scales.data() + r * kb,
+                         codes.data() + r * kb * nq::kBlock);
+      }
+      benchmark::DoNotOptimize(codes.data());
+    } else {
+      nt::gelu_row(x.data(), y.data(), rows * cols);
+      benchmark::DoNotOptimize(y.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * cols);
+  state.SetLabel(isa::isa_name(tier));
+}
+
 /// One BM_IsaTier/<case>/<tier> row per supported tier. The 512-wide GEMV
 /// rows are the serving hot shape (single decode row against a 512-wide
 /// projection); GEMM rows show the register-tiled multi-row path. The
 /// narrow rows are served fp32 shapes: the LoRA down-projection x·A (n = r
 /// = 4) of a 512-wide decode row and of a 98-row CJS window, and the
-/// 64-wide step projection.
+/// 64-wide step projection. The row-kernel rows are GELU over an ABR
+/// window's MLP (59 rows of d_ff 256) and over one 512-wide lockstep step
+/// of four VP requests (4 rows of d_ff 1280), and the Q8_0 quantization of
+/// that step's four 512-wide activation rows.
 void register_isa_tier_benches() {
   std::vector<isa::Isa> tiers = {isa::Isa::kScalar};
   if (isa::best_isa() != isa::Isa::kScalar) tiers.push_back(isa::best_isa());
@@ -258,6 +297,14 @@ void register_isa_tier_benches() {
                                    {"q8_gemm512", nq::Dtype::kQ8_0, 64},
                                    {"q4_gemv512", nq::Dtype::kQ4_0, 1},
                                    {"q4_gemm512", nq::Dtype::kQ4_0, 64}};
+  struct RowCase {
+    const char* name;
+    bool quantize;
+    std::int64_t rows, cols;
+  };
+  const RowCase row_cases[] = {{"gelu_ff256x59", false, 59, 256},
+                               {"gelu_ff1280x4", false, 4, 1280},
+                               {"q8_quant512x4", true, 4, kDim}};
   for (const auto tier : tiers) {
     const std::string suffix = std::string("/") + isa::isa_name(tier);
     for (const auto& f : f32_cases) {
@@ -273,6 +320,15 @@ void register_isa_tier_benches() {
       benchmark::RegisterBenchmark(("BM_IsaTier/" + std::string(q.name) + suffix).c_str(),
                                    [tier, q](benchmark::State& s) {
                                      BM_IsaQuant(s, tier, q.dtype, q.m, kDim, kDim);
+                                   })
+          ->UseRealTime()
+          ->Repetitions(kLedgerRepetitions)
+          ->ReportAggregatesOnly(true);
+    }
+    for (const auto& r : row_cases) {
+      benchmark::RegisterBenchmark(("BM_IsaTier/" + std::string(r.name) + suffix).c_str(),
+                                   [tier, r](benchmark::State& s) {
+                                     BM_IsaRow(s, tier, r.quantize, r.rows, r.cols);
                                    })
           ->UseRealTime()
           ->Repetitions(kLedgerRepetitions)

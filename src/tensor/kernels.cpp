@@ -138,4 +138,8 @@ void matmul_q4_accum(const std::int8_t* aq, const float* ascales, const std::uin
   });
 }
 
+void tanh_row(const float* in, float* out, std::int64_t n) {
+  detail::active_table().tanh_row(in, out, n);
+}
+
 }  // namespace netllm::tensor::kernels

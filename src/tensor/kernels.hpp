@@ -76,4 +76,14 @@ void matmul_q4_accum(const std::int8_t* aq, const float* ascales, const std::uin
                      const float* bscales, float* c, std::int64_t m, std::int64_t kb,
                      std::int64_t n);
 
+// ---- elementwise row kernels ----
+//
+// Every tier returns the scalar tier's bits (DESIGN.md §16), which are
+// those of glibc 2.36 tanhf: the scalar tier carries an in-repo
+// transcription of it, so the result does not depend on the host libm.
+// Callers chunk rows as they like; elementwise means any cut is bitwise.
+
+/// out[i] = tanh(in[i]) over n values; in == out is allowed.
+void tanh_row(const float* in, float* out, std::int64_t n);
+
 }  // namespace netllm::tensor::kernels

@@ -24,6 +24,12 @@
 // exact hadd transpose-reduce turns eight columns' madd partials into one
 // vector of dots, and one vector multiply-add per block replaces eight
 // scalar ones. Q4 still runs a column-quad of scalar chains per row.
+//
+// The row kernels (tanh, GELU, the Q8_0 quantizer) run the scalar tier's
+// float sequence eight lanes at a time and return its bits: every branch
+// of the scalar body is computed and blended, and the cases the blend
+// does not cover (a non-finite tanh argument, a non-finite quantizer block,
+// a partial block) are handed to the scalar row kernel itself.
 #if defined(NETLLM_HAVE_AVX2)
 
 #include "tensor/kernels_dispatch.hpp"
@@ -395,12 +401,227 @@ void matmul_q4_range(const std::int8_t* aq, const float* ascales, const std::uin
   }
 }
 
+// ---- tanh / GELU: the scalar tier's glibc tanhf port, eight lanes ----
+//
+// Each vector computes every branch the scalar body can take on a finite
+// argument and selects per lane with the scalar body's own conditions
+// (compared on the same exponent bits), so each lane performs exactly the
+// float operations the scalar port performs on it. Lanes whose branch
+// discards a value may compute garbage (e.g. 2|x| = Inf) that no blend
+// keeps. A vector holding a non-finite argument runs the scalar row kernel.
+
+inline __m256i splat(std::uint32_t bits) { return _mm256_set1_epi32(static_cast<int>(bits)); }
+inline __m256 splat_f(std::uint32_t bits) { return _mm256_castsi256_ps(splat(bits)); }
+/// Signed int32 compares; every operand here is a non-negative magnitude.
+inline __m256i above(__m256i v, std::uint32_t bits) { return _mm256_cmpgt_epi32(v, splat(bits)); }
+inline __m256i below(__m256i v, std::uint32_t bits) { return _mm256_cmpgt_epi32(splat(bits), v); }
+/// Lanes of `yes` where `mask` is set, else `no`.
+inline __m256 pick(__m256i mask, __m256 yes, __m256 no) {
+  return _mm256_blendv_ps(no, yes, _mm256_castsi256_ps(mask));
+}
+/// y * 2^k by adding k to the exponent field, as the scalar port does.
+inline __m256 add_exponent(__m256 y, __m256i kexp) {
+  return _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(y), kexp));
+}
+
+/// expm1f_port on the arguments tanh passes it: finite, in (-2, 44). The
+/// |x| >= 27 ln2 early returns cannot fire there (a negative argument is
+/// above -2, a positive one below 88.72), so they are not computed.
+inline __m256 expm1_8(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f), half = _mm256_set1_ps(0.5f);
+  const __m256i sign = splat(0x80000000u);
+  const __m256i xb = _mm256_castps_si256(x);
+  const __m256i hx = _mm256_andnot_si256(sign, xb);
+  // k: 0 for |x| <= ln2/2, +-1 below 1.5 ln2, else trunc(x/ln2 +- 0.5).
+  // With t = (float)k the scalar reductions are one formula: t * ln2_hi and
+  // t * ln2_lo are exact, and k = 0 gives hi = x, lo = 0, r = x, c = 0.
+  const __m256 half_signed = _mm256_castsi256_ps(
+      _mm256_or_si256(_mm256_castps_si256(half), _mm256_and_si256(sign, xb)));
+  const __m256i k_far =
+      _mm256_cvttps_epi32(_mm256_add_ps(_mm256_mul_ps(splat_f(0x3fb8aa3bu), x), half_signed));
+  const __m256i k_near = _mm256_or_si256(_mm256_srai_epi32(xb, 31), _mm256_set1_epi32(1));
+  const __m256i k = _mm256_and_si256(_mm256_blendv_epi8(k_far, k_near, below(hx, 0x3f851592u)),
+                                     above(hx, 0x3eb17218u));
+  const __m256 t = _mm256_cvtepi32_ps(k);
+  const __m256 hi = _mm256_sub_ps(x, _mm256_mul_ps(t, splat_f(0x3f317180u)));
+  const __m256 lo = _mm256_mul_ps(t, splat_f(0x3717f7d1u));
+  const __m256 r = _mm256_sub_ps(hi, lo);
+  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, r), lo);
+
+  const __m256 hfx = _mm256_mul_ps(half, r);
+  const __m256 hxs = _mm256_mul_ps(r, hfx);
+  __m256 p = _mm256_mul_ps(hxs, splat_f(0xb457edbbu));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(splat_f(0x36867e54u), p));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(splat_f(0xb8a670cdu), p));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(splat_f(0x3ad00d01u), p));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(splat_f(0xbd088889u), p));
+  const __m256 r1 = _mm256_add_ps(one, p);
+  const __m256 t3 = _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(r1, hfx));
+  const __m256 e = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, t3),
+                         _mm256_sub_ps(_mm256_set1_ps(6.0f), _mm256_mul_ps(r, t3))));
+  const __m256 y_k0 = _mm256_sub_ps(r, _mm256_sub_ps(_mm256_mul_ps(r, e), hxs));
+  const __m256 ek = _mm256_sub_ps(_mm256_sub_ps(_mm256_mul_ps(r, _mm256_sub_ps(e, c)), c), hxs);
+  const __m256 y_km1 = _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(r, ek)), half);
+  const __m256 y_k1 = pick(
+      _mm256_castps_si256(_mm256_cmp_ps(r, _mm256_set1_ps(-0.25f), _CMP_LT_OQ)),
+      _mm256_mul_ps(_mm256_set1_ps(-2.0f), _mm256_sub_ps(ek, _mm256_add_ps(r, half))),
+      _mm256_add_ps(one, _mm256_mul_ps(_mm256_set1_ps(2.0f), _mm256_sub_ps(r, ek))));
+  const __m256i kexp = _mm256_slli_epi32(k, 23);
+  const __m256 y_far =
+      _mm256_sub_ps(add_exponent(_mm256_sub_ps(one, _mm256_sub_ps(ek, r)), kexp), one);
+  const __m256 one_minus = _mm256_castsi256_ps(
+      _mm256_sub_epi32(splat(0x3f800000u), _mm256_srlv_epi32(splat(0x1000000u), k)));
+  const __m256 y_mid = add_exponent(_mm256_sub_ps(one_minus, _mm256_sub_ps(ek, r)), kexp);
+  const __m256 two_neg_k = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_sub_epi32(_mm256_set1_epi32(0x7f), k), 23));
+  const __m256 y_high = add_exponent(
+      _mm256_add_ps(_mm256_sub_ps(r, _mm256_add_ps(ek, two_neg_k)), one), kexp);
+
+  // The scalar body's k dispatch, innermost case last.
+  const __m256i k_ge2 = _mm256_cmpgt_epi32(k, _mm256_set1_epi32(1));
+  const __m256i k_le56 = _mm256_cmpgt_epi32(_mm256_set1_epi32(57), k);
+  const __m256i k_lt23 = _mm256_cmpgt_epi32(_mm256_set1_epi32(23), k);
+  __m256 y = y_far;  // k <= -2 or k > 56
+  y = pick(_mm256_and_si256(_mm256_and_si256(k_ge2, k_le56), k_lt23), y_mid, y);
+  y = pick(_mm256_andnot_si256(k_lt23, k_le56), y_high, y);
+  y = pick(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(1)), y_k1, y);
+  y = pick(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1)), y_km1, y);
+  y = pick(_mm256_cmpeq_epi32(k, _mm256_setzero_si256()), y_k0, y);
+  return pick(below(hx, 0x33000000u), x, y);  // |x| < 2^-25: x
+}
+
+/// tanhf_port on eight finite lanes.
+inline __m256 tanh_8(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f), two = _mm256_set1_ps(2.0f);
+  const __m256i sign = splat(0x80000000u);
+  const __m256i xb = _mm256_castps_si256(x);
+  const __m256i ix = _mm256_andnot_si256(sign, xb);
+  const __m256 ax = _mm256_castsi256_ps(ix);
+  const __m256i ge_one = above(ix, 0x3f7fffffu);
+  const __m256 t = expm1_8(
+      pick(ge_one, _mm256_mul_ps(two, ax), _mm256_mul_ps(_mm256_set1_ps(-2.0f), ax)));
+  const __m256 den = _mm256_add_ps(t, two);
+  __m256 z = pick(ge_one, _mm256_sub_ps(one, _mm256_div_ps(two, den)),
+                  _mm256_div_ps(_mm256_xor_ps(t, _mm256_castsi256_ps(sign)), den));
+  z = pick(above(ix, 0x41afffffu), one, z);  // |x| >= 22
+  z = _mm256_xor_ps(z, _mm256_castsi256_ps(_mm256_and_si256(sign, xb)));
+  // |x| < 2^-55 (and +-0, which x * (1 + x) returns unchanged).
+  return pick(below(ix, 0x24000000u), _mm256_mul_ps(x, _mm256_add_ps(one, x)), z);
+}
+
+inline bool any_nonfinite(__m256 v) {
+  const __m256i mag = _mm256_andnot_si256(splat(0x80000000u), _mm256_castps_si256(v));
+  return _mm256_movemask_epi8(above(mag, 0x7f7fffffu)) != 0;
+}
+
+/// Eight tanh lanes: in[0:8] -> out[0:8].
+inline void tanh_vec(const float* in, float* out) {
+  const __m256 x = _mm256_loadu_ps(in);
+  if (any_nonfinite(x)) return scalar_table().tanh_row(in, out, 8);
+  _mm256_storeu_ps(out, tanh_8(x));
+}
+
+/// Eight GELU lanes, the scalar expression order: C (x + ((A x) x) x), then
+/// (0.5 x)(1 + tanh).
+inline void gelu_vec(const float* in, float* out) {
+  const __m256 x = _mm256_loadu_ps(in);
+  const __m256 x3 =
+      _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(kGeluA), x), x), x);
+  const __m256 inner = _mm256_mul_ps(_mm256_set1_ps(kGeluC), _mm256_add_ps(x, x3));
+  if (any_nonfinite(inner)) return scalar_table().gelu_row(in, out, 8);
+  const __m256 t = tanh_8(inner);
+  _mm256_storeu_ps(out, _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), x),
+                                      _mm256_add_ps(_mm256_set1_ps(1.0f), t)));
+}
+
+/// Whole vectors in place, then the last n mod 8 values through a
+/// zero-padded vector (zero is finite, so padding never forces the scalar
+/// path on its own).
+template <void (*Vec)(const float*, float*)>
+void row_by_vectors(const float* in, float* out, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) Vec(in + i, out + i);
+  if (i == n) return;
+  alignas(32) float buf[8] = {};
+  std::copy(in + i, in + n, buf);
+  Vec(buf, buf);
+  std::copy(buf, buf + (n - i), out + i);
+}
+
+void tanh_row(const float* in, float* out, std::int64_t n) {
+  row_by_vectors<tanh_vec>(in, out, n);
+}
+
+void gelu_row(const float* in, float* out, std::int64_t n) {
+  row_by_vectors<gelu_vec>(in, out, n);
+}
+
+// ---- Q8_0 quantizer: the scalar block loop, one full block at a time ----
+//
+// max |x| by vector max, then the earliest lane holding it (the scalar
+// `>` keeps the first of equal magnitudes), so the scale is the scalar
+// tier's `best / -128`. Codes: x / d per lane (_mm256_div_ps, correctly
+// rounded like the scalar divide), rounded by cvtps_epi32 in the current
+// rounding mode (nearest-even by default, as lrintf), then narrowed with
+// saturating packs, which clamp to [-128, 127] as clamp_code does.
+
+void quantize_block_q8(const float* x, float* scale, std::int8_t* codes) {
+  __m256 v[4], mag[4];
+  const __m256 abs_mask = _mm256_castsi256_ps(splat(0x7fffffffu));
+  for (int q = 0; q < 4; ++q) {
+    v[q] = _mm256_loadu_ps(x + 8 * q);
+    mag[q] = _mm256_and_ps(v[q], abs_mask);
+  }
+  if (any_nonfinite(mag[0]) || any_nonfinite(mag[1]) || any_nonfinite(mag[2]) ||
+      any_nonfinite(mag[3])) {
+    return scalar_table().quantize_row_q8(x, 32, scale, codes);  // NaN scale, zero codes
+  }
+  __m256 m = _mm256_max_ps(_mm256_max_ps(mag[0], mag[1]), _mm256_max_ps(mag[2], mag[3]));
+  m = _mm256_max_ps(m, _mm256_permute2f128_ps(m, m, 0x01));
+  m = _mm256_max_ps(m, _mm256_shuffle_ps(m, m, 0x4e));
+  m = _mm256_max_ps(m, _mm256_shuffle_ps(m, m, 0xb1));
+  float d = 0.0f;
+  if (_mm256_cvtss_f32(m) != 0.0f) {
+    std::uint32_t first = 0;
+    for (int q = 3; q >= 0; --q) {
+      first = (first << 8) |
+              static_cast<std::uint32_t>(_mm256_movemask_ps(_mm256_cmp_ps(mag[q], m, _CMP_EQ_OQ)));
+    }
+    d = x[__builtin_ctz(first)] / -128.0f;
+  }
+  *scale = d;
+  if (!has_codes(d)) {  // zero block, or a scale that underflowed to zero
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(codes), _mm256_setzero_si256());
+    return;
+  }
+  const __m256 dv = _mm256_set1_ps(d);
+  __m256i q32[4];
+  for (int q = 0; q < 4; ++q) q32[q] = _mm256_cvtps_epi32(_mm256_div_ps(v[q], dv));
+  // The packs work per 128-bit half: dword j then holds the j-th of the
+  // 4-code groups 0 2 4 6 1 3 5 7, and the permute puts them in order.
+  const __m256i q8 = _mm256_packs_epi16(_mm256_packs_epi32(q32[0], q32[1]),
+                                        _mm256_packs_epi32(q32[2], q32[3]));
+  _mm256_storeu_si256(
+      reinterpret_cast<__m256i*>(codes),
+      _mm256_permutevar8x32_epi32(q8, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7)));
+}
+
+void quantize_row_q8(const float* x, std::int64_t n, float* scales, std::int8_t* codes) {
+  const std::int64_t full = n / 32;
+  for (std::int64_t b = 0; b < full; ++b) quantize_block_q8(x + 32 * b, scales + b, codes + 32 * b);
+  if (full * 32 < n) {
+    scalar_table().quantize_row_q8(x + 32 * full, n - 32 * full, scales + full, codes + 32 * full);
+  }
+}
+
 }  // namespace
 
 const KernelTable& avx2_table() {
   static const KernelTable table{
       &matmul_accum_range, &matmul_bt_accum_range, &matmul_at_accum_range,
-      &matmul_q8_range,    &matmul_q4_range,
+      &matmul_q8_range,    &matmul_q4_range,       &tanh_row,
+      &gelu_row,           &quantize_row_q8,
   };
   return table;
 }

@@ -197,10 +197,14 @@ void matmul_q4_range(const std::int8_t* aq, const float* ascales, const std::uin
 
 }  // namespace
 
+// The row kernels take the scalar bodies until an aarch64 host can test
+// vector ones against them.
 const KernelTable& neon_table() {
   static const KernelTable table{
-      &matmul_accum_range, &matmul_bt_accum_range, &matmul_at_accum_range,
-      &matmul_q8_range,    &matmul_q4_range,
+      &matmul_accum_range,          &matmul_bt_accum_range,
+      &matmul_at_accum_range,       &matmul_q8_range,
+      &matmul_q4_range,             scalar_table().tanh_row,
+      scalar_table().gelu_row,      scalar_table().quantize_row_q8,
   };
   return table;
 }

@@ -8,9 +8,16 @@
 // C so the serve guard's validity check can see a poisoned weight row even
 // when the activation that hits it is zero (tests/test_isa.cpp pins this —
 // an earlier `if (aip == 0.0f) continue;` silently swallowed the poison).
+//
+// The row kernels below define their tier-independent bits: tanh (and so
+// GELU) is an in-repo transcription of glibc 2.36's fdlibm-derived tanhf and
+// expm1f, and the Q8_0 quantizer is the reference block loop. The vector
+// tiers reproduce both bitwise.
 #include "tensor/kernels_dispatch.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 namespace netllm::tensor::kernels::detail {
 
@@ -131,12 +138,169 @@ void matmul_q4_range(const std::int8_t* aq, const float* ascales, const std::uin
   }
 }
 
+// ---- tanh: glibc 2.36 tanhf / expm1f (fdlibm, Sun Microsystems 1993) ----
+//
+// A statement-by-statement transcription, constants given by their bit
+// patterns. Both functions use only float + - * / and exponent-bit
+// arithmetic, and glibc ships them without FMA or ifunc variants, so with
+// -ffp-contract=off these return glibc's bits. A DISABLED_ test in
+// tests/test_isa.cpp sweeps every 32-bit pattern against the host libm to
+// check that claim; the known-answer table there pins the bits without
+// reading the host libm.
+// The FP-exception side effects of the original (forced underflow and
+// inexact, errno on overflow) are dropped: no caller reads them.
+
+float bits_to_float(std::uint32_t u) { return std::bit_cast<float>(u); }
+std::uint32_t float_to_bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+float expm1f_port(float x) {
+  constexpr float kHuge = 1.0e+30f;
+  constexpr float kTiny = 1.0e-30f;
+  const float o_threshold = bits_to_float(0x42b17180u);  // 88.7216796875
+  const float ln2_hi = bits_to_float(0x3f317180u);
+  const float ln2_lo = bits_to_float(0x3717f7d1u);
+  const float invln2 = bits_to_float(0x3fb8aa3bu);
+  const float q1 = bits_to_float(0xbd088889u), q2 = bits_to_float(0x3ad00d01u),
+              q3 = bits_to_float(0xb8a670cdu), q4 = bits_to_float(0x36867e54u),
+              q5 = bits_to_float(0xb457edbbu);
+  std::uint32_t hx = float_to_bits(x);
+  const bool neg = (hx & 0x80000000u) != 0;
+  hx &= 0x7fffffffu;
+
+  // Huge and non-finite arguments.
+  if (hx >= 0x4195b844u) {      // |x| >= 27 ln2
+    if (hx >= 0x42b17218u) {    // |x| >= 88.72...
+      if (hx > 0x7f800000u) return x + x;  // NaN
+      if (hx == 0x7f800000u) return neg ? -1.0f : x;
+      if (x > o_threshold) return kHuge * kHuge;  // overflow
+    }
+    if (neg) return kTiny - 1.0f;  // x < -27 ln2: -1
+  }
+
+  // Argument reduction: x = k ln2 + r with |r| <= ln2 / 2, r = hi - lo.
+  float c = 0.0f;
+  std::int32_t k = 0;
+  if (hx > 0x3eb17218u) {      // |x| > ln2 / 2
+    float hi, lo;
+    if (hx < 0x3f851592u) {    // and |x| < 1.5 ln2
+      if (!neg) {
+        hi = x - ln2_hi;
+        lo = ln2_lo;
+        k = 1;
+      } else {
+        hi = x + ln2_hi;
+        lo = -ln2_lo;
+        k = -1;
+      }
+    } else {
+      k = static_cast<std::int32_t>(invln2 * x + (neg ? -0.5f : 0.5f));
+      const float t = static_cast<float>(k);
+      hi = x - t * ln2_hi;  // t * ln2_hi is exact here
+      lo = t * ln2_lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000u) {  // |x| < 2^-25: x
+    const float t = kHuge + x;
+    return x - (t - kHuge);
+  }
+
+  // x is now in the primary range.
+  const float hfx = 0.5f * x;
+  const float hxs = x * hfx;
+  const float r1 = 1.0f + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
+  float t = 3.0f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0f - x * t));
+  if (k == 0) return x - (x * e - hxs);  // c is 0
+  e = (x * (e - c) - c);
+  e -= hxs;
+  if (k == -1) return 0.5f * (x - e) - 0.5f;
+  if (k == 1) {
+    if (x < -0.25f) return -2.0f * (e - (x + 0.5f));
+    return 1.0f + 2.0f * (x - e);
+  }
+  // Adding k to y's exponent field scales y by 2^k (unsigned: k may be < 0).
+  const std::uint32_t kexp = static_cast<std::uint32_t>(k) << 23;
+  if (k <= -2 || k > 56) {  // exp(x) - 1 suffices
+    const float y = 1.0f - (e - x);
+    return bits_to_float(float_to_bits(y) + kexp) - 1.0f;
+  }
+  if (k < 23) {
+    t = bits_to_float(0x3f800000u - (0x1000000u >> k));  // 1 - 2^-k
+    const float y = t - (e - x);
+    return bits_to_float(float_to_bits(y) + kexp);
+  }
+  t = bits_to_float(static_cast<std::uint32_t>(0x7f - k) << 23);  // 2^-k
+  float y = x - (e + t);
+  y += 1.0f;
+  return bits_to_float(float_to_bits(y) + kexp);
+}
+
+float tanhf_port(float x) {
+  const std::uint32_t jx = float_to_bits(x);
+  const std::uint32_t ix = jx & 0x7fffffffu;
+  const bool neg = (jx & 0x80000000u) != 0;
+  if (ix >= 0x7f800000u) {  // tanh(+-inf) = +-1, tanh(NaN) = NaN
+    return neg ? 1.0f / x - 1.0f : 1.0f / x + 1.0f;
+  }
+  float z;
+  if (ix < 0x41b00000u) {              // |x| < 22
+    if (ix == 0) return x;             // +-0
+    if (ix < 0x24000000u) return x * (1.0f + x);  // |x| < 2^-55
+    const float ax = bits_to_float(ix);
+    if (ix >= 0x3f800000u) {           // |x| >= 1
+      const float t = expm1f_port(2.0f * ax);
+      z = 1.0f - 2.0f / (t + 2.0f);
+    } else {
+      const float t = expm1f_port(-2.0f * ax);
+      z = -t / (t + 2.0f);
+    }
+  } else {
+    z = 1.0f - 1.0e-30f;  // |x| >= 22: 1
+  }
+  return neg ? -z : z;
+}
+
+void tanh_row(const float* in, float* out, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = tanhf_port(in[i]);
+}
+
+void gelu_row(const float* in, float* out, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float x = in[i];
+    const float t = tanhf_port(kGeluC * (x + kGeluA * x * x * x));
+    out[i] = 0.5f * x * (1.0f + t);
+  }
+}
+
+// ---- Q8_0 activation/weight quantizer ----
+
+void quantize_row_q8(const float* x, std::int64_t n, float* scales, std::int8_t* codes) {
+  constexpr std::int64_t kBlock = 32;
+  for (std::int64_t b = 0; b * kBlock < n; ++b) {
+    const float* xb = x + b * kBlock;
+    const std::int64_t count = std::min(kBlock, n - b * kBlock);
+    const float best = signed_absmax(xb, count);
+    // best / -128 is an exact exponent shift (no mantissa rounding), so
+    // x == best divides back to exactly -128 and q * d reconstructs it
+    // bit-exactly; a constant block is therefore exact end to end.
+    const float d = best == 0.0f ? 0.0f : best / -128.0f;
+    scales[b] = d;
+    for (std::int64_t t = 0; t < kBlock; ++t) {
+      std::int32_t q = 0;
+      if (t < count && has_codes(d)) q = clamp_code(std::lrintf(xb[t] / d), -128, 127);
+      codes[b * kBlock + t] = static_cast<std::int8_t>(q);
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable& scalar_table() {
   static const KernelTable table{
       &matmul_accum_range, &matmul_bt_accum_range, &matmul_at_accum_range,
-      &matmul_q8_range,    &matmul_q4_range,
+      &matmul_q8_range,    &matmul_q4_range,       &tanh_row,
+      &gelu_row,           &quantize_row_q8,
   };
   return table;
 }

@@ -1,61 +1,26 @@
 #include "tensor/quants.hpp"
 
 #include <cmath>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_dispatch.hpp"
 
 namespace netllm::tensor::quant {
 
 namespace {
 
+using kernels::detail::clamp_code;
+using kernels::detail::has_codes;
+using kernels::detail::signed_absmax;
+
 void check(bool cond, const char* msg) {
   if (!cond) throw std::invalid_argument(msg);
 }
 
-/// Signed value of largest magnitude in [x, x+n). Keeping the sign lets the
-/// scale map the extreme onto the power-of-two end of the code range
-/// (-128 for Q8_0, -8 for Q4_0), so that element reconstructs exactly.
-/// A block holding a NaN or Inf yields NaN: its scale becomes NaN, so every
-/// value read from the block is NaN instead of a laundered finite code.
-float signed_absmax(const float* x, std::int64_t n) {
-  float best = 0.0f;
-  for (std::int64_t t = 0; t < n; ++t) {
-    if (!std::isfinite(x[t])) return std::numeric_limits<float>::quiet_NaN();
-    if (std::fabs(x[t]) > std::fabs(best)) best = x[t];
-  }
-  return best;
-}
-
-/// Codes are only computed for a finite, non-zero scale; a zero or NaN
-/// scale leaves every code at the zero value.
-bool has_codes(float d) { return d != 0.0f && !std::isnan(d); }
-
-std::int32_t clamp_code(long v, std::int32_t lo, std::int32_t hi) {
-  if (v < lo) return lo;
-  if (v > hi) return hi;
-  return static_cast<std::int32_t>(v);
-}
-
-void quantize_block_q8(const float* x, std::int64_t n, float* scale, std::uint8_t* codes) {
-  const float best = signed_absmax(x, n);
-  // best / -128 is an exact exponent shift (no mantissa rounding), so
-  // x == best divides back to exactly -128 and q * d reconstructs it
-  // bit-exactly; a constant block is therefore exact end to end.
-  const float d = best == 0.0f ? 0.0f : best / -128.0f;
-  *scale = d;
-  for (std::int64_t t = 0; t < kBlock; ++t) {
-    std::int32_t q = 0;
-    if (t < n && has_codes(d)) q = clamp_code(std::lrintf(x[t] / d), -128, 127);
-    codes[t] = static_cast<std::uint8_t>(static_cast<std::int8_t>(q));
-  }
-}
-
 void quantize_block_q4(const float* x, std::int64_t n, float* scale, std::uint8_t* codes) {
   const float best = signed_absmax(x, n);
-  const float d = best == 0.0f ? 0.0f : best / -8.0f;  // exact, as for Q8
+  const float d = best == 0.0f ? 0.0f : best / -8.0f;  // exact, as Q8_0's best / -128
   *scale = d;
   for (std::int64_t t = 0; t < kBlock; t += 2) {
     std::int32_t lo = 8, hi = 8;  // code 8 == 0 (the padding value)
@@ -103,15 +68,17 @@ std::int64_t block_code_bytes(Dtype d) {
 void quantize_row(Dtype d, const float* x, std::int64_t n, float* scales,
                   std::uint8_t* codes) {
   check(d == Dtype::kQ8_0 || d == Dtype::kQ4_0, "quantize_row: need a quantized dtype");
+  if (d == Dtype::kQ8_0) {
+    // A row kernel of the active ISA tier, bytes equal on every tier.
+    kernels::detail::active_table().quantize_row_q8(x, n, scales,
+                                                    reinterpret_cast<std::int8_t*>(codes));
+    return;
+  }
   const auto cbb = block_code_bytes(d);
   const auto bpr = blocks_per_row(n);
   for (std::int64_t b = 0; b < bpr; ++b) {
     const auto count = std::min<std::int64_t>(kBlock, n - b * kBlock);
-    if (d == Dtype::kQ8_0) {
-      quantize_block_q8(x + b * kBlock, count, scales + b, codes + b * cbb);
-    } else {
-      quantize_block_q4(x + b * kBlock, count, scales + b, codes + b * cbb);
-    }
+    quantize_block_q4(x + b * kBlock, count, scales + b, codes + b * cbb);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "core/threadpool.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_dispatch.hpp"
 
 namespace netllm::tensor {
 
@@ -360,16 +361,14 @@ Tensor relu(const Tensor& a) {
   return Tensor(node);
 }
 
-// tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
+// tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), a
+// row kernel of the active ISA tier, bitwise the same on every tier
+// (DESIGN.md §16).
+using kernels::detail::kGeluA;
+using kernels::detail::kGeluC;
 
 void gelu_row(const float* in, float* out, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float x = in[i];
-    const float t = std::tanh(kGeluC * (x + kGeluA * x * x * x));
-    out[i] = 0.5f * x * (1.0f + t);
-  }
+  kernels::detail::active_table().gelu_row(in, out, n);
 }
 
 Tensor gelu(const Tensor& a) {
@@ -383,10 +382,16 @@ Tensor gelu(const Tensor& a) {
     node->backward = [pa, n](Node& self) {
       pa->ensure_grad();
       parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
+        // The forward's tanh values, through the same tanh the forward ran.
+        std::vector<float> th(e0 - b0);
         for (std::size_t i = b0; i < e0; ++i) {
           const float x = pa->value[i];
-          const float inner = kGeluC * (x + kGeluA * x * x * x);
-          const float t = std::tanh(inner);
+          th[i - b0] = kGeluC * (x + kGeluA * x * x * x);
+        }
+        kernels::tanh_row(th.data(), th.data(), static_cast<std::int64_t>(th.size()));
+        for (std::size_t i = b0; i < e0; ++i) {
+          const float x = pa->value[i];
+          const float t = th[i - b0];
           const float dinner = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
           const float d = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
           pa->grad[i] += self.grad[i] * d;
@@ -401,7 +406,8 @@ Tensor tanh_t(const Tensor& a) {
   auto node = make_result(a.shape(), {a.node()});
   const auto n = static_cast<std::size_t>(node->numel());
   parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) node->value[i] = std::tanh(a.data()[i]);
+    kernels::tanh_row(a.data().data() + b0, node->value.data() + b0,
+                      static_cast<std::int64_t>(e0 - b0));
   });
   if (node->requires_grad) {
     Node* pa = a.node().get();

@@ -21,7 +21,11 @@
 //     before the serve guard could see it), and a poisoned weight or
 //     activation must survive quantization into every Q8/Q4 output that
 //     reads its block;
-//   - whole-decode-stream determinism per tier.
+//   - whole-decode-stream determinism per tier;
+//   - row kernels (tanh, GELU, the Q8_0 quantizer): every tier bitwise equal
+//     to the scalar tier at every length, offset, thread count and special
+//     value, and the scalar tanh port pinned by a known-answer table of
+//     glibc 2.36 tanhf bits (a DISABLED_ sweep checks every float).
 // Built to run under -DNETLLM_SANITIZE=thread as well.
 #include <gtest/gtest.h>
 
@@ -30,6 +34,7 @@
 #endif
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -53,10 +58,12 @@
 #include "tensor/isa.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/quants.hpp"
+#include "tensor/tensor.hpp"
 
 namespace nc = netllm::core;
 namespace nk = netllm::tensor::kernels;
 namespace nq = netllm::tensor::quant;
+namespace nt = netllm::tensor;
 namespace isa = netllm::tensor::isa;
 namespace nl = netllm::llm;
 namespace ad = netllm::adapt;
@@ -504,6 +511,25 @@ TEST(IsaTiers, Avx2KernelsReturnWithCleanUpperYmmState) {
       EXPECT_FALSE(*ymm_upper_dirty()) << "matmul_q4_accum " << ctx;
     }
   }
+  // The row kernels: whole vectors, the padded tail, and the hand-offs to
+  // the scalar body (a non-finite lane, a non-finite or partial Q8 block).
+  for (std::int64_t n : {1, 7, 8, 19, 32, 45, 64}) {
+    auto x = random_vec(n, rng);
+    for (bool poison : {false, true}) {
+      if (poison) x[static_cast<std::size_t>(n / 2)] = kNaN;
+      const std::string ctx = "n=" + std::to_string(n) + (poison ? " with NaN" : "");
+      std::vector<float> y(static_cast<std::size_t>(n));
+      nt::gelu_row(x.data(), y.data(), n);
+      EXPECT_FALSE(*ymm_upper_dirty()) << "gelu_row " << ctx;
+      nk::tanh_row(x.data(), y.data(), n);
+      EXPECT_FALSE(*ymm_upper_dirty()) << "tanh_row " << ctx;
+      const auto kb = nq::blocks_per_row(n);
+      std::vector<float> scales(static_cast<std::size_t>(kb));
+      std::vector<std::uint8_t> codes(static_cast<std::size_t>(kb * nq::kBlock));
+      nq::quantize_row(nq::Dtype::kQ8_0, x.data(), n, scales.data(), codes.data());
+      EXPECT_FALSE(*ymm_upper_dirty()) << "quantize_row q8 " << ctx;
+    }
+  }
 }
 #endif
 
@@ -813,4 +839,303 @@ TEST(IsaDecode, DecodeStreamsDeterministicWithinEachTier) {
     EXPECT_EQ(streams[0], streams[1])
         << isa::isa_name(tier) << ": decode stream changed with thread count";
   }
+}
+
+// ---- row kernels: tanh, GELU and the Q8_0 quantizer ----
+
+namespace {
+
+std::uint32_t bits_of(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+/// GELU inputs whose tanh arguments reach every branch of the port: small,
+/// unit and large gaussians interleaved (|x| ~ 7 saturates tanh).
+std::vector<float> gelu_inputs(std::int64_t n, Rng& rng) {
+  std::vector<float> v(static_cast<std::size_t>(n));
+  constexpr double kScales[] = {0.05, 1.5, 8.0};
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<float>(rng.gaussian(0.0, kScales[i % 3]));
+  }
+  return v;
+}
+
+/// tensor::gelu_row of in[0:n) on `tier`, into a buffer of exactly n.
+std::vector<float> gelu_on(isa::Isa tier, const float* in, std::int64_t n) {
+  EXPECT_EQ(isa::set_active_isa(tier), tier);
+  std::vector<float> out(static_cast<std::size_t>(n));
+  nt::gelu_row(in, out.data(), n);
+  return out;
+}
+
+struct Q8Row {
+  std::vector<float> scales;
+  std::vector<std::uint8_t> codes;
+};
+
+Q8Row quantize_q8_on(isa::Isa tier, const std::vector<float>& x) {
+  EXPECT_EQ(isa::set_active_isa(tier), tier);
+  const auto n = static_cast<std::int64_t>(x.size());
+  const auto kb = nq::blocks_per_row(n);
+  Q8Row r{std::vector<float>(static_cast<std::size_t>(kb)),
+          std::vector<std::uint8_t>(static_cast<std::size_t>(kb * nq::kBlock))};
+  nq::quantize_row(nq::Dtype::kQ8_0, x.data(), n, r.scales.data(), r.codes.data());
+  return r;
+}
+
+/// Every tier's Q8_0 row is the scalar tier's, scale bits and code bytes.
+void expect_q8_row_equal_across_tiers(const std::vector<float>& x, const std::string& ctx) {
+  const auto want = quantize_q8_on(isa::Isa::kScalar, x);
+  for (auto tier : supported_tiers()) {
+    const auto got = quantize_q8_on(tier, x);
+    EXPECT_TRUE(bitwise_equal(got.scales, want.scales)) << isa::isa_name(tier) << " " << ctx;
+    EXPECT_EQ(got.codes, want.codes) << isa::isa_name(tier) << " " << ctx;
+  }
+}
+
+// glibc 2.36 tanhf, read at the parent of the in-repo port: {x, tanhf(x)}
+// bit pairs at every branch threshold of tanhf and of the expm1f it calls,
+// +-2 ulps. An expm1f threshold |a| appears at x = |a| / 2, since tanhf
+// calls expm1f(+-2|x|); "k = K" is the first argument whose reduction
+// multiple k reaches K. tanhf is odd on all of these: tanh(-x) = -tanh(x).
+constexpr std::uint32_t kTanhKnownAnswers[][2] = {
+    // tanhf |x| = 2^-55
+    {0x23fffffeu, 0x23fffffeu}, {0x23ffffffu, 0x23ffffffu}, {0x24000000u, 0x24000000u},
+    {0x24000001u, 0x24000001u}, {0x24000002u, 0x24000002u},
+    // tanhf |x| = 1
+    {0x3f7ffffeu, 0x3f42f7d5u}, {0x3f7fffffu, 0x3f42f7d5u}, {0x3f800000u, 0x3f42f7d6u},
+    {0x3f800001u, 0x3f42f7d6u}, {0x3f800002u, 0x3f42f7d7u},
+    // tanhf |x| = 22
+    {0x41affffeu, 0x3f800000u}, {0x41afffffu, 0x3f800000u}, {0x41b00000u, 0x3f800000u},
+    {0x41b00001u, 0x3f800000u}, {0x41b00002u, 0x3f800000u},
+    // expm1f |a| = 2^-25
+    {0x327ffffeu, 0x327ffffeu}, {0x327fffffu, 0x327fffffu}, {0x32800000u, 0x32800000u},
+    {0x32800001u, 0x32800001u}, {0x32800002u, 0x32800002u},
+    // expm1f |a| = ln2 / 2 (k = 0 | k = -1)
+    {0x3e317216u, 0x3e2fb0cbu}, {0x3e317217u, 0x3e2fb0ccu}, {0x3e317218u, 0x3e2fb0cdu},
+    {0x3e317219u, 0x3e2fb0cdu}, {0x3e31721au, 0x3e2fb0cfu},
+    // expm1f |a| = 1.5 ln2 (k = -1 | k = -2)
+    {0x3f051590u, 0x3ef486f5u}, {0x3f051591u, 0x3ef486f8u}, {0x3f051592u, 0x3ef486f8u},
+    {0x3f051593u, 0x3ef486fbu}, {0x3f051594u, 0x3ef486fcu},
+    // expm1f |a| = 27 ln2
+    {0x4115b842u, 0x3f800000u}, {0x4115b843u, 0x3f800000u}, {0x4115b844u, 0x3f800000u},
+    {0x4115b845u, 0x3f800000u}, {0x4115b846u, 0x3f800000u},
+    // expm1f k = 23 (a = 15.5958)
+    {0x40f98870u, 0x3f7ffffau}, {0x40f98871u, 0x3f7ffffau}, {0x40f98872u, 0x3f7ffffau},
+    {0x40f98873u, 0x3f7ffffau}, {0x40f98874u, 0x3f7ffffau},
+    // expm1f k = 57, past the k <= 56 branch (a = 39.1628)
+    {0x419ca6b7u, 0x3f800000u}, {0x419ca6b8u, 0x3f800000u}, {0x419ca6b9u, 0x3f800000u},
+    {0x419ca6bau, 0x3f800000u}, {0x419ca6bbu, 0x3f800000u},
+};
+
+}  // namespace
+
+TEST(IsaRowKernels, GeluEveryTierBitwiseEqualsScalarPortAtEveryLength) {
+  TierGuard guard;
+  Rng rng(0x6e1);
+  // Every tail length, the vector seams, an ABR window's MLP (59 x 256)
+  // and one 512-wide lockstep step's (4 x 1280), each at unaligned starts.
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  for (std::int64_t n : {31, 32, 33, 59 * 256, 4 * 1280}) lengths.push_back(n);
+  for (auto n : lengths) {
+    for (std::int64_t offset : {0, 1, 3, 5}) {
+      const auto buf = gelu_inputs(n + offset, rng);
+      const float* in = buf.data() + offset;
+      const auto want = gelu_on(isa::Isa::kScalar, in, n);
+      for (auto tier : supported_tiers()) {
+        const std::string ctx = std::string(isa::isa_name(tier)) + " n=" + std::to_string(n) +
+                                " offset=" + std::to_string(offset);
+        EXPECT_TRUE(bitwise_equal(gelu_on(tier, in, n), want)) << ctx;
+        std::vector<float> in_place(buf.begin() + offset, buf.end());
+        nt::gelu_row(in_place.data(), in_place.data(), n);
+        EXPECT_TRUE(bitwise_equal(in_place, want)) << "in place " << ctx;
+      }
+    }
+  }
+}
+
+TEST(IsaRowKernels, GeluTensorOpBitwiseAcrossTiersAndThreadCounts) {
+  TierGuard guard;
+  Rng rng(0x6e2);
+  // Past the elementwise grain (2^15) with odd sizes, so the pool's chunk
+  // boundaries fall inside a vector.
+  for (std::int64_t n : {33, 100003, 3 * 32768 + 5}) {
+    const auto x = gelu_inputs(n, rng);
+    const auto want = gelu_on(isa::Isa::kScalar, x.data(), n);
+    std::optional<std::vector<float>> want_grad;
+    for (auto tier : supported_tiers()) {
+      ASSERT_EQ(isa::set_active_isa(tier), tier);
+      for (int threads : {1, 3}) {
+        nc::set_global_threads(threads);
+        const std::string ctx = std::string(isa::isa_name(tier)) + " n=" + std::to_string(n) +
+                                " threads=" + std::to_string(threads);
+        const auto xt = nt::Tensor::from(x, {n}, /*requires_grad=*/true);
+        const auto y = nt::gelu(xt);
+        EXPECT_TRUE(bitwise_equal(std::vector<float>(y.data().begin(), y.data().end()), want))
+            << ctx;
+        nt::sum_all(y).backward();
+        const std::vector<float> grad(xt.grad().begin(), xt.grad().end());
+        if (!want_grad.has_value()) want_grad = grad;
+        EXPECT_TRUE(bitwise_equal(grad, *want_grad)) << "backward " << ctx;
+      }
+    }
+  }
+}
+
+TEST(IsaRowKernels, GeluSpecialLanesMatchScalarPort) {
+  TierGuard guard;
+  Rng rng(0x6e3);
+  // +-3e13 overflow x^3 to Inf inside the tanh argument; 1e13 does not.
+  const float specials[] = {0.0f,  -0.0f, std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1e-40f, -3e-39f, 1e13f, 3e13f, -3e13f, kNaN, -kNaN, kInf, -kInf};
+  // 19 lanes: two whole vectors and a tail of three, the special value
+  // visiting each.
+  const auto base = gelu_inputs(19, rng);
+  for (float s : specials) {
+    for (std::size_t at = 0; at < base.size(); ++at) {
+      auto x = base;
+      x[at] = s;
+      const auto want = gelu_on(isa::Isa::kScalar, x.data(), 19);
+      for (auto tier : supported_tiers()) {
+        EXPECT_TRUE(bitwise_equal(gelu_on(tier, x.data(), 19), want))
+            << isa::isa_name(tier) << " value " << s << " (bits " << std::hex << bits_of(s)
+            << std::dec << ") at lane " << at;
+      }
+    }
+  }
+  const auto one = [](float x) { return gelu_on(isa::best_isa(), &x, 1)[0]; };
+  EXPECT_EQ(bits_of(one(0.0f)), bits_of(0.0f));
+  EXPECT_EQ(bits_of(one(-0.0f)), bits_of(-0.0f));
+  EXPECT_TRUE(std::isnan(one(kNaN)));
+  EXPECT_EQ(one(kInf), kInf);
+}
+
+TEST(IsaRowKernels, TanhPortReturnsGlibcBitsAtEveryBranchThreshold) {
+  TierGuard guard;
+  // Positive then negated inputs in one row: whole vectors plus a tail.
+  std::vector<float> in;
+  std::vector<std::uint32_t> want;
+  for (const auto& kat : kTanhKnownAnswers) {
+    in.push_back(std::bit_cast<float>(kat[0]));
+    want.push_back(kat[1]);
+  }
+  for (const auto& kat : kTanhKnownAnswers) {
+    in.push_back(-std::bit_cast<float>(kat[0]));
+    want.push_back(kat[1] ^ 0x80000000u);
+  }
+  for (auto tier : supported_tiers()) {
+    ASSERT_EQ(isa::set_active_isa(tier), tier);
+    std::vector<float> out(in.size());
+    nk::tanh_row(in.data(), out.data(), static_cast<std::int64_t>(in.size()));
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      float single = 0.0f;
+      nk::tanh_row(&in[i], &single, 1);
+      EXPECT_EQ(bits_of(out[i]), want[i])
+          << isa::isa_name(tier) << " x bits " << std::hex << bits_of(in[i]);
+      EXPECT_EQ(bits_of(single), want[i])
+          << isa::isa_name(tier) << " alone, x bits " << std::hex << bits_of(in[i]);
+    }
+    // Non-finite lanes leave the vector body for the scalar one, whole
+    // vector and tail alike: tanh(+-Inf) = +-1, tanh(NaN) = NaN.
+    std::vector<float> special(11, 0.5f);
+    special[2] = kInf;
+    special[5] = -kInf;
+    special[9] = kNaN;
+    std::vector<float> got(special.size());
+    nk::tanh_row(special.data(), got.data(), static_cast<std::int64_t>(special.size()));
+    EXPECT_EQ(got[2], 1.0f) << isa::isa_name(tier);
+    EXPECT_EQ(got[5], -1.0f) << isa::isa_name(tier);
+    EXPECT_TRUE(std::isnan(got[9])) << isa::isa_name(tier);
+    EXPECT_EQ(bits_of(got[0]), bits_of(got[10])) << isa::isa_name(tier);
+  }
+}
+
+TEST(IsaRowKernels, Q8QuantizerBytesEqualScalarTier) {
+  TierGuard guard;
+  Rng rng(0x9a8);
+  // Random blocks at magnitudes from 1e-3 to 1e3.
+  {
+    std::vector<float> x(8 * nq::kBlock);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double scale = std::pow(10.0, static_cast<double>(i / 32 % 7) - 3.0);
+      x[i] = static_cast<float>(rng.gaussian(0.0, scale));
+    }
+    expect_q8_row_equal_across_tiers(x, "random blocks");
+  }
+  // +-m ties of the largest magnitude, both orders, within and across
+  // vectors: the earliest one sets the scale's sign.
+  for (auto [i, j] : {std::pair<int, int>{0, 31}, {3, 4}, {7, 8}, {12, 27}, {30, 31}}) {
+    for (float first : {40.0f, -40.0f}) {  // beyond any unit gaussian
+      auto x = random_vec(nq::kBlock, rng);
+      x[static_cast<std::size_t>(i)] = first;
+      x[static_cast<std::size_t>(j)] = -first;
+      const std::string ctx = "tie " + std::to_string(first) + " at " + std::to_string(i) +
+                              " then " + std::to_string(j);
+      expect_q8_row_equal_across_tiers(x, ctx);
+      EXPECT_EQ(quantize_q8_on(isa::best_isa(), x).scales[0], first / -128.0f) << ctx;
+    }
+  }
+  // All-+-0 blocks, and blocks whose scale is subnormal or underflows to 0.
+  {
+    std::vector<float> x(nq::kBlock);
+    for (std::size_t t = 0; t < x.size(); ++t) x[t] = (t % 3 == 0) ? -0.0f : 0.0f;
+    expect_q8_row_equal_across_tiers(x, "all +-0");
+    for (float tiny : {1e-44f, 1e-42f, 3e-40f, 2e-38f}) {
+      auto y = random_vec(nq::kBlock, rng);
+      for (auto& v : y) v *= tiny;
+      y[5] = tiny;
+      expect_q8_row_equal_across_tiers(y, "max magnitude " + std::to_string(tiny));
+    }
+  }
+  // A non-finite value at each position: NaN scale, zero codes.
+  for (float bad : {kNaN, kInf, -kInf}) {
+    for (std::int64_t at = 0; at < nq::kBlock; ++at) {
+      auto x = random_vec(2 * nq::kBlock, rng);
+      x[static_cast<std::size_t>(nq::kBlock + at)] = bad;
+      expect_q8_row_equal_across_tiers(x, "non-finite " + std::to_string(bad) + " at " +
+                                              std::to_string(at));
+      EXPECT_TRUE(std::isnan(quantize_q8_on(isa::best_isa(), x).scales[1]));
+    }
+  }
+  // Tails of 1..31 after two whole blocks, plain and poisoned.
+  for (std::int64_t tail = 1; tail < nq::kBlock; ++tail) {
+    auto x = random_vec(2 * nq::kBlock + tail, rng);
+    expect_q8_row_equal_across_tiers(x, "tail " + std::to_string(tail));
+    x.back() = kNaN;
+    expect_q8_row_equal_across_tiers(x, "poisoned tail " + std::to_string(tail));
+  }
+}
+
+// Every float through the tanh row kernel: the scalar port against the host
+// libm's tanhf (glibc 2.36 is the transcribed source, so any other libm may
+// differ), and the vector tier against the port. About two minutes on one
+// core; run with --gtest_also_run_disabled_tests.
+TEST(IsaRowKernels, DISABLED_TanhEveryFloatMatchesHostLibmAndScalarPort) {
+  TierGuard guard;
+  const bool vector_tier = isa::best_isa() != isa::Isa::kScalar;
+  constexpr std::uint64_t kChunk = 1u << 20;
+  std::vector<float> in(kChunk), port(kChunk), vec(kChunk);
+  std::uint64_t libm_mismatches = 0, vector_mismatches = 0;
+  for (std::uint64_t base = 0; base < (std::uint64_t{1} << 32); base += kChunk) {
+    for (std::uint64_t i = 0; i < kChunk; ++i) {
+      in[i] = std::bit_cast<float>(static_cast<std::uint32_t>(base + i));
+    }
+    isa::set_active_isa(isa::Isa::kScalar);
+    nk::tanh_row(in.data(), port.data(), static_cast<std::int64_t>(kChunk));
+    for (std::uint64_t i = 0; i < kChunk; ++i) {
+      if (bits_of(port[i]) != bits_of(std::tanh(in[i])) && libm_mismatches++ < 5) {
+        ADD_FAILURE() << "port vs libm at x bits " << std::hex << bits_of(in[i]);
+      }
+    }
+    if (!vector_tier) continue;
+    isa::set_active_isa(isa::best_isa());
+    nk::tanh_row(in.data(), vec.data(), static_cast<std::int64_t>(kChunk));
+    for (std::uint64_t i = 0; i < kChunk; ++i) {
+      if (bits_of(vec[i]) != bits_of(port[i]) && vector_mismatches++ < 5) {
+        ADD_FAILURE() << "vector tier vs port at x bits " << std::hex << bits_of(in[i]);
+      }
+    }
+  }
+  EXPECT_EQ(libm_mismatches, 0u);
+  EXPECT_EQ(vector_mismatches, 0u);
 }

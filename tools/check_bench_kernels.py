@@ -9,8 +9,9 @@ a vector tier was compiled in, for that tier too. Every row runs
 REPETITIONS times and reports median and stddev aggregates; the checks read
 the medians. The context block must name the run's provenance (commit,
 build type, host width, active tier, NETLLM_THREADS). On the GEMV serving
-shapes and the narrow fp32 shapes the vector tier must not be slower than
-scalar. Exits non-zero with a named reason on key drift or a regression.
+shapes and the narrow fp32 shapes, the narrow fp32 shapes and the row kernels
+(GELU, Q8_0 activation quantization) the vector tier must not be slower
+than scalar. Exits non-zero with a named reason on key drift or a regression.
 run_benches.sh runs it after regenerating the file; ctest runs it (label
 `ledger`) on the checked-in copy, so a stale or hand-edited artifact fails
 the test suite.
@@ -45,11 +46,13 @@ for run_name, agg in runs.items():
 if not any(name.startswith("BM_MatmulKernel/") for name in runs):
     raise SystemExit("schema drift: no BM_MatmulKernel rows (threaded matmul sweep)")
 
+# Row-kernel cases count elements per second, the matmul cases FLOP/s.
+ROW_CASES = ["gelu_ff256x59", "gelu_ff1280x4", "q8_quant512x4"]
 CASES = ["f32_gemv512", "f32_gemm512", "f32_lora_gemv512", "f32_lora_gemm64", "f32_gemv64",
-         "q8_gemv512", "q8_gemm512", "q4_gemv512", "q4_gemm512"]
+         "q8_gemv512", "q8_gemm512", "q4_gemv512", "q4_gemm512"] + ROW_CASES
 # Serving shapes where the vector tier must never lose to scalar.
 FLOOR_CASES = ["f32_gemv512", "f32_lora_gemv512", "f32_lora_gemm64", "f32_gemv64",
-               "q8_gemv512", "q4_gemv512"]
+               "q8_gemv512", "q4_gemv512"] + ROW_CASES
 flops = {}  # (case, tier) -> median items_per_second
 for run_name, agg in runs.items():
     parts = run_name.split("/")
@@ -63,7 +66,7 @@ for case in CASES:
     if (case, "scalar") not in flops:
         raise SystemExit(f"schema drift: missing BM_IsaTier/{case}/scalar row")
     if flops[(case, "scalar")] <= 0:
-        raise SystemExit(f"regression: non-positive scalar FLOP/s for {case}")
+        raise SystemExit(f"regression: non-positive scalar rate for {case}")
 
 vector_tiers = sorted({t for (_, t) in flops if t != "scalar"})
 if vector_tiers:
@@ -80,8 +83,9 @@ if vector_tiers:
                 f"regression: {tier} {case} slower than scalar ({ratio:.2f}x)")
     for case in CASES:
         ratio = flops[(case, tier)] / flops[(case, "scalar")]
+        unit = "Gelem/s" if case in ROW_CASES else "GFLOP/s"
         print(f"ok: {case} {tier}/scalar = {ratio:.2f}x "
-              f"({flops[(case, tier)]/1e9:.2f} vs {flops[(case, 'scalar')]/1e9:.2f} GFLOP/s)")
+              f"({flops[(case, tier)]/1e9:.2f} vs {flops[(case, 'scalar')]/1e9:.2f} {unit})")
 else:
     print("ok: scalar-only host (no vector tier compiled/supported)")
 print(f"ok: BENCH_kernels.json schema + provenance ({context['git_sha'][:12]}, "
