@@ -266,6 +266,60 @@ void BM_IsaRow(benchmark::State& state, isa::Isa tier, bool quantize, std::int64
   state.SetLabel(isa::isa_name(tier));
 }
 
+/// The causal softmax of a rows x rows score matrix, one
+/// tensor::causal_softmax_row per row as the graph-free attention runs it.
+/// items_per_second counts matrix elements.
+void BM_IsaSoftmax(benchmark::State& state, isa::Isa tier, std::int64_t rows) {
+  TierScope scope(tier);
+  if (!scope.applied) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  Rng rng(21);
+  std::vector<float> scores(static_cast<std::size_t>(rows * rows));
+  for (auto& v : scores) v = static_cast<float>(rng.gaussian(0.0, 1.0));
+  std::vector<float> out(scores.size());
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < rows; ++i) {
+      nt::causal_softmax_row(scores.data() + i * rows, out.data() + i * rows, rows, i + 1);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * rows);
+  state.SetLabel(isa::isa_name(tier));
+}
+
+/// Every head of one segment's causal attention through
+/// kernels::attend_head: `rows` new rows against `len` cached K/V rows of a
+/// d-wide model. items_per_second == FLOP/s of the two products it fuses.
+void BM_IsaAttend(benchmark::State& state, isa::Isa tier, std::int64_t d, std::int64_t heads,
+                  std::int64_t rows, std::int64_t len) {
+  TierScope scope(tier);
+  if (!scope.applied) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  Rng rng(22);
+  std::vector<float> q(static_cast<std::size_t>(rows * d));
+  std::vector<float> k(static_cast<std::size_t>(len * d)), v(k.size());
+  for (auto* buf : {&q, &k, &v}) {
+    for (auto& x : *buf) x = static_cast<float>(rng.gaussian(0.0, 1.0));
+  }
+  std::vector<float> ctx(q.size());
+  const std::int64_t dh = d / heads;
+  for (auto _ : state) {
+    for (std::int64_t col = 0; col < d; col += dh) {
+      nt::kernels::attend_head(q.data() + col, k.data() + col, v.data() + col, ctx.data() + col,
+                               d, dh, rows, len);
+    }
+    benchmark::DoNotOptimize(ctx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * heads * 2 * (2 * rows * dh * len));
+  state.SetLabel(isa::isa_name(tier));
+}
+
 /// One BM_IsaTier/<case>/<tier> row per supported tier. The 512-wide GEMV
 /// rows are the serving hot shape (single decode row against a 512-wide
 /// projection); GEMM rows show the register-tiled multi-row path. The
@@ -274,7 +328,10 @@ void BM_IsaRow(benchmark::State& state, isa::Isa tier, bool quantize, std::int64
 /// 64-wide step projection. The row-kernel rows are GELU over an ABR
 /// window's MLP (59 rows of d_ff 256) and over one 512-wide lockstep step
 /// of four VP requests (4 rows of d_ff 1280), and the Q8_0 quantization of
-/// that step's four 512-wide activation rows.
+/// that step's four 512-wide activation rows. The attention rows are the
+/// causal softmax of a 98-row CJS window, one `vp_wide_q8` decode step
+/// (1 row against 30 cached ones, 512 wide, 8 heads) and an ABR window's
+/// prefill (59 rows, 64 wide, 4 heads).
 void register_isa_tier_benches() {
   std::vector<isa::Isa> tiers = {isa::Isa::kScalar};
   if (isa::best_isa() != isa::Isa::kScalar) tiers.push_back(isa::best_isa());
@@ -305,6 +362,12 @@ void register_isa_tier_benches() {
   const RowCase row_cases[] = {{"gelu_ff256x59", false, 59, 256},
                                {"gelu_ff1280x4", false, 4, 1280},
                                {"q8_quant512x4", true, 4, kDim}};
+  struct AttendCase {
+    const char* name;
+    std::int64_t d, heads, rows, len;
+  };
+  const AttendCase attend_cases[] = {{"attend_step_len30_d512h8", kDim, 8, 1, 30},
+                                     {"attend_prefill59_d64h4", 64, 4, 59, 59}};
   for (const auto tier : tiers) {
     const std::string suffix = std::string("/") + isa::isa_name(tier);
     for (const auto& f : f32_cases) {
@@ -329,6 +392,20 @@ void register_isa_tier_benches() {
       benchmark::RegisterBenchmark(("BM_IsaTier/" + std::string(r.name) + suffix).c_str(),
                                    [tier, r](benchmark::State& s) {
                                      BM_IsaRow(s, tier, r.quantize, r.rows, r.cols);
+                                   })
+          ->UseRealTime()
+          ->Repetitions(kLedgerRepetitions)
+          ->ReportAggregatesOnly(true);
+    }
+    benchmark::RegisterBenchmark(("BM_IsaTier/softmax_causal98x98" + suffix).c_str(),
+                                 [tier](benchmark::State& s) { BM_IsaSoftmax(s, tier, 98); })
+        ->UseRealTime()
+        ->Repetitions(kLedgerRepetitions)
+        ->ReportAggregatesOnly(true);
+    for (const auto& a : attend_cases) {
+      benchmark::RegisterBenchmark(("BM_IsaTier/" + std::string(a.name) + suffix).c_str(),
+                                   [tier, a](benchmark::State& s) {
+                                     BM_IsaAttend(s, tier, a.d, a.heads, a.rows, a.len);
                                    })
           ->UseRealTime()
           ->Repetitions(kLedgerRepetitions)

@@ -26,9 +26,8 @@ Tensor concat_cols(const std::vector<Tensor>& xs) {
 /// rows. Separate buffers per role keep the block's rows and the attention
 /// rows it nests from aliasing.
 struct RowsWorkspace {
-  std::vector<float> ln, attn, h, ff1, ff2;   // TransformerBlock::forward_rows
-  std::vector<float> q, k, v, ctx;            // MultiHeadAttention::forward_rows
-  std::vector<float> qh, kt, vh, scores, oh;  // one head's Q, K^T, V, scores, attn V
+  std::vector<float> ln, attn, h, ff1, ff2;  // TransformerBlock::forward_rows
+  std::vector<float> q, k, v, ctx;           // MultiHeadAttention::forward_rows
 
   static RowsWorkspace& local() {
     thread_local RowsWorkspace ws;
@@ -186,16 +185,18 @@ Tensor MultiHeadAttention::forward_step(const Tensor& x_t, KvCache& cache) const
 void MultiHeadAttention::forward_rows(std::span<const float> x,
                                       std::span<const KvSegment> segments,
                                       std::span<float> y) const {
-  // The ops of `attend` for m query rows, on raw buffers and in the same
-  // order, calling the same kernel entry points with the same shapes. With
-  // one segment of m = T over an empty cache those are exactly the Tensor-op
-  // shapes; with m = 1 the [1, len] score row equals the matching row of the
-  // full product. Row i of a segment sits at absolute position len - rows + i
-  // of its cache and sees that many columns plus itself, so its causal
-  // softmax is the row the full forward computes, and the masked zeros add
-  // 0 * v exactly as the full attn V does. The projections are row-wise, and
-  // every kernel tier computes each output element by one sequence for any
-  // m (DESIGN.md §10), so stacking segments changes no bit of any of them.
+  // The ops of `attend` for m query rows, on raw buffers, with every
+  // element computed by the same sequence. With one segment of m = T over
+  // an empty cache those are exactly the Tensor-op shapes; with m = 1 the
+  // [1, len] score row equals the matching row of the full product. Row i
+  // of a segment sits at absolute position len - rows + i of its cache and
+  // sees that many columns plus itself, so its causal softmax is the row
+  // the full forward computes, and the masked zeros add 0 * v exactly as
+  // the full attn V does. The projections are row-wise, and every kernel
+  // tier computes each output element by one sequence for any m (DESIGN.md
+  // §10), so stacking segments changes no bit of any of them. Each head
+  // reads its columns of the Q rows and of the cache's K/V rows in place
+  // (kernels::attend_head) and writes its columns of ctx.
   const auto m = total_rows(segments);
   check_rows(x, m, y, d_model_, "MultiHeadAttention::forward_rows");
   if (!causal_) {
@@ -208,7 +209,6 @@ void MultiHeadAttention::forward_rows(std::span<const float> x,
   project_rows(wq_, lq_, x, m, q);
   project_rows(wk_, lk_, x, m, k);
   project_rows(wv_, lv_, x, m, v);
-  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
   const auto ctx = zeroed(ws.ctx, m * d);
   std::int64_t row0 = 0;  // the segment's first row in the stacked pass
   for (const auto& seg : segments) {
@@ -225,31 +225,10 @@ void MultiHeadAttention::forward_rows(std::span<const float> x,
       vc = seg.cache->v().data();
       len = seg.cache->len;
     }
-    const auto past = len - rows;
     for (std::int64_t h = 0; h < n_heads_; ++h) {
-      const auto qh = zeroed(ws.qh, rows * dh);
-      const auto kt = zeroed(ws.kt, dh * len), vh = zeroed(ws.vh, len * dh);
-      for (std::int64_t i = 0; i < rows; ++i) {
-        for (std::int64_t c = 0; c < dh; ++c) qh[i * dh + c] = q[(row0 + i) * d + h * dh + c];
-      }
-      for (std::int64_t r = 0; r < len; ++r) {
-        for (std::int64_t c = 0; c < dh; ++c) {
-          kt[c * len + r] = kc[r * d + h * dh + c];
-          vh[r * dh + c] = vc[r * d + h * dh + c];
-        }
-      }
-      const auto scores = zeroed(ws.scores, rows * len);
-      kernels::matmul_accum(qh.data(), kt.data(), scores.data(), rows, dh, len);
-      for (auto& sc : scores) sc = sc * inv_sqrt;
-      for (std::int64_t i = 0; i < rows; ++i) {
-        float* row = scores.data() + i * len;
-        causal_softmax_row(row, row, len, past + i + 1);
-      }
-      const auto oh = zeroed(ws.oh, rows * dh);
-      kernels::matmul_accum(scores.data(), vh.data(), oh.data(), rows, len, dh);
-      for (std::int64_t i = 0; i < rows; ++i) {
-        for (std::int64_t c = 0; c < dh; ++c) ctx[(row0 + i) * d + h * dh + c] = oh[i * dh + c];
-      }
+      const auto col = h * dh;
+      kernels::attend_head(q.data() + row0 * d + col, kc + col, vc + col,
+                           ctx.data() + row0 * d + col, d, dh, rows, len);
     }
     row0 += rows;
   }

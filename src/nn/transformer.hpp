@@ -24,11 +24,11 @@ namespace netllm::nn {
 /// DESIGN.md §10), which `tests/test_decode.cpp` pins.
 ///
 /// Storage is a pair of plain row-major [len, d_model] float buffers. Only
-/// the graph-free forward writes and reads them (it gathers each head's K/V
-/// columns into its own workspace), so the cache never becomes part of an
-/// autograd graph. `reserve()` pins the allocation to a known horizon (or an
-/// arena page span) so appends never reallocate mid-decode. Copying a
-/// KvCache copies the rows — two caches never alias storage.
+/// the graph-free forward writes and reads them (each head's attention
+/// reads its K/V columns of the rows in place), so the cache never becomes
+/// part of an autograd graph. `reserve()` pins the allocation to a known
+/// horizon (or an arena page span) so appends never reallocate mid-decode.
+/// Copying a KvCache copies the rows — two caches never alias storage.
 struct KvCache {
   std::int64_t d_model = 0;  // set on first append; checked afterwards
   std::int64_t len = 0;      // cached positions
@@ -88,11 +88,11 @@ class MultiHeadAttention final : public Module {
   /// The graph-free routine on raw rows: x [m, d_model] -> y [m, d_model],
   /// m the sum of the segments' rows, stacked in segment order. The Q/K/V/O
   /// projections run once over all m rows. Then per segment and per head,
-  /// serially: gather Q_h [rows, d_head], K_h^T [d_head, len] and V_h
-  /// [len, d_head] of that segment's cache, scores through matmul_accum,
-  /// scale, causal softmax by absolute position, attn V_h through
-  /// matmul_accum. Every attention kernel call has the shape the Tensor-op
-  /// `forward` uses for that segment's rows alone.
+  /// serially, kernels::attend_head reads the head's columns of the
+  /// segment's Q rows and of its cache's K/V rows in place: scores, scale,
+  /// causal softmax by absolute position and attn V_h, each element by the
+  /// sequence the two matmul_accum calls of the Tensor-op `forward` give it
+  /// for that segment's rows alone.
   void forward_rows(std::span<const float> x, std::span<const KvSegment> segments,
                     std::span<float> y) const;
   /// The one-segment case: x's m rows against `cache`.

@@ -1,5 +1,7 @@
 #include "tensor/kernels.hpp"
 
+#include <cmath>
+
 #include "core/metrics.hpp"
 #include "core/threadpool.hpp"
 #include "tensor/kernels_dispatch.hpp"
@@ -140,6 +142,23 @@ void matmul_q4_accum(const std::int8_t* aq, const float* ascales, const std::uin
 
 void tanh_row(const float* in, float* out, std::int64_t n) {
   detail::active_table().tanh_row(in, out, n);
+}
+
+void exp_row(const float* in, float* out, std::int64_t n) {
+  detail::active_table().exp_row(in, out, n);
+}
+
+void attend_head(const float* q, const float* k, const float* v, float* ctx, std::int64_t ld,
+                 std::int64_t d_head, std::int64_t rows, std::int64_t len) {
+  matmul_metrics().account(rows, d_head, len);  // Q_h K_h^T
+  matmul_metrics().account(rows, len, d_head);  // attn V_h
+  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(d_head));
+  const auto past = len - rows;
+  const auto fn = detail::active_table().attend_head;
+  if (rows < kRowGrain) return fn(q, k, v, ctx, ld, d_head, len, past, inv_sqrt, 0, rows);
+  core::parallel_for(rows, kRowGrain, [=](std::int64_t r0, std::int64_t r1) {
+    fn(q, k, v, ctx, ld, d_head, len, past, inv_sqrt, r0, r1);
+  });
 }
 
 }  // namespace netllm::tensor::kernels

@@ -79,11 +79,30 @@ void matmul_q4_accum(const std::int8_t* aq, const float* ascales, const std::uin
 // ---- elementwise row kernels ----
 //
 // Every tier returns the scalar tier's bits (DESIGN.md §16), which are
-// those of glibc 2.36 tanhf: the scalar tier carries an in-repo
-// transcription of it, so the result does not depend on the host libm.
-// Callers chunk rows as they like; elementwise means any cut is bitwise.
+// those of glibc 2.36 tanhf and of the FMA build of its expf: the scalar
+// tier carries in-repo transcriptions of both, so the result does not
+// depend on the host libm. Callers chunk rows as they like; elementwise
+// means any cut is bitwise. tensor::softmax_row runs the exp inside the
+// tier's softmax row body.
 
 /// out[i] = tanh(in[i]) over n values; in == out is allowed.
 void tanh_row(const float* in, float* out, std::int64_t n);
+/// out[i] = exp(in[i]) over n values; in == out is allowed.
+void exp_row(const float* in, float* out, std::int64_t n);
+
+// ---- fused causal attention (graph-free backbone, DESIGN.md §10) ----
+
+/// One head of causal self-attention for `rows` query rows against `len`
+/// key/value rows, all read in place from row-major buffers of row stride
+/// `ld` (the model width), each pointer at the head's first column: query
+/// row i at q + i*ld, key and value row j at k + j*ld and v + j*ld, the
+/// head's d_head output columns of row i at ctx + i*ld. Row i sits at
+/// position len - rows + i and sees the keys up to it. Bitwise the gathered
+/// form: Q_h K_h^T through matmul_accum, times 1/sqrt(d_head), the causal
+/// softmax rows, then attn V_h through matmul_accum, each element with the
+/// tier's matmul_accum sequence; and it bumps kernels.matmul.* as those two
+/// products did. Threads split the rows.
+void attend_head(const float* q, const float* k, const float* v, float* ctx, std::int64_t ld,
+                 std::int64_t d_head, std::int64_t rows, std::int64_t len);
 
 }  // namespace netllm::tensor::kernels

@@ -25,11 +25,16 @@
 // vector of dots, and one vector multiply-add per block replaces eight
 // scalar ones. Q4 still runs a column-quad of scalar chains per row.
 //
-// The row kernels (tanh, GELU, the Q8_0 quantizer) run the scalar tier's
-// float sequence eight lanes at a time and return its bits: every branch
-// of the scalar body is computed and blended, and the cases the blend
-// does not cover (a non-finite tanh argument, a non-finite quantizer block,
-// a partial block) are handed to the scalar row kernel itself.
+// The row kernels (tanh, exp, softmax, GELU, the Q8_0 quantizer) run the
+// scalar tier's sequence eight lanes at a time and return its bits: every
+// branch of the scalar body is computed and blended, and the cases the
+// blend does not cover (a non-finite tanh argument, an exp argument on
+// expf's special path, a non-finite softmax row or quantizer block, a
+// partial block) are handed to the scalar row kernel itself.
+//
+// The attention kernel reads one head's columns of the Q rows and the K/V
+// cache rows in place and keeps this tier's matmul_accum sequence per
+// element.
 #if defined(NETLLM_HAVE_AVX2)
 
 #include "tensor/kernels_dispatch.hpp"
@@ -52,6 +57,14 @@ inline float hsum8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
+/// Largest of 8 finite lanes.
+inline float hmax8(__m256 v) {
+  __m128 s = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  s = _mm_max_ps(s, _mm_movehl_ps(s, s));
+  s = _mm_max_ss(s, _mm_movehdup_ps(s));
+  return _mm_cvtss_f32(s);
+}
+
 /// Exact int32 sum of 8 lanes (integer adds — any fixed order, same value).
 inline std::int32_t hsum8_i32(__m256i v) {
   __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
@@ -69,15 +82,21 @@ inline std::int32_t hsum8_i32(__m256i v) {
 // vectors. The last vector of a row is masked (maskload/maskstore), so no
 // column ever runs a scalar chain. Tiling only decides which elements share
 // an instruction, never an element's own sequence, so any tile, row range
-// or thread computes the same bits.
+// or thread computes the same bits. The operands' row strides are separate
+// parameters, so the attention kernel below runs this body on rows read in
+// place.
+
+/// Row strides of A, B and C (k, n and n for a dense product).
+struct Strides {
+  std::int64_t a, b, c;
+};
 
 /// Rows i..i+R-1 x columns j..j+8J-1; with Tail the last vector keeps only
 /// its first `lanes` lanes. The mask is built here rather than passed in: a
 /// function taking a __m256i returns without vzeroupper, and the dirty upper
 /// YMM state then slows every SSE instruction in the (non-AVX) caller.
 template <int R, int J, bool Tail>
-void f32_tile(const float* a, const float* b, float* c, std::int64_t k, std::int64_t n,
-              int lanes) {
+void f32_tile(const float* a, const float* b, float* c, std::int64_t k, Strides ld, int lanes) {
   const __m256i tail =
       _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   __m256 acc[R][J];
@@ -85,13 +104,13 @@ void f32_tile(const float* a, const float* b, float* c, std::int64_t k, std::int
     for (int v = 0; v < J; ++v) acc[r][v] = _mm256_setzero_ps();
   }
   for (std::int64_t p = 0; p < k; ++p) {
-    const float* brow = b + p * n;
+    const float* brow = b + p * ld.b;
     if constexpr (R == 1) {
       // One row reuses nothing, so the tile streams B at an n-float stride
       // the hardware prefetcher follows poorly: fetch its lines four rows
       // ahead (past the end of B a prefetch is a harmless no-op).
       for (int v = 0; v < J; v += 2) {
-        _mm_prefetch(reinterpret_cast<const char*>(brow + 4 * n + 8 * v), _MM_HINT_T0);
+        _mm_prefetch(reinterpret_cast<const char*>(brow + 4 * ld.b + 8 * v), _MM_HINT_T0);
       }
     }
     __m256 bv[J];
@@ -100,13 +119,13 @@ void f32_tile(const float* a, const float* b, float* c, std::int64_t k, std::int
                                  : _mm256_loadu_ps(brow + 8 * v);
     }
     for (int r = 0; r < R; ++r) {
-      const __m256 av = _mm256_broadcast_ss(a + r * k + p);
+      const __m256 av = _mm256_broadcast_ss(a + r * ld.a + p);
       for (int v = 0; v < J; ++v) acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
     }
   }
   for (int r = 0; r < R; ++r) {
     for (int v = 0; v < J; ++v) {
-      float* cv = c + r * n + 8 * v;
+      float* cv = c + r * ld.c + 8 * v;
       if (Tail && v == J - 1) {
         _mm256_maskstore_ps(cv, tail, _mm256_add_ps(_mm256_maskload_ps(cv, tail), acc[r][v]));
       } else {
@@ -119,34 +138,41 @@ void f32_tile(const float* a, const float* b, float* c, std::int64_t k, std::int
 /// The rest of a row block, fewer than 8J columns: one tile of `vecs`
 /// vectors (stepping J down to it), the last holding `lanes` columns.
 template <int R, int J>
-void f32_tail(const float* a, const float* b, float* c, std::int64_t k, std::int64_t n,
-              int vecs, int lanes) {
+void f32_tail(const float* a, const float* b, float* c, std::int64_t k, Strides ld, int vecs,
+              int lanes) {
   if constexpr (J > 1) {
-    if (vecs < J) return f32_tail<R, J - 1>(a, b, c, k, n, vecs, lanes);
+    if (vecs < J) return f32_tail<R, J - 1>(a, b, c, k, ld, vecs, lanes);
   }
-  if (lanes == 8) return f32_tile<R, J, false>(a, b, c, k, n, lanes);
-  f32_tile<R, J, true>(a, b, c, k, n, lanes);
+  if (lanes == 8) return f32_tile<R, J, false>(a, b, c, k, ld, lanes);
+  f32_tile<R, J, true>(a, b, c, k, ld, lanes);
 }
 
 /// Rows i..i+R-1 across all n columns: full J-vector tiles, then one tail.
 template <int R, int J>
-void f32_rows(const float* a, const float* b, float* c, std::int64_t k, std::int64_t n) {
+void f32_rows(const float* a, const float* b, float* c, std::int64_t k, std::int64_t n,
+              Strides ld) {
   std::int64_t j = 0;
-  for (; j + 8 * J <= n; j += 8 * J) f32_tile<R, J, false>(a, b + j, c + j, k, n, 8);
+  for (; j + 8 * J <= n; j += 8 * J) f32_tile<R, J, false>(a, b + j, c + j, k, ld, 8);
   if (j == n) return;
   const auto rest = static_cast<int>(n - j);
-  f32_tail<R, J>(a, b + j, c + j, k, n, (rest + 7) / 8, rest - 8 * ((rest - 1) / 8));
+  f32_tail<R, J>(a, b + j, c + j, k, ld, (rest + 7) / 8, rest - 8 * ((rest - 1) / 8));
+}
+
+/// C[r0:r1, 0:n] += A[r0:r1, 0:k] * B[0:k, 0:n] at strides `ld`.
+void f32_range(const float* a, const float* b, float* c, std::int64_t r0, std::int64_t r1,
+               std::int64_t k, std::int64_t n, Strides ld) {
+  std::int64_t i = r0;
+  for (; i + 4 <= r1; i += 4) f32_rows<4, 2>(a + i * ld.a, b, c + i * ld.c, k, n, ld);
+  if (i + 2 <= r1) {
+    f32_rows<2, 4>(a + i * ld.a, b, c + i * ld.c, k, n, ld);
+    i += 2;
+  }
+  if (i < r1) f32_rows<1, 8>(a + i * ld.a, b, c + i * ld.c, k, n, ld);
 }
 
 void matmul_accum_range(const float* a, const float* b, float* c, std::int64_t r0,
                         std::int64_t r1, std::int64_t k, std::int64_t n) {
-  std::int64_t i = r0;
-  for (; i + 4 <= r1; i += 4) f32_rows<4, 2>(a + i * k, b, c + i * n, k, n);
-  if (i + 2 <= r1) {
-    f32_rows<2, 4>(a + i * k, b, c + i * n, k, n);
-    i += 2;
-  }
-  if (i < r1) f32_rows<1, 8>(a + i * k, b, c + i * n, k, n);
+  f32_range(a, b, c, r0, r1, k, n, {k, n, n});
 }
 
 // ---- fp32: C[r0:r1, n] += A * B^T (dot over k per element) ----
@@ -557,6 +583,192 @@ void gelu_row(const float* in, float* out, std::int64_t n) {
   row_by_vectors<gelu_vec>(in, out, n);
 }
 
+// ---- exp / softmax: the scalar tier's expf port, eight lanes ----
+//
+// expf_port computes in double, so eight floats run as two four-lane
+// double vectors through the same operations: the three fmas of the
+// reduction and cubic are _mm256_fmadd_pd / _mm256_fmsub_pd (one rounding,
+// as std::fma), the table entry comes from a 64-bit gather, and
+// _mm256_cvtpd_ps rounds to float in the current mode (nearest by default,
+// as the scalar cast). A vector holding an argument on expf's special path
+// (|x| >= 88, NaN or Inf) runs the scalar row body.
+
+/// expf_port on four arguments on its fast path.
+inline __m128 exp4(__m128 x) {
+  const __m256d xd = _mm256_cvtps_pd(x);
+  const __m256d inv = _mm256_set1_pd(kExpInvLn2N), shift = _mm256_set1_pd(kExpShift);
+  __m256d kd = _mm256_fmadd_pd(inv, xd, shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  kd = _mm256_sub_pd(kd, shift);
+  const __m256d r = _mm256_fmsub_pd(inv, xd, kd);
+  const __m256i entry = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(kExp2fTable),
+      _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+  const __m256d s = _mm256_castsi256_pd(_mm256_add_epi64(entry, _mm256_slli_epi64(ki, 47)));
+  const __m256d z = _mm256_fmadd_pd(_mm256_set1_pd(kExpC0), r, _mm256_set1_pd(kExpC1));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kExpC2), r, _mm256_set1_pd(1.0));
+  y = _mm256_fmadd_pd(z, r2, y);
+  return _mm256_cvtpd_ps(_mm256_mul_pd(y, s));
+}
+
+inline bool any_exp_special(__m256 x) {
+  const __m256i mag = _mm256_andnot_si256(splat(0x80000000u), _mm256_castps_si256(x));
+  return _mm256_movemask_epi8(above(mag, kExpSpecialBits - 1)) != 0;
+}
+
+/// Eight exp lanes: in[0:8] -> out[0:8].
+inline void exp_vec(const float* in, float* out) {
+  const __m256 x = _mm256_loadu_ps(in);
+  if (any_exp_special(x)) return scalar_table().exp_row(in, out, 8);
+  _mm256_storeu_ps(out, _mm256_set_m128(exp4(_mm256_extractf128_ps(x, 1)),
+                                        exp4(_mm256_castps256_ps128(x))));
+}
+
+void exp_row(const float* in, float* out, std::int64_t n) {
+  row_by_vectors<exp_vec>(in, out, n);
+}
+
+/// The scalar softmax_row on a row of finite values. The max is taken by
+/// vector max: the scalar loop's max can differ from it only in the sign
+/// of a zero maximum, which changes no difference in[j] - max but the sign
+/// of a zero one, and exp(+-0) = 1. The exps run eight at a time; their
+/// float sum is added serially in j order, exactly as the scalar loop
+/// adds it (a tree sum would round differently). The normalising multiply
+/// is elementwise. A row holding a non-finite value runs the scalar body.
+void softmax_row(const float* in, float* out, std::int64_t n) {
+  const std::int64_t full = n / 8 * 8;
+  const __m256i tail = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - full)),
+                                          _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  // in[j:j+8]; the lanes of the last vector past n take pad's lanes (the
+  // max pads with the running max, the exps with the max, so they take
+  // exp(0) and are not stored).
+  const auto load = [&](std::int64_t j, __m256 pad) {
+    if (j < full) return _mm256_loadu_ps(in + j);
+    return _mm256_blendv_ps(pad, _mm256_maskload_ps(in + j, tail), _mm256_castsi256_ps(tail));
+  };
+  const __m256i sign = splat(0x80000000u);
+  __m256 mx = _mm256_set1_ps(in[0]);
+  __m256i bad = _mm256_setzero_si256();
+  for (std::int64_t j = 0; j < n; j += 8) {
+    const __m256 x = load(j, mx);
+    mx = _mm256_max_ps(mx, x);
+    bad = _mm256_or_si256(bad, above(_mm256_andnot_si256(sign, _mm256_castps_si256(x)),
+                                     0x7f7fffffu));
+  }
+  if (!_mm256_testz_si256(bad, bad)) return scalar_table().softmax_row(in, out, n);
+  const __m256 top = _mm256_set1_ps(hmax8(mx));
+  float sum = 0.0f;
+  for (std::int64_t j = 0; j < n; j += 8) {
+    const __m256 x = _mm256_sub_ps(load(j, top), top);
+    __m256 e;
+    if (any_exp_special(x)) {
+      alignas(32) float lanes[8];
+      _mm256_store_ps(lanes, x);
+      scalar_table().exp_row(lanes, lanes, 8);
+      e = _mm256_load_ps(lanes);
+    } else {
+      e = _mm256_set_m128(exp4(_mm256_extractf128_ps(x, 1)), exp4(_mm256_castps256_ps128(x)));
+    }
+    if (j < full) {
+      _mm256_storeu_ps(out + j, e);
+    } else {
+      _mm256_maskstore_ps(out + j, tail, e);
+    }
+    for (std::int64_t l = j; l < std::min(j + 8, n); ++l) sum += out[l];
+  }
+  const __m256 inv = _mm256_set1_ps(1.0f / sum);
+  for (std::int64_t j = 0; j < full; j += 8) {
+    _mm256_storeu_ps(out + j, _mm256_mul_ps(_mm256_loadu_ps(out + j), inv));
+  }
+  if (full < n) {
+    _mm256_maskstore_ps(out + full, tail, _mm256_mul_ps(_mm256_maskload_ps(out + full, tail), inv));
+  }
+}
+
+// ---- attention: one head, rows in place ----
+//
+// The two products run the matmul_accum body above (f32_range) on the rows
+// in place, so every element keeps that kernel's sequence: a score is
+// 0 + (the fma chain over p of q[p] k[j][p]), then times inv_sqrt; an
+// output is 0 + (the fma chain over every key j < len of s[j] v[j][c]), a
+// masked key's zero weight included, so a NaN value row still reaches it.
+// Q rows (A of the scores) and V rows (B of the output) are read at the
+// model's row stride. The score lanes are keys, so the head's K columns
+// for the keys the row range sees are transposed, eight keys by eight
+// columns in registers, into a per-thread panel [d_head][keys rounded up
+// to 8]. Each 4-row block of scores stops at the keys its last row sees.
+
+/// 8x8 transpose of r[0:8] in place.
+inline void transpose8(__m256* r) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]), t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]), t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]), t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]), t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 u0 = _mm256_shuffle_ps(t0, t2, 0x44), u1 = _mm256_shuffle_ps(t0, t2, 0xee);
+  const __m256 u2 = _mm256_shuffle_ps(t1, t3, 0x44), u3 = _mm256_shuffle_ps(t1, t3, 0xee);
+  const __m256 u4 = _mm256_shuffle_ps(t4, t6, 0x44), u5 = _mm256_shuffle_ps(t4, t6, 0xee);
+  const __m256 u6 = _mm256_shuffle_ps(t5, t7, 0x44), u7 = _mm256_shuffle_ps(t5, t7, 0xee);
+  r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+  r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+  r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+  r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+  r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+  r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+  r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+  r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+/// kt[p * stride + j] = k[j * ld + p] for j < keys, p < d_head; the lanes
+/// of the last key block past `keys` are zero.
+void transpose_keys(const float* k, std::int64_t ld, std::int64_t d_head, std::int64_t keys,
+                    float* kt, std::int64_t stride) {
+  for (std::int64_t j0 = 0; j0 < keys; j0 += 8) {
+    const std::int64_t nk = std::min<std::int64_t>(8, keys - j0);
+    std::int64_t p0 = 0;
+    for (; p0 + 8 <= d_head; p0 += 8) {
+      __m256 r[8];
+      for (int l = 0; l < 8; ++l) {
+        r[l] = l < nk ? _mm256_loadu_ps(k + (j0 + l) * ld + p0) : _mm256_setzero_ps();
+      }
+      transpose8(r);
+      for (int t = 0; t < 8; ++t) _mm256_storeu_ps(kt + (p0 + t) * stride + j0, r[t]);
+    }
+    for (std::int64_t p = p0; p < d_head; ++p) {
+      for (std::int64_t l = 0; l < 8; ++l) {
+        kt[p * stride + j0 + l] = l < nk ? k[(j0 + l) * ld + p] : 0.0f;
+      }
+    }
+  }
+}
+
+void attend_head_range(const float* q, const float* k, const float* v, float* ctx,
+                       std::int64_t ld, std::int64_t d_head, std::int64_t len,
+                       std::int64_t past, float inv_sqrt, std::int64_t r0, std::int64_t r1) {
+  thread_local std::vector<float> kt, scores;
+  const std::int64_t keys = past + r1;  // the keys the range's last row sees
+  const std::int64_t stride = (keys + 7) / 8 * 8;
+  kt.resize(static_cast<std::size_t>(d_head * stride));
+  transpose_keys(k, ld, d_head, keys, kt.data(), stride);
+  const std::int64_t rows = r1 - r0;
+  scores.assign(static_cast<std::size_t>(rows * len), 0.0f);
+  float* s = scores.data();
+  for (std::int64_t i = 0; i < rows; i += 4) {
+    const std::int64_t block = std::min<std::int64_t>(4, rows - i);
+    f32_range(q + (r0 + i) * ld, kt.data(), s + i * len, 0, block, d_head,
+              past + r0 + i + block, {ld, stride, len});
+  }
+  for (std::int64_t i = 0; i < rows; ++i) {
+    float* row = s + i * len;
+    const std::int64_t visible = past + r0 + i + 1;
+    for (std::int64_t j = 0; j < visible; ++j) row[j] = row[j] * inv_sqrt;
+    softmax_row(row, row, visible);
+    std::fill(row + visible, row + len, 0.0f);
+    std::fill(ctx + (r0 + i) * ld, ctx + (r0 + i) * ld + d_head, 0.0f);
+  }
+  f32_range(s, v, ctx + r0 * ld, 0, rows, len, d_head, {len, ld, ld});
+}
+
 // ---- Q8_0 quantizer: the scalar block loop, one full block at a time ----
 //
 // max |x| by vector max, then the earliest lane holding it (the scalar
@@ -621,7 +833,8 @@ const KernelTable& avx2_table() {
   static const KernelTable table{
       &matmul_accum_range, &matmul_bt_accum_range, &matmul_at_accum_range,
       &matmul_q8_range,    &matmul_q4_range,       &tanh_row,
-      &gelu_row,           &quantize_row_q8,
+      &gelu_row,           &quantize_row_q8,       &exp_row,
+      &softmax_row,        &attend_head_range,
   };
   return table;
 }

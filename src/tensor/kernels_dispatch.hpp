@@ -11,9 +11,13 @@
 // any thread partition of the rows yields bitwise identical results within
 // that tier.
 //
-// The row kernels (tanh, GELU, the Q8_0 activation quantizer) are stricter:
-// every tier returns bitwise the scalar tier's output, so an element does
-// not depend on the tier, the row length or where a parallel chunk cut it.
+// The row kernels (tanh, exp, softmax, GELU, the Q8_0 activation quantizer)
+// are stricter: every tier returns bitwise the scalar tier's output, so an
+// element does not depend on the tier, the row length or where a parallel
+// chunk cut it.
+//
+// The attention kernel follows the matmul contract: each element keeps the
+// sequence the tier's matmul_accum gives it, whatever row range it runs in.
 #pragma once
 
 #include <cmath>
@@ -45,8 +49,21 @@ using MatmulQ4RangeFn = void (*)(const std::int8_t* aq, const float* ascales,
                                  std::int64_t r0, std::int64_t r1, std::int64_t kb,
                                  std::int64_t n);
 
-/// out[0:n] = f(in[0:n]) elementwise; in == out is allowed.
+/// out[0:n] = f(in[0:n]) elementwise (softmax: over the row); in == out is
+/// allowed.
 using RowFn = void (*)(const float* in, float* out, std::int64_t n);
+/// One head of causal self-attention, query rows [r0, r1) of a segment,
+/// read in place from row-major buffers of row stride `ld`: query row i is
+/// q + i*ld, key and value row j are k + j*ld and v + j*ld (j < len), and
+/// the head's d_head output columns are ctx + i*ld. Row i sees the keys
+/// j < past + i + 1. Per row: scores s[j] = (Q_i . K_j) * inv_sqrt with the
+/// dot as the tier's matmul_accum sequence (p ascending), the tier's
+/// softmax_row over the visible scores, zeros after them, and ctx[c] the
+/// matmul_accum sequence over all len keys of s[j] * V[j][c].
+using AttendHeadRangeFn = void (*)(const float* q, const float* k, const float* v, float* ctx,
+                                   std::int64_t ld, std::int64_t d_head, std::int64_t len,
+                                   std::int64_t past, float inv_sqrt, std::int64_t r0,
+                                   std::int64_t r1);
 /// Q8_0-quantizes n values into ceil(n / 32) blocks: one scale per block and
 /// 32 int8 codes per block, the tail of the last block padded with code 0.
 using QuantizeRowQ8Fn = void (*)(const float* x, std::int64_t n, float* scales,
@@ -61,12 +78,38 @@ struct KernelTable {
   RowFn tanh_row = nullptr;
   RowFn gelu_row = nullptr;
   QuantizeRowQ8Fn quantize_row_q8 = nullptr;
+  RowFn exp_row = nullptr;
+  RowFn softmax_row = nullptr;
+  AttendHeadRangeFn attend_head = nullptr;
 };
 
 // GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))),
 // evaluated left to right as written (every tier and the backward pass).
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 constexpr float kGeluA = 0.044715f;
+
+// expf: glibc 2.36 e_expf.c as its FMA build runs it (the scalar tier's
+// expf_port), with the data of __exp2f_data: exp(x) = 2^(k/32) 2^(r/32),
+// k = round(x 32/ln2), the 2^(k/32) from a 32-entry table of doubles whose
+// exponent field takes k / 32, the 2^(r/32) from a cubic in double.
+// Arguments with |x| >= 88 (and NaN) take the function's special path.
+inline constexpr std::uint64_t kExp2fTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+constexpr double kExpInvLn2N = 0x1.71547652b82fep+5;  // 32 / ln2
+constexpr double kExpShift = 0x1.8p+52;               // rounds to an integer in the low bits
+constexpr double kExpC0 = 0x1.c6af84b912394p-20;       // cubic of 2^(r/32), scaled by 32^-3
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-13;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-6;
+/// Magnitude bits from which expf leaves its fast path: |x| >= 88 or NaN.
+constexpr std::uint32_t kExpSpecialBits = 0x42b00000u;
 
 // ---- block-quantizer helpers (the scalar Q8_0 row kernel and quants.cpp's Q4_0) ----
 

@@ -13,7 +13,9 @@
 
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace netllm::tensor::kernels::detail {
 
@@ -195,6 +197,39 @@ void matmul_q4_range(const std::int8_t* aq, const float* ascales, const std::uin
   }
 }
 
+// One attention head in place (see AttendHeadRangeFn), each element with
+// this tier's matmul_accum sequence: acc = 0, acc = fma(a, b, acc) for the
+// reduction index ascending, then 0 + acc, as vfmaq_f32 lanes compute it.
+// Plain C++ std::fma (one rounding, the same as vfmaq_f32), so the element
+// bits are the AVX2 tier's; the softmax is the scalar tier's row body. Not
+// vectorized yet: it needs an aarch64 host to build and measure.
+void attend_head_range(const float* q, const float* k, const float* v, float* ctx,
+                       std::int64_t ld, std::int64_t d_head, std::int64_t len,
+                       std::int64_t past, float inv_sqrt, std::int64_t r0, std::int64_t r1) {
+  thread_local std::vector<float> scores;
+  scores.resize(static_cast<std::size_t>(len));
+  float* s = scores.data();
+  for (std::int64_t i = r0; i < r1; ++i) {
+    const float* qi = q + i * ld;
+    const std::int64_t visible = past + i + 1;
+    for (std::int64_t j = 0; j < visible; ++j) {
+      const float* kj = k + j * ld;
+      float acc = 0.0f;
+      for (std::int64_t p = 0; p < d_head; ++p) acc = std::fma(qi[p], kj[p], acc);
+      s[j] = (0.0f + acc) * inv_sqrt;
+    }
+    scalar_table().softmax_row(s, s, visible);
+    std::fill(s + visible, s + len, 0.0f);
+    float* out = ctx + i * ld;
+    std::fill(out, out + d_head, 0.0f);
+    for (std::int64_t j = 0; j < len; ++j) {
+      const float* vj = v + j * ld;
+      for (std::int64_t c = 0; c < d_head; ++c) out[c] = std::fma(s[j], vj[c], out[c]);
+    }
+    for (std::int64_t c = 0; c < d_head; ++c) out[c] = 0.0f + out[c];
+  }
+}
+
 }  // namespace
 
 // The row kernels take the scalar bodies until an aarch64 host can test
@@ -205,6 +240,8 @@ const KernelTable& neon_table() {
       &matmul_at_accum_range,       &matmul_q8_range,
       &matmul_q4_range,             scalar_table().tanh_row,
       scalar_table().gelu_row,      scalar_table().quantize_row_q8,
+      scalar_table().exp_row,       scalar_table().softmax_row,
+      &attend_head_range,
   };
   return table;
 }

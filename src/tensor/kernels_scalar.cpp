@@ -11,13 +11,15 @@
 //
 // The row kernels below define their tier-independent bits: tanh (and so
 // GELU) is an in-repo transcription of glibc 2.36's fdlibm-derived tanhf and
-// expm1f, and the Q8_0 quantizer is the reference block loop. The vector
-// tiers reproduce both bitwise.
+// expm1f, exp (and so softmax) one of the FMA build of its expf, and the
+// Q8_0 quantizer is the reference block loop. The vector tiers reproduce
+// them bitwise.
 #include "tensor/kernels_dispatch.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <vector>
 
 namespace netllm::tensor::kernels::detail {
 
@@ -28,19 +30,27 @@ namespace {
 // element receives its additions (p still ascends).
 constexpr std::int64_t kKBlock = 64;
 
-void matmul_accum_range(const float* a, const float* b, float* c, std::int64_t r0,
-                        std::int64_t r1, std::int64_t k, std::int64_t n) {
+/// C[r0:r1, 0:n] += A[r0:r1, 0:k] * B[0:k, 0:n] with rows of A, B and C at
+/// strides lda, ldb and ldc (k, n and n for a dense product).
+void accum_rows(const float* a, std::int64_t lda, const float* b, std::int64_t ldb, float* c,
+                std::int64_t ldc, std::int64_t r0, std::int64_t r1, std::int64_t k,
+                std::int64_t n) {
   for (std::int64_t p0 = 0; p0 < k; p0 += kKBlock) {
     const std::int64_t p1 = std::min(k, p0 + kKBlock);
     for (std::int64_t i = r0; i < r1; ++i) {
-      float* crow = c + i * n;
+      float* crow = c + i * ldc;
       for (std::int64_t p = p0; p < p1; ++p) {
-        const float aip = a[i * k + p];
-        const float* brow = b + p * n;
+        const float aip = a[i * lda + p];
+        const float* brow = b + p * ldb;
         for (std::int64_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
       }
     }
   }
+}
+
+void matmul_accum_range(const float* a, const float* b, float* c, std::int64_t r0,
+                        std::int64_t r1, std::int64_t k, std::int64_t n) {
+  accum_rows(a, k, b, n, c, n, r0, r1, k, n);
 }
 
 void matmul_bt_accum_range(const float* a, const float* b, float* c, std::int64_t r0,
@@ -273,6 +283,92 @@ void gelu_row(const float* in, float* out, std::int64_t n) {
   }
 }
 
+// ---- exp: glibc 2.36 expf (e_expf.c, Szabolcs Nagy, Arm 2017) ----
+//
+// On an x86-64 host with FMA, libm's expf is an IFUNC that resolves to the
+// FMA build of e_expf.c, where the compiler contracted five multiply-adds.
+// They are written out here as std::fma (exact on every target), so the
+// port returns that build's bits on any host; without them it differs on
+// two inputs. The constants are the kExp* ones in kernels_dispatch.hpp. The
+// special path returns what glibc returns, without its errno and
+// exception side effects.
+
+float expf_port(float x) {
+  const std::uint32_t ux = float_to_bits(x);
+  if ((ux & 0x7fffffffu) >= kExpSpecialBits) {  // |x| >= 88 or NaN
+    if (ux == 0xff800000u) return 0.0f;          // exp(-Inf) = +0
+    if ((ux & 0x7fffffffu) >= 0x7f800000u) return x + x;  // NaN, +Inf
+    if (x > 0x1.62e42ep6f) return 0x1p97f * 0x1p97f;      // overflow: +Inf
+    if (x < -0x1.9fe368p6f) return 0x1p-95f * 0x1p-95f;   // underflow: +0
+  }
+  const double xd = x;
+  // x 32/ln2 = k + r: adding kExpShift rounds k into kd's low bits.
+  double kd = std::fma(kExpInvLn2N, xd, kExpShift);
+  const std::uint64_t ki = std::bit_cast<std::uint64_t>(kd);
+  kd -= kExpShift;
+  const double r = std::fma(kExpInvLn2N, xd, -kd);
+  // s = 2^(k/32): the table entry with k / 32 added to its exponent field.
+  const double s = std::bit_cast<double>(kExp2fTable[ki % 32] + (ki << 47));
+  const double z = std::fma(kExpC0, r, kExpC1);
+  const double r2 = r * r;
+  double y = std::fma(kExpC2, r, 1.0);
+  y = std::fma(z, r2, y);
+  return static_cast<float>(y * s);
+}
+
+void exp_row(const float* in, float* out, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = expf_port(in[i]);
+}
+
+// The row max, then exp(in[j] - max) with the float sum added serially in
+// j order (the order is part of the bits), then one multiply by 1 / sum.
+void softmax_row(const float* in, float* out, std::int64_t n) {
+  float mx = in[0];
+  for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, in[j]);
+  float sum = 0.0f;
+  for (std::int64_t j = 0; j < n; ++j) {
+    out[j] = expf_port(in[j] - mx);
+    sum += out[j];
+  }
+  const float inv = 1.0f / sum;
+  for (std::int64_t j = 0; j < n; ++j) out[j] *= inv;
+}
+
+// ---- attention: one head, rows in place ----
+//
+// The two products run the matmul_accum body (accum_rows) on the rows in
+// place, so each element is the scalar sequence the gathered form gave it:
+// a score starts at 0 and gains q[p] * k[j][p] for p ascending (each
+// product rounded), then one multiply by inv_sqrt; an output starts at 0
+// and gains s[j] * v[j][c] for every key j < len, the masked ones
+// included, so a zero weight against a NaN value row still yields NaN. The
+// head's K columns are copied transposed into a per-thread panel (score
+// columns are keys); Q and V rows are read at the model's row stride.
+
+void attend_head_range(const float* q, const float* k, const float* v, float* ctx,
+                       std::int64_t ld, std::int64_t d_head, std::int64_t len,
+                       std::int64_t past, float inv_sqrt, std::int64_t r0, std::int64_t r1) {
+  thread_local std::vector<float> kt, scores;
+  const std::int64_t keys = past + r1;  // the keys the range's last row sees
+  kt.resize(static_cast<std::size_t>(d_head * keys));
+  for (std::int64_t j = 0; j < keys; ++j) {
+    for (std::int64_t p = 0; p < d_head; ++p) kt[p * keys + j] = k[j * ld + p];
+  }
+  const std::int64_t rows = r1 - r0;
+  scores.assign(static_cast<std::size_t>(rows * len), 0.0f);
+  float* s = scores.data();
+  accum_rows(q + r0 * ld, ld, kt.data(), keys, s, len, 0, rows, d_head, keys);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    float* row = s + i * len;
+    const std::int64_t visible = past + r0 + i + 1;
+    for (std::int64_t j = 0; j < visible; ++j) row[j] = row[j] * inv_sqrt;
+    softmax_row(row, row, visible);
+    std::fill(row + visible, row + len, 0.0f);
+    std::fill(ctx + (r0 + i) * ld, ctx + (r0 + i) * ld + d_head, 0.0f);
+  }
+  accum_rows(s, len, v, ld, ctx + r0 * ld, ld, 0, rows, len, d_head);
+}
+
 // ---- Q8_0 activation/weight quantizer ----
 
 void quantize_row_q8(const float* x, std::int64_t n, float* scales, std::int8_t* codes) {
@@ -300,7 +396,8 @@ const KernelTable& scalar_table() {
   static const KernelTable table{
       &matmul_accum_range, &matmul_bt_accum_range, &matmul_at_accum_range,
       &matmul_q8_range,    &matmul_q4_range,       &tanh_row,
-      &gelu_row,           &quantize_row_q8,
+      &gelu_row,           &quantize_row_q8,       &exp_row,
+      &softmax_row,        &attend_head_range,
   };
   return table;
 }

@@ -640,16 +640,11 @@ Tensor mean_over_rows(const Tensor& a) {
 
 // ---- row-wise normalisations ----
 
+// The max, the exps (glibc expf's bits on every tier), their serial sum
+// and the normalising multiply: a row kernel of the active ISA tier
+// (DESIGN.md §16).
 void softmax_row(const float* in, float* out, std::int64_t n) {
-  float mx = in[0];
-  for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, in[j]);
-  float sum = 0.0f;
-  for (std::int64_t j = 0; j < n; ++j) {
-    out[j] = std::exp(in[j] - mx);
-    sum += out[j];
-  }
-  const float inv = 1.0f / sum;
-  for (std::int64_t j = 0; j < n; ++j) out[j] *= inv;
+  kernels::detail::active_table().softmax_row(in, out, n);
 }
 
 void causal_softmax_row(const float* in, float* out, std::int64_t n, std::int64_t visible) {

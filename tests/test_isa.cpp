@@ -22,10 +22,16 @@
 //     activation must survive quantization into every Q8/Q4 output that
 //     reads its block;
 //   - whole-decode-stream determinism per tier;
-//   - row kernels (tanh, GELU, the Q8_0 quantizer): every tier bitwise equal
-//     to the scalar tier at every length, offset, thread count and special
-//     value, and the scalar tanh port pinned by a known-answer table of
-//     glibc 2.36 tanhf bits (a DISABLED_ sweep checks every float).
+//   - row kernels (tanh, exp, softmax, GELU, the Q8_0 quantizer): every tier
+//     bitwise equal to the scalar tier at every length, offset, thread count
+//     and special value, and the scalar tanh and exp ports pinned by
+//     known-answer tables of glibc 2.36 tanhf and expf bits (DISABLED_
+//     sweeps check every float);
+//   - the fused attention head: every tier bitwise equal to the gathered
+//     Q K^T / softmax / attn V body through matmul_accum, across head widths,
+//     row counts, cached rows, stacked segments and thread counts, with a
+//     NaN in a masked value row and a score gap on expf's special path, and
+//     the matmul counters bumped as the two products bumped them.
 // Built to run under -DNETLLM_SANITIZE=thread as well.
 #include <gtest/gtest.h>
 
@@ -37,6 +43,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -55,6 +62,7 @@
 #include "llm/minigpt.hpp"
 #include "llm/tokenizer.hpp"
 #include "netllm/guarded.hpp"
+#include "nn/transformer.hpp"
 #include "tensor/isa.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/quants.hpp"
@@ -66,6 +74,7 @@ namespace nq = netllm::tensor::quant;
 namespace nt = netllm::tensor;
 namespace isa = netllm::tensor::isa;
 namespace nl = netllm::llm;
+namespace nn = netllm::nn;
 namespace ad = netllm::adapt;
 namespace vp = netllm::vp;
 using netllm::core::Rng;
@@ -528,6 +537,34 @@ TEST(IsaTiers, Avx2KernelsReturnWithCleanUpperYmmState) {
       std::vector<std::uint8_t> codes(static_cast<std::size_t>(kb * nq::kBlock));
       nq::quantize_row(nq::Dtype::kQ8_0, x.data(), n, scales.data(), codes.data());
       EXPECT_FALSE(*ymm_upper_dirty()) << "quantize_row q8 " << ctx;
+      nk::exp_row(x.data(), y.data(), n);
+      EXPECT_FALSE(*ymm_upper_dirty()) << "exp_row " << ctx;
+      nt::softmax_row(x.data(), y.data(), n);
+      EXPECT_FALSE(*ymm_upper_dirty()) << "softmax_row " << ctx;
+    }
+    // A finite row with a score gap past expf's fast path (|x| >= 88).
+    auto gap = random_vec(n, rng);
+    gap[0] = 200.0f;
+    std::vector<float> y(static_cast<std::size_t>(n));
+    nt::softmax_row(gap.data(), y.data(), n);
+    EXPECT_FALSE(*ymm_upper_dirty()) << "softmax_row with a gap, n=" << n;
+  }
+  // The fused attention head: every score-tile and output-tile kind (head
+  // widths with and without a masked last vector), one and several rows,
+  // with and without cached rows, and a NaN value row.
+  for (std::int64_t dh : {8, 12, 16, 40, 64}) {
+    for (auto [rows, past] : {std::pair<std::int64_t, std::int64_t>{1, 0}, {1, 30}, {5, 7},
+                              {59, 0}}) {
+      const std::int64_t len = rows + past, ld = 2 * dh;
+      const auto q = random_vec(rows * ld, rng);
+      const auto k = random_vec(len * ld, rng);
+      auto v = random_vec(len * ld, rng);
+      if (rows > 1) v[static_cast<std::size_t>((len - 1) * ld + 1)] = kNaN;
+      std::vector<float> ctx(static_cast<std::size_t>(rows * ld));
+      nk::attend_head(q.data() + dh, k.data() + dh, v.data() + dh, ctx.data() + dh, ld, dh,
+                      rows, len);
+      EXPECT_FALSE(*ymm_upper_dirty())
+          << "attend_head d_head=" << dh << " rows=" << rows << " past=" << past;
     }
   }
 }
@@ -1138,4 +1175,403 @@ TEST(IsaRowKernels, DISABLED_TanhEveryFloatMatchesHostLibmAndScalarPort) {
   }
   EXPECT_EQ(libm_mismatches, 0u);
   EXPECT_EQ(vector_mismatches, 0u);
+}
+
+// ---- exp and softmax row kernels ----
+
+namespace {
+
+// glibc 2.36 expf as the host's libm ran it (the FMA build its IFUNC picks
+// on an AVX2+FMA x86-64 CPU), read before the in-repo port went in:
+// {x, expf(x)} bit pairs. The first two inputs are the only ones where an
+// unfused build of the same source returns another float; then +-2 ulps
+// around the overflow and underflow thresholds and around |x| = 88, where
+// the special path begins; subnormal and tiny results; +-0, ordinary
+// values, -Inf, +Inf and NaNs (quiet ones keep their payload and sign, a
+// signalling one is quieted).
+constexpr std::uint32_t kExpKnownAnswers[][2] = {
+    // fused vs unfused
+    {0x4202422fu, 0x56fc9f1cu}, {0xc27c65d9u, 0x11fa2993u},
+    // overflow threshold 0x1.62e42ep6
+    {0x42b17215u, 0x7f7ffe84u}, {0x42b17216u, 0x7f7fff04u}, {0x42b17217u, 0x7f7fff84u},
+    {0x42b17218u, 0x7f800000u}, {0x42b17219u, 0x7f800000u},
+    // underflow threshold -0x1.9fe368p6
+    {0xc2cff1b2u, 0x00000001u}, {0xc2cff1b3u, 0x00000001u}, {0xc2cff1b4u, 0x00000001u},
+    {0xc2cff1b5u, 0x00000000u}, {0xc2cff1b6u, 0x00000000u},
+    // |x| = 88: abstop 0x42a | 0x42b, both signs
+    {0x42affffeu, 0x7ef881beu}, {0x42afffffu, 0x7ef8823bu}, {0x42b00000u, 0x7ef882b7u},
+    {0x42b00001u, 0x7ef88333u}, {0x42b00002u, 0x7ef883afu},
+    {0xc2affffeu, 0x0041ee06u}, {0xc2afffffu, 0x0041ede5u}, {0xc2b00000u, 0x0041edc4u},
+    {0xc2b00001u, 0x0041eda3u}, {0xc2b00002u, 0x0041ed82u},
+    // subnormal results
+    {0xc2c80000u, 0x0000001bu}, {0xc2cf0000u, 0x00000001u}, {0xc2ce8ecfu, 0x00000001u},
+    // tiny arguments, +-0 and ordinary values
+    {0x8da24260u, 0x3f800000u}, {0x0da24260u, 0x3f800000u}, {0x00000000u, 0x3f800000u},
+    {0x80000000u, 0x3f800000u}, {0x3f000000u, 0x3fd3094cu}, {0xbf000000u, 0x3f1b4598u},
+    {0x3f800000u, 0x402df854u}, {0xbf800000u, 0x3ebc5ab2u}, {0x41200000u, 0x46ac14eeu},
+    {0xc1200000u, 0x383e6bceu},
+    // -Inf -> +0, +Inf, NaNs
+    {0xff800000u, 0x00000000u}, {0x7f800000u, 0x7f800000u}, {0x7fc00000u, 0x7fc00000u},
+    {0xffc00000u, 0xffc00000u}, {0x7fa00000u, 0x7fe00000u},
+};
+
+/// tensor::softmax_row of in[0:n) on `tier`, into a buffer of exactly n.
+std::vector<float> softmax_on(isa::Isa tier, const float* in, std::int64_t n) {
+  EXPECT_EQ(isa::set_active_isa(tier), tier);
+  std::vector<float> out(static_cast<std::size_t>(n));
+  nt::softmax_row(in, out.data(), n);
+  return out;
+}
+
+}  // namespace
+
+TEST(IsaRowKernels, ExpPortReturnsGlibcBitsAtEveryBranchThreshold) {
+  TierGuard guard;
+  // The table in one row (whole vectors, a tail, special lanes among fast
+  // ones), then every value alone (a padded tail of one).
+  std::vector<float> in;
+  std::vector<std::uint32_t> want;
+  for (const auto& kat : kExpKnownAnswers) {
+    in.push_back(std::bit_cast<float>(kat[0]));
+    want.push_back(kat[1]);
+  }
+  for (auto tier : supported_tiers()) {
+    ASSERT_EQ(isa::set_active_isa(tier), tier);
+    std::vector<float> out(in.size());
+    nk::exp_row(in.data(), out.data(), static_cast<std::int64_t>(in.size()));
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      float single = 0.0f;
+      nk::exp_row(&in[i], &single, 1);
+      EXPECT_EQ(bits_of(out[i]), want[i])
+          << isa::isa_name(tier) << " x bits " << std::hex << bits_of(in[i]);
+      EXPECT_EQ(bits_of(single), want[i])
+          << isa::isa_name(tier) << " alone, x bits " << std::hex << bits_of(in[i]);
+    }
+    // In place, over a row long enough for several whole vectors.
+    std::vector<float> in_place = in;
+    nk::exp_row(in_place.data(), in_place.data(), static_cast<std::int64_t>(in.size()));
+    EXPECT_TRUE(bitwise_equal(in_place, out)) << isa::isa_name(tier) << " in place";
+  }
+}
+
+TEST(IsaRowKernels, SoftmaxEveryTierBitwiseEqualsScalarAtEveryLength) {
+  TierGuard guard;
+  Rng rng(0x5f7);
+  // Every tail length, the vector seams and the served row lengths, at
+  // unaligned starts, with scores at attention scale and at a scale whose
+  // gaps pass 88 (the exps of those lanes take expf's special path).
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  for (std::int64_t n : {31, 32, 33, 59, 98, 112}) lengths.push_back(n);
+  for (auto n : lengths) {
+    for (double scale : {1.0, 60.0}) {
+      for (std::int64_t offset : {0, 3}) {
+        auto buf = random_vec(n + offset, rng);
+        for (auto& x : buf) x = static_cast<float>(x * scale);
+        const float* in = buf.data() + offset;
+        const auto want = softmax_on(isa::Isa::kScalar, in, n);
+        for (auto tier : supported_tiers()) {
+          const std::string ctx = std::string(isa::isa_name(tier)) + " n=" + std::to_string(n) +
+                                  " scale=" + std::to_string(scale) +
+                                  " offset=" + std::to_string(offset);
+          EXPECT_TRUE(bitwise_equal(softmax_on(tier, in, n), want)) << ctx;
+          std::vector<float> in_place(buf.begin() + offset, buf.end());
+          nt::softmax_row(in_place.data(), in_place.data(), n);
+          EXPECT_TRUE(bitwise_equal(in_place, want)) << "in place " << ctx;
+        }
+      }
+    }
+  }
+  // Special values at each position of a 19-wide row (two vectors and a
+  // tail): non-finite lanes hand the row to the scalar body, and +-0
+  // maxima and ties reach the vector max.
+  const float specials[] = {kNaN, kInf, -kInf, 0.0f, -0.0f, 1e30f, -1e30f, 3e38f};
+  const auto base = random_vec(19, rng);
+  for (float sv : specials) {
+    for (std::size_t at = 0; at < base.size(); ++at) {
+      auto x = base;
+      x[at] = sv;
+      const auto want = softmax_on(isa::Isa::kScalar, x.data(), 19);
+      for (auto tier : supported_tiers()) {
+        EXPECT_TRUE(bitwise_equal(softmax_on(tier, x.data(), 19), want))
+            << isa::isa_name(tier) << " value " << sv << " at lane " << at;
+      }
+    }
+  }
+  std::vector<float> zeros = {0.0f, -0.0f, -0.0f, 0.0f, -1.0f, -0.0f, 0.0f, -2.0f, -0.0f};
+  const auto want = softmax_on(isa::Isa::kScalar, zeros.data(), 9);
+  for (auto tier : supported_tiers()) {
+    EXPECT_TRUE(bitwise_equal(softmax_on(tier, zeros.data(), 9), want)) << "+-0 maxima";
+  }
+}
+
+// Every float through the exp row kernel: the scalar port against the host
+// libm's expf (the FMA build of glibc 2.36 is the transcribed source, so any
+// other libm or a CPU without FMA may differ), and the vector tier against
+// the port. About a minute on one core; run with
+// --gtest_also_run_disabled_tests.
+TEST(IsaRowKernels, DISABLED_ExpEveryFloatMatchesHostLibmAndScalarPort) {
+  TierGuard guard;
+  const bool vector_tier = isa::best_isa() != isa::Isa::kScalar;
+  constexpr std::uint64_t kChunk = 1u << 20;
+  std::vector<float> in(kChunk), port(kChunk), vec(kChunk);
+  std::uint64_t libm_mismatches = 0, vector_mismatches = 0;
+  for (std::uint64_t base = 0; base < (std::uint64_t{1} << 32); base += kChunk) {
+    for (std::uint64_t i = 0; i < kChunk; ++i) {
+      in[i] = std::bit_cast<float>(static_cast<std::uint32_t>(base + i));
+    }
+    isa::set_active_isa(isa::Isa::kScalar);
+    nk::exp_row(in.data(), port.data(), static_cast<std::int64_t>(kChunk));
+    for (std::uint64_t i = 0; i < kChunk; ++i) {
+      if (bits_of(port[i]) != bits_of(std::exp(in[i])) && libm_mismatches++ < 5) {
+        ADD_FAILURE() << "port vs libm at x bits " << std::hex << bits_of(in[i]);
+      }
+    }
+    if (!vector_tier) continue;
+    isa::set_active_isa(isa::best_isa());
+    nk::exp_row(in.data(), vec.data(), static_cast<std::int64_t>(kChunk));
+    for (std::uint64_t i = 0; i < kChunk; ++i) {
+      if (bits_of(vec[i]) != bits_of(port[i]) && vector_mismatches++ < 5) {
+        ADD_FAILURE() << "vector tier vs port at x bits " << std::hex << bits_of(in[i]);
+      }
+    }
+  }
+  std::printf("exp sweep: %llu port-vs-libm and %llu vector-vs-port mismatches\n",
+              static_cast<unsigned long long>(libm_mismatches),
+              static_cast<unsigned long long>(vector_mismatches));
+  EXPECT_EQ(libm_mismatches, 0u);
+  EXPECT_EQ(vector_mismatches, 0u);
+}
+
+// ---- the fused attention head ----
+
+namespace {
+
+/// The gathered body one head ran before the fused kernel: gather Q_h
+/// [rows, d_head], K_h^T [d_head, len] and V_h [len, d_head] from rows of
+/// stride ld, scores through matmul_accum, scale, causal softmax rows by
+/// absolute position, attn V_h through matmul_accum, copy into ctx.
+void gathered_head(const float* q, const float* k, const float* v, float* ctx, std::int64_t ld,
+                   std::int64_t dh, std::int64_t rows, std::int64_t len) {
+  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(dh));
+  const auto past = len - rows;
+  std::vector<float> qh(static_cast<std::size_t>(rows * dh));
+  std::vector<float> kt(static_cast<std::size_t>(dh * len)), vh(static_cast<std::size_t>(len * dh));
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (std::int64_t c = 0; c < dh; ++c) qh[i * dh + c] = q[i * ld + c];
+  }
+  for (std::int64_t r = 0; r < len; ++r) {
+    for (std::int64_t c = 0; c < dh; ++c) {
+      kt[c * len + r] = k[r * ld + c];
+      vh[r * dh + c] = v[r * ld + c];
+    }
+  }
+  std::vector<float> scores(static_cast<std::size_t>(rows * len), 0.0f);
+  nk::matmul_accum(qh.data(), kt.data(), scores.data(), rows, dh, len);
+  for (auto& sc : scores) sc = sc * inv_sqrt;
+  for (std::int64_t i = 0; i < rows; ++i) {
+    float* row = scores.data() + i * len;
+    nt::causal_softmax_row(row, row, len, past + i + 1);
+  }
+  std::vector<float> oh(static_cast<std::size_t>(rows * dh), 0.0f);
+  nk::matmul_accum(scores.data(), vh.data(), oh.data(), rows, len, dh);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (std::int64_t c = 0; c < dh; ++c) ctx[i * ld + c] = oh[i * dh + c];
+  }
+}
+
+/// Both bodies over every head of one segment: q [rows, d], k and v
+/// [len, d]; returns {fused ctx, gathered ctx}.
+std::pair<std::vector<float>, std::vector<float>> both_heads(const std::vector<float>& q,
+                                                             const std::vector<float>& k,
+                                                             const std::vector<float>& v,
+                                                             std::int64_t d, std::int64_t dh,
+                                                             std::int64_t rows, std::int64_t len) {
+  std::vector<float> fused(static_cast<std::size_t>(rows * d), -1.0f);
+  std::vector<float> gathered(fused.size(), -2.0f);
+  for (std::int64_t col = 0; col < d; col += dh) {
+    nk::attend_head(q.data() + col, k.data() + col, v.data() + col, fused.data() + col, d, dh,
+                    rows, len);
+    gathered_head(q.data() + col, k.data() + col, v.data() + col, gathered.data() + col, d, dh,
+                  rows, len);
+  }
+  return {fused, gathered};
+}
+
+}  // namespace
+
+TEST(IsaAttention, FusedHeadBitwiseEqualsGatheredMatmulsOnEveryTier) {
+  TierGuard guard;
+  Rng rng(0xa77);
+  // Head widths with and without a masked last vector, single and multi-row
+  // segments across the row grain, over 0 to 30 cached rows.
+  for (auto tier : supported_tiers()) {
+    ASSERT_EQ(isa::set_active_isa(tier), tier);
+    for (int threads : {1, 3}) {
+      nc::set_global_threads(threads);
+      for (std::int64_t dh : {8, 12, 16, 40, 64}) {
+        const std::int64_t d = 2 * dh;
+        for (std::int64_t rows : {1, 2, 5, 59, 98}) {
+          for (std::int64_t past : {0, 1, 7, 30}) {
+            const std::int64_t len = rows + past;
+            const auto q = random_vec(rows * d, rng);
+            const auto k = random_vec(len * d, rng);
+            const auto v = random_vec(len * d, rng);
+            const auto [fused, gathered] = both_heads(q, k, v, d, dh, rows, len);
+            EXPECT_TRUE(bitwise_equal(fused, gathered))
+                << isa::isa_name(tier) << " threads=" << threads << " d_head=" << dh
+                << " rows=" << rows << " past=" << past;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaAttention, NanInAMaskedValueRowAndAScoreGapPastExpFastPath) {
+  TierGuard guard;
+  Rng rng(0xa78);
+  const std::int64_t dh = 16, d = 32, rows = 5, len = 5;
+  for (auto tier : supported_tiers()) {
+    ASSERT_EQ(isa::set_active_isa(tier), tier);
+    // The last value row is visible to the last query row only; its NaN
+    // still reaches every earlier row through a masked zero weight.
+    const auto q = random_vec(rows * d, rng);
+    const auto k = random_vec(len * d, rng);
+    auto v = random_vec(len * d, rng);
+    v[static_cast<std::size_t>((len - 1) * d + 3)] = kNaN;
+    const auto [fused, gathered] = both_heads(q, k, v, d, dh, rows, len);
+    EXPECT_TRUE(bitwise_equal(fused, gathered)) << isa::isa_name(tier) << " NaN value row";
+    for (std::int64_t i = 0; i < rows; ++i) {
+      EXPECT_TRUE(std::isnan(fused[static_cast<std::size_t>(i * d + 3)]))
+          << isa::isa_name(tier) << " row " << i;
+      EXPECT_FALSE(std::isnan(fused[static_cast<std::size_t>(i * d + 4)]))
+          << isa::isa_name(tier) << " row " << i;
+    }
+    // Scores 10*10*16/4 = 400 apart from their row's maximum: those exps
+    // take expf's special path, and the weight lands on the first key.
+    std::vector<float> qs(static_cast<std::size_t>(rows * d), 10.0f);
+    std::vector<float> ks(static_cast<std::size_t>(len * d), -10.0f);
+    for (std::int64_t c = 0; c < d; ++c) ks[static_cast<std::size_t>(c)] = 10.0f;
+    const auto vs = random_vec(len * d, rng);
+    const auto [gap_fused, gap_gathered] = both_heads(qs, ks, vs, d, dh, rows, len);
+    EXPECT_TRUE(bitwise_equal(gap_fused, gap_gathered)) << isa::isa_name(tier) << " score gap";
+    for (std::int64_t c = 0; c < d; ++c) {
+      EXPECT_EQ(gap_fused[static_cast<std::size_t>((rows - 1) * d + c)],
+                vs[static_cast<std::size_t>(c)])
+          << isa::isa_name(tier) << " column " << c;
+    }
+  }
+}
+
+TEST(IsaAttention, StackedSegmentsBitwiseEqualGatheredBodyWithAndWithoutCache) {
+  TierGuard guard;
+  const std::int64_t d = 32;
+  for (std::int64_t heads : {2, 4}) {
+    Rng rng(0xa79 + static_cast<std::uint64_t>(heads));
+    nn::MultiHeadAttention attn(d, heads, /*causal=*/true, rng);
+    const auto linears = attn.projection_linears();  // wq, wk, wv, wo
+    const std::int64_t dh = d / heads;
+    // Two segments over cached rows (7 and 30 of them) around one without
+    // a cache, stacked into one pass of m rows.
+    nn::KvCache warm_a, warm_c;
+    const auto pre_a = random_vec(7 * d, rng), pre_c = random_vec(30 * d, rng);
+    std::vector<float> sink(30 * d);
+    attn.forward_rows(pre_a, 7, &warm_a, std::span<float>(sink).first(7 * d));
+    attn.forward_rows(pre_c, 30, &warm_c, sink);
+    const std::int64_t m = 3 + 4 + 1;
+    const auto x = random_vec(m * d, rng);
+    for (auto tier : supported_tiers()) {
+      ASSERT_EQ(isa::set_active_isa(tier), tier);
+      for (int threads : {1, 3}) {
+        nc::set_global_threads(threads);
+        auto cache_a = warm_a, cache_c = warm_c;
+        const nn::KvSegment segs[] = {{3, &cache_a}, {4, nullptr}, {1, &cache_c}};
+        std::vector<float> y(static_cast<std::size_t>(m * d));
+        attn.forward_rows(x, segs, y);
+
+        // The gathered restatement: projections, appends, heads, out.
+        auto ref_a = warm_a, ref_c = warm_c;
+        std::vector<float> q(m * d, 0.0f), k(m * d, 0.0f), v(m * d, 0.0f), ctx(m * d, 0.0f);
+        linears[0]->forward_rows(x, m, q);
+        linears[1]->forward_rows(x, m, k);
+        linears[2]->forward_rows(x, m, v);
+        std::int64_t row0 = 0;
+        for (auto [rows, cache] : {std::pair<std::int64_t, nn::KvCache*>{3, &ref_a},
+                                   {4, nullptr}, {1, &ref_c}}) {
+          const float* kc = k.data() + row0 * d;
+          const float* vc = v.data() + row0 * d;
+          std::int64_t len = rows;
+          if (cache) {
+            for (std::int64_t i = row0; i < row0 + rows; ++i) {
+              cache->append(std::span<const float>(k).subspan(i * d, d),
+                            std::span<const float>(v).subspan(i * d, d));
+            }
+            kc = cache->k().data();
+            vc = cache->v().data();
+            len = cache->len;
+          }
+          for (std::int64_t col = 0; col < d; col += dh) {
+            gathered_head(q.data() + row0 * d + col, kc + col, vc + col,
+                          ctx.data() + row0 * d + col, d, dh, rows, len);
+          }
+          row0 += rows;
+        }
+        std::vector<float> want(static_cast<std::size_t>(m * d), 0.0f);
+        linears[3]->forward_rows(ctx, m, want);
+        const std::string tag = std::string(isa::isa_name(tier)) + " heads=" +
+                                std::to_string(heads) + " threads=" + std::to_string(threads);
+        EXPECT_TRUE(bitwise_equal(y, want)) << tag;
+        EXPECT_TRUE(bitwise_equal(cache_a.k(), ref_a.k()) && bitwise_equal(cache_a.v(), ref_a.v()))
+            << tag;
+        EXPECT_TRUE(bitwise_equal(cache_c.k(), ref_c.k()) && bitwise_equal(cache_c.v(), ref_c.v()))
+            << tag;
+      }
+    }
+  }
+}
+
+TEST(IsaAttention, ForwardRowsBumpsMatmulCountersAsTheTwoProducts) {
+  namespace metrics = netllm::core::metrics;
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  const char* names[] = {"kernels.matmul.calls", "kernels.matmul.flops", "kernels.matmul.bytes"};
+  const auto snapshot = [&] {
+    std::vector<std::int64_t> c;
+    for (const char* n : names) c.push_back(metrics::counter(n).value());
+    return c;
+  };
+  // {calls, flops, bytes} of one fp32 matmul_accum of [m, k] x [k, n].
+  const auto product = [](std::int64_t m, std::int64_t k, std::int64_t n) {
+    return std::vector<std::int64_t>{1, 2 * m * k * n,
+                                     static_cast<std::int64_t>(sizeof(float)) *
+                                         (m * k + k * n + 2 * m * n)};
+  };
+  Rng rng(0xa7a);
+  const std::int64_t d = 32, heads = 4, dh = 8;
+  nn::MultiHeadAttention attn(d, heads, /*causal=*/true, rng);
+  nn::KvCache cache;
+  std::vector<float> pre = random_vec(6 * d, rng), sink(6 * d);
+  attn.forward_rows(pre, 6, &cache, sink);
+  // One pass: 3 rows after the 6 cached ones, then 2 rows without a cache.
+  const std::int64_t m = 5;
+  const auto x = random_vec(m * d, rng);
+  std::vector<float> y(static_cast<std::size_t>(m * d));
+  const nn::KvSegment segs[] = {{3, &cache}, {2, nullptr}};
+  const auto before = snapshot();
+  attn.forward_rows(x, segs, y);
+  const auto after = snapshot();
+  std::vector<std::int64_t> want(3, 0);
+  const auto add = [&](const std::vector<std::int64_t>& c, std::int64_t times) {
+    for (std::size_t i = 0; i < want.size(); ++i) want[i] += c[i] * times;
+  };
+  add(product(m, d, d), 4);  // wq, wk, wv, wo
+  for (auto [rows, len] : {std::pair<std::int64_t, std::int64_t>{3, 9}, {2, 2}}) {
+    add(product(rows, dh, len), heads);  // Q_h K_h^T
+    add(product(rows, len, dh), heads);  // attn V_h
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], want[i]) << names[i];
+  }
+  metrics::set_enabled(was_enabled);
 }

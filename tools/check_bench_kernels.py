@@ -11,7 +11,8 @@ the medians. The context block must name the run's provenance (commit,
 build type, host width, active tier, NETLLM_THREADS). On the GEMV serving
 shapes and the narrow fp32 shapes, the narrow fp32 shapes and the row kernels
 (GELU, Q8_0 activation quantization) the vector tier must not be slower
-than scalar. Exits non-zero with a named reason on key drift or a regression.
+than scalar, and neither may the causal softmax and the fused attention
+head. Exits non-zero with a named reason on key drift or a regression.
 run_benches.sh runs it after regenerating the file; ctest runs it (label
 `ledger`) on the checked-in copy, so a stale or hand-edited artifact fails
 the test suite.
@@ -47,12 +48,13 @@ if not any(name.startswith("BM_MatmulKernel/") for name in runs):
     raise SystemExit("schema drift: no BM_MatmulKernel rows (threaded matmul sweep)")
 
 # Row-kernel cases count elements per second, the matmul cases FLOP/s.
-ROW_CASES = ["gelu_ff256x59", "gelu_ff1280x4", "q8_quant512x4"]
+ROW_CASES = ["gelu_ff256x59", "gelu_ff1280x4", "q8_quant512x4", "softmax_causal98x98"]
+ATTEND_CASES = ["attend_step_len30_d512h8", "attend_prefill59_d64h4"]
 CASES = ["f32_gemv512", "f32_gemm512", "f32_lora_gemv512", "f32_lora_gemm64", "f32_gemv64",
-         "q8_gemv512", "q8_gemm512", "q4_gemv512", "q4_gemm512"] + ROW_CASES
+         "q8_gemv512", "q8_gemm512", "q4_gemv512", "q4_gemm512"] + ROW_CASES + ATTEND_CASES
 # Serving shapes where the vector tier must never lose to scalar.
 FLOOR_CASES = ["f32_gemv512", "f32_lora_gemv512", "f32_lora_gemm64", "f32_gemv64",
-               "q8_gemv512", "q4_gemv512"] + ROW_CASES
+               "q8_gemv512", "q4_gemv512"] + ROW_CASES + ATTEND_CASES
 flops = {}  # (case, tier) -> median items_per_second
 for run_name, agg in runs.items():
     parts = run_name.split("/")
