@@ -5,8 +5,9 @@
 // kernel work.
 //
 // The BM_IsaTier benchmarks are registered at runtime (custom main below):
-// one row per (kernel case x compiled-and-supported ISA tier), single
-// threaded, so BENCH_kernels.json carries the scalar-vs-vector throughput
+// one row per (kernel case x compiled-and-supported ISA tier: scalar, avx2,
+// avx512 on a host with all three), single threaded, so BENCH_kernels.json
+// carries the scalar-vs-vector and avx2-vs-avx512 throughput
 // (FLOP/s for the matmuls, elements/s for the row kernels) for the host
 // this sweep actually ran on (DESIGN.md §16).
 // Every row that lands in BENCH_kernels.json runs kLedgerRepetitions times
@@ -333,8 +334,7 @@ void BM_IsaAttend(benchmark::State& state, isa::Isa tier, std::int64_t d, std::i
 /// (1 row against 30 cached ones, 512 wide, 8 heads) and an ABR window's
 /// prefill (59 rows, 64 wide, 4 heads).
 void register_isa_tier_benches() {
-  std::vector<isa::Isa> tiers = {isa::Isa::kScalar};
-  if (isa::best_isa() != isa::Isa::kScalar) tiers.push_back(isa::best_isa());
+  const auto tiers = isa::supported_isas();
   constexpr std::int64_t kDim = 512;
   struct F32Case {
     const char* name;
@@ -421,6 +421,14 @@ void add_provenance_context() {
   for (const auto& [key, value] : netllm::benchsupport::provenance(NETLLM_BUILD_TYPE)) {
     benchmark::AddCustomContext(key, value);
   }
+  // The tiers this sweep has rows for: check_bench_kernels.py requires
+  // every one of them and floors avx512 at avx2.
+  std::string supported;
+  for (const auto tier : isa::supported_isas()) {
+    if (!supported.empty()) supported += ',';
+    supported += isa::isa_name(tier);
+  }
+  benchmark::AddCustomContext("isa_supported", supported);
 }
 
 }  // namespace

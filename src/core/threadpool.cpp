@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <mutex>
 
@@ -27,12 +26,41 @@ struct ScopedInParallel {
   ~ScopedInParallel() { tl_in_parallel = prev; }
 };
 
+/// One parallel_for call's completion state, on the caller's stack.
+struct Batch {
+  RangeFn fn;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::int64_t remaining;
+  std::exception_ptr error;
+};
+
+/// One chunk of a batch.
+struct Task {
+  Batch* batch;
+  std::int64_t begin, end;
+};
+
+/// Runs one chunk, capturing its exception into the batch.
+void run_chunk(Batch& batch, std::int64_t begin, std::int64_t end) {
+  try {
+    ScopedInParallel scope;
+    batch.fn(begin, end);
+  } catch (...) {
+    std::lock_guard<std::mutex> elk(batch.mu);
+    if (!batch.error) batch.error = std::current_exception();
+  }
+}
+
 }  // namespace
 
 struct ThreadPool::Shared {
   std::mutex mu;
   std::condition_variable cv_work;
-  std::deque<std::function<void()>> tasks;
+  // FIFO of pending chunks: tasks[head:] are queued. Emptied by clear(), so
+  // the vector keeps its capacity and a warmed-up pool never allocates.
+  std::vector<Task> tasks;
+  std::size_t head = 0;
   bool stop = false;
 };
 
@@ -48,15 +76,28 @@ void ThreadPool::spawn(int workers) {
   for (int w = 0; w < workers; ++w) {
     workers_.emplace_back([shared = shared_] {
       for (;;) {
-        std::function<void()> task;
+        Task task{};
         {
           std::unique_lock<std::mutex> lk(shared->mu);
-          shared->cv_work.wait(lk, [&] { return shared->stop || !shared->tasks.empty(); });
-          if (shared->stop && shared->tasks.empty()) return;
-          task = std::move(shared->tasks.front());
-          shared->tasks.pop_front();
+          const auto pending = [&] { return shared->head < shared->tasks.size(); };
+          shared->cv_work.wait(lk, [&] { return shared->stop || pending(); });
+          if (shared->stop && !pending()) return;
+          task = shared->tasks[shared->head++];
+          if (!pending()) {
+            shared->tasks.clear();
+            shared->head = 0;
+          }
         }
-        task();
+        Batch& batch = *task.batch;
+        run_chunk(batch, task.begin, task.end);
+        {
+          // Notify while holding the lock: once the caller observes
+          // remaining == 0 it destroys the batch, so the cv must not be
+          // touched after the mutex is released.
+          std::lock_guard<std::mutex> dlk(batch.mu);
+          --batch.remaining;
+          batch.cv.notify_one();
+        }
       }
     });
   }
@@ -80,8 +121,7 @@ void ThreadPool::resize(int threads) {
   spawn(threads - 1);
 }
 
-void ThreadPool::parallel_for(std::int64_t n, std::int64_t grain,
-                              const std::function<void(std::int64_t, std::int64_t)>& fn) {
+void ThreadPool::parallel_for(std::int64_t n, std::int64_t grain, RangeFn fn) {
   if (n <= 0) return;
   if (grain < 1) grain = 1;
   const auto lanes = static_cast<std::int64_t>(size());
@@ -91,59 +131,30 @@ void ThreadPool::parallel_for(std::int64_t n, std::int64_t grain,
     return;
   }
   const std::int64_t nchunks = std::min(lanes, (n + grain - 1) / grain);
-
-  struct Sync {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::int64_t remaining;
-    std::exception_ptr error;
-  } sync{{}, {}, nchunks - 1, nullptr};
+  Batch batch{fn, {}, {}, nchunks - 1, nullptr};
 
   // Chunks 1..nchunks-1 go to the workers; the caller runs chunk 0 and then
-  // blocks until the rest drain. `sync`/`fn` outlive all tasks because the
-  // caller does not return before remaining == 0.
+  // blocks until the rest drain. `batch` (and the callable its RangeFn
+  // refers to) outlive all tasks because the caller does not return before
+  // remaining == 0.
   {
     std::lock_guard<std::mutex> lk(shared_->mu);
     for (std::int64_t c = 1; c < nchunks; ++c) {
-      const std::int64_t begin = n * c / nchunks;
-      const std::int64_t end = n * (c + 1) / nchunks;
-      shared_->tasks.emplace_back([&sync, &fn, begin, end] {
-        try {
-          ScopedInParallel scope;
-          fn(begin, end);
-        } catch (...) {
-          std::lock_guard<std::mutex> elk(sync.mu);
-          if (!sync.error) sync.error = std::current_exception();
-        }
-        {
-          // Notify while holding the lock: once the caller observes
-          // remaining == 0 it destroys `sync`, so the cv must not be touched
-          // after the mutex is released.
-          std::lock_guard<std::mutex> dlk(sync.mu);
-          --sync.remaining;
-          sync.cv.notify_one();
-        }
-      });
+      shared_->tasks.push_back({&batch, n * c / nchunks, n * (c + 1) / nchunks});
     }
   }
   shared_->cv_work.notify_all();
 
-  try {
-    ScopedInParallel scope;
-    fn(0, n / nchunks);
-  } catch (...) {
-    std::lock_guard<std::mutex> elk(sync.mu);
-    if (!sync.error) sync.error = std::current_exception();
-  }
+  run_chunk(batch, 0, n / nchunks);
 
   {
     // Attribute the caller's idle time waiting on workers (its own chunk is
     // done) — the lane-imbalance signal for the pool.wait trace phase.
     trace::Span wait_span(trace::Phase::kPoolWait);
-    std::unique_lock<std::mutex> lk(sync.mu);
-    sync.cv.wait(lk, [&] { return sync.remaining == 0; });
+    std::unique_lock<std::mutex> lk(batch.mu);
+    batch.cv.wait(lk, [&] { return batch.remaining == 0; });
   }
-  if (sync.error) std::rethrow_exception(sync.error);
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 ThreadPool& ThreadPool::global() {
@@ -172,8 +183,7 @@ int global_threads() { return ThreadPool::global().size(); }
 
 void set_global_threads(int n) { ThreadPool::global().resize(n); }
 
-void parallel_for(std::int64_t n, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn) {
+void parallel_for(std::int64_t n, std::int64_t grain, RangeFn fn) {
   ThreadPool::global().parallel_for(n, grain, fn);
 }
 

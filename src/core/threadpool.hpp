@@ -13,15 +13,41 @@
 //    sized from NETLLM_THREADS (else std::thread::hardware_concurrency()).
 //    `set_global_threads` resizes it between computations — never call it
 //    while a parallel_for is in flight.
+//  - No heap traffic per call: the body is taken by a non-owning RangeFn
+//    (the caller's callable outlives the call, which blocks until every
+//    chunk is done), and the pool's task queue keeps its capacity, so a
+//    parallel_for allocates nothing once the pool has warmed up.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace netllm::core {
+
+/// Non-owning reference to a callable `void(std::int64_t, std::int64_t)`:
+/// two pointers, no allocation. It must not outlive the callable it was
+/// made from — parallel_for's argument lives until the call returns.
+class RangeFn {
+ public:
+  template <typename F>
+    requires(!std::same_as<std::remove_cvref_t<F>, RangeFn> &&
+             std::invocable<F&, std::int64_t, std::int64_t>)
+  RangeFn(F&& fn) noexcept  // NOLINT: implicit, so a lambda binds directly
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* obj, std::int64_t begin, std::int64_t end) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(begin, end);
+        }) {}
+
+  void operator()(std::int64_t begin, std::int64_t end) const { call_(obj_, begin, end); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, std::int64_t, std::int64_t);
+};
 
 class ThreadPool {
  public:
@@ -44,8 +70,7 @@ class ThreadPool {
   /// or the caller is already inside a pool task. fn(begin, end) must only
   /// touch state owned by its index range. Exceptions thrown by fn are
   /// rethrown on the calling thread (first one wins).
-  void parallel_for(std::int64_t n, std::int64_t grain,
-                    const std::function<void(std::int64_t, std::int64_t)>& fn);
+  void parallel_for(std::int64_t n, std::int64_t grain, RangeFn fn);
 
   /// Process-lifetime pool sized from NETLLM_THREADS or hardware_concurrency.
   static ThreadPool& global();
@@ -74,7 +99,6 @@ int global_threads();
 void set_global_threads(int n);
 
 /// Convenience: ThreadPool::global().parallel_for(...).
-void parallel_for(std::int64_t n, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn);
+void parallel_for(std::int64_t n, std::int64_t grain, RangeFn fn);
 
 }  // namespace netllm::core

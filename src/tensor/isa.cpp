@@ -41,6 +41,15 @@ bool cpu_has(Isa i) {
 #else
       return false;
 #endif
+    case Isa::kAvx512:
+#if defined(__x86_64__) || defined(__i386__)
+      // The builtin also checks that the OS saves the opmask and ZMM state.
+      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+             __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512vnni") &&
+             __builtin_cpu_supports("fma");
+#else
+      return false;
+#endif
     case Isa::kNeon:
 #if defined(__aarch64__) && defined(__linux__)
       return (getauxval(AT_HWCAP) & HWCAP_ASIMD) != 0;
@@ -58,6 +67,10 @@ const kd::KernelTable* table_for(Isa i) {
 #if defined(NETLLM_HAVE_AVX2)
     case Isa::kAvx2:
       return &kd::avx2_table();
+#endif
+#if defined(NETLLM_HAVE_AVX512)
+    case Isa::kAvx512:
+      return &kd::avx512_table();
 #endif
 #if defined(NETLLM_HAVE_NEON)
     case Isa::kNeon:
@@ -90,7 +103,7 @@ Isa resolve_env() {
   try {
     return isa_from_name(v);
   } catch (const std::invalid_argument&) {
-    throw std::invalid_argument("NETLLM_ISA: expected scalar|avx2|neon|auto, got '" +
+    throw std::invalid_argument("NETLLM_ISA: expected scalar|avx2|avx512|neon|auto, got '" +
                                 std::string(v) + "'");
   }
 }
@@ -102,6 +115,7 @@ const char* isa_name(Isa i) {
     case Isa::kScalar: return "scalar";
     case Isa::kAvx2: return "avx2";
     case Isa::kNeon: return "neon";
+    case Isa::kAvx512: return "avx512";
   }
   return "scalar";
 }
@@ -110,6 +124,7 @@ Isa isa_from_name(std::string_view name) {
   if (name == "scalar") return Isa::kScalar;
   if (name == "avx2") return Isa::kAvx2;
   if (name == "neon") return Isa::kNeon;
+  if (name == "avx512") return Isa::kAvx512;
   throw std::invalid_argument("isa_from_name: unknown tier '" + std::string(name) + "'");
 }
 
@@ -129,6 +144,12 @@ bool isa_compiled(Isa i) {
 #else
       return false;
 #endif
+    case Isa::kAvx512:
+#if defined(NETLLM_HAVE_AVX512)
+      return true;
+#else
+      return false;
+#endif
   }
   return false;
 }
@@ -136,9 +157,18 @@ bool isa_compiled(Isa i) {
 bool isa_supported(Isa i) { return isa_compiled(i) && cpu_has(i); }
 
 Isa best_isa() {
-  if (isa_supported(Isa::kAvx2)) return Isa::kAvx2;
-  if (isa_supported(Isa::kNeon)) return Isa::kNeon;
+  for (Isa i : {Isa::kAvx512, Isa::kAvx2, Isa::kNeon}) {
+    if (isa_supported(i)) return i;
+  }
   return Isa::kScalar;
+}
+
+std::vector<Isa> supported_isas() {
+  std::vector<Isa> tiers;
+  for (Isa i : {Isa::kScalar, Isa::kNeon, Isa::kAvx2, Isa::kAvx512}) {
+    if (isa_supported(i)) tiers.push_back(i);
+  }
+  return tiers;
 }
 
 Isa active_isa() {

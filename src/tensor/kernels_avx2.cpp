@@ -829,6 +829,11 @@ void quantize_row_q8(const float* x, std::int64_t n, float* scales, std::int8_t*
 
 }  // namespace
 
+void avx2_transpose_keys(const float* k, std::int64_t ld, std::int64_t d_head, std::int64_t keys,
+                         float* kt, std::int64_t stride) {
+  transpose_keys(k, ld, d_head, keys, kt, stride);
+}
+
 const KernelTable& avx2_table() {
   static const KernelTable table{
       &matmul_accum_range, &matmul_bt_accum_range, &matmul_at_accum_range,

@@ -1,7 +1,7 @@
 // Internal dispatch table between the public matmul entry points
 // (tensor/kernels.cpp) and the per-ISA range-kernel TUs (kernels_scalar.cpp,
-// kernels_avx2.cpp, kernels_neon.cpp). Not installed API — tests and callers
-// go through tensor/kernels.hpp and tensor/isa.hpp.
+// kernels_avx2.cpp, kernels_avx512.cpp, kernels_neon.cpp). Not installed
+// API — callers go through tensor/kernels.hpp and tensor/isa.hpp.
 //
 // The matmul functions here are *range* kernels: each computes a contiguous
 // slice of the output and is what core::parallel_for chunks over. The
@@ -141,9 +141,30 @@ inline std::int32_t clamp_code(long v, std::int32_t lo, std::int32_t hi) {
 /// Portable baseline tier — always compiled, the pre-dispatch kernels.
 const KernelTable& scalar_table();
 
+/// The scalar tier's exp and softmax rows, built portable (fma == false:
+/// std::fma is a libm call) or as target("fma") clones (x86-64 only; on a
+/// CPU without FMA they must not run). Same bits either way; scalar_table()
+/// holds the clones when the CPU has FMA. Tests pin both.
+struct ScalarExpBodies {
+  RowFn exp_row;
+  RowFn softmax_row;
+};
+ScalarExpBodies scalar_exp_bodies(bool fma);
+
 #if defined(NETLLM_HAVE_AVX2)
 /// AVX2+FMA tier (kernels_avx2.cpp, built with -mavx2 -mfma on this TU only).
 const KernelTable& avx2_table();
+/// The AVX2 attention kernel's K panel: kt[p * stride + j] = k[j * ld + p]
+/// for j < keys, p < d_head, the lanes of the last 8-key block past `keys`
+/// zero (stride is keys rounded up to 8). The AVX-512 tier reuses it.
+void avx2_transpose_keys(const float* k, std::int64_t ld, std::int64_t d_head, std::int64_t keys,
+                         float* kt, std::int64_t stride);
+#endif
+
+#if defined(NETLLM_HAVE_AVX512)
+/// AVX-512 tier (kernels_avx512.cpp, built with -mavx512f/bw/vl/vnni -mfma
+/// on this TU only): the AVX2 tier's bits from 16-lane bodies.
+const KernelTable& avx512_table();
 #endif
 
 #if defined(NETLLM_HAVE_NEON)

@@ -292,8 +292,13 @@ void gelu_row(const float* in, float* out, std::int64_t n) {
 // two inputs. The constants are the kExp* ones in kernels_dispatch.hpp. The
 // special path returns what glibc returns, without its errno and
 // exception side effects.
+//
+// This TU has no -mfma, so each std::fma is a libm call. The exp and
+// softmax rows are therefore also compiled as target("fma") clones, where
+// the same std::fma is one instruction with the same single rounding, and
+// scalar_table() picks the clones once when the CPU has FMA.
 
-float expf_port(float x) {
+[[gnu::always_inline]] inline float expf_port(float x) {
   const std::uint32_t ux = float_to_bits(x);
   if ((ux & 0x7fffffffu) >= kExpSpecialBits) {  // |x| >= 88 or NaN
     if (ux == 0xff800000u) return 0.0f;          // exp(-Inf) = +0
@@ -316,13 +321,13 @@ float expf_port(float x) {
   return static_cast<float>(y * s);
 }
 
-void exp_row(const float* in, float* out, std::int64_t n) {
+[[gnu::always_inline]] inline void exp_body(const float* in, float* out, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = expf_port(in[i]);
 }
 
 // The row max, then exp(in[j] - max) with the float sum added serially in
 // j order (the order is part of the bits), then one multiply by 1 / sum.
-void softmax_row(const float* in, float* out, std::int64_t n) {
+[[gnu::always_inline]] inline void softmax_body(const float* in, float* out, std::int64_t n) {
   float mx = in[0];
   for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, in[j]);
   float sum = 0.0f;
@@ -333,6 +338,18 @@ void softmax_row(const float* in, float* out, std::int64_t n) {
   const float inv = 1.0f / sum;
   for (std::int64_t j = 0; j < n; ++j) out[j] *= inv;
 }
+
+void exp_row(const float* in, float* out, std::int64_t n) { exp_body(in, out, n); }
+void softmax_row(const float* in, float* out, std::int64_t n) { softmax_body(in, out, n); }
+
+#if defined(__x86_64__)
+[[gnu::target("fma")]] void exp_row_fma(const float* in, float* out, std::int64_t n) {
+  exp_body(in, out, n);
+}
+[[gnu::target("fma")]] void softmax_row_fma(const float* in, float* out, std::int64_t n) {
+  softmax_body(in, out, n);
+}
+#endif
 
 // ---- attention: one head, rows in place ----
 //
@@ -362,7 +379,7 @@ void attend_head_range(const float* q, const float* k, const float* v, float* ct
     float* row = s + i * len;
     const std::int64_t visible = past + r0 + i + 1;
     for (std::int64_t j = 0; j < visible; ++j) row[j] = row[j] * inv_sqrt;
-    softmax_row(row, row, visible);
+    scalar_table().softmax_row(row, row, visible);
     std::fill(row + visible, row + len, 0.0f);
     std::fill(ctx + (r0 + i) * ld, ctx + (r0 + i) * ld + d_head, 0.0f);
   }
@@ -392,13 +409,29 @@ void quantize_row_q8(const float* x, std::int64_t n, float* scales, std::int8_t*
 
 }  // namespace
 
+ScalarExpBodies scalar_exp_bodies(bool fma) {
+#if defined(__x86_64__)
+  if (fma) return {&exp_row_fma, &softmax_row_fma};
+#endif
+  (void)fma;
+  return {&exp_row, &softmax_row};
+}
+
 const KernelTable& scalar_table() {
-  static const KernelTable table{
-      &matmul_accum_range, &matmul_bt_accum_range, &matmul_at_accum_range,
-      &matmul_q8_range,    &matmul_q4_range,       &tanh_row,
-      &gelu_row,           &quantize_row_q8,       &exp_row,
-      &softmax_row,        &attend_head_range,
-  };
+  static const KernelTable table = [] {
+    bool fma = false;
+#if defined(__x86_64__)
+    __builtin_cpu_init();  // in case the first kernel call runs in a static initializer
+    fma = __builtin_cpu_supports("fma");
+#endif
+    const auto exp = scalar_exp_bodies(fma);
+    return KernelTable{
+        &matmul_accum_range, &matmul_bt_accum_range, &matmul_at_accum_range,
+        &matmul_q8_range,    &matmul_q4_range,       &tanh_row,
+        &gelu_row,           &quantize_row_q8,       exp.exp_row,
+        exp.softmax_row,     &attend_head_range,
+    };
+  }();
   return table;
 }
 

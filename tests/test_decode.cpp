@@ -15,7 +15,9 @@
 // nodes; NaNs still
 // reach it, it builds no autograd history, and the served ABR/CJS decisions
 // match digests recorded on the tape path and, under a seeded forward Throw
-// storm, digests recorded with adapters that re-encoded every window.
+// storm, digests recorded with adapters that re-encoded every window. The
+// served decision streams are also the same under the AVX-512 and the AVX2
+// tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -478,7 +480,7 @@ TEST_F(Decode, GraphFreeStepBitwiseEqualsFullForwardAcrossDtypesLoraHeadsTiersAn
   ThreadGuard threads;
   IsaGuard tier;
   const std::int64_t positions = 12, prefill_len = 5;
-  for (const auto t : {isa::Isa::kScalar, isa::best_isa()}) {
+  for (const auto t : isa::supported_isas()) {
     isa::set_active_isa(t);
     for (const int n_threads : {1, 3}) {
       nc::set_global_threads(n_threads);
@@ -534,7 +536,7 @@ TEST_F(Decode, SegmentedBlockForwardEqualsPerSegmentCallsBitwise) {
   ThreadGuard threads;
   IsaGuard tier;
   const std::int64_t d_head = 8, d = 2 * d_head;
-  for (const auto t : {isa::Isa::kScalar, isa::best_isa()}) {
+  for (const auto t : isa::supported_isas()) {
     isa::set_active_isa(t);
     for (const int n_threads : {1, 3}) {
       nc::set_global_threads(n_threads);
@@ -600,7 +602,7 @@ TEST_F(Decode, EmbeddingsStepBitwiseEqualsFullForwardAtEveryPositionUpToMaxSeq) 
   ThreadGuard threads;
   IsaGuard tier;
   const std::int64_t max_seq = 24;
-  for (const auto t : {isa::Isa::kScalar, isa::best_isa()}) {
+  for (const auto t : isa::supported_isas()) {
     isa::set_active_isa(t);
     for (const int n_threads : {1, 3}) {
       nc::set_global_threads(n_threads);
@@ -652,7 +654,7 @@ std::vector<nn::KvCache> caches_for(const llm::MiniGpt& gpt) {
 TEST_F(Decode, GraphFreePrefillBitwiseEqualsForwardEmbeddingsAcrossShapesAndCaches) {
   ThreadGuard threads;
   IsaGuard tier;
-  for (const auto t : {isa::Isa::kScalar, isa::best_isa()}) {
+  for (const auto t : isa::supported_isas()) {
     isa::set_active_isa(t);
     for (const int n_threads : {1, 3}) {
       nc::set_global_threads(n_threads);
@@ -921,7 +923,19 @@ struct ServedRun {
   int abr_traces = 3;
   int cjs_jobs = 8;
   bool guarded = false;
+  std::int64_t d_model = 16;  // the backbone's width, d_ff twice it
+  std::int64_t n_heads = 2;
 };
+
+/// The served backbone: the tiny config at the run's width.
+std::shared_ptr<llm::MiniGpt> served_llm(std::uint64_t seed, const ServedRun& run) {
+  auto cfg = tiny_config(112);
+  cfg.d_model = run.d_model;
+  cfg.n_heads = run.n_heads;
+  cfg.d_ff = 2 * run.d_model;
+  Rng rng(seed);
+  return std::make_shared<llm::MiniGpt>(cfg, rng);
+}
 
 /// ABR levels over seeded test sessions and CJS actions over one seeded
 /// episode, served by adapters with spread parameters.
@@ -933,7 +947,7 @@ std::pair<Digest, Digest> served_decisions(nq::Dtype dtype, const ServedRun& run
     Rng rng(41);
     ad::AbrAdapterConfig cfg;
     cfg.lora_rank = 2;
-    auto gpt = tiny_llm(43, 112);
+    auto gpt = served_llm(43, run);
     auto adapter = std::make_shared<ad::AbrAdapter>(gpt, cfg, rng);
     spread(adapter->trainable_parameters(), rng);
     gpt->quantize_backbone(dtype);
@@ -948,7 +962,7 @@ std::pair<Digest, Digest> served_decisions(nq::Dtype dtype, const ServedRun& run
     Rng rng(47);
     ad::CjsAdapterConfig cfg;
     cfg.lora_rank = 2;
-    auto gpt = tiny_llm(53, 112);
+    auto gpt = served_llm(53, run);
     auto adapter = std::make_shared<ad::CjsAdapter>(gpt, cfg, rng);
     spread(adapter->trainable_parameters(), rng);
     gpt->quantize_backbone(dtype);
@@ -1050,6 +1064,44 @@ TEST_F(Decode, ServedDecisionsUnderAForwardThrowStormMatchPinnedDigests) {
       EXPECT_GE(cjs_d.count, 200) << where;
       EXPECT_GE(abr_d.distinct(), 3u) << where;
       EXPECT_GE(cjs_d.distinct(), 3u) << where;
+    }
+  }
+}
+
+// The AVX-512 tier returns the AVX2 tier's bits in every kernel, so every
+// served ABR and CJS decision is the same under NETLLM_ISA=avx512 and avx2:
+// on the pinned 16-wide backbone and on a 64-wide one with 16-wide heads
+// (the served ABR/CJS shape), fp32 and Q8_0. (Each tier's streams are
+// thread-count invariant by the tests above.)
+class IsaAvx512 : public Decode {};
+
+TEST_F(IsaAvx512, ServedAbrAndCjsDecisionStreamsEqualAvx2) {
+  ThreadGuard threads;
+  IsaGuard tier;
+  if (!isa::isa_supported(isa::Isa::kAvx512) || !isa::isa_supported(isa::Isa::kAvx2)) {
+    GTEST_SKIP() << "no AVX-512 tier on this host";
+  }
+  nc::set_global_threads(1);
+  for (const auto& [d_model, n_heads] :
+       {std::pair<std::int64_t, std::int64_t>{16, 2}, {64, 4}}) {
+    ServedRun run;
+    run.d_model = d_model;
+    run.n_heads = n_heads;
+    if (d_model > 16) {  // one session and a short episode keep the wide runs quick
+      run.abr_traces = 1;
+      run.cjs_jobs = 4;
+    }
+    for (const auto dtype : {nq::Dtype::kF32, nq::Dtype::kQ8_0}) {
+      isa::set_active_isa(isa::Isa::kAvx2);
+      const auto [abr_want, cjs_want] = served_decisions(dtype, run);
+      isa::set_active_isa(isa::Isa::kAvx512);
+      const auto [abr_got, cjs_got] = served_decisions(dtype, run);
+      const auto where = "d_model=" + std::to_string(d_model) + " " + nq::dtype_name(dtype);
+      EXPECT_EQ(abr_got.seen, abr_want.seen) << where;
+      EXPECT_EQ(cjs_got.seen, cjs_want.seen) << where;
+      // Streams that move: the decisions depend on the backbone's output.
+      EXPECT_GE(abr_want.distinct(), 2u) << where;
+      EXPECT_GE(cjs_want.distinct(), 2u) << where;
     }
   }
 }

@@ -1,6 +1,6 @@
 // ISA microkernel tier suite (DESIGN.md §16, ctest -L isa):
 //   - dispatch plumbing: names, env override, unsupported-tier fallback,
-//     metrics gauge export;
+//     metrics gauge export (the "avx512" name and gauge value 3 included);
 //   - per-tier determinism: every kernel bitwise identical at any thread
 //     count within a tier (serial vs threads 1/2/8);
 //   - forced NETLLM_ISA=scalar bitwise reproduces an inline re-statement of
@@ -10,7 +10,8 @@
 //     the masked last column vector, serial and threaded, and each row of an
 //     m-row product equals that row computed alone;
 //   - the AVX2 kernels return with the upper YMM state clean (vzeroupper),
-//     so the legacy-SSE code after them pays no state-merge penalty;
+//     so the legacy-SSE code after them pays no state-merge penalty, and
+//     the AVX-512 kernels with the upper YMM and ZMM_Hi256 state clean;
 //   - cross-tier contract: fp32 within a pinned tolerance, Q8/Q4 bitwise
 //     identical between scalar and the vector tier;
 //   - Q8 tiling seams: cross-tier and thread-count bitwise equality over
@@ -31,7 +32,13 @@
 //     Q K^T / softmax / attn V body through matmul_accum, across head widths,
 //     row counts, cached rows, stacked segments and thread counts, with a
 //     NaN in a masked value row and a score gap on expf's special path, and
-//     the matmul counters bumped as the two products bumped them.
+//     the matmul counters bumped as the two products bumped them;
+//   - the scalar tier's exp and softmax rows, portable and FMA clone, both
+//     return the known-answer bits and agree on a sampled sweep;
+//   - the AVX-512 tier returns the AVX2 tier's bits: the fp32 seam sweep
+//     (dense and at row strides through attend_head), every row kernel at
+//     every length 0-100 with NaN/Inf lanes, and the Q8 kernel on extreme
+//     codes and its tiling seams.
 // Built to run under -DNETLLM_SANITIZE=thread as well.
 #include <gtest/gtest.h>
 
@@ -65,10 +72,12 @@
 #include "nn/transformer.hpp"
 #include "tensor/isa.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_dispatch.hpp"
 #include "tensor/quants.hpp"
 #include "tensor/tensor.hpp"
 
 namespace nc = netllm::core;
+namespace kd = netllm::tensor::kernels::detail;
 namespace nk = netllm::tensor::kernels;
 namespace nq = netllm::tensor::quant;
 namespace nt = netllm::tensor;
@@ -124,16 +133,13 @@ std::vector<float> random_vec(std::int64_t n, Rng& rng) {
 }
 
 /// The tiers this binary can actually execute on this host: scalar always,
-/// plus the best vector tier when there is one.
-std::vector<isa::Isa> supported_tiers() {
-  std::vector<isa::Isa> tiers = {isa::Isa::kScalar};
-  if (isa::best_isa() != isa::Isa::kScalar) tiers.push_back(isa::best_isa());
-  return tiers;
-}
+/// plus every vector tier compiled in and advertised by the CPU.
+std::vector<isa::Isa> supported_tiers() { return isa::supported_isas(); }
 
 bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  // memcmp needs valid pointers even for zero bytes; empty vectors may hold null.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 struct QuantOperands {
@@ -201,10 +207,12 @@ KernelRun run_all_kernels(const std::vector<float>& a, const std::vector<float>&
 // ---- dispatch plumbing ----
 
 TEST(IsaDispatch, NamesRoundTripAndGarbageThrows) {
-  for (auto t : {isa::Isa::kScalar, isa::Isa::kAvx2, isa::Isa::kNeon}) {
+  for (auto t : {isa::Isa::kScalar, isa::Isa::kAvx2, isa::Isa::kNeon, isa::Isa::kAvx512}) {
     EXPECT_EQ(isa::isa_from_name(isa::isa_name(t)), t);
   }
-  EXPECT_THROW(isa::isa_from_name("avx512"), std::invalid_argument);
+  EXPECT_STREQ(isa::isa_name(isa::Isa::kAvx512), "avx512");
+  EXPECT_EQ(static_cast<int>(isa::Isa::kAvx512), 3);  // the gauge value
+  EXPECT_THROW(isa::isa_from_name("avx512f"), std::invalid_argument);
   EXPECT_THROW(isa::isa_from_name(""), std::invalid_argument);
   EXPECT_THROW(isa::isa_from_name("Scalar"), std::invalid_argument);
   // "auto" is an env-level directive, not a tier name.
@@ -216,13 +224,24 @@ TEST(IsaDispatch, ScalarAlwaysPresentAndBestIsSupported) {
   EXPECT_TRUE(isa::isa_supported(isa::Isa::kScalar));
   EXPECT_TRUE(isa::isa_supported(isa::best_isa()));
   EXPECT_TRUE(isa::isa_supported(isa::active_isa()));
+  // supported_isas(): scalar first, the best tier last, each one supported.
+  const auto tiers = isa::supported_isas();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.front(), isa::Isa::kScalar);
+  EXPECT_EQ(tiers.back(), isa::best_isa());
+  for (auto t : tiers) EXPECT_TRUE(isa::isa_supported(t)) << isa::isa_name(t);
+  // The AVX-512 tier ships next to the AVX2 tier, never without it.
+  if (isa::isa_supported(isa::Isa::kAvx512)) {
+    EXPECT_TRUE(isa::isa_supported(isa::Isa::kAvx2));
+    EXPECT_EQ(isa::best_isa(), isa::Isa::kAvx512);
+  }
 }
 
 TEST(IsaDispatch, UnsupportedTierRequestFallsBackToScalar) {
   TierGuard guard;
-  // At most one vector tier is compiled per architecture, so the other
-  // architecture's tier is always a valid-but-unsupported request.
-  for (auto t : {isa::Isa::kAvx2, isa::Isa::kNeon}) {
+  // The other architecture's tiers are always valid-but-unsupported
+  // requests; so is AVX-512 on an x86 host without it.
+  for (auto t : {isa::Isa::kAvx2, isa::Isa::kNeon, isa::Isa::kAvx512}) {
     if (isa::isa_supported(t)) continue;
     EXPECT_EQ(isa::set_active_isa(t), isa::Isa::kScalar) << isa::isa_name(t);
     EXPECT_EQ(isa::active_isa(), isa::Isa::kScalar);
@@ -252,6 +271,14 @@ TEST(IsaDispatch, EnvOverrideResolvesOnReset) {
     EnvVarGuard env("NETLLM_ISA", isa::isa_name(other));
     EXPECT_EQ(isa::reset_active_isa(), isa::Isa::kScalar);
   }
+  {
+    // "avx512" applies where the host has the tier, else falls back to scalar.
+    EnvVarGuard env("NETLLM_ISA", "avx512");
+    const auto want =
+        isa::isa_supported(isa::Isa::kAvx512) ? isa::Isa::kAvx512 : isa::Isa::kScalar;
+    EXPECT_EQ(isa::reset_active_isa(), want);
+    EXPECT_EQ(isa::active_isa(), want);
+  }
 }
 
 TEST(IsaDispatch, GarbageEnvThrowsWithoutChangingTier) {
@@ -274,6 +301,11 @@ TEST(IsaDispatch, ActiveTierExportedAsMetricsGauge) {
             static_cast<double>(isa::best_isa()));
   EXPECT_EQ(nc::metrics::gauge("kernels.isa.best").value(),
             static_cast<double>(isa::best_isa()));
+  if (isa::isa_supported(isa::Isa::kAvx512)) {
+    isa::set_active_isa(isa::Isa::kAvx512);
+    EXPECT_EQ(nc::metrics::gauge("kernels.isa.active").value(), 3.0);
+    EXPECT_EQ(nc::metrics::gauge("kernels.isa.best").value(), 3.0);
+  }
 }
 
 // ---- per-tier determinism: bitwise across thread counts ----
@@ -462,31 +494,34 @@ TEST(IsaTiers, F32TilingSeamsBitwiseAgainstPerElementDefinition) {
   }
 }
 
-// ---- AVX2 kernels return with the upper YMM state clean ----
+// ---- vector kernels return with the upper vector state clean ----
 
 #if defined(__x86_64__)
 namespace {
 
-/// XINUSE bit 2 (XGETBV with ECX = 1): the upper halves of the YMM
-/// registers are not in their initial state. nullopt when the CPU does not
-/// report XINUSE (CPUID.(EAX=0DH,ECX=1):EAX[2]).
-std::optional<bool> ymm_upper_dirty() {
+/// XINUSE state-component bits (XGETBV with ECX = 1): bit 2, the upper
+/// halves of the YMM registers, and bit 6, the upper 256 bits of ZMM0-15,
+/// are set while that state is not in its initial configuration.
+constexpr unsigned kXinuseYmm = 1u << 2;
+constexpr unsigned kXinuseZmmHi256 = 1u << 6;
+
+/// The XINUSE bitmap; nullopt when the CPU does not report XINUSE
+/// (CPUID.(EAX=0DH,ECX=1):EAX[2]).
+std::optional<unsigned> xinuse() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid_count(0xd, 1, &eax, &ebx, &ecx, &edx) == 0 || (eax & (1u << 2)) == 0) {
     return std::nullopt;
   }
   unsigned lo = 0, hi = 0;
   __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
-  return (lo & (1u << 2)) != 0;
+  return lo;
 }
 
-}  // namespace
+bool upper_dirty(unsigned bits) { return (*xinuse() & bits) != 0; }
 
-TEST(IsaTiers, Avx2KernelsReturnWithCleanUpperYmmState) {
-  TierGuard guard;
-  if (isa::best_isa() != isa::Isa::kAvx2) GTEST_SKIP() << "no AVX2 tier on this host";
-  if (!ymm_upper_dirty().has_value()) GTEST_SKIP() << "CPU does not report XINUSE";
-  ASSERT_EQ(isa::set_active_isa(isa::Isa::kAvx2), isa::Isa::kAvx2);
+/// Every kernel entry point on the active tier, each followed by a check
+/// that none of `bits` is left set in XINUSE.
+void expect_clean_upper_state_after_every_kernel(unsigned bits) {
   // A kernel that returns with dirty upper YMM state (no vzeroupper) makes
   // every legacy-SSE instruction after it, e.g. softmax's libm exp, pay a
   // merge penalty until the next AVX function cleans up. Each m (the last
@@ -506,18 +541,18 @@ TEST(IsaTiers, Avx2KernelsReturnWithCleanUpperYmmState) {
       std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
       std::vector<float> cat(static_cast<std::size_t>(k * n), 0.0f);
       nk::matmul_accum_serial(a.data(), b.data(), c.data(), m, k, n);
-      EXPECT_FALSE(*ymm_upper_dirty()) << "matmul_accum " << ctx;
+      EXPECT_FALSE(upper_dirty(bits)) << "matmul_accum " << ctx;
       nk::matmul_bt_accum_serial(a.data(), bt.data(), c.data(), m, k, n);
-      EXPECT_FALSE(*ymm_upper_dirty()) << "matmul_bt_accum " << ctx;
+      EXPECT_FALSE(upper_dirty(bits)) << "matmul_bt_accum " << ctx;
       nk::matmul_at_accum_serial(a.data(), bm.data(), cat.data(), m, k, n);
-      EXPECT_FALSE(*ymm_upper_dirty()) << "matmul_at_accum " << ctx;
+      EXPECT_FALSE(upper_dirty(bits)) << "matmul_at_accum " << ctx;
       nk::matmul_q8_accum_serial(q.aq.data(), q.ascales.data(),
                                  reinterpret_cast<const std::int8_t*>(q.w8.codes.data()),
                                  q.w8.scales.data(), c.data(), m, q.kb, n);
-      EXPECT_FALSE(*ymm_upper_dirty()) << "matmul_q8_accum " << ctx;
+      EXPECT_FALSE(upper_dirty(bits)) << "matmul_q8_accum " << ctx;
       nk::matmul_q4_accum_serial(q.aq.data(), q.ascales.data(), q.w4.codes.data(),
                                  q.w4.scales.data(), c.data(), m, q.kb, n);
-      EXPECT_FALSE(*ymm_upper_dirty()) << "matmul_q4_accum " << ctx;
+      EXPECT_FALSE(upper_dirty(bits)) << "matmul_q4_accum " << ctx;
     }
   }
   // The row kernels: whole vectors, the padded tail, and the hand-offs to
@@ -529,25 +564,25 @@ TEST(IsaTiers, Avx2KernelsReturnWithCleanUpperYmmState) {
       const std::string ctx = "n=" + std::to_string(n) + (poison ? " with NaN" : "");
       std::vector<float> y(static_cast<std::size_t>(n));
       nt::gelu_row(x.data(), y.data(), n);
-      EXPECT_FALSE(*ymm_upper_dirty()) << "gelu_row " << ctx;
+      EXPECT_FALSE(upper_dirty(bits)) << "gelu_row " << ctx;
       nk::tanh_row(x.data(), y.data(), n);
-      EXPECT_FALSE(*ymm_upper_dirty()) << "tanh_row " << ctx;
+      EXPECT_FALSE(upper_dirty(bits)) << "tanh_row " << ctx;
       const auto kb = nq::blocks_per_row(n);
       std::vector<float> scales(static_cast<std::size_t>(kb));
       std::vector<std::uint8_t> codes(static_cast<std::size_t>(kb * nq::kBlock));
       nq::quantize_row(nq::Dtype::kQ8_0, x.data(), n, scales.data(), codes.data());
-      EXPECT_FALSE(*ymm_upper_dirty()) << "quantize_row q8 " << ctx;
+      EXPECT_FALSE(upper_dirty(bits)) << "quantize_row q8 " << ctx;
       nk::exp_row(x.data(), y.data(), n);
-      EXPECT_FALSE(*ymm_upper_dirty()) << "exp_row " << ctx;
+      EXPECT_FALSE(upper_dirty(bits)) << "exp_row " << ctx;
       nt::softmax_row(x.data(), y.data(), n);
-      EXPECT_FALSE(*ymm_upper_dirty()) << "softmax_row " << ctx;
+      EXPECT_FALSE(upper_dirty(bits)) << "softmax_row " << ctx;
     }
     // A finite row with a score gap past expf's fast path (|x| >= 88).
     auto gap = random_vec(n, rng);
     gap[0] = 200.0f;
     std::vector<float> y(static_cast<std::size_t>(n));
     nt::softmax_row(gap.data(), y.data(), n);
-    EXPECT_FALSE(*ymm_upper_dirty()) << "softmax_row with a gap, n=" << n;
+    EXPECT_FALSE(upper_dirty(bits)) << "softmax_row with a gap, n=" << n;
   }
   // The fused attention head: every score-tile and output-tile kind (head
   // widths with and without a masked last vector), one and several rows,
@@ -563,10 +598,30 @@ TEST(IsaTiers, Avx2KernelsReturnWithCleanUpperYmmState) {
       std::vector<float> ctx(static_cast<std::size_t>(rows * ld));
       nk::attend_head(q.data() + dh, k.data() + dh, v.data() + dh, ctx.data() + dh, ld, dh,
                       rows, len);
-      EXPECT_FALSE(*ymm_upper_dirty())
+      EXPECT_FALSE(upper_dirty(bits))
           << "attend_head d_head=" << dh << " rows=" << rows << " past=" << past;
     }
   }
+}
+
+}  // namespace
+
+TEST(IsaTiers, Avx2KernelsReturnWithCleanUpperYmmState) {
+  TierGuard guard;
+  if (!isa::isa_supported(isa::Isa::kAvx2)) GTEST_SKIP() << "no AVX2 tier on this host";
+  if (!xinuse().has_value()) GTEST_SKIP() << "CPU does not report XINUSE";
+  ASSERT_EQ(isa::set_active_isa(isa::Isa::kAvx2), isa::Isa::kAvx2);
+  expect_clean_upper_state_after_every_kernel(kXinuseYmm);
+}
+
+TEST(IsaAvx512, KernelsReturnWithCleanUpperYmmAndZmmState) {
+  TierGuard guard;
+  if (!isa::isa_supported(isa::Isa::kAvx512)) GTEST_SKIP() << "no AVX-512 tier on this host";
+  if (!xinuse().has_value()) GTEST_SKIP() << "CPU does not report XINUSE";
+  ASSERT_EQ(isa::set_active_isa(isa::Isa::kAvx512), isa::Isa::kAvx512);
+  // Dirty upper ZMM state costs the SSE code after a kernel as dirty upper
+  // YMM state does; vzeroupper clears both.
+  expect_clean_upper_state_after_every_kernel(kXinuseYmm | kXinuseZmmHi256);
 }
 #endif
 
@@ -1574,4 +1629,276 @@ TEST(IsaAttention, ForwardRowsBumpsMatmulCountersAsTheTwoProducts) {
     EXPECT_EQ(after[i] - before[i], want[i]) << names[i];
   }
   metrics::set_enabled(was_enabled);
+}
+
+// ---- the scalar tier's exp: portable body and FMA clone ----
+
+TEST(IsaRowKernels, ScalarExpPortableAndFmaCloneReturnTheSameBits) {
+  // The scalar tier picks the target("fma") clones once, when the CPU has
+  // FMA; both builds must return the known answers and each other's bits.
+  bool has_fma = false;
+#if defined(__x86_64__)
+  has_fma = __builtin_cpu_supports("fma");
+#endif
+  std::vector<kd::ScalarExpBodies> bodies = {kd::scalar_exp_bodies(false)};
+  if (has_fma) bodies.push_back(kd::scalar_exp_bodies(true));
+  const std::int64_t n = static_cast<std::int64_t>(std::size(kExpKnownAnswers));
+  for (std::size_t which = 0; which < bodies.size(); ++which) {
+    const char* name = which == 0 ? "portable" : "fma clone";
+    std::vector<float> in, out(static_cast<std::size_t>(n));
+    for (const auto& kat : kExpKnownAnswers) in.push_back(std::bit_cast<float>(kat[0]));
+    bodies[which].exp_row(in.data(), out.data(), n);
+    for (std::int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(bits_of(out[static_cast<std::size_t>(i)]), kExpKnownAnswers[i][1])
+          << name << " x bits " << std::hex << kExpKnownAnswers[i][0];
+    }
+  }
+  if (!has_fma) GTEST_SKIP() << "no FMA clone on this host (known answers checked)";
+  // A sampled sweep over every 2^12-th bit pattern (all signs, exponents
+  // and NaN payloads), exp and softmax rows alike.
+  std::vector<float> in;
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4093) {
+    in.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(u)));
+  }
+  const auto count = static_cast<std::int64_t>(in.size());
+  std::vector<float> plain(in.size()), fused(in.size());
+  bodies[0].exp_row(in.data(), plain.data(), count);
+  bodies[1].exp_row(in.data(), fused.data(), count);
+  EXPECT_TRUE(bitwise_equal(plain, fused)) << "exp_row";
+  // Softmax rows of 98 finite scores at attention scale and past 88 apart.
+  Rng rng(0xf3a);
+  for (double scale : {1.0, 60.0}) {
+    auto row = random_vec(98, rng);
+    for (auto& x : row) x = static_cast<float>(x * scale);
+    std::vector<float> p(row.size()), f(row.size());
+    bodies[0].softmax_row(row.data(), p.data(), 98);
+    bodies[1].softmax_row(row.data(), f.data(), 98);
+    EXPECT_TRUE(bitwise_equal(p, f)) << "softmax_row scale " << scale;
+  }
+}
+
+// ---- AVX-512 == AVX2, bitwise ----
+
+namespace {
+
+/// True when both tiers run here; the AVX-512 tests compare the two.
+bool avx512_and_avx2() {
+  return isa::isa_supported(isa::Isa::kAvx512) && isa::isa_supported(isa::Isa::kAvx2);
+}
+
+/// Row-kernel inputs: GELU's mix of small, unit and saturating values, with
+/// every fifth value stretched to |x| up to a few hundred, so exps take
+/// expf's special path and softmax rows have gaps past 88.
+std::vector<float> row_inputs(std::int64_t n, Rng& rng) {
+  auto v = gelu_inputs(n, rng);
+  for (std::size_t i = 0; i < v.size(); i += 5) v[i] *= 30.0f;
+  return v;
+}
+
+/// One row kernel of the active tier on in[0:n): tanh, GELU, exp, softmax,
+/// or the Q8_0 quantizer (scales then code bytes, as float bit patterns).
+enum class RowKernel { kTanh, kGelu, kExp, kSoftmax, kQuantQ8 };
+
+std::vector<float> row_kernel_on(isa::Isa tier, RowKernel kernel, const float* in,
+                                 std::int64_t n, bool in_place) {
+  EXPECT_EQ(isa::set_active_isa(tier), tier);
+  std::vector<float> out(in, in + n);
+  const float* src = in_place ? out.data() : in;
+  switch (kernel) {
+    case RowKernel::kTanh: nk::tanh_row(src, out.data(), n); break;
+    case RowKernel::kGelu: nt::gelu_row(src, out.data(), n); break;
+    case RowKernel::kExp: nk::exp_row(src, out.data(), n); break;
+    case RowKernel::kSoftmax: nt::softmax_row(src, out.data(), n); break;
+    case RowKernel::kQuantQ8: {
+      const auto kb = nq::blocks_per_row(n);
+      std::vector<float> scales(static_cast<std::size_t>(kb));
+      std::vector<std::uint8_t> codes(static_cast<std::size_t>(kb * nq::kBlock));
+      nq::quantize_row(nq::Dtype::kQ8_0, in, n, scales.data(), codes.data());
+      out = scales;
+      for (auto c : codes) out.push_back(static_cast<float>(c));
+      break;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(IsaAvx512, F32SeamSweepBitwiseEqualsAvx2) {
+  TierGuard guard;
+  if (!avx512_and_avx2()) GTEST_SKIP() << "no AVX-512 tier on this host";
+  // m crosses every row tile (8 and 6 rows, then 4, 2 and 1) and, past the
+  // 8-row grain, puts chunk starts mid-tile; n walks the 8-lane ymm tiles,
+  // every tail of the 16-lane zmm vectors and the 64- and 128-column tiles;
+  // k covers the short and the served inner widths.
+  std::vector<std::int64_t> ns;
+  for (std::int64_t n = 1; n <= 70; ++n) ns.push_back(n);
+  for (std::int64_t n : {96, 127, 128, 129, 160, 200}) ns.push_back(n);
+  Rng rng(0xa512);
+  for (std::int64_t k : {1, 4, 16, 64, 97, 160}) {
+    for (std::int64_t m = 1; m <= 13; ++m) {
+      for (auto n : ns) {
+        const auto a = random_vec(m * k, rng);
+        const auto b = random_vec(k * n, rng);
+        const auto c0 = random_vec(m * n, rng);
+        ASSERT_EQ(isa::set_active_isa(isa::Isa::kAvx2), isa::Isa::kAvx2);
+        const auto want = f32_product(a, b, c0, m, k, n, 0);
+        ASSERT_EQ(isa::set_active_isa(isa::Isa::kAvx512), isa::Isa::kAvx512);
+        const std::string ctx =
+            "m=" + std::to_string(m) + " k=" + std::to_string(k) + " n=" + std::to_string(n);
+        EXPECT_TRUE(bitwise_equal(f32_product(a, b, c0, m, k, n, 0), want)) << "serial " << ctx;
+        EXPECT_TRUE(bitwise_equal(f32_product(a, b, c0, m, k, n, 3), want)) << "threads=3 " << ctx;
+      }
+    }
+  }
+}
+
+TEST(IsaAvx512, AttendHeadAtRowStridesBitwiseEqualsAvx2) {
+  TierGuard guard;
+  if (!avx512_and_avx2()) GTEST_SKIP() << "no AVX-512 tier on this host";
+  // The fp32 body at row strides: the score product reads Q rows at stride
+  // ld, the attn·V product V rows at ld and writes ctx at ld. Head widths
+  // cover every output tail (ymm up to 8 columns, zmm above), row counts
+  // every score tile, and an odd ld with the head at column 3 keeps every
+  // row unaligned.
+  std::vector<std::int64_t> widths;
+  for (std::int64_t dh = 1; dh <= 33; ++dh) widths.push_back(dh);
+  for (std::int64_t dh : {40, 48, 64}) widths.push_back(dh);
+  Rng rng(0xa513);
+  for (auto dh : widths) {
+    const std::int64_t ld = 2 * dh + 5;
+    for (std::int64_t rows : {1, 2, 3, 5, 6, 7, 12, 13}) {
+      for (std::int64_t past : {0, 3, 17}) {
+        const std::int64_t len = rows + past;
+        const auto q = random_vec(rows * ld, rng);
+        const auto k = random_vec(len * ld, rng);
+        const auto v = random_vec(len * ld, rng);
+        const auto run = [&](isa::Isa tier, int threads) {
+          EXPECT_EQ(isa::set_active_isa(tier), tier);
+          nc::set_global_threads(threads);
+          std::vector<float> ctx(static_cast<std::size_t>(rows * ld), -1.0f);
+          nk::attend_head(q.data() + 3, k.data() + 3, v.data() + 3, ctx.data() + 3, ld, dh, rows,
+                          len);
+          return ctx;
+        };
+        const auto want = run(isa::Isa::kAvx2, 1);
+        for (int threads : {1, 3}) {
+          EXPECT_TRUE(bitwise_equal(run(isa::Isa::kAvx512, threads), want))
+              << "d_head=" << dh << " rows=" << rows << " past=" << past
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaAvx512, RowKernelsBitwiseEqualAvx2AtEveryLengthWithNonFiniteLanes) {
+  TierGuard guard;
+  if (!avx512_and_avx2()) GTEST_SKIP() << "no AVX-512 tier on this host";
+  Rng rng(0xa514);
+  const std::pair<RowKernel, const char*> kernels[] = {
+      {RowKernel::kTanh, "tanh"},       {RowKernel::kGelu, "gelu"},
+      {RowKernel::kExp, "exp"},         {RowKernel::kSoftmax, "softmax"},
+      {RowKernel::kQuantQ8, "quant q8"}};
+  // Every length 0-100 (softmax from 1: its row max needs a value), at an
+  // unaligned start, plain and with a NaN, +Inf or -Inf in the middle lane
+  // and in the last one (a whole vector's and a masked tail's hand-off to
+  // the scalar body).
+  for (std::int64_t n = 0; n <= 100; ++n) {
+    for (float special : {0.0f, kNaN, kInf, -kInf}) {
+      const bool plain = special == 0.0f;
+      if (!plain && n == 0) continue;
+      auto buf = row_inputs(n + 3, rng);
+      float* in = buf.data() + 3;
+      if (!plain) {
+        in[n / 2] = special;
+        in[n - 1] = special;
+      }
+      for (const auto& [kernel, name] : kernels) {
+        if (kernel == RowKernel::kSoftmax && n == 0) continue;
+        const std::string ctx = std::string(name) + " n=" + std::to_string(n) +
+                                (plain ? "" : " special=" + std::to_string(special));
+        const auto want = row_kernel_on(isa::Isa::kAvx2, kernel, in, n, false);
+        EXPECT_TRUE(bitwise_equal(row_kernel_on(isa::Isa::kAvx512, kernel, in, n, false), want))
+            << ctx;
+        if (kernel != RowKernel::kQuantQ8) {
+          EXPECT_TRUE(bitwise_equal(row_kernel_on(isa::Isa::kAvx512, kernel, in, n, true), want))
+              << "in place " << ctx;
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaAvx512, Q8ExtremeCodesAndTilingSeamsBitwiseEqualAvx2) {
+  TierGuard guard;
+  if (!avx512_and_avx2()) GTEST_SKIP() << "no AVX-512 tier on this host";
+  const auto product = [](isa::Isa tier, const std::vector<std::int8_t>& aq,
+                          const std::vector<float>& as, const std::vector<std::int8_t>& bq,
+                          const std::vector<float>& bs, std::int64_t m, std::int64_t kb,
+                          std::int64_t n, int threads) {
+    EXPECT_EQ(isa::set_active_isa(tier), tier);
+    nc::set_global_threads(threads);
+    std::vector<float> c(static_cast<std::size_t>(m * n), 0.5f);
+    nk::matmul_q8_accum(aq.data(), as.data(), bq.data(), bs.data(), c.data(), m, kb, n);
+    return c;
+  };
+  // Extreme codes: -128 against -128 (the largest block dot, 2^19), +127
+  // against -128, and alternating signs; an odd block count leaves a lone
+  // last block after the block pairs.
+  for (std::int64_t kb : {1, 2, 3, 4, 5}) {
+    for (std::int64_t m : {1, 2, 4, 5}) {
+      for (std::int64_t n : {1, 15, 16, 17, 33}) {
+        for (int pattern = 0; pattern < 3; ++pattern) {
+          std::vector<std::int8_t> aq(static_cast<std::size_t>(m * kb * nq::kBlock));
+          std::vector<std::int8_t> bq(static_cast<std::size_t>(n * kb * nq::kBlock), -128);
+          for (std::size_t t = 0; t < aq.size(); ++t) {
+            aq[t] = pattern == 0 ? -128 : pattern == 1 ? 127 : (t % 2 == 0 ? 127 : -128);
+          }
+          std::vector<float> as(static_cast<std::size_t>(m * kb)), bs(static_cast<std::size_t>(n * kb));
+          for (std::size_t t = 0; t < as.size(); ++t) as[t] = 0.001f * static_cast<float>(t + 1);
+          for (std::size_t t = 0; t < bs.size(); ++t) bs[t] = -0.003f * static_cast<float>(t + 2);
+          const auto want = product(isa::Isa::kAvx2, aq, as, bq, bs, m, kb, n, 1);
+          const std::string ctx = "pattern " + std::to_string(pattern) + " m=" +
+                                  std::to_string(m) + " kb=" + std::to_string(kb) +
+                                  " n=" + std::to_string(n);
+          EXPECT_TRUE(bitwise_equal(product(isa::Isa::kAvx512, aq, as, bq, bs, m, kb, n, 1), want))
+              << ctx;
+          if (pattern == 0) {  // the scalar expression with the exact dot 2^19
+            for (std::int64_t i = 0; i < m; ++i) {
+              for (std::int64_t j = 0; j < n; ++j) {
+                float acc = 0.0f;
+                for (std::int64_t b = 0; b < kb; ++b) {
+                  acc += as[static_cast<std::size_t>(i * kb + b)] *
+                         bs[static_cast<std::size_t>(j * kb + b)] * 524288.0f;
+                }
+                EXPECT_EQ(want[static_cast<std::size_t>(i * n + j)], 0.5f + acc) << ctx;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Random codes (including -128) across the 4-row and 1-row tiles, the
+  // 16-column lane groups and their tails, odd and even block counts,
+  // serial and split across threads.
+  Rng rng(0xa515);
+  for (std::int64_t kb : {1, 2, 3, 16}) {
+    for (std::int64_t m : {1, 3, 4, 5, 8, 9, 13}) {
+      for (std::int64_t n : {1, 7, 8, 15, 16, 17, 31, 33, 67}) {
+        std::vector<std::int8_t> aq(static_cast<std::size_t>(m * kb * nq::kBlock));
+        std::vector<std::int8_t> bq(static_cast<std::size_t>(n * kb * nq::kBlock));
+        for (auto& x : aq) x = static_cast<std::int8_t>(rng.randint(-128, 127));
+        for (auto& x : bq) x = static_cast<std::int8_t>(rng.randint(-128, 127));
+        const auto as = random_vec(m * kb, rng), bs = random_vec(n * kb, rng);
+        const auto want = product(isa::Isa::kAvx2, aq, as, bq, bs, m, kb, n, 1);
+        for (int threads : {1, 3}) {
+          EXPECT_TRUE(
+              bitwise_equal(product(isa::Isa::kAvx512, aq, as, bq, bs, m, kb, n, threads), want))
+              << "m=" << m << " kb=" << kb << " n=" << n << " threads=" << threads;
+        }
+      }
+    }
+  }
 }

@@ -1,13 +1,16 @@
 // Threaded-vs-serial equivalence suite for the parallel kernel layer:
 // ThreadPool semantics, blocked matmul kernels against an independent naive
-// reference, tensor-op forward/backward equality across thread counts, and
-// a MiniGPT train-step determinism check. Built to run under
+// reference, tensor-op forward/backward equality across thread counts, a
+// MiniGPT train-step determinism check, and a count of the heap
+// allocations a served kernel call makes (none). Built to run under
 // -DNETLLM_SANITIZE=thread as well (ctest -L parallel).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -20,9 +23,11 @@
 #include "nn/transformer.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/optim.hpp"
+#include "tensor/quants.hpp"
 #include "tensor/tensor.hpp"
 
 namespace nc = netllm::core;
+namespace nq = netllm::tensor::quant;
 namespace nt = netllm::tensor;
 namespace nk = netllm::tensor::kernels;
 namespace nl = netllm::llm;
@@ -332,5 +337,86 @@ TEST(ParallelTraining, MiniGptFirstTenLossesIdenticalAcrossThreadCounts) {
   ASSERT_EQ(l1.size(), l4.size());
   for (std::size_t i = 0; i < l1.size(); ++i) {
     EXPECT_EQ(l1[i], l4[i]) << "loss diverged at step " << i;
+  }
+}
+
+// ---- served kernel calls allocate nothing ----
+
+namespace {
+
+/// Every operator new of this test binary, on any thread.
+std::atomic<std::int64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Out of line, so the compiler pairs each delete with a new rather than
+// seeing free() on a pointer it knows came from operator new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
+/// operator new calls made by ten runs of `fn` after three warm-up runs
+/// (which size the per-thread buffers and the pool's task queue).
+template <typename Fn>
+std::int64_t allocations_per_ten_calls(Fn&& fn) {
+  for (int i = 0; i < 3; ++i) fn();
+  const auto before = g_allocations.load();
+  for (int i = 0; i < 10; ++i) fn();
+  return g_allocations.load() - before;
+}
+
+}  // namespace
+
+TEST(ParallelKernels, ServedMatmulAndAttentionCallsMakeNoHeapAllocation) {
+  ThreadGuard guard;
+  Rng rng(0xa110c);
+  const std::int64_t d = 64, kb = nq::blocks_per_row(d);
+  const auto a = random_vec(64 * d, rng), b = random_vec(d * d, rng);
+  std::vector<float> c(static_cast<std::size_t>(64 * d));
+  std::vector<float> x = random_vec(d, rng);
+  std::vector<float> ascales(static_cast<std::size_t>(kb));
+  std::vector<std::uint8_t> acodes(static_cast<std::size_t>(kb * nq::kBlock));
+  nq::quantize_row(nq::Dtype::kQ8_0, x.data(), d, ascales.data(), acodes.data());
+  const auto w = nq::quantize(nq::Dtype::kQ8_0, b.data(), d, d);
+  // One decode step of a 4-head, 64-wide model against 30 cached rows.
+  const std::int64_t len = 31, dh = 16;
+  const auto q = random_vec(d, rng), k = random_vec(len * d, rng), v = random_vec(len * d, rng);
+  std::vector<float> ctx(static_cast<std::size_t>(d));
+  for (int threads : {1, 4}) {
+    nc::set_global_threads(threads);
+    const std::string where = "threads=" + std::to_string(threads);
+    EXPECT_EQ(allocations_per_ten_calls([&] {
+                nk::matmul_accum(a.data(), b.data(), c.data(), 1, d, d);
+              }),
+              0)
+        << "matmul_accum 1x64x64 " << where;
+    // 64 rows split into pool chunks at 4 threads: the queue reuses its storage.
+    EXPECT_EQ(allocations_per_ten_calls([&] {
+                nk::matmul_accum(a.data(), b.data(), c.data(), 64, d, d);
+              }),
+              0)
+        << "matmul_accum 64x64x64 " << where;
+    EXPECT_EQ(allocations_per_ten_calls([&] {
+                nk::matmul_q8_accum(reinterpret_cast<const std::int8_t*>(acodes.data()),
+                                    ascales.data(),
+                                    reinterpret_cast<const std::int8_t*>(w.codes.data()),
+                                    w.scales.data(), c.data(), 1, kb, d);
+              }),
+              0)
+        << "matmul_q8_accum 1x64x64 " << where;
+    EXPECT_EQ(allocations_per_ten_calls([&] {
+                nk::attend_head(q.data(), k.data(), v.data(), ctx.data(), d, dh, 1, len);
+              }),
+              0)
+        << "attend_head " << where;
   }
 }

@@ -767,7 +767,7 @@ TEST_F(Sched, LockstepGroupsServeEveryMemberBitwiseTheUncachedRollout) {
   IsaGuard tier;
   const auto samples = vp_samples(8);
   for (const auto dtype : {nq::Dtype::kF32, nq::Dtype::kQ8_0}) {
-    for (const auto t : {isa::Isa::kScalar, isa::best_isa()}) {
+    for (const auto t : isa::supported_isas()) {
       isa::set_active_isa(t);
       nc::set_global_threads(1);
       auto adapter = lora_vp_adapter(31);
@@ -992,5 +992,65 @@ TEST_F(Sched, GroupOfColdQ8RequestsMakesTheKernelCallsOfOneAndBTimesItsFlops) {
     const auto [calls, flops] = drain(b);
     EXPECT_EQ(calls, calls1) << "B=" << b;
     EXPECT_EQ(flops, static_cast<std::int64_t>(b) * flops1) << "B=" << b;
+  }
+}
+
+// ---------- the AVX-512 tier serves a lockstep group as the AVX2 tier does ----------
+
+class IsaAvx512 : public Sched {};
+
+TEST_F(IsaAvx512, FourMemberLockstepGroupServesTheAvx2RolloutsBitwise) {
+  IsaGuard tier;
+  if (!isa::isa_supported(isa::Isa::kAvx512) || !isa::isa_supported(isa::Isa::kAvx2)) {
+    GTEST_SKIP() << "no AVX-512 tier on this host";
+  }
+  nc::set_global_threads(1);  // one drain, one lockstep group
+  const auto samples = vp_samples(4);
+  // A 64-wide backbone with 16-wide heads and nonzero LoRA, so the group's
+  // stacked passes run the 16-lane tiles, the 8-lane LoRA tiles and the
+  // fused attention at model strides.
+  const auto wide_adapter = [] {
+    auto cfg = tiny_config();
+    cfg.d_model = 64;
+    cfg.n_heads = 4;
+    cfg.d_ff = 128;
+    Rng rng(61);
+    auto gpt = std::make_shared<llm::MiniGpt>(cfg, rng);
+    ad::VpAdapterConfig acfg;
+    acfg.lora_rank = 2;
+    acfg.lora_alpha = 4.0f;
+    auto adapter = std::make_shared<ad::VpAdapter>(gpt, acfg, rng);
+    for (auto t : adapter->llm().lora_parameters()) {
+      for (auto& x : t.mutable_data()) x = static_cast<float>(rng.uniform(-0.3, 0.3));
+    }
+    return adapter;
+  };
+  for (const auto dtype : {nq::Dtype::kF32, nq::Dtype::kQ8_0}) {
+    const auto drain = [&](isa::Isa t, std::size_t n) {
+      EXPECT_EQ(isa::set_active_isa(t), t);
+      serve::EngineConfig cfg;
+      cfg.backbone_dtype = dtype;
+      auto engine = std::make_shared<serve::InferenceEngine>(wide_adapter(), nullptr, nullptr, cfg);
+      for (std::size_t i = 0; i < n; ++i) {
+        engine->submit(serve::VpRequest{samples[i].history, samples[i].saliency, 4});
+      }
+      nm::reset();
+      EXPECT_EQ(engine->run().llm, n);
+      std::vector<std::vector<vp::Viewport>> out;
+      for (std::size_t i = 0; i < n; ++i) out.push_back(engine->vp_responses()[i].viewports);
+      return std::pair{out, counter_value("kernels.qmatmul.calls")};
+    };
+    const auto [want, want_calls] = drain(isa::Isa::kAvx2, 4);
+    const auto [got, got_calls] = drain(isa::Isa::kAvx512, 4);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE(std::string(nq::dtype_name(dtype)) + " request " + std::to_string(i));
+      expect_same_rollout(got[i], want[i]);
+    }
+    if (dtype == nq::Dtype::kQ8_0) {
+      // The four members stepped as one group: the kernel calls of one.
+      EXPECT_EQ(got_calls, drain(isa::Isa::kAvx512, 1).second);
+      EXPECT_EQ(got_calls, want_calls);
+    }
   }
 }

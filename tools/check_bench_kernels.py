@@ -4,15 +4,21 @@
 Usage: tools/check_bench_kernels.py BENCH_kernels.json
 
 The artifact must carry the threaded BM_MatmulKernel sweep and one
-BM_IsaTier/<case>/<tier> row per kernel case for the scalar tier and, when
-a vector tier was compiled in, for that tier too. Every row runs
-REPETITIONS times and reports median and stddev aggregates; the checks read
-the medians. The context block must name the run's provenance (commit,
-build type, host width, active tier, NETLLM_THREADS). On the GEMV serving
-shapes and the narrow fp32 shapes, the narrow fp32 shapes and the row kernels
-(GELU, Q8_0 activation quantization) the vector tier must not be slower
-than scalar, and neither may the causal softmax and the fused attention
-head. Exits non-zero with a named reason on key drift or a regression.
+BM_IsaTier/<case>/<tier> row per kernel case for every tier the provenance
+lists as supported on the host (`isa_supported`: scalar, plus avx2 and
+avx512 or neon where the host has them). Every row runs REPETITIONS times
+and reports median and stddev aggregates; the checks read the medians. The
+context block must name the run's provenance (commit, build type, host
+width, active and supported tiers, NETLLM_THREADS). On the GEMV serving
+shapes, the narrow fp32 shapes and the row kernels (GELU, Q8_0 activation
+quantization) every vector tier must not be slower than scalar, and
+neither may the causal softmax and the fused attention head. The avx512
+tier returns the avx2 tier's bits, so it must also not be slower than
+avx2 on any case: its median may trail the avx2 median by no more than the
+two rows' combined relative spread (stddev / median), since some cases run
+the same code (Q4, inherited) or the same latency-bound FMA chain (the
+LoRA GEMV) at both widths and can only tie. Exits non-zero with a named
+reason on key drift or a regression.
 run_benches.sh runs it after regenerating the file; ctest runs it (label
 `ledger`) on the checked-in copy, so a stale or hand-edited artifact fails
 the test suite.
@@ -20,7 +26,7 @@ the test suite.
 import json, sys
 
 REPETITIONS = 5
-PROVENANCE = ("git_sha", "build_type", "nproc", "isa_active", "netllm_threads")
+PROVENANCE = ("git_sha", "build_type", "nproc", "isa_active", "isa_supported", "netllm_threads")
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -55,14 +61,18 @@ CASES = ["f32_gemv512", "f32_gemm512", "f32_lora_gemv512", "f32_lora_gemm64", "f
 # Serving shapes where the vector tier must never lose to scalar.
 FLOOR_CASES = ["f32_gemv512", "f32_lora_gemv512", "f32_lora_gemm64", "f32_gemv64",
                "q8_gemv512", "q4_gemv512"] + ROW_CASES + ATTEND_CASES
-flops = {}  # (case, tier) -> median items_per_second
+flops = {}   # (case, tier) -> median items_per_second
+spread = {}  # (case, tier) -> stddev / median of items_per_second
 for run_name, agg in runs.items():
     parts = run_name.split("/")
     if parts[0] != "BM_IsaTier":
         continue
-    if "items_per_second" not in agg["median"]:
-        raise SystemExit(f"schema drift: {run_name} median lacks items_per_second")
+    for stat in ("median", "stddev"):
+        if "items_per_second" not in agg[stat]:
+            raise SystemExit(f"schema drift: {run_name} {stat} lacks items_per_second")
     flops[(parts[1], parts[2])] = agg["median"]["items_per_second"]
+    spread[(parts[1], parts[2])] = (agg["stddev"]["items_per_second"] /
+                                    agg["median"]["items_per_second"])
 
 for case in CASES:
     if (case, "scalar") not in flops:
@@ -70,9 +80,11 @@ for case in CASES:
     if flops[(case, "scalar")] <= 0:
         raise SystemExit(f"regression: non-positive scalar rate for {case}")
 
-vector_tiers = sorted({t for (_, t) in flops if t != "scalar"})
-if vector_tiers:
-    tier = vector_tiers[0]
+supported = context["isa_supported"].split(",")
+vector_tiers = [t for t in supported if t != "scalar"]
+for tier in sorted({t for (_, t) in flops} - set(supported)):
+    raise SystemExit(f"schema drift: rows for tier {tier}, which isa_supported does not list")
+for tier in vector_tiers:
     for case in CASES:
         if (case, tier) not in flops:
             raise SystemExit(f"schema drift: missing BM_IsaTier/{case}/{tier} row")
@@ -88,7 +100,17 @@ if vector_tiers:
         unit = "Gelem/s" if case in ROW_CASES else "GFLOP/s"
         print(f"ok: {case} {tier}/scalar = {ratio:.2f}x "
               f"({flops[(case, tier)]/1e9:.2f} vs {flops[(case, 'scalar')]/1e9:.2f} {unit})")
-else:
+if "avx512" in vector_tiers:
+    if "avx2" not in vector_tiers:
+        raise SystemExit("schema drift: avx512 rows without the avx2 rows they are floored at")
+    for case in CASES:
+        ratio = flops[(case, "avx512")] / flops[(case, "avx2")]
+        noise = spread[(case, "avx512")] + spread[(case, "avx2")]
+        if ratio < 1.0 - noise:
+            raise SystemExit(f"regression: avx512 {case} slower than avx2 ({ratio:.3f}x, "
+                             f"beyond the rows' combined spread {noise:.3f})")
+        print(f"ok: {case} avx512/avx2 = {ratio:.2f}x (spread {noise:.3f})")
+if not vector_tiers:
     print("ok: scalar-only host (no vector tier compiled/supported)")
 print(f"ok: BENCH_kernels.json schema + provenance ({context['git_sha'][:12]}, "
       f"{context['build_type']}, isa {context['isa_active']}) + ISA tier floor")
