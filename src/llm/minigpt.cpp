@@ -84,12 +84,16 @@ Tensor MiniGpt::token_logits(std::span<const int> ids, std::int64_t pos,
   return logits;
 }
 
-std::vector<SegmentFeatures> MiniGpt::forward_segments(
-    std::span<const EmbeddingSegment> segments) const {
+void MiniGpt::forward_segments(std::span<const EmbeddingSegment> segments,
+                               std::vector<float>& features,
+                               std::span<std::exception_ptr> errors) const {
   // add(embeds, slice_rows(pos_embed_, pos, rows)) on each segment's raw
   // rows, stacked, then one pass through the blocks.
   const auto d = cfg_.d_model;
   const auto n = segments.size();
+  if (errors.size() != n) {
+    throw std::invalid_argument("MiniGpt::forward_segments: one error slot per segment");
+  }
   auto& rows = PassRows::local();
   auto& segs = rows.segments;
   segs.assign(blocks_.size() * n, {});
@@ -120,32 +124,37 @@ std::vector<SegmentFeatures> MiniGpt::forward_segments(
     }
     row0 += static_cast<std::int64_t>(seg.embeds.size()) / d;
   }
-  const auto features = sized(rows.ln, m * d);
-  run_blocks_rows(h, m, segs, features);
-  std::vector<SegmentFeatures> out(n);
+  const auto out = sized(features, m * d);
+  run_blocks_rows(h, m, segs, out);
   row0 = 0;
   for (std::size_t s = 0; s < n; ++s) {
     const auto r = static_cast<std::int64_t>(segments[s].embeds.size()) / d;
-    const auto first = features.begin() + row0 * d;
-    out[s].features = Tensor::from({first, first + r * d}, {r, d});
-    row0 += r;
+    errors[s] = nullptr;
     // Fault-injection site shared with forward_embeddings: one draw per
     // segment per backbone pass, so an armed plan fires on one request's
     // rows exactly as when that request is served alone.
     try {
-      core::fault::corrupt("llm.forward", out[s].features.mutable_data());
+      core::fault::corrupt("llm.forward", out.subspan(static_cast<std::size_t>(row0 * d),
+                                                      static_cast<std::size_t>(r * d)));
     } catch (...) {
-      out[s].error = std::current_exception();
+      errors[s] = std::current_exception();
     }
+    row0 += r;
   }
-  return out;
+}
+
+void MiniGpt::embedding_rows(std::span<const float> embeds, std::span<nn::KvCache> layers,
+                             std::vector<float>& features) const {
+  const EmbeddingSegment seg{embeds, layers};
+  std::exception_ptr error;
+  forward_segments({&seg, 1}, features, {&error, 1});
+  if (error) std::rethrow_exception(error);
 }
 
 Tensor MiniGpt::embedding_features(const Tensor& embeds, std::span<nn::KvCache> layers) const {
-  const EmbeddingSegment seg{embeds.data(), layers};
-  auto out = forward_segments({&seg, 1});
-  if (out.front().error) std::rethrow_exception(out.front().error);
-  return std::move(out.front().features);
+  std::vector<float> features;
+  embedding_rows(embeds.data(), layers, features);
+  return Tensor::from(std::move(features), {embeds.dim(0), cfg_.d_model});
 }
 
 Tensor MiniGpt::forward_tokens(std::span<const int> ids) const {
@@ -305,6 +314,15 @@ Tensor MiniGpt::prefill_embeddings(const Tensor& embeds, std::span<nn::KvCache> 
   }
   core::trace::Span span(core::trace::Phase::kPrefill);
   return embedding_features(embeds, layers);
+}
+
+void MiniGpt::prefill_rows(std::span<const float> embeds, std::vector<float>& features) const {
+  const auto t = static_cast<std::int64_t>(embeds.size()) / cfg_.d_model;
+  if (t == 0 || t > cfg_.max_seq || t * cfg_.d_model != static_cast<std::int64_t>(embeds.size())) {
+    throw std::invalid_argument("MiniGpt::prefill_embeddings: sequence length out of range");
+  }
+  core::trace::Span span(core::trace::Phase::kPrefill);
+  embedding_rows(embeds, {}, features);
 }
 
 Tensor MiniGpt::embeddings_step(const Tensor& row, std::span<nn::KvCache> layers) const {

@@ -51,13 +51,6 @@ struct EmbeddingSegment {
   std::span<nn::KvCache> layers;  // one cache per block; empty captures nothing
 };
 
-/// A segment's outcome: features [rows, d_model], or the error its
-/// "llm.forward" draw raised (then `features` must not be read).
-struct SegmentFeatures {
-  tensor::Tensor features;
-  std::exception_ptr error;
-};
-
 class MiniGpt final : public nn::Module {
  public:
   MiniGpt(const MiniGptConfig& cfg, core::Rng& rng);
@@ -105,6 +98,10 @@ class MiniGpt final : public nn::Module {
   /// the ABR and CJS adapters serve a whole window.
   tensor::Tensor prefill_embeddings(const tensor::Tensor& embeds,
                                     std::span<nn::KvCache> layers) const;
+  /// prefill_embeddings(embeds, {}) on raw rows, how the ABR and CJS
+  /// adapters serve a whole window: embeds [T, d_model] -> features
+  /// [T, d_model] in `features` (resized; no allocation once warm).
+  void prefill_rows(std::span<const float> embeds, std::vector<float>& features) const;
   /// Feed one new embedding row at the caches' current position; returns
   /// features [1, d_model], bitwise the last row `forward_embeddings` would
   /// produce over the extended sequence. Throws at `max_seq` positions.
@@ -116,9 +113,13 @@ class MiniGpt final : public nn::Module {
   /// caches. Each segment's features are bitwise what a pass of that segment
   /// alone computes. The "llm.forward" fault site is drawn once per segment,
   /// in segment order, on that segment's rows: a Throw or a corruption
-  /// belongs to that segment only. Throws std::invalid_argument (for the
-  /// whole group) on a malformed segment or one past `max_seq`.
-  std::vector<SegmentFeatures> forward_segments(std::span<const EmbeddingSegment> segments) const;
+  /// belongs to that segment only: its error, or null, lands in errors[s]
+  /// (then its rows must not be read). The stacked features [m, d_model]
+  /// land in `features` (resized; no allocation once its capacity covers
+  /// them). Throws std::invalid_argument (for the whole group) on a
+  /// malformed segment or one past `max_seq`.
+  void forward_segments(std::span<const EmbeddingSegment> segments, std::vector<float>& features,
+                        std::span<std::exception_ptr> errors) const;
 
   // ---- adaptation hooks ----
   /// Freeze every backbone parameter (embeddings, blocks, LM head).
@@ -191,6 +192,9 @@ class MiniGpt final : public nn::Module {
   tensor::Tensor token_logits(std::span<const int> ids, std::int64_t pos,
                               std::span<nn::KvCache> layers) const;
   /// A one-segment forward_segments call; rethrows the segment's error.
+  void embedding_rows(std::span<const float> embeds, std::span<nn::KvCache> layers,
+                      std::vector<float>& features) const;
+  /// embedding_rows as a [rows, d_model] Tensor.
   tensor::Tensor embedding_features(const tensor::Tensor& embeds,
                                     std::span<nn::KvCache> layers) const;
 

@@ -125,35 +125,42 @@ AbrAdapter::WindowTokens AbrAdapter::build_window(std::span<const AbrStep> steps
   return out;
 }
 
-Tensor AbrAdapter::served_sequence() {
+void AbrAdapter::encode_state_rows(const AbrStep& s, float rtg, std::span<float> rows) const {
+  const auto d = static_cast<std::size_t>(llm_->config().d_model);
+  const float r[] = {rtg / cfg_.return_scale};
+  const float buf[] = {s.buffer, s.remaining};
+  rtg_encoder_->forward_rows(r, 1, rows.subspan(0, d));
+  tp_encoder_->forward_rows(s.throughput, rows.subspan(d, d));
+  delay_encoder_->forward_rows(s.delay, rows.subspan(2 * d, d));
+  sizes_encoder_->forward_rows(s.sizes, rows.subspan(3 * d, d));
+  buffer_encoder_->forward_rows(buf, 1, rows.subspan(4 * d, d));
+}
+
+void AbrAdapter::served_sequence() {
   const auto d = llm_->config().d_model;
-  const auto copy = [](const Tensor& t, std::vector<float>& out) {
-    out.insert(out.end(), t.data().begin(), t.data().end());
-  };
   const std::size_t n = context_.size();
   for (std::size_t i = 0; i < n; ++i) {
     auto& c = context_[i];
+    // Encode into scratch first: a step whose encode throws keeps no rows.
     if (c.state_rows.empty()) {
-      std::vector<float> rows;
-      rows.reserve(static_cast<std::size_t>(kStateTokens * d));
-      for (const auto& t : encode_state(c.step, c.rtg)) copy(t, rows);
-      c.state_rows = std::move(rows);
+      scratch_.resize(static_cast<std::size_t>(kStateTokens * d));
+      encode_state_rows(c.step, c.rtg, scratch_);
+      c.state_rows.assign(scratch_.begin(), scratch_.end());
     }
     // A step's action token is encoded once it stops being the last, from
     // the action it recorded: the chosen level, or the default a step keeps
     // when its decision threw.
     if (i + 1 < n && c.action_row.empty()) {
-      copy(action_encoder_->forward(c.step.action), c.action_row);
+      scratch_.resize(static_cast<std::size_t>(d));
+      action_encoder_->forward_rows(c.step.action, scratch_);
+      c.action_row.assign(scratch_.begin(), scratch_.end());
     }
   }
-  const auto rows = static_cast<std::int64_t>(n) * kTokensPerStep - 1;
-  std::vector<float> seq;
-  seq.reserve(static_cast<std::size_t>(rows * d));
+  sequence_.clear();
   for (const auto& c : context_) {
-    seq.insert(seq.end(), c.state_rows.begin(), c.state_rows.end());
-    seq.insert(seq.end(), c.action_row.begin(), c.action_row.end());  // empty for the last
+    sequence_.insert(sequence_.end(), c.state_rows.begin(), c.state_rows.end());
+    sequence_.insert(sequence_.end(), c.action_row.begin(), c.action_row.end());  // empty for the last
   }
-  return Tensor::from(std::move(seq), {rows, d});
 }
 
 void AbrAdapter::invalidate_rows() {
@@ -171,19 +178,20 @@ void AbrAdapter::begin_session() {
 int AbrAdapter::choose_level(const abr::Observation& obs) {
   context_.push_back({make_abr_step(obs), rtg_now_, {}, {}});
   while (static_cast<int>(context_.size()) > cfg_.context_window) context_.pop_front();
-  // Per-phase spans (DESIGN.md §11): encoder → backbone (prefill, inside
-  // prefill_embeddings) → networking head. The window is served by the
-  // graph-free backbone pass with no cache to capture into; training keeps
-  // forward_embeddings and its tape.
-  const auto sequence = [&] {
+  // Per-phase spans (DESIGN.md §11): encoder → backbone prefill →
+  // networking head. Encoders, backbone and head all run graph-free on raw
+  // rows, the window through the backbone pass with no cache to capture
+  // into; training keeps the Tensor forwards and their tape.
+  {
     core::trace::Span span(core::trace::Phase::kEncode);
-    return served_sequence();
-  }();
-  auto features = llm_->prefill_embeddings(sequence, {});
+    served_sequence();
+  }
+  llm_->prefill_rows(sequence_, features_);
   const int level = [&] {
     // The feature at the last state token (buffer) predicts the action.
     core::trace::Span span(core::trace::Phase::kHead);
-    return head_->argmax(slice_rows(features, sequence.dim(0) - 1, 1));
+    return head_->argmax(std::span<const float>(features_).last(
+        static_cast<std::size_t>(llm_->config().d_model)));
   }();
   context_.back().step.action = level;  // feed the chosen action back next step
   return std::min(level, obs.num_levels - 1);

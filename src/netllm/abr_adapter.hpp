@@ -108,16 +108,18 @@ class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
     std::vector<std::int64_t> predict_positions;  // feature row per step
   };
 
-  /// One step's state tokens in window order, each [1, d_model]. The one
-  /// per-step encode routine: training concatenates the Tensors (keeping
-  /// the tape), serving copies their values into the rolling context.
+  /// One step's state tokens in window order, each [1, d_model], on the
+  /// tape (training windows); `encode_state_rows` is the serving twin.
   std::array<tensor::Tensor, kStateTokens> encode_state(const AbrStep& step, float rtg) const;
   /// Training window: every step's state tokens, then its action token.
   WindowTokens build_window(std::span<const AbrStep> steps, std::span<const float> rtg) const;
-  /// Served sequence [6n - 1, d_model] over the rolling context: copies the
-  /// cached rows, encoding only what they lack, and leaves the last step's
-  /// action open (it is what the head predicts).
-  tensor::Tensor served_sequence();
+  /// `encode_state`'s token rows on the graph-free encoders: rows
+  /// [kStateTokens, d_model].
+  void encode_state_rows(const AbrStep& step, float rtg, std::span<float> rows) const;
+  /// Served sequence [6n - 1, d_model] over the rolling context into
+  /// `sequence_`: copies the cached rows, encoding only what they lack, and
+  /// leaves the last step's action open (it is what the head predicts).
+  void served_sequence();
   /// Drop every cached row; the raw steps stay and are re-encoded next call.
   void invalidate_rows();
 
@@ -145,6 +147,9 @@ class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
   float target_return_ = 120.0f;  // updated from the pool during adapt()
   float rtg_now_ = 0.0f;
   std::deque<ContextStep> context_;
+  // Served-decision rows, sized once: a step's token rows, the window and
+  // the backbone's output.
+  std::vector<float> scratch_, sequence_, features_;
 };
 
 }  // namespace netllm::adapt

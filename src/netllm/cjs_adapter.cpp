@@ -100,62 +100,67 @@ CjsAdapter::WindowTokens CjsAdapter::build_window(std::span<const StepContext> s
   return out;
 }
 
-Tensor CjsAdapter::served_sequence() {
-  const auto d = llm_->config().d_model;
-  const auto gnn = graph_encoder_->gnn_dim();
-  const auto copy = [](const Tensor& t, std::vector<float>& out) {
-    out.insert(out.end(), t.data().begin(), t.data().end());
-  };
+void CjsAdapter::encode_state_rows(const StepContext& step, std::span<float> rows,
+                                   std::vector<float>& node_rows) const {
+  const auto& features = step.obs.node_features;
+  if (features.rank() != 2 || features.dim(1) != cjs::SchedObservation::kNodeFeatures) {
+    throw std::invalid_argument("GraphEncoder: expected [N, feature_dim] features");
+  }
+  const auto d = static_cast<std::size_t>(llm_->config().d_model);
+  const float r[] = {step.rtg / return_scale_};
+  const float vals[] = {static_cast<float>(step.obs.idle_executors) / step.obs.total_executors,
+                        static_cast<float>(step.obs.jobs_in_system) / 50.0f};
+  node_rows.resize(static_cast<std::size_t>(features.dim(0) * graph_encoder_->gnn_dim()));
+  rtg_encoder_->forward_rows(r, 1, rows.subspan(0, d));
+  graph_encoder_->forward_rows(features.data(), step.obs.topology, rows.subspan(d, d), node_rows);
+  exec_encoder_->forward_rows(vals, 1, rows.subspan(2 * d, d));
+}
+
+void CjsAdapter::served_sequence() {
+  const auto d = static_cast<std::size_t>(llm_->config().d_model);
+  const auto gnn = static_cast<std::size_t>(graph_encoder_->gnn_dim());
   const std::size_t n = context_.size();
   for (std::size_t i = 0; i < n; ++i) {
     auto& c = context_[i];
+    // Encode into scratch first: a step whose encode throws keeps no rows.
     if (c.state_rows.empty()) {
-      const auto enc = encode_state(c.raw);
-      std::vector<float> rows;
-      rows.reserve(static_cast<std::size_t>(kStateTokens * d));
-      for (const auto& t : enc.state) copy(t, rows);
-      c.node_rows.assign(enc.node_embeddings.data().begin(), enc.node_embeddings.data().end());
-      c.state_rows = std::move(rows);
+      scratch_.resize(kStateTokens * d);
+      encode_state_rows(c.raw, scratch_, c.node_rows);
+      c.state_rows.assign(scratch_.begin(), scratch_.end());
     }
     // A step's action tokens are encoded once it stops being the last, from
     // the action it recorded: the chosen one, or the default a step keeps
-    // when its decision threw.
+    // when its decision threw. encode_action on raw rows: the stage token is
+    // the chosen stage's GNN row projected and normalised, then the cap token.
     if (i + 1 < n && c.action_rows.empty()) {
       const auto row = static_cast<std::size_t>(
           c.raw.obs.runnable_rows[static_cast<std::size_t>(c.raw.action.runnable_index)]);
-      const auto first = c.node_rows.begin() + static_cast<std::ptrdiff_t>(row * gnn);
-      std::vector<float> rows;
-      rows.reserve(static_cast<std::size_t>(2 * d));
-      for (const auto& t : encode_action(
-               Tensor::from(std::vector<float>(first, first + gnn), {1, gnn}),
-               c.raw.action.cap_choice)) {
-        copy(t, rows);
-      }
-      c.action_rows = std::move(rows);
+      scratch_.resize(3 * d);  // [stage projection | stage token | cap token]
+      const std::span<float> rows = scratch_;
+      stage_token_proj_->forward_rows(std::span<const float>(c.node_rows).subspan(row * gnn, gnn),
+                                      1, rows.first(d));
+      stage_token_norm_->forward_rows(rows.first(d), 1, rows.subspan(d, d));
+      cap_encoder_->forward_rows(c.raw.action.cap_choice, rows.subspan(2 * d, d));
+      c.action_rows.assign(scratch_.begin() + static_cast<std::ptrdiff_t>(d), scratch_.end());
     }
   }
-  const auto rows = static_cast<std::int64_t>(n) * kTokensPerStep - 2;
-  std::vector<float> seq;
-  seq.reserve(static_cast<std::size_t>(rows * d));
+  sequence_.clear();
   for (const auto& c : context_) {
-    seq.insert(seq.end(), c.state_rows.begin(), c.state_rows.end());
-    seq.insert(seq.end(), c.action_rows.begin(), c.action_rows.end());  // empty for the last
+    sequence_.insert(sequence_.end(), c.state_rows.begin(), c.state_rows.end());
+    sequence_.insert(sequence_.end(), c.action_rows.begin(), c.action_rows.end());  // empty for the last
   }
-  return Tensor::from(std::move(seq), {rows, d});
 }
 
-Tensor CjsAdapter::last_candidates() const {
+void CjsAdapter::last_candidates() {
   const auto& last = context_.back();
   const auto gnn = graph_encoder_->gnn_dim();
   const auto& runnable = last.raw.obs.runnable_rows;
   if (runnable.empty()) throw std::invalid_argument("CjsAdapter: no runnable stage");
-  std::vector<float> cand;
-  cand.reserve(runnable.size() * static_cast<std::size_t>(gnn));
+  candidates_.clear();
   for (int row : runnable) {
     const auto first = last.node_rows.begin() + static_cast<std::ptrdiff_t>(row) * gnn;
-    cand.insert(cand.end(), first, first + gnn);
+    candidates_.insert(candidates_.end(), first, first + gnn);
   }
-  return Tensor::from(std::move(cand), {static_cast<std::int64_t>(runnable.size()), gnn});
 }
 
 void CjsAdapter::invalidate_rows() {
@@ -176,19 +181,21 @@ void CjsAdapter::observe_reward(double reward) { rtg_now_ += static_cast<float>(
 cjs::SchedAction CjsAdapter::choose(const cjs::SchedObservation& obs) {
   context_.push_back({{obs, {}, rtg_now_}, {}, {}, {}});
   while (static_cast<int>(context_.size()) > cfg_.context_window) context_.pop_front();
-  // Per-phase spans (DESIGN.md §11): encoder → backbone (prefill, inside
-  // prefill_embeddings, graph-free and capturing nothing) → networking heads.
-  const auto sequence = [&] {
+  // Per-phase spans (DESIGN.md §11): encoder → backbone prefill (capturing
+  // nothing) → networking heads, all graph-free on raw rows.
+  {
     core::trace::Span span(core::trace::Phase::kEncode);
-    return served_sequence();
-  }();
-  auto features = llm_->prefill_embeddings(sequence, {});
+    served_sequence();
+  }
+  llm_->prefill_rows(sequence_, features_);
   // The feature at the last state token (exec) predicts the action.
-  auto feature = slice_rows(features, sequence.dim(0) - 1, 1);
+  const auto feature =
+      std::span<const float>(features_).last(static_cast<std::size_t>(llm_->config().d_model));
   cjs::SchedAction action;
   {
     core::trace::Span span(core::trace::Phase::kHead);
-    action.runnable_index = stage_head_->argmax(feature, last_candidates());
+    last_candidates();
+    action.runnable_index = stage_head_->argmax(feature, candidates_);
     action.cap_choice = cap_head_->argmax(feature);
   }
   context_.back().raw.action = action;

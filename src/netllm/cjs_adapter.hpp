@@ -96,9 +96,8 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
   };
 
   /// One step's state tokens and the GNN node embeddings its stage token
-  /// and pointer candidates read. The one per-step encode routine: training
-  /// concatenates the Tensors (keeping the tape), serving copies their values
-  /// into the rolling context.
+  /// and pointer candidates read, on the tape (training windows);
+  /// `encode_state_rows` is the serving twin.
   struct StepTokens {
     std::array<tensor::Tensor, kStateTokens> state;  // each [1, d_model]
     tensor::Tensor node_embeddings;                   // [nodes, gnn_dim]
@@ -127,12 +126,17 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
     std::vector<float> node_rows;    // [nodes, gnn_dim], the step's GNN node embeddings
     std::vector<float> action_rows;  // [2, d_model], encoded once the step is not the last
   };
-  /// Served sequence [5n - 2, d_model] over the rolling context: copies the
-  /// cached rows, encoding only what they lack, and leaves the last step's
-  /// action open (it is what the heads predict).
-  tensor::Tensor served_sequence();
-  /// The last step's runnable-stage embeddings [runnable, gnn_dim].
-  tensor::Tensor last_candidates() const;
+  /// `encode_state`'s token rows on the graph-free encoders: rows
+  /// [kStateTokens, d_model] and the GNN node embeddings into `node_rows`.
+  void encode_state_rows(const StepContext& step, std::span<float> rows,
+                         std::vector<float>& node_rows) const;
+  /// Served sequence [5n - 2, d_model] over the rolling context into
+  /// `sequence_`: copies the cached rows, encoding only what they lack, and
+  /// leaves the last step's action open (it is what the heads predict).
+  void served_sequence();
+  /// The last step's runnable-stage embeddings [runnable, gnn_dim] into
+  /// `candidates_`.
+  void last_candidates();
   /// Drop every cached row; the raw steps stay and are re-encoded next call.
   void invalidate_rows();
 
@@ -152,6 +156,9 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
   float target_return_ = 0.0f;
   float rtg_now_ = 0.0f;
   std::deque<ServedStep> context_;
+  // Served-decision rows, sized once: a step's token rows, the window, the
+  // backbone's output and the pointer head's candidates.
+  std::vector<float> scratch_, sequence_, features_, candidates_;
 };
 
 }  // namespace netllm::adapt

@@ -1,6 +1,7 @@
 #include "netllm/encoders.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 #include "envs/vp/viewport.hpp"
 
@@ -28,6 +29,20 @@ Tensor TimeSeriesEncoder::forward(const Tensor& series) const {
   return norm_->forward(proj_->forward(flat));                    // [1, d_model]
 }
 
+void TimeSeriesEncoder::forward_rows(std::span<const float> series,
+                                     std::span<float> token) const {
+  if (static_cast<std::int64_t>(series.size()) != channels_ * length_) {
+    throw std::invalid_argument("TimeSeriesEncoder: unexpected input shape");
+  }
+  thread_local std::vector<float> feat, proj;
+  feat.resize(static_cast<std::size_t>(proj_->in_features()));
+  proj.resize(token.size());
+  conv_->forward_rows(series, length_, feat);
+  relu_row(feat.data(), feat.data(), static_cast<std::int64_t>(feat.size()));
+  proj_->forward_rows(feat, 1, proj);
+  norm_->forward_rows(proj, 1, token);
+}
+
 void TimeSeriesEncoder::collect_params(NamedParams& out, const std::string& prefix) const {
   conv_->collect_params(out, prefix + "conv.");
   proj_->collect_params(out, prefix + "proj.");
@@ -51,6 +66,20 @@ Tensor ScalarEncoder::forward(const Tensor& scalars) const {
 Tensor ScalarEncoder::forward(std::span<const float> scalars) const {
   return forward(Tensor::from(std::vector<float>(scalars.begin(), scalars.end()),
                               {1, static_cast<std::int64_t>(scalars.size())}));
+}
+
+void ScalarEncoder::forward_rows(std::span<const float> scalars, std::int64_t m,
+                                 std::span<float> tokens) const {
+  if (m < 1 || static_cast<std::int64_t>(scalars.size()) != m * inputs_) {
+    throw std::invalid_argument("ScalarEncoder: expected [m, inputs]");
+  }
+  thread_local std::vector<float> hidden, proj;
+  hidden.resize(tokens.size());
+  proj.resize(tokens.size());
+  fc_->forward_rows(scalars, m, hidden);
+  relu_row(hidden.data(), hidden.data(), static_cast<std::int64_t>(hidden.size()));
+  proj_->forward_rows(hidden, m, proj);
+  norm_->forward_rows(proj, m, tokens);
 }
 
 void ScalarEncoder::collect_params(NamedParams& out, const std::string& prefix) const {
@@ -77,6 +106,15 @@ Tensor ImageEncoder::forward(const Tensor& image) const {
   return norm_->forward(proj_->forward(vit_->forward_pooled(image)));
 }
 
+void ImageEncoder::forward_rows(std::span<const float> image, std::span<float> token) const {
+  thread_local std::vector<float> pooled, proj;
+  pooled.resize(static_cast<std::size_t>(vit_->config().d_model));
+  proj.resize(token.size());
+  vit_->forward_pooled_rows(image, pooled);
+  proj_->forward_rows(pooled, 1, proj);
+  norm_->forward_rows(proj, 1, token);
+}
+
 void ImageEncoder::collect_params(NamedParams& out, const std::string& prefix) const {
   vit_->collect_params(out, prefix + "vit.");
   proj_->collect_params(out, prefix + "proj.");
@@ -99,6 +137,17 @@ GraphTokenEncoder::Output GraphTokenEncoder::forward(const Tensor& features,
   return out;
 }
 
+void GraphTokenEncoder::forward_rows(std::span<const float> features,
+                                     const nn::DagTopology& topo, std::span<float> global_token,
+                                     std::span<float> node_embeddings) const {
+  thread_local std::vector<float> summary, proj;
+  summary.resize(static_cast<std::size_t>(gnn_dim()));
+  proj.resize(global_token.size());
+  gnn_->forward_rows(features, topo, node_embeddings, summary);
+  proj_->forward_rows(summary, 1, proj);
+  norm_->forward_rows(proj, 1, global_token);
+}
+
 std::int64_t GraphTokenEncoder::gnn_dim() const { return gnn_->embed_dim(); }
 
 void GraphTokenEncoder::collect_params(NamedParams& out, const std::string& prefix) const {
@@ -115,6 +164,14 @@ ActionEncoder::ActionEncoder(std::int64_t num_actions, std::int64_t d_model, cor
 Tensor ActionEncoder::forward(int action) const {
   const int ids[] = {action};
   return norm_->forward(table_->forward(ids));
+}
+
+void ActionEncoder::forward_rows(int action, std::span<float> token) const {
+  thread_local std::vector<float> row;
+  row.resize(token.size());
+  const int ids[] = {action};
+  table_->forward_rows(ids, row);
+  norm_->forward_rows(row, 1, token);
 }
 
 void ActionEncoder::collect_params(NamedParams& out, const std::string& prefix) const {

@@ -6,6 +6,11 @@
 // DAGs — exactly the paper's table) followed by a trainable linear
 // projection and layer normalisation for training stability. Task adapters
 // compose these into per-task multimodal encoders.
+//
+// Every encoder has two forwards that compute the same floats: the Tensor
+// one builds the autograd tape and serves training, and `forward_rows`
+// runs the same ops on raw rows with per-thread scratch and builds no node
+// (DESIGN.md §10); serving runs the latter.
 #pragma once
 
 #include <memory>
@@ -27,6 +32,8 @@ class TimeSeriesEncoder final : public nn::Module {
   TimeSeriesEncoder(std::int64_t channels, std::int64_t length, std::int64_t d_model,
                     core::Rng& rng, std::int64_t conv_channels = 8, std::int64_t kernel = 3);
   tensor::Tensor forward(const tensor::Tensor& series) const;
+  /// Graph-free forward: series [C * T] row-major -> token [d_model].
+  void forward_rows(std::span<const float> series, std::span<float> token) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
  private:
@@ -44,6 +51,9 @@ class ScalarEncoder final : public nn::Module {
   ScalarEncoder(std::int64_t inputs, std::int64_t d_model, core::Rng& rng);
   tensor::Tensor forward(const tensor::Tensor& scalars) const;
   tensor::Tensor forward(std::span<const float> scalars) const;
+  /// Graph-free forward of m groups: scalars [m, inputs] -> tokens [m, d_model].
+  void forward_rows(std::span<const float> scalars, std::int64_t m,
+                    std::span<float> tokens) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
  private:
@@ -60,6 +70,8 @@ class ImageEncoder final : public nn::Module {
  public:
   ImageEncoder(std::int64_t d_model, core::Rng& rng, bool freeze_vit = true);
   tensor::Tensor forward(const tensor::Tensor& image) const;  // [16,16] -> [1, d_model]
+  /// Graph-free forward: image [16 * 16] -> token [d_model].
+  void forward_rows(std::span<const float> image, std::span<float> token) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
  private:
@@ -80,6 +92,10 @@ class GraphTokenEncoder final : public nn::Module {
     tensor::Tensor node_embeddings;   // [N, gnn_dim] (raw GNN space)
   };
   Output forward(const tensor::Tensor& features, const nn::DagTopology& topo) const;
+  /// Graph-free forward: features [N, feature_dim] -> global token
+  /// [d_model] and node embeddings [N, gnn_dim].
+  void forward_rows(std::span<const float> features, const nn::DagTopology& topo,
+                    std::span<float> global_token, std::span<float> node_embeddings) const;
   std::int64_t gnn_dim() const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
@@ -95,6 +111,8 @@ class ActionEncoder final : public nn::Module {
  public:
   ActionEncoder(std::int64_t num_actions, std::int64_t d_model, core::Rng& rng);
   tensor::Tensor forward(int action) const;  // -> [1, d_model]
+  /// Graph-free forward: action -> token [d_model].
+  void forward_rows(int action, std::span<float> token) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
  private:

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
+
+#include "tensor/kernels.hpp"
 
 namespace netllm::adapt {
 
@@ -11,12 +14,21 @@ using namespace netllm::tensor;
 // A non-finite logit means upstream corruption (a poisoned backbone or
 // encoder), and argmax over NaNs would silently pick index 0 — surface it
 // instead so the guarded-inference layer can fall back.
-void require_finite_logits(const Tensor& logits, const char* who) {
-  for (float v : logits.data()) {
+void require_finite_logits(std::span<const float> logits, const char* who) {
+  for (float v : logits) {
     if (!std::isfinite(v)) {
       throw std::runtime_error(std::string(who) + ": non-finite logits");
     }
   }
+}
+
+/// The first index of the largest logit (a later equal one does not win).
+int first_max(std::span<const float> logits) {
+  int best = 0;
+  for (std::size_t j = 1; j < logits.size(); ++j) {
+    if (logits[j] > logits[static_cast<std::size_t>(best)]) best = static_cast<int>(j);
+  }
+  return best;
 }
 
 }  // namespace
@@ -26,6 +38,11 @@ RegressionHead::RegressionHead(std::int64_t d_model, std::int64_t outputs, core:
 }
 
 Tensor RegressionHead::forward(const Tensor& features) const { return fc_->forward(features); }
+
+void RegressionHead::forward_rows(std::span<const float> features, std::int64_t m,
+                                  std::span<float> answers) const {
+  fc_->forward_rows(features, m, answers);
+}
 
 void RegressionHead::collect_params(NamedParams& out, const std::string& prefix) const {
   fc_->collect_params(out, prefix + "fc.");
@@ -41,12 +58,16 @@ Tensor CategoricalHead::logits(const Tensor& features) const { return fc_->forwa
 int CategoricalHead::argmax(const Tensor& features) const {
   auto l = logits(features);
   if (l.dim(0) != 1) throw std::invalid_argument("CategoricalHead::argmax: single row expected");
+  require_finite_logits(l.data(), "CategoricalHead::argmax");
+  return first_max(l.data());
+}
+
+int CategoricalHead::argmax(std::span<const float> feature) const {
+  thread_local std::vector<float> l;
+  l.resize(static_cast<std::size_t>(fc_->out_features()));
+  fc_->forward_rows(feature, 1, l);
   require_finite_logits(l, "CategoricalHead::argmax");
-  int best = 0;
-  for (std::int64_t j = 1; j < l.dim(1); ++j) {
-    if (l.at(j) > l.at(best)) best = static_cast<int>(j);
-  }
-  return best;
+  return first_max(l);
 }
 
 void CategoricalHead::collect_params(NamedParams& out, const std::string& prefix) const {
@@ -77,12 +98,30 @@ Tensor PointerHead::logits(const Tensor& feature, const Tensor& candidates) cons
 
 int PointerHead::argmax(const Tensor& feature, const Tensor& candidates) const {
   auto l = logits(feature, candidates);
-  require_finite_logits(l, "PointerHead::argmax");
-  int best = 0;
-  for (std::int64_t j = 1; j < l.dim(1); ++j) {
-    if (l.at(j) > l.at(best)) best = static_cast<int>(j);
+  require_finite_logits(l.data(), "PointerHead::argmax");
+  return first_max(l.data());
+}
+
+int PointerHead::argmax(std::span<const float> feature, std::span<const float> candidates) const {
+  const auto cd = cand_proj_->in_features(), hidden = feat_proj_->out_features();
+  const auto n = static_cast<std::int64_t>(candidates.size()) / cd;
+  if (n <= 0 || n * cd != static_cast<std::int64_t>(candidates.size())) {
+    throw std::invalid_argument("PointerHead: candidates must be whole [n, candidate_dim] rows");
   }
-  return best;
+  // logits: scorer(tanh(c + f)) over the candidate rows, f added to each.
+  thread_local std::vector<float> f, joint, l;
+  f.resize(static_cast<std::size_t>(hidden));
+  joint.resize(static_cast<std::size_t>(n * hidden));
+  l.resize(static_cast<std::size_t>(n));
+  feat_proj_->forward_rows(feature, 1, f);
+  cand_proj_->forward_rows(candidates, n, joint);
+  for (std::size_t j = 0; j < joint.size(); ++j) {
+    joint[j] = joint[j] + f[j % static_cast<std::size_t>(hidden)];
+  }
+  kernels::tanh_row(joint.data(), joint.data(), n * hidden);
+  scorer_->forward_rows(joint, n, l);
+  require_finite_logits(l, "PointerHead::argmax");
+  return first_max(l);
 }
 
 void PointerHead::collect_params(NamedParams& out, const std::string& prefix) const {

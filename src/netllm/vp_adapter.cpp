@@ -90,25 +90,76 @@ bool all_finite(std::span<const float> xs) {
   return true;
 }
 
-/// The warm-prefix key of a request: the saliency's rank, dims and floats,
-/// then the history viewports' bytes, packed into floats that the arena
-/// only hashes and compares bytewise. Equal keys mean an equal raw request,
-/// and so (the encoders being deterministic) an equal encoded prompt.
-std::vector<float> request_key(std::span<const vp::Viewport> history, const Tensor& saliency) {
+/// The warm-prefix key of a request, written into `key`: the saliency's
+/// rank, dims and floats, then the history viewports' bytes, packed into
+/// floats that the arena only hashes and compares bytewise. Equal keys mean
+/// an equal raw request, and so (the encoders being deterministic) an equal
+/// encoded prompt.
+void request_key(std::span<const vp::Viewport> history, const Tensor& saliency,
+                 std::vector<float>& key) {
   static_assert(sizeof(vp::Viewport) % sizeof(float) == 0);
-  std::vector<float> key;
-  key.reserve(1 + saliency.shape().size() + saliency.data().size() +
-              history.size_bytes() / sizeof(float));
+  key.clear();
   key.push_back(static_cast<float>(saliency.rank()));
   for (const auto dim : saliency.shape()) key.push_back(static_cast<float>(dim));
   key.insert(key.end(), saliency.data().begin(), saliency.data().end());
   const auto packed = key.size();
   key.resize(packed + history.size_bytes() / sizeof(float));
   std::memcpy(key.data() + packed, history.data(), history.size_bytes());
-  return key;
 }
 
+/// A member's in-flight state. `live` clears the moment its error is set.
+struct Member {
+  nn::KvArena::Lease lease;
+  std::vector<nn::KvCache> own;
+  std::span<nn::KvCache> layers;
+  std::vector<float> key_floats;
+  std::uint64_t key = 0;
+  std::vector<float> features_last;  // [d_model] backbone features of the last position
+  vp::Viewport cur;
+  bool live = false;
+};
+
+/// predict_group's per-thread workspace. Every buffer keeps its capacity
+/// between calls, so a warm thread's group allocates only the rollouts it
+/// returns. The engine runs groups of one adapter on several pool threads
+/// at once, so the workspace cannot be the adapter's.
+struct GroupScratch {
+  std::vector<Member> ms;
+  std::vector<std::size_t> leaders, followers, late, live, next, who;
+  std::vector<float> prompts;                  // stacked cold prompts [rows, d_model]
+  std::vector<float> coords;                   // [members, 3] viewport encoder input
+  std::vector<float> rows, delta, tokens;      // [b, d_model], [b, 3], [b, d_model]
+  std::vector<float> features;                 // the backbone pass's rows
+  std::vector<std::exception_ptr> errors;      // one per segment
+  std::vector<llm::EmbeddingSegment> segs;
+
+  static GroupScratch& local() {
+    thread_local GroupScratch ws;
+    return ws;
+  }
+};
+
 }  // namespace
+
+void VpAdapter::encode_prompt(std::span<const vp::Viewport> history, const Tensor& saliency,
+                              std::span<float> rows) const {
+  // build_sequence(history, {}, saliency) on raw rows: the image token, then
+  // one viewport token per history entry (row-wise, so one stacked encode).
+  if (saliency.rank() != 2 || saliency.dim(0) != vp::kSaliencySize ||
+      saliency.dim(1) != vp::kSaliencySize) {
+    throw std::invalid_argument("ViTLite: expected square [image_size, image_size] input");
+  }
+  const auto d = llm_->config().d_model;
+  const auto h = static_cast<std::int64_t>(history.size());
+  image_encoder_->forward_rows(saliency.data(), rows.first(static_cast<std::size_t>(d)));
+  thread_local std::vector<float> coords;
+  coords.clear();
+  for (const auto& v : history) {
+    const auto c = viewport_coords(v);
+    coords.insert(coords.end(), c.begin(), c.end());
+  }
+  viewport_encoder_->forward_rows(coords, h, rows.subspan(static_cast<std::size_t>(d)));
+}
 
 std::vector<vp::Viewport> VpAdapter::predict(std::span<const vp::Viewport> history,
                                              const Tensor& saliency, int horizon) {
@@ -120,20 +171,22 @@ std::vector<vp::Viewport> VpAdapter::predict(std::span<const vp::Viewport> histo
 
 std::vector<VpRollout> VpAdapter::predict_group(std::span<const VpQuery> group) {
   const auto d_model = llm_->config().d_model;
+  const auto du = static_cast<std::size_t>(d_model);
   const auto n = group.size();
   std::vector<VpRollout> out(n);
-  // A member's in-flight state. `live` clears the moment its error is set.
-  struct Member {
-    nn::KvArena::Lease lease;
-    std::vector<nn::KvCache> own;
-    std::span<nn::KvCache> layers;
-    std::vector<float> key_floats;
-    std::uint64_t key = 0;
-    std::vector<float> features_last;  // [d_model] backbone features of the last position
-    vp::Viewport cur;
-    bool live = false;
-  };
-  std::vector<Member> ms(n);
+  auto& ws = GroupScratch::local();
+  if (ws.ms.size() < n) ws.ms.resize(n);
+  const std::span<Member> ms(ws.ms.data(), n);
+  // Every lease goes back to its arena when the call ends, however it ends.
+  struct Release {
+    std::span<Member> ms;
+    ~Release() {
+      for (auto& mb : ms) {
+        mb.lease = {};
+        mb.live = false;
+      }
+    }
+  } release{ms};
   const auto fail = [&](std::size_t i) {
     out[i].error = std::current_exception();
     ms[i].live = false;
@@ -154,10 +207,16 @@ std::vector<VpRollout> VpAdapter::predict_group(std::span<const VpQuery> group) 
   // so a hit is bitwise a cold prefill. A cold member equal to an earlier
   // cold member of this group follows it: it adopts once that leader has
   // published, as the second of two equal requests served in turn would.
-  std::vector<std::size_t> leaders, followers;
+  auto& leaders = ws.leaders;
+  auto& followers = ws.followers;
+  leaders.clear();
+  followers.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const VpQuery& q = group[i];
     Member& mb = ms[i];
+    mb.layers = {};
+    mb.key = 0;
+    mb.key_floats.clear();
     try {
       if (q.history.empty() || q.horizon <= 0 || !q.saliency) {
         throw std::invalid_argument("VpAdapter: bad inputs");
@@ -174,6 +233,7 @@ std::vector<VpRollout> VpAdapter::predict_group(std::span<const VpQuery> group) 
       } else {
         mb.own.resize(static_cast<std::size_t>(llm_->config().n_layers));
         for (auto& c : mb.own) {
+          c.clear();
           c.d_model = d_model;
           c.reserve(rows_needed);
         }
@@ -183,7 +243,7 @@ std::vector<VpRollout> VpAdapter::predict_group(std::span<const VpQuery> group) 
       mb.live = true;
       out[i].viewports.reserve(static_cast<std::size_t>(q.horizon));
       if (arena_) {
-        mb.key_floats = request_key(q.history, *q.saliency);
+        request_key(q.history, *q.saliency, mb.key_floats);
         mb.key = nn::KvArena::prefix_key(mb.key_floats);
         if (std::any_of(leaders.begin(), leaders.end(), [&](auto j) { return same_key(i, j); })) {
           followers.push_back(i);
@@ -202,16 +262,23 @@ std::vector<VpRollout> VpAdapter::predict_group(std::span<const VpQuery> group) 
   // a second stacked prefill, as it would have on its own.
   const auto prefill = [&](const std::vector<std::size_t>& cold) {
     if (cold.empty()) return;
-    std::vector<Tensor> prompts(cold.size());
-    std::vector<llm::EmbeddingSegment> segs;
-    std::vector<std::size_t> who;
+    auto& who = ws.who;
+    who.clear();
+    std::size_t total = 0;  // the cold prompts' rows, stacked in member order
+    for (const auto i : cold) total += 1 + group[i].history.size();
+    ws.prompts.resize(total * du);
+    auto& segs = ws.segs;
+    segs.clear();
     {
       core::trace::Span span(core::trace::Phase::kEncode);
-      for (std::size_t c = 0; c < cold.size(); ++c) {
-        const auto i = cold[c];
+      std::size_t row0 = 0;
+      for (const auto i : cold) {
+        const auto n_rows = 1 + group[i].history.size();
+        const auto rows = std::span<float>(ws.prompts).subspan(row0 * du, n_rows * du);
+        row0 += n_rows;
         try {
-          prompts[c] = build_sequence(group[i].history, {}, *group[i].saliency);
-          segs.push_back({prompts[c].data(), ms[i].layers});
+          encode_prompt(group[i].history, *group[i].saliency, rows);
+          segs.push_back({rows, ms[i].layers});
           who.push_back(i);
         } catch (...) {
           fail(i);
@@ -219,34 +286,37 @@ std::vector<VpRollout> VpAdapter::predict_group(std::span<const VpQuery> group) 
       }
     }
     if (who.empty()) return;
-    std::vector<llm::SegmentFeatures> features;
+    ws.errors.resize(who.size());
     try {
       core::trace::Span span(core::trace::Phase::kPrefill);
-      features = llm_->forward_segments(segs);
+      llm_->forward_segments(segs, ws.features, ws.errors);
     } catch (...) {
       for (const auto i : who) fail(i);
       return;
     }
+    std::size_t row0 = 0;
     for (std::size_t c = 0; c < who.size(); ++c) {
       const auto i = who[c];
-      if (features[c].error) {
-        out[i].error = features[c].error;
+      const auto rows = segs[c].embeds.size() / du;
+      row0 += rows;
+      if (ws.errors[c]) {
+        out[i].error = ws.errors[c];
         ms[i].live = false;
         continue;
       }
-      const auto rows = features[c].features.dim(0);
-      const auto last = features[c].features.data().subspan(
-          static_cast<std::size_t>((rows - 1) * d_model), static_cast<std::size_t>(d_model));
+      const auto last = std::span<const float>(ws.features).subspan((row0 - 1) * du, du);
       ms[i].features_last.assign(last.begin(), last.end());
       // Never publish poisoned features: an armed llm.forward NaN fault must
       // degrade this one request, not seed the warm cache for every later hit.
       if (arena_ && all_finite(last)) {
-        arena_->publish(ms[i].key, ms[i].key_floats, ms[i].layers, rows, last);
+        arena_->publish(ms[i].key, ms[i].key_floats, ms[i].layers,
+                        static_cast<std::int64_t>(rows), last);
       }
     }
   };
   prefill(leaders);
-  std::vector<std::size_t> late;
+  auto& late = ws.late;
+  late.clear();
   for (const auto i : followers) {
     if (!arena_->adopt(ms[i].key, ms[i].key_floats, ms[i].lease, &ms[i].features_last)) {
       late.push_back(i);
@@ -254,70 +324,76 @@ std::vector<VpRollout> VpAdapter::predict_group(std::span<const VpQuery> group) 
   }
   prefill(late);
 
-  // 3. Lockstep rollout over the members still live.
-  std::vector<std::size_t> live;
+  // 3. Lockstep rollout over the members still live: per step one stacked
+  // head call, one stacked viewport-token encode and one backbone step.
+  auto& live = ws.live;
+  auto& next = ws.next;
+  live.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (ms[i].live) live.push_back(i);
   }
-  std::vector<float> rows, coords;
-  std::vector<llm::EmbeddingSegment> segs;
   while (!live.empty()) {
     try {
       const auto b = static_cast<std::int64_t>(live.size());
-      rows.clear();
+      ws.rows.clear();
       for (const auto i : live) {
-        rows.insert(rows.end(), ms[i].features_last.begin(), ms[i].features_last.end());
+        ws.rows.insert(ws.rows.end(), ms[i].features_last.begin(), ms[i].features_last.end());
       }
-      const auto delta = [&] {
+      ws.delta.resize(static_cast<std::size_t>(b * 3));
+      {
         core::trace::Span span(core::trace::Phase::kHead);
-        return head_->forward(Tensor::from(rows, {b, d_model}));
-      }();
-      std::vector<std::size_t> next;
-      coords.clear();
+        head_->forward_rows(ws.rows, b, ws.delta);
+      }
+      next.clear();
+      ws.coords.clear();
       for (std::int64_t r = 0; r < b; ++r) {
         const auto i = live[static_cast<std::size_t>(r)];
+        const float* delta = ws.delta.data() + r * 3;
         vp::Viewport& cur = ms[i].cur;
-        cur.roll += static_cast<double>(delta.at(r * 3 + 0)) * cfg_.delta_scale_deg;
-        cur.pitch += static_cast<double>(delta.at(r * 3 + 1)) * cfg_.delta_scale_deg;
-        cur.yaw += static_cast<double>(delta.at(r * 3 + 2)) * cfg_.delta_scale_deg;
+        cur.roll += static_cast<double>(delta[0]) * cfg_.delta_scale_deg;
+        cur.pitch += static_cast<double>(delta[1]) * cfg_.delta_scale_deg;
+        cur.yaw += static_cast<double>(delta[2]) * cfg_.delta_scale_deg;
         out[i].viewports.push_back(cur);
         if (static_cast<int>(out[i].viewports.size()) == group[i].horizon) continue;
         next.push_back(i);
         const auto c = viewport_coords(cur);
-        coords.insert(coords.end(), c.begin(), c.end());
+        ws.coords.insert(ws.coords.end(), c.begin(), c.end());
       }
-      live = std::move(next);
+      live.swap(next);
       if (live.empty()) break;
       // One incremental backbone step over each member's newly generated
       // viewport — bitwise the last row of the full forward predict_uncached
       // re-runs.
       const auto nl = static_cast<std::int64_t>(live.size());
-      const auto tokens = [&] {
+      ws.tokens.resize(static_cast<std::size_t>(nl) * du);
+      {
         core::trace::Span span(core::trace::Phase::kEncode);
-        return viewport_encoder_->forward(Tensor::from(coords, {nl, 3}));
-      }();
-      segs.clear();
-      for (std::int64_t r = 0; r < nl; ++r) {
-        segs.push_back({tokens.data().subspan(static_cast<std::size_t>(r * d_model),
-                                              static_cast<std::size_t>(d_model)),
-                        ms[live[static_cast<std::size_t>(r)]].layers});
+        viewport_encoder_->forward_rows(ws.coords, nl, ws.tokens);
       }
-      const auto features = [&] {
+      ws.segs.clear();
+      for (std::int64_t r = 0; r < nl; ++r) {
+        ws.segs.push_back({std::span<const float>(ws.tokens).subspan(
+                               static_cast<std::size_t>(r) * du, du),
+                           ms[live[static_cast<std::size_t>(r)]].layers});
+      }
+      ws.errors.resize(live.size());
+      {
         core::trace::Span span(core::trace::Phase::kDecodeStep);
-        return llm_->forward_segments(segs);
-      }();
+        llm_->forward_segments(ws.segs, ws.features, ws.errors);
+      }
       next.clear();
       for (std::int64_t r = 0; r < nl; ++r) {
         const auto i = live[static_cast<std::size_t>(r)];
-        const auto& f = features[static_cast<std::size_t>(r)];
-        if (f.error) {
-          out[i].error = f.error;
+        if (ws.errors[static_cast<std::size_t>(r)]) {
+          out[i].error = ws.errors[static_cast<std::size_t>(r)];
           continue;
         }
-        ms[i].features_last.assign(f.features.data().begin(), f.features.data().end());
+        const auto f = std::span<const float>(ws.features).subspan(static_cast<std::size_t>(r) * du,
+                                                                   du);
+        ms[i].features_last.assign(f.begin(), f.end());
         next.push_back(i);
       }
-      live = std::move(next);
+      live.swap(next);
     } catch (...) {
       for (const auto i : live) fail(i);
       live.clear();

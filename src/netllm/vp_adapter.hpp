@@ -123,6 +123,10 @@ class VpAdapter final : public nn::Module, public vp::VpPredictor {
 
  private:
   tensor::Tensor viewport_token(const vp::Viewport& v) const;
+  /// build_sequence(history, {}, saliency) on raw rows: the prompt's
+  /// [1 + |history|, d_model] token rows into `rows`.
+  void encode_prompt(std::span<const vp::Viewport> history, const tensor::Tensor& saliency,
+                     std::span<float> rows) const;
   /// Token sequence [1 + |history| + extra] for teacher forcing / rollout.
   tensor::Tensor build_sequence(std::span<const vp::Viewport> history,
                                 std::span<const vp::Viewport> future_teacher,

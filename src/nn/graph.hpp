@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -37,6 +38,12 @@ class GraphEncoder final : public Module {
 
   /// features: [N, feature_dim] row per DAG node.
   Output forward(const Tensor& features, const DagTopology& topo) const;
+  /// Graph-free forward on raw rows: features [N, feature_dim] -> node
+  /// embeddings [N, embed_dim] and the global summary [embed_dim]. Bitwise
+  /// `forward`: a message adds its children's f rows from 0 in child order
+  /// (add_n), the summary's mean is mean_over_rows'.
+  void forward_rows(std::span<const float> features, const DagTopology& topo,
+                    std::span<float> node_embeddings, std::span<float> global_summary) const;
 
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
@@ -51,5 +58,8 @@ class GraphEncoder final : public Module {
 
 /// Topological order (children before parents). Throws on cycles.
 std::vector<int> topological_order(const DagTopology& topo);
+/// The same order written into `order`, with per-thread scratch (no
+/// allocation once warm).
+void topological_order(const DagTopology& topo, std::vector<int>& order);
 
 }  // namespace netllm::nn

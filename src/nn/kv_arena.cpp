@@ -163,15 +163,9 @@ bool KvArena::adopt(std::uint64_t key, std::span<const float> prompt, Lease& lea
         (n_layers_ > 0 && layers.front().len != 0)) {
       throw std::invalid_argument("KvArena::adopt: lease must be fresh and model-shaped");
     }
-    const std::size_t d = static_cast<std::size_t>(d_model_);
     for (std::int64_t l = 0; l < n_layers_; ++l) {
-      const auto& k = e.k[static_cast<std::size_t>(l)];
-      const auto& v = e.v[static_cast<std::size_t>(l)];
-      auto& c = layers[static_cast<std::size_t>(l)];
-      for (std::int64_t r = 0; r < e.rows; ++r) {
-        const auto off = static_cast<std::size_t>(r) * d;
-        c.append({k.data() + off, d}, {v.data() + off, d});
-      }
+      layers[static_cast<std::size_t>(l)].append_rows(e.k[static_cast<std::size_t>(l)],
+                                                      e.v[static_cast<std::size_t>(l)], e.rows);
     }
     if (features) *features = e.features;
     e.last_use = ++use_clock_;

@@ -155,6 +155,20 @@ Embedding::Embedding(std::int64_t vocab, std::int64_t dim, core::Rng& rng) {
 
 Tensor Embedding::forward(std::span<const int> ids) const { return embedding(weight_, ids); }
 
+void Embedding::forward_rows(std::span<const int> ids, std::span<float> y) const {
+  const auto v = weight_.dim(0), d = weight_.dim(1);
+  if (static_cast<std::int64_t>(y.size()) != static_cast<std::int64_t>(ids.size()) * d) {
+    throw std::invalid_argument("Embedding::forward_rows: row width mismatch");
+  }
+  const auto w = weight_.data();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::int64_t id = ids[i];
+    if (id < 0 || id >= v) throw std::invalid_argument("embedding: id out of range");
+    std::copy(w.begin() + id * d, w.begin() + (id + 1) * d,
+              y.begin() + static_cast<std::ptrdiff_t>(i) * d);
+  }
+}
+
 void Embedding::collect_params(NamedParams& out, const std::string& prefix) const {
   out.emplace_back(prefix + "weight", weight_);
 }
@@ -170,6 +184,17 @@ Conv1d::Conv1d(std::int64_t cin, std::int64_t cout, std::int64_t kernel, core::R
 }
 
 Tensor Conv1d::forward(const Tensor& x) const { return conv1d(x, weight_, bias_, pad_); }
+
+void Conv1d::forward_rows(std::span<const float> x, std::int64_t t, std::span<float> y) const {
+  const auto cout = weight_.dim(0), cin = weight_.dim(1), k = weight_.dim(2);
+  const auto t_out = t + 2 * pad_ - k + 1;
+  if (t_out < 1 || static_cast<std::int64_t>(x.size()) != cin * t ||
+      static_cast<std::int64_t>(y.size()) != cout * t_out) {
+    throw std::invalid_argument("Conv1d::forward_rows: shape mismatch");
+  }
+  conv1d_rows(x.data(), weight_.data().data(), bias_.data().data(), cin, t, cout, k, pad_,
+              y.data());
+}
 
 void Conv1d::collect_params(NamedParams& out, const std::string& prefix) const {
   out.emplace_back(prefix + "weight", weight_);
@@ -188,6 +213,19 @@ Tensor apply_activation(const Tensor& x, Activation act) {
   throw std::logic_error("apply_activation: unknown activation");
 }
 
+void apply_activation_rows(std::span<float> x, Activation act) {
+  const auto n = static_cast<std::int64_t>(x.size());
+  switch (act) {
+    case Activation::kRelu:
+      return relu_row(x.data(), x.data(), n);
+    case Activation::kGelu:
+      return gelu_row(x.data(), x.data(), n);
+    case Activation::kTanh:
+      return kernels::tanh_row(x.data(), x.data(), n);
+  }
+  throw std::logic_error("apply_activation_rows: unknown activation");
+}
+
 Mlp::Mlp(std::vector<std::int64_t> dims, core::Rng& rng, Activation act) : act_(act) {
   if (dims.size() < 2) throw std::invalid_argument("Mlp: need at least [in, out]");
   for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
@@ -202,6 +240,22 @@ Tensor Mlp::forward(const Tensor& x) const {
     if (i + 1 < layers_.size()) h = apply_activation(h, act_);
   }
   return h;
+}
+
+void Mlp::forward_rows(std::span<const float> x, std::int64_t m, std::span<float> y) const {
+  // Hidden rows ping-pong between two per-thread buffers; only the last
+  // layer writes y.
+  thread_local std::vector<float> bufs[2];
+  std::span<const float> h = x;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const auto& layer = *layers_[i];
+    if (i + 1 == layers_.size()) return layer.forward_rows(h, m, y);
+    auto& buf = bufs[i % 2];
+    buf.resize(static_cast<std::size_t>(m * layer.out_features()));
+    layer.forward_rows(h, m, buf);
+    apply_activation_rows(buf, act_);
+    h = buf;
+  }
 }
 
 void Mlp::collect_params(NamedParams& out, const std::string& prefix) const {

@@ -106,6 +106,8 @@ class Embedding final : public Module {
  public:
   Embedding(std::int64_t vocab, std::int64_t dim, core::Rng& rng);
   Tensor forward(std::span<const int> ids) const;
+  /// Graph-free forward: row i of y [ids, dim] is the table row ids[i].
+  void forward_rows(std::span<const int> ids, std::span<float> y) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
   const Tensor& weight() const { return weight_; }
 
@@ -118,6 +120,9 @@ class Conv1d final : public Module {
  public:
   Conv1d(std::int64_t cin, std::int64_t cout, std::int64_t kernel, core::Rng& rng);
   Tensor forward(const Tensor& x) const;
+  /// Graph-free forward of x [Cin, t] into y [Cout, t] through the body
+  /// `forward` runs (tensor::conv1d_rows).
+  void forward_rows(std::span<const float> x, std::int64_t t, std::span<float> y) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
  private:
@@ -133,6 +138,10 @@ class Mlp final : public Module {
  public:
   Mlp(std::vector<std::int64_t> dims, core::Rng& rng, Activation act = Activation::kRelu);
   Tensor forward(const Tensor& x) const;
+  /// Graph-free forward of m rows, x [m, in] -> y [m, out]: each Linear's
+  /// forward_rows and the activation's row body, the hidden rows in
+  /// per-thread scratch.
+  void forward_rows(std::span<const float> x, std::int64_t m, std::span<float> y) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
  private:
@@ -141,5 +150,7 @@ class Mlp final : public Module {
 };
 
 Tensor apply_activation(const Tensor& x, Activation act);
+/// apply_activation's row body over n values in place.
+void apply_activation_rows(std::span<float> x, Activation act);
 
 }  // namespace netllm::nn

@@ -35,9 +35,12 @@ struct RowsWorkspace {
   }
 };
 
-/// `buf` as n zeros (no reallocation once its capacity covers n).
-std::span<float> zeroed(std::vector<float>& buf, std::int64_t n) {
-  buf.assign(static_cast<std::size_t>(n), 0.0f);
+/// `buf` resized to n floats (no reallocation once its capacity covers n).
+/// Unfilled: every buffer of the pass is written whole before it is read
+/// (Linear::forward_rows fills its output, attend_head zeroes its ctx
+/// columns on every tier, the loops write the rest).
+std::span<float> sized(std::vector<float>& buf, std::int64_t n) {
+  buf.resize(static_cast<std::size_t>(n));
   return buf;
 }
 
@@ -102,20 +105,25 @@ void KvCache::reserve(std::int64_t rows) {
 }
 
 void KvCache::append(std::span<const float> k_row, std::span<const float> v_row) {
-  if (d_model == 0) d_model = static_cast<std::int64_t>(k_row.size());
-  if (static_cast<std::int64_t>(k_row.size()) != d_model ||
-      static_cast<std::int64_t>(v_row.size()) != d_model) {
+  append_rows(k_row, v_row, 1);
+}
+
+void KvCache::append_rows(std::span<const float> k_rows, std::span<const float> v_rows,
+                          std::int64_t rows) {
+  if (d_model == 0 && rows > 0) d_model = static_cast<std::int64_t>(k_rows.size()) / rows;
+  if (rows < 0 || static_cast<std::int64_t>(k_rows.size()) != rows * d_model ||
+      static_cast<std::int64_t>(v_rows.size()) != rows * d_model) {
     throw std::invalid_argument("KvCache::append: row width does not match d_model");
   }
-  k_.insert(k_.end(), k_row.begin(), k_row.end());
-  v_.insert(v_.end(), v_row.begin(), v_row.end());
-  ++len;
+  k_.insert(k_.end(), k_rows.begin(), k_rows.end());
+  v_.insert(v_.end(), v_rows.begin(), v_rows.end());
+  len += rows;
   // KV-cache growth feeds capacity planning: rows resident per decode and
   // the bytes they pin (K and V) are the §10/§13 memory budget inputs.
-  static core::metrics::Counter& rows = core::metrics::counter("kv.appended_rows");
+  static core::metrics::Counter& rows_counter = core::metrics::counter("kv.appended_rows");
   static core::metrics::Counter& bytes = core::metrics::counter("kv.appended_bytes");
-  rows.add();
-  bytes.add(static_cast<std::int64_t>(2 * sizeof(float)) * d_model);
+  rows_counter.add(rows);
+  bytes.add(static_cast<std::int64_t>(2 * sizeof(float)) * d_model * rows);
 }
 
 std::int64_t KvCache::capacity_rows() const {
@@ -197,19 +205,29 @@ void MultiHeadAttention::forward_rows(std::span<const float> x,
   // §10), so stacking segments changes no bit of any of them. Each head
   // reads its columns of the Q rows and of the cache's K/V rows in place
   // (kernels::attend_head) and writes its columns of ctx.
+  //
+  // Non-causal attention (ViT-lite) runs each query row as its own
+  // attend_head call with rows = 1 and len = the segment's rows: that row
+  // sits at the last position and so sees every key, and its softmax over
+  // all of them is the softmax_rows row of the Tensor-op forward.
   const auto m = total_rows(segments);
   check_rows(x, m, y, d_model_, "MultiHeadAttention::forward_rows");
   if (!causal_) {
-    throw std::invalid_argument("MultiHeadAttention::forward_rows: causal attention only");
+    for (const auto& seg : segments) {
+      if (seg.cache) {
+        throw std::invalid_argument(
+            "MultiHeadAttention::forward_rows: non-causal attention takes no cache");
+      }
+    }
   }
   auto& ws = RowsWorkspace::local();
   const auto d = d_model_, dh = d_head_;
   const auto du = static_cast<std::size_t>(d);
-  const auto q = zeroed(ws.q, m * d), k = zeroed(ws.k, m * d), v = zeroed(ws.v, m * d);
+  const auto q = sized(ws.q, m * d), k = sized(ws.k, m * d), v = sized(ws.v, m * d);
   project_rows(wq_, lq_, x, m, q);
   project_rows(wk_, lk_, x, m, k);
   project_rows(wv_, lv_, x, m, v);
-  const auto ctx = zeroed(ws.ctx, m * d);
+  const auto ctx = sized(ws.ctx, m * d);
   std::int64_t row0 = 0;  // the segment's first row in the stacked pass
   for (const auto& seg : segments) {
     const auto rows = seg.rows;
@@ -217,18 +235,24 @@ void MultiHeadAttention::forward_rows(std::span<const float> x,
     const float* vc = v.data() + row0 * d;
     std::int64_t len = rows;
     if (seg.cache) {
-      for (std::int64_t i = row0; i < row0 + rows; ++i) {
-        const auto off = static_cast<std::size_t>(i) * du;
-        seg.cache->append(k.subspan(off, du), v.subspan(off, du));
-      }
+      const auto off = static_cast<std::size_t>(row0) * du;
+      const auto n = static_cast<std::size_t>(rows) * du;
+      seg.cache->append_rows(k.subspan(off, n), v.subspan(off, n), rows);
       kc = seg.cache->k().data();
       vc = seg.cache->v().data();
       len = seg.cache->len;
     }
     for (std::int64_t h = 0; h < n_heads_; ++h) {
       const auto col = h * dh;
-      kernels::attend_head(q.data() + row0 * d + col, kc + col, vc + col,
-                           ctx.data() + row0 * d + col, d, dh, rows, len);
+      if (causal_) {
+        kernels::attend_head(q.data() + row0 * d + col, kc + col, vc + col,
+                             ctx.data() + row0 * d + col, d, dh, rows, len);
+        continue;
+      }
+      for (std::int64_t i = row0; i < row0 + rows; ++i) {
+        kernels::attend_head(q.data() + i * d + col, kc + col, vc + col, ctx.data() + i * d + col,
+                             d, dh, 1, len);
+      }
     }
     row0 += rows;
   }
@@ -308,12 +332,12 @@ void TransformerBlock::forward_rows(std::span<const float> x,
   check_rows(x, m, y, d, "TransformerBlock::forward_rows");
   auto& ws = RowsWorkspace::local();
   const auto n = static_cast<std::size_t>(m * d);
-  const auto ln = zeroed(ws.ln, m * d), a = zeroed(ws.attn, m * d), h = zeroed(ws.h, m * d);
+  const auto ln = sized(ws.ln, m * d), a = sized(ws.attn, m * d), h = sized(ws.h, m * d);
   ln1_->forward_rows(x, m, ln);
   attn_->forward_rows(ln, segments, a);
   for (std::size_t j = 0; j < n; ++j) h[j] = x[j] + a[j];
   ln2_->forward_rows(h, m, ln);  // the attention is done with ln1's rows
-  const auto f1 = zeroed(ws.ff1, m * d_ff), f2 = zeroed(ws.ff2, m * d);
+  const auto f1 = sized(ws.ff1, m * d_ff), f2 = sized(ws.ff2, m * d);
   project_rows(fc1_, lfc1_, ln, m, f1);
   gelu_row(f1.data(), f1.data(), m * d_ff);
   project_rows(fc2_, lfc2_, f1, m, f2);

@@ -42,6 +42,10 @@ struct KvCache {
   /// reallocate — `tests/test_sched.cpp` pins the allocation count.
   void reserve(std::int64_t rows);
   void append(std::span<const float> k_row, std::span<const float> v_row);
+  /// Append `rows` consecutive K/V rows (the first append sets the width);
+  /// the kv.appended_* counters move once per call.
+  void append_rows(std::span<const float> k_rows, std::span<const float> v_rows,
+                   std::int64_t rows);
 
   /// Raw row-major [len, d_model] floats.
   const std::vector<float>& k() const { return k_; }
@@ -67,9 +71,10 @@ struct KvSegment {
 /// an autograd graph and serves training and the reference path. The
 /// graph-free `forward_rows` forwards m new rows against the K/V rows a
 /// cache already holds: a prefill is m = T over an empty cache and a decode
-/// step is m = 1 (DESIGN.md §10). Only causal attention runs graph-free.
-/// The m rows may stack several requests' segments, each against its own
-/// cache: a grouped VP rollout step is m = (live requests).
+/// step is m = 1 (DESIGN.md §10). Non-causal attention (ViT-lite) runs
+/// graph-free too, over cache-less segments. The m rows may stack several
+/// requests' segments, each against its own cache: a grouped VP rollout
+/// step is m = (live requests).
 class MultiHeadAttention final : public Module {
  public:
   MultiHeadAttention(std::int64_t d_model, std::int64_t n_heads, bool causal, core::Rng& rng);

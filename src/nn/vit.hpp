@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -31,6 +32,11 @@ class ViTLite final : public Module {
   Tensor forward_patches(const Tensor& image) const;
   /// Mean-pooled single feature [1, d_model].
   Tensor forward_pooled(const Tensor& image) const;
+  /// Graph-free forward_pooled on raw floats: image [H * W] -> pooled
+  /// [d_model]. The blocks run their m-row forward over the P patch rows
+  /// as one cache-less segment (non-causal attention: one rows = 1
+  /// attend_head call per patch row and head); bitwise forward_pooled.
+  void forward_pooled_rows(std::span<const float> image, std::span<float> pooled) const;
 
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 

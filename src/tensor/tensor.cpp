@@ -17,6 +17,7 @@ namespace {
 
 std::atomic<std::int64_t> g_live_floats{0};
 std::atomic<std::int64_t> g_peak_floats{0};
+std::atomic<std::int64_t> g_tape_nodes{0};
 
 void track_alloc(std::int64_t n) {
   const auto live = g_live_floats.fetch_add(n) + n;
@@ -35,6 +36,7 @@ NodePtr make_result(Shape shape, std::vector<NodePtr> parents) {
   for (const auto& p : parents) rg = rg || p->requires_grad;
   auto node = std::make_shared<Node>(std::move(shape), rg);
   node->parents = std::move(parents);
+  g_tape_nodes.fetch_add(1, std::memory_order_relaxed);
   return node;
 }
 
@@ -100,6 +102,7 @@ void Node::ensure_grad() {
 std::int64_t live_float_count() { return g_live_floats.load(); }
 std::int64_t peak_float_count() { return g_peak_floats.load(); }
 void reset_peak_float_count() { g_peak_floats.store(g_live_floats.load()); }
+std::int64_t tape_nodes_built() { return g_tape_nodes.load(std::memory_order_relaxed); }
 
 // ---- construction ----
 
@@ -339,13 +342,15 @@ Tensor add_n(const std::vector<Tensor>& xs) {
 
 // ---- activations ----
 
+void relu_row(const float* in, float* out, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = in[i] > 0.0f ? in[i] : 0.0f;
+}
+
 Tensor relu(const Tensor& a) {
   auto node = make_result(a.shape(), {a.node()});
   const auto n = static_cast<std::size_t>(node->numel());
   parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) {
-      node->value[i] = a.data()[i] > 0.0f ? a.data()[i] : 0.0f;
-    }
+    relu_row(a.data().data() + b0, node->value.data() + b0, static_cast<std::int64_t>(e0 - b0));
   });
   if (node->requires_grad) {
     Node* pa = a.node().get();
@@ -616,16 +621,22 @@ Tensor slice_cols(const Tensor& a, std::int64_t start, std::int64_t len) {
   return Tensor(node);
 }
 
+void mean_rows(const float* a, std::int64_t m, std::int64_t n, float* out) {
+  std::fill(out, out + n, 0.0f);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) out[j] += a[i * n + j];
+  }
+  const float inv = 1.0f / static_cast<float>(m);
+  for (std::int64_t j = 0; j < n; ++j) out[j] *= inv;
+}
+
 Tensor mean_over_rows(const Tensor& a) {
   check(a.rank() == 2, "mean_over_rows: rank-2 tensor required");
   const auto m = a.dim(0), n = a.dim(1);
   check(m > 0, "mean_over_rows: empty tensor");
   auto node = make_result({1, n}, {a.node()});
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) node->value[j] += a.data()[i * n + j];
-  }
+  mean_rows(a.data().data(), m, n, node->value.data());
   const float inv = 1.0f / static_cast<float>(m);
-  for (std::int64_t j = 0; j < n; ++j) node->value[j] *= inv;
   if (node->requires_grad) {
     Node* pa = a.node().get();
     node->backward = [pa, m, n, inv](Node& self) {
@@ -852,6 +863,24 @@ Tensor embedding(const Tensor& weight, std::span<const int> ids) {
   return Tensor(node);
 }
 
+void conv1d_rows(const float* x, const float* w, const float* bias, std::int64_t cin,
+                 std::int64_t t, std::int64_t cout, std::int64_t k, int pad, float* out) {
+  const auto t_out = t + 2 * pad - k + 1;
+  for (std::int64_t oc = 0; oc < cout; ++oc) {
+    for (std::int64_t ot = 0; ot < t_out; ++ot) {
+      float acc = bias[oc];
+      for (std::int64_t ic = 0; ic < cin; ++ic) {
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          const std::int64_t it = ot - pad + kk;
+          if (it < 0 || it >= t) continue;
+          acc += x[ic * t + it] * w[(oc * cin + ic) * k + kk];
+        }
+      }
+      out[oc * t_out + ot] = acc;
+    }
+  }
+}
+
 Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor& bias, int pad) {
   check(x.rank() == 2, "conv1d: x must be [Cin,T]");
   check(w.rank() == 3, "conv1d: w must be [Cout,Cin,K]");
@@ -862,19 +891,8 @@ Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor& bias, int pad) {
   const auto t_out = t + 2 * pad - k + 1;
   check(t_out >= 1, "conv1d: kernel larger than padded input");
   auto node = make_result({cout, t_out}, {x.node(), w.node(), bias.node()});
-  for (std::int64_t oc = 0; oc < cout; ++oc) {
-    for (std::int64_t ot = 0; ot < t_out; ++ot) {
-      float acc = bias.data()[oc];
-      for (std::int64_t ic = 0; ic < cin; ++ic) {
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          const std::int64_t it = ot - pad + kk;
-          if (it < 0 || it >= t) continue;
-          acc += x.data()[ic * t + it] * w.data()[(oc * cin + ic) * k + kk];
-        }
-      }
-      node->value[oc * t_out + ot] = acc;
-    }
-  }
+  conv1d_rows(x.data().data(), w.data().data(), bias.data().data(), cin, t, cout, k, pad,
+              node->value.data());
   if (node->requires_grad) {
     Node* px = x.node().get();
     Node* pw = w.node().get();

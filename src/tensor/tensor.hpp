@@ -107,6 +107,9 @@ class Tensor {
 std::int64_t live_float_count();   // floats currently allocated in Nodes
 std::int64_t peak_float_count();   // high-water mark since last reset
 void reset_peak_float_count();
+/// Op-result nodes built so far (every one has parents): the tape's size.
+/// The graph-free serving path builds none, which tests pin.
+std::int64_t tape_nodes_built();
 
 // ---- elementwise & arithmetic ----
 Tensor add(const Tensor& a, const Tensor& b);            // same shape
@@ -167,6 +170,17 @@ struct RowStats {
 /// out[j] = gamma[j] * ((x[j] - mean) * inv_std) + beta[j] over n values.
 RowStats layer_norm_row(const float* x, const float* gamma, const float* beta, float* out,
                         std::int64_t n, float eps = 1e-5f);
+/// out[i] = in[i] > 0 ? in[i] : 0 over n values (relu's body); in == out is
+/// allowed.
+void relu_row(const float* in, float* out, std::int64_t n);
+/// mean_over_rows' body: out[j] = (0 + a[0][j] + ... + a[m-1][j]) * (1/m)
+/// for a [m, n], rows added in order.
+void mean_rows(const float* a, std::int64_t m, std::int64_t n, float* out);
+/// conv1d's body: x [Cin,T], w [Cout,Cin,K], bias [Cout] -> out [Cout,T_out]
+/// with T_out = T + 2 pad - K + 1; each output starts from its bias and adds
+/// the in-range products in (ic, kk) order.
+void conv1d_rows(const float* x, const float* w, const float* bias, std::int64_t cin,
+                 std::int64_t t, std::int64_t cout, std::int64_t k, int pad, float* out);
 
 // ---- lookup / conv ----
 /// weight: [V,D]; ids in [0,V) -> [T,D]
