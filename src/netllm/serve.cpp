@@ -427,9 +427,11 @@ BatchReport InferenceEngine::run() {
   queue_cv_.notify_all();
 
   // Deterministic schedule over the lanes: task priority first (higher
-  // wins), then admission order, then lane order — an EDF-flavoured FIFO,
-  // since every request shares its task's deadline offset. The order depends
-  // only on the submission sequence, never on thread timing.
+  // wins), then admission order, then lane order and queue position — an
+  // EDF-flavoured FIFO, since every request shares its task's deadline
+  // offset. The key is total, so std::sort needs no stable-sort buffer, and
+  // the order depends only on the submission sequence, never on thread
+  // timing.
   struct Job {
     Task task;
     std::size_t index;
@@ -443,9 +445,11 @@ BatchReport InferenceEngine::run() {
       order.push_back({lane.task, i, lane.priority, lane.jobs[i].admitted, lane.lockstep});
     }
   });
-  std::stable_sort(order.begin(), order.end(), [](const Job& a, const Job& b) {
+  std::sort(order.begin(), order.end(), [](const Job& a, const Job& b) {
     if (a.priority != b.priority) return a.priority > b.priority;
-    return a.admitted < b.admitted;
+    if (a.admitted != b.admitted) return a.admitted < b.admitted;
+    if (a.task != b.task) return a.task < b.task;
+    return a.index < b.index;
   });
 
   const std::size_t n_total = order.size();

@@ -9,13 +9,6 @@
 #include "core/metrics.hpp"
 #include "tensor/kernels_dispatch.hpp"
 
-#if defined(__aarch64__) && defined(__linux__)
-#include <sys/auxv.h>
-#ifndef HWCAP_ASIMD
-#define HWCAP_ASIMD (1 << 1)
-#endif
-#endif
-
 namespace netllm::tensor::isa {
 
 namespace {
@@ -29,63 +22,58 @@ std::atomic<int> g_active{-1};
 std::atomic<const kd::KernelTable*> g_table{nullptr};
 std::mutex g_mu;
 
-/// CPU feature bit for a tier (independent of whether it was compiled in).
-bool cpu_has(Isa i) {
-  switch (i) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kAvx2:
-#if defined(__x86_64__) || defined(__i386__)
-      // Covers AVX2 + FMA + the OS XSAVE/YMM-state check via the builtin.
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-      return false;
-#endif
-    case Isa::kAvx512:
-#if defined(__x86_64__) || defined(__i386__)
-      // The builtin also checks that the OS saves the opmask and ZMM state.
-      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512vnni") &&
-             __builtin_cpu_supports("fma");
-#else
-      return false;
-#endif
-    case Isa::kNeon:
-#if defined(__aarch64__) && defined(__linux__)
-      return (getauxval(AT_HWCAP) & HWCAP_ASIMD) != 0;
-#elif defined(__aarch64__)
-      return true;  // ASIMD is architecturally mandatory on AArch64
-#else
-      return false;
-#endif
-  }
-  return false;
-}
+using TableFn = const kd::KernelTable& (*)();
 
-const kd::KernelTable* table_for(Isa i) {
-  switch (i) {
 #if defined(NETLLM_HAVE_AVX2)
-    case Isa::kAvx2:
-      return &kd::avx2_table();
+// The builtins read cpuid and also check that the OS saves the YMM state
+// (AVX-512: the opmask and ZMM state too).
+bool cpu_avx2() { return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"); }
+constexpr TableFn kAvx2Table = &kd::avx2_table;
+#else
+bool cpu_avx2() { return false; }
+constexpr TableFn kAvx2Table = nullptr;
 #endif
 #if defined(NETLLM_HAVE_AVX512)
-    case Isa::kAvx512:
-      return &kd::avx512_table();
+bool cpu_avx512() {
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512vnni") &&
+         __builtin_cpu_supports("fma");
+}
+constexpr TableFn kAvx512Table = &kd::avx512_table;
+#else
+bool cpu_avx512() { return false; }
+constexpr TableFn kAvx512Table = nullptr;
 #endif
-#if defined(NETLLM_HAVE_NEON)
-    case Isa::kNeon:
-      return &kd::neon_table();
-#endif
-    default:
-      return &kd::scalar_table();
+bool cpu_any() { return true; }
+
+struct Tier {
+  Isa isa;
+  const char* name;
+  TableFn table;      // nullptr: not compiled into this binary
+  bool (*cpu_has)();  // the running CPU advertises the tier's feature bits
+};
+
+/// Every tier, narrowest first: supported_isas() lists the supported ones
+/// in this order and best_isa() takes the last of them. A new tier is one
+/// row here plus its TU.
+constexpr Tier kTiers[] = {
+    {Isa::kScalar, "scalar", &kd::scalar_table, &cpu_any},
+    {Isa::kAvx2, "avx2", kAvx2Table, &cpu_avx2},
+    {Isa::kAvx512, "avx512", kAvx512Table, &cpu_avx512},
+};
+
+const Tier* find(Isa i) {
+  for (const Tier& t : kTiers) {
+    if (t.isa == i) return &t;
   }
+  return nullptr;
 }
 
 /// Publish `requested` (or the scalar fallback if unsupported) as the
 /// active tier. Caller holds g_mu. Returns the applied tier.
 Isa apply_locked(Isa requested) {
   const Isa applied = isa_supported(requested) ? requested : Isa::kScalar;
-  g_table.store(table_for(applied), std::memory_order_release);
+  g_table.store(&find(applied)->table(), std::memory_order_release);
   g_active.store(static_cast<int>(applied), std::memory_order_release);
   core::metrics::gauge("kernels.isa.active").set(static_cast<double>(applied));
   core::metrics::gauge("kernels.isa.best").set(static_cast<double>(best_isa()));
@@ -103,7 +91,9 @@ Isa resolve_env() {
   try {
     return isa_from_name(v);
   } catch (const std::invalid_argument&) {
-    throw std::invalid_argument("NETLLM_ISA: expected scalar|avx2|avx512|neon|auto, got '" +
+    std::string expected;
+    for (const Tier& t : kTiers) expected += std::string(t.name) + "|";
+    throw std::invalid_argument("NETLLM_ISA: expected " + expected + "auto, got '" +
                                 std::string(v) + "'");
   }
 }
@@ -111,62 +101,42 @@ Isa resolve_env() {
 }  // namespace
 
 const char* isa_name(Isa i) {
-  switch (i) {
-    case Isa::kScalar: return "scalar";
-    case Isa::kAvx2: return "avx2";
-    case Isa::kNeon: return "neon";
-    case Isa::kAvx512: return "avx512";
-  }
-  return "scalar";
+  const Tier* t = find(i);
+  return t != nullptr ? t->name : "scalar";
 }
 
 Isa isa_from_name(std::string_view name) {
-  if (name == "scalar") return Isa::kScalar;
-  if (name == "avx2") return Isa::kAvx2;
-  if (name == "neon") return Isa::kNeon;
-  if (name == "avx512") return Isa::kAvx512;
+  for (const Tier& t : kTiers) {
+    if (name == t.name) return t.isa;
+  }
   throw std::invalid_argument("isa_from_name: unknown tier '" + std::string(name) + "'");
 }
 
 bool isa_compiled(Isa i) {
-  switch (i) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kAvx2:
-#if defined(NETLLM_HAVE_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case Isa::kNeon:
-#if defined(NETLLM_HAVE_NEON)
-      return true;
-#else
-      return false;
-#endif
-    case Isa::kAvx512:
-#if defined(NETLLM_HAVE_AVX512)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
+  const Tier* t = find(i);
+  return t != nullptr && t->table != nullptr;
 }
 
-bool isa_supported(Isa i) { return isa_compiled(i) && cpu_has(i); }
+bool isa_supported(Isa i) { return isa_compiled(i) && find(i)->cpu_has(); }
 
 Isa best_isa() {
-  for (Isa i : {Isa::kAvx512, Isa::kAvx2, Isa::kNeon}) {
-    if (isa_supported(i)) return i;
+  Isa best = Isa::kScalar;
+  for (const Tier& t : kTiers) {
+    if (isa_supported(t.isa)) best = t.isa;
   }
-  return Isa::kScalar;
+  return best;
+}
+
+std::vector<Isa> all_isas() {
+  std::vector<Isa> tiers;
+  for (const Tier& t : kTiers) tiers.push_back(t.isa);
+  return tiers;
 }
 
 std::vector<Isa> supported_isas() {
   std::vector<Isa> tiers;
-  for (Isa i : {Isa::kScalar, Isa::kNeon, Isa::kAvx2, Isa::kAvx512}) {
-    if (isa_supported(i)) tiers.push_back(i);
+  for (const Tier& t : kTiers) {
+    if (isa_supported(t.isa)) tiers.push_back(t.isa);
   }
   return tiers;
 }

@@ -1,23 +1,24 @@
 // Runtime CPU-ISA dispatch for the matmul microkernel tier (DESIGN.md §16).
 //
-// The hot range-kernels in tensor/kernels.* exist in up to four compiled
-// tiers — scalar (portable baseline, always present), AVX2+FMA and
-// AVX-512 (x86-64, each built as a separate TU with its own per-file -m
-// flags) and NEON (aarch64) — and the tier actually executed is picked at
-// runtime from the CPU's feature bits, NOT by the compiler flags of the
-// whole build. The binary therefore runs on any host of its architecture
-// and still uses the widest vector unit the machine has.
+// The hot range-kernels in tensor/kernels.* exist in up to three compiled
+// tiers — scalar (portable baseline, always present), AVX2+FMA and AVX-512
+// (x86-64, each built as a separate TU with its own per-file -m flags) —
+// and the tier actually executed is picked at runtime from the CPU's
+// feature bits, NOT by the compiler flags of the whole build. The binary
+// therefore runs on any host of its architecture and still uses the widest
+// vector unit the machine has. Other architectures (aarch64 included) run
+// the scalar tier.
 //
 // Selection order, resolved once on first kernel call (or explicitly via
 // reset_active_isa()):
-//   1. `NETLLM_ISA` env: "scalar" | "avx2" | "avx512" | "neon" force a tier
-//      (an unsupported-but-valid name falls back to scalar — the dispatch
+//   1. `NETLLM_ISA` env: "scalar" | "avx2" | "avx512" force a tier (an
+//      unsupported-but-valid name falls back to scalar — the dispatch
 //      table, not the caller, decides); "auto" / unset pick best_isa().
 //      Any other value throws std::invalid_argument, loudly.
 //   2. best_isa(): the widest tier that is both compiled into this binary
-//      and advertised by the CPU (cpuid-backed __builtin_cpu_supports on
-//      x86, getauxval(AT_HWCAP) on aarch64), in the order avx512, avx2,
-//      neon, scalar. The AVX-512 tier needs avx512f/bw/vl/vnni and fma.
+//      and advertised by the CPU (cpuid-backed __builtin_cpu_supports), in
+//      the order avx512, avx2, scalar. The AVX-512 tier needs
+//      avx512f/bw/vl/vnni and fma.
 //
 // Tier contract (pinned by tests/test_isa.cpp, ctest -L isa):
 //   - WITHIN a tier, results are bitwise identical at any NETLLM_THREADS:
@@ -40,14 +41,15 @@
 
 namespace netllm::tensor::isa {
 
-/// Microkernel tiers, widest-last per architecture. Values are stable: they
-/// are what the kernels.isa.* metrics gauges report.
-enum class Isa : int { kScalar = 0, kAvx2 = 1, kNeon = 2, kAvx512 = 3 };
+/// Microkernel tiers, narrowest first. Values are stable: they are what the
+/// kernels.isa.* metrics gauges report. Value 2 belonged to a retired
+/// aarch64 tier and is not reused.
+enum class Isa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 3 };
 
-/// Stable lowercase name ("scalar" / "avx2" / "neon" / "avx512").
+/// Stable lowercase name ("scalar" / "avx2" / "avx512").
 const char* isa_name(Isa i);
 
-/// Parse "scalar" / "avx2" / "neon" / "avx512". Throws std::invalid_argument on
+/// Parse "scalar" / "avx2" / "avx512". Throws std::invalid_argument on
 /// anything else (including "auto" — resolve that via reset_active_isa()).
 Isa isa_from_name(std::string_view name);
 
@@ -60,6 +62,9 @@ bool isa_supported(Isa i);
 
 /// Widest supported tier on this host.
 Isa best_isa();
+
+/// Every tier this dispatcher knows, compiled or not, narrowest first.
+std::vector<Isa> all_isas();
 
 /// Every supported tier on this host, scalar first, then narrowest to
 /// widest: what a test or bench sweeps to cover each tier it can run.

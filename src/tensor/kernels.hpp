@@ -3,8 +3,8 @@
 // on raw buffers (no autograd graph in the way).
 //
 // Every entry point dispatches to the ISA tier selected at runtime by
-// tensor/isa.* (scalar always; AVX2+FMA / NEON when compiled in and the CPU
-// advertises them; NETLLM_ISA forces a tier — DESIGN.md §16).
+// tensor/isa.* (scalar always; AVX2+FMA and AVX-512 when compiled in and
+// the CPU advertises them; NETLLM_ISA forces a tier — DESIGN.md §16).
 //
 // Determinism contract: for every kernel the threaded version partitions the
 // *output* rows into contiguous chunks and, within each output element, adds

@@ -1,7 +1,7 @@
 // Internal dispatch table between the public matmul entry points
 // (tensor/kernels.cpp) and the per-ISA range-kernel TUs (kernels_scalar.cpp,
-// kernels_avx2.cpp, kernels_avx512.cpp, kernels_neon.cpp). Not installed
-// API — callers go through tensor/kernels.hpp and tensor/isa.hpp.
+// kernels_avx2.cpp, kernels_avx512.cpp). Not installed API — callers go
+// through tensor/kernels.hpp and tensor/isa.hpp.
 //
 // The matmul functions here are *range* kernels: each computes a contiguous
 // slice of the output and is what core::parallel_for chunks over. The
@@ -165,11 +165,6 @@ void avx2_transpose_keys(const float* k, std::int64_t ld, std::int64_t d_head, s
 /// AVX-512 tier (kernels_avx512.cpp, built with -mavx512f/bw/vl/vnni -mfma
 /// on this TU only): the AVX2 tier's bits from 16-lane bodies.
 const KernelTable& avx512_table();
-#endif
-
-#if defined(NETLLM_HAVE_NEON)
-/// NEON tier (kernels_neon.cpp, aarch64 builds only).
-const KernelTable& neon_table();
 #endif
 
 /// Table for the currently active tier. First call resolves NETLLM_ISA via

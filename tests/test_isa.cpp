@@ -207,7 +207,7 @@ KernelRun run_all_kernels(const std::vector<float>& a, const std::vector<float>&
 // ---- dispatch plumbing ----
 
 TEST(IsaDispatch, NamesRoundTripAndGarbageThrows) {
-  for (auto t : {isa::Isa::kScalar, isa::Isa::kAvx2, isa::Isa::kNeon, isa::Isa::kAvx512}) {
+  for (auto t : isa::all_isas()) {
     EXPECT_EQ(isa::isa_from_name(isa::isa_name(t)), t);
   }
   EXPECT_STREQ(isa::isa_name(isa::Isa::kAvx512), "avx512");
@@ -215,6 +215,8 @@ TEST(IsaDispatch, NamesRoundTripAndGarbageThrows) {
   EXPECT_THROW(isa::isa_from_name("avx512f"), std::invalid_argument);
   EXPECT_THROW(isa::isa_from_name(""), std::invalid_argument);
   EXPECT_THROW(isa::isa_from_name("Scalar"), std::invalid_argument);
+  // A retired tier's name fails loudly instead of selecting scalar.
+  EXPECT_THROW(isa::isa_from_name("neon"), std::invalid_argument);
   // "auto" is an env-level directive, not a tier name.
   EXPECT_THROW(isa::isa_from_name("auto"), std::invalid_argument);
 }
@@ -239,9 +241,9 @@ TEST(IsaDispatch, ScalarAlwaysPresentAndBestIsSupported) {
 
 TEST(IsaDispatch, UnsupportedTierRequestFallsBackToScalar) {
   TierGuard guard;
-  // The other architecture's tiers are always valid-but-unsupported
-  // requests; so is AVX-512 on an x86 host without it.
-  for (auto t : {isa::Isa::kAvx2, isa::Isa::kNeon, isa::Isa::kAvx512}) {
+  // Every tier this binary or CPU lacks is a valid-but-unsupported request
+  // (none on an AVX-512 host with every tier compiled).
+  for (auto t : isa::all_isas()) {
     if (isa::isa_supported(t)) continue;
     EXPECT_EQ(isa::set_active_isa(t), isa::Isa::kScalar) << isa::isa_name(t);
     EXPECT_EQ(isa::active_isa(), isa::Isa::kScalar);
@@ -263,13 +265,12 @@ TEST(IsaDispatch, EnvOverrideResolvesOnReset) {
     EnvVarGuard env("NETLLM_ISA", nullptr);
     EXPECT_EQ(isa::reset_active_isa(), isa::best_isa());
   }
-  {
-    // A valid-but-uncompiled tier name falls back to scalar, silently: the
-    // dispatch decides, the caller's config stays portable across hosts.
-    const auto other =
-        isa::isa_supported(isa::Isa::kAvx2) ? isa::Isa::kNeon : isa::Isa::kAvx2;
-    EnvVarGuard env("NETLLM_ISA", isa::isa_name(other));
-    EXPECT_EQ(isa::reset_active_isa(), isa::Isa::kScalar);
+  // A valid-but-unsupported tier name falls back to scalar, silently: the
+  // dispatch decides, the caller's config stays portable across hosts.
+  for (auto t : isa::all_isas()) {
+    if (isa::isa_supported(t)) continue;
+    EnvVarGuard env("NETLLM_ISA", isa::isa_name(t));
+    EXPECT_EQ(isa::reset_active_isa(), isa::Isa::kScalar) << isa::isa_name(t);
   }
   {
     // "avx512" applies where the host has the tier, else falls back to scalar.
@@ -285,9 +286,11 @@ TEST(IsaDispatch, GarbageEnvThrowsWithoutChangingTier) {
   TierGuard guard;
   isa::set_active_isa(isa::best_isa());
   const auto before = isa::active_isa();
-  EnvVarGuard env("NETLLM_ISA", "turbo9000");
-  EXPECT_THROW(isa::reset_active_isa(), std::invalid_argument);
-  EXPECT_EQ(isa::active_isa(), before);
+  for (const char* garbage : {"turbo9000", "neon"}) {
+    EnvVarGuard env("NETLLM_ISA", garbage);
+    EXPECT_THROW(isa::reset_active_isa(), std::invalid_argument) << garbage;
+    EXPECT_EQ(isa::active_isa(), before) << garbage;
+  }
 }
 
 TEST(IsaDispatch, ActiveTierExportedAsMetricsGauge) {
@@ -422,7 +425,7 @@ TEST(IsaTiers, ForcedScalarBitwiseMatchesPortableReferenceLoops) {
 namespace {
 
 // Inline re-statement of the vector tiers' fp32 element (kernels_avx2.cpp,
-// kernels_neon.cpp): acc = 0, one fused multiply-add per p ascending, then
+// kernels_avx512.cpp): acc = 0, one fused multiply-add per p ascending, then
 // c += acc — whatever register tile, row range or thread computes it.
 void ref_fma_accum(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
                    std::int64_t n) {

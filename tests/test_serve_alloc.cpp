@@ -53,8 +53,9 @@ std::atomic<std::int64_t> g_allocations{0};
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow forms too (std::stable_sort's buffer), so every block this
-// binary frees came from one of these.
+// The nothrow forms too (a std::stable_sort or std::get_temporary_buffer
+// takes its buffer from them), so every block this binary frees came from
+// one of these.
 [[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);

@@ -6,10 +6,11 @@ Usage: tools/check_bench_kernels.py BENCH_kernels.json
 The artifact must carry the threaded BM_MatmulKernel sweep and one
 BM_IsaTier/<case>/<tier> row per kernel case for every tier the provenance
 lists as supported on the host (`isa_supported`: scalar, plus avx2 and
-avx512 or neon where the host has them). Every row runs REPETITIONS times
-and reports median and stddev aggregates; the checks read the medians. The
-context block must name the run's provenance (commit, build type, host
-width, active and supported tiers, NETLLM_THREADS). On the GEMV serving
+avx512 where the host has them; no other tier name is accepted). Every
+row runs REPETITIONS times and reports median and stddev aggregates; the
+checks read the medians. The context block must name the run's
+provenance (commit, build type, host width, active and supported tiers,
+NETLLM_THREADS). On the GEMV serving
 shapes, the narrow fp32 shapes and the row kernels (GELU, Q8_0 activation
 quantization) every vector tier must not be slower than scalar, and
 neither may the causal softmax and the fused attention head. The avx512
@@ -26,6 +27,8 @@ the test suite.
 import json, sys
 
 REPETITIONS = 5
+# The tiers tensor/isa.cpp dispatches to.
+KNOWN_TIERS = ("scalar", "avx2", "avx512")
 PROVENANCE = ("git_sha", "build_type", "nproc", "isa_active", "isa_supported", "netllm_threads")
 
 with open(sys.argv[1]) as f:
@@ -81,6 +84,10 @@ for case in CASES:
         raise SystemExit(f"regression: non-positive scalar rate for {case}")
 
 supported = context["isa_supported"].split(",")
+for tier in supported:
+    if tier not in KNOWN_TIERS:
+        raise SystemExit(f"schema drift: isa_supported lists '{tier}', "
+                         f"not a dispatcher tier ({', '.join(KNOWN_TIERS)})")
 vector_tiers = [t for t in supported if t != "scalar"]
 for tier in sorted({t for (_, t) in flops} - set(supported)):
     raise SystemExit(f"schema drift: rows for tier {tier}, which isa_supported does not list")
