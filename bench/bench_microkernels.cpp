@@ -321,6 +321,45 @@ void BM_IsaAttend(benchmark::State& state, isa::Isa tier, std::int64_t d, std::i
   state.SetLabel(isa::isa_name(tier));
 }
 
+/// One fused LoRA slot call (kernels::lora_projections): `count`
+/// projections of m rows from k to n columns at rank r, each with a base
+/// and a bias. items_per_second == FLOP/s of the three matmul_accum
+/// products per projection it replaces.
+void BM_IsaLora(benchmark::State& state, isa::Isa tier, int count, std::int64_t m,
+                std::int64_t k, std::int64_t n, std::int64_t r) {
+  TierScope scope(tier);
+  if (!scope.applied) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  Rng rng(23);
+  const auto filled = [&](std::int64_t size) {
+    std::vector<float> v(static_cast<std::size_t>(size));
+    for (auto& x : v) x = static_cast<float>(rng.gaussian(0.0, 1.0));
+    return v;
+  };
+  const auto x = filled(m * k);
+  std::vector<std::vector<float>> w, bias, a, b, y;
+  std::vector<nt::kernels::LoraProjection> projs;
+  for (int q = 0; q < count; ++q) {
+    w.push_back(filled(k * n));
+    bias.push_back(filled(n));
+    a.push_back(filled(k * r));
+    b.push_back(filled(r * n));
+    y.emplace_back(static_cast<std::size_t>(m * n));
+  }
+  for (int q = 0; q < count; ++q) {
+    projs.push_back({w[q].data(), bias[q].data(), a[q].data(), b[q].data(), 2.0f, y[q].data()});
+  }
+  for (auto _ : state) {
+    nt::kernels::lora_projections(x.data(), m, k, n, r, projs.data(), count);
+    benchmark::DoNotOptimize(y.front().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * count * 2 * m * (k * n + k * r + r * n));
+  state.SetLabel(isa::isa_name(tier));
+}
+
 /// One BM_IsaTier/<case>/<tier> row per supported tier. The 512-wide GEMV
 /// rows are the serving hot shape (single decode row against a 512-wide
 /// projection); GEMM rows show the register-tiled multi-row path. The
@@ -332,7 +371,9 @@ void BM_IsaAttend(benchmark::State& state, isa::Isa tier, std::int64_t d, std::i
 /// that step's four 512-wide activation rows. The attention rows are the
 /// causal softmax of a 98-row CJS window, one `vp_wide_q8` decode step
 /// (1 row against 30 cached ones, 512 wide, 8 heads) and an ABR window's
-/// prefill (59 rows, 64 wide, 4 heads).
+/// prefill (59 rows, 64 wide, 4 heads). The LoRA rows are fused slot calls
+/// of a 64-wide decode step at rank 4: Q, K and V in one call, and the MLP's
+/// 160 -> 64 down projection (fc2).
 void register_isa_tier_benches() {
   const auto tiers = isa::supported_isas();
   constexpr std::int64_t kDim = 512;
@@ -368,6 +409,13 @@ void register_isa_tier_benches() {
   };
   const AttendCase attend_cases[] = {{"attend_step_len30_d512h8", kDim, 8, 1, 30},
                                      {"attend_prefill59_d64h4", 64, 4, 59, 59}};
+  struct LoraCase {
+    const char* name;
+    int count;
+    std::int64_t m, k, n, r;
+  };
+  const LoraCase lora_cases[] = {{"lora_qkv_step64_r4", 3, 1, 64, 64, 4},
+                                 {"lora_fc2_step160x64_r4", 1, 1, 160, 64, 4}};
   for (const auto tier : tiers) {
     const std::string suffix = std::string("/") + isa::isa_name(tier);
     for (const auto& f : f32_cases) {
@@ -406,6 +454,15 @@ void register_isa_tier_benches() {
       benchmark::RegisterBenchmark(("BM_IsaTier/" + std::string(a.name) + suffix).c_str(),
                                    [tier, a](benchmark::State& s) {
                                      BM_IsaAttend(s, tier, a.d, a.heads, a.rows, a.len);
+                                   })
+          ->UseRealTime()
+          ->Repetitions(kLedgerRepetitions)
+          ->ReportAggregatesOnly(true);
+    }
+    for (const auto& l : lora_cases) {
+      benchmark::RegisterBenchmark(("BM_IsaTier/" + std::string(l.name) + suffix).c_str(),
+                                   [tier, l](benchmark::State& s) {
+                                     BM_IsaLora(s, tier, l.count, l.m, l.k, l.n, l.r);
                                    })
           ->UseRealTime()
           ->Repetitions(kLedgerRepetitions)

@@ -50,13 +50,21 @@ Tensor MiniGpt::run_blocks(const Tensor& x) const {
 }
 
 void MiniGpt::run_blocks_rows(std::span<float> h, std::int64_t m,
-                              std::span<const nn::KvSegment> segments,
-                              std::span<float> out) const {
+                              std::span<const nn::KvSegment> segments, std::span<float> out,
+                              bool last_only) const {
   const auto n = segments.size() / blocks_.size();
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+  const auto last = blocks_.size() - 1;
+  for (std::size_t i = 0; i < last; ++i) {
     blocks_[i]->forward_rows(h, segments.subspan(i * n, n), h);
   }
-  final_ln_->forward_rows(h, m, out);
+  const auto rows = last_only ? static_cast<std::int64_t>(n) : m;
+  const auto top = h.first(static_cast<std::size_t>(rows * cfg_.d_model));
+  if (last_only) {
+    blocks_[last]->forward_last_rows(h, segments.subspan(last * n, n), top);
+  } else {
+    blocks_[last]->forward_rows(h, segments.subspan(last * n, n), h);
+  }
+  final_ln_->forward_rows(top, rows, out);
 }
 
 Tensor MiniGpt::token_logits(std::span<const int> ids, std::int64_t pos,
@@ -78,7 +86,7 @@ Tensor MiniGpt::token_logits(std::span<const int> ids, std::int64_t pos,
   for (auto& c : layers) segs.push_back({m, &c});
   segs.resize(blocks_.size(), {m, nullptr});
   const auto ln = sized(rows.ln, m * d);
-  run_blocks_rows(h, m, segs, ln);
+  run_blocks_rows(h, m, segs, ln, /*last_only=*/false);
   auto logits = Tensor::zeros({m, cfg_.vocab});
   lm_head_->forward_rows(ln, m, logits.mutable_data());
   return logits;
@@ -87,6 +95,12 @@ Tensor MiniGpt::token_logits(std::span<const int> ids, std::int64_t pos,
 void MiniGpt::forward_segments(std::span<const EmbeddingSegment> segments,
                                std::vector<float>& features,
                                std::span<std::exception_ptr> errors) const {
+  segment_rows(segments, features, errors, /*last_only=*/true);
+}
+
+void MiniGpt::segment_rows(std::span<const EmbeddingSegment> segments,
+                           std::vector<float>& features, std::span<std::exception_ptr> errors,
+                           bool last_only) const {
   // add(embeds, slice_rows(pos_embed_, pos, rows)) on each segment's raw
   // rows, stacked, then one pass through the blocks.
   const auto d = cfg_.d_model;
@@ -124,11 +138,11 @@ void MiniGpt::forward_segments(std::span<const EmbeddingSegment> segments,
     }
     row0 += static_cast<std::int64_t>(seg.embeds.size()) / d;
   }
-  const auto out = sized(features, m * d);
-  run_blocks_rows(h, m, segs, out);
+  const auto out = sized(features, (last_only ? static_cast<std::int64_t>(n) : m) * d);
+  run_blocks_rows(h, m, segs, out, last_only);
   row0 = 0;
   for (std::size_t s = 0; s < n; ++s) {
-    const auto r = static_cast<std::int64_t>(segments[s].embeds.size()) / d;
+    const auto r = last_only ? 1 : static_cast<std::int64_t>(segments[s].embeds.size()) / d;
     errors[s] = nullptr;
     // Fault-injection site shared with forward_embeddings: one draw per
     // segment per backbone pass, so an armed plan fires on one request's
@@ -144,16 +158,16 @@ void MiniGpt::forward_segments(std::span<const EmbeddingSegment> segments,
 }
 
 void MiniGpt::embedding_rows(std::span<const float> embeds, std::span<nn::KvCache> layers,
-                             std::vector<float>& features) const {
+                             std::vector<float>& features, bool last_only) const {
   const EmbeddingSegment seg{embeds, layers};
   std::exception_ptr error;
-  forward_segments({&seg, 1}, features, {&error, 1});
+  segment_rows({&seg, 1}, features, {&error, 1}, last_only);
   if (error) std::rethrow_exception(error);
 }
 
 Tensor MiniGpt::embedding_features(const Tensor& embeds, std::span<nn::KvCache> layers) const {
   std::vector<float> features;
-  embedding_rows(embeds.data(), layers, features);
+  embedding_rows(embeds.data(), layers, features, /*last_only=*/false);
   return Tensor::from(std::move(features), {embeds.dim(0), cfg_.d_model});
 }
 
@@ -322,7 +336,7 @@ void MiniGpt::prefill_rows(std::span<const float> embeds, std::vector<float>& fe
     throw std::invalid_argument("MiniGpt::prefill_embeddings: sequence length out of range");
   }
   core::trace::Span span(core::trace::Phase::kPrefill);
-  embedding_rows(embeds, {}, features);
+  embedding_rows(embeds, {}, features, /*last_only=*/true);
 }
 
 Tensor MiniGpt::embeddings_step(const Tensor& row, std::span<nn::KvCache> layers) const {

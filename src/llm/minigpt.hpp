@@ -98,26 +98,33 @@ class MiniGpt final : public nn::Module {
   /// the ABR and CJS adapters serve a whole window.
   tensor::Tensor prefill_embeddings(const tensor::Tensor& embeds,
                                     std::span<nn::KvCache> layers) const;
-  /// prefill_embeddings(embeds, {}) on raw rows, how the ABR and CJS
-  /// adapters serve a whole window: embeds [T, d_model] -> features
-  /// [T, d_model] in `features` (resized; no allocation once warm).
+  /// The last row of prefill_embeddings(embeds, {}) on raw rows, how the
+  /// ABR and CJS adapters serve a whole window (their heads read the last
+  /// state token): embeds [T, d_model] -> features [1, d_model] in
+  /// `features` (resized; no allocation once warm). The final block runs
+  /// Q, attention, O, the MLP and the final norm for that row alone
+  /// (TransformerBlock::forward_last_rows).
   void prefill_rows(std::span<const float> embeds, std::vector<float>& features) const;
   /// Feed one new embedding row at the caches' current position; returns
   /// features [1, d_model], bitwise the last row `forward_embeddings` would
   /// produce over the extended sequence. Throws at `max_seq` positions.
   tensor::Tensor embeddings_step(const tensor::Tensor& row,
                                  std::span<nn::KvCache> layers) const;
-  /// The grouped pass behind both: every segment's rows, at the positions
-  /// after its own caches' rows, stacked into one graph-free m-row backbone
-  /// pass (m = the segments' rows), each segment attending only over its own
-  /// caches. Each segment's features are bitwise what a pass of that segment
-  /// alone computes. The "llm.forward" fault site is drawn once per segment,
-  /// in segment order, on that segment's rows: a Throw or a corruption
-  /// belongs to that segment only: its error, or null, lands in errors[s]
-  /// (then its rows must not be read). The stacked features [m, d_model]
-  /// land in `features` (resized; no allocation once its capacity covers
-  /// them). Throws std::invalid_argument (for the whole group) on a
-  /// malformed segment or one past `max_seq`.
+  /// The served grouped pass (VP prefills and rollout steps): every
+  /// segment's rows, at the positions after its own caches' rows, stacked
+  /// into one graph-free m-row backbone pass (m = the segments' rows), each
+  /// segment attending only over its own caches, which capture every row.
+  /// The networking head reads one feature row per segment, its last, so
+  /// the final block and norm run for those rows alone
+  /// (TransformerBlock::forward_last_rows): features [segments, d_model],
+  /// row s bitwise the last row that prefill_embeddings / embeddings_step
+  /// of segment s alone return. The "llm.forward" fault site is drawn once
+  /// per segment, in segment order, on that segment's row: a Throw or a
+  /// corruption belongs to that segment only: its error, or null, lands in
+  /// errors[s] (then its row must not be read). `features` is resized (no
+  /// allocation once its capacity covers them). Throws
+  /// std::invalid_argument (for the whole group) on a malformed segment or
+  /// one past `max_seq`.
   void forward_segments(std::span<const EmbeddingSegment> segments, std::vector<float>& features,
                         std::span<std::exception_ptr> errors) const;
 
@@ -184,16 +191,21 @@ class MiniGpt final : public nn::Module {
   /// The graph-free backbone pass behind prefill, decode_step and
   /// forward_segments: every block's m-row forward over h in place, block
   /// b against segments[b * n .. (b + 1) * n) for n segments per block,
-  /// then the final layer norm into `out`.
+  /// then the final layer norm into `out` (m rows, or with last_only the
+  /// n segments' last rows, the final block run as forward_last_rows).
   void run_blocks_rows(std::span<float> h, std::int64_t m, std::span<const nn::KvSegment> segments,
-                       std::span<float> out) const;
+                       std::span<float> out, bool last_only) const;
   /// Graph-free pass over the tokens ids at positions pos..; returns
   /// logits [m, vocab].
   tensor::Tensor token_logits(std::span<const int> ids, std::int64_t pos,
                               std::span<nn::KvCache> layers) const;
-  /// A one-segment forward_segments call; rethrows the segment's error.
+  /// forward_segments, returning every row of each segment unless
+  /// last_only.
+  void segment_rows(std::span<const EmbeddingSegment> segments, std::vector<float>& features,
+                    std::span<std::exception_ptr> errors, bool last_only) const;
+  /// A one-segment segment_rows call; rethrows the segment's error.
   void embedding_rows(std::span<const float> embeds, std::span<nn::KvCache> layers,
-                      std::vector<float>& features) const;
+                      std::vector<float>& features, bool last_only) const;
   /// embedding_rows as a [rows, d_model] Tensor.
   tensor::Tensor embedding_features(const tensor::Tensor& embeds,
                                     std::span<nn::KvCache> layers) const;

@@ -294,17 +294,16 @@ std::vector<VpRollout> VpAdapter::predict_group(std::span<const VpQuery> group) 
       for (const auto i : who) fail(i);
       return;
     }
-    std::size_t row0 = 0;
     for (std::size_t c = 0; c < who.size(); ++c) {
       const auto i = who[c];
       const auto rows = segs[c].embeds.size() / du;
-      row0 += rows;
       if (ws.errors[c]) {
         out[i].error = ws.errors[c];
         ms[i].live = false;
         continue;
       }
-      const auto last = std::span<const float>(ws.features).subspan((row0 - 1) * du, du);
+      // forward_segments returns each prompt's last row, the one the head reads.
+      const auto last = std::span<const float>(ws.features).subspan(c * du, du);
       ms[i].features_last.assign(last.begin(), last.end());
       // Never publish poisoned features: an armed llm.forward NaN fault must
       // degrade this one request, not seed the warm cache for every later hit.

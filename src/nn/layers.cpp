@@ -31,7 +31,7 @@ Linear::Linear(std::int64_t in, std::int64_t out, core::Rng& rng, bool bias) {
 
 Tensor Linear::forward(const Tensor& x) const {
   Tensor y;
-  if (quant_active_ && weight_dtype_ != quant::Dtype::kF32) {
+  if (quantized()) {
     y = quant::qmatmul(x, qweight_);
   } else {
     y = matmul(x, weight_);
@@ -44,7 +44,7 @@ void Linear::forward_rows(std::span<const float> x, std::int64_t m, std::span<fl
   const auto in = in_features(), out = out_features();
   check_rows(x, in, m, y, out, "Linear::forward_rows");
   std::fill(y.begin(), y.end(), 0.0f);
-  if (quant_active_ && weight_dtype_ != quant::Dtype::kF32) {
+  if (quantized()) {
     quant::qmatmul_accum(x.data(), m, qweight_, y.data());
   } else {
     kernels::matmul_accum(x.data(), weight_.data().data(), y.data(), m, in, out);
@@ -107,16 +107,43 @@ Tensor LoRALinear::forward(const Tensor& x) const {
 
 void LoRALinear::forward_rows(std::span<const float> x, std::int64_t m,
                               std::span<float> y) const {
-  base_->forward_rows(x, m, y);
-  const auto in = base_->in_features(), out = base_->out_features(), r = rank();
-  // Per-thread scratch; assign() zero-fills without reallocating once warm.
-  thread_local std::vector<float> xa, delta;
-  xa.assign(static_cast<std::size_t>(m * r), 0.0f);
-  delta.assign(static_cast<std::size_t>(m * out), 0.0f);
-  kernels::matmul_accum(x.data(), a_.data().data(), xa.data(), m, in, r);
-  kernels::matmul_accum(xa.data(), b_.data().data(), delta.data(), m, r, out);
-  for (auto& v : delta) v = v * scaling_;
-  for (std::size_t j = 0; j < delta.size(); ++j) y[j] = y[j] + delta[j];
+  const LoRALinear* one[] = {this};
+  const std::span<float> ys[] = {y};
+  forward_rows(one, x, m, ys);
+}
+
+void LoRALinear::forward_rows(std::span<const LoRALinear* const> lora, std::span<const float> x,
+                              std::int64_t m, std::span<const std::span<float>> ys) {
+  if (lora.empty() || lora.size() > 3 || ys.size() != lora.size()) {
+    throw std::invalid_argument("LoRALinear::forward_rows: 1 to 3 layers, one output each");
+  }
+  const auto& first = *lora.front();
+  const auto in = first.base_->in_features(), out = first.base_->out_features();
+  const auto r = first.rank();
+  const bool quantized = first.base_->quantized();
+  kernels::LoraProjection projs[3];
+  for (std::size_t i = 0; i < lora.size(); ++i) {
+    const auto& l = *lora[i];
+    const auto& base = *l.base_;
+    if (base.in_features() != in || base.out_features() != out || l.rank() != r ||
+        base.quantized() != quantized) {
+      throw std::invalid_argument(
+          "LoRALinear::forward_rows: layers must share widths, rank and base dtype path");
+    }
+    check_rows(x, in, m, ys[i], out, "LoRALinear::forward_rows");
+    auto& p = projs[i];
+    if (quantized) {
+      base.forward_rows(x, m, ys[i]);  // qmatmul and bias; the slot adds the delta
+    } else {
+      p.w = base.weight().data().data();
+      if (base.bias().defined()) p.bias = base.bias().data().data();
+    }
+    p.a = l.a_.data().data();
+    p.b = l.b_.data().data();
+    p.scale = l.scaling_;
+    p.y = ys[i].data();
+  }
+  kernels::lora_projections(x.data(), m, in, out, r, projs, static_cast<int>(lora.size()));
 }
 
 void LoRALinear::collect_params(NamedParams& out, const std::string& prefix) const {

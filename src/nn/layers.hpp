@@ -32,6 +32,8 @@ class Linear final : public Module {
   std::int64_t in_features() const { return weight_.dim(0); }
   std::int64_t out_features() const { return weight_.dim(1); }
   const Tensor& weight() const { return weight_; }
+  /// The bias [out]; undefined for a Linear built with bias = false.
+  const Tensor& bias() const { return bias_; }
 
   // ---- weight dtype (block-quantized inference, DESIGN.md §15) ----
   //
@@ -54,6 +56,9 @@ class Linear final : public Module {
   /// Gate the quantized forward without dropping the quantized copy.
   void set_quant_active(bool active) { quant_active_ = active; }
   bool quant_active() const { return quant_active_; }
+  /// True when the forward runs the quantized copy (qmatmul) rather than
+  /// the fp32 master.
+  bool quantized() const { return quant_active_ && weight_dtype_ != tensor::quant::Dtype::kF32; }
   /// Refresh the quantized copy from the fp32 master at the current dtype
   /// (no-op for kF32). Call after the master changed while paused.
   void requantize();
@@ -75,9 +80,16 @@ class LoRALinear final : public Module {
   LoRALinear(std::shared_ptr<Linear> base, std::int64_t rank, float alpha, core::Rng& rng);
 
   Tensor forward(const Tensor& x) const;
-  /// Graph-free forward of m rows: the base rows, then the low-rank delta
-  /// (x A) B scaled and added in separate passes, as `forward` does.
+  /// Graph-free forward of m rows through kernels::lora_projections, bitwise
+  /// what `forward` returns: an fp32 base runs inside the slot with the
+  /// delta; a quantized base runs Linear::forward_rows (qmatmul and bias),
+  /// then the slot's delta-only form adds the scaled (x A) B.
   void forward_rows(std::span<const float> x, std::int64_t m, std::span<float> y) const;
+  /// The same for 1 to 3 LoRA layers of one width, in_features and rank
+  /// that read the same rows x (Q, K and V): one slot call computes every
+  /// ys[i] = lora[i]'s forward_rows(x), bitwise.
+  static void forward_rows(std::span<const LoRALinear* const> lora, std::span<const float> x,
+                           std::int64_t m, std::span<const std::span<float>> ys);
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
   /// Only the low-rank matrices (what DD-LRNA trains on the backbone).

@@ -1,5 +1,6 @@
 #include "nn/transformer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -27,7 +28,7 @@ Tensor concat_cols(const std::vector<Tensor>& xs) {
 /// rows it nests from aliasing.
 struct RowsWorkspace {
   std::vector<float> ln, attn, h, ff1, ff2;  // TransformerBlock::forward_rows
-  std::vector<float> q, k, v, ctx;           // MultiHeadAttention::forward_rows
+  std::vector<float> xq, q, k, v, ctx;       // MultiHeadAttention::forward_rows
 
   static RowsWorkspace& local() {
     thread_local RowsWorkspace ws;
@@ -35,13 +36,16 @@ struct RowsWorkspace {
   }
 };
 
-/// `buf` resized to n floats (no reallocation once its capacity covers n).
+/// The first n floats of `buf`, grown (never shrunk) to hold them: a pass
+/// that needs fewer rows, as the last-row block does, keeps the size, so a
+/// longer pass later grows geometrically from it rather than to exactly n.
 /// Unfilled: every buffer of the pass is written whole before it is read
 /// (Linear::forward_rows fills its output, attend_head zeroes its ctx
 /// columns on every tier, the loops write the rest).
 std::span<float> sized(std::vector<float>& buf, std::int64_t n) {
-  buf.resize(static_cast<std::size_t>(n));
-  return buf;
+  const auto count = static_cast<std::size_t>(n);
+  if (buf.size() < count) buf.resize(count);
+  return std::span<float>(buf).first(count);
 }
 
 void project_rows(const std::shared_ptr<Linear>& base, const std::shared_ptr<LoRALinear>& lora,
@@ -53,10 +57,36 @@ void project_rows(const std::shared_ptr<Linear>& base, const std::shared_ptr<LoR
   }
 }
 
+/// One projection of rows that others read too.
+struct SharedProjection {
+  const Linear* base;
+  const LoRALinear* lora;  // null: the base alone
+  std::span<float> y;
+};
+
+/// Projections of the same rows x (Q, K and V): the LoRA-wrapped ones in
+/// one fused slot call, the rest through Linear::forward_rows.
+void project_shared(std::span<const SharedProjection> projs, std::span<const float> x,
+                    std::int64_t m) {
+  const LoRALinear* lora[3];
+  std::span<float> ys[3];
+  std::size_t n = 0;
+  for (const auto& p : projs) {
+    if (p.lora) {
+      lora[n] = p.lora;
+      ys[n++] = p.y;
+    } else {
+      p.base->forward_rows(x, m, p.y);
+    }
+  }
+  if (n > 0) LoRALinear::forward_rows({lora, n}, x, m, {ys, n});
+}
+
+/// m > 0 input rows of d_model in x and out_rows of them in y.
 void check_rows(std::span<const float> x, std::int64_t m, std::span<float> y,
-                std::int64_t d_model, const char* what) {
+                std::int64_t out_rows, std::int64_t d_model, const char* what) {
   if (m <= 0 || static_cast<std::int64_t>(x.size()) != m * d_model ||
-      static_cast<std::int64_t>(y.size()) != m * d_model) {
+      static_cast<std::int64_t>(y.size()) != out_rows * d_model) {
     throw std::invalid_argument(std::string(what) + ": expected m > 0 rows of d_model");
   }
 }
@@ -193,6 +223,18 @@ Tensor MultiHeadAttention::forward_step(const Tensor& x_t, KvCache& cache) const
 void MultiHeadAttention::forward_rows(std::span<const float> x,
                                       std::span<const KvSegment> segments,
                                       std::span<float> y) const {
+  attend_rows(x, segments, y, /*last_only=*/false);
+}
+
+void MultiHeadAttention::forward_last_rows(std::span<const float> x,
+                                           std::span<const KvSegment> segments,
+                                           std::span<float> y) const {
+  attend_rows(x, segments, y, /*last_only=*/true);
+}
+
+void MultiHeadAttention::attend_rows(std::span<const float> x,
+                                     std::span<const KvSegment> segments, std::span<float> y,
+                                     bool last_only) const {
   // The ops of `attend` for m query rows, on raw buffers, with every
   // element computed by the same sequence. With one segment of m = T over
   // an empty cache those are exactly the Tensor-op shapes; with m = 1 the
@@ -204,14 +246,19 @@ void MultiHeadAttention::forward_rows(std::span<const float> x,
   // tier computes each output element by one sequence for any m (DESIGN.md
   // §10), so stacking segments changes no bit of any of them. Each head
   // reads its columns of the Q rows and of the cache's K/V rows in place
-  // (kernels::attend_head) and writes its columns of ctx.
+  // (kernels::attend_head) and writes its columns of ctx. Q, K and V read
+  // the same rows, so a LoRA-wrapped block runs them as one fused slot.
   //
   // Non-causal attention (ViT-lite) runs each query row as its own
   // attend_head call with rows = 1 and len = the segment's rows: that row
   // sits at the last position and so sees every key, and its softmax over
-  // all of them is the softmax_rows row of the Tensor-op forward.
+  // all of them is the softmax_rows row of the Tensor-op forward. The last
+  // row of a causal segment is the same call: with last_only, Q, the
+  // attention and O run for those rows alone, gathered one per segment.
   const auto m = total_rows(segments);
-  check_rows(x, m, y, d_model_, "MultiHeadAttention::forward_rows");
+  const auto n_seg = static_cast<std::int64_t>(segments.size());
+  const auto out_rows = last_only ? n_seg : m;
+  check_rows(x, m, y, out_rows, d_model_, "MultiHeadAttention::forward_rows");
   if (!causal_) {
     for (const auto& seg : segments) {
       if (seg.cache) {
@@ -223,40 +270,57 @@ void MultiHeadAttention::forward_rows(std::span<const float> x,
   auto& ws = RowsWorkspace::local();
   const auto d = d_model_, dh = d_head_;
   const auto du = static_cast<std::size_t>(d);
-  const auto q = sized(ws.q, m * d), k = sized(ws.k, m * d), v = sized(ws.v, m * d);
-  project_rows(wq_, lq_, x, m, q);
-  project_rows(wk_, lk_, x, m, k);
-  project_rows(wv_, lv_, x, m, v);
-  const auto ctx = sized(ws.ctx, m * d);
+  const auto q = sized(ws.q, out_rows * d), k = sized(ws.k, m * d), v = sized(ws.v, m * d);
+  if (last_only) {
+    const auto xq = sized(ws.xq, n_seg * d);
+    std::int64_t row0 = 0;
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+      row0 += segments[s].rows;
+      std::copy_n(x.begin() + static_cast<std::ptrdiff_t>((row0 - 1) * d), d,
+                  xq.begin() + static_cast<std::ptrdiff_t>(s * du));
+    }
+    const SharedProjection kv[] = {{wk_.get(), lk_.get(), k}, {wv_.get(), lv_.get(), v}};
+    project_shared(kv, x, m);
+    project_rows(wq_, lq_, xq, n_seg, q);
+  } else {
+    const SharedProjection qkv[] = {
+        {wq_.get(), lq_.get(), q}, {wk_.get(), lk_.get(), k}, {wv_.get(), lv_.get(), v}};
+    project_shared(qkv, x, m);
+  }
+  const auto ctx = sized(ws.ctx, out_rows * d);
   std::int64_t row0 = 0;  // the segment's first row in the stacked pass
-  for (const auto& seg : segments) {
-    const auto rows = seg.rows;
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    const auto rows = segments[s].rows;
+    KvCache* cache = segments[s].cache;
     const float* kc = k.data() + row0 * d;
     const float* vc = v.data() + row0 * d;
     std::int64_t len = rows;
-    if (seg.cache) {
+    if (cache) {
       const auto off = static_cast<std::size_t>(row0) * du;
       const auto n = static_cast<std::size_t>(rows) * du;
-      seg.cache->append_rows(k.subspan(off, n), v.subspan(off, n), rows);
-      kc = seg.cache->k().data();
-      vc = seg.cache->v().data();
-      len = seg.cache->len;
+      cache->append_rows(k.subspan(off, n), v.subspan(off, n), rows);
+      kc = cache->k().data();
+      vc = cache->v().data();
+      len = cache->len;
     }
     for (std::int64_t h = 0; h < n_heads_; ++h) {
       const auto col = h * dh;
-      if (causal_) {
+      if (last_only) {
+        const auto at = static_cast<std::int64_t>(s) * d + col;
+        kernels::attend_head(q.data() + at, kc + col, vc + col, ctx.data() + at, d, dh, 1, len);
+      } else if (causal_) {
         kernels::attend_head(q.data() + row0 * d + col, kc + col, vc + col,
                              ctx.data() + row0 * d + col, d, dh, rows, len);
-        continue;
-      }
-      for (std::int64_t i = row0; i < row0 + rows; ++i) {
-        kernels::attend_head(q.data() + i * d + col, kc + col, vc + col, ctx.data() + i * d + col,
-                             d, dh, 1, len);
+      } else {
+        for (std::int64_t i = row0; i < row0 + rows; ++i) {
+          kernels::attend_head(q.data() + i * d + col, kc + col, vc + col,
+                               ctx.data() + i * d + col, d, dh, 1, len);
+        }
       }
     }
     row0 += rows;
   }
-  project_rows(wo_, lo_, ctx, m, y);
+  project_rows(wo_, lo_, ctx, out_rows, y);
 }
 
 void MultiHeadAttention::collect_params(NamedParams& out, const std::string& prefix) const {
@@ -324,23 +388,48 @@ Tensor TransformerBlock::forward_step(const Tensor& x_t, KvCache& cache) const {
 void TransformerBlock::forward_rows(std::span<const float> x,
                                     std::span<const KvSegment> segments,
                                     std::span<float> y) const {
+  block_rows(x, segments, y, /*last_only=*/false);
+}
+
+void TransformerBlock::forward_last_rows(std::span<const float> x,
+                                         std::span<const KvSegment> segments,
+                                         std::span<float> y) const {
+  block_rows(x, segments, y, /*last_only=*/true);
+}
+
+void TransformerBlock::block_rows(std::span<const float> x, std::span<const KvSegment> segments,
+                                  std::span<float> y, bool last_only) const {
   // layer_norm, the residual adds, gelu and the MLP are row-wise; attention
-  // is the only cross-row op and reads each segment's cache. x is last read
-  // by the first residual add, so y may alias it.
+  // is the only cross-row op and reads each segment's cache. With last_only
+  // everything after the attention runs on one row per segment, the
+  // residual reading each segment's last row of x. x is last read by the
+  // first residual add, so y may alias it.
   const auto d = attn_->d_model_, d_ff = fc1_->out_features();
   const auto m = total_rows(segments);
-  check_rows(x, m, y, d, "TransformerBlock::forward_rows");
+  const auto rows = last_only ? static_cast<std::int64_t>(segments.size()) : m;
+  check_rows(x, m, y, rows, d, "TransformerBlock::forward_rows");
   auto& ws = RowsWorkspace::local();
-  const auto n = static_cast<std::size_t>(m * d);
-  const auto ln = sized(ws.ln, m * d), a = sized(ws.attn, m * d), h = sized(ws.h, m * d);
+  const auto du = static_cast<std::size_t>(d);
+  const auto n = static_cast<std::size_t>(rows) * du;
+  const auto ln = sized(ws.ln, m * d), a = sized(ws.attn, rows * d), h = sized(ws.h, rows * d);
   ln1_->forward_rows(x, m, ln);
-  attn_->forward_rows(ln, segments, a);
-  for (std::size_t j = 0; j < n; ++j) h[j] = x[j] + a[j];
-  ln2_->forward_rows(h, m, ln);  // the attention is done with ln1's rows
-  const auto f1 = sized(ws.ff1, m * d_ff), f2 = sized(ws.ff2, m * d);
-  project_rows(fc1_, lfc1_, ln, m, f1);
-  gelu_row(f1.data(), f1.data(), m * d_ff);
-  project_rows(fc2_, lfc2_, f1, m, f2);
+  attn_->attend_rows(ln, segments, a, last_only);
+  if (last_only) {
+    std::int64_t row0 = 0;
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+      row0 += segments[s].rows;
+      const auto xr = x.subspan(static_cast<std::size_t>(row0 - 1) * du, du);
+      for (std::size_t c = 0; c < du; ++c) h[s * du + c] = xr[c] + a[s * du + c];
+    }
+  } else {
+    for (std::size_t j = 0; j < n; ++j) h[j] = x[j] + a[j];
+  }
+  const auto ln2 = ln.first(n);  // the attention is done with ln1's rows
+  ln2_->forward_rows(h, rows, ln2);
+  const auto f1 = sized(ws.ff1, rows * d_ff), f2 = sized(ws.ff2, rows * d);
+  project_rows(fc1_, lfc1_, ln2, rows, f1);
+  gelu_row(f1.data(), f1.data(), rows * d_ff);
+  project_rows(fc2_, lfc2_, f1, rows, f2);
   for (std::size_t j = 0; j < n; ++j) y[j] = h[j] + f2[j];
 }
 

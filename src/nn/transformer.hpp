@@ -106,6 +106,13 @@ class MultiHeadAttention final : public Module {
     const KvSegment one{m, cache};
     forward_rows(x, {&one, 1}, y);
   }
+  /// forward_rows for a reader of each segment's last row only: K and V
+  /// still run over all m rows and every segment's cache still captures
+  /// them, but Q, the attention and O run for the last rows alone, one
+  /// attend_head(rows = 1, len) call per head. y [segments, d_model]: row s
+  /// is bitwise the last row of segment s in forward_rows' output.
+  void forward_last_rows(std::span<const float> x, std::span<const KvSegment> segments,
+                         std::span<float> y) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
   /// Wrap q/k/v/o projections with LoRA; returns the new low-rank tensors.
@@ -123,6 +130,9 @@ class MultiHeadAttention final : public Module {
   Tensor project(const std::shared_ptr<Linear>& base, const std::shared_ptr<LoRALinear>& lora,
                  const Tensor& x) const;
   Tensor attend(const Tensor& q, const Tensor& k, const Tensor& v) const;
+  /// forward_rows (last_only false) and forward_last_rows (true).
+  void attend_rows(std::span<const float> x, std::span<const KvSegment> segments,
+                   std::span<float> y, bool last_only) const;
 
   std::int64_t d_model_, n_heads_, d_head_;
   bool causal_;
@@ -156,6 +166,14 @@ class TransformerBlock final : public Module {
     const KvSegment one{m, cache};
     forward_rows(x, {&one, 1}, y);
   }
+  /// The block for a reader of each segment's last row only (the final
+  /// block of a served pass, DESIGN.md §10 "rows the head reads"): LN1 and
+  /// the attention's K/V run over all m rows and fill the caches as
+  /// forward_rows does; Q, the attention, O, the residual, LN2 and the MLP
+  /// run for the last rows alone. y [segments, d_model]: row s is bitwise
+  /// the last row of segment s in forward_rows' output; y may alias x.
+  void forward_last_rows(std::span<const float> x, std::span<const KvSegment> segments,
+                         std::span<float> y) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
   std::vector<Tensor> enable_lora(std::int64_t rank, float alpha, core::Rng& rng);
 
@@ -170,6 +188,9 @@ class TransformerBlock final : public Module {
 
  private:
   Tensor ff(const Tensor& x) const;
+  /// forward_rows (last_only false) and forward_last_rows (true).
+  void block_rows(std::span<const float> x, std::span<const KvSegment> segments,
+                  std::span<float> y, bool last_only) const;
 
   std::shared_ptr<LayerNorm> ln1_, ln2_;
   std::shared_ptr<MultiHeadAttention> attn_;

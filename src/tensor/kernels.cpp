@@ -1,6 +1,7 @@
 #include "tensor/kernels.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/metrics.hpp"
 #include "core/threadpool.hpp"
@@ -21,8 +22,14 @@ struct MatmulMetrics {
 
   void account(std::int64_t m, std::int64_t k, std::int64_t n) {
     calls.add();
-    flops.add(2 * m * k * n);  // one multiply + one add per (i, p, j) triple
-    bytes.add(static_cast<std::int64_t>(sizeof(float)) * (m * k + k * n + 2 * m * n));
+    flops.add(flops_of(m, k, n));
+    bytes.add(bytes_of(m, k, n));
+  }
+  static std::int64_t flops_of(std::int64_t m, std::int64_t k, std::int64_t n) {
+    return 2 * m * k * n;  // one multiply + one add per (i, p, j) triple
+  }
+  static std::int64_t bytes_of(std::int64_t m, std::int64_t k, std::int64_t n) {
+    return static_cast<std::int64_t>(sizeof(float)) * (m * k + k * n + 2 * m * n);
   }
 };
 
@@ -146,6 +153,35 @@ void tanh_row(const float* in, float* out, std::int64_t n) {
 
 void exp_row(const float* in, float* out, std::int64_t n) {
   detail::active_table().exp_row(in, out, n);
+}
+
+void lora_projections(const float* x, std::int64_t m, std::int64_t k, std::int64_t n,
+                      std::int64_t r, const LoraProjection* projs, int count) {
+  if (count < 1 || count > 3) {
+    throw std::invalid_argument("lora_projections: 1 to 3 projections per call");
+  }
+  const bool base = projs[0].w != nullptr;
+  for (int q = 1; q < count; ++q) {
+    if ((projs[q].w != nullptr) != base) {
+      throw std::invalid_argument("lora_projections: all projections with a base or none");
+    }
+  }
+  // The matmul_accum calls of the separate passes: x W (with a base), x A
+  // and (x A) B per projection, summed and counted in one bump.
+  using M = MatmulMetrics;
+  const std::int64_t per_flops = (base ? M::flops_of(m, k, n) : 0) + M::flops_of(m, k, r) +
+                                 M::flops_of(m, r, n);
+  const std::int64_t per_bytes = (base ? M::bytes_of(m, k, n) : 0) + M::bytes_of(m, k, r) +
+                                 M::bytes_of(m, r, n);
+  auto& mm = matmul_metrics();
+  mm.calls.add(count * (base ? 3 : 2));
+  mm.flops.add(count * per_flops);
+  mm.bytes.add(count * per_bytes);
+  const auto fn = detail::active_table().lora_projections;
+  if (m < kRowGrain) return fn(x, k, n, r, projs, count, 0, m);
+  core::parallel_for(m, kRowGrain, [=](std::int64_t r0, std::int64_t r1) {
+    fn(x, k, n, r, projs, count, r0, r1);
+  });
 }
 
 void attend_head(const float* q, const float* k, const float* v, float* ctx, std::int64_t ld,

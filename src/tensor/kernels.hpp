@@ -90,6 +90,34 @@ void tanh_row(const float* in, float* out, std::int64_t n);
 /// out[i] = exp(in[i]) over n values; in == out is allowed.
 void exp_row(const float* in, float* out, std::int64_t n);
 
+// ---- fused LoRA projections (graph-free backbone, DESIGN.md §10) ----
+
+/// One projection of a lora_projections call: y [m, n] from the shared
+/// input rows through the base weight W [k, n], the optional bias [n] and
+/// the low-rank pair A [k, r], B [r, n] scaled by `scale`. A null `w` is the
+/// delta-only form: y already holds the base rows (a quantized base, run by
+/// qmatmul_accum with its bias), and only the scaled delta is added.
+struct LoraProjection {
+  const float* w = nullptr;
+  const float* bias = nullptr;
+  const float* a = nullptr;
+  const float* b = nullptr;
+  float scale = 0.0f;
+  float* y = nullptr;
+};
+
+/// 1 to 3 LoRA projections of the same rows x [m, k] (Q, K and V share x),
+/// each to n columns at rank r, all with a base or all without. Element
+/// (i, j) of each is y = ((x W) + bias) + (((x A) B) * scale), every
+/// product starting at 0 and taking the tier's matmul_accum sequence, so
+/// it is bitwise the separate passes: Linear::forward_rows, then x A and
+/// (x A) B through matmul_accum into zeroed rows, the scale, the add. A
+/// null `w` computes y = y + ((x A) B) * scale. The kernels.matmul.*
+/// counters move once per call, by the totals of those matmul_accum calls
+/// (three per projection with a base, two without). Threads split the rows.
+void lora_projections(const float* x, std::int64_t m, std::int64_t k, std::int64_t n,
+                      std::int64_t r, const LoraProjection* projs, int count);
+
 // ---- fused causal attention (graph-free backbone, DESIGN.md §10) ----
 
 /// One head of causal self-attention for `rows` query rows against `len`

@@ -34,7 +34,7 @@
 //
 // The attention kernel reads one head's columns of the Q rows and the K/V
 // cache rows in place and keeps this tier's matmul_accum sequence per
-// element.
+// element, and so does the fused LoRA projection slot.
 #if defined(NETLLM_HAVE_AVX2)
 
 #include "tensor/kernels_dispatch.hpp"
@@ -827,6 +827,154 @@ void quantize_row_q8(const float* x, std::int64_t n, float* scales, std::int8_t*
   }
 }
 
+// ---- LoRA projections ----
+//
+// Every element keeps the f32 body's sequence (acc = 0, one FMA per
+// reduction index ascending, then 0 + acc, as matmul_accum adds acc into
+// zeroed rows): the base over x W, the down-projection xa = x A, the
+// up-projection over xa B, then ((base + bias) + delta * scale).
+//
+// A range of fewer than four rows at rank <= 16 runs row by row, fused:
+// the one or two latency-bound down-projection chains ride the p-loop of
+// the base's first 32 columns, whose four independent chains hide them,
+// and one epilogue pass runs the up-projection, scale, bias and add per
+// column vector. Four rows and more, or a higher rank, run the f32 body
+// product by product (the tiles already give a down-projection four
+// chains), then the same combine.
+
+constexpr std::int64_t kLoraFusedRank = 16;  // two ymm of down-projection lanes
+
+/// One row: base columns [0, 32) of y (vectors past n masked off when
+/// Masked; none without Base) and the down-projection lanes [0, 8D) of xa,
+/// in one p-loop. Lanes of xa past r are never read.
+template <bool Base, bool Masked, int D>
+void lora_head_tile(const float* x, std::int64_t k, std::int64_t n, std::int64_t r,
+                    const float* w, const float* a, float* y, float* xa) {
+  constexpr int J = 4;
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  __m256i wmask[J], amask[D];
+  for (int v = 0; v < J; ++v) {
+    wmask[v] = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(std::min<std::int64_t>(
+                                      n - 8 * v, 8))),
+                                  iota);
+  }
+  for (int d = 0; d < D; ++d) {
+    amask[d] = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(r - 8 * d)), iota);
+  }
+  __m256 acc[J], down[D];
+  for (int v = 0; v < J; ++v) acc[v] = _mm256_setzero_ps();
+  for (int d = 0; d < D; ++d) down[d] = _mm256_setzero_ps();
+  for (std::int64_t p = 0; p < k; ++p) {
+    const __m256 xv = _mm256_broadcast_ss(x + p);
+    if constexpr (Base) {
+      const float* wrow = w + p * n;
+      for (int v = 0; v < J; ++v) {
+        const __m256 bv = Masked ? _mm256_maskload_ps(wrow + 8 * v, wmask[v])
+                                 : _mm256_loadu_ps(wrow + 8 * v);
+        acc[v] = _mm256_fmadd_ps(xv, bv, acc[v]);
+      }
+    }
+    const float* arow = a + p * r;
+    for (int d = 0; d < D; ++d) {
+      down[d] = _mm256_fmadd_ps(xv, _mm256_maskload_ps(arow + 8 * d, amask[d]), down[d]);
+    }
+  }
+  const __m256 zero = _mm256_setzero_ps();
+  if constexpr (Base) {
+    for (int v = 0; v < J; ++v) {
+      if (Masked) {
+        _mm256_maskstore_ps(y + 8 * v, wmask[v], _mm256_add_ps(zero, acc[v]));
+      } else {
+        _mm256_storeu_ps(y + 8 * v, _mm256_add_ps(zero, acc[v]));
+      }
+    }
+  }
+  for (int d = 0; d < D; ++d) _mm256_storeu_ps(xa + 8 * d, _mm256_add_ps(zero, down[d]));
+}
+
+template <bool Base, bool Masked>
+void lora_head(const float* x, std::int64_t k, std::int64_t n, std::int64_t r, const float* w,
+               const float* a, float* y, float* xa) {
+  if (r <= 8) return lora_head_tile<Base, Masked, 1>(x, k, n, r, w, a, y, xa);
+  lora_head_tile<Base, Masked, 2>(x, k, n, r, w, a, y, xa);
+}
+
+/// y[0:n] = (y + bias) + (0 + xa B) * scale for one row, one column vector
+/// at a time (the vectors are independent chains of r FMAs).
+void lora_epilogue(const float* xa, std::int64_t r, std::int64_t n, const LoraProjection& pr,
+                   float* y) {
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256 zero = _mm256_setzero_ps(), scale = _mm256_set1_ps(pr.scale);
+  for (std::int64_t j = 0; j < n; j += 8) {
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(std::min<std::int64_t>(n - j, 8))), iota);
+    __m256 acc = zero;
+    for (std::int64_t t = 0; t < r; ++t) {
+      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(xa + t), _mm256_maskload_ps(pr.b + t * n + j, mask),
+                            acc);
+    }
+    __m256 yv = _mm256_maskload_ps(y + j, mask);
+    if (pr.bias) yv = _mm256_add_ps(yv, _mm256_maskload_ps(pr.bias + j, mask));
+    yv = _mm256_add_ps(yv, _mm256_mul_ps(_mm256_add_ps(zero, acc), scale));
+    _mm256_maskstore_ps(y + j, mask, yv);
+  }
+}
+
+/// One row of one projection, fused (r <= kLoraFusedRank).
+void lora_row(const float* x, std::int64_t k, std::int64_t n, std::int64_t r,
+              const LoraProjection& pr, float* y) {
+  alignas(32) float xa[kLoraFusedRank];
+  if (!pr.w) {
+    lora_head<false, false>(x, k, n, r, nullptr, pr.a, y, xa);
+  } else if (n >= 32) {
+    lora_head<true, false>(x, k, n, r, pr.w, pr.a, y, xa);
+    if (n > 32) {
+      std::fill(y + 32, y + n, 0.0f);
+      f32_rows<1, 8>(x, pr.w + 32, y + 32, k, n - 32, {k, n, n});
+    }
+  } else {
+    lora_head<true, true>(x, k, n, r, pr.w, pr.a, y, xa);
+  }
+  lora_epilogue(xa, r, n, pr, y);
+}
+
+/// Rows [r0, r1) of one projection as the separate products, then the
+/// combine; x A and (x A) B go through per-thread scratch.
+void lora_rows(const float* x, std::int64_t k, std::int64_t n, std::int64_t r,
+               const LoraProjection& pr, std::int64_t r0, std::int64_t r1) {
+  thread_local std::vector<float> xa, up;
+  const std::int64_t rows = r1 - r0;
+  float* y = pr.y + r0 * n;
+  if (pr.w) {
+    std::fill(y, y + rows * n, 0.0f);
+    f32_range(x, pr.w, pr.y, r0, r1, k, n, {k, n, n});
+  }
+  xa.assign(static_cast<std::size_t>(rows * r), 0.0f);
+  f32_range(x + r0 * k, pr.a, xa.data(), 0, rows, k, r, {k, r, r});
+  up.assign(static_cast<std::size_t>(rows * n), 0.0f);
+  f32_range(xa.data(), pr.b, up.data(), 0, rows, r, n, {r, n, n});
+  for (std::int64_t i = 0; i < rows; ++i) {
+    float* yrow = y + i * n;
+    const float* urow = up.data() + i * n;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float base = pr.bias ? yrow[j] + pr.bias[j] : yrow[j];
+      yrow[j] = base + urow[j] * pr.scale;
+    }
+  }
+}
+
+void lora_projections_range(const float* x, std::int64_t k, std::int64_t n, std::int64_t r,
+                            const LoraProjection* projs, int count, std::int64_t r0,
+                            std::int64_t r1) {
+  if (r1 - r0 >= 4 || r > kLoraFusedRank) {
+    for (int q = 0; q < count; ++q) lora_rows(x, k, n, r, projs[q], r0, r1);
+    return;
+  }
+  for (std::int64_t i = r0; i < r1; ++i) {
+    for (int q = 0; q < count; ++q) lora_row(x + i * k, k, n, r, projs[q], projs[q].y + i * n);
+  }
+}
+
 }  // namespace
 
 void avx2_transpose_keys(const float* k, std::int64_t ld, std::int64_t d_head, std::int64_t keys,
@@ -839,7 +987,7 @@ const KernelTable& avx2_table() {
       &matmul_accum_range, &matmul_bt_accum_range, &matmul_at_accum_range,
       &matmul_q8_range,    &matmul_q4_range,       &tanh_row,
       &gelu_row,           &quantize_row_q8,       &exp_row,
-      &softmax_row,        &attend_head_range,
+      &softmax_row,        &attend_head_range,     &lora_projections_range,
   };
   return table;
 }

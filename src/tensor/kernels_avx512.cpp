@@ -15,7 +15,9 @@
 //
 // attend_head runs its score and attn·V products through that body at the
 // operands' row strides; the K panel is the AVX2 tier's transpose and the
-// softmax is the row kernel below.
+// softmax is the row kernel below. The fused LoRA slot keeps the same
+// per-element sequence for its three products and runs every projection
+// of a call (Q, K and V) in one p-loop.
 //
 // The row kernels (tanh, GELU, exp, softmax, the Q8_0 quantizer) are the
 // AVX2 tier's per-lane sequences on 16 floats (exp: 8 doubles per half):
@@ -626,6 +628,139 @@ void matmul_q8_range(const std::int8_t* aq, const float* ascales, const std::int
   }
 }
 
+// ---- LoRA projections ----
+//
+// The AVX2 tier's element sequences and split: fewer than four rows at
+// rank <= 16 run row by row, fused; longer ranges and higher ranks run the
+// f32 body product by product, then the combine. Fused, one p-loop serves
+// every projection of the call (Q, K and V share x): per projection the
+// base's first 64 columns (four zmm chains, vectors past n masked off) and
+// the down-projection's one zmm chain, so a three-projection step keeps 15
+// independent chains in flight. Base columns past 64 run the f32 tiles;
+// the epilogue runs the up-projection, scale, bias and add per column
+// vector.
+
+constexpr std::int64_t kLoraFusedRank = 16;  // one zmm of down-projection lanes
+
+/// One row of P projections: base columns [0, 64) of each y (none without
+/// Base) and the r down-projection lanes of each xa, in one p-loop.
+template <int P, bool Base>
+void lora_head(const float* x, std::int64_t k, std::int64_t n, std::int64_t r,
+               const LoraProjection* projs, float* const* y, float (*xa)[kLoraFusedRank]) {
+  constexpr int J = 4;
+  __mmask16 wmask[J];
+  for (int v = 0; v < J; ++v) {
+    wmask[v] = Zmm::first(static_cast<int>(std::clamp<std::int64_t>(n - 16 * v, 0, 16)));
+  }
+  const __mmask16 amask = Zmm::first(static_cast<int>(r));
+  __m512 acc[P][J], down[P];
+  for (int q = 0; q < P; ++q) {
+    for (int v = 0; v < J; ++v) acc[q][v] = _mm512_setzero_ps();
+    down[q] = _mm512_setzero_ps();
+  }
+  for (std::int64_t p = 0; p < k; ++p) {
+    const __m512 xv = _mm512_set1_ps(x[p]);
+    for (int q = 0; q < P; ++q) {
+      if constexpr (Base) {
+        const float* wrow = projs[q].w + p * n;
+        for (int v = 0; v < J; ++v) {
+          acc[q][v] = _mm512_fmadd_ps(xv, _mm512_maskz_loadu_ps(wmask[v], wrow + 16 * v),
+                                      acc[q][v]);
+        }
+      }
+      down[q] = _mm512_fmadd_ps(xv, _mm512_maskz_loadu_ps(amask, projs[q].a + p * r), down[q]);
+    }
+  }
+  const __m512 zero = _mm512_setzero_ps();
+  for (int q = 0; q < P; ++q) {
+    if constexpr (Base) {
+      for (int v = 0; v < J; ++v) {
+        _mm512_mask_storeu_ps(y[q] + 16 * v, wmask[v], _mm512_add_ps(zero, acc[q][v]));
+      }
+    }
+    _mm512_storeu_ps(xa[q], _mm512_add_ps(zero, down[q]));
+  }
+}
+
+/// y[0:n] = (y + bias) + (0 + xa B) * scale for one row of one projection.
+void lora_epilogue(const float* xa, std::int64_t r, std::int64_t n, const LoraProjection& pr,
+                   float* y) {
+  const __m512 zero = _mm512_setzero_ps(), scale = _mm512_set1_ps(pr.scale);
+  for (std::int64_t j = 0; j < n; j += 16) {
+    const __mmask16 mask = Zmm::first(static_cast<int>(std::min<std::int64_t>(n - j, 16)));
+    __m512 acc = zero;
+    for (std::int64_t t = 0; t < r; ++t) {
+      acc = _mm512_fmadd_ps(_mm512_set1_ps(xa[t]), _mm512_maskz_loadu_ps(mask, pr.b + t * n + j),
+                            acc);
+    }
+    __m512 yv = _mm512_maskz_loadu_ps(mask, y + j);
+    if (pr.bias) yv = _mm512_add_ps(yv, _mm512_maskz_loadu_ps(mask, pr.bias + j));
+    yv = _mm512_add_ps(yv, _mm512_mul_ps(_mm512_add_ps(zero, acc), scale));
+    _mm512_mask_storeu_ps(y + j, mask, yv);
+  }
+}
+
+/// One row of every projection, fused (r <= kLoraFusedRank).
+template <int P>
+void lora_row(const float* x, std::int64_t k, std::int64_t n, std::int64_t r,
+              const LoraProjection* projs, std::int64_t i) {
+  alignas(64) float xa[P][kLoraFusedRank];
+  float* y[P];
+  for (int q = 0; q < P; ++q) y[q] = projs[q].y + i * n;
+  if (!projs[0].w) {
+    lora_head<P, false>(x, k, n, r, projs, y, xa);
+  } else {
+    lora_head<P, true>(x, k, n, r, projs, y, xa);
+    if (n > 64) {
+      for (int q = 0; q < P; ++q) {
+        std::fill(y[q] + 64, y[q] + n, 0.0f);
+        f32_rows<Zmm, 1, 8>(x, projs[q].w + 64, y[q] + 64, k, n - 64, {k, n, n});
+      }
+    }
+  }
+  for (int q = 0; q < P; ++q) lora_epilogue(xa[q], r, n, projs[q], y[q]);
+}
+
+/// Rows [r0, r1) of one projection as the separate products, then the
+/// combine; x A and (x A) B go through per-thread scratch.
+void lora_rows(const float* x, std::int64_t k, std::int64_t n, std::int64_t r,
+               const LoraProjection& pr, std::int64_t r0, std::int64_t r1) {
+  thread_local std::vector<float> xa, up;
+  const std::int64_t rows = r1 - r0;
+  float* y = pr.y + r0 * n;
+  if (pr.w) {
+    std::fill(y, y + rows * n, 0.0f);
+    f32_range(x, pr.w, pr.y, r0, r1, k, n, {k, n, n});
+  }
+  xa.assign(static_cast<std::size_t>(rows * r), 0.0f);
+  f32_range(x + r0 * k, pr.a, xa.data(), 0, rows, k, r, {k, r, r});
+  up.assign(static_cast<std::size_t>(rows * n), 0.0f);
+  f32_range(xa.data(), pr.b, up.data(), 0, rows, r, n, {r, n, n});
+  for (std::int64_t i = 0; i < rows; ++i) {
+    float* yrow = y + i * n;
+    const float* urow = up.data() + i * n;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float base = pr.bias ? yrow[j] + pr.bias[j] : yrow[j];
+      yrow[j] = base + urow[j] * pr.scale;
+    }
+  }
+}
+
+void lora_projections_range(const float* x, std::int64_t k, std::int64_t n, std::int64_t r,
+                            const LoraProjection* projs, int count, std::int64_t r0,
+                            std::int64_t r1) {
+  if (r1 - r0 >= 4 || r > kLoraFusedRank) {
+    for (int q = 0; q < count; ++q) lora_rows(x, k, n, r, projs[q], r0, r1);
+    return;
+  }
+  for (std::int64_t i = r0; i < r1; ++i) {
+    const float* xi = x + i * k;
+    if (count == 1) lora_row<1>(xi, k, n, r, projs, i);
+    if (count == 2) lora_row<2>(xi, k, n, r, projs, i);
+    if (count == 3) lora_row<3>(xi, k, n, r, projs, i);
+  }
+}
+
 }  // namespace
 
 const KernelTable& avx512_table() {
@@ -639,6 +774,7 @@ const KernelTable& avx512_table() {
     t.exp_row = &exp_row;
     t.softmax_row = &softmax_row;
     t.attend_head = &attend_head_range;
+    t.lora_projections = &lora_projections_range;
     return t;
   }();
   return table;

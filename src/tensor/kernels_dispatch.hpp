@@ -16,13 +16,16 @@
 // element does not depend on the tier, the row length or where a parallel
 // chunk cut it.
 //
-// The attention kernel follows the matmul contract: each element keeps the
-// sequence the tier's matmul_accum gives it, whatever row range it runs in.
+// The attention kernel and the LoRA projection slot follow the matmul
+// contract: each element keeps the sequence the tier's matmul_accum gives
+// it, whatever row range it runs in.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+
+#include "tensor/kernels.hpp"
 
 namespace netllm::tensor::kernels::detail {
 
@@ -64,6 +67,12 @@ using AttendHeadRangeFn = void (*)(const float* q, const float* k, const float* 
                                    std::int64_t ld, std::int64_t d_head, std::int64_t len,
                                    std::int64_t past, float inv_sqrt, std::int64_t r0,
                                    std::int64_t r1);
+/// Rows [r0, r1) of `count` LoRA projections of x [m, k] (see
+/// kernels::lora_projections): base, down-projection and up-projection each
+/// keep the tier's matmul_accum sequence per element.
+using LoraRangeFn = void (*)(const float* x, std::int64_t k, std::int64_t n, std::int64_t r,
+                             const LoraProjection* projs, int count, std::int64_t r0,
+                             std::int64_t r1);
 /// Q8_0-quantizes n values into ceil(n / 32) blocks: one scale per block and
 /// 32 int8 codes per block, the tail of the last block padded with code 0.
 using QuantizeRowQ8Fn = void (*)(const float* x, std::int64_t n, float* scales,
@@ -81,6 +90,7 @@ struct KernelTable {
   RowFn exp_row = nullptr;
   RowFn softmax_row = nullptr;
   AttendHeadRangeFn attend_head = nullptr;
+  LoraRangeFn lora_projections = nullptr;
 };
 
 // GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))),

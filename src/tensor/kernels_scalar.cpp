@@ -386,6 +386,39 @@ void attend_head_range(const float* q, const float* k, const float* v, float* ct
   accum_rows(s, len, v, ld, ctx + r0 * ld, ld, 0, rows, len, d_head);
 }
 
+// ---- LoRA projections: the separate passes on the range's rows ----
+//
+// Each product runs accum_rows into zeroed rows (y for the base, per-thread
+// scratch for x A and (x A) B), then one epilogue pass adds the bias and
+// the scaled delta: every element is the separate passes' sequence.
+
+void lora_projections_range(const float* x, std::int64_t k, std::int64_t n, std::int64_t r,
+                            const LoraProjection* projs, int count, std::int64_t r0,
+                            std::int64_t r1) {
+  thread_local std::vector<float> xa, up;
+  const std::int64_t rows = r1 - r0;
+  for (int q = 0; q < count; ++q) {
+    const LoraProjection& pr = projs[q];
+    float* y = pr.y + r0 * n;
+    if (pr.w) {
+      std::fill(y, y + rows * n, 0.0f);
+      accum_rows(x, k, pr.w, n, pr.y, n, r0, r1, k, n);
+    }
+    xa.assign(static_cast<std::size_t>(rows * r), 0.0f);
+    accum_rows(x + r0 * k, k, pr.a, r, xa.data(), r, 0, rows, k, r);
+    up.assign(static_cast<std::size_t>(rows * n), 0.0f);
+    accum_rows(xa.data(), r, pr.b, n, up.data(), n, 0, rows, r, n);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      float* yrow = y + i * n;
+      const float* urow = up.data() + i * n;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float base = pr.bias ? yrow[j] + pr.bias[j] : yrow[j];
+        yrow[j] = base + urow[j] * pr.scale;
+      }
+    }
+  }
+}
+
 // ---- Q8_0 activation/weight quantizer ----
 
 void quantize_row_q8(const float* x, std::int64_t n, float* scales, std::int8_t* codes) {
@@ -429,7 +462,7 @@ const KernelTable& scalar_table() {
         &matmul_accum_range, &matmul_bt_accum_range, &matmul_at_accum_range,
         &matmul_q8_range,    &matmul_q4_range,       &tanh_row,
         &gelu_row,           &quantize_row_q8,       exp.exp_row,
-        exp.softmax_row,     &attend_head_range,
+        exp.softmax_row,     &attend_head_range,     &lora_projections_range,
     };
   }();
   return table;

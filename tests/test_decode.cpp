@@ -695,6 +695,89 @@ TEST_F(Decode, GraphFreePrefillBitwiseEqualsForwardEmbeddingsAcrossShapesAndCach
   }
 }
 
+// The served passes (prefill_rows for an ABR/CJS window, forward_segments
+// for VP prompts and rollout steps) run the final block for each segment's
+// last row alone. That row's features must be bitwise the last row of the
+// full-row prefill_embeddings, and the caches must capture the same K/V
+// rows, for every dtype, LoRA setting, head width, window length, stacking,
+// tier and thread count. A pinned decision digest is an argmax and can
+// miss a feature bit; this compares the features themselves.
+TEST_F(Decode, ServedLastRowFeaturesBitwiseEqualFullPrefillLastRowAndCaches) {
+  ThreadGuard threads;
+  IsaGuard tier;
+  const auto kv_bits_equal = [](const std::vector<nn::KvCache>& a,
+                                const std::vector<nn::KvCache>& b) {
+    for (std::size_t l = 0; l < a.size(); ++l) {
+      if (a[l].len != b[l].len || bits(a[l].k()) != bits(b[l].k()) ||
+          bits(a[l].v()) != bits(b[l].v())) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (const auto t : isa::supported_isas()) {
+    isa::set_active_isa(t);
+    for (const int n_threads : {1, 3}) {
+      nc::set_global_threads(n_threads);
+      for (const std::int64_t d_head : {8, 16, 64}) {
+        for (const auto dtype : kDtypes) {
+          for (const bool lora : {false, true}) {
+            Rng rng(static_cast<std::uint64_t>(d_head) * 13 + (lora ? 1 : 0));
+            const auto gpt = mrow_llm(d_head, dtype, lora, rng);
+            const auto d = gpt->config().d_model;
+            const auto du = static_cast<std::size_t>(d);
+            const auto x = random_rows(gpt->config().max_seq, d, rng);
+            const auto other = random_rows(7, d, rng);
+            for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{2}, std::int64_t{11},
+                                            std::int64_t{59}, std::int64_t{98}}) {
+              const auto where = std::string(isa::isa_name(t)) + " threads=" +
+                                 std::to_string(n_threads) + " d_head=" +
+                                 std::to_string(d_head) + " " + nq::dtype_name(dtype) +
+                                 (lora ? " lora" : "") + " T=" + std::to_string(rows);
+              const auto seq = netllm::tensor::slice_rows(x, 0, rows);
+              auto want_caches = caches_for(*gpt);
+              const auto want = row_bits(gpt->prefill_embeddings(seq, want_caches), rows - 1);
+
+              // An ABR/CJS window: one feature row, capturing nothing.
+              std::vector<float> features;
+              gpt->prefill_rows(seq.data(), features);
+              ASSERT_EQ(bits(features), want) << where << " prefill_rows";
+
+              // A stacked group: a short cache-less window, this window
+              // into empty caches, and its second half after caches that
+              // already hold the first half.
+              const auto short_rows = rows % 7 + 1;
+              const auto short_seq = netllm::tensor::slice_rows(other, 0, short_rows);
+              const auto want_short = row_bits(gpt->prefill_embeddings(short_seq, {}), short_rows - 1);
+              auto whole = caches_for(*gpt), tail = caches_for(*gpt);
+              const auto past = rows / 2;
+              std::vector<llm::EmbeddingSegment> segs = {{short_seq.data(), {}}, {seq.data(), whole}};
+              if (past > 0) {
+                (void)gpt->prefill_embeddings(netllm::tensor::slice_rows(x, 0, past), tail);
+                segs.push_back({seq.data().subspan(static_cast<std::size_t>(past) * du), tail});
+              }
+              std::vector<std::exception_ptr> errors(segs.size());
+              gpt->forward_segments(segs, features, errors);
+              ASSERT_EQ(features.size(), segs.size() * du) << where;
+              for (const auto& e : errors) ASSERT_FALSE(e) << where;
+              const auto row = [&](std::size_t s) {
+                return bits(std::span<const float>(features).subspan(s * du, du));
+              };
+              ASSERT_EQ(row(0), want_short) << where << " cache-less segment";
+              ASSERT_EQ(row(1), want) << where << " segment into empty caches";
+              ASSERT_TRUE(kv_bits_equal(whole, want_caches)) << where << " captured K/V";
+              if (past > 0) {
+                ASSERT_EQ(row(2), want) << where << " segment after cached rows";
+                ASSERT_TRUE(kv_bits_equal(tail, want_caches)) << where << " continued K/V";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(Decode, GraphFreePrefillMatchesTapeKernelCounters) {
   namespace metrics = netllm::core::metrics;
   const bool was_enabled = metrics::enabled();

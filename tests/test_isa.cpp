@@ -556,6 +556,20 @@ void expect_clean_upper_state_after_every_kernel(unsigned bits) {
       nk::matmul_q4_accum_serial(q.aq.data(), q.ascales.data(), q.w4.codes.data(),
                                  q.w4.scales.data(), c.data(), m, q.kb, n);
       EXPECT_FALSE(upper_dirty(bits)) << "matmul_q4_accum " << ctx;
+      // The fused LoRA slot: three projections with a base and one without,
+      // on the fused row path (rank 4) and the product-by-product one (17).
+      for (std::int64_t r : {4, 17}) {
+        const auto la = random_vec(k * r, rng), lb = random_vec(r * n, rng);
+        std::vector<float> y0(c.size()), y1(c.size()), y2(c.size());
+        const nk::LoraProjection qkv[] = {{b.data(), nullptr, la.data(), lb.data(), 2.0f, y0.data()},
+                                          {b.data(), b.data(), la.data(), lb.data(), 2.0f, y1.data()},
+                                          {b.data(), nullptr, la.data(), lb.data(), 2.0f, y2.data()}};
+        nk::lora_projections(a.data(), m, k, n, r, qkv, 3);
+        EXPECT_FALSE(upper_dirty(bits)) << "lora_projections r=" << r << " " << ctx;
+        const nk::LoraProjection delta{nullptr, nullptr, la.data(), lb.data(), 2.0f, y0.data()};
+        nk::lora_projections(a.data(), m, k, n, r, &delta, 1);
+        EXPECT_FALSE(upper_dirty(bits)) << "lora_projections delta-only r=" << r << " " << ctx;
+      }
     }
   }
   // The row kernels: whole vectors, the padded tail, and the hand-offs to
@@ -1900,6 +1914,339 @@ TEST(IsaAvx512, Q8ExtremeCodesAndTilingSeamsBitwiseEqualAvx2) {
           EXPECT_TRUE(
               bitwise_equal(product(isa::Isa::kAvx512, aq, as, bq, bs, m, kb, n, threads), want))
               << "m=" << m << " kb=" << kb << " n=" << n << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+// ---- fused LoRA projections ----
+namespace {
+
+/// Operands of one lora_projections call: x [m, k] and `count` projections,
+/// each W [k, n], bias [n], A [k, r], B [r, n] and a scale.
+struct LoraOperands {
+  std::int64_t m = 0, k = 0, n = 0, r = 0;
+  std::vector<float> x;
+  std::vector<std::vector<float>> w, bias, a, b;
+  std::vector<float> scale;
+};
+
+/// n uniform values in [-1, 1) (cheaper to draw than random_vec's Gaussians
+/// at the 512-wide shapes).
+std::vector<float> uniform_vec(std::int64_t n, Rng& rng) {
+  std::vector<float> v(static_cast<std::size_t>(n));
+  for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return v;
+}
+
+LoraOperands lora_operands(int count, std::int64_t m, std::int64_t k, std::int64_t n,
+                           std::int64_t r, Rng& rng) {
+  LoraOperands o{m, k, n, r, uniform_vec(m * k, rng), {}, {}, {}, {}, {}};
+  for (int q = 0; q < count; ++q) {
+    o.w.push_back(uniform_vec(k * n, rng));
+    o.bias.push_back(uniform_vec(n, rng));
+    o.a.push_back(uniform_vec(k * r, rng));
+    o.b.push_back(uniform_vec(r * n, rng));
+    o.scale.push_back(static_cast<float>(rng.uniform(0.25, 4.0)));
+  }
+  return o;
+}
+
+/// What LoRALinear::forward_rows computed before the slot, per projection:
+/// the base Linear's rows (zero-fill, x W through matmul_accum, the bias),
+/// then x A and (x A) B through matmul_accum into zeroed rows, the scale,
+/// the add. With `base` false the rows start from `start` (a quantized
+/// base's output) and only the delta is added.
+std::vector<std::vector<float>> lora_separate(const LoraOperands& o, bool base, bool bias,
+                                              const std::vector<std::vector<float>>& start) {
+  std::vector<std::vector<float>> ys;
+  for (std::size_t q = 0; q < o.w.size(); ++q) {
+    std::vector<float> y(static_cast<std::size_t>(o.m * o.n), 0.0f);
+    if (base) {
+      nk::matmul_accum(o.x.data(), o.w[q].data(), y.data(), o.m, o.k, o.n);
+      if (bias) {
+        for (std::int64_t i = 0; i < o.m; ++i) {
+          for (std::int64_t j = 0; j < o.n; ++j) y[i * o.n + j] = y[i * o.n + j] + o.bias[q][j];
+        }
+      }
+    } else {
+      y = start[q];
+    }
+    std::vector<float> xa(static_cast<std::size_t>(o.m * o.r), 0.0f);
+    std::vector<float> delta(y.size(), 0.0f);
+    nk::matmul_accum(o.x.data(), o.a[q].data(), xa.data(), o.m, o.k, o.r);
+    nk::matmul_accum(xa.data(), o.b[q].data(), delta.data(), o.m, o.r, o.n);
+    for (auto& v : delta) v = v * o.scale[q];
+    for (std::size_t j = 0; j < y.size(); ++j) y[j] = y[j] + delta[j];
+    ys.push_back(std::move(y));
+  }
+  return ys;
+}
+
+/// The slot over the same operands, one call for every projection.
+std::vector<std::vector<float>> lora_fused(const LoraOperands& o, bool base, bool bias,
+                                           const std::vector<std::vector<float>>& start) {
+  std::vector<std::vector<float>> ys;
+  nk::LoraProjection projs[3];
+  for (std::size_t q = 0; q < o.w.size(); ++q) {
+    ys.push_back(base ? std::vector<float>(static_cast<std::size_t>(o.m * o.n), -7.0f)
+                      : start[q]);
+  }
+  for (std::size_t q = 0; q < o.w.size(); ++q) {
+    projs[q] = {base ? o.w[q].data() : nullptr, base && bias ? o.bias[q].data() : nullptr,
+                o.a[q].data(), o.b[q].data(), o.scale[q], ys[q].data()};
+  }
+  nk::lora_projections(o.x.data(), o.m, o.k, o.n, o.r, projs, static_cast<int>(o.w.size()));
+  return ys;
+}
+
+/// Bitwise equal, except that any NaN equals any NaN: which operand's NaN
+/// an instruction forwards (and so its sign and payload) is not part of
+/// the contract, only that it stays NaN.
+bool same_bits_or_both_nan(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i])) return false;
+  }
+  return true;
+}
+
+/// The widths the slot's tiles meet: every vector tail up to 33, the 64-wide
+/// backbone, the 160-wide MLP and the 512-wide VP model.
+std::vector<std::int64_t> lora_widths() {
+  std::vector<std::int64_t> w;
+  for (std::int64_t i = 1; i <= 33; ++i) w.push_back(i);
+  for (std::int64_t i : {64, 160, 512}) w.push_back(i);
+  return w;
+}
+
+}  // namespace
+
+TEST(IsaLora, FusedSlotBitwiseEqualsSeparatePassesOnEveryTier) {
+  TierGuard guard;
+  Rng rng(0x10a);
+  const auto widths = lora_widths();
+  const auto nw = widths.size();
+  // Every width once as k and once as n, each against a width cycling
+  // through the list; ranks through the fused path's bound (16) and one
+  // past it; rows below, at and past the fused path's 4 and the row grain.
+  std::vector<std::pair<std::int64_t, std::int64_t>> shapes;
+  for (std::size_t i = 0; i < nw; ++i) {
+    shapes.emplace_back(widths[i], widths[(i * 7 + 3) % nw]);
+    shapes.emplace_back(widths[(i * 5 + 11) % nw], widths[i]);
+  }
+  const std::int64_t ranks[] = {1, 2, 4, 8, 16, 17};
+  const std::int64_t ms[] = {1, 2, 3, 4, 7, 59, 98};
+  for (auto tier : supported_tiers()) {
+    ASSERT_EQ(isa::set_active_isa(tier), tier);
+    int combo = 0;
+    for (int count = 1; count <= 3; ++count) {
+      for (const auto [k, n] : shapes) {
+        const bool wide = k * n > 64 * 64;
+        for (const auto r : ranks) {
+          if (wide && r != 4 && r != 17) continue;
+          for (const auto m : ms) {
+            if (wide && m != 1 && m != 4 && m != 59) continue;
+            if (wide && m == 59 && (count != 1 || r != 4)) continue;
+            ++combo;
+            const bool base = combo % 4 != 0;  // every fourth call the delta-only form
+            const bool bias = combo % 2 == 0;
+            const int threads = m >= 59 && combo % 3 == 0 ? 3 : 1;
+            nc::set_global_threads(threads);
+            const auto o = lora_operands(count, m, k, n, r, rng);
+            std::vector<std::vector<float>> start;
+            for (int q = 0; q < count; ++q) start.push_back(uniform_vec(m * n, rng));
+            const auto want = lora_separate(o, base, bias, start);
+            const auto got = lora_fused(o, base, bias, start);
+            for (int q = 0; q < count; ++q) {
+              ASSERT_TRUE(bitwise_equal(got[q], want[q]))
+                  << isa::isa_name(tier) << " count=" << count << " projection " << q
+                  << " m=" << m << " k=" << k << " n=" << n << " r=" << r
+                  << (base ? "" : " delta-only") << (bias ? " bias" : "")
+                  << " threads=" << threads;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaLora, NonFiniteAndSignedZeroOperandsMatchSeparatePasses) {
+  TierGuard guard;
+  Rng rng(0x10b);
+  const float specials[] = {kNaN, kInf, -kInf, -0.0f};
+  for (auto tier : supported_tiers()) {
+    ASSERT_EQ(isa::set_active_isa(tier), tier);
+    for (const std::int64_t m : {1, 3, 4, 7}) {
+      for (const std::int64_t n : {5, 16, 37, 64}) {
+        for (const std::int64_t r : {2, 16, 17}) {
+          for (int count = 1; count <= 3; ++count) {
+            for (int trial = 0; trial < 5; ++trial) {
+              const std::int64_t k = 24;
+              auto o = lora_operands(count, m, k, n, r, rng);
+              std::vector<std::vector<float>> start;
+              for (int q = 0; q < count; ++q) start.push_back(uniform_vec(m * n, rng));
+              // Trials 0-3: a handful of specials in each of x, W, A and B,
+              // and a whole -0 row of x, so -0 and 0 * Inf meet every stage.
+              // Trial 4: every product underflows to -0 (tiny positive x and
+              // A, tiny negative W and B) onto -0 start rows, so only the
+              // 0 + acc that matmul_accum's zeroed rows give turns each
+              // chain's -0 into the separate passes' +0.
+              const auto plant = [&](std::vector<float>& v) {
+                for (int s = 0; s < 3; ++s) {
+                  v[static_cast<std::size_t>(rng.randint(0, static_cast<std::int64_t>(v.size()) - 1))] =
+                      specials[rng.randint(0, 3)];
+                }
+              };
+              const auto tiny = [](std::vector<float>& v, float scale) {
+                for (auto& e : v) e = std::fabs(e) * scale;
+              };
+              if (trial == 4) {
+                tiny(o.x, 1e-25f);
+                for (int q = 0; q < count; ++q) {
+                  tiny(o.w[q], -1e-25f);
+                  tiny(o.a[q], 1.0f);
+                  tiny(o.b[q], -1e-25f);
+                  std::fill(start[q].begin(), start[q].end(), -0.0f);
+                }
+              } else {
+                if (trial % 2 == 0) plant(o.x);
+                if (trial == 1) std::fill(o.x.begin(), o.x.begin() + k, -0.0f);
+                for (int q = 0; q < count; ++q) {
+                  if (trial != 0) plant(o.w[q]);
+                  plant(o.a[q]);
+                  plant(o.b[q]);
+                }
+              }
+              for (const bool base : {true, false}) {
+                const bool bias = trial % 2 == 1;
+                const auto want = lora_separate(o, base, bias, start);
+                const auto got = lora_fused(o, base, bias, start);
+                for (int q = 0; q < count; ++q) {
+                  ASSERT_TRUE(same_bits_or_both_nan(got[q], want[q]))
+                      << isa::isa_name(tier) << " m=" << m << " n=" << n << " r=" << r
+                      << " count=" << count << " trial=" << trial
+                      << (base ? "" : " delta-only");
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaLora, NanInLoraBReachesEveryRowOfItsColumn) {
+  TierGuard guard;
+  Rng rng(0x10c);
+  for (auto tier : supported_tiers()) {
+    ASSERT_EQ(isa::set_active_isa(tier), tier);
+    for (const std::int64_t m : {1, 2, 5}) {
+      for (const std::int64_t r : {4, 17}) {
+        const std::int64_t k = 20, n = 40;
+        auto o = lora_operands(3, m, k, n, r, rng);
+        std::fill(o.x.begin(), o.x.end(), 0.0f);  // x A = 0: only 0 * NaN carries it
+        const std::int64_t t = r - 1, col = 33;  // the last rank row, a tail-vector column
+        o.b[1][static_cast<std::size_t>(t * n + col)] = kNaN;
+        for (const bool base : {true, false}) {
+          std::vector<std::vector<float>> start(3, std::vector<float>(m * n, 1.0f));
+          const auto got = lora_fused(o, base, /*bias=*/true, start);
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) {
+              const bool poisoned = j == col;
+              EXPECT_EQ(std::isnan(got[1][static_cast<std::size_t>(i * n + j)]), poisoned)
+                  << isa::isa_name(tier) << " m=" << m << " r=" << r << " row " << i << " col "
+                  << j << (base ? "" : " delta-only");
+              EXPECT_FALSE(std::isnan(got[0][static_cast<std::size_t>(i * n + j)]));
+              EXPECT_FALSE(std::isnan(got[2][static_cast<std::size_t>(i * n + j)]));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaLora, CountersMoveOnceByTheSeparatePassesTotals) {
+  namespace metrics = netllm::core::metrics;
+  TierGuard guard;
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  const char* names[] = {"kernels.matmul.calls", "kernels.matmul.flops", "kernels.matmul.bytes"};
+  const auto snapshot = [&] {
+    std::vector<std::int64_t> c;
+    for (const char* n : names) c.push_back(metrics::counter(n).value());
+    return c;
+  };
+  const auto delta = [&](auto&& pass) {
+    const auto before = snapshot();
+    pass();
+    auto after = snapshot();
+    for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return after;
+  };
+  Rng rng(0x10d);
+  for (auto tier : supported_tiers()) {
+    ASSERT_EQ(isa::set_active_isa(tier), tier);
+    for (const auto [m, k, n, r] : {std::tuple<std::int64_t, std::int64_t, std::int64_t,
+                                               std::int64_t>{1, 64, 64, 4},
+                                    {59, 64, 160, 2},
+                                    {3, 160, 64, 17}}) {
+      for (int count = 1; count <= 3; ++count) {
+        const auto o = lora_operands(count, m, k, n, r, rng);
+        std::vector<std::vector<float>> start(static_cast<std::size_t>(count),
+                                              std::vector<float>(m * n, 0.0f));
+        for (const bool base : {true, false}) {
+          const auto separate = delta([&] { (void)lora_separate(o, base, true, start); });
+          const auto fused = delta([&] { (void)lora_fused(o, base, true, start); });
+          EXPECT_EQ(fused, separate) << isa::isa_name(tier) << " m=" << m << " count=" << count
+                                     << (base ? "" : " delta-only");
+          EXPECT_EQ(fused[0], count * (base ? 3 : 2));
+        }
+      }
+    }
+  }
+  metrics::set_enabled(was_enabled);
+}
+
+TEST(IsaLora, MixedBaseAndCountOutOfRangeThrow) {
+  Rng rng(0x10e);
+  const auto o = lora_operands(2, 1, 8, 8, 2, rng);
+  std::vector<float> y0(8), y1(8);
+  nk::LoraProjection projs[4] = {
+      {o.w[0].data(), nullptr, o.a[0].data(), o.b[0].data(), 1.0f, y0.data()},
+      {nullptr, nullptr, o.a[1].data(), o.b[1].data(), 1.0f, y1.data()}};
+  EXPECT_THROW(nk::lora_projections(o.x.data(), 1, 8, 8, 2, projs, 2), std::invalid_argument);
+  EXPECT_THROW(nk::lora_projections(o.x.data(), 1, 8, 8, 2, projs, 0), std::invalid_argument);
+  EXPECT_THROW(nk::lora_projections(o.x.data(), 1, 8, 8, 2, projs, 4), std::invalid_argument);
+}
+
+TEST(IsaAvx512, LoraSlotBitwiseEqualsAvx2) {
+  TierGuard guard;
+  if (!avx512_and_avx2()) GTEST_SKIP() << "needs the AVX-512 and AVX2 tiers";
+  Rng rng(0x10f);
+  for (int count = 1; count <= 3; ++count) {
+    for (const std::int64_t m : {1, 2, 3, 4, 9}) {
+      for (const std::int64_t n : {3, 16, 33, 64, 100, 160}) {
+        for (const std::int64_t r : {1, 4, 16, 17}) {
+          const auto o = lora_operands(count, m, 48, n, r, rng);
+          std::vector<std::vector<float>> start;
+          for (int q = 0; q < count; ++q) start.push_back(uniform_vec(m * n, rng));
+          for (const bool base : {true, false}) {
+            ASSERT_EQ(isa::set_active_isa(isa::Isa::kAvx2), isa::Isa::kAvx2);
+            const auto want = lora_fused(o, base, true, start);
+            ASSERT_EQ(isa::set_active_isa(isa::Isa::kAvx512), isa::Isa::kAvx512);
+            const auto got = lora_fused(o, base, true, start);
+            for (int q = 0; q < count; ++q) {
+              ASSERT_TRUE(bitwise_equal(got[q], want[q]))
+                  << "count=" << count << " m=" << m << " n=" << n << " r=" << r
+                  << (base ? "" : " delta-only");
+            }
+          }
         }
       }
     }

@@ -13,7 +13,8 @@ provenance (commit, build type, host width, active and supported tiers,
 NETLLM_THREADS). On the GEMV serving
 shapes, the narrow fp32 shapes and the row kernels (GELU, Q8_0 activation
 quantization) every vector tier must not be slower than scalar, and
-neither may the causal softmax and the fused attention head. The avx512
+neither may the causal softmax, the fused attention head and the fused
+LoRA slot (a Q/K/V step and an fc2 step). The avx512
 tier returns the avx2 tier's bits, so it must also not be slower than
 avx2 on any case: its median may trail the avx2 median by no more than the
 two rows' combined relative spread (stddev / median), since some cases run
@@ -59,11 +60,14 @@ if not any(name.startswith("BM_MatmulKernel/") for name in runs):
 # Row-kernel cases count elements per second, the matmul cases FLOP/s.
 ROW_CASES = ["gelu_ff256x59", "gelu_ff1280x4", "q8_quant512x4", "softmax_causal98x98"]
 ATTEND_CASES = ["attend_step_len30_d512h8", "attend_prefill59_d64h4"]
+# Fused LoRA slot calls (kernels::lora_projections) of a 64-wide decode step.
+LORA_CASES = ["lora_qkv_step64_r4", "lora_fc2_step160x64_r4"]
 CASES = ["f32_gemv512", "f32_gemm512", "f32_lora_gemv512", "f32_lora_gemm64", "f32_gemv64",
-         "q8_gemv512", "q8_gemm512", "q4_gemv512", "q4_gemm512"] + ROW_CASES + ATTEND_CASES
+         "q8_gemv512", "q8_gemm512", "q4_gemv512", "q4_gemm512"] + ROW_CASES + ATTEND_CASES + \
+        LORA_CASES
 # Serving shapes where the vector tier must never lose to scalar.
 FLOOR_CASES = ["f32_gemv512", "f32_lora_gemv512", "f32_lora_gemm64", "f32_gemv64",
-               "q8_gemv512", "q4_gemv512"] + ROW_CASES + ATTEND_CASES
+               "q8_gemv512", "q4_gemv512"] + ROW_CASES + ATTEND_CASES + LORA_CASES
 flops = {}   # (case, tier) -> median items_per_second
 spread = {}  # (case, tier) -> stddev / median of items_per_second
 for run_name, agg in runs.items():
