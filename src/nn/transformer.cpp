@@ -226,12 +226,6 @@ void MultiHeadAttention::forward_rows(std::span<const float> x,
   attend_rows(x, segments, y, /*last_only=*/false);
 }
 
-void MultiHeadAttention::forward_last_rows(std::span<const float> x,
-                                           std::span<const KvSegment> segments,
-                                           std::span<float> y) const {
-  attend_rows(x, segments, y, /*last_only=*/true);
-}
-
 void MultiHeadAttention::attend_rows(std::span<const float> x,
                                      std::span<const KvSegment> segments, std::span<float> y,
                                      bool last_only) const {

@@ -106,13 +106,6 @@ class MultiHeadAttention final : public Module {
     const KvSegment one{m, cache};
     forward_rows(x, {&one, 1}, y);
   }
-  /// forward_rows for a reader of each segment's last row only: K and V
-  /// still run over all m rows and every segment's cache still captures
-  /// them, but Q, the attention and O run for the last rows alone, one
-  /// attend_head(rows = 1, len) call per head. y [segments, d_model]: row s
-  /// is bitwise the last row of segment s in forward_rows' output.
-  void forward_last_rows(std::span<const float> x, std::span<const KvSegment> segments,
-                         std::span<float> y) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
   /// Wrap q/k/v/o projections with LoRA; returns the new low-rank tensors.
@@ -130,7 +123,12 @@ class MultiHeadAttention final : public Module {
   Tensor project(const std::shared_ptr<Linear>& base, const std::shared_ptr<LoRALinear>& lora,
                  const Tensor& x) const;
   Tensor attend(const Tensor& q, const Tensor& k, const Tensor& v) const;
-  /// forward_rows (last_only false) and forward_last_rows (true).
+  /// forward_rows, or with last_only the rows a reader of each segment's
+  /// last row needs (TransformerBlock::forward_last_rows): K and V still
+  /// run over all m rows and every segment's cache still captures them,
+  /// but Q, the attention and O run for the last rows alone, one
+  /// attend_head(rows = 1, len) call per head. y [segments, d_model]: row
+  /// s is bitwise the last row of segment s in forward_rows' output.
   void attend_rows(std::span<const float> x, std::span<const KvSegment> segments,
                    std::span<float> y, bool last_only) const;
 

@@ -12,7 +12,9 @@
 // forward for every dtype, LoRA setting, head width, ISA tier and thread
 // count, a pass stacking several requests' segments is bitwise each
 // segment's own pass, with the same kernel counters and no intermediate
-// nodes; NaNs still
+// nodes; the served passes, which run the final block for each segment's
+// last row alone, return that row and capture those K/V rows bitwise;
+// NaNs still
 // reach it, it builds no autograd history, and the served ABR/CJS decisions
 // match digests recorded on the tape path and, under a seeded forward Throw
 // storm, digests recorded with adapters that re-encoded every window. The

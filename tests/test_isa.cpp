@@ -33,12 +33,19 @@
 //     row counts, cached rows, stacked segments and thread counts, with a
 //     NaN in a masked value row and a score gap on expf's special path, and
 //     the matmul counters bumped as the two products bumped them;
+//   - the fused LoRA slot: every tier bitwise equal to the separate passes
+//     LoRALinear ran (base, x A, (x A) B through matmul_accum, bias, scale,
+//     add) over 1-3 projections, k and n across the vector tails and
+//     64/160/512, ranks 1-17, with and without bias and base, 1-98 rows
+//     and 1/3 threads, with NaN/Inf/-0 operands and products that
+//     underflow to -0; a NaN in B reaching every row of its column; and the
+//     matmul counters moved by the separate passes' totals;
 //   - the scalar tier's exp and softmax rows, portable and FMA clone, both
 //     return the known-answer bits and agree on a sampled sweep;
 //   - the AVX-512 tier returns the AVX2 tier's bits: the fp32 seam sweep
 //     (dense and at row strides through attend_head), every row kernel at
-//     every length 0-100 with NaN/Inf lanes, and the Q8 kernel on extreme
-//     codes and its tiling seams.
+//     every length 0-100 with NaN/Inf lanes, the Q8 kernel on extreme
+//     codes and its tiling seams, and the fused LoRA slot.
 // Built to run under -DNETLLM_SANITIZE=thread as well.
 #include <gtest/gtest.h>
 
@@ -2043,7 +2050,7 @@ TEST(IsaLora, FusedSlotBitwiseEqualsSeparatePassesOnEveryTier) {
     ASSERT_EQ(isa::set_active_isa(tier), tier);
     int combo = 0;
     for (int count = 1; count <= 3; ++count) {
-      for (const auto [k, n] : shapes) {
+      for (const auto& [k, n] : shapes) {
         const bool wide = k * n > 64 * 64;
         for (const auto r : ranks) {
           if (wide && r != 4 && r != 17) continue;
@@ -2192,7 +2199,7 @@ TEST(IsaLora, CountersMoveOnceByTheSeparatePassesTotals) {
   Rng rng(0x10d);
   for (auto tier : supported_tiers()) {
     ASSERT_EQ(isa::set_active_isa(tier), tier);
-    for (const auto [m, k, n, r] : {std::tuple<std::int64_t, std::int64_t, std::int64_t,
+    for (const auto& [m, k, n, r] : {std::tuple<std::int64_t, std::int64_t, std::int64_t,
                                                std::int64_t>{1, 64, 64, 4},
                                     {59, 64, 160, 2},
                                     {3, 160, 64, 17}}) {
