@@ -246,6 +246,9 @@ int main(int argc, char** argv) {
   gt.print(std::cout);
 
   // ---- JSON export ----
+  // Provenance before the file is opened: truncating a tracked output file
+  // would make the tree read as dirty.
+  const auto context = netllm::benchsupport::provenance(NETLLM_BUILD_TYPE);
   std::ofstream json(out_path);
   json << "{\n  \"decode\": [\n";
   for (const Row* r : {&uncached, &cached}) {
@@ -274,7 +277,6 @@ int main(int argc, char** argv) {
          << (g + 1 == group_sizes.size() ? "\n" : ",\n");
   }
   json << "  ],\n  \"context\": {";
-  const auto context = netllm::benchsupport::provenance(NETLLM_BUILD_TYPE);
   for (std::size_t i = 0; i < context.size(); ++i) {
     json << (i == 0 ? "" : ", ") << "\"" << context[i].first << "\": \"" << context[i].second
          << "\"";
