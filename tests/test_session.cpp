@@ -3,11 +3,13 @@
 // fallback, retention GC, and fingerprint-mismatch rejection.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,8 @@
 #include "core/threadpool.hpp"
 #include "llm/zoo.hpp"
 #include "netllm/api.hpp"
+#include "tensor/isa.hpp"
+#include "tensor/quants.hpp"
 
 namespace ad = netllm::adapt;
 namespace abr = netllm::abr;
@@ -399,4 +403,121 @@ TEST_F(SessionTest, ResumeApiRequiresExistingCheckpoint) {
   EXPECT_THROW(ad::api::Resume(tiny_llm(), data, cfg, opts, rng), std::invalid_argument);
   opts.session_dir = session_dir("vp_api_missing").string();
   EXPECT_THROW(ad::api::Resume(tiny_llm(), data, cfg, opts, rng), std::invalid_argument);
+}
+
+// ---- training pinned against recorded digests ----
+//
+// Every other adapt test compares the loop with itself (resume against
+// uninterrupted, Q8 against fp32), so a moved RNG draw or a reordered guard
+// check would pass them all. These digests were recorded from the three
+// task loops and pin each run's outcome: the bits of every
+// adapt_parameters() tensor, the AdaptStats fields (not the wall time),
+// target_return and, for CJS, return_scale. The scalar ISA tier pins the
+// kernel bits; the digests still depend on the host libm through the
+// weight initialisation and the sampling weights, as test_decode's do.
+
+namespace {
+
+/// FNV-1a over 32-bit words.
+struct Fnv {
+  std::uint64_t hash = 14695981039346656037ull;
+  void add(std::uint32_t v) { hash = (hash ^ v) * 1099511628211ull; }
+  void add(float v) { add(std::bit_cast<std::uint32_t>(v)); }
+};
+
+std::uint64_t adapt_digest(const std::vector<netllm::tensor::Tensor>& params,
+                           const ad::AdaptStats& st, std::span<const float> extras) {
+  Fnv f;
+  for (const auto& t : params) {
+    for (float x : t.data()) f.add(x);
+  }
+  f.add(st.initial_loss);
+  f.add(st.final_loss);
+  for (int v : {st.skipped_steps, st.restores, st.start_step, static_cast<int>(st.interrupted),
+                st.checkpoints}) {
+    f.add(static_cast<std::uint32_t>(v));
+  }
+  for (float x : extras) f.add(x);
+  return f.hash;
+}
+
+enum class Arm { kNone, kStorm };
+
+/// One adapt run of 12 steps on a fresh adapter: quantized first when
+/// `dtype` is not fp32; with `Arm::kStorm`, under NaN storms on the step
+/// loss and on the parameters, and with a durable session writing every 4
+/// steps, so the guard's skip and restore paths and the checkpoint
+/// bookkeeping all land in the digest.
+template <typename MakeFn, typename PoolT, typename ExtrasFn>
+std::uint64_t run_digest(MakeFn make, const PoolT& pool, netllm::tensor::quant::Dtype dtype,
+                         Arm arm, const std::string& tag, ExtrasFn extras) {
+  struct IsaGuard {
+    ~IsaGuard() { netllm::tensor::isa::reset_active_isa(); }
+  } tier;
+  netllm::core::set_global_threads(1);
+  netllm::tensor::isa::set_active_isa(netllm::tensor::isa::Isa::kScalar);
+  auto model = make();
+  if (dtype != netllm::tensor::quant::Dtype::kF32) model->llm_shared()->quantize_backbone(dtype);
+  ad::SessionOptions sess;
+  if (arm == Arm::kStorm) {
+    sess.dir = session_dir("digest_" + tag).string();
+    sess.checkpoint_every = 4;
+    sess.handle_signals = false;
+    fault::StormPlan storm;
+    storm.seed = 2029;
+    storm.sites.push_back({"adapter.step", fault::FaultKind::CorruptNan, 0.2, 1, 0.0});
+    storm.sites.push_back({"adapter.params", fault::FaultKind::CorruptNan, 0.2, 1, 0.0});
+    fault::arm_storm(storm);
+  }
+  const auto st = model->adapt(pool, 12, kLr, kSeed, sess);
+  fault::disarm_all();
+  if (arm == Arm::kStorm) {
+    EXPECT_GT(st.skipped_steps, 0) << tag;
+    EXPECT_GT(st.restores, 0) << tag;
+    EXPECT_GT(st.checkpoints, 0) << tag;
+  }
+  const auto extra = extras(*model);
+  return adapt_digest(model->adapt_parameters(), st, extra);
+}
+
+}  // namespace
+
+TEST_F(SessionTest, AdaptRunsMatchPinnedDigests) {
+  using netllm::tensor::quant::Dtype;
+  const auto vp = vp_data();
+  const auto abr = abr_pool();
+  const auto cjs = cjs_pool();
+  const auto no_extras = [](const ad::VpAdapter&) { return std::vector<float>{}; };
+  const auto abr_extras = [](const ad::AbrAdapter& a) {
+    return std::vector<float>{a.target_return()};
+  };
+  const auto cjs_extras = [](const ad::CjsAdapter& a) {
+    return std::vector<float>{a.target_return(), a.return_scale()};
+  };
+  struct Pinned {
+    const char* tag;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {"vp_f32", 0x99dd9d07a0b2a795ull},  {"vp_q8", 0x99dd9d07a0b2a795ull},
+      {"vp_storm", 0xc321122af3a81a0aull}, {"abr_f32", 0x5e1411513a144121ull},
+      {"abr_q8", 0x5e1411513a144121ull},   {"abr_storm", 0xadd1145577099135ull},
+      {"cjs_f32", 0x8885623a2bbfd63aull},  {"cjs_q8", 0x8885623a2bbfd63aull},
+      {"cjs_storm", 0xeae13702cc6dea06ull},
+  };
+  const std::uint64_t got[] = {
+      run_digest(make_vp, vp, Dtype::kF32, Arm::kNone, "vp_f32", no_extras),
+      run_digest(make_vp, vp, Dtype::kQ8_0, Arm::kNone, "vp_q8", no_extras),
+      run_digest(make_vp, vp, Dtype::kF32, Arm::kStorm, "vp_storm", no_extras),
+      run_digest(make_abr, abr, Dtype::kF32, Arm::kNone, "abr_f32", abr_extras),
+      run_digest(make_abr, abr, Dtype::kQ8_0, Arm::kNone, "abr_q8", abr_extras),
+      run_digest(make_abr, abr, Dtype::kF32, Arm::kStorm, "abr_storm", abr_extras),
+      run_digest(make_cjs, cjs, Dtype::kF32, Arm::kNone, "cjs_f32", cjs_extras),
+      run_digest(make_cjs, cjs, Dtype::kQ8_0, Arm::kNone, "cjs_q8", cjs_extras),
+      run_digest(make_cjs, cjs, Dtype::kF32, Arm::kStorm, "cjs_storm", cjs_extras),
+  };
+  for (std::size_t i = 0; i < std::size(pinned); ++i) {
+    EXPECT_EQ(got[i], pinned[i].digest)
+        << pinned[i].tag << ": 0x" << std::hex << got[i] << "ull";
+  }
 }
