@@ -25,9 +25,9 @@
 //     breaker trip mid-group matches serving one drain each; the arena
 //     budget and the latency budget bound the group; and a group of B cold
 //     requests makes the kernel calls of one request and B times its flops,
-//   - encode once: after a mid-session ABR adapt() or a mid-episode CJS
-//     set_return_scale(), the next decisions equal those of a fresh adapter
-//     replaying the same raw steps; a warm VP prefix keyed on the raw
+//   - encode once: after a mid-session ABR or CJS adapt() or a mid-episode
+//     CJS set_return_scale(), the next decisions equal those of a fresh
+//     adapter replaying the same raw steps; a warm VP prefix keyed on the raw
 //     request serves bitwise the uncached answer, one flipped history bit
 //     misses, adapt() empties the warm set and a NaN saliency never
 //     publishes.
@@ -587,78 +587,118 @@ void throwing_decisions(int n, Decide&& decide) {
 
 }  // namespace
 
-TEST_F(Sched, AbrDecisionsAfterAMidSessionAdaptEqualAFreshAdapterReplayingTheSteps) {
-  nc::set_global_threads(1);
-  auto setting = abr::abr_default_test();
-  setting.num_traces = 1;
-  const auto video = abr::video_for(setting);
-  const auto traces = abr::traces_for(setting);
-  netllm::baselines::Bba bba;
-  const auto pool = ad::collect_abr_experience(bba, video, traces, 1, 0.0, 3);
-  std::vector<abr::Observation> obs;
-  abr::StreamingSession session(video, traces.front());
-  bba.begin_session();
-  while (!session.done()) {
-    obs.push_back(session.observe());
-    (void)session.step(bba.choose_level(obs.back()));
-  }
-  ASSERT_GE(obs.size(), 20u);
+/// What makes the cached context rows stale mid-session: an adapt() (the
+/// weights change, and for CJS the fitted return scale) or, for CJS, a
+/// set_return_scale() (the rtg tokens change).
+enum class Trigger { kAdapt, kRescale };
 
-  auto live = abr_adapter();
-  auto fresh = abr_adapter();
-  const float target = live->target_return();
-  // The fresh adapter gets the adapted weights up front (adapt is
-  // deterministic) and the live one's session target.
-  fresh->adapt(pool, 2, 0.5f, 9);
-  fresh->set_target_return(target);
+struct EncodeOnceCase {
+  const char* task;  // "abr" | "cjs"
+  Trigger trigger;
+  // The trigger adapt's step size: small enough that the adapted decisions
+  // still spread and read the older steps' rows (CJS collapses onto one
+  // action at 0.5), so a stale cache shows.
+  float lr = 0.5f;
+};
 
-  constexpr int kWarm = 5;  // fills most of the 6-step window
-  live->begin_session();
-  throwing_decisions(kWarm, [&](int i) { return live->choose_level(obs[i]); });
-  live->adapt(pool, 2, 0.5f, 9);  // the cached rows of those steps are stale now
-  fresh->begin_session();
-  throwing_decisions(kWarm, [&](int i) { return fresh->choose_level(obs[i]); });
-  std::vector<int> live_levels, fresh_levels;
-  for (std::size_t i = kWarm; i < 20; ++i) {
-    live_levels.push_back(live->choose_level(obs[i]));
-    fresh_levels.push_back(fresh->choose_level(obs[i]));
-  }
-  EXPECT_EQ(live_levels, fresh_levels);
+class EncodeOnce : public Sched, public ::testing::WithParamInterface<EncodeOnceCase> {};
+
+namespace {
+
+void begin(ad::AbrAdapter& a) { a.begin_session(); }
+void begin(ad::CjsAdapter& a) { a.begin_episode(); }
+int decide(ad::AbrAdapter& a, const abr::Observation& obs) { return a.choose_level(obs); }
+int decide(ad::CjsAdapter& a, const cjs::SchedObservation& obs) {
+  const auto action = a.choose(obs);
+  return action.runnable_index * 16 + action.cap_choice;
 }
 
-TEST_F(Sched, CjsDecisionsAfterAMidEpisodeReturnRescaleEqualAFreshAdapterReplayingTheSteps) {
-  nc::set_global_threads(1);
-  cjs::WorkloadConfig wl;
-  wl.num_job_requests = 6;
-  wl.executor_units_k = 6;
-  wl.scale = 1.0;
-  wl.seed = 5;
-  netllm::baselines::FifoScheduler fifo;
-  const auto pool = ad::collect_cjs_experience(fifo, wl, 1, 7);
-  ASSERT_GE(pool.front().size(), 20u);
-  const auto obs = [&](std::size_t i) -> const cjs::SchedObservation& {
-    return pool.front()[i].obs;
-  };
+constexpr float kRescaled = 0.01f;  // CJS rtg tokens from bias-led to weight-led
 
-  auto live = cjs_adapter();
-  auto fresh = cjs_adapter();
-  constexpr float kRescaled = 0.01f;  // rtg tokens from bias-led to weight-led
-  for (auto* a : {live.get(), fresh.get()}) a->set_target_return(-300.0f);  // rtg tokens read it
-  fresh->set_return_scale(kRescaled);
+/// `kWarm` thrown decisions fill most of the 6-step window; then `trigger`
+/// fires on the live adapter, whose cached rows of those steps are stale
+/// from then on. The fresh adapter gets the triggered state up front
+/// (adapt is deterministic) and the live one's session target, then replays
+/// the same raw steps: every later decision must agree.
+template <typename Adapter, typename Pool, typename Obs>
+void expect_encode_once(Adapter& live, Adapter& fresh, const Pool& pool,
+                        const EncodeOnceCase& c, const Obs& obs) {
+  const auto fire = [&](Adapter& a) {
+    if (c.trigger == Trigger::kAdapt) {
+      a.adapt(pool, 2, c.lr, 9);
+    } else if constexpr (requires { a.set_return_scale(kRescaled); }) {
+      a.set_return_scale(kRescaled);
+    } else {
+      FAIL() << "no return rescale for this task";
+    }
+  };
+  const float target = live.target_return();
+  fire(fresh);
+  fresh.set_target_return(target);
 
   constexpr int kWarm = 5;
-  live->begin_episode();
-  throwing_decisions(kWarm, [&](int i) { return live->choose(obs(i)); });
-  live->set_return_scale(kRescaled);  // the cached rtg rows of those steps are stale now
-  fresh->begin_episode();
-  throwing_decisions(kWarm, [&](int i) { return fresh->choose(obs(i)); });
-  for (std::size_t i = kWarm; i < 20; ++i) {
-    const auto a = live->choose(obs(i));
-    const auto b = fresh->choose(obs(i));
-    EXPECT_EQ(a.runnable_index, b.runnable_index) << "decision " << i;
-    EXPECT_EQ(a.cap_choice, b.cap_choice) << "decision " << i;
+  begin(live);
+  throwing_decisions(kWarm, [&](int i) { return decide(live, obs(i)); });
+  fire(live);
+  begin(fresh);
+  throwing_decisions(kWarm, [&](int i) { return decide(fresh, obs(i)); });
+  for (int i = kWarm; i < 20; ++i) {
+    EXPECT_EQ(decide(live, obs(i)), decide(fresh, obs(i))) << "decision " << i;
   }
 }
+
+}  // namespace
+
+TEST_P(EncodeOnce, DecisionsAfterAMidSessionTriggerEqualAFreshAdapterReplayingTheSteps) {
+  nc::set_global_threads(1);
+  const auto& param = GetParam();
+  if (std::string(param.task) == "abr") {
+    auto setting = abr::abr_default_test();
+    setting.num_traces = 1;
+    const auto video = abr::video_for(setting);
+    const auto traces = abr::traces_for(setting);
+    netllm::baselines::Bba bba;
+    const auto pool = ad::collect_abr_experience(bba, video, traces, 1, 0.0, 3);
+    std::vector<abr::Observation> obs;
+    abr::StreamingSession session(video, traces.front());
+    bba.begin_session();
+    while (!session.done()) {
+      obs.push_back(session.observe());
+      (void)session.step(bba.choose_level(obs.back()));
+    }
+    ASSERT_GE(obs.size(), 20u);
+    auto live = abr_adapter();
+    auto fresh = abr_adapter();
+    expect_encode_once(*live, *fresh, pool, param,
+                       [&](int i) -> const abr::Observation& { return obs[i]; });
+  } else {
+    cjs::WorkloadConfig wl;
+    wl.num_job_requests = 6;
+    wl.executor_units_k = 6;
+    wl.scale = 1.0;
+    wl.seed = 5;
+    netllm::baselines::FifoScheduler fifo;
+    const auto pool = ad::collect_cjs_experience(fifo, wl, 1, 7);
+    ASSERT_GE(pool.front().size(), 20u);
+    auto live = cjs_adapter();
+    auto fresh = cjs_adapter();
+    for (auto* a : {live.get(), fresh.get()}) a->set_target_return(-300.0f);  // rtg tokens read it
+    expect_encode_once(*live, *fresh, pool, param,
+                       [&](int i) -> const cjs::SchedObservation& {
+                         return pool.front()[static_cast<std::size_t>(i)].obs;
+                       });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sched, EncodeOnce,
+    ::testing::Values(EncodeOnceCase{"abr", Trigger::kAdapt},
+                      EncodeOnceCase{"cjs", Trigger::kAdapt, 0.002f},
+                      EncodeOnceCase{"cjs", Trigger::kRescale}),
+    [](const ::testing::TestParamInfo<EncodeOnceCase>& info) {
+      return std::string(info.param.task) +
+             (info.param.trigger == Trigger::kAdapt ? "_adapt" : "_rescale");
+    });
 
 TEST_F(Sched, RawKeyHitIsBitwiseUncachedAndOneFlippedHistoryBitMisses) {
   nc::set_global_threads(1);
