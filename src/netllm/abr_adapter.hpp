@@ -14,16 +14,14 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <memory>
 
 #include "core/rng.hpp"
 #include "envs/abr/policy.hpp"
 #include "llm/minigpt.hpp"
+#include "netllm/dd_lrna.hpp"
 #include "netllm/encoders.hpp"
 #include "netllm/heads.hpp"
-#include "netllm/session.hpp"
-#include "nn/module.hpp"
 
 namespace netllm::adapt {
 
@@ -40,6 +38,8 @@ using AbrTrajectory = std::vector<AbrStep>;
 
 /// Normalised state snapshot from a raw observation.
 AbrStep make_abr_step(const abr::Observation& obs);
+/// `make_abr_step` into `step`, reusing its vectors' storage.
+void assign_abr_step(const abr::Observation& obs, AbrStep& step);
 
 /// RL_Collect (Fig. 9): run `collector` over the training traces, with
 /// epsilon-greedy exploration noise, recording one trajectory per trace
@@ -63,7 +63,7 @@ struct AbrAdapterConfig {
   float target_return_boost = 1.0f;  // target = best pool return x boost
 };
 
-class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
+class AbrAdapter final : public DdLrnaAdapter, public abr::AbrPolicy {
  public:
   AbrAdapter(std::shared_ptr<llm::MiniGpt> llm, const AbrAdapterConfig& cfg, core::Rng& rng);
 
@@ -82,11 +82,6 @@ class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
 
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
-  const llm::MiniGpt& llm() const { return *llm_; }
-  /// Shared handle for callers that reconfigure the backbone in place
-  /// (quantization) — the adapter stays the owner of record.
-  std::shared_ptr<llm::MiniGpt> llm_shared() const { return llm_; }
-
   /// Return-conditioning target used at inference. `adapt` sets it to the
   /// best pool return; callers may retarget (e.g. a quantile) without
   /// retraining — standard decision-transformer practice.
@@ -94,10 +89,6 @@ class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
   void set_target_return(float target) { target_return_ = target; }
 
   static constexpr int kLevels = 6;
-
- /// Parameters the Adapt API optimises: encoder + head + LoRA, plus the
-  /// backbone when cfg.train_backbone is set.
-  std::vector<tensor::Tensor> adapt_parameters() const;
 
  private:
   static constexpr int kStateTokens = 5;  // R, tp, delay, sizes, buf
@@ -116,14 +107,7 @@ class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
   /// `encode_state`'s token rows on the graph-free encoders: rows
   /// [kStateTokens, d_model].
   void encode_state_rows(const AbrStep& step, float rtg, std::span<float> rows) const;
-  /// Served sequence [6n - 1, d_model] over the rolling context into
-  /// `sequence_`: copies the cached rows, encoding only what they lack, and
-  /// leaves the last step's action open (it is what the head predicts).
-  void served_sequence();
-  /// Drop every cached row; the raw steps stay and are re-encoded next call.
-  void invalidate_rows();
 
-  std::shared_ptr<llm::MiniGpt> llm_;
   AbrAdapterConfig cfg_;
   std::shared_ptr<ScalarEncoder> rtg_encoder_;
   std::shared_ptr<TimeSeriesEncoder> tp_encoder_;
@@ -132,24 +116,13 @@ class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
   std::shared_ptr<ScalarEncoder> buffer_encoder_;
   std::shared_ptr<ActionEncoder> action_encoder_;
   std::shared_ptr<CategoricalHead> head_;
-  std::vector<tensor::Tensor> lora_;
 
-  // Inference-time rolling context. Each step keeps its encoded token rows
-  // as plain floats: a cache of the raw step (encoders are deterministic in
-  // (weights, input)), so a decision encodes only the newest step's state
-  // tokens and the action token of the step before it.
-  struct ContextStep {
-    AbrStep step;
-    float rtg = 0.0f;
-    std::vector<float> state_rows;  // [kStateTokens, d_model]; empty = not encoded
-    std::vector<float> action_row;  // [1, d_model], encoded once the step is not the last
-  };
   float target_return_ = 120.0f;  // updated from the pool during adapt()
-  float rtg_now_ = 0.0f;
-  std::deque<ContextStep> context_;
-  // Served-decision rows, sized once: a step's token rows, the window and
-  // the backbone's output.
-  std::vector<float> scratch_, sequence_, features_;
+  // Inference-time rolling context: a decision encodes only the newest
+  // step's state tokens [kStateTokens, d_model] and the action token of the
+  // step before it; the sequence is [6n - 1, d_model].
+  RollingContext<AbrStep> context_;
+  std::vector<float> features_;  // the backbone's output, sized once
 };
 
 }  // namespace netllm::adapt

@@ -1,15 +1,9 @@
 #include "netllm/cjs_adapter.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "core/fault.hpp"
-#include "core/metrics.hpp"
-#include "core/timer.hpp"
 #include "core/trace.hpp"
-#include "netllm/resilience.hpp"
-#include "tensor/optim.hpp"
 
 namespace netllm::adapt {
 
@@ -35,8 +29,9 @@ std::vector<CjsTrajectory> collect_cjs_experience(cjs::SchedPolicy& collector,
 
 CjsAdapter::CjsAdapter(std::shared_ptr<llm::MiniGpt> llm, const CjsAdapterConfig& cfg,
                        core::Rng& rng)
-    : llm_(std::move(llm)), cfg_(cfg) {
-  if (!llm_) throw std::invalid_argument("CjsAdapter: null LLM");
+    : DdLrnaAdapter(std::move(llm), cfg.train_backbone, "CjsAdapter"),
+      cfg_(cfg),
+      context_(cfg.context_window) {
   const auto d = llm_->config().d_model;
   rtg_encoder_ = std::make_shared<ScalarEncoder>(1, d, rng);
   graph_encoder_ =
@@ -47,8 +42,7 @@ CjsAdapter::CjsAdapter(std::shared_ptr<llm::MiniGpt> llm, const CjsAdapterConfig
   cap_encoder_ = std::make_shared<ActionEncoder>(cjs::kNumCapChoices, d, rng);
   stage_head_ = std::make_shared<PointerHead>(d, graph_encoder_->gnn_dim(), rng);
   cap_head_ = std::make_shared<CategoricalHead>(d, cjs::kNumCapChoices, rng);
-  llm_->freeze_backbone();
-  if (cfg_.use_lora) lora_ = llm_->enable_lora(cfg_.lora_rank, cfg_.lora_alpha, rng);
+  freeze_backbone_and_add_lora(cfg_.use_lora, cfg_.lora_rank, cfg_.lora_alpha, rng);
   if (cfg_.context_window * kTokensPerStep > llm_->config().max_seq) {
     throw std::invalid_argument("CjsAdapter: context window exceeds LLM max_seq");
   }
@@ -100,101 +94,72 @@ CjsAdapter::WindowTokens CjsAdapter::build_window(std::span<const StepContext> s
   return out;
 }
 
-void CjsAdapter::encode_state_rows(const StepContext& step, std::span<float> rows,
-                                   std::vector<float>& node_rows) const {
-  const auto& features = step.obs.node_features;
+void CjsAdapter::encode_state_rows(const cjs::SchedObservation& obs, float rtg,
+                                   std::span<float> rows, std::vector<float>& node_rows) const {
+  const auto& features = obs.node_features;
   if (features.rank() != 2 || features.dim(1) != cjs::SchedObservation::kNodeFeatures) {
     throw std::invalid_argument("GraphEncoder: expected [N, feature_dim] features");
   }
   const auto d = static_cast<std::size_t>(llm_->config().d_model);
-  const float r[] = {step.rtg / return_scale_};
-  const float vals[] = {static_cast<float>(step.obs.idle_executors) / step.obs.total_executors,
-                        static_cast<float>(step.obs.jobs_in_system) / 50.0f};
+  const float r[] = {rtg / return_scale_};
+  const float vals[] = {static_cast<float>(obs.idle_executors) / obs.total_executors,
+                        static_cast<float>(obs.jobs_in_system) / 50.0f};
   node_rows.resize(static_cast<std::size_t>(features.dim(0) * graph_encoder_->gnn_dim()));
   rtg_encoder_->forward_rows(r, 1, rows.subspan(0, d));
-  graph_encoder_->forward_rows(features.data(), step.obs.topology, rows.subspan(d, d), node_rows);
+  graph_encoder_->forward_rows(features.data(), obs.topology, rows.subspan(d, d), node_rows);
   exec_encoder_->forward_rows(vals, 1, rows.subspan(2 * d, d));
 }
 
-void CjsAdapter::served_sequence() {
-  const auto d = static_cast<std::size_t>(llm_->config().d_model);
-  const auto gnn = static_cast<std::size_t>(graph_encoder_->gnn_dim());
-  const std::size_t n = context_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& c = context_[i];
-    // Encode into scratch first: a step whose encode throws keeps no rows.
-    if (c.state_rows.empty()) {
-      scratch_.resize(kStateTokens * d);
-      encode_state_rows(c.raw, scratch_, c.node_rows);
-      c.state_rows.assign(scratch_.begin(), scratch_.end());
-    }
-    // A step's action tokens are encoded once it stops being the last, from
-    // the action it recorded: the chosen one, or the default a step keeps
-    // when its decision threw. encode_action on raw rows: the stage token is
-    // the chosen stage's GNN row projected and normalised, then the cap token.
-    if (i + 1 < n && c.action_rows.empty()) {
-      const auto row = static_cast<std::size_t>(
-          c.raw.obs.runnable_rows[static_cast<std::size_t>(c.raw.action.runnable_index)]);
-      scratch_.resize(3 * d);  // [stage projection | stage token | cap token]
-      const std::span<float> rows = scratch_;
-      stage_token_proj_->forward_rows(std::span<const float>(c.node_rows).subspan(row * gnn, gnn),
-                                      1, rows.first(d));
-      stage_token_norm_->forward_rows(rows.first(d), 1, rows.subspan(d, d));
-      cap_encoder_->forward_rows(c.raw.action.cap_choice, rows.subspan(2 * d, d));
-      c.action_rows.assign(scratch_.begin() + static_cast<std::ptrdiff_t>(d), scratch_.end());
-    }
-  }
-  sequence_.clear();
-  for (const auto& c : context_) {
-    sequence_.insert(sequence_.end(), c.state_rows.begin(), c.state_rows.end());
-    sequence_.insert(sequence_.end(), c.action_rows.begin(), c.action_rows.end());  // empty for the last
-  }
-}
+void CjsAdapter::begin_episode() { context_.begin(target_return_); }
 
-void CjsAdapter::last_candidates() {
-  const auto& last = context_.back();
-  const auto gnn = graph_encoder_->gnn_dim();
-  const auto& runnable = last.raw.obs.runnable_rows;
-  if (runnable.empty()) throw std::invalid_argument("CjsAdapter: no runnable stage");
-  candidates_.clear();
-  for (int row : runnable) {
-    const auto first = last.node_rows.begin() + static_cast<std::ptrdiff_t>(row) * gnn;
-    candidates_.insert(candidates_.end(), first, first + gnn);
-  }
+void CjsAdapter::observe_reward(double reward) {
+  context_.add_to_return(static_cast<float>(reward));
 }
-
-void CjsAdapter::invalidate_rows() {
-  for (auto& c : context_) {
-    c.state_rows.clear();
-    c.node_rows.clear();
-    c.action_rows.clear();
-  }
-}
-
-void CjsAdapter::begin_episode() {
-  rtg_now_ = target_return_;
-  context_.clear();
-}
-
-void CjsAdapter::observe_reward(double reward) { rtg_now_ += static_cast<float>(reward); }
 
 cjs::SchedAction CjsAdapter::choose(const cjs::SchedObservation& obs) {
-  context_.push_back({{obs, {}, rtg_now_}, {}, {}, {}});
-  while (static_cast<int>(context_.size()) > cfg_.context_window) context_.pop_front();
+  auto& step = context_.push();
+  step.raw.obs = obs;  // copy-assigned into the slot's storage
+  step.raw.action = {};
+  const auto d = static_cast<std::size_t>(llm_->config().d_model);
+  const auto gnn = static_cast<std::size_t>(graph_encoder_->gnn_dim());
   // Per-phase spans (DESIGN.md §11): encoder → backbone prefill (capturing
   // nothing) → networking heads, all graph-free on raw rows.
-  {
+  const auto sequence = [&] {
     core::trace::Span span(core::trace::Phase::kEncode);
-    served_sequence();
-  }
-  llm_->prefill_rows(sequence_, features_);
+    return context_.sequence(
+        [&](auto& s, std::vector<float>& scratch) {
+          scratch.resize(kStateTokens * d);
+          encode_state_rows(s.raw.obs, s.rtg, scratch, s.aux_rows);
+          return std::span<const float>(scratch);
+        },
+        // encode_action on raw rows: the stage token is the chosen stage's
+        // GNN row projected and normalised, then the cap token.
+        [&](auto& s, std::vector<float>& scratch) {
+          const auto row = static_cast<std::size_t>(
+              s.raw.obs.runnable_rows[static_cast<std::size_t>(s.raw.action.runnable_index)]);
+          scratch.resize(3 * d);  // [stage projection | stage token | cap token]
+          const std::span<float> rows = scratch;
+          stage_token_proj_->forward_rows(
+              std::span<const float>(s.aux_rows).subspan(row * gnn, gnn), 1, rows.first(d));
+          stage_token_norm_->forward_rows(rows.first(d), 1, rows.subspan(d, d));
+          cap_encoder_->forward_rows(s.raw.action.cap_choice, rows.subspan(2 * d, d));
+          return std::span<const float>(rows.subspan(d));
+        });
+  }();
+  llm_->prefill_rows(sequence, features_);
   // The feature at the last state token (exec) predicts the action.
-  const auto feature =
-      std::span<const float>(features_).last(static_cast<std::size_t>(llm_->config().d_model));
+  const auto feature = std::span<const float>(features_).last(d);
   cjs::SchedAction action;
   {
     core::trace::Span span(core::trace::Phase::kHead);
-    last_candidates();
+    // The pointer head's candidates: the last step's runnable-stage rows.
+    const auto& last = context_.back();
+    if (obs.runnable_rows.empty()) throw std::invalid_argument("CjsAdapter: no runnable stage");
+    candidates_.clear();
+    for (int row : obs.runnable_rows) {
+      const auto first = last.aux_rows.begin() + static_cast<std::ptrdiff_t>(row * gnn);
+      candidates_.insert(candidates_.end(), first, first + static_cast<std::ptrdiff_t>(gnn));
+    }
     action.runnable_index = stage_head_->argmax(feature, candidates_);
     action.cap_choice = cap_head_->argmax(feature);
   }
@@ -205,68 +170,16 @@ cjs::SchedAction CjsAdapter::choose(const cjs::SchedObservation& obs) {
 CjsAdapter::AdaptStats CjsAdapter::adapt(std::span<const CjsTrajectory> pool, int steps,
                                          float lr, std::uint64_t seed,
                                          const SessionOptions& session) {
-  if (pool.empty()) throw std::invalid_argument("CjsAdapter::adapt: empty pool");
-  // Train on the fp32 masters (see VpAdapter::adapt); requantize on exit.
-  llm::ScopedQuantPause quant_pause(*llm_);
-  invalidate_rows();  // the weights and the return scale change under the cached rows
-  core::Rng rng(seed);
   // Returns-to-go per decision; fit the normalisation scale and target.
-  std::vector<std::vector<float>> rtg(pool.size());
-  double mean_abs_return = 0.0;
-  float best_return = -1e30f;
-  int counted = 0;
-  for (std::size_t t = 0; t < pool.size(); ++t) {
-    rtg[t].resize(pool[t].size());
-    float g = 0.0f;
-    for (std::size_t i = pool[t].size(); i-- > 0;) {
-      g += static_cast<float>(pool[t][i].reward);
-      rtg[t][i] = g;
-    }
-    if (!pool[t].empty()) {
-      mean_abs_return += std::abs(rtg[t][0]);
-      best_return = std::max(best_return, rtg[t][0]);
-      ++counted;
-    }
-  }
-  if (counted == 0) throw std::invalid_argument("CjsAdapter::adapt: empty trajectories");
-  return_scale_ = std::max(1.0f, static_cast<float>(mean_abs_return / counted));
-  target_return_ = best_return * cfg_.target_return_boost;
-
-  // Return-weighted trajectory sampling (see AbrAdapter::adapt): favour
-  // high-return episodes while RTG conditioning keeps the contrast signal.
-  std::vector<double> sample_weights(pool.size(), 1.0);
-  {
-    float g_min = 1e30f, g_max = -1e30f;
-    for (std::size_t t = 0; t < pool.size(); ++t) {
-      if (pool[t].empty()) continue;
-      g_min = std::min(g_min, rtg[t][0]);
-      g_max = std::max(g_max, rtg[t][0]);
-    }
-    const float temp = std::max((g_max - g_min) / 8.0f, 1e-3f);
-    for (std::size_t t = 0; t < pool.size(); ++t) {
-      sample_weights[t] =
-          pool[t].empty() ? 0.0 : std::exp(static_cast<double>((rtg[t][0] - g_max) / temp));
-    }
-  }
-
-  Adam opt(adapt_parameters(), lr);  // unfreezes the backbone when it trains too
-  TrainGuard guard(opt.params());
-  AdaptStats stats;
-  TrainSession sess(session, SessionFingerprint{"cjs", llm_->config().name, seed, lr, steps},
-                    session_params(*this, cfg_.train_backbone ? llm_.get() : nullptr), opt,
-                    guard);
-  const int start = sess.resume(rng, stats);
-  const double prior_s = stats.seconds;  // wall time from interrupted runs
-  auto& step_hist = core::metrics::histogram("adapt.cjs.step_ms");
-  auto& step_count = core::metrics::counter("adapt.cjs.steps");
-  core::Timer timer;
+  const auto returns = pool_returns(pool);
+  return_scale_ = std::max(1.0f, static_cast<float>(returns.mean_abs));
+  target_return_ = returns.best * cfg_.target_return_boost;
+  context_.invalidate();  // the weights and the return scale change under the cached rows
   const auto w = static_cast<std::size_t>(cfg_.context_window);
-  for (int step = start; step < steps; ++step) {
-    core::Timer step_timer;
-    opt.set_lr(lr * (1.0f - 0.7f * static_cast<float>(step) / static_cast<float>(steps)));
-    const auto traj_idx = rng.weighted_choice(sample_weights);
+  return run_adapt("cjs", steps, lr, seed, session, [&](core::Rng& rng) -> std::optional<float> {
+    const auto traj_idx = rng.weighted_choice(returns.weights);
     const auto& traj = pool[traj_idx];
-    if (traj.empty()) continue;
+    if (traj.empty()) return std::nullopt;
     const auto span_len = std::min(w, traj.size());
     const auto start = static_cast<std::size_t>(
         rng.randint(0, static_cast<std::int64_t>(traj.size() - span_len)));
@@ -278,7 +191,7 @@ CjsAdapter::AdaptStats CjsAdapter::adapt(std::span<const CjsTrajectory> pool, in
       StepContext sc;
       sc.obs = traj[start + i].obs;
       sc.action = traj[start + i].action;
-      sc.rtg = rtg[traj_idx][start + i];
+      sc.rtg = returns.rtg[traj_idx][start + i];
       targets.push_back(sc.action);
       // Action-context dropout (see AbrAdapter::adapt): perturb the context
       // action tokens so the model reads the DAG state instead of copying.
@@ -289,7 +202,6 @@ CjsAdapter::AdaptStats CjsAdapter::adapt(std::span<const CjsTrajectory> pool, in
       }
       window_steps.push_back(std::move(sc));
     }
-    opt.zero_grad();
     auto window = build_window(window_steps);
     auto features = llm_->forward_embeddings(window.sequence);
     std::vector<Tensor> losses;
@@ -305,45 +217,10 @@ CjsAdapter::AdaptStats CjsAdapter::adapt(std::span<const CjsTrajectory> pool, in
     }
     auto cap_logits = cap_head_->logits(concat_rows(cap_rows));
     losses.push_back(cross_entropy_rows(cap_logits, cap_targets));
-    auto loss = scale(add_n(losses), 1.0f / static_cast<float>(losses.size()));
-    core::fault::corrupt("adapter.step", loss.mutable_data());
-    const float lv = loss.item();
-    if (guard.loss_ok(lv)) {
-      if (step == 0) stats.initial_loss = lv;
-      stats.final_loss = lv;
-      loss.backward();
-      if (guard.grads_ok()) {
-        opt.clip_grad_norm(1.0);
-        opt.step();
-        guard.after_step();
-      } else {
-        opt.zero_grad();  // poisoned gradients: drop the step
-      }
-    }
-    stats.seconds = prior_s + timer.elapsed_s();
-    stats.skipped_steps = guard.skipped_steps();
-    stats.restores = guard.restores();
-    step_hist.record(step_timer.elapsed_ms());
-    step_count.add();
-    if (sess.after_step(step, rng, stats)) break;  // drained on SIGINT/SIGTERM
-  }
-  stats.seconds = prior_s + timer.elapsed_s();
-  stats.skipped_steps = guard.skipped_steps();
-  stats.restores = guard.restores();
-  if (!stats.interrupted) sess.finish(steps, rng, stats);
-  stats.checkpoints = sess.checkpoints_written();
-  return stats;
+    return backward_loss(scale(add_n(losses), 1.0f / static_cast<float>(losses.size())));
+  });
 }
 
-
-std::vector<Tensor> CjsAdapter::adapt_parameters() const {
-  auto params = trainable_parameters();
-  if (cfg_.train_backbone) {
-    llm_->unfreeze();
-    for (auto& p : llm_->trainable_parameters()) params.push_back(p);
-  }
-  return params;
-}
 void CjsAdapter::collect_params(NamedParams& out, const std::string& prefix) const {
   rtg_encoder_->collect_params(out, prefix + "rtg_encoder.");
   graph_encoder_->collect_params(out, prefix + "graph_encoder.");
@@ -353,9 +230,7 @@ void CjsAdapter::collect_params(NamedParams& out, const std::string& prefix) con
   cap_encoder_->collect_params(out, prefix + "cap_encoder.");
   stage_head_->collect_params(out, prefix + "stage_head.");
   cap_head_->collect_params(out, prefix + "cap_head.");
-  for (std::size_t i = 0; i < lora_.size(); ++i) {
-    out.emplace_back(prefix + "lora." + std::to_string(i), lora_[i]);
-  }
+  collect_lora(out, prefix);
 }
 
 }  // namespace netllm::adapt

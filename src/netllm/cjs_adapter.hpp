@@ -12,16 +12,14 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <memory>
 
 #include "core/rng.hpp"
 #include "envs/cjs/simulator.hpp"
 #include "llm/minigpt.hpp"
+#include "netllm/dd_lrna.hpp"
 #include "netllm/encoders.hpp"
 #include "netllm/heads.hpp"
-#include "netllm/session.hpp"
-#include "nn/module.hpp"
 
 namespace netllm::adapt {
 
@@ -45,7 +43,7 @@ struct CjsAdapterConfig {
   float target_return_boost = 1.0f;
 };
 
-class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
+class CjsAdapter final : public DdLrnaAdapter, public cjs::SchedPolicy {
  public:
   CjsAdapter(std::shared_ptr<llm::MiniGpt> llm, const CjsAdapterConfig& cfg, core::Rng& rng);
 
@@ -64,11 +62,6 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
 
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
-  const llm::MiniGpt& llm() const { return *llm_; }
-  /// Shared handle for callers that reconfigure the backbone in place
-  /// (quantization) — the adapter stays the owner of record.
-  std::shared_ptr<llm::MiniGpt> llm_shared() const { return llm_; }
-
   /// Return-conditioning target used at inference. `adapt` sets it to the
   /// best pool return; callers may retarget (e.g. a quantile) without
   /// retraining — standard decision-transformer practice.
@@ -78,12 +71,8 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
   /// Rescaling the return-to-go re-encodes the rolling context's rtg tokens.
   void set_return_scale(float scale) {
     return_scale_ = scale;
-    invalidate_rows();
+    context_.invalidate();
   }
-
- /// Parameters the Adapt API optimises: encoder + head + LoRA, plus the
-  /// backbone when cfg.train_backbone is set.
-  std::vector<tensor::Tensor> adapt_parameters() const;
 
  private:
   static constexpr int kStateTokens = 3;   // rtg, DAG global token, exec scalars
@@ -117,30 +106,11 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
   WindowTokens build_window(std::span<const StepContext> steps) const;
   tensor::Tensor exec_scalars(const cjs::SchedObservation& obs) const;
 
-  // Inference-time rolling context. Each step keeps its encoded rows as
-  // plain floats: a cache of the raw step (encoders are deterministic in
-  // (weights, input)), so a decision runs one GNN pass, for the newest step.
-  struct ServedStep {
-    StepContext raw;
-    std::vector<float> state_rows;   // [kStateTokens, d_model]; empty = not encoded
-    std::vector<float> node_rows;    // [nodes, gnn_dim], the step's GNN node embeddings
-    std::vector<float> action_rows;  // [2, d_model], encoded once the step is not the last
-  };
   /// `encode_state`'s token rows on the graph-free encoders: rows
   /// [kStateTokens, d_model] and the GNN node embeddings into `node_rows`.
-  void encode_state_rows(const StepContext& step, std::span<float> rows,
+  void encode_state_rows(const cjs::SchedObservation& obs, float rtg, std::span<float> rows,
                          std::vector<float>& node_rows) const;
-  /// Served sequence [5n - 2, d_model] over the rolling context into
-  /// `sequence_`: copies the cached rows, encoding only what they lack, and
-  /// leaves the last step's action open (it is what the heads predict).
-  void served_sequence();
-  /// The last step's runnable-stage embeddings [runnable, gnn_dim] into
-  /// `candidates_`.
-  void last_candidates();
-  /// Drop every cached row; the raw steps stay and are re-encoded next call.
-  void invalidate_rows();
 
-  std::shared_ptr<llm::MiniGpt> llm_;
   CjsAdapterConfig cfg_;
   std::shared_ptr<ScalarEncoder> rtg_encoder_;
   std::shared_ptr<GraphTokenEncoder> graph_encoder_;
@@ -150,15 +120,16 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
   std::shared_ptr<ActionEncoder> cap_encoder_;
   std::shared_ptr<PointerHead> stage_head_;
   std::shared_ptr<CategoricalHead> cap_head_;
-  std::vector<tensor::Tensor> lora_;
 
   float return_scale_ = 2000.0f;  // fitted to the pool during adapt()
   float target_return_ = 0.0f;
-  float rtg_now_ = 0.0f;
-  std::deque<ServedStep> context_;
-  // Served-decision rows, sized once: a step's token rows, the window, the
-  // backbone's output and the pointer head's candidates.
-  std::vector<float> scratch_, sequence_, features_, candidates_;
+  // Inference-time rolling context: a decision runs one GNN pass, for the
+  // newest step, whose node embeddings [nodes, gnn_dim] are its aux rows;
+  // the sequence is [5n - 2, d_model].
+  RollingContext<cjs::Decision> context_;
+  // Served-decision rows, sized once: the backbone's output and the pointer
+  // head's candidates.
+  std::vector<float> features_, candidates_;
 };
 
 }  // namespace netllm::adapt

@@ -6,12 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "core/fault.hpp"
-#include "core/metrics.hpp"
-#include "core/timer.hpp"
 #include "core/trace.hpp"
-#include "netllm/resilience.hpp"
-#include "tensor/optim.hpp"
 
 namespace netllm::adapt {
 
@@ -31,14 +26,12 @@ std::array<float, 3> viewport_coords(const vp::Viewport& v) {
 
 VpAdapter::VpAdapter(std::shared_ptr<llm::MiniGpt> llm, const VpAdapterConfig& cfg,
                      core::Rng& rng)
-    : llm_(std::move(llm)), cfg_(cfg) {
-  if (!llm_) throw std::invalid_argument("VpAdapter: null LLM");
+    : DdLrnaAdapter(std::move(llm), cfg.train_backbone, "VpAdapter"), cfg_(cfg) {
   const auto d = llm_->config().d_model;
   image_encoder_ = std::make_shared<ImageEncoder>(d, rng);
   viewport_encoder_ = std::make_shared<ScalarEncoder>(3, d, rng);
   head_ = std::make_shared<RegressionHead>(d, 3, rng);
-  llm_->freeze_backbone();
-  if (cfg_.use_lora) lora_ = llm_->enable_lora(cfg_.lora_rank, cfg_.lora_alpha, rng);
+  freeze_backbone_and_add_lora(cfg_.use_lora, cfg_.lora_rank, cfg_.lora_alpha, rng);
 }
 
 Tensor VpAdapter::viewport_token(const vp::Viewport& v) const {
@@ -433,77 +426,20 @@ VpAdapter::AdaptStats VpAdapter::adapt(std::span<const vp::VpSample> dataset, in
                                        float lr, std::uint64_t seed,
                                        const SessionOptions& session) {
   if (dataset.empty()) throw std::invalid_argument("VpAdapter::adapt: empty dataset");
-  // Training always runs on the fp32 masters: pause the quantized forward
-  // for the whole loop so losses, gradients and checkpoints are bitwise
-  // those of an fp32-backbone run, and requantize on the way out.
-  llm::ScopedQuantPause quant_pause(*llm_);
   // Warm prefixes are keyed on raw requests, so rows the old weights
   // computed must not be adopted after the weights change.
   if (arena_) arena_->clear_warm();
-  core::Rng rng(seed);
-  Adam opt(adapt_parameters(), lr);  // unfreezes the backbone when it trains too
-  TrainGuard guard(opt.params());
-  AdaptStats stats;
-  TrainSession sess(session, SessionFingerprint{"vp", llm_->config().name, seed, lr, steps},
-                    session_params(*this, cfg_.train_backbone ? llm_.get() : nullptr), opt,
-                    guard);
-  const int start = sess.resume(rng, stats);
-  const double prior_s = stats.seconds;  // wall time from interrupted runs
-  auto& step_hist = core::metrics::histogram("adapt.vp.step_ms");
-  auto& step_count = core::metrics::counter("adapt.vp.steps");
-  core::Timer timer;
-  for (int step = start; step < steps; ++step) {
-    core::Timer step_timer;
-    opt.set_lr(lr * (1.0f - 0.7f * static_cast<float>(step) / static_cast<float>(steps)));
-    const auto& sample =
-        dataset[static_cast<std::size_t>(rng.randint(0, static_cast<std::int64_t>(dataset.size()) - 1))];
-    opt.zero_grad();
-    auto l = loss(sample);
-    core::fault::corrupt("adapter.step", l.mutable_data());
-    const float lv = l.item();
-    if (guard.loss_ok(lv)) {
-      if (step == 0) stats.initial_loss = lv;
-      stats.final_loss = lv;
-      l.backward();
-      if (guard.grads_ok()) {
-        opt.clip_grad_norm(1.0);
-        opt.step();
-        guard.after_step();
-      } else {
-        opt.zero_grad();  // poisoned gradients: drop the step
-      }
-    }
-    stats.seconds = prior_s + timer.elapsed_s();
-    stats.skipped_steps = guard.skipped_steps();
-    stats.restores = guard.restores();
-    step_hist.record(step_timer.elapsed_ms());
-    step_count.add();
-    if (sess.after_step(step, rng, stats)) break;  // drained on SIGINT/SIGTERM
-  }
-  stats.seconds = prior_s + timer.elapsed_s();
-  stats.skipped_steps = guard.skipped_steps();
-  stats.restores = guard.restores();
-  if (!stats.interrupted) sess.finish(steps, rng, stats);
-  stats.checkpoints = sess.checkpoints_written();
-  return stats;
+  return run_adapt("vp", steps, lr, seed, session, [&](core::Rng& rng) -> std::optional<float> {
+    const auto i = rng.randint(0, static_cast<std::int64_t>(dataset.size()) - 1);
+    return backward_loss(loss(dataset[static_cast<std::size_t>(i)]));
+  });
 }
 
-
-std::vector<Tensor> VpAdapter::adapt_parameters() const {
-  auto params = trainable_parameters();
-  if (cfg_.train_backbone) {
-    llm_->unfreeze();
-    for (auto& p : llm_->trainable_parameters()) params.push_back(p);
-  }
-  return params;
-}
 void VpAdapter::collect_params(NamedParams& out, const std::string& prefix) const {
   image_encoder_->collect_params(out, prefix + "image_encoder.");
   viewport_encoder_->collect_params(out, prefix + "viewport_encoder.");
   head_->collect_params(out, prefix + "head.");
-  for (std::size_t i = 0; i < lora_.size(); ++i) {
-    out.emplace_back(prefix + "lora." + std::to_string(i), lora_[i]);
-  }
+  collect_lora(out, prefix);
 }
 
 }  // namespace netllm::adapt

@@ -16,11 +16,10 @@
 #include "core/rng.hpp"
 #include "envs/vp/dataset.hpp"
 #include "llm/minigpt.hpp"
+#include "netllm/dd_lrna.hpp"
 #include "netllm/encoders.hpp"
 #include "netllm/heads.hpp"
-#include "netllm/session.hpp"
 #include "nn/kv_arena.hpp"
-#include "nn/module.hpp"
 
 namespace netllm::adapt {
 
@@ -52,7 +51,7 @@ struct VpRollout {
   std::exception_ptr error;
 };
 
-class VpAdapter final : public nn::Module, public vp::VpPredictor {
+class VpAdapter final : public DdLrnaAdapter, public vp::VpPredictor {
  public:
   /// Takes (shared) ownership of the LLM, freezes its backbone and injects
   /// LoRA adapters. Build one adapter per MiniGpt instance.
@@ -112,15 +111,6 @@ class VpAdapter final : public nn::Module, public vp::VpPredictor {
   /// is intentionally excluded so snapshots are per-task adaptation deltas.
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
-  const llm::MiniGpt& llm() const { return *llm_; }
-  /// Shared handle for callers that reconfigure the backbone in place
-  /// (quantization) — the adapter stays the owner of record.
-  std::shared_ptr<llm::MiniGpt> llm_shared() const { return llm_; }
-
- /// Parameters the Adapt API optimises: encoder + head + LoRA, plus the
-  /// backbone when cfg.train_backbone is set.
-  std::vector<tensor::Tensor> adapt_parameters() const;
-
  private:
   tensor::Tensor viewport_token(const vp::Viewport& v) const;
   /// build_sequence(history, {}, saliency) on raw rows: the prompt's
@@ -132,12 +122,10 @@ class VpAdapter final : public nn::Module, public vp::VpPredictor {
                                 std::span<const vp::Viewport> future_teacher,
                                 const tensor::Tensor& saliency) const;
 
-  std::shared_ptr<llm::MiniGpt> llm_;
   VpAdapterConfig cfg_;
   std::shared_ptr<ImageEncoder> image_encoder_;
   std::shared_ptr<ScalarEncoder> viewport_encoder_;
   std::shared_ptr<RegressionHead> head_;
-  std::vector<tensor::Tensor> lora_;
   std::shared_ptr<nn::KvArena> arena_;  // null = per-call caches, no sharing
 };
 

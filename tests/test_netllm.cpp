@@ -290,6 +290,45 @@ TEST(CjsAdapter, AdaptOnDecimaExperienceReducesLoss) {
   EXPECT_LT(stats.final_loss, stats.initial_loss);
 }
 
+// ---------- both RL adapters ----------
+
+// A pool with no trajectories, or whose every trajectory is empty, has no
+// return to condition on: ABR and CJS refuse it with the same named error
+// before any step runs, keeping their return target and scale. (ABR used to
+// run every step as a no-op Adam step and set its target to -1e30.)
+TEST(RlAdapters, AdaptOnAPoolWithoutStepsThrowsTheSameNamedError) {
+  const auto expect_named = [](const char* what, auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << "no throw, expected: " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), what);
+    }
+  };
+  Rng rng(18);
+  ad::AbrAdapterConfig acfg;
+  acfg.lora_rank = 2;
+  acfg.context_window = 4;
+  ad::AbrAdapter abr_adapter(tiny_llm(), acfg, rng);
+  const float abr_target = abr_adapter.target_return();
+  const std::vector<ad::AbrTrajectory> abr_empty(3);
+  expect_named("adapt: empty trajectories", [&] { abr_adapter.adapt(abr_empty, 4, 1e-3f, 5); });
+  expect_named("adapt: empty pool", [&] { abr_adapter.adapt({}, 4, 1e-3f, 5); });
+  EXPECT_EQ(abr_adapter.target_return(), abr_target);
+
+  ad::CjsAdapterConfig ccfg;
+  ccfg.lora_rank = 2;
+  ccfg.context_window = 4;
+  ad::CjsAdapter cjs_adapter(tiny_llm(), ccfg, rng);
+  const float cjs_target = cjs_adapter.target_return();
+  const float cjs_scale = cjs_adapter.return_scale();
+  const std::vector<ad::CjsTrajectory> cjs_empty(2);
+  expect_named("adapt: empty trajectories", [&] { cjs_adapter.adapt(cjs_empty, 4, 1e-3f, 5); });
+  expect_named("adapt: empty pool", [&] { cjs_adapter.adapt({}, 4, 1e-3f, 5); });
+  EXPECT_EQ(cjs_adapter.target_return(), cjs_target);
+  EXPECT_EQ(cjs_adapter.return_scale(), cjs_scale);
+}
+
 // ---------- prompt learning (Fig. 2 baseline) ----------
 
 TEST(PromptVp, RenderAndParseRoundTrip) {

@@ -231,9 +231,11 @@ TEST(ServeAlloc, WarmDecisionsBuildNoTapeNodeAndStayUnderAllocationBounds) {
   std::printf("allocations per decision: vp hit %.1f, vp miss %.1f, abr %.1f, cjs %.1f\n",
               vp_hit.allocations, vp_miss.allocations, abr_decision.allocations,
               cjs_decision.allocations);
-  // Measured 20.0 / 28.2 / 26.1 / 27.4; the tape path made 209 / 932 / 242 / 606.
+  // Measured 19.0 / 27.2 / 22.2 / 25.5; the tape path made 209 / 932 / 242 / 606.
+  // The ABR/CJS rolling context reuses a dropped step's slot storage, so its
+  // cost falls once the window is full (the last 3 counted decisions here).
   EXPECT_LE(vp_hit.allocations, 24.0);
   EXPECT_LE(vp_miss.allocations, 36.0);
-  EXPECT_LE(abr_decision.allocations, 32.0);
-  EXPECT_LE(cjs_decision.allocations, 34.0);
+  EXPECT_LE(abr_decision.allocations, 23.0);
+  EXPECT_LE(cjs_decision.allocations, 26.0);
 }
