@@ -3,7 +3,9 @@
 // cached decode at fp32/Q8_0/Q4_0 backbone weights, and VP lockstep groups
 // (DESIGN.md §13): decisions/s and ms/decision for drains of B = 1, 2, 4, 8
 // VP requests through InferenceEngine on the 512-wide Q8_0 backbone, at one
-// thread so each drain is one group. Emits BENCH_decode.json (path
+// thread so each drain is one group. Every row runs kReps interleaved
+// repetitions and reports their median and stddev; each ratio is the median
+// of its per-repetition ratios. Emits BENCH_decode.json (path
 // overridable via argv[1]) with a provenance block; run_benches.sh wires it
 // into the standard sweep and tools/check_bench_decode.py validates it. The
 // cached row is the same computation as the uncached Fig. 2 baseline —
@@ -11,6 +13,7 @@
 // effect, not a model change; likewise every grouped answer is bitwise its
 // answer alone (test_sched). Serving latency and goodput are measured by
 // bench/e2e.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -35,6 +38,8 @@ using netllm::core::percentile;
 using netllm::core::print_banner;
 
 namespace {
+
+constexpr int kReps = 5;  // interleaved repetitions behind every ledger row
 
 struct Row {
   std::string label;
@@ -79,6 +84,44 @@ std::string json_aggregate(const Aggregate& a) {
          std::to_string(a.stddev) + "}";
 }
 
+/// A generate sweep over kReps repetitions: each field's median and stddev.
+struct RowAggregate {
+  std::string label;
+  Aggregate items_per_s, p50_ms, p99_ms;
+};
+
+RowAggregate aggregate(const std::vector<Row>& reps) {
+  const auto field = [&](double Row::*f) {
+    std::vector<double> xs;
+    for (const auto& r : reps) xs.push_back(r.*f);
+    return aggregate(xs);
+  };
+  return {reps.front().label, field(&Row::items_per_s), field(&Row::p50_ms),
+          field(&Row::p99_ms)};
+}
+
+/// The median over repetitions of `num[i].items_per_s / den[i].items_per_s`.
+double median_ratio(const std::vector<Row>& num, const std::vector<Row>& den) {
+  std::vector<double> ratios;
+  for (std::size_t i = 0; i < num.size(); ++i) {
+    ratios.push_back(num[i].items_per_s / std::max(den[i].items_per_s, 1e-9));
+  }
+  return percentile(ratios, 50.0);
+}
+
+/// A row's timing fields as JSON aggregates.
+std::string json_timing(const RowAggregate& r) {
+  return "\"repetitions\": " + std::to_string(kReps) +
+         ", \"tokens_per_s\": " + json_aggregate(r.items_per_s) +
+         ", \"p50_ms\": " + json_aggregate(r.p50_ms) + ", \"p99_ms\": " + json_aggregate(r.p99_ms);
+}
+
+/// A row's timing fields as table cells: tokens/s median and stddev, p50, p99.
+std::vector<std::string> table_timing(const RowAggregate& r) {
+  return {Table::num(r.items_per_s.median, 1), Table::num(r.items_per_s.stddev, 1),
+          Table::num(r.p50_ms.median, 2), Table::num(r.p99_ms.median, 2)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,16 +150,24 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const Row uncached = measure_generate(gpt, prompts, max_new, false);
-  const Row cached = measure_generate(gpt, prompts, max_new, true);
-  const double speedup = cached.items_per_s / std::max(uncached.items_per_s, 1e-9);
+  // Interleaved: each repetition times the uncached and the cached sweep
+  // back to back, so a load spike on a shared box lands in one pair.
+  std::vector<Row> uncached_reps, cached_reps;
+  for (int rep = 0; rep < kReps; ++rep) {
+    uncached_reps.push_back(measure_generate(gpt, prompts, max_new, false));
+    cached_reps.push_back(measure_generate(gpt, prompts, max_new, true));
+  }
+  const RowAggregate decode_rows[] = {aggregate(uncached_reps), aggregate(cached_reps)};
+  const double speedup = median_ratio(cached_reps, uncached_reps);
 
   print_banner(std::cout, "greedy generation, answers of " + std::to_string(cfg.max_seq) +
-                              " total tokens (" + std::to_string(kAnswers) + " answers)");
-  Table dec({"path", "tokens/s", "p50 ms/answer", "p99 ms/answer"});
-  for (const Row* r : {&uncached, &cached}) {
-    dec.add_row({r->label, Table::num(r->items_per_s, 1), Table::num(r->p50_ms, 2),
-                 Table::num(r->p99_ms, 2)});
+                              " total tokens (" + std::to_string(kAnswers) + " answers, " +
+                              std::to_string(kReps) + " reps, median)");
+  Table dec({"path", "tokens/s", "tokens/s stddev", "p50 ms/answer", "p99 ms/answer"});
+  for (const auto& r : decode_rows) {
+    auto cells = table_timing(r);
+    cells.insert(cells.begin(), r.label);
+    dec.add_row(cells);
   }
   dec.print(std::cout);
   std::cout << "cached / uncached tokens-per-s ratio: " << Table::num(speedup, 1) << "x\n";
@@ -130,7 +181,7 @@ int main(int argc, char** argv) {
   // so the Q8 and Q4 rows are independent views of one model.
   struct QuantRow {
     std::string dtype;
-    Row timing;
+    std::vector<Row> reps;
     long long backbone_bytes = 0;
   };
   netllm::llm::MiniGptConfig qcfg;
@@ -150,34 +201,35 @@ int main(int argc, char** argv) {
     for (auto& t : p) t = static_cast<int>(qprng.randint(3, qcfg.vocab - 1));
     qprompts.push_back(std::move(p));
   }
-  // Interleaved best-of-3: each repetition measures every dtype back to back,
-  // and each dtype keeps its fastest pass. A transient load spike on a shared
-  // box then hurts one pass of one dtype, not a whole dtype's only sample.
-  constexpr int kQuantReps = 3;
+  // Interleaved: each repetition measures every dtype back to back, so a
+  // transient load spike on a shared box hurts one pass of one dtype, not a
+  // whole dtype's only sample.
   const std::vector<netllm::tensor::quant::Dtype> dtypes = {
       netllm::tensor::quant::Dtype::kF32, netllm::tensor::quant::Dtype::kQ8_0,
       netllm::tensor::quant::Dtype::kQ4_0};
   std::vector<QuantRow> quant_rows(dtypes.size());
-  for (int rep = 0; rep < kQuantReps; ++rep) {
+  for (int rep = 0; rep < kReps; ++rep) {
     for (std::size_t d = 0; d < dtypes.size(); ++d) {
       qgpt.quantize_backbone(dtypes[d]);  // kF32 restores plain matmul + fp32 bytes
-      const Row timing = measure_generate(qgpt, qprompts, q_max_new, /*use_cache=*/true);
       auto& qr = quant_rows[d];
+      qr.reps.push_back(measure_generate(qgpt, qprompts, q_max_new, /*use_cache=*/true));
       qr.dtype = netllm::tensor::quant::dtype_name(dtypes[d]);
       qr.backbone_bytes = qgpt.backbone_weight_bytes();
-      if (rep == 0 || timing.items_per_s > qr.timing.items_per_s) qr.timing = timing;
     }
   }
-  const double q8_speedup =
-      quant_rows[1].timing.items_per_s / std::max(quant_rows[0].timing.items_per_s, 1e-9);
+  const double q8_speedup = median_ratio(quant_rows[1].reps, quant_rows[0].reps);
   const double q8_mem_ratio = static_cast<double>(quant_rows[0].backbone_bytes) /
                               std::max<double>(static_cast<double>(quant_rows[1].backbone_bytes), 1.0);
   print_banner(std::cout, "quantized decode, d_model " + std::to_string(qcfg.d_model) +
-                              " backbone (" + std::to_string(kQuantAnswers) + " cached answers)");
-  Table qt({"dtype", "tokens/s", "p50 ms/answer", "p99 ms/answer", "backbone bytes"});
+                              " backbone (" + std::to_string(kQuantAnswers) + " cached answers, " +
+                              std::to_string(kReps) + " reps, median)");
+  Table qt({"dtype", "tokens/s", "tokens/s stddev", "p50 ms/answer", "p99 ms/answer",
+            "backbone bytes"});
   for (const auto& qr : quant_rows) {
-    qt.add_row({qr.dtype, Table::num(qr.timing.items_per_s, 1), Table::num(qr.timing.p50_ms, 2),
-                Table::num(qr.timing.p99_ms, 2), std::to_string(qr.backbone_bytes)});
+    auto cells = table_timing(aggregate(qr.reps));
+    cells.insert(cells.begin(), qr.dtype);
+    cells.push_back(std::to_string(qr.backbone_bytes));
+    qt.add_row(cells);
   }
   qt.print(std::cout);
   std::cout << "q8_0 / f32 tokens-per-s ratio: " << Table::num(q8_speedup, 2)
@@ -186,11 +238,11 @@ int main(int argc, char** argv) {
   // ---- VP lockstep groups: B requests per drain (DESIGN.md §13) ----
   // The vp_wide_q8 serving shape: a 512-wide, 4-layer Q8_0 backbone with
   // LoRA, 20-step rollouts. One thread, so a drain of B requests is one
-  // lockstep group; no warm prefixes, so every request prefills cold. Five
-  // interleaved repetitions, each timing every B back to back over the same
-  // number of decisions.
+  // lockstep group; no warm prefixes, so every request prefills cold. Each
+  // interleaved repetition times every B back to back over the same number
+  // of decisions.
   netllm::core::set_global_threads(1);
-  constexpr int kVpHorizon = 20, kGroupReps = 5, kGroupDecisions = 16;
+  constexpr int kVpHorizon = 20, kGroupDecisions = 16;
   const std::vector<std::size_t> group_sizes = {1, 2, 4, 8};
   netllm::llm::MiniGptConfig vcfg = qcfg;
   vcfg.max_seq = 96;
@@ -213,7 +265,7 @@ int main(int argc, char** argv) {
   };
   (void)drain(group_sizes.back());  // warm the per-thread rows and the lease pool
   std::vector<std::vector<double>> group_ms(group_sizes.size());
-  for (int rep = 0; rep < kGroupReps; ++rep) {
+  for (int rep = 0; rep < kReps; ++rep) {
     for (std::size_t g = 0; g < group_sizes.size(); ++g) {
       const auto b = group_sizes[g];
       std::size_t served = 0;
@@ -236,7 +288,7 @@ int main(int argc, char** argv) {
   }
   print_banner(std::cout, "VP lockstep groups, d_model " + std::to_string(vcfg.d_model) +
                               " Q8_0 backbone, horizon " + std::to_string(kVpHorizon) + " (" +
-                              std::to_string(kGroupReps) + " reps, median)");
+                              std::to_string(kReps) + " reps, median)");
   Table gt({"requests per drain", "decisions/s", "ms/decision", "ms/decision stddev"});
   for (std::size_t g = 0; g < group_sizes.size(); ++g) {
     gt.add_row({std::to_string(group_sizes[g]), Table::num(decisions_per_s[g].median, 1),
@@ -251,27 +303,25 @@ int main(int argc, char** argv) {
   const auto context = netllm::benchsupport::provenance(NETLLM_BUILD_TYPE);
   std::ofstream json(out_path);
   json << "{\n  \"decode\": [\n";
-  for (const Row* r : {&uncached, &cached}) {
-    json << "    {\"mode\": \"" << r->label << "\", \"answers\": " << kAnswers
-         << ", \"tokens_per_answer\": " << max_new << ", \"tokens_per_s\": " << r->items_per_s
-         << ", \"p50_ms\": " << r->p50_ms << ", \"p99_ms\": " << r->p99_ms << "}"
-         << (r == &cached ? "\n" : ",\n");
+  for (const auto& r : decode_rows) {
+    json << "    {\"mode\": \"" << r.label << "\", \"answers\": " << kAnswers
+         << ", \"tokens_per_answer\": " << max_new << ", " << json_timing(r) << "}"
+         << (&r == &decode_rows[1] ? "\n" : ",\n");
   }
   json << "  ],\n  \"speedup_tokens_per_s\": " << speedup << ",\n  \"quant_decode\": [\n";
   for (std::size_t i = 0; i < quant_rows.size(); ++i) {
     const auto& qr = quant_rows[i];
     json << "    {\"dtype\": \"" << qr.dtype << "\", \"answers\": " << kQuantAnswers
-         << ", \"tokens_per_answer\": " << q_max_new
-         << ", \"tokens_per_s\": " << qr.timing.items_per_s << ", \"p50_ms\": " << qr.timing.p50_ms
-         << ", \"p99_ms\": " << qr.timing.p99_ms << ", \"backbone_bytes\": " << qr.backbone_bytes
-         << "}" << (i + 1 == quant_rows.size() ? "\n" : ",\n");
+         << ", \"tokens_per_answer\": " << q_max_new << ", " << json_timing(aggregate(qr.reps))
+         << ", \"backbone_bytes\": " << qr.backbone_bytes << "}"
+         << (i + 1 == quant_rows.size() ? "\n" : ",\n");
   }
   json << "  ],\n  \"quant_q8_speedup_tokens_per_s\": " << q8_speedup
        << ",\n  \"quant_q8_memory_ratio\": " << q8_mem_ratio << ",\n  \"vp_group\": [\n";
   for (std::size_t g = 0; g < group_sizes.size(); ++g) {
     json << "    {\"requests\": " << group_sizes[g] << ", \"d_model\": " << vcfg.d_model
          << ", \"dtype\": \"q8_0\", \"horizon\": " << kVpHorizon
-         << ", \"decisions\": " << kGroupDecisions << ", \"repetitions\": " << kGroupReps
+         << ", \"decisions\": " << kGroupDecisions << ", \"repetitions\": " << kReps
          << ", \"decisions_per_s\": " << json_aggregate(decisions_per_s[g])
          << ", \"ms_per_decision\": " << json_aggregate(ms_per_decision[g]) << "}"
          << (g + 1 == group_sizes.size() ? "\n" : ",\n");
