@@ -72,7 +72,6 @@ class AbrAdapter final : public DdLrnaAdapter, public abr::AbrPolicy {
   int choose_level(const abr::Observation& obs) override;
   void observe_result(const abr::ChunkResult& result, double chunk_qoe) override;
 
-  using AdaptStats = ::netllm::adapt::AdaptStats;
   /// The Adapt API: offline fine-tuning on the experience pool (Eq. 4).
   /// Resilient to non-finite losses/gradients and parameter corruption
   /// (see TrainGuard). With `session.dir` set the run is durable: periodic

@@ -52,7 +52,6 @@ class CjsAdapter final : public DdLrnaAdapter, public cjs::SchedPolicy {
   cjs::SchedAction choose(const cjs::SchedObservation& obs) override;
   void observe_reward(double reward) override;
 
-  using AdaptStats = ::netllm::adapt::AdaptStats;
   /// Offline fine-tuning (Eq. 4). Resilient to non-finite losses/gradients
   /// and parameter corruption (see TrainGuard). With `session.dir` set the
   /// run is durable: periodic checkpoints, clean SIGINT/SIGTERM drain,

@@ -26,6 +26,8 @@ namespace netllm::adapt {
 
 class DdLrnaAdapter : public nn::Module {
  public:
+  using AdaptStats = ::netllm::adapt::AdaptStats;
+
   const llm::MiniGpt& llm() const { return *llm_; }
   /// Shared handle for callers that reconfigure the backbone in place
   /// (quantization) — the adapter stays the owner of record.
@@ -141,9 +143,7 @@ class RollingContext {
     return *s;
   }
 
-  std::size_t size() const { return size_; }
-  Step& operator[](std::size_t i) { return slots_[(head_ + i) % window_]; }
-  Step& back() { return (*this)[size_ - 1]; }
+  Step& back() { return at(size_ - 1); }
 
   /// Drop every cached row; the raw steps stay and are re-encoded next call.
   void invalidate() {
@@ -159,7 +159,7 @@ class RollingContext {
   template <typename EncodeState, typename EncodeAction>
   std::span<const float> sequence(EncodeState&& encode_state, EncodeAction&& encode_action) {
     for (std::size_t i = 0; i < size_; ++i) {
-      auto& s = (*this)[i];
+      auto& s = at(i);
       if (s.state_rows.empty()) {
         const std::span<const float> rows = encode_state(s, scratch_);
         s.state_rows.assign(rows.begin(), rows.end());
@@ -171,7 +171,7 @@ class RollingContext {
     }
     sequence_.clear();
     for (std::size_t i = 0; i < size_; ++i) {
-      const auto& s = (*this)[i];
+      const auto& s = at(i);
       sequence_.insert(sequence_.end(), s.state_rows.begin(), s.state_rows.end());
       sequence_.insert(sequence_.end(), s.action_rows.begin(), s.action_rows.end());
     }
@@ -179,6 +179,7 @@ class RollingContext {
   }
 
  private:
+  Step& at(std::size_t i) { return slots_[(head_ + i) % window_]; }  // i-th oldest
   static void clear_rows(Step& s) {
     s.state_rows.clear();
     s.aux_rows.clear();

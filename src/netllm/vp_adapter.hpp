@@ -96,7 +96,6 @@ class VpAdapter final : public DdLrnaAdapter, public vp::VpPredictor {
   /// Teacher-forced SL loss for one sample (Eq. 1 with MSE).
   tensor::Tensor loss(const vp::VpSample& sample) const;
 
-  using AdaptStats = ::netllm::adapt::AdaptStats;
   /// The `Adapt` API (Fig. 9): fine-tune encoder + head + LoRA over the
   /// dataset; the LLM backbone stays frozen throughout. Resilient to
   /// non-finite losses/gradients (poisoned steps are skipped) and to

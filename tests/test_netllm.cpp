@@ -294,8 +294,7 @@ TEST(CjsAdapter, AdaptOnDecimaExperienceReducesLoss) {
 
 // A pool with no trajectories, or whose every trajectory is empty, has no
 // return to condition on: ABR and CJS refuse it with the same named error
-// before any step runs, keeping their return target and scale. (ABR used to
-// run every step as a no-op Adam step and set its target to -1e30.)
+// before any step runs, keeping their return target and scale.
 TEST(RlAdapters, AdaptOnAPoolWithoutStepsThrowsTheSameNamedError) {
   const auto expect_named = [](const char* what, auto&& call) {
     try {
